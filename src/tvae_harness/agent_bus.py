@@ -13,12 +13,14 @@ import random
 import shlex
 import subprocess
 import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from importlib import resources
 from typing import Any, Protocol, Sequence
-
-import requests
+from urllib.parse import urlsplit
 
 from .errors import AgentTimeoutError, AgentUnavailableError, InvariantViolationError
 from .failure_forge import FailureMode, corrupt_action, mismatched_effect, sample_corruption
@@ -270,40 +272,119 @@ def observation_to_wire(obs: Observation) -> dict[str, Any]:
     return payload
 
 
+def _turn_url(endpoint: str) -> str:
+    url = endpoint.rstrip("/")
+    return url if url.endswith("/turn") else url + "/turn"
+
+
+def _decode(body: bytes, charset: str) -> str:
+    try:
+        return body.decode(charset, "replace")
+    except LookupError:  # unknown charset name in Content-Type
+        return body.decode("utf-8", "replace")
+
+
+class _HttpPool:
+    """Keep-alive HTTP connections to one URL, shared by concurrent turns.
+
+    Idle connections wait on a lock-guarded stack.  A request pops one or
+    opens one, puts it back after a complete response and closes it on any
+    error, so no more connections are open than requests were ever in
+    flight at once.  Proxy environment variables, `.netrc` and redirects are
+    not consulted.
+    """
+
+    def __init__(self, url: str, timeout: float):
+        parts = urlsplit(url)
+        try:
+            port = parts.port
+        except ValueError:  # non-numeric or out-of-range port
+            port = 0
+        if parts.scheme not in ("http", "https") or not parts.hostname or port == 0:
+            raise InvariantViolationError("remote", "endpoint", f"{url!r} is not an http(s) URL")
+        self.url = url
+        self.path = parts.path + (f"?{parts.query}" if parts.query else "")
+        conn_class = HTTPSConnection if parts.scheme == "https" else HTTPConnection
+        self._open = partial(conn_class, parts.hostname, port, timeout=timeout)
+        self._idle: list[HTTPConnection] = []
+        self._lock = threading.Lock()
+
+    def _checkout(self) -> HTTPConnection:
+        with self._lock:
+            if self._idle:
+                return self._idle.pop()
+        return self._open()
+
+    def post(self, body: bytes, headers: dict[str, str]) -> str:
+        """POST `body` and return the decoded 2xx response body.
+
+        Transport errors, timeouts and 5xx responses are retried once, on a
+        new connection after a transport error; any other status fails at
+        once.
+        """
+        last: Exception | None = None
+        fresh = False
+        for _ in range(2):
+            conn = self._open() if fresh else self._checkout()
+            try:
+                conn.request("POST", self.path, body, headers)
+                resp = conn.getresponse()
+                data = resp.read()
+            except (OSError, HTTPException) as exc:
+                conn.close()
+                last, fresh = exc, True
+                continue
+            except BaseException:
+                conn.close()
+                raise
+            if resp.will_close:
+                conn.close()
+            else:
+                with self._lock:
+                    self._idle.append(conn)
+            if 200 <= resp.status < 300:
+                return _decode(data, resp.headers.get_content_charset("utf-8"))
+            last = HTTPException(f"HTTP {resp.status} {resp.reason}")
+            if resp.status < 500:
+                break
+        if isinstance(last, TimeoutError):
+            raise AgentTimeoutError(f"{self.url}: {last}") from last
+        raise AgentUnavailableError(f"{self.url}: {last}") from last
+
+    def close(self) -> None:
+        """Close the idle connections; the pool stays usable."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+
 def remote_turn(
     endpoint: str,
     obs: Observation,
     timeout: float = 30.0,
     token: str | None = None,
-    session: requests.Session | None = None,
+    pool: _HttpPool | None = None,
 ) -> str:
     """POST one observation to a turn server and return the raw body verbatim.
 
-    Retries once on transport errors, then raises AgentUnavailableError (or
-    AgentTimeoutError when the deadline was the cause).  The body is never
-    interpreted here; parsing happens downstream.
+    Retries once on transport errors, timeouts and 5xx responses, then raises
+    AgentUnavailableError (or AgentTimeoutError when the deadline was the
+    cause); a 4xx response raises at once.  The body is never interpreted
+    here; parsing happens downstream.  A given `pool` supplies the URL,
+    timeout and connections; without one the request opens its own.
     """
-    url = endpoint.rstrip("/")
-    if not url.endswith("/turn"):
-        url += "/turn"
     headers = {"Content-Type": "application/json"}
     if token:
         headers["Authorization"] = f"Bearer {token}"
-    payload = observation_to_wire(obs)
-    post = (session or requests).post
-    last: Exception | None = None
-    for _ in range(2):
-        try:
-            resp = post(url, json=payload, headers=headers, timeout=timeout)
-            resp.raise_for_status()
-            return resp.text
-        except requests.Timeout as exc:
-            last = exc
-        except requests.RequestException as exc:
-            last = exc
-    if isinstance(last, requests.Timeout):
-        raise AgentTimeoutError(f"{url}: {last}") from last
-    raise AgentUnavailableError(f"{url}: {last}") from last
+    body = json.dumps(observation_to_wire(obs)).encode("utf-8")
+    if pool is not None:
+        return pool.post(body, headers)
+    own = _HttpPool(_turn_url(endpoint), timeout)
+    try:
+        return own.post(body, headers)
+    finally:
+        own.close()
 
 
 class RemoteAgent:
@@ -311,6 +392,7 @@ class RemoteAgent:
 
     Serialized by default; passing `max_inflight` declares the server safe
     for that many concurrent single-turn requests, enforced client-side.
+    Turns share a pool of keep-alive connections that `close` releases.
     """
 
     white_box = False
@@ -323,7 +405,6 @@ class RemoteAgent:
         max_inflight: int | None = None,
     ):
         self.endpoint = endpoint
-        self.timeout = timeout
         self.token = token
         self.identity = f"remote:{endpoint}"
         if max_inflight is not None and max_inflight < 1:
@@ -331,18 +412,15 @@ class RemoteAgent:
         self.capability = (
             Capability.CONCURRENT_SAFE if max_inflight else Capability.SERIALIZED
         )
-        self._gate = threading.BoundedSemaphore(max_inflight) if max_inflight else None
-        self._session = requests.Session()
+        self._gate = threading.BoundedSemaphore(max_inflight) if max_inflight else nullcontext()
+        self._pool = _HttpPool(_turn_url(endpoint), timeout)
 
     def turn(self, obs: Observation, gt: StepRecord | None, rng: random.Random) -> str:
-        if self._gate is None:
-            return remote_turn(
-                self.endpoint, obs, timeout=self.timeout, token=self.token, session=self._session
-            )
         with self._gate:
-            return remote_turn(
-                self.endpoint, obs, timeout=self.timeout, token=self.token, session=self._session
-            )
+            return remote_turn(self.endpoint, obs, token=self.token, pool=self._pool)
+
+    def close(self) -> None:
+        self._pool.close()
 
 
 class StdioAgent:
@@ -397,12 +475,18 @@ class StdioAgent:
 # -- agent spec parsing (CLI surface) ---------------------------------------------
 
 
-def parse_agent_spec(spec: str, timeout: float = 30.0, token: str | None = None) -> AgentHandle:
+def parse_agent_spec(
+    spec: str,
+    timeout: float = 30.0,
+    token: str | None = None,
+    max_inflight: int | None = None,
+) -> AgentHandle:
     """Build an agent from a spec string.
 
     Forms: scripted:oracle | scripted:loopy | scripted:failk:K |
     scripted:bernoulli:P | scripted:offset_then_correct |
-    remote:URL | stdio:COMMAND.
+    remote:URL | stdio:COMMAND.  `timeout`, `token` and `max_inflight`
+    apply to remote agents only.
     """
     head, _, rest = spec.partition(":")
     if head == "scripted":
@@ -419,7 +503,7 @@ def parse_agent_spec(spec: str, timeout: float = 30.0, token: str | None = None)
             return ScriptedAgent(Variant(name, p=p))
         return ScriptedAgent(Variant(name))
     if head == "remote":
-        return RemoteAgent(rest, timeout=timeout, token=token)
+        return RemoteAgent(rest, timeout=timeout, token=token, max_inflight=max_inflight)
     if head == "stdio":
         return StdioAgent(rest)
     raise InvariantViolationError("agent", "spec", spec)

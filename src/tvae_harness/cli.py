@@ -20,7 +20,13 @@ from typing import Any, Sequence
 
 from . import __version__
 from .agent_bus import parse_agent_spec
-from .errors import AgentError, DataError, EmptySetError, MalformedLineError
+from .errors import (
+    AgentError,
+    DataError,
+    EmptySetError,
+    InvariantViolationError,
+    MalformedLineError,
+)
 from .failure_forge import (
     DEFAULT_FAILURE_WEIGHTS,
     build_robustness_bench,
@@ -118,6 +124,15 @@ def _parse_records(path: str | Path, parser, what: str) -> list[Any]:
     return records
 
 
+def _check_run_flags(args: argparse.Namespace) -> None:
+    # Checked here, not by argparse `type=`: argparse usage errors exit 2,
+    # which the exit-code contract keeps for agent failures.
+    if args.workers < 1:
+        raise InvariantViolationError("flag", "--workers", "must be >= 1")
+    if not (math.isfinite(args.timeout) and args.timeout > 0):
+        raise InvariantViolationError("flag", "--timeout", "must be a finite number > 0")
+
+
 def _sim_config(args: argparse.Namespace, config: dict[str, Any], seed: int) -> SimConfig:
     base = dict(config.get("sim", {}))
     for key in ("budget_multiplier", "delta", "repeat_epsilon"):
@@ -196,6 +211,7 @@ def _first_attempt_predictions(traces, trajs) -> list[StepPrediction]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _check_run_flags(args)
     config = _load_config(args)
     seed = _resolve_seed(args, config)
     sim = _sim_config(args, config, seed)
@@ -203,7 +219,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     trajs = load_dataset(args.dataset, limit=args.limit, skip_invalid=args.skip_invalid)
     if not trajs:
         raise EmptySetError("dataset is empty")
-    agent = parse_agent_spec(args.agent, timeout=args.timeout, token=args.token)
+    agent = parse_agent_spec(
+        args.agent, timeout=args.timeout, token=args.token, max_inflight=args.workers
+    )
     try:
         traces = run_episodes(trajs, agent, sim, workers=args.workers)
     finally:
@@ -244,6 +262,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_robust(args: argparse.Namespace) -> int:
+    _check_run_flags(args)
     config = _load_config(args)
     seed = _resolve_seed(args, config)
     sim = _sim_config(args, config, seed)
@@ -266,7 +285,9 @@ def cmd_bench_robust(args: argparse.Namespace) -> int:
     if not cases:
         raise EmptySetError("no failure cases")
 
-    agent = parse_agent_spec(args.agent, timeout=args.timeout, token=args.token)
+    agent = parse_agent_spec(
+        args.agent, timeout=args.timeout, token=args.token, max_inflight=args.workers
+    )
     try:
         results = run_failure_cases(cases, agent, sim, workers=args.workers)
     finally:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import random
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -18,6 +21,13 @@ from tvae_harness.tvae_codec import (
     ThinkTag,
     TvaeOutput,
     Verification,
+)
+
+FIXED_TURN = (
+    "<think>\n[Verify] Screen checked.\n[Action] click.\n</think>\n"
+    "<verification>SUCCESS</verification>\n"
+    '<action>{"action": "click", "coordinate": [0.5, 0.5]}</action>\n'
+    "<expected_effect>The panel opens.</expected_effect>"
 )
 
 WORDS = (
@@ -107,3 +117,78 @@ def random_valid_turn(rng: random.Random) -> TvaeOutput:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+class _CountingHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # keep-alive unless the client closes
+    disable_nagle_algorithm = True  # headers and body go out as two writes
+
+    def handle(self):
+        counts = self.server.counts
+        with counts.cond:
+            counts.connections += 1
+        try:
+            super().handle()
+        finally:
+            with counts.cond:
+                counts.closed += 1
+                counts.cond.notify_all()
+
+    def do_POST(self):
+        counts = self.server.counts
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        with counts.cond:
+            counts.requests += 1
+            counts.inflight += 1
+            counts.peak_inflight = max(counts.peak_inflight, counts.inflight)
+        time.sleep(counts.delay_s)
+        with counts.cond:
+            counts.inflight -= 1
+        payload = counts.body.encode("utf-8")
+        try:
+            self.send_response(counts.status)
+            self.send_header("Content-Type", "text/plain; charset=utf-8")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+        except ConnectionError:
+            self.close_connection = True  # the client timed out and left
+
+    def log_message(self, *args):
+        pass
+
+
+class CountingTurnServer:
+    """HTTP/1.1 keep-alive turn server on 127.0.0.1 that answers every POST
+    with `status` and `body` after `delay_s`.
+
+    It counts requests, accepted connections, connections that reached EOF
+    and the peak number of requests in flight.  Use it as a context manager.
+    """
+
+    def __init__(self, body: str = FIXED_TURN, status: int = 200, delay_s: float = 0.0):
+        self.body, self.status, self.delay_s = body, status, delay_s
+        self.cond = threading.Condition()
+        self.requests = self.connections = self.closed = 0
+        self.inflight = self.peak_inflight = 0
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), _CountingHandler)
+        self._server.counts = self
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, args=(0.05,), daemon=True
+        )
+        self.url = f"http://127.0.0.1:{self._server.server_port}"
+
+    def wait_closed(self, count: int, timeout: float) -> bool:
+        """True once `count` connections have reached EOF, False on timeout."""
+        with self.cond:
+            return self.cond.wait_for(lambda: self.closed >= count, timeout=timeout)
+
+    def __enter__(self) -> "CountingTurnServer":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()

@@ -24,7 +24,11 @@ from tvae_harness.agent_bus import (
     render_think_template,
     scripted_turn,
 )
-from tvae_harness.errors import AgentUnavailableError
+from tvae_harness.errors import (
+    AgentTimeoutError,
+    AgentUnavailableError,
+    InvariantViolationError,
+)
 from tvae_harness.reward_engine import match_action
 from tvae_harness.sim_engine import Outcome, SimConfig, run_episodes
 from tvae_harness.synthdata import make_dataset
@@ -35,14 +39,7 @@ from tvae_harness.tvae_codec import (
     parse_tvae,
 )
 
-from conftest import make_click_step
-
-FIXED_TURN = (
-    "<think>\n[Verify] Screen checked.\n[Action] click.\n</think>\n"
-    "<verification>SUCCESS</verification>\n"
-    '<action>{"action": "click", "coordinate": [0.5, 0.5]}</action>\n'
-    "<expected_effect>The panel opens.</expected_effect>"
-)
+from conftest import FIXED_TURN, CountingTurnServer, make_click_step
 
 
 def _obs(history=(), budget=4) -> Observation:
@@ -229,6 +226,25 @@ def test_remote_unreachable_raises_after_retry():
         remote_turn("http://127.0.0.1:9", _obs(), timeout=0.5)
 
 
+def test_remote_timeout_is_retried_once_then_raises():
+    with CountingTurnServer(delay_s=0.5) as server:
+        with pytest.raises(AgentTimeoutError):
+            remote_turn(server.url, _obs(), timeout=0.1)
+        assert server.requests == 2
+
+
+def test_remote_agent_reuses_one_connection_until_close():
+    with CountingTurnServer() as server:
+        agent = RemoteAgent(server.url, timeout=5)
+        traces = run_episodes(make_dataset(3, (2, 3), seed=4), agent, SimConfig(seed=0))
+        turns = sum(len(t.attempts) for t in traces)
+        assert server.requests == turns > 1
+        assert server.connections == 1
+        assert not server.wait_closed(1, timeout=0.2)
+        agent.close()
+        assert server.wait_closed(1, timeout=5)
+
+
 def test_wire_payload_shape():
     payload = observation_to_wire(_obs())
     assert set(payload) == {
@@ -273,6 +289,9 @@ def test_parse_agent_spec_variants():
     assert parse_agent_spec("scripted:failk:3").variant.k == 3
     assert parse_agent_spec("scripted:bernoulli:0.25").variant.p == 0.25
     assert parse_agent_spec("remote:http://x:1").identity == "remote:http://x:1"
+    for bad in ("remote:127.0.0.1:9", "remote:ftp://x/", "remote:http://x:port"):
+        with pytest.raises(InvariantViolationError):
+            parse_agent_spec(bad)
 
 
 def test_templates_ship_the_grammar():

@@ -15,6 +15,8 @@ from tvae_harness.tvae_codec import (
     emit_tvae,
 )
 
+from conftest import CountingTurnServer
+
 
 @pytest.fixture
 def dataset(tmp_path):
@@ -66,6 +68,56 @@ def test_simulate_unreachable_remote_no_report(dataset, tmp_path):
         "--out", str(out), "--timeout", "0.3",
     ])
     assert code == EXIT_AGENT
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("status, requests", [(400, 1), (404, 1), (500, 2), (503, 2)])
+def test_simulate_remote_http_error_retries_only_5xx(dataset, tmp_path, status, requests):
+    out = tmp_path / "run"
+    with CountingTurnServer("no turn", status=status) as server:
+        code = main([
+            "simulate", "--dataset", str(dataset), "--agent", f"remote:{server.url}",
+            "--out", str(out), "--timeout", "5",
+        ])
+    assert code == EXIT_AGENT
+    assert server.requests == requests
+    assert not out.exists()
+
+
+def test_simulate_remote_workers_bound_requests_and_connections(dataset, tmp_path):
+    outs = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        with CountingTurnServer(delay_s=0.005) as server:
+            assert main([
+                "simulate", "--dataset", str(dataset), "--agent", f"remote:{server.url}",
+                "--out", str(out), "--seed", "3", "--timeout", "5", "--workers", str(workers),
+            ]) == EXIT_OK
+            # the command closes its connections when the run ends
+            assert server.wait_closed(server.connections, timeout=5)
+        lines = (out / "traces.jsonl").read_text().splitlines()
+        turns = sum(len(json.loads(line)["attempts"]) for line in lines)
+        assert server.requests == turns
+        assert server.peak_inflight == workers
+        assert server.connections == workers
+        outs.append(out)
+    for name in ("traces.jsonl", "report.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--workers", "0"), ("--workers", "-2"),
+    ("--timeout", "0"), ("--timeout", "-1"), ("--timeout", "nan"), ("--timeout", "inf"),
+])
+@pytest.mark.parametrize("command", ["simulate", "bench-robust"])
+def test_bad_workers_or_timeout_is_data_error(dataset, tmp_path, command, flag, value):
+    out = tmp_path / "run"
+    inputs = ["--dataset", str(dataset)]
+    if command == "bench-robust":
+        inputs.append("--synthesize")
+    assert main([
+        command, *inputs, "--agent", "scripted:oracle", "--out", str(out), flag, value,
+    ]) == EXIT_DATA
     assert not out.exists()
 
 
