@@ -13,7 +13,7 @@ import random
 import shlex
 import subprocess
 import threading
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -88,9 +88,18 @@ class VariantName(str, Enum):
 
 @dataclass(frozen=True)
 class Variant:
+    """A scripted behavior: `k` wrong attempts per step (failk) or success
+    probability `p` per turn (bernoulli)."""
+
     name: VariantName
     k: int = 1
     p: float = 0.5
+
+    def __post_init__(self) -> None:
+        if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 0:
+            raise InvariantViolationError("scripted", "K", f"must be an integer >= 0, got {self.k!r}")
+        if isinstance(self.p, bool) or not isinstance(self.p, (int, float)) or not 0 <= self.p <= 1:
+            raise InvariantViolationError("scripted", "P", f"must be a number in [0, 1], got {self.p!r}")
 
 
 def _clean(text: str) -> str:
@@ -464,12 +473,17 @@ class StdioAgent:
             raise AgentUnavailableError(f"stdio transport failed: {exc}") from exc
 
     def close(self) -> None:
-        if self._proc.poll() is None:
-            self._proc.terminate()
+        proc = self._proc
+        if proc.poll() is None:
+            proc.terminate()
             try:
-                self._proc.wait(timeout=5)
+                proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
-                self._proc.kill()
+                proc.kill()
+                proc.wait()
+        for pipe in (proc.stdin, proc.stdout):
+            with suppress(OSError):  # a dead reader makes the final flush fail
+                pipe.close()
 
 
 # -- agent spec parsing (CLI surface) ---------------------------------------------
@@ -495,12 +509,13 @@ def parse_agent_spec(
             name = VariantName(parts[0])
         except ValueError:
             raise InvariantViolationError("agent", "variant", parts[0]) from None
-        if name is VariantName.FAIL_K:
-            k = int(parts[1]) if len(parts) > 1 else 1
-            return ScriptedAgent(Variant(name, k=k))
-        if name is VariantName.BERNOULLI:
-            p = float(parts[1]) if len(parts) > 1 else 0.5
-            return ScriptedAgent(Variant(name, p=p))
+        try:
+            if name is VariantName.FAIL_K and len(parts) > 1:
+                return ScriptedAgent(Variant(name, k=int(parts[1])))
+            if name is VariantName.BERNOULLI and len(parts) > 1:
+                return ScriptedAgent(Variant(name, p=float(parts[1])))
+        except ValueError:
+            raise InvariantViolationError("agent", "spec", f"{spec!r} has a non-numeric K or P") from None
         return ScriptedAgent(Variant(name))
     if head == "remote":
         return RemoteAgent(rest, timeout=timeout, token=token, max_inflight=max_inflight)

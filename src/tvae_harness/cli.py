@@ -267,28 +267,27 @@ def cmd_bench_robust(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args, config)
     sim = _sim_config(args, config, seed)
     out_dir = Path(args.out)
-
-    if args.synthesize:
-        if not args.dataset:
-            raise DataError("--synthesize requires --dataset")
-        trajs = load_dataset(args.dataset, limit=args.limit, skip_invalid=args.skip_invalid)
-        cases = build_robustness_bench(trajs, per_traj=args.per_traj, seed=seed)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_jsonl((failure_case_to_json(c) for c in cases), out_dir / "cases.jsonl")
-        cases_path = out_dir / "cases.jsonl"
-    else:
-        if not args.cases:
-            raise DataError("need --cases FILE or --synthesize")
-        cases_path = Path(args.cases)
-        cases = _parse_records(cases_path, failure_case_from_json, "failure case")
-        out_dir.mkdir(parents=True, exist_ok=True)
-    if not cases:
-        raise EmptySetError("no failure cases")
-
+    # A bad agent spec fails before any output is written.
     agent = parse_agent_spec(
         args.agent, timeout=args.timeout, token=args.token, max_inflight=args.workers
     )
     try:
+        if args.synthesize:
+            if not args.dataset:
+                raise DataError("--synthesize requires --dataset")
+            trajs = load_dataset(args.dataset, limit=args.limit, skip_invalid=args.skip_invalid)
+            cases = build_robustness_bench(trajs, per_traj=args.per_traj, seed=seed)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            write_jsonl((failure_case_to_json(c) for c in cases), out_dir / "cases.jsonl")
+            cases_path = out_dir / "cases.jsonl"
+        else:
+            if not args.cases:
+                raise DataError("need --cases FILE or --synthesize")
+            cases_path = Path(args.cases)
+            cases = _parse_records(cases_path, failure_case_from_json, "failure case")
+            out_dir.mkdir(parents=True, exist_ok=True)
+        if not cases:
+            raise EmptySetError("no failure cases")
         results = run_failure_cases(cases, agent, sim, workers=args.workers)
     finally:
         getattr(agent, "close", lambda: None)()

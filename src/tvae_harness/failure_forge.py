@@ -15,8 +15,11 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
+from itertools import accumulate
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -94,23 +97,58 @@ class ForgeConfig:
     )
 
 
+_DEFAULT_CFG = ForgeConfig()
+
+
+@lru_cache(maxsize=16)
+def _reward_config(delta: float) -> RewardConfig:
+    return RewardConfig(delta=delta)
+
+
 def validate_weights(weights: Mapping[FailureMode, float]) -> None:
     if set(weights) != set(FailureMode):
         raise InvariantViolationError("weights", "modes", "must cover all five failure modes")
-    if any(w < 0 for w in weights.values()):
+    if any(not w >= 0 for w in weights.values()):  # also rejects NaN
         raise InvariantViolationError("weights", "values", "must be >= 0")
     if abs(sum(weights.values()) - 1.0) > 1e-9:
         raise InvariantViolationError("weights", "sum", f"{sum(weights.values())} != 1.0")
+
+
+_MODES = tuple(FailureMode)
+_DEFAULT_CUM_WEIGHTS = tuple(accumulate(DEFAULT_FAILURE_WEIGHTS[m] for m in _MODES))
+
+
+class _Mixture(dict):
+    """Failure weights validated once, with their cumulative sums, so the
+    draws of one builder call do not validate them again."""
+
+    def __init__(self, weights: Mapping[FailureMode, float]):
+        validate_weights(weights)
+        super().__init__(weights)
+        self.cum_weights = tuple(accumulate(self[m] for m in _MODES))
+
+
+def _cum_weights(weights: Mapping[FailureMode, float] | None) -> tuple[float, ...]:
+    """Cumulative weights in FailureMode order (the default mixture when
+    `weights` is empty or None)."""
+    if not weights:
+        return _DEFAULT_CUM_WEIGHTS
+    if not isinstance(weights, _Mixture):
+        weights = _Mixture(weights)
+    return weights.cum_weights
+
+
+def _draw_mode(cum_weights: tuple[float, ...], rng: random.Random) -> FailureMode:
+    # The draw of rng.choices(_MODES, cum_weights=cum_weights, k=1)[0].
+    point = rng.random() * (cum_weights[-1] + 0.0)
+    return _MODES[bisect(cum_weights, point, 0, len(_MODES) - 1)]
 
 
 def sample_mode(
     weights: Mapping[FailureMode, float] | None, rng: random.Random
 ) -> FailureMode:
     """Draw a failure mode proportional to the configured weights."""
-    weights = weights or DEFAULT_FAILURE_WEIGHTS
-    validate_weights(weights)
-    modes = list(FailureMode)
-    return rng.choices(modes, weights=[weights[m] for m in modes], k=1)[0]
+    return _draw_mode(_cum_weights(weights), rng)
 
 
 def _region_distance(
@@ -178,14 +216,11 @@ def corrupt_action(
     configured bbox).  Raises ModeInapplicableError when the mode makes no
     sense for the action kind, e.g. a coordinate offset of navigate_back.
     """
-    cfg = cfg or ForgeConfig()
+    cfg = cfg or _DEFAULT_CFG
     if not _applicable(mode, gt, cfg):
         raise ModeInapplicableError(mode.value, gt.kind.value)
-    boxes = list(known_bboxes)
-    if bbox is not None and bbox not in boxes:
-        boxes.append(bbox)
-    result = _corrupt(gt, bbox, mode, rng, boxes, cfg)
-    if match_action(result, gt, bbox, RewardConfig(delta=cfg.delta)):
+    result = _corrupt(gt, bbox, mode, rng, known_bboxes, cfg)
+    if match_action(result, gt, bbox, _reward_config(cfg.delta)):
         raise InvariantViolationError("forge", mode.value, "corruption matched ground truth")
     return result
 
@@ -195,7 +230,7 @@ def _corrupt(
     bbox: Bbox | None,
     mode: FailureMode,
     rng: random.Random,
-    boxes: list[Bbox],
+    known_bboxes: Sequence[Bbox],
     cfg: ForgeConfig,
 ) -> ActionRecord:
     if mode is FailureMode.COORDINATE_OFFSET:
@@ -255,6 +290,9 @@ def _corrupt(
         return ActionRecord(kind=ActionKind.WAIT, seconds=rng.choice(WAIT_CHOICES))
 
     # Null click: dead margin frame of the screen, outside every known box.
+    boxes = list(known_bboxes)
+    if bbox is not None and bbox not in boxes:
+        boxes.append(bbox)
     frame = cfg.frame
 
     def propose_margin(r: random.Random) -> tuple[float, float]:
@@ -293,8 +331,12 @@ def sample_corruption(
 ) -> tuple[FailureMode, ActionRecord]:
     """Draw a mode and corrupt; inapplicable modes trigger a redraw so the
     global mixture is preserved over heterogeneous action distributions."""
+    cum_weights, cfg = _cum_weights(weights), cfg or _DEFAULT_CFG
     for _ in range(max_redraws):
-        mode = sample_mode(weights, rng)
+        mode = _draw_mode(cum_weights, rng)
+        # corrupt_action would raise before touching rng; skip the raise.
+        if not _applicable(mode, gt, cfg):
+            continue
         try:
             return mode, corrupt_action(gt, bbox, mode, rng, known_bboxes, cfg)
         except ModeInapplicableError:
@@ -417,6 +459,7 @@ def build_sft_dataset(
     if not 0 <= ratio_b <= 1:
         raise InvariantViolationError("sft", "ratio_b", "must be in [0,1]")
     quotas = _type_b_quotas(trajs, ratio_b)
+    mixture = _Mixture(weights) if weights else None
     samples: list[SyntheticSample] = []
     for traj, quota in zip(trajs, quotas):
         rng = random.Random(stable_seed(seed, "sft", traj.id))
@@ -439,7 +482,7 @@ def build_sft_dataset(
             )
             if t in chosen:
                 mode, err = sample_corruption(
-                    step.gt_action, step.gt_bbox, rng, weights, known, cfg
+                    step.gt_action, step.gt_bbox, rng, mixture, known, cfg
                 )
                 err_entry = HistoryEntry(err, mismatched_effect(err), Verification.SUCCESS)
                 samples.append(
@@ -471,6 +514,7 @@ def build_robustness_bench(
         raise EmptyDatasetError("no trajectories")
     if per_traj < 1:
         raise InvariantViolationError("bench", "per_traj", "must be >= 1")
+    mixture = _Mixture(weights) if weights else None
     cases: list[FailureCase] = []
     for traj in trajs:
         rng = random.Random(stable_seed(seed, "bench", traj.id))
@@ -478,7 +522,7 @@ def build_robustness_bench(
         count = min(per_traj, len(traj))
         for t in sorted(rng.sample(range(len(traj)), count)):
             step = traj.steps[t]
-            mode, err = sample_corruption(step.gt_action, step.gt_bbox, rng, weights, known, cfg)
+            mode, err = sample_corruption(step.gt_action, step.gt_bbox, rng, mixture, known, cfg)
             err_entry = HistoryEntry(err, mismatched_effect(err), Verification.SUCCESS)
             cases.append(
                 FailureCase(

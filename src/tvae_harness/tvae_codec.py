@@ -83,17 +83,27 @@ class TvaeOutput:
 
     def validate(self) -> None:
         """Raise InvariantViolationError unless all structural rules hold."""
-        if not self.think:
-            raise InvariantViolationError("turn", "think", "needs at least one segment")
-        tags = [s.tag for s in self.think]
-        if ThinkTag.VERIFY in tags and tags[0] is not ThinkTag.VERIFY:
-            raise InvariantViolationError("turn", "think", "[Verify] must come first")
-        if self.verification is Verification.NO_CHANGE and not RECOVERY_TAGS & set(tags):
-            raise InvariantViolationError(
-                "turn", "think", "NO_CHANGE requires a [Diagnose] or [Recovery] segment"
-            )
-        if not self.expected_effect.strip():
-            raise InvariantViolationError("turn", "expected_effect", "must be non-empty")
+        problem = _turn_problem(self.think, self.verification, self.expected_effect)
+        if problem is not None:
+            raise problem
+
+
+def _turn_problem(
+    think: tuple[ThinkSegment, ...], verification: Verification, effect: str
+) -> InvariantViolationError | None:
+    """The first structural rule a turn breaks, or None."""
+    if not think:
+        return InvariantViolationError("turn", "think", "needs at least one segment")
+    tags = {s.tag for s in think}
+    if ThinkTag.VERIFY in tags and think[0].tag is not ThinkTag.VERIFY:
+        return InvariantViolationError("turn", "think", "[Verify] must come first")
+    if verification is Verification.NO_CHANGE and not RECOVERY_TAGS & tags:
+        return InvariantViolationError(
+            "turn", "think", "NO_CHANGE requires a [Diagnose] or [Recovery] segment"
+        )
+    if not effect.strip():
+        return InvariantViolationError("turn", "expected_effect", "must be non-empty")
+    return None
 
 
 @dataclass(frozen=True)
@@ -105,55 +115,48 @@ class HistoryEntry:
     verification: Verification
 
 
-_BLOCK_RE = re.compile(
-    r"<(think|verification|action|expected_effect)>(.*?)</\1>", re.DOTALL
-)
+_OPEN_RE = re.compile(r"<(think|verification|action|expected_effect)>")
 _TAG_RE = re.compile(r"\[([A-Za-z][A-Za-z0-9_]*)\]")
 _KNOWN_TAGS = {t.value: t for t in ThinkTag}
+_VERIFICATIONS = {v.value: v for v in Verification}
+_ACTION_KINDS = {k.value: k for k in ActionKind}
+_TAG_PREFIX = {t: f"[{t.value}] " for t in ThinkTag}
 
 
 def _assemble_segments(body: str, strict: bool, warnings: list[str]) -> tuple[ThinkSegment, ...]:
-    matches = list(_TAG_RE.finditer(body))
+    # split() alternates text and tag tokens: [text, token, text, ..., text].
+    pieces = _TAG_RE.split(body)
+    last = len(pieces) - 1
     segments: list[ThinkSegment] = []
-    current_tag: ThinkTag | None = None
-    current_parts: list[str] = []
-
-    def flush() -> None:
-        nonlocal current_tag, current_parts
-        if current_tag is None:
-            return
-        text = "".join(current_parts).strip()
-        if text:
-            segments.append(ThinkSegment(current_tag, text))
-        else:
-            warnings.append(f"dropped empty [{current_tag.value}] segment")
-        current_tag, current_parts = None, []
-
-    pos = 0
-    for m in matches:
-        between = body[pos:m.start()]
-        if current_tag is not None:
-            current_parts.append(between)
-        elif between.strip():
-            warnings.append("untagged leading think text ignored")
-        token = m.group(1)
-        tag = _KNOWN_TAGS.get(token)
-        if tag is None:
-            if strict:
-                raise UnknownThinkTagError(token)
-            warnings.append(f"unknown think tag [{token}] folded into previous segment")
-            if current_tag is not None:
-                current_parts.append(m.group(0))
-        else:
-            flush()
-            current_tag = tag
-        pos = m.end()
-    tail = body[pos:]
-    if current_tag is not None:
-        current_parts.append(tail)
-    elif tail.strip():
-        warnings.append("untagged think text ignored")
-    flush()
+    tag: ThinkTag | None = None
+    parts: list[str] = []
+    for i in range(0, last + 1, 2):
+        text = pieces[i]
+        if tag is not None:
+            parts.append(text)
+        elif text.strip():
+            warnings.append(
+                "untagged leading think text ignored" if i < last else "untagged think text ignored"
+            )
+        known = None
+        if i < last:
+            token = pieces[i + 1]
+            known = _KNOWN_TAGS.get(token)
+            if known is None:
+                if strict:
+                    raise UnknownThinkTagError(token)
+                warnings.append(f"unknown think tag [{token}] folded into previous segment")
+                if tag is not None:
+                    parts.append(f"[{token}]")
+                continue
+        # A known tag or the end of the body closes the open segment.
+        if tag is not None:
+            joined = "".join(parts).strip()
+            if joined:
+                segments.append(ThinkSegment(tag, joined))
+            else:
+                warnings.append(f"dropped empty [{tag.value}] segment")
+        tag, parts = known, []
     return tuple(segments)
 
 
@@ -183,10 +186,9 @@ def parse_action_json(body: str) -> ActionRecord:
     if "action" not in obj:
         raise MalformedActionJsonError('missing "action" key')
     token = obj["action"]
-    try:
-        kind = ActionKind(token)
-    except ValueError:
-        raise UnknownActionKindError(str(token)) from None
+    kind = _ACTION_KINDS.get(token) if isinstance(token, str) else None
+    if kind is None:
+        raise UnknownActionKindError(str(token))
     try:
         if kind in (ActionKind.CLICK, ActionKind.LONG_PRESS):
             coord = _coerce_coordinate(obj.get("coordinate"))
@@ -245,12 +247,19 @@ def parse_tvae(raw: str, strict: bool = True) -> TvaeOutput:
     """
     warnings: list[str] = []
     blocks: dict[str, str] = {}
-    for m in _BLOCK_RE.finditer(raw):
-        name, body = m.group(1), m.group(2)
+    pos = 0
+    while (m := _OPEN_RE.search(raw, pos)) is not None:
+        # Same match as <(name)>(.*?)</\1>: the first close tag of that name.
+        name = m.group(1)
+        close = raw.find(f"</{name}>", m.end())
+        if close < 0:
+            pos = m.end()
+            continue
         if name in blocks:
             warnings.append(f"duplicate <{name}> block ignored")
-            continue
-        blocks[name] = body
+        else:
+            blocks[name] = raw[m.end():close]
+        pos = close + len(name) + 3
 
     for name in ("verification", "action"):
         if name not in blocks:
@@ -261,10 +270,9 @@ def parse_tvae(raw: str, strict: bool = True) -> TvaeOutput:
                 raise MissingBlockError(name)
 
     ver_token = blocks["verification"].strip()
-    try:
-        verification = Verification(ver_token)
-    except ValueError:
-        raise UnknownVerificationError(ver_token) from None
+    verification = _VERIFICATIONS.get(ver_token)
+    if verification is None:
+        raise UnknownVerificationError(ver_token)
 
     action = parse_action_json(blocks["action"].strip())
 
@@ -276,39 +284,15 @@ def parse_tvae(raw: str, strict: bool = True) -> TvaeOutput:
     if "expected_effect" not in blocks:
         warnings.append("missing <expected_effect> block")
 
-    out = TvaeOutput(
-        think=think,
-        verification=verification,
-        action=action,
-        expected_effect=effect,
-        warnings=tuple(warnings),
-    )
-    if strict:
-        out.validate()
-    else:
-        try:
-            out.validate()
-        except InvariantViolationError as exc:
-            warnings.append(str(exc))
-            out = TvaeOutput(
-                think=think,
-                verification=verification,
-                action=action,
-                expected_effect=effect,
-                warnings=tuple(warnings),
-            )
-    tags = {s.tag for s in out.think}
-    if verification is Verification.SUCCESS and RECOVERY_TAGS & tags:
+    problem = _turn_problem(think, verification, effect)
+    if problem is not None:
+        if strict:
+            raise problem
+        warnings.append(str(problem))
+    if verification is Verification.SUCCESS and any(s.tag in RECOVERY_TAGS for s in think):
         # Undefined combination; surfaced rather than resolved by precedence.
         warnings.append("SUCCESS verification alongside [Diagnose]/[Recovery] tags")
-        out = TvaeOutput(
-            think=out.think,
-            verification=out.verification,
-            action=out.action,
-            expected_effect=out.expected_effect,
-            warnings=tuple(warnings),
-        )
-    return out
+    return TvaeOutput(think, verification, action, effect, tuple(warnings))
 
 
 _FORBIDDEN_IN_BODY = re.compile(
@@ -337,7 +321,7 @@ def emit_tvae(out: TvaeOutput) -> str:
             raise InvariantViolationError("turn", "think", "segment body embeds grammar tokens")
     if _FORBIDDEN_IN_BODY.search(out.expected_effect):
         raise InvariantViolationError("turn", "expected_effect", "embeds block terminator")
-    think_lines = "\n".join(f"[{s.tag.value}] {s.body}" for s in out.think)
+    think_lines = "\n".join([_TAG_PREFIX[s.tag] + s.body for s in out.think])
     return (
         f"<think>\n{think_lines}\n</think>\n"
         f"<verification>{out.verification.value}</verification>\n"

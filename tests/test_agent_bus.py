@@ -158,6 +158,7 @@ def turn_server():
         yield f"http://127.0.0.1:{server.server_port}"
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)
 
 
@@ -210,6 +211,7 @@ def test_remote_prose_passthrough_counts_as_mismatch():
         assert all(a.issued is None for t in traces for a in t.attempts)
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)
 
 
@@ -289,9 +291,21 @@ def test_parse_agent_spec_variants():
     assert parse_agent_spec("scripted:failk:3").variant.k == 3
     assert parse_agent_spec("scripted:bernoulli:0.25").variant.p == 0.25
     assert parse_agent_spec("remote:http://x:1").identity == "remote:http://x:1"
-    for bad in ("remote:127.0.0.1:9", "remote:ftp://x/", "remote:http://x:port"):
+    assert parse_agent_spec("scripted:failk:0").variant.k == 0
+    assert parse_agent_spec("scripted:bernoulli:1").variant.p == 1.0
+    for bad in (
+        "remote:127.0.0.1:9", "remote:ftp://x/", "remote:http://x:port",
+        "scripted:failk:x", "scripted:failk:-1", "scripted:failk:2.0",
+        "scripted:bernoulli:2", "scripted:bernoulli:nan", "scripted:bernoulli:-inf",
+    ):
         with pytest.raises(InvariantViolationError):
             parse_agent_spec(bad)
+
+
+@pytest.mark.parametrize("kw", [{"k": -1}, {"k": 1.0}, {"k": True}, {"p": 1.5}, {"p": float("nan")}])
+def test_variant_rejects_bad_k_or_p(kw):
+    with pytest.raises(InvariantViolationError):
+        Variant(VariantName.FAIL_K, **kw)
 
 
 def test_templates_ship_the_grammar():

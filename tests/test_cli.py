@@ -108,9 +108,14 @@ def test_simulate_remote_workers_bound_requests_and_connections(dataset, tmp_pat
 @pytest.mark.parametrize("flag, value", [
     ("--workers", "0"), ("--workers", "-2"),
     ("--timeout", "0"), ("--timeout", "-1"), ("--timeout", "nan"), ("--timeout", "inf"),
+    ("--agent", "scripted:failk:x"), ("--agent", "scripted:failk:-1"),
+    ("--agent", "scripted:failk:1.5"), ("--agent", "scripted:bernoulli:2"),
+    ("--agent", "scripted:bernoulli:nan"), ("--agent", "scripted:bernoulli:-0.1"),
+    ("--agent", "scripted:bernoulli:inf"), ("--agent", "scripted:bernoulli:half"),
 ])
 @pytest.mark.parametrize("command", ["simulate", "bench-robust"])
 def test_bad_workers_or_timeout_is_data_error(dataset, tmp_path, command, flag, value):
+    # a later --agent (the flag under test) overrides the scripted:oracle given first
     out = tmp_path / "run"
     inputs = ["--dataset", str(dataset)]
     if command == "bench-robust":

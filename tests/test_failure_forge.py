@@ -163,6 +163,72 @@ def test_weights_must_sum_to_one():
         validate_weights(weights)
 
 
+def test_sample_mode_default_matches_explicit_weights_and_choices():
+    a, b, ref = random.Random(17), random.Random(17), random.Random(17)
+    modes = list(FailureMode)
+    drawn_default = [sample_mode(None, a) for _ in range(2000)]
+    drawn_explicit = [sample_mode(DEFAULT_FAILURE_WEIGHTS, b) for _ in range(2000)]
+    drawn_choices = [
+        ref.choices(modes, weights=[DEFAULT_FAILURE_WEIGHTS[m] for m in modes], k=1)[0]
+        for _ in range(2000)
+    ]
+    assert drawn_default == drawn_explicit == drawn_choices
+
+
+def test_sample_corruption_draws_match_raise_and_redraw_loop():
+    """Skipping inapplicable modes up front consumes the rng exactly like
+    calling corrupt_action and redrawing on ModeInapplicableError."""
+    modes = list(FailureMode)
+    weights = [DEFAULT_FAILURE_WEIGHTS[m] for m in modes]
+
+    def redraw_loop(gt, bbox, rng):
+        while True:
+            mode = rng.choices(modes, weights=weights, k=1)[0]
+            try:
+                return mode, corrupt_action(gt, bbox, mode, rng)
+            except ModeInapplicableError:
+                continue
+
+    gts = [
+        (CLICK, BBOX),
+        (ActionRecord(kind=ActionKind.LONG_PRESS, coordinate=(0.2, 0.7)), None),
+        (ActionRecord(kind=ActionKind.SCROLL, direction=ScrollDirection.UP), None),
+        (ActionRecord(kind=ActionKind.NAVIGATE_BACK), None),
+        (ActionRecord(kind=ActionKind.WAIT, seconds=2.0), None),
+        (ActionRecord(kind=ActionKind.OPEN_APP, text="Maps"), None),
+    ]
+    a, b = random.Random(23), random.Random(23)
+    for _ in range(100):
+        for gt, bbox in gts:
+            assert sample_corruption(gt, bbox, a) == redraw_loop(gt, bbox, b)
+
+
+@pytest.mark.parametrize("change", [
+    {FailureMode.NULL_CLICK: None},  # a mode missing
+    {FailureMode.NULL_CLICK: -0.1, FailureMode.TIMING_ERROR: 0.35},
+    {FailureMode.NULL_CLICK: float("nan")},
+    {FailureMode.NULL_CLICK: 0.2},  # sums to 1.1
+])
+def test_bad_custom_weights_raise_at_every_entry_point(change):
+    weights = dict(DEFAULT_FAILURE_WEIGHTS)
+    for mode, w in change.items():
+        if w is None:
+            del weights[mode]
+        else:
+            weights[mode] = w
+    trajs = make_dataset(2, (2, 3), seed=4)
+    calls = [
+        lambda: validate_weights(weights),
+        lambda: sample_mode(weights, random.Random(0)),
+        lambda: sample_corruption(CLICK, BBOX, random.Random(0), weights),
+        lambda: build_sft_dataset(trajs, ratio_b=0.5, weights=weights),
+        lambda: build_robustness_bench(trajs, weights=weights),
+    ]
+    for call in calls:
+        with pytest.raises(InvariantViolationError):
+            call()
+
+
 def test_sample_mode_chi_square_default_weights():
     from scipy.stats import chisquare
 

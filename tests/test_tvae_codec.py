@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from tvae_harness.errors import (
     HarnessError,
@@ -21,11 +24,13 @@ from tvae_harness.tvae_codec import (
     TvaeOutput,
     Verification,
     classify_path,
+    emit_action_json,
     emit_tvae,
     parse_tvae,
 )
 
-from conftest import random_valid_turn
+from conftest import random_valid_action, random_valid_turn
+from reference_codec import parse_tvae as reference_parse
 
 # Worked reference turns for the two paths.
 TYPE_A_TURN = """<think>
@@ -222,3 +227,125 @@ def test_duplicate_blocks_first_wins():
     out = parse_tvae(text, strict=False)
     assert out.verification is Verification.SUCCESS
     assert any("duplicate" in w for w in out.warnings)
+
+
+# -- equivalence with the reference (multi-pass) parser -------------------------------
+
+_KNOWN_TOKENS = [f"[{t.value}]" for t in ThinkTag]
+_ODD_TOKENS = ["[Plan]", "[verify]", "[Note_2]", "[]", "[1x]", "[ Verify ]"]
+_TEXTS = st.sampled_from([
+    "", " ", "\n", "  \n ", "The panel opens.", " click the button ", "a [ b ] c",
+    "see <b>", "<think>", "</think>", "</action>", "<verification>", "SUCCESS",
+])
+_THINK_BODY = st.lists(
+    st.one_of(st.sampled_from(_KNOWN_TOKENS), st.sampled_from(_ODD_TOKENS), _TEXTS),
+    max_size=10,
+).map("".join)
+_VERIFICATION_BODY = st.sampled_from(
+    ["SUCCESS", "NO_CHANGE"] * 9
+    + [" SUCCESS\n", "\nNO_CHANGE ", "MAYBE", "", "success", "SUCCESS NO_CHANGE"]
+)
+_ACTION_TOKEN = st.one_of(
+    st.sampled_from([k.value for k in ActionKind] + ["teleport", "CLICK", ""]),
+    st.none(), st.booleans(), st.integers(-2, 2),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.sampled_from(["a", "click"]), st.integers(0, 3), max_size=1),
+)
+_NUMBER = st.one_of(st.integers(-5, 2000), st.floats(-1, 2000, allow_nan=False))
+_ACTION_OBJ = st.fixed_dictionaries(
+    {"action": _ACTION_TOKEN},
+    optional={
+        "coordinate": st.lists(st.one_of(_NUMBER, st.just("x"), st.booleans()), max_size=3),
+        "direction": st.sampled_from(["up", "down", "left", "right", "diagonal", 5]),
+        "text": st.sampled_from(["", "hello world", 3]),
+        "time": st.one_of(_NUMBER, st.sampled_from(["x", True])),
+        "seconds": _NUMBER,
+    },
+)
+_VALID_ACTION = st.integers(0, 2**32).map(
+    lambda seed: emit_action_json(random_valid_action(random.Random(seed)))
+)
+_ACTION_BODY = st.one_of(
+    _VALID_ACTION,
+    _VALID_ACTION,
+    _ACTION_OBJ.map(json.dumps),
+    st.sampled_from(["{oops", "[]", "42", '{"kind": "click"}', "", "null", "[[[[]]]]"]),
+)
+_EFFECT_BODY = st.one_of(_TEXTS, st.just("The list of routes appears."))
+_BODIES = {
+    "think": _THINK_BODY,
+    "verification": _VERIFICATION_BODY,
+    "action": _ACTION_BODY,
+    "expected_effect": _EFFECT_BODY,
+}
+_MOSTLY = st.sampled_from([True] * 9 + [False])
+_NAMES = st.sampled_from(("think", "verification", "action", "expected_effect", "thinking"))
+
+
+@st.composite
+def _turn_texts(draw, depth: int = 0) -> str:
+    """Block soup: duplicate, unclosed, nested and unknown blocks in any order."""
+    names = draw(st.lists(_NAMES, max_size=4))
+    if draw(_MOSTLY):  # usually a complete turn plus extra blocks
+        names += ["think", "verification", "action", "expected_effect"]
+    pieces = []
+    for name in draw(st.permutations(names)):
+        body = draw(_BODIES.get(name, _TEXTS))
+        if depth == 0 and not draw(_MOSTLY):
+            body += draw(_turn_texts(depth=1))
+        close = f"</{name}>" if draw(_MOSTLY) else ""
+        pieces.append(draw(st.sampled_from(["", "\n", " noise "])) + f"<{name}>{body}{close}")
+    return "".join(pieces)
+
+
+_FRAGMENTS = st.sampled_from(
+    _KNOWN_TOKENS + _ODD_TOKENS
+    + ["\n", " ", "<think>", "</think>", "<action>", "</action>", "</expected_effect>",
+       "<verification>SUCCESS</verification>", "NO_CHANGE", '{"action": 7}', "[Diagnose] retry."]
+)
+
+
+@st.composite
+def _mutated_turns(draw) -> str:
+    """An emitted valid turn with deleted, duplicated and inserted spans."""
+    text = emit_tvae(random_valid_turn(random.Random(draw(st.integers(0, 2**32)))))
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = sorted(draw(st.lists(st.integers(0, len(text)), min_size=2, max_size=2)))
+        op = draw(st.sampled_from(("delete", "duplicate", "insert")))
+        if op == "delete":
+            text = text[:i] + text[j:]
+        elif op == "duplicate":
+            text = text[:j] + text[i:j] + text[j:]
+        else:
+            text = text[:i] + draw(_FRAGMENTS) + text[i:]
+    return text
+
+
+def _outcome(parse, raw: str, strict: bool):
+    try:
+        out = parse(raw, strict)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return ("raised", type(exc), str(exc))
+    return ("parsed", out, out.warnings)
+
+
+def _assert_same_as_reference(raw: str) -> None:
+    for strict in (True, False):
+        assert _outcome(parse_tvae, raw, strict) == _outcome(reference_parse, raw, strict)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(raw=_turn_texts())
+@example(raw=TYPE_B_TURN.replace("NO_CHANGE", "SUCCESS"))
+@example(raw=TYPE_A_TURN.replace('"click"', "[1, 2]"))
+@example(raw=TYPE_A_TURN.replace("[Verify]", "prelude [Plan] x [Verify]"))
+@example(raw=TYPE_A_TURN.replace("[Recall]", "[Recall] \n [Grounding]"))
+def test_parser_matches_reference_on_block_soup(raw):
+    _assert_same_as_reference(raw)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(raw=_mutated_turns())
+def test_parser_matches_reference_on_mutated_turns(raw):
+    _assert_same_as_reference(raw)
