@@ -118,24 +118,13 @@ _MODES = tuple(FailureMode)
 _DEFAULT_CUM_WEIGHTS = tuple(accumulate(DEFAULT_FAILURE_WEIGHTS[m] for m in _MODES))
 
 
-class _Mixture(dict):
-    """Failure weights validated once, with their cumulative sums, so the
-    draws of one builder call do not validate them again."""
-
-    def __init__(self, weights: Mapping[FailureMode, float]):
-        validate_weights(weights)
-        super().__init__(weights)
-        self.cum_weights = tuple(accumulate(self[m] for m in _MODES))
-
-
 def _cum_weights(weights: Mapping[FailureMode, float] | None) -> tuple[float, ...]:
     """Cumulative weights in FailureMode order (the default mixture when
     `weights` is empty or None)."""
     if not weights:
         return _DEFAULT_CUM_WEIGHTS
-    if not isinstance(weights, _Mixture):
-        weights = _Mixture(weights)
-    return weights.cum_weights
+    validate_weights(weights)
+    return tuple(accumulate(weights[m] for m in _MODES))
 
 
 def _draw_mode(cum_weights: tuple[float, ...], rng: random.Random) -> FailureMode:
@@ -458,8 +447,9 @@ def build_sft_dataset(
         raise EmptyDatasetError("no trajectories")
     if not 0 <= ratio_b <= 1:
         raise InvariantViolationError("sft", "ratio_b", "must be in [0,1]")
+    if weights:
+        validate_weights(weights)
     quotas = _type_b_quotas(trajs, ratio_b)
-    mixture = _Mixture(weights) if weights else None
     samples: list[SyntheticSample] = []
     for traj, quota in zip(trajs, quotas):
         rng = random.Random(stable_seed(seed, "sft", traj.id))
@@ -482,7 +472,7 @@ def build_sft_dataset(
             )
             if t in chosen:
                 mode, err = sample_corruption(
-                    step.gt_action, step.gt_bbox, rng, mixture, known, cfg
+                    step.gt_action, step.gt_bbox, rng, weights, known, cfg
                 )
                 err_entry = HistoryEntry(err, mismatched_effect(err), Verification.SUCCESS)
                 samples.append(
@@ -514,7 +504,8 @@ def build_robustness_bench(
         raise EmptyDatasetError("no trajectories")
     if per_traj < 1:
         raise InvariantViolationError("bench", "per_traj", "must be >= 1")
-    mixture = _Mixture(weights) if weights else None
+    if weights:
+        validate_weights(weights)
     cases: list[FailureCase] = []
     for traj in trajs:
         rng = random.Random(stable_seed(seed, "bench", traj.id))
@@ -522,7 +513,7 @@ def build_robustness_bench(
         count = min(per_traj, len(traj))
         for t in sorted(rng.sample(range(len(traj)), count)):
             step = traj.steps[t]
-            mode, err = sample_corruption(step.gt_action, step.gt_bbox, rng, mixture, known, cfg)
+            mode, err = sample_corruption(step.gt_action, step.gt_bbox, rng, weights, known, cfg)
             err_entry = HistoryEntry(err, mismatched_effect(err), Verification.SUCCESS)
             cases.append(
                 FailureCase(

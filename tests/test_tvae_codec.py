@@ -335,7 +335,10 @@ def _assert_same_as_reference(raw: str) -> None:
         assert _outcome(parse_tvae, raw, strict) == _outcome(reference_parse, raw, strict)
 
 
-@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(
+    max_examples=400, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 @given(raw=_turn_texts())
 @example(raw=TYPE_B_TURN.replace("NO_CHANGE", "SUCCESS"))
 @example(raw=TYPE_A_TURN.replace('"click"', "[1, 2]"))
@@ -345,7 +348,10 @@ def test_parser_matches_reference_on_block_soup(raw):
     _assert_same_as_reference(raw)
 
 
-@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(
+    max_examples=400, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 @given(raw=_mutated_turns())
 def test_parser_matches_reference_on_mutated_turns(raw):
     _assert_same_as_reference(raw)
