@@ -504,19 +504,21 @@ def parse_agent_spec(
     """
     head, _, rest = spec.partition(":")
     if head == "scripted":
-        parts = rest.split(":")
+        variant, sep, arg = rest.partition(":")
         try:
-            name = VariantName(parts[0])
+            name = VariantName(variant)
         except ValueError:
-            raise InvariantViolationError("agent", "variant", parts[0]) from None
+            raise InvariantViolationError("agent", "variant", variant) from None
+        if not sep:
+            return ScriptedAgent(Variant(name))
         try:
-            if name is VariantName.FAIL_K and len(parts) > 1:
-                return ScriptedAgent(Variant(name, k=int(parts[1])))
-            if name is VariantName.BERNOULLI and len(parts) > 1:
-                return ScriptedAgent(Variant(name, p=float(parts[1])))
+            if name is VariantName.FAIL_K:
+                return ScriptedAgent(Variant(name, k=int(arg)))
+            if name is VariantName.BERNOULLI:
+                return ScriptedAgent(Variant(name, p=float(arg)))
         except ValueError:
-            raise InvariantViolationError("agent", "spec", f"{spec!r} has a non-numeric K or P") from None
-        return ScriptedAgent(Variant(name))
+            raise InvariantViolationError("agent", "spec", f"{spec!r}: K or P is not one number") from None
+        raise InvariantViolationError("agent", "spec", f"{spec!r}: {variant} takes no argument")
     if head == "remote":
         return RemoteAgent(rest, timeout=timeout, token=token, max_inflight=max_inflight)
     if head == "stdio":

@@ -13,15 +13,19 @@ import argparse
 import hashlib
 import json
 import math
+import operator
 import os
 import sys
+from dataclasses import fields
+from enum import Enum
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import __version__
 from .agent_bus import parse_agent_spec
 from .errors import (
     AgentError,
+    AlignmentMismatchError,
     DataError,
     EmptySetError,
     InvariantViolationError,
@@ -33,15 +37,12 @@ from .failure_forge import (
     build_sft_dataset,
     failure_case_from_json,
     failure_case_to_json,
-    read_jsonl,
     sample_from_json,
     sample_to_json,
-    write_jsonl,
 )
 from .grpo_core import (
     GroupBatch,
     GrpoConfig,
-    KlEstimator,
     group_output_from_json,
     objective_report,
     read_group_batches,
@@ -55,13 +56,14 @@ from .metric_suite import (
     step_metrics,
     task_metrics,
 )
+from .records import PARSE_ERRORS, read_records, write_records
 from .reward_engine import REWARD_MISS, RewardConfig, composite_reward
 from .sim_engine import (
     SimConfig,
-    read_traces,
     run_episodes,
     run_failure_cases,
-    write_traces,
+    trace_from_json,
+    trace_to_json,
 )
 from .synthdata import make_dataset
 from .trajectory_store import load_dataset, save_dataset
@@ -93,13 +95,22 @@ def _write_manifest(out_dir: Path, manifest: dict[str, Any]) -> None:
     )
 
 
+def _config_value(what: str, make: Callable[..., Any], *args: Any) -> Any:
+    """`make(...)` on values from --config, $TVAE_SEED or flags; a wrong type,
+    unknown key or unknown enum value is a data error, not an internal one."""
+    try:
+        return make(*args)
+    except (TypeError, ValueError) as exc:
+        raise InvariantViolationError("config", what, str(exc)) from None
+
+
 def _resolve_seed(args: argparse.Namespace, config: dict[str, Any]) -> int:
     if args.seed is not None:
         return args.seed
     if "seed" in config:
-        return int(config["seed"])
+        return _config_value("seed", operator.index, config["seed"])
     env = os.environ.get("TVAE_SEED")
-    return int(env) if env else 0
+    return _config_value("$TVAE_SEED", int, env) if env else 0
 
 
 def _load_config(args: argparse.Namespace) -> dict[str, Any]:
@@ -112,18 +123,6 @@ def _load_config(args: argparse.Namespace) -> dict[str, Any]:
     return {}
 
 
-def _parse_records(path: str | Path, parser, what: str) -> list[Any]:
-    """Parse a JSONL file line by line, mapping schema violations to
-    line-numbered data errors (CLI exit code 1, never 3)."""
-    records = []
-    for line_no, obj in enumerate(read_jsonl(path), 1):
-        try:
-            records.append(parser(obj))
-        except (KeyError, ValueError, TypeError, IndexError) as exc:
-            raise MalformedLineError(line_no, f"bad {what}: {exc!r}") from exc
-    return records
-
-
 def _check_run_flags(args: argparse.Namespace) -> None:
     # Checked here, not by argparse `type=`: argparse usage errors exit 2,
     # which the exit-code contract keeps for agent failures.
@@ -133,32 +132,39 @@ def _check_run_flags(args: argparse.Namespace) -> None:
         raise InvariantViolationError("flag", "--timeout", "must be a finite number > 0")
 
 
+def _check_dataset_flags(args: argparse.Namespace) -> tuple[int, int]:
+    """Check `synth --kind dataset`'s --count and --lengths as above; return (MIN, MAX)."""
+    try:
+        lo, hi = (int(v) for v in args.lengths.split(","))
+    except ValueError:
+        lo = hi = 0  # fails the range check below
+    if not 1 <= lo <= hi:
+        raise InvariantViolationError("flag", "--lengths", "must be MIN,MAX with 1 <= MIN <= MAX")
+    if args.count < 1:
+        raise InvariantViolationError("flag", "--count", "must be >= 1")
+    return lo, hi
+
+
+def _config_object(args: Any, config: dict[str, Any], section: str, cls: type,
+                   flags: Sequence[str] = (), **fixed: Any) -> Any:
+    """`cls` from the `section` object of --config, overridden by the set `flags`."""
+    base = config.get(section, {})
+    if not isinstance(base, dict):
+        raise InvariantViolationError("config", section, "must be a JSON object")
+    base = {**base, **{k: getattr(args, k) for k in flags if getattr(args, k, None) is not None}}
+    for f in fields(cls):
+        if f.name in base and isinstance(f.default, Enum):
+            base[f.name] = _config_value(f"{section}.{f.name}", type(f.default), base[f.name])
+    return _config_value(section, lambda: cls(**fixed, **base))
+
+
 def _sim_config(args: argparse.Namespace, config: dict[str, Any], seed: int) -> SimConfig:
-    base = dict(config.get("sim", {}))
-    for key in ("budget_multiplier", "delta", "repeat_epsilon"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            base[key] = flag
-    return SimConfig(seed=seed, **base)
+    flags = ("budget_multiplier", "delta", "repeat_epsilon")
+    return _config_object(args, config, "sim", SimConfig, flags, seed=seed)
 
 
 def _reward_config(args: argparse.Namespace, config: dict[str, Any]) -> RewardConfig:
-    base = dict(config.get("reward", {}))
-    for key in ("alpha", "beta"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            base[key] = flag
-    delta = getattr(args, "delta", None)
-    if delta is not None:
-        base["delta"] = delta
-    return RewardConfig(**base)
-
-
-def _grpo_config(config: dict[str, Any]) -> GrpoConfig:
-    base = dict(config.get("grpo", {}))
-    if "kl_estimator" in base:
-        base["kl_estimator"] = KlEstimator(base["kl_estimator"])
-    return GrpoConfig(**base)
+    return _config_object(args, config, "reward", RewardConfig, ("alpha", "beta", "delta"))
 
 
 def _config_snapshot(sim: SimConfig, reward: RewardConfig, grpo: GrpoConfig | None) -> dict:
@@ -229,10 +235,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_traces(traces, str(out_dir / "traces.jsonl"))
+    write_records(out_dir / "traces.jsonl", (trace_to_json(t) for t in traces))
+    task = task_metrics(traces)
     report = MetricsReport.build(
-        step=step_metrics(_first_attempt_predictions(traces, trajs), reward),
-        task=task_metrics(traces),
+        step=step_metrics(_first_attempt_predictions(traces, trajs), reward), task=task
     )
     _atomic_write(out_dir / "report.json", emit_report(report, ReportFormat.JSON))
     for fmt in args.formats or ():
@@ -252,7 +258,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "outputs": ["traces.jsonl", "report.json"],
         },
     )
-    task = task_metrics(traces)
     aso = "inf" if math.isinf(task.aso) else f"{task.aso:.3f}"
     print(
         f"simulate: {len(traces)} episodes | TSR {task.tsr:.3f} | PG {task.pg:.3f} "
@@ -278,13 +283,13 @@ def cmd_bench_robust(args: argparse.Namespace) -> int:
             trajs = load_dataset(args.dataset, limit=args.limit, skip_invalid=args.skip_invalid)
             cases = build_robustness_bench(trajs, per_traj=args.per_traj, seed=seed)
             out_dir.mkdir(parents=True, exist_ok=True)
-            write_jsonl((failure_case_to_json(c) for c in cases), out_dir / "cases.jsonl")
+            write_records(out_dir / "cases.jsonl", (failure_case_to_json(c) for c in cases))
             cases_path = out_dir / "cases.jsonl"
         else:
             if not args.cases:
                 raise DataError("need --cases FILE or --synthesize")
             cases_path = Path(args.cases)
-            cases = _parse_records(cases_path, failure_case_from_json, "failure case")
+            cases = read_records(cases_path, failure_case_from_json, "failure case")
             out_dir.mkdir(parents=True, exist_ok=True)
         if not cases:
             raise EmptySetError("no failure cases")
@@ -300,8 +305,9 @@ def cmd_bench_robust(args: argparse.Namespace) -> int:
         }
         for case, res in zip(cases, results)
     ]
-    write_jsonl(rows, out_dir / "case_results.jsonl")
-    report = MetricsReport.build(robust=robustness_metrics(results))
+    write_records(out_dir / "case_results.jsonl", rows)
+    metrics = robustness_metrics(results)
+    report = MetricsReport.build(robust=metrics)
     _atomic_write(out_dir / "report.json", emit_report(report, ReportFormat.JSON))
     _write_manifest(
         out_dir,
@@ -319,7 +325,6 @@ def cmd_bench_robust(args: argparse.Namespace) -> int:
             "outputs": ["case_results.jsonl", "report.json"],
         },
     )
-    metrics = robustness_metrics(results)
     print(f"bench-robust: {len(cases)} cases | LR {metrics.lr:.3f} | RSR {metrics.rsr:.3f}")
     return EXIT_OK
 
@@ -327,6 +332,7 @@ def cmd_bench_robust(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     config = _load_config(args)
     seed = _resolve_seed(args, config)
+    lengths = _check_dataset_flags(args) if args.kind == "dataset" else None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -337,10 +343,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "seed": seed,
     }
     if args.kind == "dataset":
-        lo, hi = (int(v) for v in args.lengths.split(","))
-        trajs = make_dataset(args.count, (lo, hi), seed=seed)
+        trajs = make_dataset(args.count, lengths, seed=seed)
         save_dataset(trajs, out_dir / "dataset.jsonl")
-        manifest.update(count=args.count, lengths=[lo, hi], outputs=["dataset.jsonl"])
+        manifest.update(count=args.count, lengths=list(lengths), outputs=["dataset.jsonl"])
     else:
         if not args.dataset:
             raise DataError("synth sft/bench requires --dataset")
@@ -349,14 +354,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
         weights = {m.value: w for m, w in DEFAULT_FAILURE_WEIGHTS.items()}
         if args.kind == "sft":
             samples = build_sft_dataset(trajs, ratio_b=args.ratio_b, seed=seed)
-            write_jsonl((sample_to_json(s) for s in samples), out_dir / "samples.jsonl")
+            write_records(out_dir / "samples.jsonl", (sample_to_json(s) for s in samples))
             manifest.update(
                 ratio_b=args.ratio_b, weights=weights, outputs=["samples.jsonl"],
                 sample_count=len(samples),
             )
         else:
             cases = build_robustness_bench(trajs, per_traj=args.per_traj, seed=seed)
-            write_jsonl((failure_case_to_json(c) for c in cases), out_dir / "cases.jsonl")
+            write_records(out_dir / "cases.jsonl", (failure_case_to_json(c) for c in cases))
             manifest.update(
                 per_traj=args.per_traj, weights=weights, outputs=["cases.jsonl"],
                 case_count=len(cases),
@@ -385,26 +390,17 @@ def _score_one(raw: str, sample, reward_cfg: RewardConfig) -> dict[str, Any]:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    from .errors import AlignmentMismatchError
-
     config = _load_config(args)
     reward_cfg = _reward_config(args, config)
-    samples = _parse_records(args.samples, sample_from_json, "sample")
-    outputs = read_jsonl(args.outputs)
-    if len(samples) != len(outputs):
-        raise AlignmentMismatchError(
-            f"{len(samples)} samples vs {len(outputs)} outputs"
-        )
-    raws = []
-    for i, obj in enumerate(outputs):
-        if "raw" not in obj:
-            raise AlignmentMismatchError(f"outputs line {i + 1} lacks a 'raw' field")
-        raws.append(str(obj["raw"]))
+    samples = read_records(args.samples, sample_from_json, "sample")
+    raws = read_records(args.outputs, lambda obj: str(obj["raw"]), "output")
+    if len(samples) != len(raws):
+        raise AlignmentMismatchError(f"{len(samples)} samples vs {len(raws)} outputs")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     breakdowns = [_score_one(raw, sample, reward_cfg) for raw, sample in zip(raws, samples)]
-    write_jsonl(breakdowns, out_dir / "rewards.jsonl")
+    write_records(out_dir / "rewards.jsonl", breakdowns)
 
     manifest: dict[str, Any] = {
         "command": "score",
@@ -418,26 +414,21 @@ def cmd_score(args: argparse.Namespace) -> int:
     }
 
     if args.group_logprobs:
-        grpo_cfg = _grpo_config(config)
+        grpo_cfg = _config_object(None, config, "grpo", GrpoConfig)
         groups = read_group_batches(args.group_logprobs)
         covered = sum(len(g) for g in groups)
         if covered != len(samples):
             raise AlignmentMismatchError(
                 f"group log-probs cover {covered} outputs but {len(samples)} were scored"
             )
+        totals = iter(b["total"] for b in breakdowns)
         reports = []
-        cursor = 0
         for group_no, raw_outputs in enumerate(groups, 1):
-            members = []
-            for obj in raw_outputs:
-                try:
-                    members.append(
-                        group_output_from_json(obj, reward=breakdowns[cursor]["total"])
-                    )
-                except (KeyError, ValueError, TypeError) as exc:
-                    raise MalformedLineError(group_no, f"bad group output: {exc!r}") from exc
-                cursor += 1
-            reports.append(objective_report(GroupBatch(tuple(members)), grpo_cfg))
+            try:
+                members = tuple(group_output_from_json(o, next(totals)) for o in raw_outputs)
+            except PARSE_ERRORS as exc:
+                raise MalformedLineError(group_no, f"bad group output: {exc!r}") from exc
+            reports.append(objective_report(GroupBatch(members), grpo_cfg))
         payload = {
             "groups": reports,
             "mean_objective": sum(r["objective"] for r in reports) / len(reports),
@@ -457,7 +448,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    traces = read_traces(args.traces)
+    traces = read_records(args.traces, trace_from_json, "trace")
     if not traces:
         raise EmptySetError("no traces")
     report = MetricsReport.build(task=task_metrics(traces))

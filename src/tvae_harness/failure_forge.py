@@ -12,7 +12,6 @@ be mistaken for a correct recovery.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from bisect import bisect
@@ -20,8 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
-from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .errors import EmptyDatasetError, InvariantViolationError, ModeInapplicableError
 from .reward_engine import (
@@ -598,18 +596,3 @@ def failure_case_from_json(obj: Mapping[str, Any]) -> FailureCase:
         screen_dims=tuple(obj["screen_dims"]) if obj.get("screen_dims") else None,
     )
 
-
-def write_jsonl(objs: Iterable[Mapping[str, Any]], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for obj in objs:
-            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
-
-
-def read_jsonl(path: str | Path) -> list[dict[str, Any]]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out

@@ -9,7 +9,6 @@ aggregate objective.  No model weights live here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -24,6 +23,7 @@ from .errors import (
     LengthMismatchError,
     ShapeMismatchError,
 )
+from .records import read_records
 
 
 class KlEstimator(str, Enum):
@@ -256,12 +256,4 @@ def _dist_from_json(raw: Any) -> tuple[tuple[float, ...], ...] | None:
 
 def read_group_batches(path: str | Path) -> list[list[dict[str, Any]]]:
     """Read raw group lines ({"outputs": [...]}) from a JSONL file."""
-    groups = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            groups.append(list(obj["outputs"]))
-    return groups
+    return read_records(path, lambda obj: list(obj["outputs"]), "group")

@@ -10,7 +10,6 @@ a live environment.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import threading
@@ -18,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .agent_bus import AgentHandle, Capability, Observation
 from .errors import BudgetExceededError, CodecError, DataError, InvariantViolationError
@@ -399,18 +398,3 @@ def trace_from_json(obj: Mapping[str, Any]) -> SimTrace:
         ),
     )
 
-
-def write_traces(traces: Iterable[SimTrace], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for trace in traces:
-            fh.write(json.dumps(trace_to_json(trace), separators=(",", ":")) + "\n")
-
-
-def read_traces(path: str) -> list[SimTrace]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(trace_from_json(json.loads(line)))
-    return out

@@ -8,21 +8,13 @@ that save -> load round-trips are bit-exact.
 
 from __future__ import annotations
 
-import json
-import logging
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from .errors import (
-    InvariantViolationError,
-    MalformedLineError,
-    MissingDimsError,
-    NegativeCoordinateError,
-)
-
-log = logging.getLogger(__name__)
+from .errors import InvariantViolationError, MissingDimsError, NegativeCoordinateError
+from .records import read_records, write_records
 
 COORD_DECIMALS = 6
 
@@ -327,38 +319,24 @@ def load_dataset(
     """Load trajectories from a JSONL file, one object per line.
 
     Absolute pixel coordinates are converted to relative form via per-step
-    screen_dims.  Validation is fail-fast; with `skip_invalid` offending
-    lines are logged and dropped instead.
+    screen_dims.  Validation is fail-fast; a repeated id is a bad line.  With
+    `skip_invalid` offending lines are logged and dropped instead.
     """
-    records: list[TrajectoryRecord] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if limit is not None and len(records) >= limit:
-                break
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                try:
-                    obj = json.loads(stripped)
-                except json.JSONDecodeError as exc:
-                    raise MalformedLineError(line_no, f"invalid JSON: {exc}") from exc
-                if not isinstance(obj, dict):
-                    raise MalformedLineError(line_no, "line is not a JSON object")
-                records.append(trajectory_from_json(obj))
-            except (MalformedLineError, InvariantViolationError, MissingDimsError,
-                    NegativeCoordinateError):
-                if not skip_invalid:
-                    raise
-                log.warning("dropping invalid trajectory at %s:%d", path, line_no)
-    return records
+    seen: set[str] = set()
+
+    def parse(obj: Mapping[str, Any]) -> TrajectoryRecord:
+        traj = trajectory_from_json(obj)
+        if traj.id in seen:
+            raise ValueError(f"duplicate trajectory id {traj.id!r}")
+        seen.add(traj.id)
+        return traj
+
+    return read_records(path, parse, "trajectory", limit=limit, skip_invalid=skip_invalid)
 
 
 def save_dataset(trajs: Iterable[TrajectoryRecord], path: str | Path) -> None:
     """Write trajectories as canonical JSONL (compact, fixed key order)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for traj in trajs:
-            fh.write(json.dumps(trajectory_to_json(traj), separators=(",", ":")) + "\n")
+    write_records(path, (trajectory_to_json(t) for t in trajs))
 
 
 def describe_action(action: ActionRecord) -> str:

@@ -85,9 +85,10 @@ def test_c02_loopy_pathology(tmp_path):
         "simulate", "--dataset", str(dataset), "--agent", "scripted:loopy",
         "--out", str(out), "--seed", "2",
     ]) == EXIT_OK
-    from tvae_harness.sim_engine import read_traces
+    from tvae_harness.records import read_records
+    from tvae_harness.sim_engine import trace_from_json
 
-    traces = read_traces(str(out / "traces.jsonl"))
+    traces = read_records(out / "traces.jsonl", trace_from_json, "trace")
     assert len(traces) == len(trajs)
     assert all(t.outcome is Outcome.BUDGET_EXHAUSTED for t in traces)
     assert all(t.final_cursor == 0 for t in traces)

@@ -112,6 +112,8 @@ def test_simulate_remote_workers_bound_requests_and_connections(dataset, tmp_pat
     ("--agent", "scripted:failk:1.5"), ("--agent", "scripted:bernoulli:2"),
     ("--agent", "scripted:bernoulli:nan"), ("--agent", "scripted:bernoulli:-0.1"),
     ("--agent", "scripted:bernoulli:inf"), ("--agent", "scripted:bernoulli:half"),
+    ("--agent", "scripted:failk:2:junk"), ("--agent", "scripted:oracle:7"),
+    ("--agent", "scripted:bernoulli:0.5:x"),
 ])
 @pytest.mark.parametrize("command", ["simulate", "bench-robust"])
 def test_bad_workers_or_timeout_is_data_error(dataset, tmp_path, command, flag, value):
@@ -234,6 +236,143 @@ def test_malformed_group_logprobs_is_data_error(dataset, tmp_path):
     ]) == EXIT_DATA
 
 
+def _put(obj, keys, value=None):
+    """`obj` with the item at `keys` set to `value`, or deleted if it is None."""
+    *path, last = keys
+    inner = obj
+    for key in path:
+        inner = inner[key]
+    if value is None:
+        del inner[last]
+    else:
+        inner[last] = value
+    return obj
+
+
+def _record_inputs(kind, tmp_path, dataset):
+    """A valid input file of `kind` and the command that reads it."""
+    out = str(tmp_path / "out")
+    if kind == "dataset":
+        # longest trajectory first, so a shorter duplicate of its id follows it
+        lines = sorted(dataset.read_text().splitlines(), key=lambda l: -len(json.loads(l)["steps"]))
+        path = tmp_path / "sorted.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        return path, ["simulate", "--dataset", str(path), "--agent", "scripted:oracle", "--out", out]
+    if kind == "traces":
+        run = tmp_path / "run"
+        assert main([
+            "simulate", "--dataset", str(dataset), "--agent", "scripted:failk:1", "--out", str(run),
+        ]) == EXIT_OK
+        return run / "traces.jsonl", ["report", "--traces", str(run / "traces.jsonl")]
+    if kind == "cases":
+        bench = tmp_path / "bench"
+        assert main(["synth", "--kind", "bench", "--dataset", str(dataset), "--out", str(bench)]) == EXIT_OK
+        path = bench / "cases.jsonl"
+        return path, ["bench-robust", "--cases", str(path), "--agent", "scripted:oracle", "--out", out]
+    samples, outputs, n = _write_score_inputs(tmp_path, dataset)
+    score = ["score", "--samples", str(samples), "--outputs", str(outputs), "--out", out]
+    if kind == "outputs":
+        return outputs, score
+    groups = tmp_path / "groups.jsonl"
+    member = {"logprobs_new": [-0.5], "logprobs_old": [-0.5], "logprobs_ref": [-0.5]}
+    groups.write_text("".join(
+        json.dumps({"outputs": [member] * size}) + "\n" for size in (n - 2, 2)
+    ))
+    return groups, [*score, "--group-logprobs", str(groups)]
+
+
+# Each mutation returns the new line 2 of a valid file, given its parsed lines.
+BAD_LINES = {
+    "dataset-bad-direction": ("dataset", lambda o: _put(
+        o[1], ["steps", 0, "gt_action"], {"kind": "scroll", "direction": "diagonal"})),
+    "dataset-int-coordinate": ("dataset", lambda o: _put(
+        o[1], ["steps", 0, "gt_action"], {"kind": "click", "coordinate": 5})),
+    "dataset-duplicate-id": ("dataset", lambda o: {**o[-1], "id": o[0]["id"]}),
+    "dataset-not-utf8": ("dataset", lambda o: b"\xff{}"),
+    "traces-no-outcome": ("traces", lambda o: _put(o[1], ["outcome"])),
+    "traces-non-object": ("traces", lambda o: [1, 2]),
+    "traces-bad-issued": ("traces", lambda o: _put(o[1], ["attempts", 0, "issued"], "click")),
+    "cases-non-object": ("cases", lambda o: "case"),
+    "outputs-non-object": ("outputs", lambda o: 5),
+    "groups-no-outputs": ("groups", lambda o: _put(o[1], ["outputs"])),
+    "groups-non-object": ("groups", lambda o: [1]),
+    "groups-non-object-output": ("groups", lambda o: {"outputs": [5, 5]}),
+}
+
+
+@pytest.mark.parametrize("case, skip_invalid", [
+    *((case, False) for case in BAD_LINES),
+    *((case, True) for case, (kind, _) in BAD_LINES.items() if kind == "dataset"),
+])
+def test_bad_record_line_is_data_error_naming_its_line(dataset, tmp_path, capsys, case, skip_invalid):
+    kind, mutate = BAD_LINES[case]
+    path, argv = _record_inputs(kind, tmp_path, dataset)
+    objs = [json.loads(line) for line in path.read_text().splitlines()]
+    objs[1] = mutate(objs)
+    path.write_bytes(b"".join(
+        (o if isinstance(o, bytes) else json.dumps(o).encode()) + b"\n" for o in objs
+    ))
+    capsys.readouterr()
+    code = main([*argv, "--skip-invalid"] if skip_invalid else argv)
+    if skip_invalid:
+        # the bad line is dropped and every other trajectory still runs
+        assert code == EXIT_OK
+        traces = (tmp_path / "out" / "traces.jsonl").read_text().splitlines()
+        assert len(traces) == len(objs) - 1
+    else:
+        assert code == EXIT_DATA
+        assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [
+    {"seed": "x"}, {"seed": 1.5}, {"reward": 5}, {"sim": []}, {"sim": {"bogus": 1}},
+    {"sim": {"delta": "a"}}, {"sim": {"seed": 3}}, {"reward": {"text_match": "fuzzy"}},
+])
+def test_bad_config_is_data_error(dataset, tmp_path, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert main([
+        "simulate", "--dataset", str(dataset), "--agent", "scripted:oracle",
+        "--out", str(out), "--config", str(cfg),
+    ]) == EXIT_DATA
+    assert not out.exists()
+
+
+def test_bad_grpo_config_or_env_seed_is_data_error(dataset, tmp_path, monkeypatch):
+    groups, argv = _record_inputs("groups", tmp_path, dataset)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grpo": {"kl_estimator": "k9"}}))
+    assert main([*argv, "--config", str(cfg)]) == EXIT_DATA
+    monkeypatch.setenv("TVAE_SEED", "abc")
+    assert main([
+        "simulate", "--dataset", str(dataset), "--agent", "scripted:oracle",
+        "--out", str(tmp_path / "run"),
+    ]) == EXIT_DATA
+
+
+def test_config_enum_values_are_parsed(dataset, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"reward": {"text_match": "token_f1_threshold"}}))
+    out = tmp_path / "run"
+    assert main([
+        "simulate", "--dataset", str(dataset), "--agent", "scripted:oracle",
+        "--out", str(out), "--config", str(cfg),
+    ]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["reward"]["text_match"] == "token_f1_threshold"
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--lengths", "3"), ("--lengths", "a,b"), ("--lengths", "1,2,3"), ("--lengths", "5,2"),
+    ("--lengths", "0,2"), ("--count", "-2"), ("--count", "0"),
+])
+def test_bad_synth_dataset_flag_is_data_error(tmp_path, flag, value):
+    out = tmp_path / "data"
+    assert main(["synth", "--kind", "dataset", "--out", str(out), flag, value]) == EXIT_DATA
+    assert not out.exists()
+
+
 def test_synth_sft_manifest(dataset, tmp_path):
     out = tmp_path / "sft"
     assert main([
@@ -266,9 +405,10 @@ def _write_score_inputs(tmp_path, dataset):
         "synth", "--kind", "sft", "--dataset", str(dataset), "--ratio-b", "0.25",
         "--seed", "4", "--out", str(sft),
     ]) == EXIT_OK
-    from tvae_harness.failure_forge import read_jsonl, sample_from_json
+    from tvae_harness.failure_forge import sample_from_json
+    from tvae_harness.records import read_records
 
-    samples = [sample_from_json(o) for o in read_jsonl(sft / "samples.jsonl")]
+    samples = read_records(sft / "samples.jsonl", sample_from_json, "sample")
     outputs = tmp_path / "outputs.jsonl"
     with open(outputs, "w", encoding="utf-8") as fh:
         for s in samples:

@@ -7,13 +7,13 @@ import pytest
 from tvae_harness.agent_bus import Observation, ScriptedAgent, Variant, VariantName
 from tvae_harness.errors import BudgetExceededError, InvariantViolationError
 from tvae_harness.failure_forge import build_robustness_bench
+from tvae_harness.records import read_records, write_records
 from tvae_harness.sim_engine import (
     AttemptLog,
     Outcome,
     SimConfig,
     SimState,
     episode_budget,
-    read_traces,
     run_episode,
     run_episodes,
     run_failure_case,
@@ -21,7 +21,6 @@ from tvae_harness.sim_engine import (
     trace_from_json,
     trace_to_json,
     transition,
-    write_traces,
 )
 from tvae_harness.synthdata import make_dataset
 from tvae_harness.trajectory_store import ActionKind, ActionRecord
@@ -346,5 +345,5 @@ def test_trace_json_round_trip(tmp_path):
     for t in traces:
         assert trace_from_json(trace_to_json(t)) == t
     path = tmp_path / "traces.jsonl"
-    write_traces(traces, str(path))
-    assert read_traces(str(path)) == traces
+    write_records(path, (trace_to_json(t) for t in traces))
+    assert read_records(path, trace_from_json, "trace") == traces
