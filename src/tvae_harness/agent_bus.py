@@ -12,24 +12,19 @@ import json
 import random
 import shlex
 import subprocess
+import sys
 import threading
-from contextlib import nullcontext, suppress
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
-from importlib import resources
 from typing import Any, Protocol, Sequence
 from urllib.parse import urlsplit
 
 from .errors import AgentTimeoutError, AgentUnavailableError, InvariantViolationError
 from .failure_forge import FailureMode, corrupt_action, mismatched_effect, sample_corruption
-from .trajectory_store import (
-    ActionRecord,
-    StepRecord,
-    action_to_json,
-    describe_action,
-)
+from .trajectory_store import ActionRecord, StepRecord, describe_action
 from .tvae_codec import (
     HistoryEntry,
     ThinkSegment,
@@ -44,11 +39,6 @@ WIRE_SCHEMA_VERSION = 1
 STDIO_SENTINEL = "<<<END_TURN>>>"
 
 
-class Capability(str, Enum):
-    CONCURRENT_SAFE = "concurrent_safe"
-    SERIALIZED = "serialized"
-
-
 @dataclass(frozen=True)
 class Observation:
     """Everything an agent is shown for one turn."""
@@ -57,8 +47,6 @@ class Observation:
     screen_ref: str
     history: tuple[HistoryEntry, ...]
     step_budget_remaining: int
-    last_expected_effect: str | None = None
-    screen_asset_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.step_budget_remaining < 0:
@@ -66,10 +54,14 @@ class Observation:
 
 
 class AgentHandle(Protocol):
-    """A turn function plus identity and concurrency metadata."""
+    """A turn function plus identity and concurrency metadata.
+
+    `max_inflight` is how many `turn` calls the handle allows at once; the
+    runner never starts more.
+    """
 
     identity: str
-    capability: Capability
+    max_inflight: int
     white_box: bool
 
     def turn(self, obs: Observation, gt: StepRecord | None, rng: random.Random) -> str: ...
@@ -249,7 +241,7 @@ class ScriptedAgent:
     """White-box reference agent wrapping `scripted_turn`."""
 
     white_box = True
-    capability = Capability.CONCURRENT_SAFE
+    max_inflight = sys.maxsize  # pure in its inputs: no limit
 
     def __init__(self, variant: Variant):
         self.variant = variant
@@ -269,16 +261,13 @@ class ScriptedAgent:
 
 
 def observation_to_wire(obs: Observation) -> dict[str, Any]:
-    payload: dict[str, Any] = {
+    return {
         "schema_version": WIRE_SCHEMA_VERSION,
         "instruction": obs.instruction,
         "screen_ref": obs.screen_ref,
         "history": [history_entry_to_json(h) for h in obs.history],
         "budget_remaining": obs.step_budget_remaining,
     }
-    if obs.screen_asset_path is not None:
-        payload["screen_asset_path"] = obs.screen_asset_path
-    return payload
 
 
 def _turn_url(endpoint: str) -> str:
@@ -399,9 +388,9 @@ def remote_turn(
 class RemoteAgent:
     """Client handle for an HTTP turn server.
 
-    Serialized by default; passing `max_inflight` declares the server safe
-    for that many concurrent single-turn requests, enforced client-side.
-    Turns share a pool of keep-alive connections that `close` releases.
+    One turn at a time by default; `max_inflight` declares the server safe
+    for that many concurrent single-turn requests.  Turns share a pool of
+    keep-alive connections that `close` releases.
     """
 
     white_box = False
@@ -411,22 +400,18 @@ class RemoteAgent:
         endpoint: str,
         timeout: float = 30.0,
         token: str | None = None,
-        max_inflight: int | None = None,
+        max_inflight: int = 1,
     ):
+        if max_inflight < 1:
+            raise InvariantViolationError("remote", "max_inflight", "must be >= 1")
         self.endpoint = endpoint
         self.token = token
         self.identity = f"remote:{endpoint}"
-        if max_inflight is not None and max_inflight < 1:
-            raise InvariantViolationError("remote", "max_inflight", "must be >= 1")
-        self.capability = (
-            Capability.CONCURRENT_SAFE if max_inflight else Capability.SERIALIZED
-        )
-        self._gate = threading.BoundedSemaphore(max_inflight) if max_inflight else nullcontext()
+        self.max_inflight = max_inflight
         self._pool = _HttpPool(_turn_url(endpoint), timeout)
 
     def turn(self, obs: Observation, gt: StepRecord | None, rng: random.Random) -> str:
-        with self._gate:
-            return remote_turn(self.endpoint, obs, token=self.token, pool=self._pool)
+        return remote_turn(self.endpoint, obs, token=self.token, pool=self._pool)
 
     def close(self) -> None:
         self._pool.close()
@@ -436,7 +421,7 @@ class StdioAgent:
     """Subprocess agent: one JSON request line in, text until a sentinel line out."""
 
     white_box = False
-    capability = Capability.SERIALIZED
+    max_inflight = 1  # one request/response exchange on one pipe pair
 
     def __init__(self, command: Sequence[str] | str):
         argv = shlex.split(command) if isinstance(command, str) else list(command)
@@ -493,7 +478,7 @@ def parse_agent_spec(
     spec: str,
     timeout: float = 30.0,
     token: str | None = None,
-    max_inflight: int | None = None,
+    max_inflight: int = 1,
 ) -> AgentHandle:
     """Build an agent from a spec string.
 
@@ -525,58 +510,3 @@ def parse_agent_spec(
         return StdioAgent(rest)
     raise InvariantViolationError("agent", "spec", spec)
 
-
-# -- prompt rendering --------------------------------------------------------------
-
-
-def _template(name: str) -> str:
-    return resources.files("tvae_harness").joinpath("templates", name).read_text("utf-8")
-
-
-def render_system_prompt() -> str:
-    return _template("system_prompt.txt")
-
-
-def render_think_template(verification: Verification) -> str:
-    if verification is Verification.SUCCESS:
-        return _template("think_success.txt")
-    return _template("think_no_change.txt")
-
-
-def _history_item(index: int, entry: HistoryEntry) -> str:
-    a = entry.action
-    if a.coordinate is not None:
-        x, y = a.coordinate
-        body = f"{a.kind.value} [{x:g}, {y:g}]"
-    elif a.text is not None:
-        body = f"{a.kind.value} '{a.text}'"
-    elif a.direction is not None:
-        body = f"{a.kind.value} {a.direction.value}"
-    else:
-        body = a.kind.value
-    return f"Step {index}: {body}"
-
-
-def render_observation_prompt(obs: Observation) -> str:
-    """Render the user-visible prompt body for one observation."""
-    lines = ["User Instruction:", obs.instruction, ""]
-    if len(obs.history) > 1:
-        completed = " | ".join(
-            _history_item(i + 1, e) for i, e in enumerate(obs.history[:-1])
-        )
-        lines += ["History (Completed):", completed, ""]
-    if obs.history:
-        last = obs.history[-1]
-        action_json = json.dumps(
-            {"action": last.action.kind.value, **{
-                k: v for k, v in action_to_json(last.action).items() if k != "kind"
-            }}
-        )
-        lines += [
-            "Last Step (Needs Verification):",
-            f"Step {len(obs.history)}: Action {action_json} | "
-            f'Expected: "{last.expected_effect}"',
-            "",
-        ]
-    lines += ["Current Screen:", f"[{obs.screen_ref}]"]
-    return "\n".join(lines)

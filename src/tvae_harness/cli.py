@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import operator
@@ -29,7 +30,6 @@ from .errors import (
     DataError,
     EmptySetError,
     InvariantViolationError,
-    MalformedLineError,
 )
 from .failure_forge import (
     DEFAULT_FAILURE_WEIGHTS,
@@ -41,9 +41,7 @@ from .failure_forge import (
     sample_to_json,
 )
 from .grpo_core import (
-    GroupBatch,
     GrpoConfig,
-    group_output_from_json,
     objective_report,
     read_group_batches,
 )
@@ -56,8 +54,8 @@ from .metric_suite import (
     step_metrics,
     task_metrics,
 )
-from .records import PARSE_ERRORS, read_records, write_records
-from .reward_engine import REWARD_MISS, RewardConfig, composite_reward
+from .records import read_records, write_records
+from .reward_engine import RewardConfig, score_output
 from .sim_engine import (
     SimConfig,
     run_episodes,
@@ -67,7 +65,6 @@ from .sim_engine import (
 )
 from .synthdata import make_dataset
 from .trajectory_store import load_dataset, save_dataset
-from .tvae_codec import parse_tvae
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -115,8 +112,10 @@ def _resolve_seed(args: argparse.Namespace, config: dict[str, Any]) -> int:
 
 def _load_config(args: argparse.Namespace) -> dict[str, Any]:
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        try:
+            obj = json.loads(Path(args.config).read_bytes().decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"--config is not UTF-8: {exc}") from None
         if not isinstance(obj, dict):
             raise DataError("--config must hold a JSON object")
         return obj
@@ -371,24 +370,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _score_one(raw: str, sample, reward_cfg: RewardConfig) -> dict[str, Any]:
-    try:
-        turn = parse_tvae(raw, strict=False)
-    except Exception as exc:
-        # No parse, no claim: action wrong, effect zero, generic miss penalty.
-        r_ver = REWARD_MISS
-        total = -1.0 + reward_cfg.beta * r_ver
-        return {
-            "r_act": -1.0,
-            "r_eff": 0.0,
-            "r_ver": r_ver,
-            "total": total,
-            "similarity": reward_cfg.similarity,
-            "parse_error": str(exc),
-        }
-    return composite_reward(turn, sample, reward_cfg).to_json()
-
-
 def cmd_score(args: argparse.Namespace) -> int:
     config = _load_config(args)
     reward_cfg = _reward_config(args, config)
@@ -399,7 +380,9 @@ def cmd_score(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    breakdowns = [_score_one(raw, sample, reward_cfg) for raw, sample in zip(raws, samples)]
+    breakdowns = [
+        score_output(raw, sample, reward_cfg).to_json() for raw, sample in zip(raws, samples)
+    ]
     write_records(out_dir / "rewards.jsonl", breakdowns)
 
     manifest: dict[str, Any] = {
@@ -415,20 +398,16 @@ def cmd_score(args: argparse.Namespace) -> int:
 
     if args.group_logprobs:
         grpo_cfg = _config_object(None, config, "grpo", GrpoConfig)
-        groups = read_group_batches(args.group_logprobs)
-        covered = sum(len(g) for g in groups)
+        # An output without a "reward" takes the scored total at its position;
+        # past the last one it takes 0.0 until the coverage check below fails.
+        totals = itertools.chain((b["total"] for b in breakdowns), itertools.repeat(0.0))
+        groups = read_group_batches(args.group_logprobs, totals)
+        covered = sum(len(g.outputs) for g in groups)
         if covered != len(samples):
             raise AlignmentMismatchError(
                 f"group log-probs cover {covered} outputs but {len(samples)} were scored"
             )
-        totals = iter(b["total"] for b in breakdowns)
-        reports = []
-        for group_no, raw_outputs in enumerate(groups, 1):
-            try:
-                members = tuple(group_output_from_json(o, next(totals)) for o in raw_outputs)
-            except PARSE_ERRORS as exc:
-                raise MalformedLineError(group_no, f"bad group output: {exc!r}") from exc
-            reports.append(objective_report(GroupBatch(members), grpo_cfg))
+        reports = [objective_report(g, grpo_cfg) for g in groups]
         payload = {
             "groups": reports,
             "mean_objective": sum(r["objective"] for r in reports) / len(reports),

@@ -9,10 +9,11 @@ aggregate objective.  No model weights live here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -44,10 +45,12 @@ class GrpoConfig:
             raise InvariantViolationError("grpo_config", "group_size", "must be >= 2")
         if not 0 < self.eps_clip < 1:
             raise InvariantViolationError("grpo_config", "eps_clip", "must be in (0,1)")
-        if self.kl_lambda < 0:
-            raise InvariantViolationError("grpo_config", "kl_lambda", "must be >= 0")
-        if self.eps_std <= 0:
-            raise InvariantViolationError("grpo_config", "eps_std", "must be > 0")
+        if not (math.isfinite(self.kl_lambda) and self.kl_lambda >= 0):
+            raise InvariantViolationError(
+                "grpo_config", "kl_lambda", "must be a finite number >= 0"
+            )
+        if not (math.isfinite(self.eps_std) and self.eps_std > 0):
+            raise InvariantViolationError("grpo_config", "eps_std", "must be a finite number > 0")
 
 
 _LOGPROB_TOL = 1e-9
@@ -198,15 +201,7 @@ def kl_penalty(batch: GroupBatch, cfg: GrpoConfig | None = None) -> np.ndarray:
 def grpo_objective(batch: GroupBatch, cfg: GrpoConfig | None = None) -> float:
     """Aggregate objective: mean over outputs of length-normalized clipped
     surrogate, minus lambda times the mean KL penalty."""
-    cfg = cfg or GrpoConfig()
-    advantages = group_advantages(batch.rewards, cfg)
-    ratios = token_ratios(batch)
-    _, per_output = clipped_surrogate(ratios, advantages, cfg)
-    surrogate = float(per_output.mean())
-    if cfg.kl_lambda == 0:
-        return surrogate
-    kl = float(kl_penalty(batch, cfg).mean())
-    return surrogate - cfg.kl_lambda * kl
+    return objective_report(batch, cfg)["objective"]
 
 
 def objective_report(batch: GroupBatch, cfg: GrpoConfig | None = None) -> dict[str, Any]:
@@ -254,6 +249,13 @@ def _dist_from_json(raw: Any) -> tuple[tuple[float, ...], ...] | None:
     return tuple(tuple(float(v) for v in row) for row in raw)
 
 
-def read_group_batches(path: str | Path) -> list[list[dict[str, Any]]]:
-    """Read raw group lines ({"outputs": [...]}) from a JSONL file."""
-    return read_records(path, lambda obj: list(obj["outputs"]), "group")
+def read_group_batches(path: str | Path, rewards: Iterable[float] = ()) -> list[GroupBatch]:
+    """Read one group ({"outputs": [...]}) per line of a JSONL file.
+
+    An output without a "reward" takes the next of `rewards`, in file
+    order; a bad output is a bad line of the file.
+    """
+    fallback = iter(rewards)
+    return read_records(path, lambda obj: GroupBatch(tuple(
+        group_output_from_json(o, next(fallback, None)) for o in obj["outputs"]
+    )), "group")

@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Any, Mapping, Sequence
 
 from .errors import EmptySetError, InvariantViolationError
-from .reward_engine import RewardConfig, match_action, point_in_bbox, euclidean, texts_match
+from .reward_engine import RewardConfig, match_action, parameters_match
 from .sim_engine import CaseResult, Outcome, SimTrace
 from .trajectory_store import ActionRecord, StepRecord
 
@@ -55,23 +55,6 @@ class RobustnessMetrics:
     counts: dict[str, int]
 
 
-def _grounded(pred: ActionRecord | None, gt: StepRecord, cfg: RewardConfig) -> bool:
-    """Parameter-level correctness ignoring the predicted kind."""
-    action = gt.gt_action
-    if action.is_spatial():
-        if pred is None or pred.coordinate is None:
-            return False
-        if gt.gt_bbox is not None:
-            return point_in_bbox(pred.coordinate, gt.gt_bbox)
-        assert action.coordinate is not None
-        return euclidean(pred.coordinate, action.coordinate) <= cfg.delta
-    if action.is_textual():
-        if pred is None or pred.text is None:
-            return False
-        return texts_match(pred.text, action.text or "", cfg)
-    raise AssertionError("grounding undefined for this kind")
-
-
 def step_metrics(
     preds: Sequence[StepPrediction], cfg: RewardConfig | None = None
 ) -> StepMetrics:
@@ -91,7 +74,7 @@ def step_metrics(
         tm_hits += kind_ok
         sr_hits += match_action(p.predicted, gt_action, p.gt.gt_bbox, cfg)
         if gt_action.is_spatial() or gt_action.is_textual():
-            grounded = _grounded(p.predicted, p.gt, cfg)
+            grounded = parameters_match(p.predicted, gt_action, p.gt.gt_bbox, cfg)
             gr_eligible += 1
             gr_hits += grounded
             if kind_ok:

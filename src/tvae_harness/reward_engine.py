@@ -21,7 +21,7 @@ from .trajectory_store import (
     CoordinateSpace,
     normalize_action,
 )
-from .tvae_codec import TvaeOutput, Verification
+from .tvae_codec import TvaeOutput, Verification, parse_tvae
 
 if TYPE_CHECKING:
     from .failure_forge import SyntheticSample
@@ -48,30 +48,39 @@ class RewardConfig:
     text_match_threshold: float = 0.8
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
-            raise InvariantViolationError("reward_config", "alpha/beta", "must be >= 0")
+        if not all(math.isfinite(w) and w >= 0 for w in (self.alpha, self.beta)):
+            raise InvariantViolationError(
+                "reward_config", "alpha/beta", "must be finite numbers >= 0"
+            )
         if not 0 < self.delta < 1:
             raise InvariantViolationError("reward_config", "delta", "must be in (0,1)")
 
 
 @dataclass(frozen=True)
 class RewardBreakdown:
-    """Per-output reward components; total = r_act + alpha*r_eff + beta*r_ver."""
+    """Per-output reward components; total = r_act + alpha*r_eff + beta*r_ver.
+
+    `parse_error` is set when the output did not parse (see `score_output`).
+    """
 
     r_act: float
     r_eff: float
     r_ver: float
     total: float
     similarity: str = "token-f1"
+    parse_error: str | None = None
 
     def to_json(self) -> dict[str, Any]:
-        return {
+        obj: dict[str, Any] = {
             "r_act": self.r_act,
             "r_eff": self.r_eff,
             "r_ver": self.r_ver,
             "total": self.total,
             "similarity": self.similarity,
         }
+        if self.parse_error is not None:
+            obj["parse_error"] = self.parse_error
+        return obj
 
 
 # -- geometry ----------------------------------------------------------------
@@ -112,30 +121,41 @@ def match_action(
     bbox: tuple[float, float, float, float] | None = None,
     cfg: RewardConfig | None = None,
 ) -> bool:
-    """Decide whether a predicted action counts as correct.
-
-    Kinds must agree; then parameters: spatial actions need the coordinate
-    inside the ground-truth box (Euclidean distance <= delta when no box is
-    known), scrolls need equal directions, text actions need matching text,
-    and parameterless kinds match on kind alone.  Both actions are expected
-    in relative coordinate space.
+    """Decide whether a predicted action counts as correct: kinds must agree
+    and then `parameters_match`.  Both actions are expected in relative
+    coordinate space.
     """
-    if pred is None:
+    if pred is None or pred.kind is not gt.kind:
         return False
-    cfg = cfg or RewardConfig()
-    if pred.kind is not gt.kind:
-        return False
+    return parameters_match(pred, gt, bbox, cfg or RewardConfig())
+
+
+def parameters_match(
+    pred: ActionRecord | None,
+    gt: ActionRecord,
+    bbox: tuple[float, float, float, float] | None,
+    cfg: RewardConfig,
+) -> bool:
+    """The parameter rule of `match_action`, whatever the predicted kind.
+
+    Spatial actions need the coordinate inside the ground-truth box
+    (Euclidean distance <= delta when no box is known), scrolls need equal
+    directions, text actions need matching text, and parameterless kinds
+    always pass.  A parameter the prediction lacks never matches.
+    """
     if gt.kind in (ActionKind.CLICK, ActionKind.LONG_PRESS):
-        if pred.coordinate is None or gt.coordinate is None:
+        if pred is None or pred.coordinate is None or gt.coordinate is None:
             return False
         if bbox is not None:
             return point_in_bbox(pred.coordinate, bbox)
         return euclidean(pred.coordinate, gt.coordinate) <= cfg.delta
     if gt.kind is ActionKind.SCROLL:
-        return pred.direction is gt.direction
+        return pred is not None and pred.direction is gt.direction
     if gt.kind in (ActionKind.INPUT_TEXT, ActionKind.OPEN_APP):
-        return texts_match(pred.text or "", gt.text or "", cfg)
-    return True  # navigate_back / wait: kind equality suffices
+        if pred is None or pred.text is None:
+            return False
+        return texts_match(pred.text, gt.text or "", cfg)
+    return True  # navigate_back / wait take no parameters
 
 
 def actions_approx_equal(
@@ -234,3 +254,26 @@ def composite_reward(
     return RewardBreakdown(
         r_act=r_act, r_eff=r_eff, r_ver=r_ver, total=total, similarity=cfg.similarity
     )
+
+
+def score_output(
+    raw: str, sample: "SyntheticSample", cfg: RewardConfig | None = None
+) -> RewardBreakdown:
+    """Score one raw agent output: `composite_reward` of its lenient parse.
+
+    No parse, no claim: an output that does not parse scores a wrong action,
+    zero effect reward and the generic miss penalty.
+    """
+    cfg = cfg or RewardConfig()
+    try:
+        turn = parse_tvae(raw, strict=False)
+    except Exception as exc:
+        return RewardBreakdown(
+            r_act=-1.0,
+            r_eff=0.0,
+            r_ver=REWARD_MISS,
+            total=-1.0 + cfg.beta * REWARD_MISS,
+            similarity=cfg.similarity,
+            parse_error=str(exc),
+        )
+    return composite_reward(turn, sample, cfg)

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 import random
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
-from .agent_bus import AgentHandle, Capability, Observation
+from .agent_bus import AgentHandle, Observation
 from .errors import BudgetExceededError, CodecError, DataError, InvariantViolationError
 from .failure_forge import FailureCase
 from .reward_engine import RewardConfig, actions_approx_equal, match_action
@@ -44,8 +43,10 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.budget_multiplier < 1:
-            raise InvariantViolationError("sim_config", "budget_multiplier", "must be >= 1")
+        if not (math.isfinite(self.budget_multiplier) and self.budget_multiplier >= 1):
+            raise InvariantViolationError(
+                "sim_config", "budget_multiplier", "must be a finite number >= 1"
+            )
         if not 0 < self.delta < 1:
             raise InvariantViolationError("sim_config", "delta", "must be in (0,1)")
         if not 0 <= self.repeat_epsilon < self.delta:
@@ -205,7 +206,6 @@ def run_episode(traj: TrajectoryRecord, agent: AgentHandle, cfg: SimConfig) -> S
             screen_ref=state.screen_ref,
             history=state.history,
             step_budget_remaining=budget - state.attempts_used,
-            last_expected_effect=state.history[-1].expected_effect if state.history else None,
         )
         raw = agent.turn(obs, gt if agent.white_box else None, rng)
         turn, action, warnings = _interpret(raw, gt.screen_dims)
@@ -258,7 +258,6 @@ def run_failure_case(case: FailureCase, agent: AgentHandle, cfg: SimConfig) -> C
         screen_ref=case.screen_ref,
         history=case.history,
         step_budget_remaining=1,
-        last_expected_effect=case.history[-1].expected_effect,
     )
     gt_step = StepRecord(
         index=case.source[1],
@@ -276,25 +275,23 @@ def run_failure_case(case: FailureCase, agent: AgentHandle, cfg: SimConfig) -> C
     return CaseResult(repeated=repeated, recovered=recovered, issued=action)
 
 
-class _LockedAgent:
-    """Serializes turn calls for handles that declare themselves Serialized."""
+def _run_all(
+    run: Callable[[Any, AgentHandle, SimConfig], Any],
+    items: Sequence[Any],
+    agent: AgentHandle,
+    cfg: SimConfig,
+    workers: int,
+) -> list[Any]:
+    """`run(item, agent, cfg)` for every item, results in input order.
 
-    def __init__(self, inner: AgentHandle):
-        self._inner = inner
-        self._lock = threading.Lock()
-        self.identity = inner.identity
-        self.capability = Capability.SERIALIZED
-        self.white_box = inner.white_box
-
-    def turn(self, obs: Observation, gt: StepRecord | None, rng: random.Random) -> str:
-        with self._lock:
-            return self._inner.turn(obs, gt, rng)
-
-
-def _pooled(agent: AgentHandle, workers: int) -> AgentHandle:
-    if workers > 1 and agent.capability is Capability.SERIALIZED:
-        return _LockedAgent(agent)
-    return agent
+    Runs on `min(workers, agent.max_inflight, len(items))` threads, or
+    serially in the calling thread when that is at most one.
+    """
+    threads = min(workers, agent.max_inflight, len(items))
+    if threads <= 1:
+        return [run(item, agent, cfg) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(lambda item: run(item, agent, cfg), items))
 
 
 def run_episodes(
@@ -304,11 +301,7 @@ def run_episodes(
     workers: int = 1,
 ) -> list[SimTrace]:
     """Run every trajectory; results keep input order regardless of schedule."""
-    if workers <= 1 or len(trajs) <= 1:
-        return [run_episode(t, agent, cfg) for t in trajs]
-    safe_agent = _pooled(agent, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda t: run_episode(t, safe_agent, cfg), trajs))
+    return _run_all(run_episode, trajs, agent, cfg, workers)
 
 
 def run_failure_cases(
@@ -317,11 +310,7 @@ def run_failure_cases(
     cfg: SimConfig,
     workers: int = 1,
 ) -> list[CaseResult]:
-    if workers <= 1 or len(cases) <= 1:
-        return [run_failure_case(c, agent, cfg) for c in cases]
-    safe_agent = _pooled(agent, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda c: run_failure_case(c, safe_agent, cfg), cases))
+    return _run_all(run_failure_case, cases, agent, cfg, workers)
 
 
 # -- serialization ---------------------------------------------------------------

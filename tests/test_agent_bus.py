@@ -9,7 +9,6 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from tvae_harness.agent_bus import (
-    Capability,
     Observation,
     RemoteAgent,
     ScriptedAgent,
@@ -19,9 +18,6 @@ from tvae_harness.agent_bus import (
     observation_to_wire,
     parse_agent_spec,
     remote_turn,
-    render_observation_prompt,
-    render_system_prompt,
-    render_think_template,
     scripted_turn,
 )
 from tvae_harness.errors import (
@@ -176,7 +172,7 @@ def test_remote_turn_returns_body_verbatim(turn_server):
 
 def test_remote_agent_in_sim(turn_server):
     agent = RemoteAgent(turn_server, timeout=5)
-    assert agent.capability is Capability.SERIALIZED
+    assert agent.max_inflight == 1
     assert not agent.white_box
     trajs = make_dataset(2, (2, 2), seed=4)
     traces = run_episodes(trajs, agent, SimConfig(seed=0), workers=2)
@@ -217,10 +213,26 @@ def test_remote_prose_passthrough_counts_as_mismatch():
 
 def test_remote_agent_bounded_concurrency(turn_server):
     agent = RemoteAgent(turn_server, timeout=5, max_inflight=3)
-    assert agent.capability is Capability.CONCURRENT_SAFE
+    assert agent.max_inflight == 3
     trajs = make_dataset(6, (1, 2), seed=8)
     traces = run_episodes(trajs, agent, SimConfig(seed=0), workers=6)
     assert len(traces) == 6
+
+
+@pytest.mark.parametrize("max_inflight, workers, peak", [(None, 4, 1), (3, 6, 3)])
+def test_remote_agent_caps_requests_in_flight(max_inflight, workers, peak):
+    kwargs = {} if max_inflight is None else {"max_inflight": max_inflight}
+    with CountingTurnServer(delay_s=0.02) as server:
+        agent = RemoteAgent(server.url, timeout=5, **kwargs)
+        try:
+            traces = run_episodes(
+                make_dataset(6, (2, 3), seed=8), agent, SimConfig(seed=0), workers=workers
+            )
+        finally:
+            agent.close()
+        assert server.wait_closed(server.connections, timeout=5)
+    assert server.requests == sum(len(t.attempts) for t in traces)
+    assert server.peak_inflight == min(workers, agent.max_inflight) == peak
 
 
 def test_remote_unreachable_raises_after_retry():
@@ -283,7 +295,7 @@ def test_stdio_agent_dead_process():
         agent.close()
 
 
-# -- spec parsing and templates ----------------------------------------------------------------
+# -- spec parsing ---------------------------------------------------------------------------------
 
 
 def test_parse_agent_spec_variants():
@@ -306,26 +318,3 @@ def test_parse_agent_spec_variants():
 def test_variant_rejects_bad_k_or_p(kw):
     with pytest.raises(InvariantViolationError):
         Variant(VariantName.FAIL_K, **kw)
-
-
-def test_templates_ship_the_grammar():
-    prompt = render_system_prompt()
-    for marker in ("<think>", "<verification>", "<action>", "<expected_effect>"):
-        assert marker in prompt
-    success = render_think_template(Verification.SUCCESS)
-    recovery = render_think_template(Verification.NO_CHANGE)
-    assert "[Verify]" in success and "[Action]" in success
-    assert "[Diagnose]" in recovery and "[Recovery]" in recovery
-
-
-def test_render_observation_prompt_sections():
-    h = [
-        HistoryEntry(make_click_step(0).gt_action, "First.", Verification.SUCCESS),
-        HistoryEntry(make_click_step(1, coord=(0.2, 0.2)).gt_action, "Second.", Verification.SUCCESS),
-    ]
-    text = render_observation_prompt(_obs(h))
-    assert "User Instruction:" in text
-    assert "History (Completed):" in text
-    assert "Last Step (Needs Verification):" in text
-    assert 'Expected: "Second."' in text
-    assert "Current Screen:" in text

@@ -114,6 +114,7 @@ def test_simulate_remote_workers_bound_requests_and_connections(dataset, tmp_pat
     ("--agent", "scripted:bernoulli:inf"), ("--agent", "scripted:bernoulli:half"),
     ("--agent", "scripted:failk:2:junk"), ("--agent", "scripted:oracle:7"),
     ("--agent", "scripted:bernoulli:0.5:x"),
+    ("--budget-multiplier", "inf"), ("--budget-multiplier", "nan"),
 ])
 @pytest.mark.parametrize("command", ["simulate", "bench-robust"])
 def test_bad_workers_or_timeout_is_data_error(dataset, tmp_path, command, flag, value):
@@ -281,6 +282,11 @@ def _record_inputs(kind, tmp_path, dataset):
     return groups, [*score, "--group-logprobs", str(groups)]
 
 
+def _bad_group_after_blank_line(objs):
+    objs[0] = b""  # blank: the bad group is the file's first, yet on line 2
+    return {"outputs": [5, 5]}
+
+
 # Each mutation returns the new line 2 of a valid file, given its parsed lines.
 BAD_LINES = {
     "dataset-bad-direction": ("dataset", lambda o: _put(
@@ -297,6 +303,7 @@ BAD_LINES = {
     "groups-no-outputs": ("groups", lambda o: _put(o[1], ["outputs"])),
     "groups-non-object": ("groups", lambda o: [1]),
     "groups-non-object-output": ("groups", lambda o: {"outputs": [5, 5]}),
+    "groups-after-blank-line": ("groups", _bad_group_after_blank_line),
 }
 
 
@@ -327,10 +334,12 @@ def test_bad_record_line_is_data_error_naming_its_line(dataset, tmp_path, capsys
 @pytest.mark.parametrize("config", [
     {"seed": "x"}, {"seed": 1.5}, {"reward": 5}, {"sim": []}, {"sim": {"bogus": 1}},
     {"sim": {"delta": "a"}}, {"sim": {"seed": 3}}, {"reward": {"text_match": "fuzzy"}},
+    {"sim": {"budget_multiplier": float("inf")}}, {"reward": {"alpha": float("nan")}},
+    {"reward": {"beta": float("inf")}}, b"\xff\xfe{}",
 ])
 def test_bad_config_is_data_error(dataset, tmp_path, config):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
+    cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
     out = tmp_path / "run"
     assert main([
         "simulate", "--dataset", str(dataset), "--agent", "scripted:oracle",
@@ -349,6 +358,19 @@ def test_bad_grpo_config_or_env_seed_is_data_error(dataset, tmp_path, monkeypatc
         "simulate", "--dataset", str(dataset), "--agent", "scripted:oracle",
         "--out", str(tmp_path / "run"),
     ]) == EXIT_DATA
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--alpha", "nan"], {}), (["--beta", "inf"], {}),
+    ([], {"grpo": {"kl_lambda": float("nan")}}), ([], {"grpo": {"eps_std": float("inf")}}),
+])
+def test_non_finite_score_weight_is_data_error(dataset, tmp_path, capsys, flags, config):
+    _, argv = _record_inputs("groups", tmp_path, dataset)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main([*argv, *flags, "--config", str(cfg)]) == EXIT_DATA
+    assert "data error: " in capsys.readouterr().err
 
 
 def test_config_enum_values_are_parsed(dataset, tmp_path):

@@ -144,7 +144,7 @@ def test_unparseable_turn_consumes_attempt():
     class GarbageAgent:
         identity = "garbage"
         white_box = False
-        capability = ScriptedAgent(Variant(VariantName.ORACLE)).capability
+        max_inflight = ScriptedAgent(Variant(VariantName.ORACLE)).max_inflight
 
         def turn(self, obs, gt, rng):
             return "complete nonsense with no blocks"
@@ -163,7 +163,7 @@ def test_idempotent_observations_on_mismatch():
     class SpyLoopy:
         identity = "spy"
         white_box = True
-        capability = ScriptedAgent(Variant(VariantName.LOOPY)).capability
+        max_inflight = ScriptedAgent(Variant(VariantName.LOOPY)).max_inflight
 
         def __init__(self):
             self._inner = ScriptedAgent(Variant(VariantName.LOOPY))
@@ -268,7 +268,7 @@ def test_unrelated_action_counts_toward_neither():
     class ThirdWay:
         identity = "third"
         white_box = False
-        capability = ScriptedAgent(Variant(VariantName.ORACLE)).capability
+        max_inflight = ScriptedAgent(Variant(VariantName.ORACLE)).max_inflight
 
         def turn(self, obs, gt, rng):
             return (
@@ -306,7 +306,7 @@ def test_pixel_answering_agent_normalized_via_case_dims():
 
         identity = "pixel-echo"
         white_box = False
-        capability = ScriptedAgent(Variant(VariantName.ORACLE)).capability
+        max_inflight = ScriptedAgent(Variant(VariantName.ORACLE)).max_inflight
 
         def __init__(self, dims):
             self.dims = dims
