@@ -17,7 +17,6 @@ from .tvae_codec import (  # noqa: F401
     ThinkTag,
     TvaeOutput,
     Verification,
-    classify_path,
     emit_tvae,
     parse_tvae,
 )
@@ -28,7 +27,6 @@ from .failure_forge import (  # noqa: F401
     build_robustness_bench,
     build_sft_dataset,
     corrupt_action,
-    sample_mode,
 )
 from .sim_engine import (  # noqa: F401
     Outcome,
@@ -44,14 +42,12 @@ from .agent_bus import (  # noqa: F401
     ScriptedAgent,
     Variant,
     VariantName,
-    remote_turn,
     scripted_turn,
 )
 from .reward_engine import (  # noqa: F401
     RewardBreakdown,
     RewardConfig,
     composite_reward,
-    effect_similarity,
     match_action,
     verification_reward,
 )
@@ -61,7 +57,6 @@ from .grpo_core import (  # noqa: F401
     GrpoConfig,
     clipped_surrogate,
     group_advantages,
-    grpo_objective,
     kl_penalty,
     token_ratios,
 )

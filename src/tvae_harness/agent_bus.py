@@ -357,34 +357,6 @@ class _HttpPool:
             conn.close()
 
 
-def remote_turn(
-    endpoint: str,
-    obs: Observation,
-    timeout: float = 30.0,
-    token: str | None = None,
-    pool: _HttpPool | None = None,
-) -> str:
-    """POST one observation to a turn server and return the raw body verbatim.
-
-    Retries once on transport errors, timeouts and 5xx responses, then raises
-    AgentUnavailableError (or AgentTimeoutError when the deadline was the
-    cause); a 4xx response raises at once.  The body is never interpreted
-    here; parsing happens downstream.  A given `pool` supplies the URL,
-    timeout and connections; without one the request opens its own.
-    """
-    headers = {"Content-Type": "application/json"}
-    if token:
-        headers["Authorization"] = f"Bearer {token}"
-    body = json.dumps(observation_to_wire(obs)).encode("utf-8")
-    if pool is not None:
-        return pool.post(body, headers)
-    own = _HttpPool(_turn_url(endpoint), timeout)
-    try:
-        return own.post(body, headers)
-    finally:
-        own.close()
-
-
 class RemoteAgent:
     """Client handle for an HTTP turn server.
 
@@ -404,21 +376,34 @@ class RemoteAgent:
     ):
         if max_inflight < 1:
             raise InvariantViolationError("remote", "max_inflight", "must be >= 1")
-        self.endpoint = endpoint
-        self.token = token
         self.identity = f"remote:{endpoint}"
         self.max_inflight = max_inflight
         self._pool = _HttpPool(_turn_url(endpoint), timeout)
+        self._headers = {"Content-Type": "application/json"}
+        if token:
+            self._headers["Authorization"] = f"Bearer {token}"
 
     def turn(self, obs: Observation, gt: StepRecord | None, rng: random.Random) -> str:
-        return remote_turn(self.endpoint, obs, token=self.token, pool=self._pool)
+        """POST the observation to the turn server; return the body verbatim.
+
+        Retries once on transport errors, timeouts and 5xx responses, then
+        raises AgentUnavailableError (or AgentTimeoutError when the deadline
+        was the cause); a 4xx response raises at once.  The body is never
+        interpreted here; parsing happens downstream.
+        """
+        body = json.dumps(observation_to_wire(obs)).encode("utf-8")
+        return self._pool.post(body, self._headers)
 
     def close(self) -> None:
         self._pool.close()
 
 
 class StdioAgent:
-    """Subprocess agent: one JSON request line in, text until a sentinel line out."""
+    """Subprocess agent: one JSON request line in, text until a sentinel line out.
+
+    Output that is not UTF-8 is decoded with replacement characters, the
+    rule remote bodies follow, so it yields an unparseable turn.
+    """
 
     white_box = False
     max_inflight = 1  # one request/response exchange on one pipe pair
@@ -431,7 +416,8 @@ class StdioAgent:
                 argv,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                text=True,
+                encoding="utf-8",
+                errors="replace",
                 bufsize=1,
             )
         except OSError as exc:

@@ -4,7 +4,9 @@ score / report runs.
 Every run directory receives a manifest (written last, atomically) carrying
 the resolved configuration, seed, dataset hash, agent identity, and tool
 version; re-running with the same manifest reproduces every report byte for
-byte.  Exit codes: 0 ok, 1 data problem, 2 agent unreachable, 3 internal.
+byte.  Exit codes: 0 ok, 1 data problem (a bad input file, config value or
+flag, usage errors included), 2 agent unreachable, 3 internal.  Each command
+accepts only the flags it reads.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sys
 from dataclasses import fields
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
 from . import __version__
 from .agent_bus import parse_agent_spec
@@ -110,38 +112,22 @@ def _resolve_seed(args: argparse.Namespace, config: dict[str, Any]) -> int:
     return _config_value("$TVAE_SEED", int, env) if env else 0
 
 
+_CONFIG_KEYS = frozenset({"seed", "sim", "reward", "grpo"})
+
+
 def _load_config(args: argparse.Namespace) -> dict[str, Any]:
-    if getattr(args, "config", None):
-        try:
-            obj = json.loads(Path(args.config).read_bytes().decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise DataError(f"--config is not UTF-8: {exc}") from None
-        if not isinstance(obj, dict):
-            raise DataError("--config must hold a JSON object")
-        return obj
-    return {}
-
-
-def _check_run_flags(args: argparse.Namespace) -> None:
-    # Checked here, not by argparse `type=`: argparse usage errors exit 2,
-    # which the exit-code contract keeps for agent failures.
-    if args.workers < 1:
-        raise InvariantViolationError("flag", "--workers", "must be >= 1")
-    if not (math.isfinite(args.timeout) and args.timeout > 0):
-        raise InvariantViolationError("flag", "--timeout", "must be a finite number > 0")
-
-
-def _check_dataset_flags(args: argparse.Namespace) -> tuple[int, int]:
-    """Check `synth --kind dataset`'s --count and --lengths as above; return (MIN, MAX)."""
+    if not args.config:
+        return {}
     try:
-        lo, hi = (int(v) for v in args.lengths.split(","))
-    except ValueError:
-        lo = hi = 0  # fails the range check below
-    if not 1 <= lo <= hi:
-        raise InvariantViolationError("flag", "--lengths", "must be MIN,MAX with 1 <= MIN <= MAX")
-    if args.count < 1:
-        raise InvariantViolationError("flag", "--count", "must be >= 1")
-    return lo, hi
+        obj = json.loads(Path(args.config).read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"--config is not UTF-8: {exc}") from None
+    if not isinstance(obj, dict):
+        raise DataError("--config must hold a JSON object")
+    unknown = sorted(obj.keys() - _CONFIG_KEYS)
+    if unknown:
+        raise InvariantViolationError("config", ", ".join(unknown), "unknown top-level key")
+    return obj
 
 
 def _config_object(args: Any, config: dict[str, Any], section: str, cls: type,
@@ -166,30 +152,16 @@ def _reward_config(args: argparse.Namespace, config: dict[str, Any]) -> RewardCo
     return _config_object(args, config, "reward", RewardConfig, ("alpha", "beta", "delta"))
 
 
-def _config_snapshot(sim: SimConfig, reward: RewardConfig, grpo: GrpoConfig | None) -> dict:
-    snap: dict[str, Any] = {
-        "sim": {
-            "budget_multiplier": sim.budget_multiplier,
-            "delta": sim.delta,
-            "repeat_epsilon": sim.repeat_epsilon,
-        },
-        "reward": {
-            "alpha": reward.alpha,
-            "beta": reward.beta,
-            "delta": reward.delta,
-            "similarity": reward.similarity,
-            "text_match": reward.text_match.value,
-        },
-    }
-    if grpo is not None:
-        snap["grpo"] = {
-            "group_size": grpo.group_size,
-            "eps_std": grpo.eps_std,
-            "eps_clip": grpo.eps_clip,
-            "kl_lambda": grpo.kl_lambda,
-            "kl_estimator": grpo.kl_estimator.value,
+def _config_snapshot(**sections: Any) -> dict[str, dict[str, Any]]:
+    """Every field of each config dataclass, enums by value.  The seed is
+    left out: the manifest records it at its top level."""
+    return {
+        name: {
+            f.name: value.value if isinstance(value := getattr(cfg, f.name), Enum) else value
+            for f in fields(cfg) if f.name != "seed"
         }
-    return snap
+        for name, cfg in sections.items()
+    }
 
 
 def _first_attempt_predictions(traces, trajs) -> list[StepPrediction]:
@@ -216,7 +188,6 @@ def _first_attempt_predictions(traces, trajs) -> list[StepPrediction]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    _check_run_flags(args)
     config = _load_config(args)
     seed = _resolve_seed(args, config)
     sim = _sim_config(args, config, seed)
@@ -253,7 +224,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "agent": agent.identity,
             "dataset": str(args.dataset),
             "dataset_sha256": _sha256(args.dataset),
-            "config": _config_snapshot(sim, reward, None),
+            "config": _config_snapshot(sim=sim, reward=reward),
             "outputs": ["traces.jsonl", "report.json"],
         },
     )
@@ -266,12 +237,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_robust(args: argparse.Namespace) -> int:
-    _check_run_flags(args)
     config = _load_config(args)
     seed = _resolve_seed(args, config)
     sim = _sim_config(args, config, seed)
-    out_dir = Path(args.out)
-    # A bad agent spec fails before any output is written.
+    # Nothing is written before the agent has answered every case.
     agent = parse_agent_spec(
         args.agent, timeout=args.timeout, token=args.token, max_inflight=args.workers
     )
@@ -281,20 +250,20 @@ def cmd_bench_robust(args: argparse.Namespace) -> int:
                 raise DataError("--synthesize requires --dataset")
             trajs = load_dataset(args.dataset, limit=args.limit, skip_invalid=args.skip_invalid)
             cases = build_robustness_bench(trajs, per_traj=args.per_traj, seed=seed)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            write_records(out_dir / "cases.jsonl", (failure_case_to_json(c) for c in cases))
-            cases_path = out_dir / "cases.jsonl"
         else:
-            if not args.cases:
-                raise DataError("need --cases FILE or --synthesize")
-            cases_path = Path(args.cases)
-            cases = read_records(cases_path, failure_case_from_json, "failure case")
-            out_dir.mkdir(parents=True, exist_ok=True)
+            cases = read_records(args.cases, failure_case_from_json, "failure case")
         if not cases:
             raise EmptySetError("no failure cases")
         results = run_failure_cases(cases, agent, sim, workers=args.workers)
     finally:
         getattr(agent, "close", lambda: None)()
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.synthesize:
+        cases_path = out_dir / "cases.jsonl"
+        write_records(cases_path, (failure_case_to_json(c) for c in cases))
+    else:
+        cases_path = Path(args.cases)
     rows = [
         {
             "source": list(case.source),
@@ -320,7 +289,7 @@ def cmd_bench_robust(args: argparse.Namespace) -> int:
             "cases_sha256": _sha256(cases_path),
             "synthesized": bool(args.synthesize),
             "per_traj": args.per_traj,
-            "config": _config_snapshot(sim, RewardConfig(delta=sim.delta), None),
+            "config": _config_snapshot(sim=sim, reward=RewardConfig(delta=sim.delta)),
             "outputs": ["case_results.jsonl", "report.json"],
         },
     )
@@ -331,10 +300,7 @@ def cmd_bench_robust(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     config = _load_config(args)
     seed = _resolve_seed(args, config)
-    lengths = _check_dataset_flags(args) if args.kind == "dataset" else None
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    out_dir = Path(args.out)  # made only once its rows are built
     manifest: dict[str, Any] = {
         "command": "synth",
         "version": __version__,
@@ -342,9 +308,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "seed": seed,
     }
     if args.kind == "dataset":
-        trajs = make_dataset(args.count, lengths, seed=seed)
+        trajs = make_dataset(args.count, args.lengths, seed=seed)
+        out_dir.mkdir(parents=True, exist_ok=True)
         save_dataset(trajs, out_dir / "dataset.jsonl")
-        manifest.update(count=args.count, lengths=list(lengths), outputs=["dataset.jsonl"])
+        manifest.update(count=args.count, lengths=list(args.lengths), outputs=["dataset.jsonl"])
     else:
         if not args.dataset:
             raise DataError("synth sft/bench requires --dataset")
@@ -353,6 +320,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         weights = {m.value: w for m, w in DEFAULT_FAILURE_WEIGHTS.items()}
         if args.kind == "sft":
             samples = build_sft_dataset(trajs, ratio_b=args.ratio_b, seed=seed)
+            out_dir.mkdir(parents=True, exist_ok=True)
             write_records(out_dir / "samples.jsonl", (sample_to_json(s) for s in samples))
             manifest.update(
                 ratio_b=args.ratio_b, weights=weights, outputs=["samples.jsonl"],
@@ -360,6 +328,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             )
         else:
             cases = build_robustness_bench(trajs, per_traj=args.per_traj, seed=seed)
+            out_dir.mkdir(parents=True, exist_ok=True)
             write_records(out_dir / "cases.jsonl", (failure_case_to_json(c) for c in cases))
             manifest.update(
                 per_traj=args.per_traj, weights=weights, outputs=["cases.jsonl"],
@@ -371,33 +340,23 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    # Every input is read and checked before --out is touched.
     config = _load_config(args)
     reward_cfg = _reward_config(args, config)
+    grpo_cfg = _config_object(None, config, "grpo", GrpoConfig) if args.group_logprobs else None
     samples = read_records(args.samples, sample_from_json, "sample")
     raws = read_records(args.outputs, lambda obj: str(obj["raw"]), "output")
     if len(samples) != len(raws):
         raise AlignmentMismatchError(f"{len(samples)} samples vs {len(raws)} outputs")
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if not samples:
+        raise EmptySetError("no outputs to score")
     breakdowns = [
         score_output(raw, sample, reward_cfg).to_json() for raw, sample in zip(raws, samples)
     ]
-    write_records(out_dir / "rewards.jsonl", breakdowns)
-
-    manifest: dict[str, Any] = {
-        "command": "score",
-        "version": __version__,
-        "samples": str(args.samples),
-        "samples_sha256": _sha256(args.samples),
-        "outputs_file": str(args.outputs),
-        "outputs_sha256": _sha256(args.outputs),
-        "config": _config_snapshot(SimConfig(delta=reward_cfg.delta), reward_cfg, None),
-        "outputs": ["rewards.jsonl"],
-    }
-
-    if args.group_logprobs:
-        grpo_cfg = _config_object(None, config, "grpo", GrpoConfig)
+    outputs = ["rewards.jsonl"]
+    sections: dict[str, Any] = {"sim": SimConfig(delta=reward_cfg.delta), "reward": reward_cfg}
+    objective: dict[str, Any] | None = None
+    if grpo_cfg is not None:
         # An output without a "reward" takes the scored total at its position;
         # past the last one it takes 0.0 until the coverage check below fails.
         totals = itertools.chain((b["total"] for b in breakdowns), itertools.repeat(0.0))
@@ -408,19 +367,32 @@ def cmd_score(args: argparse.Namespace) -> int:
                 f"group log-probs cover {covered} outputs but {len(samples)} were scored"
             )
         reports = [objective_report(g, grpo_cfg) for g in groups]
-        payload = {
+        objective = {
             "groups": reports,
             "mean_objective": sum(r["objective"] for r in reports) / len(reports),
         }
-        _atomic_write(
-            out_dir / "objective.json", (json.dumps(payload, indent=2) + "\n").encode("utf-8")
-        )
-        manifest["config"] = _config_snapshot(
-            SimConfig(delta=reward_cfg.delta), reward_cfg, grpo_cfg
-        )
-        manifest["group_logprobs"] = str(args.group_logprobs)
-        manifest["outputs"].append("objective.json")
+        outputs.append("objective.json")
+        sections["grpo"] = grpo_cfg
 
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_records(out_dir / "rewards.jsonl", breakdowns)
+    if objective is not None:
+        _atomic_write(
+            out_dir / "objective.json", (json.dumps(objective, indent=2) + "\n").encode("utf-8")
+        )
+    manifest: dict[str, Any] = {
+        "command": "score",
+        "version": __version__,
+        "samples": str(args.samples),
+        "samples_sha256": _sha256(args.samples),
+        "outputs_file": str(args.outputs),
+        "outputs_sha256": _sha256(args.outputs),
+        "config": _config_snapshot(**sections),
+        "outputs": outputs,
+    }
+    if objective is not None:
+        manifest["group_logprobs"] = str(args.group_logprobs)
     _write_manifest(out_dir, manifest)
     print(f"score: {len(breakdowns)} outputs scored")
     return EXIT_OK
@@ -442,21 +414,70 @@ def cmd_report(args: argparse.Namespace) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
-def _common_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file (base layer under flags)")
-    p.add_argument("--seed", type=int, default=None, help="seed (default: config, then $TVAE_SEED, then 0)")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--limit", type=int, default=None, help="load at most N trajectories")
-    p.add_argument("--skip-invalid", action="store_true", help="drop invalid dataset lines instead of failing")
-    p.add_argument("--timeout", type=float, default=30.0, help="remote agent timeout (s)")
-    p.add_argument("--token", default=None, help="bearer token for remote agents")
-    p.add_argument("--budget-multiplier", dest="budget_multiplier", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--repeat-epsilon", dest="repeat_epsilon", type=float, default=None)
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a data error (exit 1); exit 2 is kept for agent failures."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        raise DataError(f"{self.prog}: {message}")
+
+
+def _count(text: str) -> int:
+    """`type=` of --workers, --count and --limit: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # fails the check below
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be an integer >= 1")
+    return value
+
+
+def _seconds(text: str) -> float:
+    """`type=` of --timeout: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # fails the check below
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("must be a finite number > 0")
+    return value
+
+
+def _lengths(text: str) -> tuple[int, int]:
+    """`type=` of --lengths: MIN,MAX with 1 <= MIN <= MAX."""
+    try:
+        lo, hi = (int(v) for v in text.split(","))
+    except ValueError:
+        lo = hi = 0  # fails the check below
+    if not 1 <= lo <= hi:
+        raise argparse.ArgumentTypeError("must be MIN,MAX with 1 <= MIN <= MAX")
+    return lo, hi
+
+
+# Flags that several commands share; each command registers only those it reads.
+_SHARED_FLAGS: dict[str, dict[str, Any]] = {
+    "--config": dict(help="JSON config file (base layer under flags)"),
+    "--seed": dict(type=int, help="seed (default: config, then $TVAE_SEED, then 0)"),
+    "--workers": dict(type=_count, default=1, help="turns in flight at most"),
+    "--limit": dict(type=_count, help="load at most N trajectories"),
+    "--skip-invalid": dict(action="store_true", help="drop invalid dataset lines instead of failing"),
+    "--timeout": dict(type=_seconds, default=30.0, help="remote agent timeout (s)"),
+    "--token": dict(help="bearer token for remote agents"),
+    "--budget-multiplier": dict(type=float),
+    "--delta": dict(type=float),
+    "--repeat-epsilon": dict(type=float),
+}
+_RUN_FLAGS = tuple(_SHARED_FLAGS)  # simulate and bench-robust read every one
+
+
+def _add_shared(p: argparse.ArgumentParser, names: Sequence[str]) -> None:
+    for name in names:
+        p.add_argument(name, **_SHARED_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tvae-harness",
         description="Pseudo-online evaluation and reward harness for verification-driven GUI agents",
     )
@@ -468,17 +489,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agent", required=True, help="scripted:NAME[:ARG] | remote:URL | stdio:CMD")
     p.add_argument("--out", required=True)
     p.add_argument("--formats", nargs="*", choices=["csv", "markdown"])
-    _common_run_flags(p)
+    _add_shared(p, _RUN_FLAGS)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("bench-robust", help="evaluate loop rate and recovery on failure cases")
-    p.add_argument("--cases", help="existing failure-case JSONL")
-    p.add_argument("--synthesize", action="store_true", help="build cases from --dataset first")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--cases", help="existing failure-case JSONL")
+    source.add_argument("--synthesize", action="store_true", help="build cases from --dataset first")
     p.add_argument("--dataset")
     p.add_argument("--per-traj", dest="per_traj", type=int, default=1)
     p.add_argument("--agent", required=True)
     p.add_argument("--out", required=True)
-    _common_run_flags(p)
+    _add_shared(p, _RUN_FLAGS)
     p.set_defaults(func=cmd_bench_robust)
 
     p = sub.add_parser("synth", help="synthesize datasets, training samples, or benchmarks")
@@ -487,9 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--ratio-b", dest="ratio_b", type=float, default=0.3)
     p.add_argument("--per-traj", dest="per_traj", type=int, default=1)
-    p.add_argument("--count", type=int, default=100, help="dataset kind: trajectory count")
-    p.add_argument("--lengths", default="1,8", help="dataset kind: min,max steps")
-    _common_run_flags(p)
+    p.add_argument("--count", type=_count, default=100, help="dataset kind: trajectory count")
+    p.add_argument("--lengths", type=_lengths, default="1,8", help="dataset kind: min,max steps")
+    _add_shared(p, ("--config", "--seed", "--limit", "--skip-invalid"))
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("score", help="score raw agent outputs against samples")
@@ -499,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
-    _common_run_flags(p)
+    _add_shared(p, ("--config", "--delta"))
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("report", help="recompute metrics from a trace file")
@@ -512,8 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except AgentError as exc:
         print(f"agent error: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Synthesis of plausible-but-wrong actions, mixed training samples, and
 failure-injection benchmark cases.
 
-Five corruption modes model realistic GUI failures (default mixture
+Five corruption modes model realistic GUI failures (one fixed mixture,
 0.30/0.25/0.20/0.15/0.10): slightly misaligned coordinates, a semantically
 related but wrong action type, grounding to a different region, waiting when
 interaction is required, and clicking dead screen margin.  Every corrupted
@@ -15,19 +15,13 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from itertools import accumulate
 from typing import Any, Mapping, Sequence
 
 from .errors import EmptyDatasetError, InvariantViolationError, ModeInapplicableError
-from .reward_engine import (
-    RewardConfig,
-    distance_to_bbox,
-    euclidean,
-    match_action,
-)
+from .reward_engine import DEFAULT_DELTA, distance_to_bbox, euclidean, match_action
 from .seeding import stable_seed
 from .trajectory_store import (
     ActionKind,
@@ -62,7 +56,7 @@ DEFAULT_FAILURE_WEIGHTS: dict[FailureMode, float] = {
 }
 
 # Minimal closure of "semantically related" type confusions; the long_press
-# for click swap is the canonical example.  Overridable via ForgeConfig.
+# for click swap is the canonical example.
 DEFAULT_RELATED_KINDS: dict[ActionKind, ActionKind] = {
     ActionKind.CLICK: ActionKind.LONG_PRESS,
     ActionKind.LONG_PRESS: ActionKind.CLICK,
@@ -74,82 +68,35 @@ DEFAULT_RELATED_KINDS: dict[ActionKind, ActionKind] = {
 
 WAIT_CHOICES = (1.0, 2.0, 3.0, 5.0)
 
-
-@dataclass(frozen=True)
-class ForgeConfig:
-    """Geometry knobs for corruption synthesis.
-
-    `margin` keeps every corrupted coordinate strictly farther than the
-    repeat-detection epsilon from the correct region, so "repeated" and
-    "recovered" stay mutually exclusive.  `frame` is the dead-margin band
-    used by null clicks.
-    """
-
-    delta: float = 0.14
-    margin: float = 0.05
-    frame: float = 0.03
-    jump_min: float = 0.28
-    max_tries: int = 200
-    related_kinds: Mapping[ActionKind, ActionKind] = field(
-        default_factory=lambda: dict(DEFAULT_RELATED_KINDS)
-    )
-
-
-_DEFAULT_CFG = ForgeConfig()
-
-
-@lru_cache(maxsize=16)
-def _reward_config(delta: float) -> RewardConfig:
-    return RewardConfig(delta=delta)
-
-
-def validate_weights(weights: Mapping[FailureMode, float]) -> None:
-    if set(weights) != set(FailureMode):
-        raise InvariantViolationError("weights", "modes", "must cover all five failure modes")
-    if any(not w >= 0 for w in weights.values()):  # also rejects NaN
-        raise InvariantViolationError("weights", "values", "must be >= 0")
-    if abs(sum(weights.values()) - 1.0) > 1e-9:
-        raise InvariantViolationError("weights", "sum", f"{sum(weights.values())} != 1.0")
-
+# Corruption geometry.  MARGIN keeps every corrupted coordinate strictly
+# farther than the repeat-detection epsilon from the correct region, so
+# "repeated" and "recovered" stay mutually exclusive.  FRAME is the dead
+# margin band used by null clicks; JUMP_MIN is the least distance at which a
+# misidentified target lands from the true one.
+MARGIN = 0.05
+FRAME = 0.03
+JUMP_MIN = 0.28
+MAX_TRIES = 200
+_MAX_REDRAWS = 1000
 
 _MODES = tuple(FailureMode)
-_DEFAULT_CUM_WEIGHTS = tuple(accumulate(DEFAULT_FAILURE_WEIGHTS[m] for m in _MODES))
+_CUM_WEIGHTS = tuple(accumulate(DEFAULT_FAILURE_WEIGHTS[m] for m in _MODES))
 
 
-def _cum_weights(weights: Mapping[FailureMode, float] | None) -> tuple[float, ...]:
-    """Cumulative weights in FailureMode order (the default mixture when
-    `weights` is empty or None)."""
-    if not weights:
-        return _DEFAULT_CUM_WEIGHTS
-    validate_weights(weights)
-    return tuple(accumulate(weights[m] for m in _MODES))
+def _draw_mode(rng: random.Random) -> FailureMode:
+    # The draw of rng.choices(_MODES, cum_weights=_CUM_WEIGHTS, k=1)[0].
+    point = rng.random() * (_CUM_WEIGHTS[-1] + 0.0)
+    return _MODES[bisect(_CUM_WEIGHTS, point, 0, len(_MODES) - 1)]
 
 
-def _draw_mode(cum_weights: tuple[float, ...], rng: random.Random) -> FailureMode:
-    # The draw of rng.choices(_MODES, cum_weights=cum_weights, k=1)[0].
-    point = rng.random() * (cum_weights[-1] + 0.0)
-    return _MODES[bisect(cum_weights, point, 0, len(_MODES) - 1)]
-
-
-def sample_mode(
-    weights: Mapping[FailureMode, float] | None, rng: random.Random
-) -> FailureMode:
-    """Draw a failure mode proportional to the configured weights."""
-    return _draw_mode(_cum_weights(weights), rng)
-
-
-def _region_distance(
-    point: tuple[float, float],
-    gt: ActionRecord,
-    bbox: Bbox | None,
-    delta: float,
-) -> float:
+def _region_distance(point: tuple[float, float], gt: ActionRecord, bbox: Bbox | None) -> float:
     """Distance from `point` to the region where a same-kind action would
     count as matching the ground truth."""
     if bbox is not None:
         return distance_to_bbox(point, bbox)
     assert gt.coordinate is not None
-    return euclidean(point, gt.coordinate) - delta
+    return euclidean(point, gt.coordinate) - DEFAULT_DELTA
+
 
 _FALLBACK_POINTS = (
     (0.01, 0.01), (0.99, 0.01), (0.01, 0.99), (0.99, 0.99),
@@ -157,13 +104,8 @@ _FALLBACK_POINTS = (
 )
 
 
-def _pick_coordinate(
-    rng: random.Random,
-    accept,
-    proposals,
-    max_tries: int,
-) -> tuple[float, float] | None:
-    for _ in range(max_tries):
+def _pick_coordinate(rng: random.Random, accept, proposals) -> tuple[float, float] | None:
+    for _ in range(MAX_TRIES):
         candidate = proposals(rng)
         if candidate is None:
             continue
@@ -176,14 +118,14 @@ def _pick_coordinate(
     return None
 
 
-def _applicable(mode: FailureMode, gt: ActionRecord, cfg: ForgeConfig) -> bool:
+def _applicable(mode: FailureMode, gt: ActionRecord) -> bool:
     spatial = gt.is_spatial()
     if mode is FailureMode.COORDINATE_OFFSET:
         return spatial
     if mode is FailureMode.TARGET_MISIDENTIFICATION:
         return spatial
     if mode is FailureMode.ACTION_TYPE_ERROR:
-        return gt.kind in cfg.related_kinds
+        return gt.kind in DEFAULT_RELATED_KINDS
     if mode is FailureMode.TIMING_ERROR:
         return gt.kind is not ActionKind.WAIT
     return True  # null click applies everywhere the screen has a margin
@@ -195,19 +137,17 @@ def corrupt_action(
     mode: FailureMode,
     rng: random.Random,
     known_bboxes: Sequence[Bbox] = (),
-    cfg: ForgeConfig | None = None,
 ) -> ActionRecord:
     """Produce a plausible erroneous variant of `gt` under `mode`.
 
     The result is guaranteed to fail match_action against `gt` (with the
-    configured bbox).  Raises ModeInapplicableError when the mode makes no
+    given bbox).  Raises ModeInapplicableError when the mode makes no
     sense for the action kind, e.g. a coordinate offset of navigate_back.
     """
-    cfg = cfg or _DEFAULT_CFG
-    if not _applicable(mode, gt, cfg):
+    if not _applicable(mode, gt):
         raise ModeInapplicableError(mode.value, gt.kind.value)
-    result = _corrupt(gt, bbox, mode, rng, known_bboxes, cfg)
-    if match_action(result, gt, bbox, _reward_config(cfg.delta)):
+    result = _corrupt(gt, bbox, mode, rng, known_bboxes)
+    if match_action(result, gt, bbox):
         raise InvariantViolationError("forge", mode.value, "corruption matched ground truth")
     return result
 
@@ -218,7 +158,6 @@ def _corrupt(
     mode: FailureMode,
     rng: random.Random,
     known_bboxes: Sequence[Bbox],
-    cfg: ForgeConfig,
 ) -> ActionRecord:
     if mode is FailureMode.COORDINATE_OFFSET:
         center = gt.coordinate
@@ -229,12 +168,7 @@ def _corrupt(
             angle = r.uniform(0.0, 2.0 * math.pi)
             return (center[0] + radius * math.cos(angle), center[1] + radius * math.sin(angle))
 
-        coord = _pick_coordinate(
-            rng,
-            lambda p: _region_distance(p, gt, bbox, cfg.delta) > cfg.margin,
-            propose,
-            cfg.max_tries,
-        )
+        coord = _pick_coordinate(rng, lambda p: _region_distance(p, gt, bbox) > MARGIN, propose)
         if coord is None:
             raise ModeInapplicableError(mode.value, gt.kind.value)
         return ActionRecord(kind=gt.kind, coordinate=coord)
@@ -249,18 +183,16 @@ def _corrupt(
         coord = _pick_coordinate(
             rng,
             lambda p: (
-                euclidean(p, center) >= cfg.jump_min
-                and _region_distance(p, gt, bbox, cfg.delta) > cfg.margin
+                euclidean(p, center) >= JUMP_MIN and _region_distance(p, gt, bbox) > MARGIN
             ),
             propose_far,
-            cfg.max_tries,
         )
         if coord is None:
             raise ModeInapplicableError(mode.value, gt.kind.value)
         return ActionRecord(kind=gt.kind, coordinate=coord)
 
     if mode is FailureMode.ACTION_TYPE_ERROR:
-        new_kind = cfg.related_kinds[gt.kind]
+        new_kind = DEFAULT_RELATED_KINDS[gt.kind]
         if new_kind in (ActionKind.CLICK, ActionKind.LONG_PRESS):
             if gt.coordinate is not None:
                 coord = (round_coord(gt.coordinate[0]), round_coord(gt.coordinate[1]))
@@ -280,12 +212,10 @@ def _corrupt(
     boxes = list(known_bboxes)
     if bbox is not None and bbox not in boxes:
         boxes.append(bbox)
-    frame = cfg.frame
-
     def propose_margin(r: random.Random) -> tuple[float, float]:
         side = r.randrange(4)
         along = r.uniform(0.0, 1.0)
-        across = r.uniform(0.0, frame)
+        across = r.uniform(0.0, FRAME)
         if side == 0:
             return (along, across)
         if side == 1:
@@ -297,11 +227,11 @@ def _corrupt(
     def accept_margin(p: tuple[float, float]) -> bool:
         if any(distance_to_bbox(p, b) <= 0.0 for b in boxes):
             return False
-        if gt.is_spatial() and _region_distance(p, gt, bbox, cfg.delta) <= cfg.margin:
+        if gt.is_spatial() and _region_distance(p, gt, bbox) <= MARGIN:
             return False
         return True
 
-    coord = _pick_coordinate(rng, accept_margin, propose_margin, cfg.max_tries)
+    coord = _pick_coordinate(rng, accept_margin, propose_margin)
     if coord is None:
         raise ModeInapplicableError(mode.value, gt.kind.value)
     return ActionRecord(kind=ActionKind.CLICK, coordinate=coord)
@@ -311,21 +241,18 @@ def sample_corruption(
     gt: ActionRecord,
     bbox: Bbox | None,
     rng: random.Random,
-    weights: Mapping[FailureMode, float] | None = None,
     known_bboxes: Sequence[Bbox] = (),
-    cfg: ForgeConfig | None = None,
-    max_redraws: int = 1000,
 ) -> tuple[FailureMode, ActionRecord]:
-    """Draw a mode and corrupt; inapplicable modes trigger a redraw so the
-    global mixture is preserved over heterogeneous action distributions."""
-    cum_weights, cfg = _cum_weights(weights), cfg or _DEFAULT_CFG
-    for _ in range(max_redraws):
-        mode = _draw_mode(cum_weights, rng)
+    """Draw a mode from the fixed mixture and corrupt; inapplicable modes
+    trigger a redraw so the global mixture is preserved over heterogeneous
+    action distributions."""
+    for _ in range(_MAX_REDRAWS):
+        mode = _draw_mode(rng)
         # corrupt_action would raise before touching rng; skip the raise.
-        if not _applicable(mode, gt, cfg):
+        if not _applicable(mode, gt):
             continue
         try:
-            return mode, corrupt_action(gt, bbox, mode, rng, known_bboxes, cfg)
+            return mode, corrupt_action(gt, bbox, mode, rng, known_bboxes)
         except ModeInapplicableError:
             continue
     raise ModeInapplicableError("any", gt.kind.value)
@@ -432,8 +359,6 @@ def build_sft_dataset(
     trajs: Sequence[TrajectoryRecord],
     ratio_b: float = 0.3,
     seed: int = 0,
-    weights: Mapping[FailureMode, float] | None = None,
-    cfg: ForgeConfig | None = None,
 ) -> list[SyntheticSample]:
     """Expand trajectories into type A samples plus a ratio_b fraction of
     type B failure-recovery samples.
@@ -445,8 +370,6 @@ def build_sft_dataset(
         raise EmptyDatasetError("no trajectories")
     if not 0 <= ratio_b <= 1:
         raise InvariantViolationError("sft", "ratio_b", "must be in [0,1]")
-    if weights:
-        validate_weights(weights)
     quotas = _type_b_quotas(trajs, ratio_b)
     samples: list[SyntheticSample] = []
     for traj, quota in zip(trajs, quotas):
@@ -469,9 +392,7 @@ def build_sft_dataset(
                 )
             )
             if t in chosen:
-                mode, err = sample_corruption(
-                    step.gt_action, step.gt_bbox, rng, weights, known, cfg
-                )
+                mode, err = sample_corruption(step.gt_action, step.gt_bbox, rng, known)
                 err_entry = HistoryEntry(err, mismatched_effect(err), Verification.SUCCESS)
                 samples.append(
                     SyntheticSample(
@@ -494,16 +415,12 @@ def build_robustness_bench(
     trajs: Sequence[TrajectoryRecord],
     per_traj: int = 1,
     seed: int = 0,
-    weights: Mapping[FailureMode, float] | None = None,
-    cfg: ForgeConfig | None = None,
 ) -> list[FailureCase]:
     """Create failure-injection cases from sampled steps of each trajectory."""
     if not trajs:
         raise EmptyDatasetError("no trajectories")
     if per_traj < 1:
         raise InvariantViolationError("bench", "per_traj", "must be >= 1")
-    if weights:
-        validate_weights(weights)
     cases: list[FailureCase] = []
     for traj in trajs:
         rng = random.Random(stable_seed(seed, "bench", traj.id))
@@ -511,7 +428,7 @@ def build_robustness_bench(
         count = min(per_traj, len(traj))
         for t in sorted(rng.sample(range(len(traj)), count)):
             step = traj.steps[t]
-            mode, err = sample_corruption(step.gt_action, step.gt_bbox, rng, weights, known, cfg)
+            mode, err = sample_corruption(step.gt_action, step.gt_bbox, rng, known)
             err_entry = HistoryEntry(err, mismatched_effect(err), Verification.SUCCESS)
             cases.append(
                 FailureCase(

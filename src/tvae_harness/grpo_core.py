@@ -34,15 +34,12 @@ class KlEstimator(str, Enum):
 
 @dataclass(frozen=True)
 class GrpoConfig:
-    group_size: int = 6
     eps_std: float = 1e-8
     eps_clip: float = 0.2
     kl_lambda: float = 0.05
     kl_estimator: KlEstimator = KlEstimator.K3
 
     def __post_init__(self) -> None:
-        if self.group_size < 2:
-            raise InvariantViolationError("grpo_config", "group_size", "must be >= 2")
         if not 0 < self.eps_clip < 1:
             raise InvariantViolationError("grpo_config", "eps_clip", "must be in (0,1)")
         if not (math.isfinite(self.kl_lambda) and self.kl_lambda >= 0):
@@ -198,14 +195,12 @@ def kl_penalty(batch: GroupBatch, cfg: GrpoConfig | None = None) -> np.ndarray:
     return values
 
 
-def grpo_objective(batch: GroupBatch, cfg: GrpoConfig | None = None) -> float:
-    """Aggregate objective: mean over outputs of length-normalized clipped
-    surrogate, minus lambda times the mean KL penalty."""
-    return objective_report(batch, cfg)["objective"]
-
-
 def objective_report(batch: GroupBatch, cfg: GrpoConfig | None = None) -> dict[str, Any]:
-    """Audit-friendly breakdown of one group's objective computation."""
+    """Audit-friendly breakdown of one group's objective computation.
+
+    `objective` is the mean over outputs of the length-normalized clipped
+    surrogate, minus lambda times the mean KL penalty.
+    """
     cfg = cfg or GrpoConfig()
     advantages = group_advantages(batch.rewards, cfg)
     ratios = token_ratios(batch)

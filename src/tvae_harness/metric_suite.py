@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from .errors import EmptySetError, InvariantViolationError
 from .reward_engine import RewardConfig, match_action, parameters_match
@@ -126,20 +126,14 @@ def task_metrics(traces: Sequence[SimTrace]) -> TaskMetrics:
     )
 
 
-def robustness_metrics(
-    results: Sequence[CaseResult] | Sequence[tuple[bool, bool]]
-) -> RobustnessMetrics:
+def robustness_metrics(results: Sequence[CaseResult]) -> RobustnessMetrics:
     """Compute LR / RSR over failure-case results."""
     if not results:
         raise EmptySetError("no failure-case results")
-    flags = [
-        (r.repeated, r.recovered) if isinstance(r, CaseResult) else (bool(r[0]), bool(r[1]))
-        for r in results
-    ]
-    n = len(flags)
+    n = len(results)
     return RobustnessMetrics(
-        lr=sum(rep for rep, _ in flags) / n,
-        rsr=sum(rec for _, rec in flags) / n,
+        lr=sum(r.repeated for r in results) / n,
+        rsr=sum(r.recovered for r in results) / n,
         counts={"failure_cases": n},
     )
 
@@ -212,21 +206,6 @@ def report_to_json_dict(report: MetricsReport) -> dict[str, Any]:
     out["gr_given_tm"] = _json_value(report.gr_given_tm)
     out["counts"] = dict(sorted(report.counts.items()))
     return out
-
-
-def report_from_json_dict(obj: Mapping[str, Any]) -> MetricsReport:
-    def val(raw: Any) -> float | None:
-        if raw is None:
-            return None
-        if raw == "inf":
-            return math.inf
-        return float(raw)
-
-    return MetricsReport(
-        **{col: val(obj.get(col)) for col in METRIC_COLUMNS},
-        gr_given_tm=val(obj.get("gr_given_tm")),
-        counts={k: int(v) for k, v in obj.get("counts", {}).items()},
-    )
 
 
 def _csv_cell(value: float | None) -> str:

@@ -1,4 +1,4 @@
-"""Action matching, effect similarity, and the composite turn reward.
+"""Action matching, token-F1 effect similarity, and the composite turn reward.
 
 The composite reward couples action correctness (signed indicator), gated
 effect similarity, and the asymmetric verification reward: a hallucinated
@@ -12,7 +12,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from .errors import InvariantViolationError
 from .trajectory_store import (
@@ -43,7 +43,6 @@ class RewardConfig:
     alpha: float = 0.5
     beta: float = 0.5
     delta: float = DEFAULT_DELTA
-    similarity: str = "token-f1"
     text_match: TextMatchMode = TextMatchMode.NORMALIZED_EXACT
     text_match_threshold: float = 0.8
 
@@ -54,6 +53,9 @@ class RewardConfig:
             )
         if not 0 < self.delta < 1:
             raise InvariantViolationError("reward_config", "delta", "must be in (0,1)")
+
+
+_DEFAULT_CONFIG = RewardConfig()
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,6 @@ class RewardBreakdown:
     r_eff: float
     r_ver: float
     total: float
-    similarity: str = "token-f1"
     parse_error: str | None = None
 
     def to_json(self) -> dict[str, Any]:
@@ -76,7 +77,7 @@ class RewardBreakdown:
             "r_eff": self.r_eff,
             "r_ver": self.r_ver,
             "total": self.total,
-            "similarity": self.similarity,
+            "similarity": "token-f1",  # the one effect scorer, `token_f1`
         }
         if self.parse_error is not None:
             obj["parse_error"] = self.parse_error
@@ -127,7 +128,7 @@ def match_action(
     """
     if pred is None or pred.kind is not gt.kind:
         return False
-    return parameters_match(pred, gt, bbox, cfg or RewardConfig())
+    return parameters_match(pred, gt, bbox, cfg or _DEFAULT_CONFIG)
 
 
 def parameters_match(
@@ -199,25 +200,6 @@ def token_f1(pred_text: str, ref_text: str) -> float:
     return 2.0 * overlap / (sum(pred.values()) + sum(ref.values()))
 
 
-SimilarityFn = Callable[[str, str], float]
-
-_SIMILARITY_REGISTRY: dict[str, SimilarityFn] = {"token-f1": token_f1}
-
-
-def register_similarity(name: str, fn: SimilarityFn) -> None:
-    """Install an external effect scorer (must map text pairs into [0, 1])."""
-    _SIMILARITY_REGISTRY[name] = fn
-
-
-def effect_similarity(pred_text: str, ref_text: str, cfg: RewardConfig | None = None) -> float:
-    cfg = cfg or RewardConfig()
-    try:
-        fn = _SIMILARITY_REGISTRY[cfg.similarity]
-    except KeyError:
-        raise InvariantViolationError("reward_config", "similarity", cfg.similarity) from None
-    return fn(pred_text, ref_text)
-
-
 # -- reward components ---------------------------------------------------------
 
 
@@ -239,7 +221,7 @@ def composite_reward(
     r_eff is gated on action correctness: a wrong action earns zero effect
     reward no matter how plausible the predicted effect reads.
     """
-    cfg = cfg or RewardConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     pred_action: ActionRecord | None = out.action
     if pred_action is not None and pred_action.coordinate_space is CoordinateSpace.PIXEL:
         try:
@@ -248,12 +230,10 @@ def composite_reward(
             pred_action = None  # ungroundable output scores as a miss
     matched = match_action(pred_action, sample.target_action, sample.target_bbox, cfg)
     r_act = 1.0 if matched else -1.0
-    r_eff = effect_similarity(out.expected_effect, sample.target_effect, cfg) if matched else 0.0
+    r_eff = token_f1(out.expected_effect, sample.target_effect) if matched else 0.0
     r_ver = verification_reward(out.verification, sample.target_verification)
     total = r_act + cfg.alpha * r_eff + cfg.beta * r_ver
-    return RewardBreakdown(
-        r_act=r_act, r_eff=r_eff, r_ver=r_ver, total=total, similarity=cfg.similarity
-    )
+    return RewardBreakdown(r_act=r_act, r_eff=r_eff, r_ver=r_ver, total=total)
 
 
 def score_output(
@@ -264,7 +244,7 @@ def score_output(
     No parse, no claim: an output that does not parse scores a wrong action,
     zero effect reward and the generic miss penalty.
     """
-    cfg = cfg or RewardConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     try:
         turn = parse_tvae(raw, strict=False)
     except Exception as exc:
@@ -273,7 +253,6 @@ def score_output(
             r_eff=0.0,
             r_ver=REWARD_MISS,
             total=-1.0 + cfg.beta * REWARD_MISS,
-            similarity=cfg.similarity,
             parse_error=str(exc),
         )
     return composite_reward(turn, sample, cfg)

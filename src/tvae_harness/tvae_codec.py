@@ -51,11 +51,6 @@ class Verification(str, Enum):
     NO_CHANGE = "NO_CHANGE"
 
 
-class PathKind(str, Enum):
-    SUCCESS_PATH = "success_path"
-    RECOVERY_PATH = "recovery_path"
-
-
 RECOVERY_TAGS = frozenset({ThinkTag.DIAGNOSE, ThinkTag.RECOVERY})
 BLOCK_NAMES = ("think", "verification", "action", "expected_effect")
 
@@ -328,13 +323,6 @@ def emit_tvae(out: TvaeOutput) -> str:
         f"<action>{emit_action_json(out.action)}</action>\n"
         f"<expected_effect>{out.expected_effect}</expected_effect>"
     )
-
-
-def classify_path(out: TvaeOutput) -> PathKind:
-    """Success path iff the turn verifies SUCCESS; recovery path otherwise."""
-    if out.verification is Verification.SUCCESS:
-        return PathKind.SUCCESS_PATH
-    return PathKind.RECOVERY_PATH
 
 
 def history_entry_to_json(entry: HistoryEntry) -> dict[str, Any]:

@@ -24,14 +24,14 @@ from tvae_harness.failure_forge import (
     DEFAULT_FAILURE_WEIGHTS,
     FailureMode,
     build_robustness_bench,
-    sample_mode,
+    sample_corruption,
 )
 from tvae_harness.grpo_core import GrpoConfig, KlEstimator, group_advantages, kl_penalty
 from tvae_harness.metric_suite import robustness_metrics, step_metrics, task_metrics
 from tvae_harness.reward_engine import composite_reward, verification_reward
 from tvae_harness.sim_engine import Outcome, SimConfig, run_episodes, run_failure_cases
 from tvae_harness.synthdata import make_dataset, random_trajectory
-from tvae_harness.trajectory_store import ActionKind, CoordinateSpace, save_dataset
+from tvae_harness.trajectory_store import ActionKind, ActionRecord, CoordinateSpace, save_dataset
 from tvae_harness.tvae_codec import (
     ThinkTag,
     Verification,
@@ -195,14 +195,19 @@ def test_c06_grpo_numerics():
 
 
 def test_c07_failure_mode_mixture():
-    """10,000 draws pass chi-square against the default weights at 0.001."""
+    """10,000 draws pass chi-square against the fixed weights at 0.001.
+
+    Every mode applies to a boxed click, so no redraw bends the mixture.
+    """
     from scipy.stats import chi2, chisquare
 
+    click = ActionRecord(kind=ActionKind.CLICK, coordinate=(0.5, 0.5))
+    bbox = (0.45, 0.45, 0.55, 0.55)
     rng = random.Random(107)
     n = 10_000
     counts = {m: 0 for m in FailureMode}
     for _ in range(n):
-        counts[sample_mode(None, rng)] += 1
+        counts[sample_corruption(click, bbox, rng)[0]] += 1
     observed = [counts[m] for m in FailureMode]
     expected = [DEFAULT_FAILURE_WEIGHTS[m] * n for m in FailureMode]
     stat, p = chisquare(observed, expected)

@@ -17,7 +17,6 @@ from tvae_harness.agent_bus import (
     VariantName,
     observation_to_wire,
     parse_agent_spec,
-    remote_turn,
     scripted_turn,
 )
 from tvae_harness.errors import (
@@ -158,9 +157,18 @@ def turn_server():
         thread.join(timeout=5)
 
 
+def _remote_turn(endpoint, obs, **kwargs):
+    """One `RemoteAgent` turn on a fresh agent, closed afterwards."""
+    agent = RemoteAgent(endpoint, **kwargs)
+    try:
+        return agent.turn(obs, None, random.Random(0))
+    finally:
+        agent.close()
+
+
 def test_remote_turn_returns_body_verbatim(turn_server):
     history = (HistoryEntry(make_click_step(0).gt_action, "Opens.", Verification.SUCCESS),)
-    text = remote_turn(turn_server, _obs(history), timeout=5, token="sekrit")
+    text = _remote_turn(turn_server, _obs(history), timeout=5, token="sekrit")
     assert text == FIXED_TURN
     sent = _TurnHandler.seen[-1]
     assert sent["schema_version"] == 1
@@ -199,7 +207,7 @@ def test_remote_prose_passthrough_counts_as_mismatch():
     thread.start()
     try:
         endpoint = f"http://127.0.0.1:{server.server_port}"
-        text = remote_turn(endpoint, _obs(), timeout=5)
+        text = _remote_turn(endpoint, _obs(), timeout=5)
         assert text == "I think you should click somewhere in the middle."
         trajs = make_dataset(2, (2, 2), seed=6)
         traces = run_episodes(trajs, RemoteAgent(endpoint, timeout=5), SimConfig(seed=0))
@@ -237,13 +245,13 @@ def test_remote_agent_caps_requests_in_flight(max_inflight, workers, peak):
 
 def test_remote_unreachable_raises_after_retry():
     with pytest.raises(AgentUnavailableError):
-        remote_turn("http://127.0.0.1:9", _obs(), timeout=0.5)
+        _remote_turn("http://127.0.0.1:9", _obs(), timeout=0.5)
 
 
 def test_remote_timeout_is_retried_once_then_raises():
     with CountingTurnServer(delay_s=0.5) as server:
         with pytest.raises(AgentTimeoutError):
-            remote_turn(server.url, _obs(), timeout=0.1)
+            _remote_turn(server.url, _obs(), timeout=0.1)
         assert server.requests == 2
 
 

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from tvae_harness.cli import EXIT_AGENT, EXIT_DATA, EXIT_OK, main
+from tvae_harness.cli import EXIT_AGENT, EXIT_DATA, EXIT_OK, build_parser, main
+from tvae_harness.grpo_core import GrpoConfig
+from tvae_harness.reward_engine import RewardConfig
+from tvae_harness.sim_engine import SimConfig
 from tvae_harness.synthdata import make_dataset
 from tvae_harness.trajectory_store import save_dataset
 from tvae_harness.tvae_codec import (
@@ -81,6 +85,15 @@ def test_simulate_remote_http_error_retries_only_5xx(dataset, tmp_path, status, 
         ])
     assert code == EXIT_AGENT
     assert server.requests == requests
+    assert not out.exists()
+
+
+def test_bench_robust_unreachable_remote_writes_nothing(dataset, tmp_path):
+    out = tmp_path / "run"
+    assert main([
+        "bench-robust", "--synthesize", "--dataset", str(dataset),
+        "--agent", "remote:http://127.0.0.1:9", "--timeout", "0.3", "--out", str(out),
+    ]) == EXIT_AGENT
     assert not out.exists()
 
 
@@ -206,6 +219,7 @@ def test_bench_empty_cases_file_is_data_error(tmp_path):
         "bench-robust", "--cases", str(empty), "--agent", "scripted:oracle",
         "--out", str(tmp_path / "x"),
     ]) == EXIT_DATA
+    assert not (tmp_path / "x").exists()
 
 
 def test_malformed_cases_and_samples_are_data_errors(tmp_path):
@@ -336,6 +350,7 @@ def test_bad_record_line_is_data_error_naming_its_line(dataset, tmp_path, capsys
     {"sim": {"delta": "a"}}, {"sim": {"seed": 3}}, {"reward": {"text_match": "fuzzy"}},
     {"sim": {"budget_multiplier": float("inf")}}, {"reward": {"alpha": float("nan")}},
     {"reward": {"beta": float("inf")}}, b"\xff\xfe{}",
+    {"reward": {"similarity": "token-f1"}}, {"simulate": {}},
 ])
 def test_bad_config_is_data_error(dataset, tmp_path, config):
     cfg = tmp_path / "cfg.json"
@@ -392,6 +407,17 @@ def test_config_enum_values_are_parsed(dataset, tmp_path):
 def test_bad_synth_dataset_flag_is_data_error(tmp_path, flag, value):
     out = tmp_path / "data"
     assert main(["synth", "--kind", "dataset", "--out", str(out), flag, value]) == EXIT_DATA
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, flags", [
+    ("sft", ["--ratio-b", "2"]), ("bench", ["--per-traj", "0"]), ("sft", []),
+])
+def test_bad_synth_input_writes_nothing(dataset, tmp_path, kind, flags):
+    if not flags:  # a bad dataset line
+        dataset.write_text(dataset.read_text() + "{broken\n")
+    out = tmp_path / "synth"
+    assert main(["synth", "--kind", kind, "--dataset", str(dataset), "--out", str(out), *flags]) == EXIT_DATA
     assert not out.exists()
 
 
@@ -554,3 +580,141 @@ def test_commands_do_not_mutate_inputs(dataset, tmp_path):
         "--out", str(tmp_path / "r"),
     ])
     assert dataset.read_bytes() == before
+
+
+@pytest.mark.parametrize("group_logprobs", [False, True])
+def test_score_empty_inputs_is_data_error(tmp_path, group_logprobs):
+    argv = ["score", "--out", str(tmp_path / "out")]
+    for flag in ("--samples", "--outputs", *(("--group-logprobs",) if group_logprobs else ())):
+        path = tmp_path / f"{flag[2:]}.jsonl"
+        path.write_text("")
+        argv += [flag, str(path)]
+    assert main(argv) == EXIT_DATA
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mutation", ["bad-group-line", "kl-lambda-nan", "grpo-group-size"])
+def test_score_checks_every_input_before_writing(dataset, tmp_path, capsys, mutation):
+    groups, argv = _record_inputs("groups", tmp_path, dataset)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "kl-lambda-nan": {"grpo": {"kl_lambda": float("nan")}},
+        "grpo-group-size": {"grpo": {"group_size": 6}},
+    }.get(mutation, {})))
+    if mutation == "bad-group-line":
+        groups.write_text(groups.read_text() + json.dumps({"outputs": [5, 5]}) + "\n")
+    capsys.readouterr()
+    assert main([*argv, "--config", str(cfg)]) == EXIT_DATA
+    assert "data error: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_stdio_agent_non_utf8_output_is_an_unparseable_turn(dataset, tmp_path):
+    import sys
+
+    script = tmp_path / "agent.py"
+    script.write_text(
+        "import sys\n"
+        "for line in sys.stdin:\n"
+        "    sys.stdout.buffer.write(b'\\xff\\xfe not a turn\\n<<<END_TURN>>>\\n')\n"
+        "    sys.stdout.flush()\n"
+    )
+    out = tmp_path / "run"
+    assert main([
+        "simulate", "--dataset", str(dataset), "--agent", f"stdio:{sys.executable} {script}",
+        "--out", str(out),
+    ]) == EXIT_OK
+    attempts = [
+        a for line in (out / "traces.jsonl").read_text().splitlines()
+        for a in json.loads(line)["attempts"]
+    ]
+    assert attempts
+    for a in attempts:
+        assert a["issued"] is None
+        assert any(w.startswith("unparseable turn") for w in a["parse_warnings"])
+
+
+# -- the option surface -------------------------------------------------------------
+
+FLAGS = {
+    "simulate": {
+        "--dataset", "--agent", "--out", "--formats", "--config", "--seed", "--workers",
+        "--limit", "--skip-invalid", "--timeout", "--token", "--budget-multiplier", "--delta",
+        "--repeat-epsilon",
+    },
+    "bench-robust": {
+        "--cases", "--synthesize", "--dataset", "--per-traj", "--agent", "--out", "--config",
+        "--seed", "--workers", "--limit", "--skip-invalid", "--timeout", "--token",
+        "--budget-multiplier", "--delta", "--repeat-epsilon",
+    },
+    "synth": {
+        "--kind", "--dataset", "--out", "--ratio-b", "--per-traj", "--count", "--lengths",
+        "--config", "--seed", "--limit", "--skip-invalid",
+    },
+    "score": {
+        "--samples", "--outputs", "--group-logprobs", "--out", "--alpha", "--beta", "--config",
+        "--delta",
+    },
+    "report": {"--traces", "--format", "--out"},
+}
+
+
+def test_each_command_registers_exactly_the_flags_it_reads():
+    (sub,) = [a for a in build_parser()._actions if a.choices and "report" in a.choices]
+    got = {
+        name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert got == FLAGS
+    assert sum(map(len, got.values())) == 52
+
+
+@pytest.mark.parametrize("kind, extra", [
+    ("outputs", ["--workers", "2"]),  # score reads neither
+    ("outputs", ["--seed", "1"]),
+    (None, ["--timeout", "5"]),  # synth --kind dataset
+    ("dataset", ["--workers", "abc"]),  # simulate
+    ("dataset", ["--agent"]),  # no value
+    ("dataset", ["--formats", "pdf"]),
+    ("dataset", ["--limit", "0"]),
+    ("cases", ["--synthesize"]),  # bench-robust takes --cases or --synthesize
+])
+def test_usage_error_is_data_error(dataset, tmp_path, capsys, kind, extra):
+    if kind is None:
+        argv = ["synth", "--kind", "dataset", "--out", str(tmp_path / "out")]
+    else:
+        _, argv = _record_inputs(kind, tmp_path, dataset)
+    capsys.readouterr()
+    assert main([*argv, *extra]) == EXIT_DATA
+    assert "data error: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert main(argv) == EXIT_OK  # the flag was the only problem
+
+
+@pytest.mark.parametrize("argv", [[], ["frobnicate"], ["report"], ["report", "--traces"]])
+def test_bad_command_line_is_data_error(argv, capsys):
+    assert main(argv) == EXIT_DATA
+    assert "data error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["score", "--help"]])
+def test_help_and_version_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+def test_manifest_config_records_every_settable_value(dataset, tmp_path):
+    _, argv = _record_inputs("groups", tmp_path, dataset)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"reward": {"text_match_threshold": 0.99}}))
+    assert main([*argv, "--config", str(cfg)]) == EXIT_OK
+    config = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
+    assert {name: set(section) for name, section in config.items()} == {
+        name: {f.name for f in fields(cls)} - {"seed"}
+        for name, cls in (("sim", SimConfig), ("reward", RewardConfig), ("grpo", GrpoConfig))
+    }
+    assert config["reward"]["text_match_threshold"] == 0.99
+    assert config["reward"]["text_match"] == "normalized_exact"
+    assert config["grpo"]["kl_estimator"] == "k3"

@@ -8,9 +8,9 @@ import pytest
 from tvae_harness.errors import EmptyDatasetError, InvariantViolationError, ModeInapplicableError
 from tvae_harness.failure_forge import (
     DEFAULT_FAILURE_WEIGHTS,
+    FRAME,
     FailureCase,
     FailureMode,
-    ForgeConfig,
     SampleType,
     build_robustness_bench,
     build_sft_dataset,
@@ -20,9 +20,7 @@ from tvae_harness.failure_forge import (
     mismatched_effect,
     sample_corruption,
     sample_from_json,
-    sample_mode,
     sample_to_json,
-    validate_weights,
 )
 from tvae_harness.reward_engine import (
     RewardConfig,
@@ -77,12 +75,11 @@ def test_timing_error_inapplicable_to_wait(rng: random.Random):
 
 
 def test_null_click_lands_in_margin_frame(rng: random.Random):
-    cfg = ForgeConfig()
     for _ in range(100):
-        bad = corrupt_action(CLICK, BBOX, FailureMode.NULL_CLICK, rng, cfg=cfg)
+        bad = corrupt_action(CLICK, BBOX, FailureMode.NULL_CLICK, rng)
         assert bad.kind is ActionKind.CLICK
         x, y = bad.coordinate
-        assert min(x, y, 1 - x, 1 - y) <= cfg.frame + 1e-9
+        assert min(x, y, 1 - x, 1 - y) <= FRAME + 1e-9
         assert not match_action(bad, CLICK, BBOX)
 
 
@@ -136,43 +133,25 @@ def test_corruption_never_within_repeat_epsilon_of_match(rng: random.Random):
             assert not match_action(nudged, CLICK, BBOX, cfg)
 
 
-# -- sample_mode ---------------------------------------------------------------------
+# -- the failure-mode mixture ----------------------------------------------------------
 
 
 def test_sample_mode_deterministic():
-    a = [sample_mode(None, random.Random(99)) for _ in range(50)]
-    b = [sample_mode(None, random.Random(99)) for _ in range(50)]
+    a = [sample_corruption(CLICK, BBOX, random.Random(99)) for _ in range(50)]
+    b = [sample_corruption(CLICK, BBOX, random.Random(99)) for _ in range(50)]
     # same seed, same sequence when drawn from one generator
     gen1, gen2 = random.Random(5), random.Random(5)
-    seq1 = [sample_mode(None, gen1) for _ in range(200)]
-    seq2 = [sample_mode(None, gen2) for _ in range(200)]
+    seq1 = [sample_corruption(CLICK, BBOX, gen1) for _ in range(200)]
+    seq2 = [sample_corruption(CLICK, BBOX, gen2) for _ in range(200)]
     assert seq1 == seq2
     assert a == b
 
 
-def test_sample_mode_degenerate_weights():
-    weights = dict.fromkeys(FailureMode, 0.0)
-    weights[FailureMode.COORDINATE_OFFSET] = 1.0
-    rng = random.Random(3)
-    assert all(sample_mode(weights, rng) is FailureMode.COORDINATE_OFFSET for _ in range(100))
-
-
 def test_weights_must_sum_to_one():
-    weights = dict.fromkeys(FailureMode, 0.3)
-    with pytest.raises(InvariantViolationError):
-        validate_weights(weights)
-
-
-def test_sample_mode_default_matches_explicit_weights_and_choices():
-    a, b, ref = random.Random(17), random.Random(17), random.Random(17)
-    modes = list(FailureMode)
-    drawn_default = [sample_mode(None, a) for _ in range(2000)]
-    drawn_explicit = [sample_mode(DEFAULT_FAILURE_WEIGHTS, b) for _ in range(2000)]
-    drawn_choices = [
-        ref.choices(modes, weights=[DEFAULT_FAILURE_WEIGHTS[m] for m in modes], k=1)[0]
-        for _ in range(2000)
-    ]
-    assert drawn_default == drawn_explicit == drawn_choices
+    # the one mixture covers all five modes with weights that sum to 1
+    assert set(DEFAULT_FAILURE_WEIGHTS) == set(FailureMode)
+    assert all(w > 0 for w in DEFAULT_FAILURE_WEIGHTS.values())
+    assert sum(DEFAULT_FAILURE_WEIGHTS.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sample_corruption_draws_match_raise_and_redraw_loop():
@@ -203,38 +182,13 @@ def test_sample_corruption_draws_match_raise_and_redraw_loop():
             assert sample_corruption(gt, bbox, a) == redraw_loop(gt, bbox, b)
 
 
-@pytest.mark.parametrize("change", [
-    {FailureMode.NULL_CLICK: None},  # a mode missing
-    {FailureMode.NULL_CLICK: -0.1, FailureMode.TIMING_ERROR: 0.35},
-    {FailureMode.NULL_CLICK: float("nan")},
-    {FailureMode.NULL_CLICK: 0.2},  # sums to 1.1
-])
-def test_bad_custom_weights_raise_at_every_entry_point(change):
-    weights = dict(DEFAULT_FAILURE_WEIGHTS)
-    for mode, w in change.items():
-        if w is None:
-            del weights[mode]
-        else:
-            weights[mode] = w
-    trajs = make_dataset(2, (2, 3), seed=4)
-    calls = [
-        lambda: validate_weights(weights),
-        lambda: sample_mode(weights, random.Random(0)),
-        lambda: sample_corruption(CLICK, BBOX, random.Random(0), weights),
-        lambda: build_sft_dataset(trajs, ratio_b=0.5, weights=weights),
-        lambda: build_robustness_bench(trajs, weights=weights),
-    ]
-    for call in calls:
-        with pytest.raises(InvariantViolationError):
-            call()
-
-
 def test_sample_mode_chi_square_default_weights():
     from scipy.stats import chisquare
 
     rng = random.Random(2024)
     n = 10_000
-    counts = Counter(sample_mode(None, rng) for _ in range(n))
+    # every mode applies to a boxed click, so redraws never bend the mixture
+    counts = Counter(sample_corruption(CLICK, BBOX, rng)[0] for _ in range(n))
     observed = [counts[m] for m in FailureMode]
     expected = [DEFAULT_FAILURE_WEIGHTS[m] * n for m in FailureMode]
     stat, p = chisquare(observed, expected)

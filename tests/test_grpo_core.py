@@ -22,7 +22,6 @@ from tvae_harness.grpo_core import (
     clipped_surrogate,
     exact_kl,
     group_advantages,
-    grpo_objective,
     kl_penalty,
     objective_report,
     token_ratios,
@@ -190,7 +189,7 @@ def test_objective_fully_degenerate_is_zero():
         _output(1.5, [-0.2]),
         _output(1.5, [-0.8, -0.1, -0.3]),
     ))
-    assert grpo_objective(batch) == 0.0
+    assert objective_report(batch)["objective"] == 0.0
 
 
 def test_lambda_zero_reduces_to_surrogate():
@@ -202,8 +201,9 @@ def test_lambda_zero_reduces_to_surrogate():
     cfg1 = GrpoConfig(kl_lambda=0.05)
     adv = group_advantages(batch.rewards, cfg0)
     _, means = clipped_surrogate(token_ratios(batch), adv, cfg0)
-    assert grpo_objective(batch, cfg0) == pytest.approx(float(means.mean()))
-    assert grpo_objective(batch, cfg1) < grpo_objective(batch, cfg0)
+    objective0 = objective_report(batch, cfg0)["objective"]
+    assert objective0 == pytest.approx(float(means.mean()))
+    assert objective_report(batch, cfg1)["objective"] < objective0
 
 
 def test_objective_hand_case_two_outputs():
@@ -212,7 +212,8 @@ def test_objective_hand_case_two_outputs():
         _output(1.0, [-0.5]),
         _output(-1.0, [-0.7]),
     ))
-    assert grpo_objective(batch, GrpoConfig(kl_lambda=0.0)) == pytest.approx(0.0, abs=1e-15)
+    objective = objective_report(batch, GrpoConfig(kl_lambda=0.0))["objective"]
+    assert objective == pytest.approx(0.0, abs=1e-15)
 
 
 def test_objective_report_fields():
@@ -265,7 +266,8 @@ def test_gradient_matches_central_differences():
     cfg = GrpoConfig(kl_lambda=0.05, kl_estimator=KlEstimator.EXACT)
 
     def objective(th: np.ndarray) -> float:
-        return grpo_objective(_toy_batch(th, theta_old, theta_ref, tokens, rewards), cfg)
+        batch = _toy_batch(th, theta_old, theta_ref, tokens, rewards)
+        return objective_report(batch, cfg)["objective"]
 
     # analytic gradient: d/dtheta_j log pi(y) = 1[j=y] - p_j; clip inactive
     adv = group_advantages(rewards, cfg)

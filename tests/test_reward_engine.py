@@ -11,10 +11,8 @@ from tvae_harness.reward_engine import (
     actions_approx_equal,
     composite_reward,
     distance_to_bbox,
-    effect_similarity,
     match_action,
     point_in_bbox,
-    register_similarity,
     token_f1,
     verification_reward,
 )
@@ -144,12 +142,6 @@ def test_token_f1_shared_token_monotonicity(rng: random.Random):
         assert token_f1(a + " " + extra, b + " " + extra) >= token_f1(a, b)
 
 
-def test_similarity_plugin():
-    register_similarity("always-half", lambda p, r: 0.5)
-    cfg = RewardConfig(similarity="always-half")
-    assert effect_similarity("x", "y", cfg) == 0.5
-
-
 # -- verification and composite -----------------------------------------------------
 
 
@@ -203,10 +195,11 @@ def test_composite_correct_action_partial_effect():
 
 def test_composite_example_totals():
     gt = click(0.5, 0.5)
-    register_similarity("fixed-08", lambda p, r: 0.8)
+    # token F1: overlap 2 of 2 reference and 3 predicted tokens -> 2*2/(3+2) = 0.8
     sample = _sample(gt, "cart opens")
-    out = _turn(gt, Verification.SUCCESS, "whatever text")
-    b = composite_reward(out, sample, RewardConfig(similarity="fixed-08"))
+    out = _turn(gt, Verification.SUCCESS, "the cart opens")
+    b = composite_reward(out, sample)
+    assert b.r_eff == pytest.approx(0.8)
     assert b.total == pytest.approx(1.9)  # 1 + 0.5*0.8 + 0.5*1.0
 
 

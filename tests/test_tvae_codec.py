@@ -18,12 +18,10 @@ from tvae_harness.errors import (
 )
 from tvae_harness.trajectory_store import ActionKind, CoordinateSpace
 from tvae_harness.tvae_codec import (
-    PathKind,
     ThinkSegment,
     ThinkTag,
     TvaeOutput,
     Verification,
-    classify_path,
     emit_action_json,
     emit_tvae,
     parse_tvae,
@@ -67,7 +65,6 @@ def test_success_path_worked_example():
     assert [s.tag for s in out.think] == [
         ThinkTag.VERIFY, ThinkTag.RECALL, ThinkTag.GROUNDING, ThinkTag.COORDINATE, ThinkTag.ACTION
     ]
-    assert classify_path(out) is PathKind.SUCCESS_PATH
 
 
 def test_recovery_path_worked_example():
@@ -77,7 +74,6 @@ def test_recovery_path_worked_example():
     assert out.action.text == "Slipping into Relaxed Sleep"
     tags = {s.tag for s in out.think}
     assert ThinkTag.DIAGNOSE in tags and ThinkTag.RECOVERY in tags
-    assert classify_path(out) is PathKind.RECOVERY_PATH
 
 
 def test_missing_verification_block_strict():
