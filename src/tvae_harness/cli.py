@@ -6,7 +6,7 @@ the resolved configuration, seed, dataset hash, agent identity, and tool
 version; re-running with the same manifest reproduces every report byte for
 byte.  Exit codes: 0 ok, 1 data problem (a bad input file, config value or
 flag, usage errors included), 2 agent unreachable, 3 internal.  Each command
-accepts only the flags it reads.
+accepts only the flags and --config keys it reads.
 """
 
 from __future__ import annotations
@@ -112,10 +112,8 @@ def _resolve_seed(args: argparse.Namespace, config: dict[str, Any]) -> int:
     return _config_value("$TVAE_SEED", int, env) if env else 0
 
 
-_CONFIG_KEYS = frozenset({"seed", "sim", "reward", "grpo"})
-
-
-def _load_config(args: argparse.Namespace) -> dict[str, Any]:
+def _load_config(args: argparse.Namespace, keys: set[str]) -> dict[str, Any]:
+    """The --config object; a top-level key outside `keys` is a data error."""
     if not args.config:
         return {}
     try:
@@ -124,9 +122,9 @@ def _load_config(args: argparse.Namespace) -> dict[str, Any]:
         raise DataError(f"--config is not UTF-8: {exc}") from None
     if not isinstance(obj, dict):
         raise DataError("--config must hold a JSON object")
-    unknown = sorted(obj.keys() - _CONFIG_KEYS)
-    if unknown:
-        raise InvariantViolationError("config", ", ".join(unknown), "unknown top-level key")
+    unread = sorted(obj.keys() - keys)
+    if unread:
+        raise InvariantViolationError("config", ", ".join(unread), f"not read by {args.command}")
     return obj
 
 
@@ -143,15 +141,6 @@ def _config_object(args: Any, config: dict[str, Any], section: str, cls: type,
     return _config_value(section, lambda: cls(**fixed, **base))
 
 
-def _sim_config(args: argparse.Namespace, config: dict[str, Any], seed: int) -> SimConfig:
-    flags = ("budget_multiplier", "delta", "repeat_epsilon")
-    return _config_object(args, config, "sim", SimConfig, flags, seed=seed)
-
-
-def _reward_config(args: argparse.Namespace, config: dict[str, Any]) -> RewardConfig:
-    return _config_object(args, config, "reward", RewardConfig, ("alpha", "beta", "delta"))
-
-
 def _config_snapshot(**sections: Any) -> dict[str, dict[str, Any]]:
     """Every field of each config dataclass, enums by value.  The seed is
     left out: the manifest records it at its top level."""
@@ -162,6 +151,31 @@ def _config_snapshot(**sections: Any) -> dict[str, dict[str, Any]]:
         }
         for name, cfg in sections.items()
     }
+
+
+# Flags that only some modes of `synth` and `bench-robust` read, and the value
+# each takes when its mode reads it and it is not given.
+_MODE_FLAG_DEFAULTS: dict[str, Any] = {
+    "dataset": None, "limit": None, "skip_invalid": False,
+    "ratio_b": 0.3, "per_traj": 1, "count": 100, "lengths": (1, 8),
+}
+# The mode flags each `synth --kind` reads; `bench-robust --synthesize` reads the bench kind's.
+_KIND_READS: dict[str, set[str]] = {
+    "dataset": {"count", "lengths"},
+    "sft": {"dataset", "limit", "skip_invalid", "ratio_b"},
+    "bench": {"dataset", "limit", "skip_invalid", "per_traj"},
+}
+
+
+def _check_mode_flags(args: argparse.Namespace, mode: str, reads: set[str]) -> None:
+    """A given mode flag (one not None or False) that `mode` does not read is a
+    usage error; one it reads and that was not given takes its default."""
+    for name, default in _MODE_FLAG_DEFAULTS.items():
+        value = getattr(args, name, None)
+        if value is None and name in reads:
+            setattr(args, name, default)
+        elif value is not None and value is not False and name not in reads:
+            raise DataError(f"{mode} does not read --{name.replace('_', '-')}")
 
 
 def _first_attempt_predictions(traces, trajs) -> list[StepPrediction]:
@@ -188,10 +202,9 @@ def _first_attempt_predictions(traces, trajs) -> list[StepPrediction]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    config = _load_config(args, {"seed", "sim"})
     seed = _resolve_seed(args, config)
-    sim = _sim_config(args, config, seed)
-    reward = _reward_config(args, config)
+    sim = _config_object(args, config, "sim", SimConfig, ("budget_multiplier",), seed=seed)
     trajs = load_dataset(args.dataset, limit=args.limit, skip_invalid=args.skip_invalid)
     if not trajs:
         raise EmptySetError("dataset is empty")
@@ -208,7 +221,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     write_records(out_dir / "traces.jsonl", (trace_to_json(t) for t in traces))
     task = task_metrics(traces)
     report = MetricsReport.build(
-        step=step_metrics(_first_attempt_predictions(traces, trajs), reward), task=task
+        step=step_metrics(_first_attempt_predictions(traces, trajs)), task=task
     )
     _atomic_write(out_dir / "report.json", emit_report(report, ReportFormat.JSON))
     for fmt in args.formats or ():
@@ -224,7 +237,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "agent": agent.identity,
             "dataset": str(args.dataset),
             "dataset_sha256": _sha256(args.dataset),
-            "config": _config_snapshot(sim=sim, reward=reward),
+            "config": _config_snapshot(sim=sim),
             "outputs": ["traces.jsonl", "report.json"],
         },
     )
@@ -237,9 +250,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_robust(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    mode, reads = ("--synthesize", _KIND_READS["bench"]) if args.synthesize else ("--cases", set())
+    _check_mode_flags(args, f"bench-robust {mode}", reads)
+    config = _load_config(args, {"seed"})
     seed = _resolve_seed(args, config)
-    sim = _sim_config(args, config, seed)
     # Nothing is written before the agent has answered every case.
     agent = parse_agent_spec(
         args.agent, timeout=args.timeout, token=args.token, max_inflight=args.workers
@@ -254,7 +268,7 @@ def cmd_bench_robust(args: argparse.Namespace) -> int:
             cases = read_records(args.cases, failure_case_from_json, "failure case")
         if not cases:
             raise EmptySetError("no failure cases")
-        results = run_failure_cases(cases, agent, sim, workers=args.workers)
+        results = run_failure_cases(cases, agent, SimConfig(seed=seed), workers=args.workers)
     finally:
         getattr(agent, "close", lambda: None)()
     out_dir = Path(args.out)
@@ -288,8 +302,7 @@ def cmd_bench_robust(args: argparse.Namespace) -> int:
             "cases": cases_path.name if args.synthesize else str(cases_path),
             "cases_sha256": _sha256(cases_path),
             "synthesized": bool(args.synthesize),
-            "per_traj": args.per_traj,
-            "config": _config_snapshot(sim=sim, reward=RewardConfig(delta=sim.delta)),
+            **({"per_traj": args.per_traj} if args.synthesize else {}),
             "outputs": ["case_results.jsonl", "report.json"],
         },
     )
@@ -298,7 +311,8 @@ def cmd_bench_robust(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    _check_mode_flags(args, f"synth --kind {args.kind}", _KIND_READS[args.kind])
+    config = _load_config(args, {"seed"})
     seed = _resolve_seed(args, config)
     out_dir = Path(args.out)  # made only once its rows are built
     manifest: dict[str, Any] = {
@@ -341,8 +355,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     # Every input is read and checked before --out is touched.
-    config = _load_config(args)
-    reward_cfg = _reward_config(args, config)
+    config = _load_config(args, {"reward", "grpo"} if args.group_logprobs else {"reward"})
+    reward_cfg = _config_object(args, config, "reward", RewardConfig, ("alpha", "beta"))
     grpo_cfg = _config_object(None, config, "grpo", GrpoConfig) if args.group_logprobs else None
     samples = read_records(args.samples, sample_from_json, "sample")
     raws = read_records(args.outputs, lambda obj: str(obj["raw"]), "output")
@@ -354,7 +368,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         score_output(raw, sample, reward_cfg).to_json() for raw, sample in zip(raws, samples)
     ]
     outputs = ["rewards.jsonl"]
-    sections: dict[str, Any] = {"sim": SimConfig(delta=reward_cfg.delta), "reward": reward_cfg}
+    sections: dict[str, Any] = {"reward": reward_cfg}
     objective: dict[str, Any] | None = None
     if grpo_cfg is not None:
         # An output without a "reward" takes the scored total at its position;
@@ -464,9 +478,6 @@ _SHARED_FLAGS: dict[str, dict[str, Any]] = {
     "--skip-invalid": dict(action="store_true", help="drop invalid dataset lines instead of failing"),
     "--timeout": dict(type=_seconds, default=30.0, help="remote agent timeout (s)"),
     "--token": dict(help="bearer token for remote agents"),
-    "--budget-multiplier": dict(type=float),
-    "--delta": dict(type=float),
-    "--repeat-epsilon": dict(type=float),
 }
 _RUN_FLAGS = tuple(_SHARED_FLAGS)  # simulate and bench-robust read every one
 
@@ -489,6 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agent", required=True, help="scripted:NAME[:ARG] | remote:URL | stdio:CMD")
     p.add_argument("--out", required=True)
     p.add_argument("--formats", nargs="*", choices=["csv", "markdown"])
+    p.add_argument("--budget-multiplier", type=float, help="attempts per ground-truth step")
     _add_shared(p, _RUN_FLAGS)
     p.set_defaults(func=cmd_simulate)
 
@@ -497,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--cases", help="existing failure-case JSONL")
     source.add_argument("--synthesize", action="store_true", help="build cases from --dataset first")
     p.add_argument("--dataset")
-    p.add_argument("--per-traj", dest="per_traj", type=int, default=1)
+    p.add_argument("--per-traj", dest="per_traj", type=int)
     p.add_argument("--agent", required=True)
     p.add_argument("--out", required=True)
     _add_shared(p, _RUN_FLAGS)
@@ -507,10 +519,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["sft", "bench", "dataset"], required=True)
     p.add_argument("--dataset", help="source trajectories (sft/bench kinds)")
     p.add_argument("--out", required=True)
-    p.add_argument("--ratio-b", dest="ratio_b", type=float, default=0.3)
-    p.add_argument("--per-traj", dest="per_traj", type=int, default=1)
-    p.add_argument("--count", type=_count, default=100, help="dataset kind: trajectory count")
-    p.add_argument("--lengths", type=_lengths, default="1,8", help="dataset kind: min,max steps")
+    p.add_argument("--ratio-b", dest="ratio_b", type=float, help="sft kind: type B share")
+    p.add_argument("--per-traj", dest="per_traj", type=int, help="bench kind: cases per trajectory")
+    p.add_argument("--count", type=_count, help="dataset kind: trajectory count")
+    p.add_argument("--lengths", type=_lengths, help="dataset kind: MIN,MAX steps")
     _add_shared(p, ("--config", "--seed", "--limit", "--skip-invalid"))
     p.set_defaults(func=cmd_synth)
 
@@ -521,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
-    _add_shared(p, ("--config", "--delta"))
+    _add_shared(p, ("--config",))
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("report", help="recompute metrics from a trace file")

@@ -21,7 +21,7 @@ from itertools import accumulate
 from typing import Any, Mapping, Sequence
 
 from .errors import EmptyDatasetError, InvariantViolationError, ModeInapplicableError
-from .reward_engine import DEFAULT_DELTA, distance_to_bbox, euclidean, match_action
+from .reward_engine import DELTA, distance_to_bbox, euclidean, match_action
 from .seeding import stable_seed
 from .trajectory_store import (
     ActionKind,
@@ -69,7 +69,7 @@ DEFAULT_RELATED_KINDS: dict[ActionKind, ActionKind] = {
 WAIT_CHOICES = (1.0, 2.0, 3.0, 5.0)
 
 # Corruption geometry.  MARGIN keeps every corrupted coordinate strictly
-# farther than the repeat-detection epsilon from the correct region, so
+# farther than `reward_engine.REPEAT_EPSILON` from the correct region, so
 # "repeated" and "recovered" stay mutually exclusive.  FRAME is the dead
 # margin band used by null clicks; JUMP_MIN is the least distance at which a
 # misidentified target lands from the true one.
@@ -95,7 +95,7 @@ def _region_distance(point: tuple[float, float], gt: ActionRecord, bbox: Bbox | 
     if bbox is not None:
         return distance_to_bbox(point, bbox)
     assert gt.coordinate is not None
-    return euclidean(point, gt.coordinate) - DEFAULT_DELTA
+    return euclidean(point, gt.coordinate) - DELTA
 
 
 _FALLBACK_POINTS = (

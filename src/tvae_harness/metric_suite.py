@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Any, Sequence
 
 from .errors import EmptySetError, InvariantViolationError
-from .reward_engine import RewardConfig, match_action, parameters_match
+from .reward_engine import match_action, parameters_match
 from .sim_engine import CaseResult, Outcome, SimTrace
 from .trajectory_store import ActionRecord, StepRecord
 
@@ -55,13 +55,10 @@ class RobustnessMetrics:
     counts: dict[str, int]
 
 
-def step_metrics(
-    preds: Sequence[StepPrediction], cfg: RewardConfig | None = None
-) -> StepMetrics:
+def step_metrics(preds: Sequence[StepPrediction]) -> StepMetrics:
     """Compute TM / GR / SR over a prediction set."""
     if not preds:
         raise EmptySetError("no step predictions")
-    cfg = cfg or RewardConfig()
     tm_hits = 0
     sr_hits = 0
     gr_eligible = 0
@@ -72,9 +69,9 @@ def step_metrics(
         gt_action = p.gt.gt_action
         kind_ok = p.predicted is not None and p.predicted.kind is gt_action.kind
         tm_hits += kind_ok
-        sr_hits += match_action(p.predicted, gt_action, p.gt.gt_bbox, cfg)
+        sr_hits += match_action(p.predicted, gt_action, p.gt.gt_bbox)
         if gt_action.is_spatial() or gt_action.is_textual():
-            grounded = parameters_match(p.predicted, gt_action, p.gt.gt_bbox, cfg)
+            grounded = parameters_match(p.predicted, gt_action, p.gt.gt_bbox)
             gr_eligible += 1
             gr_hits += grounded
             if kind_ok:

@@ -11,7 +11,6 @@ import math
 import string
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from typing import TYPE_CHECKING, Any
 
 from .errors import InvariantViolationError
@@ -26,33 +25,27 @@ from .tvae_codec import TvaeOutput, Verification, parse_tvae
 if TYPE_CHECKING:
     from .failure_forge import SyntheticSample
 
-DEFAULT_DELTA = 0.14
+# The match rule is fixed because `failure_forge` builds its corruptions on it:
+# the no-box click radius DELTA, and the repeat radius REPEAT_EPSILON, which stays
+# below the forge's MARGIN so that no case is both repeated and recovered.
+DELTA = 0.14
+REPEAT_EPSILON = 0.04
 
 REWARD_CORRECT_VERIFICATION = 1.0
 REWARD_MISS = -0.5
 REWARD_HALLUCINATION = -2.0
 
 
-class TextMatchMode(str, Enum):
-    NORMALIZED_EXACT = "normalized_exact"
-    TOKEN_F1_THRESHOLD = "token_f1_threshold"
-
-
 @dataclass(frozen=True)
 class RewardConfig:
     alpha: float = 0.5
     beta: float = 0.5
-    delta: float = DEFAULT_DELTA
-    text_match: TextMatchMode = TextMatchMode.NORMALIZED_EXACT
-    text_match_threshold: float = 0.8
 
     def __post_init__(self) -> None:
         if not all(math.isfinite(w) and w >= 0 for w in (self.alpha, self.beta)):
             raise InvariantViolationError(
                 "reward_config", "alpha/beta", "must be finite numbers >= 0"
             )
-        if not 0 < self.delta < 1:
-            raise InvariantViolationError("reward_config", "delta", "must be in (0,1)")
 
 
 _DEFAULT_CONFIG = RewardConfig()
@@ -106,21 +99,10 @@ def distance_to_bbox(point: tuple[float, float], bbox: tuple[float, float, float
     return math.hypot(dx, dy)
 
 
-def _normalized_text(text: str) -> str:
-    return text.strip().casefold()
-
-
-def texts_match(pred: str, ref: str, cfg: RewardConfig) -> bool:
-    if cfg.text_match is TextMatchMode.NORMALIZED_EXACT:
-        return _normalized_text(pred) == _normalized_text(ref)
-    return token_f1(pred, ref) >= cfg.text_match_threshold
-
-
 def match_action(
     pred: ActionRecord | None,
     gt: ActionRecord,
     bbox: tuple[float, float, float, float] | None = None,
-    cfg: RewardConfig | None = None,
 ) -> bool:
     """Decide whether a predicted action counts as correct: kinds must agree
     and then `parameters_match`.  Both actions are expected in relative
@@ -128,48 +110,46 @@ def match_action(
     """
     if pred is None or pred.kind is not gt.kind:
         return False
-    return parameters_match(pred, gt, bbox, cfg or _DEFAULT_CONFIG)
+    return parameters_match(pred, gt, bbox)
 
 
 def parameters_match(
     pred: ActionRecord | None,
     gt: ActionRecord,
     bbox: tuple[float, float, float, float] | None,
-    cfg: RewardConfig,
 ) -> bool:
     """The parameter rule of `match_action`, whatever the predicted kind.
 
     Spatial actions need the coordinate inside the ground-truth box
-    (Euclidean distance <= delta when no box is known), scrolls need equal
-    directions, text actions need matching text, and parameterless kinds
-    always pass.  A parameter the prediction lacks never matches.
+    (Euclidean distance <= DELTA when no box is known), scrolls need equal
+    directions, text actions need the same text after trimming and
+    case-folding, and parameterless kinds always pass.  A parameter the
+    prediction lacks never matches.
     """
     if gt.kind in (ActionKind.CLICK, ActionKind.LONG_PRESS):
         if pred is None or pred.coordinate is None or gt.coordinate is None:
             return False
         if bbox is not None:
             return point_in_bbox(pred.coordinate, bbox)
-        return euclidean(pred.coordinate, gt.coordinate) <= cfg.delta
+        return euclidean(pred.coordinate, gt.coordinate) <= DELTA
     if gt.kind is ActionKind.SCROLL:
         return pred is not None and pred.direction is gt.direction
     if gt.kind in (ActionKind.INPUT_TEXT, ActionKind.OPEN_APP):
         if pred is None or pred.text is None:
             return False
-        return texts_match(pred.text, gt.text or "", cfg)
+        return pred.text.strip().casefold() == (gt.text or "").strip().casefold()
     return True  # navigate_back / wait take no parameters
 
 
-def actions_approx_equal(
-    a: ActionRecord | None, b: ActionRecord, epsilon: float
-) -> bool:
-    """Loose identity used for repeated-action detection: same kind, nearly
-    identical coordinates, same text and direction."""
+def actions_approx_equal(a: ActionRecord | None, b: ActionRecord) -> bool:
+    """Loose identity used for repeated-action detection: same kind,
+    coordinates within REPEAT_EPSILON, same text and direction."""
     if a is None or a.kind is not b.kind:
         return False
     if (a.coordinate is None) != (b.coordinate is None):
         return False
     if a.coordinate is not None and b.coordinate is not None:
-        if euclidean(a.coordinate, b.coordinate) > epsilon:
+        if euclidean(a.coordinate, b.coordinate) > REPEAT_EPSILON:
             return False
     if a.text != b.text:
         return False
@@ -228,7 +208,7 @@ def composite_reward(
             pred_action = normalize_action(pred_action, sample.screen_dims)
         except Exception:
             pred_action = None  # ungroundable output scores as a miss
-    matched = match_action(pred_action, sample.target_action, sample.target_bbox, cfg)
+    matched = match_action(pred_action, sample.target_action, sample.target_bbox)
     r_act = 1.0 if matched else -1.0
     r_eff = token_f1(out.expected_effect, sample.target_effect) if matched else 0.0
     r_ver = verification_reward(out.verification, sample.target_verification)

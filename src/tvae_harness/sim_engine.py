@@ -15,13 +15,12 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
 from typing import Any, Callable, Mapping, Sequence
 
 from .agent_bus import AgentHandle, Observation
-from .errors import BudgetExceededError, CodecError, DataError, InvariantViolationError
+from .errors import BudgetExceededError, DataError, InvariantViolationError
 from .failure_forge import FailureCase
-from .reward_engine import RewardConfig, actions_approx_equal, match_action
+from .reward_engine import actions_approx_equal, match_action
 from .seeding import stable_seed
 from .trajectory_store import (
     ActionRecord,
@@ -38,8 +37,6 @@ from .tvae_codec import HistoryEntry, TvaeOutput, Verification, parse_tvae
 @dataclass(frozen=True)
 class SimConfig:
     budget_multiplier: float = 2.0
-    delta: float = 0.14
-    repeat_epsilon: float = 0.04
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -47,20 +44,6 @@ class SimConfig:
             raise InvariantViolationError(
                 "sim_config", "budget_multiplier", "must be a finite number >= 1"
             )
-        if not 0 < self.delta < 1:
-            raise InvariantViolationError("sim_config", "delta", "must be in (0,1)")
-        if not 0 <= self.repeat_epsilon < self.delta:
-            raise InvariantViolationError(
-                "sim_config", "repeat_epsilon", "must be in [0, delta)"
-            )
-
-    def reward_config(self) -> RewardConfig:
-        return _reward_config_for(self.delta)
-
-
-@lru_cache(maxsize=64)
-def _reward_config_for(delta: float) -> RewardConfig:
-    return RewardConfig(delta=delta)
 
 
 def episode_budget(cfg: SimConfig, t_gt: int) -> int:
@@ -112,7 +95,6 @@ def transition(
     issued: ActionRecord | None,
     gt: StepRecord,
     next_screen_ref: str,
-    cfg: SimConfig,
     budget: int,
     turn: TvaeOutput | None = None,
     target_verification: Verification = Verification.SUCCESS,
@@ -131,9 +113,7 @@ def transition(
         )
     if state.cursor != gt.index:
         raise InvariantViolationError("transition", "cursor", "state/step mismatch")
-    matched = issued is not None and match_action(
-        issued, gt.gt_action, gt.gt_bbox, cfg.reward_config()
-    )
+    matched = issued is not None and match_action(issued, gt.gt_action, gt.gt_bbox)
     history = state.history
     if turn is not None and issued is not None:
         history = history + (
@@ -164,9 +144,7 @@ def _interpret(
     """Lenient parse plus coordinate normalization; never raises."""
     try:
         turn = parse_tvae(raw, strict=False)
-    except CodecError as exc:
-        return None, None, (f"unparseable turn: {exc}",)
-    except Exception as exc:  # defensive: arbitrary bytes must not crash
+    except Exception as exc:  # not only CodecError: arbitrary bytes must not crash
         return None, None, (f"unparseable turn: {exc}",)
     action = turn.action
     warnings = list(turn.warnings)
@@ -214,7 +192,6 @@ def run_episode(traj: TrajectoryRecord, agent: AgentHandle, cfg: SimConfig) -> S
             action,
             gt,
             traj.screen_after(gt.index),
-            cfg,
             budget,
             turn=turn,
             target_verification=target,
@@ -270,8 +247,8 @@ def run_failure_case(case: FailureCase, agent: AgentHandle, cfg: SimConfig) -> C
     rng = random.Random(stable_seed(cfg.seed, "case", case.source[0], case.source[1]))
     raw = agent.turn(obs, gt_step if agent.white_box else None, rng)
     _, action, _ = _interpret(raw, case.screen_dims)
-    repeated = actions_approx_equal(action, case.erroneous, cfg.repeat_epsilon)
-    recovered = match_action(action, case.gt_recovery, case.gt_bbox, cfg.reward_config())
+    repeated = actions_approx_equal(action, case.erroneous)
+    recovered = match_action(action, case.gt_recovery, case.gt_bbox)
     return CaseResult(repeated=repeated, recovered=recovered, issued=action)
 
 

@@ -51,6 +51,47 @@ def test_simulate_oracle(dataset, tmp_path, capsys):
     assert (out / "traces.jsonl").exists()
 
 
+def _pixel_dataset(dataset, path, dims=(1080, 2400)):
+    """`dataset` in absolute pixels with per-step screen_dims and no boxes, so
+    every click matches by distance."""
+    w, h = dims
+    lines = []
+    for line in dataset.read_text().splitlines():
+        traj = json.loads(line)
+        for step in traj["steps"]:
+            step["screen_dims"] = [w, h]
+            step.pop("gt_bbox", None)
+            if "coordinate" in step["gt_action"]:
+                x, y = step["gt_action"]["coordinate"]
+                step["gt_action"]["coordinate"] = [round(x * w), round(y * h)]
+        lines.append(json.dumps(traj) + "\n")
+    path.write_text("".join(lines))
+    return path
+
+
+@pytest.mark.parametrize("pixel", [False, True])
+@pytest.mark.parametrize("agent", [
+    "oracle", "loopy", "failk:1", "bernoulli:0.5", "offset_then_correct",
+])
+def test_sr_counts_the_first_attempts_the_traces_mark_matched(dataset, tmp_path, agent, pixel):
+    # SR and the transitions apply one match rule
+    if pixel:
+        dataset = _pixel_dataset(dataset, tmp_path / "pixel.jsonl")
+    out = tmp_path / "run"
+    assert main([
+        "simulate", "--dataset", str(dataset), "--agent", f"scripted:{agent}",
+        "--out", str(out), "--seed", "2",
+    ]) == EXIT_OK
+    firsts = []
+    for line in (out / "traces.jsonl").read_text().splitlines():
+        seen = set()
+        for attempt in json.loads(line)["attempts"]:
+            if attempt["gt_step"] not in seen:
+                seen.add(attempt["gt_step"])
+                firsts.append(attempt["matched"])
+    assert _read_report(out)["sr"] == sum(firsts) / len(firsts)
+
+
 def test_simulate_deterministic_reruns(dataset, tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -192,6 +233,7 @@ def test_bench_robust_loopy(dataset, tmp_path):
     report = _read_report(out)
     assert report["lr"] == 1.0 and report["rsr"] == 0.0
     assert (out / "cases.jsonl").exists()
+    assert json.loads((out / "manifest.json").read_text())["per_traj"] == 2
 
 
 def test_bench_synthesis_deterministic(dataset, tmp_path):
@@ -347,20 +389,21 @@ def test_bad_record_line_is_data_error_naming_its_line(dataset, tmp_path, capsys
 
 @pytest.mark.parametrize("config", [
     {"seed": "x"}, {"seed": 1.5}, {"reward": 5}, {"sim": []}, {"sim": {"bogus": 1}},
-    {"sim": {"delta": "a"}}, {"sim": {"seed": 3}}, {"reward": {"text_match": "fuzzy"}},
+    {"sim": {"budget_multiplier": "a"}}, {"sim": {"seed": 3}}, {"reward": {"text_match": "fuzzy"}},
     {"sim": {"budget_multiplier": float("inf")}}, {"reward": {"alpha": float("nan")}},
     {"reward": {"beta": float("inf")}}, b"\xff\xfe{}",
     {"reward": {"similarity": "token-f1"}}, {"simulate": {}},
+    {"sim": {"delta": 0.3}}, {"sim": {"repeat_epsilon": 0.1}}, {"reward": {"delta": 0.3}},
+    {"reward": {"text_match_threshold": 0.5}},
 ])
 def test_bad_config_is_data_error(dataset, tmp_path, config):
+    # a reward section goes to score, which reads it; every other to simulate
+    reward = isinstance(config, dict) and "reward" in config
+    _, argv = _record_inputs("outputs" if reward else "dataset", tmp_path, dataset)
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
-    out = tmp_path / "run"
-    assert main([
-        "simulate", "--dataset", str(dataset), "--agent", "scripted:oracle",
-        "--out", str(out), "--config", str(cfg),
-    ]) == EXIT_DATA
-    assert not out.exists()
+    assert main([*argv, "--config", str(cfg)]) == EXIT_DATA
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_grpo_config_or_env_seed_is_data_error(dataset, tmp_path, monkeypatch):
@@ -389,15 +432,20 @@ def test_non_finite_score_weight_is_data_error(dataset, tmp_path, capsys, flags,
 
 
 def test_config_enum_values_are_parsed(dataset, tmp_path):
+    groups, argv = _record_inputs("groups", tmp_path, dataset)
+    lines = [json.loads(line) for line in groups.read_text().splitlines()]
+    for group in lines:  # exact KL reads full per-token distributions
+        for member in group["outputs"]:
+            member.update(dist_new=[[0.5, 0.5]], dist_ref=[[0.25, 0.75]])
+    groups.write_text("".join(json.dumps(g) + "\n" for g in lines))
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"reward": {"text_match": "token_f1_threshold"}}))
-    out = tmp_path / "run"
-    assert main([
-        "simulate", "--dataset", str(dataset), "--agent", "scripted:oracle",
-        "--out", str(out), "--config", str(cfg),
-    ]) == EXIT_OK
+    cfg.write_text(json.dumps({"grpo": {"kl_estimator": "exact"}}))
+    assert main([*argv, "--config", str(cfg)]) == EXIT_OK
+    out = tmp_path / "out"
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["reward"]["text_match"] == "token_f1_threshold"
+    assert manifest["config"]["grpo"]["kl_estimator"] == "exact"
+    objective = json.loads((out / "objective.json").read_text())
+    assert {g["kl_estimator"] for g in objective["groups"]} == {"exact"}
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -639,13 +687,11 @@ def test_stdio_agent_non_utf8_output_is_an_unparseable_turn(dataset, tmp_path):
 FLAGS = {
     "simulate": {
         "--dataset", "--agent", "--out", "--formats", "--config", "--seed", "--workers",
-        "--limit", "--skip-invalid", "--timeout", "--token", "--budget-multiplier", "--delta",
-        "--repeat-epsilon",
+        "--limit", "--skip-invalid", "--timeout", "--token", "--budget-multiplier",
     },
     "bench-robust": {
         "--cases", "--synthesize", "--dataset", "--per-traj", "--agent", "--out", "--config",
         "--seed", "--workers", "--limit", "--skip-invalid", "--timeout", "--token",
-        "--budget-multiplier", "--delta", "--repeat-epsilon",
     },
     "synth": {
         "--kind", "--dataset", "--out", "--ratio-b", "--per-traj", "--count", "--lengths",
@@ -653,7 +699,6 @@ FLAGS = {
     },
     "score": {
         "--samples", "--outputs", "--group-logprobs", "--out", "--alpha", "--beta", "--config",
-        "--delta",
     },
     "report": {"--traces", "--format", "--out"},
 }
@@ -666,7 +711,80 @@ def test_each_command_registers_exactly_the_flags_it_reads():
         for name, p in sub.choices.items()
     }
     assert got == FLAGS
-    assert sum(map(len, got.values())) == 52
+    assert sum(map(len, got.values())) == 46
+
+
+# The top-level --config keys each command reads, and the fields of each section.
+CONFIG_KEYS = {
+    "simulate": {"seed", "sim"},
+    "bench-robust": {"seed"},
+    "synth": {"seed"},
+    "score": {"reward"},
+    "score --group-logprobs": {"reward", "grpo"},
+}
+SECTION_FIELDS = {
+    "sim": {"budget_multiplier"},
+    "reward": {"alpha", "beta"},
+    "grpo": {"eps_std", "eps_clip", "kl_lambda", "kl_estimator"},
+}
+
+
+def test_config_sections_hold_exactly_the_settable_fields():
+    got = {
+        name: {f.name for f in fields(cls)} - {"seed"}  # the seed is a top-level key
+        for name, cls in (("sim", SimConfig), ("reward", RewardConfig), ("grpo", GrpoConfig))
+    }
+    assert got == SECTION_FIELDS
+    assert sum(map(len, got.values())) == 7
+
+
+@pytest.mark.parametrize("key", ["seed", "sim", "reward", "grpo"])
+@pytest.mark.parametrize("command", list(CONFIG_KEYS))
+def test_each_command_reads_exactly_its_config_keys(dataset, tmp_path, capsys, command, key):
+    kind = {"simulate": "dataset", "bench-robust": "cases", "score": "outputs",
+            "score --group-logprobs": "groups"}.get(command)
+    if kind is None:
+        argv = ["synth", "--kind", "dataset", "--count", "2", "--out", str(tmp_path / "out")]
+    else:
+        _, argv = _record_inputs(kind, tmp_path, dataset)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 4 if key == "seed" else {}}))
+    capsys.readouterr()
+    code = main([*argv, "--config", str(cfg)])
+    if key in CONFIG_KEYS[command]:
+        assert code == EXIT_OK
+    else:
+        assert code == EXIT_DATA
+        assert f"invalid {key} (not read by" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode, extra", [
+    ("sft", ["--count", "5"]), ("sft", ["--lengths", "2,3"]), ("sft", ["--per-traj", "9"]),
+    ("dataset", ["--dataset", "D"]), ("dataset", ["--ratio-b", "0.9"]),
+    ("dataset", ["--limit", "3"]), ("dataset", ["--skip-invalid"]),
+    ("dataset", ["--per-traj", "1"]),
+    ("bench", ["--ratio-b", "0.5"]), ("bench", ["--ratio-b", "0"]), ("bench", ["--count", "5"]),
+    ("cases", ["--dataset", "D"]), ("cases", ["--per-traj", "7"]), ("cases", ["--limit", "2"]),
+    ("cases", ["--skip-invalid"]),
+])
+def test_flag_of_another_mode_is_data_error(dataset, tmp_path, capsys, mode, extra):
+    # a synth --kind, or bench-robust --cases, takes no flag that only another mode reads
+    out = tmp_path / "out"
+    if mode == "cases":
+        _, argv = _record_inputs("cases", tmp_path, dataset)
+    elif mode == "dataset":
+        argv = ["synth", "--kind", "dataset", "--count", "2", "--out", str(out)]
+    else:
+        argv = ["synth", "--kind", mode, "--dataset", str(dataset), "--out", str(out)]
+    extra = [str(dataset) if v == "D" else v for v in extra]
+    capsys.readouterr()
+    assert main([*argv, *extra]) == EXIT_DATA
+    assert f"does not read {extra[0]}" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv) == EXIT_OK  # the flag was the only problem
+    if mode == "cases":  # no case was synthesized
+        assert "per_traj" not in json.loads((out / "manifest.json").read_text())
 
 
 @pytest.mark.parametrize("kind, extra", [
@@ -678,6 +796,9 @@ def test_each_command_registers_exactly_the_flags_it_reads():
     ("dataset", ["--formats", "pdf"]),
     ("dataset", ["--limit", "0"]),
     ("cases", ["--synthesize"]),  # bench-robust takes --cases or --synthesize
+    ("dataset", ["--delta", "0.3"]), ("dataset", ["--repeat-epsilon", "0.1"]),  # removed flags
+    ("outputs", ["--delta", "0.3"]), ("cases", ["--delta", "0.3"]),
+    ("cases", ["--repeat-epsilon", "0.1"]), ("cases", ["--budget-multiplier", "9"]),
 ])
 def test_usage_error_is_data_error(dataset, tmp_path, capsys, kind, extra):
     if kind is None:
@@ -708,13 +829,11 @@ def test_help_and_version_exit_0(argv, capsys):
 def test_manifest_config_records_every_settable_value(dataset, tmp_path):
     _, argv = _record_inputs("groups", tmp_path, dataset)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"reward": {"text_match_threshold": 0.99}}))
+    cfg.write_text(json.dumps({"reward": {"alpha": 0.25}}))
     assert main([*argv, "--config", str(cfg)]) == EXIT_OK
     config = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
     assert {name: set(section) for name, section in config.items()} == {
-        name: {f.name for f in fields(cls)} - {"seed"}
-        for name, cls in (("sim", SimConfig), ("reward", RewardConfig), ("grpo", GrpoConfig))
+        name: SECTION_FIELDS[name] for name in CONFIG_KEYS["score --group-logprobs"]
     }
-    assert config["reward"]["text_match_threshold"] == 0.99
-    assert config["reward"]["text_match"] == "normalized_exact"
+    assert config["reward"] == {"alpha": 0.25, "beta": 0.5}
     assert config["grpo"]["kl_estimator"] == "k3"

@@ -9,6 +9,7 @@ from tvae_harness.errors import EmptyDatasetError, InvariantViolationError, Mode
 from tvae_harness.failure_forge import (
     DEFAULT_FAILURE_WEIGHTS,
     FRAME,
+    MARGIN,
     FailureCase,
     FailureMode,
     SampleType,
@@ -23,7 +24,8 @@ from tvae_harness.failure_forge import (
     sample_to_json,
 )
 from tvae_harness.reward_engine import (
-    RewardConfig,
+    DELTA,
+    REPEAT_EPSILON,
     actions_approx_equal,
     distance_to_bbox,
     euclidean,
@@ -45,7 +47,7 @@ def test_coordinate_offset_leaves_kind_and_misses_bbox(rng: random.Random):
         bad = corrupt_action(CLICK, BBOX, FailureMode.COORDINATE_OFFSET, rng)
         assert bad.kind is ActionKind.CLICK
         assert not match_action(bad, CLICK, BBOX)
-        assert distance_to_bbox(bad.coordinate, BBOX) > 0.04  # clear of the repeat ball
+        assert distance_to_bbox(bad.coordinate, BBOX) > REPEAT_EPSILON  # clear of the repeat ball
 
 
 def test_action_type_error_swaps_click_to_long_press(rng: random.Random):
@@ -116,21 +118,28 @@ def test_corruption_mismatch_invariant_ten_thousand_draws(mode, rng: random.Rand
         assert not match_action(bad, CLICK, BBOX)
 
 
+def test_repeat_radius_is_inside_the_forge_margin():
+    assert REPEAT_EPSILON < MARGIN
+
+
 def test_corruption_never_within_repeat_epsilon_of_match(rng: random.Random):
     # repeated-vs-recovered exclusivity: the corruption plus a repeat-epsilon
-    # nudge must still miss
-    cfg = RewardConfig()
-    for _ in range(500):
-        mode, bad = sample_corruption(CLICK, BBOX, rng)
-        if bad.kind is not ActionKind.CLICK:
-            continue
-        x, y = bad.coordinate
-        for dx, dy in ((0.04, 0), (-0.04, 0), (0, 0.04), (0, -0.04)):
-            nudged = ActionRecord(
-                kind=ActionKind.CLICK,
-                coordinate=(min(1, max(0, x + dx)), min(1, max(0, y + dy))),
-            )
-            assert not match_action(nudged, CLICK, BBOX, cfg)
+    # nudge must still miss; without a box, that is farther than DELTA
+    eps = REPEAT_EPSILON
+    for bbox in (BBOX, None):
+        for _ in range(500):
+            mode, bad = sample_corruption(CLICK, bbox, rng)
+            if bad.kind is not ActionKind.CLICK:
+                continue
+            x, y = bad.coordinate
+            for dx, dy in ((eps, 0), (-eps, 0), (0, eps), (0, -eps)):
+                nudged = ActionRecord(
+                    kind=ActionKind.CLICK,
+                    coordinate=(min(1, max(0, x + dx)), min(1, max(0, y + dy))),
+                )
+                assert not match_action(nudged, CLICK, bbox)
+                if bbox is None:
+                    assert euclidean(nudged.coordinate, CLICK.coordinate) > DELTA
 
 
 # -- the failure-mode mixture ----------------------------------------------------------
@@ -256,7 +265,7 @@ def test_bench_cases_mismatch_and_exclusivity():
         assert c.history[-1].action == c.erroneous
         # a verbatim repeat must never read as recovered
         assert not (
-            actions_approx_equal(c.erroneous, c.erroneous, 0.04)
+            actions_approx_equal(c.erroneous, c.erroneous)
             and match_action(c.erroneous, c.gt_recovery, c.gt_bbox)
         )
 
@@ -274,12 +283,11 @@ def test_bench_deterministic_byte_identical(tmp_path):
 
 
 def test_type_b_replay_is_idempotent_under_transition_rule():
-    from tvae_harness.sim_engine import SimConfig, SimState, transition
+    from tvae_harness.sim_engine import SimState, transition
 
     trajs = make_dataset(6, (2, 5), seed=23)
     samples = build_sft_dataset(trajs, ratio_b=0.5, seed=21)
     steps_by_ref = {st.screen_ref: st for t in trajs for st in t.steps}
-    cfg = SimConfig(seed=0)
     replayed = 0
     for s in samples:
         if s.sample_type is not SampleType.TYPE_B:
@@ -289,7 +297,7 @@ def test_type_b_replay_is_idempotent_under_transition_rule():
             cursor=step.index, screen_ref=step.screen_ref, history=(), attempts_used=0
         )
         new_state, log = transition(
-            state, s.history[-1].action, step, "would-be-next", cfg, budget=1
+            state, s.history[-1].action, step, "would-be-next", budget=1
         )
         assert not log.matched
         assert new_state.screen_ref == step.screen_ref  # unchanged

@@ -45,7 +45,7 @@ def _fresh_state(step) -> SimState:
 def test_transition_exact_match_advances():
     step = make_click_step(0)
     state, log = transition(
-        _fresh_state(step), step.gt_action, step, "s1-next", CFG, budget=2
+        _fresh_state(step), step.gt_action, step, "s1-next", budget=2
     )
     assert log.matched and log.advanced
     assert state.cursor == 1 and state.screen_ref == "s1-next"
@@ -55,7 +55,7 @@ def test_transition_exact_match_advances():
 def test_transition_mismatch_keeps_screen():
     step = make_click_step(0)
     off = ActionRecord(kind=ActionKind.CLICK, coordinate=(0.5, 0.7))  # outside bbox
-    state, log = transition(_fresh_state(step), off, step, "s1-next", CFG, budget=2)
+    state, log = transition(_fresh_state(step), off, step, "s1-next", budget=2)
     assert not log.matched and not log.advanced
     assert state.cursor == 0 and state.screen_ref == step.screen_ref
     assert state.attempts_used == 1
@@ -63,7 +63,7 @@ def test_transition_mismatch_keeps_screen():
 
 def test_transition_none_action_counts_attempt():
     step = make_click_step(0)
-    state, log = transition(_fresh_state(step), None, step, "n", CFG, budget=2)
+    state, log = transition(_fresh_state(step), None, step, "n", budget=2)
     assert not log.matched
     assert state.attempts_used == 1
     assert state.history == ()
@@ -73,7 +73,7 @@ def test_transition_past_budget_is_caller_bug():
     step = make_click_step(0)
     state = SimState(cursor=0, screen_ref="s0", history=(), attempts_used=2)
     with pytest.raises(BudgetExceededError):
-        transition(state, step.gt_action, step, "n", CFG, budget=2)
+        transition(state, step.gt_action, step, "n", budget=2)
 
 
 def test_attempt_log_invariant():
