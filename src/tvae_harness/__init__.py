@@ -55,10 +55,8 @@ from .grpo_core import (  # noqa: F401
     GroupBatch,
     GroupOutput,
     GrpoConfig,
-    clipped_surrogate,
     group_advantages,
-    kl_penalty,
-    token_ratios,
+    objective_report,
 )
 from .metric_suite import (  # noqa: F401
     MetricsReport,

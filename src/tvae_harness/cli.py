@@ -42,11 +42,7 @@ from .failure_forge import (
     sample_from_json,
     sample_to_json,
 )
-from .grpo_core import (
-    GrpoConfig,
-    objective_report,
-    read_group_batches,
-)
+from .grpo_core import GrpoConfig, exact_mean, objective_report, read_group_batches
 from .metric_suite import (
     MetricsReport,
     ReportFormat,
@@ -383,7 +379,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         reports = [objective_report(g, grpo_cfg) for g in groups]
         objective = {
             "groups": reports,
-            "mean_objective": sum(r["objective"] for r in reports) / len(reports),
+            "mean_objective": exact_mean([r["objective"] for r in reports]),
         }
         outputs.append("objective.json")
         sections["grpo"] = grpo_cfg

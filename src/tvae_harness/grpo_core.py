@@ -4,7 +4,8 @@ Callers supply per-output rewards and token log-probabilities (new, old
 sampling, and reference policies); this module computes group-normalized
 advantages, probability ratios, the per-token clipped surrogate, the KL
 penalty (sampled k3 estimator or exact from full distributions), and the
-aggregate objective.  No model weights live here.
+aggregate objective, in plain `math` with exactly rounded (`math.fsum`)
+means.  No model weights live here.
 """
 
 from __future__ import annotations
@@ -12,10 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import sub
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     GroupTooSmallError,
@@ -100,124 +100,116 @@ class GroupBatch:
         return [o.reward for o in self.outputs]
 
 
-def group_advantages(rewards: Sequence[float], cfg: GrpoConfig | None = None) -> np.ndarray:
+def _exact_sum(xs: Sequence[float]) -> float:
+    """The exactly rounded sum, which does not depend on summation order; one
+    that overflows or meets inf + -inf is the plain running sum (inf or nan)."""
+    try:
+        return math.fsum(xs)
+    except (OverflowError, ValueError):
+        return sum(xs)
+
+
+def exact_mean(xs: Sequence[float]) -> float:
+    """Mean of `xs` from its exactly rounded sum."""
+    return _exact_sum(xs) / len(xs)
+
+
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def group_advantages(rewards: Sequence[float], cfg: GrpoConfig | None = None) -> list[float]:
     """Normalize rewards within the group: (r - mean) / (population std + eps)."""
     cfg = cfg or GrpoConfig()
     if len(rewards) < 2:
         raise GroupTooSmallError(f"group of {len(rewards)}; need >= 2")
-    arr = np.asarray(rewards, dtype=np.float64)
-    if np.all(arr == arr[0]):  # degenerate group: residuals are exactly zero
-        return np.zeros_like(arr)
-    std = float(arr.std())  # population std: ddof=0
-    return (arr - arr.mean()) / (std + cfg.eps_std)
+    if all(r == rewards[0] for r in rewards):  # degenerate group: residuals are exactly zero
+        return [0.0] * len(rewards)
+    mean = exact_mean(rewards)
+    residuals = [r - mean for r in rewards]
+    scale = math.sqrt(exact_mean([d * d for d in residuals])) + cfg.eps_std
+    return [d / scale for d in residuals]
 
 
-def token_ratios(batch: GroupBatch) -> list[np.ndarray]:
-    """Per-token probability ratios exp(logp_new - logp_old), one array per output."""
-    out = []
-    for o in batch.outputs:
-        new = np.asarray(o.logprobs_new, dtype=np.float64)
-        old = np.asarray(o.logprobs_old, dtype=np.float64)
-        out.append(np.exp(new - old))
-    return out
-
-
-def clipped_surrogate(
-    ratios: Sequence[np.ndarray],
-    advantages: Sequence[float] | np.ndarray,
-    cfg: GrpoConfig | None = None,
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Per-token clipped losses min(rho*A, clip(rho)*A) and per-output means."""
-    cfg = cfg or GrpoConfig()
-    if len(ratios) != len(advantages):
-        raise ShapeMismatchError(
-            f"{len(ratios)} ratio sequences vs {len(advantages)} advantages"
-        )
-    lo, hi = 1.0 - cfg.eps_clip, 1.0 + cfg.eps_clip
-    token_losses: list[np.ndarray] = []
-    means = np.empty(len(ratios), dtype=np.float64)
-    for i, (rho, adv) in enumerate(zip(ratios, advantages)):
-        unclipped = rho * adv
-        clipped = np.clip(rho, lo, hi) * adv
-        losses = np.minimum(unclipped, clipped)
-        token_losses.append(losses)
-        means[i] = losses.mean()
-    return token_losses, means
-
-
-def _kl_k3(output: GroupOutput) -> float:
-    new = np.asarray(output.logprobs_new, dtype=np.float64)
-    ref = np.asarray(output.logprobs_ref, dtype=np.float64)
-    log_r = ref - new
-    return float(np.mean(np.exp(log_r) - 1.0 - log_r))
-
-
-def exact_kl(dist_new: np.ndarray, dist_ref: np.ndarray) -> float:
-    """Mean per-token KL(p_new || p_ref) from full distributions.
+def exact_kl(dist_new: Sequence[Sequence[float]], dist_ref: Sequence[Sequence[float]]) -> float:
+    """Mean per-token KL(p_new || p_ref) from full distributions (one row per token).
 
     Rows must sum to 1 within 1e-9; zero-probability reference entries are
     only legal where the new policy also puts zero mass.
     """
-    p = np.asarray(dist_new, dtype=np.float64)
-    q = np.asarray(dist_ref, dtype=np.float64)
-    if p.shape != q.shape or p.ndim != 2:
-        raise ShapeMismatchError(f"distribution shapes {p.shape} vs {q.shape}")
-    for name, dist in (("new", p), ("ref", q)):
-        sums = dist.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-9) or np.any(dist < 0):
+    widths = {len(row) for row in (*dist_new, *dist_ref)}
+    if len(dist_new) != len(dist_ref) or len(widths) != 1:
+        raise ShapeMismatchError("distributions must be two equal-shaped tables of rows")
+    for name, dist in (("new", dist_new), ("ref", dist_ref)):
+        if any(abs(_exact_sum(row) - 1.0) > 1e-9 or any(v < 0 for v in row) for row in dist):
             raise InvalidDistributionError(f"{name} rows must be distributions")
-    mask = p > 0
-    if np.any((q <= 0) & mask):
+    if any(b <= 0 < a for p, q in zip(dist_new, dist_ref) for a, b in zip(p, q)):
         raise InvalidDistributionError("reference assigns zero mass where policy does not")
-    terms = np.zeros_like(p)
-    terms[mask] = p[mask] * (np.log(p[mask]) - np.log(q[mask]))
-    return float(terms.sum(axis=1).mean())
+    return exact_mean([
+        math.fsum([a * (math.log(a) - math.log(b)) for a, b in zip(p, q) if a > 0])
+        for p, q in zip(dist_new, dist_ref)
+    ])
 
 
-def kl_penalty(batch: GroupBatch, cfg: GrpoConfig | None = None) -> np.ndarray:
-    """Per-output KL penalty, always >= 0 and 0 iff the policies agree.
+def _output_terms(
+    o: GroupOutput, adv: float, cfg: GrpoConfig, exp: Callable[[float], float] = math.exp
+) -> tuple[float, float]:
+    """One output's length-normalized clipped surrogate and KL penalty.
 
-    K3 mode uses the sampled estimator mean(r - 1 - ln r) with
-    r = exp(logp_ref - logp_new); exact mode needs full distributions on
-    every output.
+    Per token the surrogate is min(rho*A, clip(rho)*A) with
+    rho = exp(logp_new - logp_old); that is A*min(rho, 1+eps) for A >= 0 and
+    A*max(rho, 1-eps) for A < 0, since rounding is monotone.  The KL penalty
+    is 0 when lambda is 0; K3 is the sampled estimator mean(r - 1 - ln r)
+    with r = exp(logp_ref - logp_new); exact mode needs full distributions.
     """
-    cfg = cfg or GrpoConfig()
-    values = np.empty(len(batch.outputs), dtype=np.float64)
-    for i, o in enumerate(batch.outputs):
-        if cfg.kl_estimator is KlEstimator.K3:
-            values[i] = _kl_k3(o)
-        else:
-            if o.dist_new is None or o.dist_ref is None:
-                raise InvalidDistributionError(
-                    "exact KL requires full per-token distributions"
-                )
-            values[i] = exact_kl(np.asarray(o.dist_new), np.asarray(o.dist_ref))
-    return values
+    rhos = map(exp, map(sub, o.logprobs_new, o.logprobs_old))
+    if adv >= 0:
+        hi = 1.0 + cfg.eps_clip
+        surrogate = exact_mean([adv * (hi if r > hi else r) for r in rhos])
+    else:
+        lo = 1.0 - cfg.eps_clip
+        surrogate = exact_mean([adv * (lo if r < lo else r) for r in rhos])
+    if not cfg.kl_lambda > 0:
+        return surrogate, 0.0
+    if cfg.kl_estimator is KlEstimator.K3:
+        log_r = map(sub, o.logprobs_ref, o.logprobs_new)
+        return surrogate, exact_mean([exp(d) - 1.0 - d for d in log_r])
+    if o.dist_new is None or o.dist_ref is None:
+        raise InvalidDistributionError("exact KL requires full per-token distributions")
+    return surrogate, exact_kl(o.dist_new, o.dist_ref)
 
 
 def objective_report(batch: GroupBatch, cfg: GrpoConfig | None = None) -> dict[str, Any]:
     """Audit-friendly breakdown of one group's objective computation.
 
     `objective` is the mean over outputs of the length-normalized clipped
-    surrogate, minus lambda times the mean KL penalty.
+    surrogate, minus lambda times the mean KL penalty (always >= 0, and 0
+    iff the policies agree).
     """
     cfg = cfg or GrpoConfig()
     advantages = group_advantages(batch.rewards, cfg)
-    ratios = token_ratios(batch)
-    _, per_output = clipped_surrogate(ratios, advantages, cfg)
-    kl = kl_penalty(batch, cfg) if cfg.kl_lambda > 0 else np.zeros(len(batch.outputs))
-    objective = float(per_output.mean()) - cfg.kl_lambda * float(kl.mean())
+    surrogate, kl = [], []
+    for o, adv in zip(batch.outputs, advantages):
+        try:
+            terms = _output_terms(o, adv, cfg)
+        except OverflowError:  # a ratio beyond the float range is inf
+            terms = _output_terms(o, adv, cfg, _exp_or_inf)
+        surrogate.append(terms[0])
+        kl.append(terms[1])
     return {
         "group_size": len(batch.outputs),
         "rewards": [float(r) for r in batch.rewards],
-        "advantages": [float(a) for a in advantages],
-        "surrogate_per_output": [float(s) for s in per_output],
-        "kl_per_output": [float(k) for k in kl],
+        "advantages": advantages,
+        "surrogate_per_output": surrogate,
+        "kl_per_output": kl,
         "kl_lambda": cfg.kl_lambda,
         "eps_std": cfg.eps_std,
         "eps_clip": cfg.eps_clip,
         "kl_estimator": cfg.kl_estimator.value,
-        "objective": objective,
+        "objective": exact_mean(surrogate) - cfg.kl_lambda * exact_mean(kl),
     }
 
 

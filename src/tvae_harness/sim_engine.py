@@ -34,15 +34,20 @@ from .trajectory_store import (
 from .tvae_codec import HistoryEntry, TvaeOutput, Verification, parse_tvae
 
 
+# Every attempt copies the episode history, so an episode costs time
+# quadratic in its budget; this bound keeps a looping agent's run short.
+MAX_BUDGET_MULTIPLIER = 100.0
+
+
 @dataclass(frozen=True)
 class SimConfig:
     budget_multiplier: float = 2.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.budget_multiplier) and self.budget_multiplier >= 1):
+        if not 1 <= self.budget_multiplier <= MAX_BUDGET_MULTIPLIER:
             raise InvariantViolationError(
-                "sim_config", "budget_multiplier", "must be a finite number >= 1"
+                "sim_config", "budget_multiplier", f"must be in [1, {MAX_BUDGET_MULTIPLIER:g}]"
             )
 
 

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import time
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import tvae_harness
 from tvae_harness.cli import EXIT_AGENT, EXIT_DATA, EXIT_OK, build_parser, main
 from tvae_harness.grpo_core import GrpoConfig
 from tvae_harness.reward_engine import RewardConfig
@@ -180,6 +186,22 @@ def test_bad_workers_or_timeout_is_data_error(dataset, tmp_path, command, flag, 
     assert main([
         command, *inputs, "--agent", "scripted:oracle", "--out", str(out), flag, value,
     ]) == EXIT_DATA
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_huge_budget_multiplier_is_rejected_at_once(dataset, tmp_path, via_config):
+    # Looping under a budget of 1e7 x the trajectory length would run for hours.
+    out = tmp_path / "run"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sim": {"budget_multiplier": 1e7}}))
+    flags = ["--config", str(cfg)] if via_config else ["--budget-multiplier", "1e7"]
+    start = time.monotonic()
+    assert main([
+        "simulate", "--dataset", str(dataset), "--limit", "1", "--agent", "scripted:loopy",
+        "--out", str(out), *flags,
+    ]) == EXIT_DATA
+    assert time.monotonic() - start < 5.0
     assert not out.exists()
 
 
@@ -577,6 +599,28 @@ def test_score_with_group_logprobs(dataset, tmp_path):
     assert payload["mean_objective"] == 0.0
 
 
+def test_score_group_logprobs_never_imports_numpy(dataset, tmp_path):
+    samples, outputs, n = _write_score_inputs(tmp_path, dataset)
+    groups = tmp_path / "groups.jsonl"
+    member = {"logprobs_new": [-0.5, -0.2], "logprobs_old": [-0.4, -0.3], "logprobs_ref": [-0.6, -0.1]}
+    groups.write_text(json.dumps({"outputs": [member] * n}) + "\n")
+    script = (
+        "import sys\n"
+        "import tvae_harness\n"
+        "from tvae_harness.cli import main\n"
+        f"code = main(['score', '--samples', {str(samples)!r}, '--outputs', {str(outputs)!r},"
+        f" '--group-logprobs', {str(groups)!r}, '--out', {str(tmp_path / 'scored')!r}])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    src_dir = str(Path(tvae_harness.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.stdout.split()[-2:] == [str(EXIT_OK), "False"], done.stderr
+    assert (tmp_path / "scored" / "objective.json").exists()
+
+
 def test_report_command(dataset, tmp_path, capsys):
     run = tmp_path / "run"
     assert main([
@@ -590,8 +634,6 @@ def test_report_command(dataset, tmp_path, capsys):
 
 
 def test_simulate_with_stdio_agent(dataset, tmp_path):
-    import sys
-
     turn = (
         "<think>\\n[Verify] Looking.\\n[Action] click.\\n</think>\\n"
         "<verification>SUCCESS</verification>\\n"
@@ -658,8 +700,6 @@ def test_score_checks_every_input_before_writing(dataset, tmp_path, capsys, muta
 
 
 def test_stdio_agent_non_utf8_output_is_an_unparseable_turn(dataset, tmp_path):
-    import sys
-
     script = tmp_path / "agent.py"
     script.write_text(
         "import sys\n"

@@ -6,6 +6,8 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tvae_harness.errors import (
     GroupTooSmallError,
@@ -19,13 +21,12 @@ from tvae_harness.grpo_core import (
     GroupOutput,
     GrpoConfig,
     KlEstimator,
-    clipped_surrogate,
     exact_kl,
     group_advantages,
-    kl_penalty,
     objective_report,
-    token_ratios,
 )
+
+import reference_grpo
 
 
 def _output(reward, new, old=None, ref=None, **kw) -> GroupOutput:
@@ -44,7 +45,7 @@ def _output(reward, new, old=None, ref=None, **kw) -> GroupOutput:
 
 
 def test_equal_rewards_zero_advantages():
-    adv = group_advantages([1.9] * 6)
+    adv = np.asarray(group_advantages([1.9] * 6))
     assert np.all(adv == 0.0)
 
 
@@ -62,6 +63,7 @@ def test_advantages_against_independent_stats():
     pstd = statistics.pstdev(rewards)
     expected = [(r - mean) / (pstd + 1e-8) for r in rewards]
     assert adv == pytest.approx(expected, abs=1e-15)
+    adv = np.asarray(adv)
     assert abs(adv.mean()) < 1e-12
     assert adv.std() == pytest.approx(1.0, rel=1e-6)
 
@@ -72,7 +74,7 @@ def test_advantage_normalization_property(rng: random.Random):
         rewards = [rng.uniform(-2, 2) for _ in range(g)]
         if statistics.pstdev(rewards) < 0.01:
             continue  # eps guard dominates only at degenerate spreads
-        adv = group_advantages(rewards)
+        adv = np.asarray(group_advantages(rewards))
         assert abs(adv.mean()) < 1e-12
         assert adv.std() == pytest.approx(1.0, rel=1e-6)
 
@@ -90,10 +92,10 @@ def test_ratios_identity_and_exp():
         _output(1.0, [-0.5, -0.2]),
         _output(0.0, [-0.5 + math.log(1.5), -0.2], old=[-0.5, -0.2]),
     ))
-    ratios = token_ratios(batch)
-    assert np.allclose(ratios[0], [1.0, 1.0])
-    assert ratios[1][0] == pytest.approx(1.5)
-    assert all(np.all(r > 0) for r in ratios)
+    report = objective_report(batch, GrpoConfig(kl_lambda=0.0))
+    adv, surrogate = report["advantages"], report["surrogate_per_output"]
+    assert surrogate[0] == pytest.approx(adv[0])  # ratios 1, 1
+    assert surrogate[1] == pytest.approx(adv[1] * (1.5 + 1.0) / 2)  # ratios 1.5, 1; A < 0
 
 
 def test_logprob_length_mismatch():
@@ -109,37 +111,52 @@ def test_positive_logprobs_rejected():
 # -- clipped surrogate --------------------------------------------------------------------
 
 
+def _surrogates(ratios: list[list[float]], rewards: list[float], cfg: GrpoConfig | None = None):
+    """Per-output clipped surrogate and advantage of outputs with the given
+    per-token probability ratios."""
+    batch = GroupBatch(tuple(
+        _output(r, [-3.0 + math.log(rho) for rho in rhos], old=[-3.0] * len(rhos))
+        for rhos, r in zip(ratios, rewards)
+    ))
+    report = objective_report(batch, cfg or GrpoConfig())
+    return report["surrogate_per_output"], report["advantages"]
+
+
 def test_clip_arithmetic():
-    _, means = clipped_surrogate([np.array([1.5])], [1.0])
-    assert means[0] == pytest.approx(1.2)  # min(1.5, 1.2)
-    _, means = clipped_surrogate([np.array([0.5])], [-1.0])
-    assert means[0] == pytest.approx(-0.8)  # min(-0.5, -0.8)
-    _, means = clipped_surrogate([np.array([0.9, 1.1])], [0.0])
-    assert means[0] == 0.0
+    means, adv = _surrogates([[1.5], [0.5]], [1.0, -1.0])
+    assert means[0] == pytest.approx(1.2 * adv[0])  # min(1.5, 1.2)
+    assert means[1] == pytest.approx(0.8 * adv[1])  # A < 0: max(0.5, 0.8)
+    assert adv[0] == pytest.approx(1.0) and adv[1] == pytest.approx(-1.0)
+    means, _ = _surrogates([[0.9, 1.1], [1.3]], [0.7, 0.7])
+    assert means == [0.0, 0.0]
 
 
 def test_clip_equals_unclipped_inside_window(rng: random.Random):
     cfg = GrpoConfig()
     for _ in range(200):
-        rho = np.array([rng.uniform(0.8, 1.2) for _ in range(5)])
-        adv = rng.uniform(-2, 2)
-        losses, _ = clipped_surrogate([rho], [adv], cfg)
-        assert np.allclose(losses[0], rho * adv)
+        rho = [rng.uniform(0.8, 1.2) for _ in range(5)]
+        means, adv = _surrogates([rho, [1.0]], [rng.uniform(-2, 2), rng.uniform(-2, 2)], cfg)
+        assert means[0] == pytest.approx(adv[0] * statistics.fmean(rho), abs=1e-12)
 
 
 def test_clip_reduces_positive_incentive_beyond_window(rng: random.Random):
     cfg = GrpoConfig()
     for _ in range(200):
-        rho = np.array([rng.uniform(1.2001, 3.0)])
-        adv = rng.uniform(0.01, 2)
-        losses, _ = clipped_surrogate([rho], [adv], cfg)
-        assert losses[0][0] <= rho[0] * adv
-        assert losses[0][0] == pytest.approx(1.2 * adv)
+        rho = rng.uniform(1.2001, 3.0)
+        means, adv = _surrogates([[rho], [1.0]], [rng.uniform(0.01, 2), 0.0], cfg)
+        assert means[0] <= rho * adv[0]
+        assert means[0] == pytest.approx(1.2 * adv[0])
 
 
-def test_clip_shape_mismatch():
+def test_distribution_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
-        clipped_surrogate([np.array([1.0])], [1.0, -1.0])
+        exact_kl([[0.5, 0.5]], [[0.5, 0.25, 0.25]])
+    with pytest.raises(ShapeMismatchError):
+        exact_kl([[0.5, 0.5], [1.0, 0.0]], [[0.5, 0.5]])
+    with pytest.raises(ShapeMismatchError):
+        exact_kl([], [])
+    with pytest.raises(ShapeMismatchError):
+        _output(1.0, [-0.3, -0.2], dist_new=((0.5, 0.5),), dist_ref=((0.5, 0.5),) * 2)
 
 
 # -- KL --------------------------------------------------------------------------------------
@@ -147,7 +164,8 @@ def test_clip_shape_mismatch():
 
 def test_kl_zero_when_policies_agree():
     batch = GroupBatch((_output(1.0, [-0.3, -0.7]), _output(-1.0, [-0.2])))
-    assert np.all(kl_penalty(batch, GrpoConfig(kl_estimator=KlEstimator.K3)) == 0.0)
+    kl = objective_report(batch, GrpoConfig(kl_estimator=KlEstimator.K3))["kl_per_output"]
+    assert np.all(np.asarray(kl) == 0.0)
     p = np.array([[0.2, 0.8], [0.6, 0.4]])
     assert exact_kl(p, p) == pytest.approx(0.0, abs=1e-12)
 
@@ -167,7 +185,7 @@ def test_k3_nonnegative_property(rng: random.Random):
             _output(1.0, new, ref=ref),
             _output(0.0, [-1.0], ref=[-1.0]),
         ))
-        assert np.all(kl_penalty(batch) >= 0.0)
+        assert np.all(np.asarray(objective_report(batch)["kl_per_output"]) >= 0.0)
 
 
 def test_exact_kl_validates_distributions():
@@ -175,9 +193,13 @@ def test_exact_kl_validates_distributions():
         exact_kl(np.array([[0.5, 0.6]]), np.array([[0.5, 0.5]]))
     with pytest.raises(InvalidDistributionError):
         exact_kl(np.array([[0.5, 0.5]]), np.array([[1.0, 0.0]]))
+    with pytest.raises(InvalidDistributionError):
+        exact_kl([[1.5, -0.5]], [[0.5, 0.5]])
     batch = GroupBatch((_output(1.0, [-0.3]), _output(0.0, [-0.3])))
     with pytest.raises(InvalidDistributionError):
-        kl_penalty(batch, GrpoConfig(kl_estimator=KlEstimator.EXACT))
+        objective_report(batch, GrpoConfig(kl_estimator=KlEstimator.EXACT))
+    # lambda 0 never reads the distributions
+    objective_report(batch, GrpoConfig(kl_lambda=0.0, kl_estimator=KlEstimator.EXACT))
 
 
 # -- objective ---------------------------------------------------------------------------------
@@ -199,10 +221,9 @@ def test_lambda_zero_reduces_to_surrogate():
     ))
     cfg0 = GrpoConfig(kl_lambda=0.0)
     cfg1 = GrpoConfig(kl_lambda=0.05)
-    adv = group_advantages(batch.rewards, cfg0)
-    _, means = clipped_surrogate(token_ratios(batch), adv, cfg0)
+    adv = group_advantages(batch.rewards, cfg0)  # ratios are 1: surrogate = advantage
     objective0 = objective_report(batch, cfg0)["objective"]
-    assert objective0 == pytest.approx(float(means.mean()))
+    assert objective0 == pytest.approx(statistics.fmean(adv))
     assert objective_report(batch, cfg1)["objective"] < objective0
 
 
@@ -222,6 +243,79 @@ def test_objective_report_fields():
     assert report["group_size"] == 2
     assert len(report["advantages"]) == 2
     assert "objective" in report and "kl_estimator" in report
+
+
+@pytest.mark.parametrize("rewards, old", [
+    ([1.0, -1.0], -800.5),  # exp(800) overflows a float: the ratio is inf
+    ([1e308, 1e308, 0.0], -0.4),  # the reward sum overflows
+    ([math.inf, -math.inf], -0.4),
+    ([math.nan, 1.0], -0.4),
+])
+def test_non_finite_values_match_numpy_reference(rewards, old):
+    batch = GroupBatch(tuple(_output(r, [-0.5], old=[old], ref=[-0.6]) for r in rewards))
+    with np.errstate(all="ignore"):
+        expected = reference_grpo.objective_report(batch)
+    assert repr(objective_report(batch)) == repr(expected)
+
+
+# -- the numpy reference ---------------------------------------------------------------------
+
+
+@st.composite
+def _groups(draw):
+    """A group of 2-12 outputs of 1-200 tokens (crossing numpy's 8-wide and
+    128-block pairwise-sum boundaries), with full distributions on every
+    token, and a config over both KL estimators and lambda 0."""
+    lengths = draw(st.lists(st.integers(1, 200), min_size=2, max_size=12))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    vocab = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        rewards = [draw(st.sampled_from([-2.0, -0.5, 1.0, 2.0]))] * len(lengths)  # degenerate
+    else:
+        rewards = [rng.choice([rng.uniform(-3, 3), -2.0, 1.0]) for _ in lengths]
+
+    def dist(floor: float) -> tuple[float, ...]:
+        weights = [max(floor, rng.random() - 0.3) for _ in range(vocab - 1)] + [rng.random() + 0.01]
+        total = math.fsum(weights)
+        return tuple(w / total for w in weights)
+
+    def logprobs(n: int, base: list[float], spread: float) -> list[float]:
+        return [min(0.0, v + rng.gauss(0.0, spread)) for v in base[:n]]
+
+    outputs = []
+    for n, reward in zip(lengths, rewards):
+        old = [-rng.uniform(0.01, 4.0) for _ in range(n)]
+        spread = rng.choice([0.01, 0.15, 0.6])
+        outputs.append(GroupOutput(
+            reward=reward,
+            logprobs_new=tuple(logprobs(n, old, spread)),
+            logprobs_old=tuple(old),
+            logprobs_ref=tuple(logprobs(n, old, spread)),
+            dist_new=tuple(dist(0.0) for _ in range(n)),  # with zero-mass tokens
+            dist_ref=tuple(dist(0.01) for _ in range(n)),
+        ))
+    cfg = GrpoConfig(
+        eps_clip=draw(st.sampled_from([0.2, 0.1, 0.5])),
+        kl_lambda=draw(st.sampled_from([0.0, 0.05, 0.3])),
+        kl_estimator=draw(st.sampled_from(list(KlEstimator))),
+    )
+    return GroupBatch(tuple(outputs)), cfg
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_groups())
+def test_objective_matches_numpy_reference(case):
+    batch, cfg = case
+    ours, theirs = objective_report(batch, cfg), reference_grpo.objective_report(batch, cfg)
+    assert list(ours) == list(theirs)
+    for key, value in ours.items():
+        if isinstance(value, list):
+            assert len(value) == len(theirs[key])
+            assert all(abs(a - b) <= 1e-12 for a, b in zip(value, theirs[key])), key
+        elif isinstance(value, float):
+            assert abs(value - theirs[key]) <= 1e-12, key
+        else:
+            assert value == theirs[key], key
 
 
 # -- gradient check ------------------------------------------------------------------------------
