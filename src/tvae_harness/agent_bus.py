@@ -10,16 +10,12 @@ from __future__ import annotations
 
 import json
 import random
-import shlex
-import subprocess
 import sys
-import threading
 from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from http.client import HTTPConnection, HTTPException, HTTPSConnection
-from typing import Any, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Protocol, Sequence
 from urllib.parse import urlsplit
 
 from .errors import AgentTimeoutError, AgentUnavailableError, InvariantViolationError
@@ -34,6 +30,9 @@ from .tvae_codec import (
     emit_tvae,
     history_entry_to_json,
 )
+
+if TYPE_CHECKING:
+    from http.client import HTTPConnection
 
 WIRE_SCHEMA_VERSION = 1
 STDIO_SENTINEL = "<<<END_TURN>>>"
@@ -300,10 +299,16 @@ class _HttpPool:
             port = 0
         if parts.scheme not in ("http", "https") or not parts.hostname or port == 0:
             raise InvariantViolationError("remote", "endpoint", f"{url!r} is not an http(s) URL")
+        # Loaded here, once per pool: `http.client` pulls in `ssl` and
+        # `email.*`, which no other agent needs.
+        import threading
+        from http.client import HTTPConnection, HTTPException, HTTPSConnection
+
         self.url = url
         self.path = parts.path + (f"?{parts.query}" if parts.query else "")
         conn_class = HTTPSConnection if parts.scheme == "https" else HTTPConnection
         self._open = partial(conn_class, parts.hostname, port, timeout=timeout)
+        self._http_error = HTTPException
         self._idle: list[HTTPConnection] = []
         self._lock = threading.Lock()
 
@@ -328,7 +333,7 @@ class _HttpPool:
                 conn.request("POST", self.path, body, headers)
                 resp = conn.getresponse()
                 data = resp.read()
-            except (OSError, HTTPException) as exc:
+            except (OSError, self._http_error) as exc:
                 conn.close()
                 last, fresh = exc, True
                 continue
@@ -342,7 +347,7 @@ class _HttpPool:
                     self._idle.append(conn)
             if 200 <= resp.status < 300:
                 return _decode(data, resp.headers.get_content_charset("utf-8"))
-            last = HTTPException(f"HTTP {resp.status} {resp.reason}")
+            last = self._http_error(f"HTTP {resp.status} {resp.reason}")
             if resp.status < 500:
                 break
         if isinstance(last, TimeoutError):
@@ -409,6 +414,9 @@ class StdioAgent:
     max_inflight = 1  # one request/response exchange on one pipe pair
 
     def __init__(self, command: Sequence[str] | str):
+        import shlex
+        import subprocess
+
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         self.identity = f"stdio:{' '.join(argv)}"
         try:
@@ -444,6 +452,8 @@ class StdioAgent:
             raise AgentUnavailableError(f"stdio transport failed: {exc}") from exc
 
     def close(self) -> None:
+        import subprocess
+
         proc = self._proc
         if proc.poll() is None:
             proc.terminate()

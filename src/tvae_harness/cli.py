@@ -4,9 +4,9 @@ score / report runs.
 Every run directory receives a manifest (written last, atomically) carrying
 the resolved configuration, seed, dataset hash, agent identity, and tool
 version; re-running with the same manifest reproduces every report byte for
-byte.  Exit codes: 0 ok, 1 data problem (a bad input file, config value or
-flag, usage errors included), 2 agent unreachable, 3 internal.  Each command
-accepts only the flags and --config keys it reads.
+byte.  Exit codes: 0 ok, 1 data problem (a bad input file, config value,
+flag or path, usage errors included), 2 agent unreachable, 3 internal.
+Each command accepts only the flags and --config keys it reads.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import math
 import operator
 import os
 import sys
+from contextlib import suppress
 from dataclasses import fields
 from enum import Enum
 from pathlib import Path
@@ -42,7 +43,6 @@ from .failure_forge import (
     sample_from_json,
     sample_to_json,
 )
-from .grpo_core import GrpoConfig, exact_mean, objective_report, read_group_batches
 from .metric_suite import (
     MetricsReport,
     ReportFormat,
@@ -61,7 +61,6 @@ from .sim_engine import (
     trace_from_json,
     trace_to_json,
 )
-from .synthdata import make_dataset
 from .trajectory_store import load_dataset, save_dataset
 
 EXIT_OK = 0
@@ -80,8 +79,13 @@ def _sha256(path: str | Path) -> str:
 
 def _atomic_write(path: Path, data: bytes) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 def _write_manifest(out_dir: Path, manifest: dict[str, Any]) -> None:
@@ -318,6 +322,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "seed": seed,
     }
     if args.kind == "dataset":
+        from .synthdata import make_dataset
+
         trajs = make_dataset(args.count, args.lengths, seed=seed)
         out_dir.mkdir(parents=True, exist_ok=True)
         save_dataset(trajs, out_dir / "dataset.jsonl")
@@ -353,7 +359,11 @@ def cmd_score(args: argparse.Namespace) -> int:
     # Every input is read and checked before --out is touched.
     config = _load_config(args, {"reward", "grpo"} if args.group_logprobs else {"reward"})
     reward_cfg = _config_object(args, config, "reward", RewardConfig, ("alpha", "beta"))
-    grpo_cfg = _config_object(None, config, "grpo", GrpoConfig) if args.group_logprobs else None
+    grpo_cfg = None
+    if args.group_logprobs:
+        from . import grpo_core  # only --group-logprobs runs the objective
+
+        grpo_cfg = _config_object(None, config, "grpo", grpo_core.GrpoConfig)
     samples = read_records(args.samples, sample_from_json, "sample")
     raws = read_records(args.outputs, lambda obj: str(obj["raw"]), "output")
     if len(samples) != len(raws):
@@ -370,16 +380,16 @@ def cmd_score(args: argparse.Namespace) -> int:
         # An output without a "reward" takes the scored total at its position;
         # past the last one it takes 0.0 until the coverage check below fails.
         totals = itertools.chain((b["total"] for b in breakdowns), itertools.repeat(0.0))
-        groups = read_group_batches(args.group_logprobs, totals)
+        groups = grpo_core.read_group_batches(args.group_logprobs, totals)
         covered = sum(len(g.outputs) for g in groups)
         if covered != len(samples):
             raise AlignmentMismatchError(
                 f"group log-probs cover {covered} outputs but {len(samples)} were scored"
             )
-        reports = [objective_report(g, grpo_cfg) for g in groups]
+        reports = [grpo_core.objective_report(g, grpo_cfg) for g in groups]
         objective = {
             "groups": reports,
-            "mean_objective": exact_mean([r["objective"] for r in reports]),
+            "mean_objective": grpo_core.exact_mean([r["objective"] for r in reports]),
         }
         outputs.append("objective.json")
         sections["grpo"] = grpo_cfg
@@ -548,7 +558,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except AgentError as exc:
         print(f"agent error: {exc}", file=sys.stderr)
         return EXIT_AGENT
-    except (DataError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (DataError, OSError, json.JSONDecodeError) as exc:  # OSError: an unusable path
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001 - CLI boundary

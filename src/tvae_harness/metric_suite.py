@@ -107,7 +107,12 @@ def task_metrics(traces: Sequence[SimTrace]) -> TaskMetrics:
         raise EmptySetError("no traces")
     n = len(traces)
     tsr = sum(t.outcome is Outcome.COMPLETED_FIRST_TRY for t in traces) / n
-    pg = sum(progress_fraction(t) for t in traces) / n
+    # Left to right: from 3.12 on `sum()` compensates float rounding, which
+    # would make the report's digits depend on the Python version.
+    pg = 0.0
+    for t in traces:
+        pg += progress_fraction(t)
+    pg /= n
     completed = [t for t in traces if t.outcome is not Outcome.BUDGET_EXHAUSTED]
     sim_tsr = len(completed) / n
     if completed:

@@ -5,13 +5,10 @@ that names it (so a bad input file exits 1, never 3)."""
 from __future__ import annotations
 
 import json
-import logging
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import DataError, MalformedLineError
-
-log = logging.getLogger(__name__)
 
 # What a record parser raises on a wrongly shaped JSON object.
 PARSE_ERRORS = (KeyError, ValueError, TypeError, IndexError, AttributeError)
@@ -55,7 +52,11 @@ def read_records(
                     exc.args = (f"line {line_no}: {exc}",)
                 if not skip_invalid:
                     raise
-                log.warning("dropping invalid %s from %s: %s", what, path, exc)
+                import logging  # loaded only once a line is dropped
+
+                logging.getLogger(__name__).warning(
+                    "dropping invalid %s from %s: %s", what, path, exc
+                )
     return records
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Callable, Mapping, Sequence
@@ -272,6 +271,8 @@ def _run_all(
     threads = min(workers, agent.max_inflight, len(items))
     if threads <= 1:
         return [run(item, agent, cfg) for item in items]
+    from concurrent.futures import ThreadPoolExecutor  # only a threaded run loads it
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda item: run(item, agent, cfg), items))
 

@@ -599,26 +599,65 @@ def test_score_with_group_logprobs(dataset, tmp_path):
     assert payload["mean_objective"] == 0.0
 
 
-def test_score_group_logprobs_never_imports_numpy(dataset, tmp_path):
-    samples, outputs, n = _write_score_inputs(tmp_path, dataset)
-    groups = tmp_path / "groups.jsonl"
-    member = {"logprobs_new": [-0.5, -0.2], "logprobs_old": [-0.4, -0.3], "logprobs_ref": [-0.6, -0.1]}
-    groups.write_text(json.dumps({"outputs": [member] * n}) + "\n")
-    script = (
-        "import sys\n"
-        "import tvae_harness\n"
-        "from tvae_harness.cli import main\n"
-        f"code = main(['score', '--samples', {str(samples)!r}, '--outputs', {str(outputs)!r},"
-        f" '--group-logprobs', {str(groups)!r}, '--out', {str(tmp_path / 'scored')!r}])\n"
-        "print(code, 'numpy' in sys.modules)\n"
-    )
+# Modules that load only in a command that runs them: the agent transports'
+# stdlib stacks, the thread pool, logging of dropped lines, numpy (never) and
+# the two package modules only one command uses.
+LAZY_MODULES = {
+    "http.client", "ssl", "email.parser", "subprocess", "concurrent.futures", "logging",
+    "numpy", "tvae_harness.grpo_core", "tvae_harness.synthdata",
+}
+# case -> the input kind of `_record_inputs`, or an argv that reads the
+# `dataset` fixture in place of DATASET; and the lazy modules that case runs
+DATASET = "<dataset>"
+IMPORT_CASES = {
+    "import-cli": (None, set()),
+    "simulate": ("dataset", set()),
+    "synth-sft": (["synth", "--kind", "sft", "--dataset", DATASET], set()),
+    "synth-dataset": (["synth", "--kind", "dataset"], {"tvae_harness.synthdata"}),
+    "bench-robust-synthesize": (
+        ["bench-robust", "--synthesize", "--dataset", DATASET, "--agent", "scripted:loopy"], set(),
+    ),
+    "score": ("outputs", set()),
+    "score-group-logprobs": ("groups", {"tvae_harness.grpo_core"}),
+    "report": ("traces", set()),
+}
+
+
+def _modules_after(source: str) -> tuple[str, set[str]]:
+    """Run `source` in a fresh interpreter; the exit code it binds to `code`
+    and every module loaded once it has run."""
     src_dir = str(Path(tvae_harness.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, "-c", f"import sys\ncode = 0\n{source}\nprint(code, *sys.modules)\n"],
+        env=env, capture_output=True, text=True, timeout=60,
     )
-    assert done.stdout.split()[-2:] == [str(EXIT_OK), "False"], done.stderr
-    assert (tmp_path / "scored" / "objective.json").exists()
+    assert done.returncode == 0, done.stderr
+    code, *modules = done.stdout.splitlines()[-1].split()
+    return code, set(modules)
+
+
+@pytest.fixture(scope="module")
+def baseline_modules():
+    """What `python -c pass` loads here (`site` may import more on some hosts)."""
+    return _modules_after("")[1]
+
+
+@pytest.mark.parametrize("case", list(IMPORT_CASES))
+def test_each_command_loads_only_the_modules_it_runs(dataset, tmp_path, baseline_modules, case):
+    inputs, runs = IMPORT_CASES[case]
+    if inputs is None:
+        source = "import tvae_harness.cli"
+    else:
+        if isinstance(inputs, str):
+            _, argv = _record_inputs(inputs, tmp_path, dataset)
+        else:
+            argv = [str(dataset) if a == DATASET else a for a in inputs]
+            argv += ["--out", str(tmp_path / "out")]
+        source = f"from tvae_harness.cli import main\ncode = main({argv!r})"
+    exit_code, modules = _modules_after(source)
+    assert exit_code == str(EXIT_OK)
+    assert (modules - baseline_modules) & LAZY_MODULES == runs
 
 
 def test_report_command(dataset, tmp_path, capsys):
@@ -852,10 +891,31 @@ def test_usage_error_is_data_error(dataset, tmp_path, capsys, kind, extra):
     assert main(argv) == EXIT_OK  # the flag was the only problem
 
 
-@pytest.mark.parametrize("argv", [[], ["frobnicate"], ["report"], ["report", "--traces"]])
-def test_bad_command_line_is_data_error(argv, capsys):
-    assert main(argv) == EXIT_DATA
+SIMULATE = ["simulate", "--agent", "scripted:oracle"]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["frobnicate"], ["report"], ["report", "--traces"],
+    # A path the OS refuses: a directory as an input file, --out on or under a file.
+    [*SIMULATE, "--dataset", "{dir}", "--out", "{new}"],
+    [*SIMULATE, "--dataset", "{dataset}", "--config", "{dir}", "--out", "{new}"],
+    ["score", "--samples", "{dir}", "--outputs", "{dataset}", "--out", "{new}"],
+    ["report", "--traces", "{dir}"],
+    [*SIMULATE, "--dataset", "{dataset}", "--out", "{dataset}"],
+    [*SIMULATE, "--dataset", "{dataset}", "--out", "{dataset}/run"],
+    ["synth", "--kind", "dataset", "--out", "{dataset}"],
+    ["report", "--traces", "{traces}", "--out", "{dir}"],
+])
+def test_bad_command_line_is_data_error(argv, dataset, tmp_path, capsys):
+    paths = {"dir": tmp_path / "dir", "new": tmp_path / "new", "dataset": dataset}
+    paths["dir"].mkdir()
+    if "{traces}" in argv:
+        paths["traces"], _ = _record_inputs("traces", tmp_path, dataset)
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main([arg.format_map(paths) for arg in argv]) == EXIT_DATA
     assert "data error: " in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["score", "--help"]])

@@ -142,6 +142,14 @@ def test_progress_counts_prefix_before_first_error():
     assert m.pg == 0.5 and m.tsr == 0.0 and m.sim_tsr == 0.0
 
 
+def test_pg_sums_left_to_right_on_every_python():
+    # 0.1 added ten times is 0.9999999999999999; a compensated sum (the
+    # `sum()` of Python 3.12 on) would give 1.0 and another report digit.
+    traces = [_trace([True, False], 10, traj_id=f"t{i}") for i in range(10)]
+    assert {progress_fraction(t) for t in traces} == {0.1}
+    assert task_metrics(traces).pg == 0.9999999999999999 / 10
+
+
 def test_aso_infinite_without_completions():
     m = task_metrics([_trace([False] * 4, 2)])
     assert math.isinf(m.aso)
