@@ -1,12 +1,14 @@
 """Command-line front end: reproducible simulate / bench-robust / synth /
 score / report runs.
 
-Every run directory receives a manifest (written last, atomically) carrying
-the resolved configuration, seed, dataset hash, agent identity, and tool
-version; re-running with the same manifest reproduces every report byte for
-byte.  Exit codes: 0 ok, 1 data problem (a bad input file, config value,
-flag or path, usage errors included), 2 agent unreachable, 3 internal.
-Each command accepts only the flags and --config keys it reads.
+Every setting is one flag of the one command that reads it; a flag left
+unset takes the default of its config field.  Every run directory receives a
+manifest (written last, atomically) carrying the resolved configuration,
+seed, every flag that shapes an output, input hashes, agent identity, and
+tool version; re-running with the flags it records reproduces every output
+byte for byte.  Exit codes: 0 ok, 1 data problem (a bad input file, flag
+value or path, usage errors included), 2 agent unreachable, 3 internal.
+Each command accepts only the flags it reads.
 """
 
 from __future__ import annotations
@@ -16,14 +18,13 @@ import hashlib
 import itertools
 import json
 import math
-import operator
 import os
 import sys
 from contextlib import suppress
 from dataclasses import fields
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, NoReturn, Sequence
+from typing import Any, Iterable, NoReturn, Sequence
 
 from . import __version__
 from .agent_bus import parse_agent_spec
@@ -94,51 +95,11 @@ def _write_manifest(out_dir: Path, manifest: dict[str, Any]) -> None:
     )
 
 
-def _config_value(what: str, make: Callable[..., Any], *args: Any) -> Any:
-    """`make(...)` on values from --config, $TVAE_SEED or flags; a wrong type,
-    unknown key or unknown enum value is a data error, not an internal one."""
-    try:
-        return make(*args)
-    except (TypeError, ValueError) as exc:
-        raise InvariantViolationError("config", what, str(exc)) from None
-
-
-def _resolve_seed(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    if args.seed is not None:
-        return args.seed
-    if "seed" in config:
-        return _config_value("seed", operator.index, config["seed"])
-    env = os.environ.get("TVAE_SEED")
-    return _config_value("$TVAE_SEED", int, env) if env else 0
-
-
-def _load_config(args: argparse.Namespace, keys: set[str]) -> dict[str, Any]:
-    """The --config object; a top-level key outside `keys` is a data error."""
-    if not args.config:
-        return {}
-    try:
-        obj = json.loads(Path(args.config).read_bytes().decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise DataError(f"--config is not UTF-8: {exc}") from None
-    if not isinstance(obj, dict):
-        raise DataError("--config must hold a JSON object")
-    unread = sorted(obj.keys() - keys)
-    if unread:
-        raise InvariantViolationError("config", ", ".join(unread), f"not read by {args.command}")
-    return obj
-
-
-def _config_object(args: Any, config: dict[str, Any], section: str, cls: type,
-                   flags: Sequence[str] = (), **fixed: Any) -> Any:
-    """`cls` from the `section` object of --config, overridden by the set `flags`."""
-    base = config.get(section, {})
-    if not isinstance(base, dict):
-        raise InvariantViolationError("config", section, "must be a JSON object")
-    base = {**base, **{k: getattr(args, k) for k in flags if getattr(args, k, None) is not None}}
-    for f in fields(cls):
-        if f.name in base and isinstance(f.default, Enum):
-            base[f.name] = _config_value(f"{section}.{f.name}", type(f.default), base[f.name])
-    return _config_value(section, lambda: cls(**fixed, **base))
+def _settings(cls: type, args: argparse.Namespace, names: Iterable[str], **fixed: Any) -> Any:
+    """`cls` from the flags `names` that were given; a flag left unset (None)
+    passes nothing, so the field keeps its one default."""
+    given = {name: value for name in names if (value := getattr(args, name)) is not None}
+    return cls(**fixed, **given)
 
 
 def _config_snapshot(**sections: Any) -> dict[str, dict[str, Any]]:
@@ -153,11 +114,13 @@ def _config_snapshot(**sections: Any) -> dict[str, dict[str, Any]]:
     }
 
 
-# Flags that only some modes of `synth` and `bench-robust` read, and the value
-# each takes when its mode reads it and it is not given.
+# Flags that only some modes of `synth`, `bench-robust` and `score` read, and
+# the value each takes when its mode reads it and it is not given (None: the
+# config field's default).
 _MODE_FLAG_DEFAULTS: dict[str, Any] = {
     "dataset": None, "limit": None, "skip_invalid": False,
     "ratio_b": 0.3, "per_traj": 1, "count": 100, "lengths": (1, 8),
+    "eps_clip": None, "kl_lambda": None, "kl_estimator": None,
 }
 # The mode flags each `synth --kind` reads; `bench-robust --synthesize` reads the bench kind's.
 _KIND_READS: dict[str, set[str]] = {
@@ -165,6 +128,8 @@ _KIND_READS: dict[str, set[str]] = {
     "sft": {"dataset", "limit", "skip_invalid", "ratio_b"},
     "bench": {"dataset", "limit", "skip_invalid", "per_traj"},
 }
+# The mode flags `score --group-logprobs` reads, and plain `score` does not.
+_GRPO_READS = {"eps_clip", "kl_lambda", "kl_estimator"}
 
 
 def _check_mode_flags(args: argparse.Namespace, mode: str, reads: set[str]) -> None:
@@ -202,9 +167,7 @@ def _first_attempt_predictions(traces, trajs) -> list[StepPrediction]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_config(args, {"seed", "sim"})
-    seed = _resolve_seed(args, config)
-    sim = _config_object(args, config, "sim", SimConfig, ("budget_multiplier",), seed=seed)
+    sim = _settings(SimConfig, args, ("budget_multiplier",), seed=args.seed)
     trajs = load_dataset(args.dataset, limit=args.limit, skip_invalid=args.skip_invalid)
     if not trajs:
         raise EmptySetError("dataset is empty")
@@ -224,21 +187,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         step=step_metrics(_first_attempt_predictions(traces, trajs)), task=task
     )
     _atomic_write(out_dir / "report.json", emit_report(report, ReportFormat.JSON))
-    for fmt in args.formats or ():
-        suffix = {"csv": "csv", "markdown": "md"}[fmt]
-        _atomic_write(out_dir / f"report.{suffix}", emit_report(report, ReportFormat(fmt)))
+    outputs = ["traces.jsonl", "report.json"]
+    for fmt in dict.fromkeys(args.formats or ()):
+        outputs.append("report." + {"csv": "csv", "markdown": "md"}[fmt])
+        _atomic_write(out_dir / outputs[-1], emit_report(report, ReportFormat(fmt)))
     _write_manifest(
         out_dir,
         {
             "command": "simulate",
             "version": __version__,
-            "seed": seed,
+            "seed": args.seed,
             "workers": args.workers,
             "agent": agent.identity,
             "dataset": str(args.dataset),
             "dataset_sha256": _sha256(args.dataset),
+            "limit": args.limit,
+            "skip_invalid": args.skip_invalid,
             "config": _config_snapshot(sim=sim),
-            "outputs": ["traces.jsonl", "report.json"],
+            "outputs": outputs,
         },
     )
     aso = "inf" if math.isinf(task.aso) else f"{task.aso:.3f}"
@@ -252,8 +218,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_bench_robust(args: argparse.Namespace) -> int:
     mode, reads = ("--synthesize", _KIND_READS["bench"]) if args.synthesize else ("--cases", set())
     _check_mode_flags(args, f"bench-robust {mode}", reads)
-    config = _load_config(args, {"seed"})
-    seed = _resolve_seed(args, config)
     # Nothing is written before the agent has answered every case.
     agent = parse_agent_spec(
         args.agent, timeout=args.timeout, token=args.token, max_inflight=args.workers
@@ -263,12 +227,12 @@ def cmd_bench_robust(args: argparse.Namespace) -> int:
             if not args.dataset:
                 raise DataError("--synthesize requires --dataset")
             trajs = load_dataset(args.dataset, limit=args.limit, skip_invalid=args.skip_invalid)
-            cases = build_robustness_bench(trajs, per_traj=args.per_traj, seed=seed)
+            cases = build_robustness_bench(trajs, per_traj=args.per_traj, seed=args.seed)
         else:
             cases = read_records(args.cases, failure_case_from_json, "failure case")
         if not cases:
             raise EmptySetError("no failure cases")
-        results = run_failure_cases(cases, agent, SimConfig(seed=seed), workers=args.workers)
+        results = run_failure_cases(cases, agent, SimConfig(seed=args.seed), workers=args.workers)
     finally:
         getattr(agent, "close", lambda: None)()
     out_dir = Path(args.out)
@@ -296,13 +260,14 @@ def cmd_bench_robust(args: argparse.Namespace) -> int:
         {
             "command": "bench-robust",
             "version": __version__,
-            "seed": seed,
+            "seed": args.seed,
             "agent": agent.identity,
             # synthesized cases live inside the run dir; record them by name
             "cases": cases_path.name if args.synthesize else str(cases_path),
             "cases_sha256": _sha256(cases_path),
             "synthesized": bool(args.synthesize),
-            **({"per_traj": args.per_traj} if args.synthesize else {}),
+            **({"limit": args.limit, "skip_invalid": args.skip_invalid, "per_traj": args.per_traj}
+               if args.synthesize else {}),
             "outputs": ["case_results.jsonl", "report.json"],
         },
     )
@@ -312,19 +277,17 @@ def cmd_bench_robust(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     _check_mode_flags(args, f"synth --kind {args.kind}", _KIND_READS[args.kind])
-    config = _load_config(args, {"seed"})
-    seed = _resolve_seed(args, config)
     out_dir = Path(args.out)  # made only once its rows are built
     manifest: dict[str, Any] = {
         "command": "synth",
         "version": __version__,
         "kind": args.kind,
-        "seed": seed,
+        "seed": args.seed,
     }
     if args.kind == "dataset":
         from .synthdata import make_dataset
 
-        trajs = make_dataset(args.count, args.lengths, seed=seed)
+        trajs = make_dataset(args.count, args.lengths, seed=args.seed)
         out_dir.mkdir(parents=True, exist_ok=True)
         save_dataset(trajs, out_dir / "dataset.jsonl")
         manifest.update(count=args.count, lengths=list(args.lengths), outputs=["dataset.jsonl"])
@@ -332,10 +295,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
         if not args.dataset:
             raise DataError("synth sft/bench requires --dataset")
         trajs = load_dataset(args.dataset, limit=args.limit, skip_invalid=args.skip_invalid)
-        manifest.update(dataset=str(args.dataset), dataset_sha256=_sha256(args.dataset))
+        manifest.update(
+            dataset=str(args.dataset), dataset_sha256=_sha256(args.dataset),
+            limit=args.limit, skip_invalid=args.skip_invalid,
+        )
         weights = {m.value: w for m, w in DEFAULT_FAILURE_WEIGHTS.items()}
         if args.kind == "sft":
-            samples = build_sft_dataset(trajs, ratio_b=args.ratio_b, seed=seed)
+            samples = build_sft_dataset(trajs, ratio_b=args.ratio_b, seed=args.seed)
             out_dir.mkdir(parents=True, exist_ok=True)
             write_records(out_dir / "samples.jsonl", (sample_to_json(s) for s in samples))
             manifest.update(
@@ -343,7 +309,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
                 sample_count=len(samples),
             )
         else:
-            cases = build_robustness_bench(trajs, per_traj=args.per_traj, seed=seed)
+            cases = build_robustness_bench(trajs, per_traj=args.per_traj, seed=args.seed)
             out_dir.mkdir(parents=True, exist_ok=True)
             write_records(out_dir / "cases.jsonl", (failure_case_to_json(c) for c in cases))
             manifest.update(
@@ -357,13 +323,22 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     # Every input is read and checked before --out is touched.
-    config = _load_config(args, {"reward", "grpo"} if args.group_logprobs else {"reward"})
-    reward_cfg = _config_object(args, config, "reward", RewardConfig, ("alpha", "beta"))
+    mode, reads = (
+        ("score --group-logprobs", _GRPO_READS) if args.group_logprobs else ("score", set())
+    )
+    _check_mode_flags(args, mode, reads)
+    reward_cfg = _settings(RewardConfig, args, ("alpha", "beta"))
     grpo_cfg = None
     if args.group_logprobs:
         from . import grpo_core  # only --group-logprobs runs the objective
 
-        grpo_cfg = _config_object(None, config, "grpo", grpo_core.GrpoConfig)
+        if args.kl_estimator is not None:
+            try:
+                args.kl_estimator = grpo_core.KlEstimator(args.kl_estimator)
+            except ValueError:
+                choices = ", ".join(e.value for e in grpo_core.KlEstimator)
+                raise DataError(f"--kl-estimator must be one of {choices}") from None
+        grpo_cfg = _settings(grpo_core.GrpoConfig, args, _GRPO_READS)
     samples = read_records(args.samples, sample_from_json, "sample")
     raws = read_records(args.outputs, lambda obj: str(obj["raw"]), "output")
     if len(samples) != len(raws):
@@ -477,8 +452,7 @@ def _lengths(text: str) -> tuple[int, int]:
 
 # Flags that several commands share; each command registers only those it reads.
 _SHARED_FLAGS: dict[str, dict[str, Any]] = {
-    "--config": dict(help="JSON config file (base layer under flags)"),
-    "--seed": dict(type=int, help="seed (default: config, then $TVAE_SEED, then 0)"),
+    "--seed": dict(type=int, default=0, help="seed of every random draw"),
     "--workers": dict(type=_count, default=1, help="turns in flight at most"),
     "--limit": dict(type=_count, help="load at most N trajectories"),
     "--skip-invalid": dict(action="store_true", help="drop invalid dataset lines instead of failing"),
@@ -529,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-traj", dest="per_traj", type=int, help="bench kind: cases per trajectory")
     p.add_argument("--count", type=_count, help="dataset kind: trajectory count")
     p.add_argument("--lengths", type=_lengths, help="dataset kind: MIN,MAX steps")
-    _add_shared(p, ("--config", "--seed", "--limit", "--skip-invalid"))
+    _add_shared(p, ("--seed", "--limit", "--skip-invalid"))
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("score", help="score raw agent outputs against samples")
@@ -537,9 +511,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outputs", required=True)
     p.add_argument("--group-logprobs", dest="group_logprobs", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    _add_shared(p, ("--config",))
+    p.add_argument("--alpha", type=float, help="weight of the effect reward")
+    p.add_argument("--beta", type=float, help="weight of the verification reward")
+    p.add_argument("--eps-clip", type=float, help="with --group-logprobs: ratio clip window")
+    p.add_argument("--kl-lambda", type=float, help="with --group-logprobs: KL penalty weight")
+    p.add_argument("--kl-estimator", help="with --group-logprobs: k3 or exact")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("report", help="recompute metrics from a trace file")

@@ -31,6 +31,7 @@ from .trajectory_store import (
     TrajectoryRecord,
     action_from_json,
     action_to_json,
+    check_box_and_dims,
     describe_action,
     round_coord,
 )
@@ -287,6 +288,7 @@ class SyntheticSample:
     screen_dims: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
+        check_box_and_dims("sample", "target_bbox", self.target_bbox, self.screen_dims)
         if self.sample_type is SampleType.TYPE_A:
             if self.target_verification is not Verification.SUCCESS:
                 raise InvariantViolationError("sample", "target_verification", "type A => SUCCESS")
@@ -313,6 +315,7 @@ class FailureCase:
     screen_dims: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
+        check_box_and_dims("failure_case", "gt_bbox", self.gt_bbox, self.screen_dims)
         if not self.history:
             raise InvariantViolationError("failure_case", "history", "must end in erroneous entry")
         if self.history[-1].action != self.erroneous:
@@ -478,8 +481,8 @@ def sample_from_json(obj: Mapping[str, Any]) -> SyntheticSample:
         target_action=action_from_json(obj["target_action"]),
         target_effect=str(obj["target_effect"]),
         failure_mode=FailureMode(obj["failure_mode"]) if obj.get("failure_mode") else None,
-        target_bbox=tuple(obj["target_bbox"]) if obj.get("target_bbox") else None,
-        screen_dims=tuple(obj["screen_dims"]) if obj.get("screen_dims") else None,
+        target_bbox=tuple(obj["target_bbox"]) if obj.get("target_bbox") is not None else None,
+        screen_dims=tuple(obj["screen_dims"]) if obj.get("screen_dims") is not None else None,
     )
 
 
@@ -509,7 +512,7 @@ def failure_case_from_json(obj: Mapping[str, Any]) -> FailureCase:
         gt_recovery=action_from_json(obj["gt_recovery"]),
         erroneous=action_from_json(obj["erroneous"]),
         mode=FailureMode(obj["mode"]),
-        gt_bbox=tuple(obj["gt_bbox"]) if obj.get("gt_bbox") else None,
-        screen_dims=tuple(obj["screen_dims"]) if obj.get("screen_dims") else None,
+        gt_bbox=tuple(obj["gt_bbox"]) if obj.get("gt_bbox") is not None else None,
+        screen_dims=tuple(obj["screen_dims"]) if obj.get("screen_dims") is not None else None,
     )
 

@@ -32,9 +32,13 @@ class KlEstimator(str, Enum):
     K3 = "k3"
 
 
+# Added to the group's reward std before dividing: a guard against a near-zero
+# scale, not a setting.
+EPS_STD = 1e-8
+
+
 @dataclass(frozen=True)
 class GrpoConfig:
-    eps_std: float = 1e-8
     eps_clip: float = 0.2
     kl_lambda: float = 0.05
     kl_estimator: KlEstimator = KlEstimator.K3
@@ -46,8 +50,6 @@ class GrpoConfig:
             raise InvariantViolationError(
                 "grpo_config", "kl_lambda", "must be a finite number >= 0"
             )
-        if not (math.isfinite(self.eps_std) and self.eps_std > 0):
-            raise InvariantViolationError("grpo_config", "eps_std", "must be a finite number > 0")
 
 
 _LOGPROB_TOL = 1e-9
@@ -121,16 +123,15 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def group_advantages(rewards: Sequence[float], cfg: GrpoConfig | None = None) -> list[float]:
-    """Normalize rewards within the group: (r - mean) / (population std + eps)."""
-    cfg = cfg or GrpoConfig()
+def group_advantages(rewards: Sequence[float]) -> list[float]:
+    """Normalize rewards within the group: (r - mean) / (population std + EPS_STD)."""
     if len(rewards) < 2:
         raise GroupTooSmallError(f"group of {len(rewards)}; need >= 2")
     if all(r == rewards[0] for r in rewards):  # degenerate group: residuals are exactly zero
         return [0.0] * len(rewards)
     mean = exact_mean(rewards)
     residuals = [r - mean for r in rewards]
-    scale = math.sqrt(exact_mean([d * d for d in residuals])) + cfg.eps_std
+    scale = math.sqrt(exact_mean([d * d for d in residuals])) + EPS_STD
     return [d / scale for d in residuals]
 
 
@@ -190,7 +191,7 @@ def objective_report(batch: GroupBatch, cfg: GrpoConfig | None = None) -> dict[s
     iff the policies agree).
     """
     cfg = cfg or GrpoConfig()
-    advantages = group_advantages(batch.rewards, cfg)
+    advantages = group_advantages(batch.rewards)
     surrogate, kl = [], []
     for o, adv in zip(batch.outputs, advantages):
         try:
@@ -206,7 +207,7 @@ def objective_report(batch: GroupBatch, cfg: GrpoConfig | None = None) -> dict[s
         "surrogate_per_output": surrogate,
         "kl_per_output": kl,
         "kl_lambda": cfg.kl_lambda,
-        "eps_std": cfg.eps_std,
+        "eps_std": EPS_STD,
         "eps_clip": cfg.eps_clip,
         "kl_estimator": cfg.kl_estimator.value,
         "objective": exact_mean(surrogate) - cfg.kl_lambda * exact_mean(kl),

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from .errors import InvariantViolationError
+from .errors import DataError, InvariantViolationError
 from .trajectory_store import (
     ActionKind,
     ActionRecord,
@@ -206,7 +206,7 @@ def composite_reward(
     if pred_action is not None and pred_action.coordinate_space is CoordinateSpace.PIXEL:
         try:
             pred_action = normalize_action(pred_action, sample.screen_dims)
-        except Exception:
+        except DataError:
             pred_action = None  # ungroundable output scores as a miss
     matched = match_action(pred_action, sample.target_action, sample.target_bbox)
     r_act = 1.0 if matched else -1.0

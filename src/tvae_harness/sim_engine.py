@@ -67,15 +67,10 @@ class AttemptLog:
     attempt: int
     gt_step: int
     issued: ActionRecord | None
-    matched: bool
-    advanced: bool
+    matched: bool  # a match is what advances the episode
     predicted_verification: Verification | None
     target_verification: Verification
     parse_warnings: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.advanced and not self.matched:
-            raise InvariantViolationError("attempt", "advanced", "cannot advance on a mismatch")
 
 
 class Outcome(str, Enum):
@@ -134,7 +129,6 @@ def transition(
         gt_step=gt.index,
         issued=issued,
         matched=matched,
-        advanced=matched,
         predicted_verification=turn.verification if turn is not None else None,
         target_verification=target_verification,
         parse_warnings=parse_warnings,
@@ -175,13 +169,10 @@ def run_episode(traj: TrajectoryRecord, agent: AgentHandle, cfg: SimConfig) -> S
     )
     rng = random.Random(stable_seed(cfg.seed, "episode", traj.id))
     logs: list[AttemptLog] = []
-    prev_advanced: bool | None = None
     while state.cursor < t_gt and state.attempts_used < budget:
         gt = traj.steps[state.cursor]
         target = (
-            Verification.SUCCESS
-            if prev_advanced is None or prev_advanced
-            else Verification.NO_CHANGE
+            Verification.SUCCESS if not logs or logs[-1].matched else Verification.NO_CHANGE
         )
         obs = Observation(
             instruction=traj.instruction,
@@ -202,7 +193,6 @@ def run_episode(traj: TrajectoryRecord, agent: AgentHandle, cfg: SimConfig) -> S
             parse_warnings=warnings,
         )
         logs.append(log)
-        prev_advanced = log.advanced
     if state.cursor >= t_gt:
         if state.attempts_used == t_gt and all(a.matched for a in logs):
             outcome = Outcome.COMPLETED_FIRST_TRY
@@ -332,7 +322,7 @@ def trace_to_json(trace: SimTrace) -> dict[str, Any]:
                 "gt_step": a.gt_step,
                 "issued": _issued_to_json(a.issued),
                 "matched": a.matched,
-                "advanced": a.advanced,
+                "advanced": a.matched,  # trace schema v1 keeps the key
                 "predicted_verification": (
                     a.predicted_verification.value if a.predicted_verification else None
                 ),
@@ -345,7 +335,10 @@ def trace_to_json(trace: SimTrace) -> dict[str, Any]:
 
 
 def trace_from_json(obj: Mapping[str, Any]) -> SimTrace:
-    return SimTrace(
+    """A trace line; its `steps_used` must count its attempts, its
+    `final_cursor` their matches, and each attempt's `advanced` equal its
+    `matched`."""
+    trace = SimTrace(
         trajectory_id=str(obj["trajectory_id"]),
         outcome=Outcome(obj["outcome"]),
         steps_used=int(obj["steps_used"]),
@@ -357,7 +350,6 @@ def trace_from_json(obj: Mapping[str, Any]) -> SimTrace:
                 gt_step=int(a["gt_step"]),
                 issued=_issued_from_json(a.get("issued")),
                 matched=bool(a["matched"]),
-                advanced=bool(a["advanced"]),
                 predicted_verification=(
                     Verification(a["predicted_verification"])
                     if a.get("predicted_verification")
@@ -369,4 +361,10 @@ def trace_from_json(obj: Mapping[str, Any]) -> SimTrace:
             for a in obj["attempts"]
         ),
     )
-
+    if any(bool(a["advanced"]) != bool(a["matched"]) for a in obj["attempts"]):
+        raise InvariantViolationError(trace.trajectory_id, "advanced", "must equal matched")
+    if trace.steps_used != len(trace.attempts):
+        raise InvariantViolationError(trace.trajectory_id, "steps_used", "must count the attempts")
+    if trace.final_cursor != sum(a.matched for a in trace.attempts):
+        raise InvariantViolationError(trace.trajectory_id, "final_cursor", "must count the matches")
+    return trace

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import InvariantViolationError, MissingDimsError, NegativeCoordinateError
 from .records import read_records, write_records
@@ -100,6 +100,20 @@ class ActionRecord:
         return self.kind in TEXT_KINDS
 
 
+def check_box_and_dims(
+    subject: str, box_field: str, bbox: Sequence[float] | None, dims: Sequence[int] | None
+) -> None:
+    """The one rule for the target box and screen size of a step, sample or
+    case: `dims` is a positive (width, height) and `bbox` a relative
+    (x0, y0, x1, y1) with 0 <= x0 < x1 <= 1 and 0 <= y0 < y1 <= 1."""
+    if dims is not None and not (len(dims) == 2 and dims[0] > 0 and dims[1] > 0):
+        raise InvariantViolationError(subject, "screen_dims", f"{dims} is not a positive size")
+    if bbox is not None and not (
+        len(bbox) == 4 and 0 <= bbox[0] < bbox[2] <= 1 and 0 <= bbox[1] < bbox[3] <= 1
+    ):
+        raise InvariantViolationError(subject, box_field, f"bad box {bbox}")
+
+
 @dataclass(frozen=True)
 class StepRecord:
     """One ground-truth step: pre-action screen, action, and reference effect."""
@@ -118,14 +132,7 @@ class StepRecord:
             raise InvariantViolationError("step", "screen_ref", "must be non-empty")
         if not self.reference_effect:
             raise InvariantViolationError("step", "reference_effect", "must be non-empty")
-        if self.screen_dims is not None:
-            w, h = self.screen_dims
-            if w <= 0 or h <= 0:
-                raise InvariantViolationError("step", "screen_dims", "must be positive")
-        if self.gt_bbox is not None:
-            x0, y0, x1, y1 = self.gt_bbox
-            if not (0 <= x0 < x1 <= 1 and 0 <= y0 < y1 <= 1):
-                raise InvariantViolationError("step", "gt_bbox", f"bad box {self.gt_bbox}")
+        check_box_and_dims("step", "gt_bbox", self.gt_bbox, self.screen_dims)
 
 
 @dataclass(frozen=True)
@@ -280,8 +287,9 @@ def _step_from_json(obj: Mapping[str, Any], traj_id: str) -> StepRecord:
         if key not in obj:
             raise InvariantViolationError(traj_id, key, "missing step field")
     dims_raw = obj.get("screen_dims")
-    dims = (int(dims_raw[0]), int(dims_raw[1])) if dims_raw is not None else None
+    dims = tuple(int(v) for v in dims_raw) if dims_raw is not None else None
     subject = f"{traj_id}[{obj['index']}]"
+    check_box_and_dims(subject, "gt_bbox", None, dims)  # before dims scale a pixel value
     action = action_from_json(obj["gt_action"])
     if action.coordinate is not None and max(action.coordinate) > 1.0 and dims is None:
         raise MissingDimsError(subject)

@@ -17,19 +17,18 @@ from tvae_harness.errors import (
     InvalidDistributionError,
     ShapeMismatchError,
 )
-from tvae_harness.grpo_core import GroupBatch, GroupOutput, GrpoConfig, KlEstimator
+from tvae_harness.grpo_core import EPS_STD, GroupBatch, GroupOutput, GrpoConfig, KlEstimator
 
 
-def group_advantages(rewards: Sequence[float], cfg: GrpoConfig | None = None) -> np.ndarray:
-    """Normalize rewards within the group: (r - mean) / (population std + eps)."""
-    cfg = cfg or GrpoConfig()
+def group_advantages(rewards: Sequence[float]) -> np.ndarray:
+    """Normalize rewards within the group: (r - mean) / (population std + EPS_STD)."""
     if len(rewards) < 2:
         raise GroupTooSmallError(f"group of {len(rewards)}; need >= 2")
     arr = np.asarray(rewards, dtype=np.float64)
     if np.all(arr == arr[0]):  # degenerate group: residuals are exactly zero
         return np.zeros_like(arr)
     std = float(arr.std())  # population std: ddof=0
-    return (arr - arr.mean()) / (std + cfg.eps_std)
+    return (arr - arr.mean()) / (std + EPS_STD)
 
 
 def token_ratios(batch: GroupBatch) -> list[np.ndarray]:
@@ -122,7 +121,7 @@ def objective_report(batch: GroupBatch, cfg: GrpoConfig | None = None) -> dict[s
     surrogate, minus lambda times the mean KL penalty.
     """
     cfg = cfg or GrpoConfig()
-    advantages = group_advantages(batch.rewards, cfg)
+    advantages = group_advantages(batch.rewards)
     ratios = token_ratios(batch)
     _, per_output = clipped_surrogate(ratios, advantages, cfg)
     kl = kl_penalty(batch, cfg) if cfg.kl_lambda > 0 else np.zeros(len(batch.outputs))
@@ -134,7 +133,7 @@ def objective_report(batch: GroupBatch, cfg: GrpoConfig | None = None) -> dict[s
         "surrogate_per_output": [float(s) for s in per_output],
         "kl_per_output": [float(k) for k in kl],
         "kl_lambda": cfg.kl_lambda,
-        "eps_std": cfg.eps_std,
+        "eps_std": EPS_STD,
         "eps_clip": cfg.eps_clip,
         "kl_estimator": cfg.kl_estimator.value,
         "objective": objective,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -189,17 +190,13 @@ def test_bad_workers_or_timeout_is_data_error(dataset, tmp_path, command, flag, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("via_config", [False, True])
-def test_huge_budget_multiplier_is_rejected_at_once(dataset, tmp_path, via_config):
+def test_huge_budget_multiplier_is_rejected_at_once(dataset, tmp_path):
     # Looping under a budget of 1e7 x the trajectory length would run for hours.
     out = tmp_path / "run"
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"sim": {"budget_multiplier": 1e7}}))
-    flags = ["--config", str(cfg)] if via_config else ["--budget-multiplier", "1e7"]
     start = time.monotonic()
     assert main([
         "simulate", "--dataset", str(dataset), "--limit", "1", "--agent", "scripted:loopy",
-        "--out", str(out), *flags,
+        "--out", str(out), "--budget-multiplier", "1e7",
     ]) == EXIT_DATA
     assert time.monotonic() - start < 5.0
     assert not out.exists()
@@ -221,28 +218,6 @@ def test_simulate_missing_dataset(tmp_path):
         "--out", str(tmp_path / "run"),
     ])
     assert code == EXIT_DATA
-
-
-def test_env_seed_fallback(dataset, tmp_path, monkeypatch):
-    monkeypatch.setenv("TVAE_SEED", "123")
-    out = tmp_path / "run"
-    assert main([
-        "simulate", "--dataset", str(dataset), "--agent", "scripted:oracle", "--out", str(out),
-    ]) == EXIT_OK
-    assert json.loads((out / "manifest.json").read_text())["seed"] == 123
-
-
-def test_config_layering(dataset, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 7, "sim": {"budget_multiplier": 3.0}}))
-    out = tmp_path / "run"
-    assert main([
-        "simulate", "--dataset", str(dataset), "--agent", "scripted:oracle",
-        "--out", str(out), "--config", str(cfg),
-    ]) == EXIT_OK
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["seed"] == 7
-    assert manifest["config"]["sim"]["budget_multiplier"] == 3.0
 
 
 def test_bench_robust_loopy(dataset, tmp_path):
@@ -350,6 +325,8 @@ def _record_inputs(kind, tmp_path, dataset):
         return path, ["bench-robust", "--cases", str(path), "--agent", "scripted:oracle", "--out", out]
     samples, outputs, n = _write_score_inputs(tmp_path, dataset)
     score = ["score", "--samples", str(samples), "--outputs", str(outputs), "--out", out]
+    if kind == "samples":
+        return samples, score
     if kind == "outputs":
         return outputs, score
     groups = tmp_path / "groups.jsonl"
@@ -365,6 +342,18 @@ def _bad_group_after_blank_line(objs):
     return {"outputs": [5, 5]}
 
 
+def _kind_changing_case(objs):
+    """A case whose erroneous action is of another kind than its recovery, so
+    that no match against the recovery reads its box."""
+    return next(c for c in objs if c["erroneous"]["kind"] != c["gt_recovery"]["kind"])
+
+
+def _unadvanced_match(objs):
+    """Line 2 with its first matched attempt marked as not advancing."""
+    next(a for a in objs[1]["attempts"] if a["matched"])["advanced"] = False
+    return objs[1]
+
+
 # Each mutation returns the new line 2 of a valid file, given its parsed lines.
 BAD_LINES = {
     "dataset-bad-direction": ("dataset", lambda o: _put(
@@ -373,10 +362,28 @@ BAD_LINES = {
         o[1], ["steps", 0, "gt_action"], {"kind": "click", "coordinate": 5})),
     "dataset-duplicate-id": ("dataset", lambda o: {**o[-1], "id": o[0]["id"]}),
     "dataset-not-utf8": ("dataset", lambda o: b"\xff{}"),
+    "dataset-three-dims": ("dataset", lambda o: _put(o[1], ["steps", 0, "screen_dims"], [9, 9, 9])),
+    "dataset-zero-dims-pixels": ("dataset", lambda o: _put(o[1], ["steps", 0], {
+        **o[1]["steps"][0], "screen_dims": [0, 0],
+        "gt_action": {"kind": "click", "coordinate": [3, 5]},  # pixels, scaled by the dims
+    })),
     "traces-no-outcome": ("traces", lambda o: _put(o[1], ["outcome"])),
     "traces-non-object": ("traces", lambda o: [1, 2]),
     "traces-bad-issued": ("traces", lambda o: _put(o[1], ["attempts", 0, "issued"], "click")),
+    "traces-steps-used-raised": (
+        "traces", lambda o: {**o[1], "steps_used": o[1]["steps_used"] + 1000},
+    ),
+    "traces-final-cursor-raised": ("traces", lambda o: {**o[1], "final_cursor": 0}),
+    "traces-match-not-advanced": ("traces", _unadvanced_match),
     "cases-non-object": ("cases", lambda o: "case"),
+    "cases-short-box": ("cases", lambda o: {**_kind_changing_case(o), "gt_bbox": [0.1, 0.1, 0.5]}),
+    "cases-one-dim": ("cases", lambda o: _put(o[1], ["screen_dims"], [5])),
+    "samples-short-box": ("samples", lambda o: _put(o[1], ["target_bbox"], [0.1, 0.1, 0.5])),
+    "samples-string-box": ("samples", lambda o: _put(o[1], ["target_bbox"], "0.1,0.1,0.5,0.5")),
+    "samples-inverted-box": (
+        "samples", lambda o: _put(o[1], ["target_bbox"], [0.9, 0.9, 0.1, 0.1]),
+    ),
+    "samples-zero-dims": ("samples", lambda o: _put(o[1], ["screen_dims"], [0, 0])),
     "outputs-non-object": ("outputs", lambda o: 5),
     "groups-no-outputs": ("groups", lambda o: _put(o[1], ["outputs"])),
     "groups-non-object": ("groups", lambda o: [1]),
@@ -409,48 +416,53 @@ def test_bad_record_line_is_data_error_naming_its_line(dataset, tmp_path, capsys
         assert "line 2" in capsys.readouterr().err
 
 
+# The input kind of the command that reads each setting flag.
+SETTING_KIND = {
+    "--seed": "dataset", "--budget-multiplier": "dataset",
+    "--alpha": "outputs", "--beta": "outputs",
+    "--eps-clip": "groups", "--kl-lambda": "groups", "--kl-estimator": "groups",
+}
+
+
 @pytest.mark.parametrize("config", [
-    {"seed": "x"}, {"seed": 1.5}, {"reward": 5}, {"sim": []}, {"sim": {"bogus": 1}},
-    {"sim": {"budget_multiplier": "a"}}, {"sim": {"seed": 3}}, {"reward": {"text_match": "fuzzy"}},
-    {"sim": {"budget_multiplier": float("inf")}}, {"reward": {"alpha": float("nan")}},
-    {"reward": {"beta": float("inf")}}, b"\xff\xfe{}",
-    {"reward": {"similarity": "token-f1"}}, {"simulate": {}},
-    {"sim": {"delta": 0.3}}, {"sim": {"repeat_epsilon": 0.1}}, {"reward": {"delta": 0.3}},
-    {"reward": {"text_match_threshold": 0.5}},
+    ["--seed", "x"], ["--seed", "1.5"], ["--budget-multiplier", "a"],
+    ["--budget-multiplier", "0.5"], ["--budget-multiplier", "101"],
+    ["--alpha", "nan"], ["--beta", "inf"], ["--alpha", "-1"], ["--beta", "x"], ["--beta", "1e999"],
+    ["--eps-clip", "1"], ["--eps-clip", "0"], ["--eps-clip", "nan"],
+    ["--kl-lambda", "nan"], ["--kl-lambda", "inf"], ["--kl-lambda", "-0.1"],
+    ["--kl-estimator", "k9"], ["--kl-estimator", "K3"],
 ])
-def test_bad_config_is_data_error(dataset, tmp_path, config):
-    # a reward section goes to score, which reads it; every other to simulate
-    reward = isinstance(config, dict) and "reward" in config
-    _, argv = _record_inputs("outputs" if reward else "dataset", tmp_path, dataset)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
-    assert main([*argv, "--config", str(cfg)]) == EXIT_DATA
+def test_bad_config_is_data_error(dataset, tmp_path, capsys, config):
+    # a bad value of any setting, given to the command that reads it, writes nothing
+    _, argv = _record_inputs(SETTING_KIND[config[0]], tmp_path, dataset)
+    capsys.readouterr()
+    assert main([*argv, *config]) == EXIT_DATA
+    assert "data error: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
 def test_bad_grpo_config_or_env_seed_is_data_error(dataset, tmp_path, monkeypatch):
-    groups, argv = _record_inputs("groups", tmp_path, dataset)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"grpo": {"kl_estimator": "k9"}}))
-    assert main([*argv, "--config", str(cfg)]) == EXIT_DATA
+    _, argv = _record_inputs("groups", tmp_path, dataset)
+    assert main([*argv, "--kl-estimator", "k9"]) == EXIT_DATA
+    simulate = ["simulate", "--dataset", str(dataset), "--agent", "scripted:oracle"]
+    assert main([*simulate, "--seed", "abc", "--out", str(tmp_path / "bad")]) == EXIT_DATA
+    # --seed is the only source of the seed: $TVAE_SEED is not read at all
     monkeypatch.setenv("TVAE_SEED", "abc")
-    assert main([
-        "simulate", "--dataset", str(dataset), "--agent", "scripted:oracle",
-        "--out", str(tmp_path / "run"),
-    ]) == EXIT_DATA
+    assert main([*simulate, "--out", str(tmp_path / "run")]) == EXIT_OK
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["seed"] == 0
 
 
+# `flags` sets a reward weight, `config` a GRPO setting read with --group-logprobs
 @pytest.mark.parametrize("flags, config", [
-    (["--alpha", "nan"], {}), (["--beta", "inf"], {}),
-    ([], {"grpo": {"kl_lambda": float("nan")}}), ([], {"grpo": {"eps_std": float("inf")}}),
+    (["--alpha", "nan"], []), (["--beta", "inf"], []), ([], ["--kl-lambda", "nan"]),
 ])
 def test_non_finite_score_weight_is_data_error(dataset, tmp_path, capsys, flags, config):
     _, argv = _record_inputs("groups", tmp_path, dataset)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
     capsys.readouterr()
-    assert main([*argv, *flags, "--config", str(cfg)]) == EXIT_DATA
+    assert main([*argv, *flags, *config]) == EXIT_DATA
     assert "data error: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_enum_values_are_parsed(dataset, tmp_path):
@@ -460,9 +472,7 @@ def test_config_enum_values_are_parsed(dataset, tmp_path):
         for member in group["outputs"]:
             member.update(dist_new=[[0.5, 0.5]], dist_ref=[[0.25, 0.75]])
     groups.write_text("".join(json.dumps(g) + "\n" for g in lines))
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"grpo": {"kl_estimator": "exact"}}))
-    assert main([*argv, "--config", str(cfg)]) == EXIT_OK
+    assert main([*argv, "--kl-estimator", "exact"]) == EXIT_OK
     out = tmp_path / "out"
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["grpo"]["kl_estimator"] == "exact"
@@ -725,15 +735,14 @@ def test_score_empty_inputs_is_data_error(tmp_path, group_logprobs):
 @pytest.mark.parametrize("mutation", ["bad-group-line", "kl-lambda-nan", "grpo-group-size"])
 def test_score_checks_every_input_before_writing(dataset, tmp_path, capsys, mutation):
     groups, argv = _record_inputs("groups", tmp_path, dataset)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "kl-lambda-nan": {"grpo": {"kl_lambda": float("nan")}},
-        "grpo-group-size": {"grpo": {"group_size": 6}},
-    }.get(mutation, {})))
+    flags = {
+        "kl-lambda-nan": ["--kl-lambda", "nan"],
+        "grpo-group-size": ["--group-size", "6"],  # a group is as large as its line
+    }.get(mutation, [])
     if mutation == "bad-group-line":
         groups.write_text(groups.read_text() + json.dumps({"outputs": [5, 5]}) + "\n")
     capsys.readouterr()
-    assert main([*argv, "--config", str(cfg)]) == EXIT_DATA
+    assert main([*argv, *flags]) == EXIT_DATA
     assert "data error: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -765,35 +774,50 @@ def test_stdio_agent_non_utf8_output_is_an_unparseable_turn(dataset, tmp_path):
 
 FLAGS = {
     "simulate": {
-        "--dataset", "--agent", "--out", "--formats", "--config", "--seed", "--workers",
+        "--dataset", "--agent", "--out", "--formats", "--seed", "--workers",
         "--limit", "--skip-invalid", "--timeout", "--token", "--budget-multiplier",
     },
     "bench-robust": {
-        "--cases", "--synthesize", "--dataset", "--per-traj", "--agent", "--out", "--config",
+        "--cases", "--synthesize", "--dataset", "--per-traj", "--agent", "--out",
         "--seed", "--workers", "--limit", "--skip-invalid", "--timeout", "--token",
     },
     "synth": {
         "--kind", "--dataset", "--out", "--ratio-b", "--per-traj", "--count", "--lengths",
-        "--config", "--seed", "--limit", "--skip-invalid",
+        "--seed", "--limit", "--skip-invalid",
     },
     "score": {
-        "--samples", "--outputs", "--group-logprobs", "--out", "--alpha", "--beta", "--config",
+        "--samples", "--outputs", "--group-logprobs", "--out", "--alpha", "--beta",
+        "--eps-clip", "--kl-lambda", "--kl-estimator",
     },
     "report": {"--traces", "--format", "--out"},
 }
 
 
-def test_each_command_registers_exactly_the_flags_it_reads():
+def _registered_flags():
     (sub,) = [a for a in build_parser()._actions if a.choices and "report" in a.choices]
-    got = {
+    return {
         name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
         for name, p in sub.choices.items()
     }
+
+
+def test_each_command_registers_exactly_the_flags_it_reads():
+    got = _registered_flags()
     assert got == FLAGS
-    assert sum(map(len, got.values())) == 46
+    assert sum(map(len, got.values())) == 45
 
 
-# The top-level --config keys each command reads, and the fields of each section.
+def test_readme_names_only_registered_flags():
+    # a stale flag in the docs (one a command no longer takes) fails here
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    install = readme.index("## Installation")
+    readme = readme[:install] + readme[readme.index("\n## ", install + 1):]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme))
+    assert named, "the README names no flag"
+    assert named - set().union(*_registered_flags().values()) - {"--help", "--version"} == set()
+
+
+# The settings each command reads, by config section, and the fields of each section.
 CONFIG_KEYS = {
     "simulate": {"seed", "sim"},
     "bench-robust": {"seed"},
@@ -804,38 +828,41 @@ CONFIG_KEYS = {
 SECTION_FIELDS = {
     "sim": {"budget_multiplier"},
     "reward": {"alpha", "beta"},
-    "grpo": {"eps_std", "eps_clip", "kl_lambda", "kl_estimator"},
+    "grpo": {"eps_clip", "kl_lambda", "kl_estimator"},
 }
 
 
 def test_config_sections_hold_exactly_the_settable_fields():
     got = {
-        name: {f.name for f in fields(cls)} - {"seed"}  # the seed is a top-level key
+        name: {f.name for f in fields(cls)} - {"seed"}  # the seed is a flag of its own
         for name, cls in (("sim", SimConfig), ("reward", RewardConfig), ("grpo", GrpoConfig))
     }
     assert got == SECTION_FIELDS
-    assert sum(map(len, got.values())) == 7
+    assert sum(map(len, got.values())) == 6
 
 
 @pytest.mark.parametrize("key", ["seed", "sim", "reward", "grpo"])
 @pytest.mark.parametrize("command", list(CONFIG_KEYS))
 def test_each_command_reads_exactly_its_config_keys(dataset, tmp_path, capsys, command, key):
+    # every field of a section is one flag, taken only by a command that reads the section
     kind = {"simulate": "dataset", "bench-robust": "cases", "score": "outputs",
             "score --group-logprobs": "groups"}.get(command)
     if kind is None:
         argv = ["synth", "--kind", "dataset", "--count", "2", "--out", str(tmp_path / "out")]
     else:
         _, argv = _record_inputs(kind, tmp_path, dataset)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: 4 if key == "seed" else {}}))
-    capsys.readouterr()
-    code = main([*argv, "--config", str(cfg)])
-    if key in CONFIG_KEYS[command]:
-        assert code == EXIT_OK
-    else:
-        assert code == EXIT_DATA
-        assert f"invalid {key} (not read by" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+    for field in sorted({**SECTION_FIELDS, "seed": {"seed"}}[key]):
+        flag = "--" + field.replace("_", "-")
+        value = {"seed": "4", "budget_multiplier": "3", "kl_estimator": "k3"}.get(field, "0.1")
+        capsys.readouterr()
+        code = main([*argv, flag, value])
+        if key in CONFIG_KEYS[command]:
+            assert code == EXIT_OK
+        else:
+            assert code == EXIT_DATA
+            err = capsys.readouterr().err
+            assert f"does not read {flag}" in err or f"unrecognized arguments: {flag}" in err
+            assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("mode, extra", [
@@ -878,6 +905,10 @@ def test_flag_of_another_mode_is_data_error(dataset, tmp_path, capsys, mode, ext
     ("dataset", ["--delta", "0.3"]), ("dataset", ["--repeat-epsilon", "0.1"]),  # removed flags
     ("outputs", ["--delta", "0.3"]), ("cases", ["--delta", "0.3"]),
     ("cases", ["--repeat-epsilon", "0.1"]), ("cases", ["--budget-multiplier", "9"]),
+    # settings come from flags alone: no command takes a config file
+    ("dataset", ["--config", "c.json"]), ("cases", ["--config", "c.json"]),
+    (None, ["--config", "c.json"]), ("outputs", ["--config", "c.json"]),
+    ("groups", ["--config", "c.json"]), ("traces", ["--config", "c.json"]),
 ])
 def test_usage_error_is_data_error(dataset, tmp_path, capsys, kind, extra):
     if kind is None:
@@ -898,7 +929,7 @@ SIMULATE = ["simulate", "--agent", "scripted:oracle"]
     [], ["frobnicate"], ["report"], ["report", "--traces"],
     # A path the OS refuses: a directory as an input file, --out on or under a file.
     [*SIMULATE, "--dataset", "{dir}", "--out", "{new}"],
-    [*SIMULATE, "--dataset", "{dataset}", "--config", "{dir}", "--out", "{new}"],
+    ["bench-robust", "--cases", "{dir}", "--agent", "scripted:oracle", "--out", "{new}"],
     ["score", "--samples", "{dir}", "--outputs", "{dataset}", "--out", "{new}"],
     ["report", "--traces", "{dir}"],
     [*SIMULATE, "--dataset", "{dataset}", "--out", "{dataset}"],
@@ -928,12 +959,27 @@ def test_help_and_version_exit_0(argv, capsys):
 
 def test_manifest_config_records_every_settable_value(dataset, tmp_path):
     _, argv = _record_inputs("groups", tmp_path, dataset)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"reward": {"alpha": 0.25}}))
-    assert main([*argv, "--config", str(cfg)]) == EXIT_OK
+    assert main([*argv, "--alpha", "0.25", "--kl-estimator", "k3"]) == EXIT_OK
     config = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
     assert {name: set(section) for name, section in config.items()} == {
         name: SECTION_FIELDS[name] for name in CONFIG_KEYS["score --group-logprobs"]
     }
     assert config["reward"] == {"alpha": 0.25, "beta": 0.5}
-    assert config["grpo"]["kl_estimator"] == "k3"
+    assert config["grpo"] == {"eps_clip": 0.2, "kl_lambda": 0.05, "kl_estimator": "k3"}
+
+
+@pytest.mark.parametrize("argv, outputs", [
+    (["simulate", "--agent", "scripted:oracle", "--formats", "csv", "markdown", "csv"],
+     ["traces.jsonl", "report.json", "report.csv", "report.md"]),
+    (["synth", "--kind", "sft"], ["samples.jsonl"]),
+    (["synth", "--kind", "bench"], ["cases.jsonl"]),
+    (["bench-robust", "--synthesize", "--agent", "scripted:oracle"],
+     ["case_results.jsonl", "report.json"]),
+])
+def test_manifest_records_every_flag_that_shapes_an_output(dataset, tmp_path, argv, outputs):
+    out = tmp_path / "out"
+    assert main([*argv, "--dataset", str(dataset), "--limit", "5", "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["limit"], manifest["skip_invalid"]) == (5, False)
+    assert manifest["outputs"] == outputs
+    assert all((out / name).is_file() for name in outputs)

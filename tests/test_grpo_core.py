@@ -221,7 +221,7 @@ def test_lambda_zero_reduces_to_surrogate():
     ))
     cfg0 = GrpoConfig(kl_lambda=0.0)
     cfg1 = GrpoConfig(kl_lambda=0.05)
-    adv = group_advantages(batch.rewards, cfg0)  # ratios are 1: surrogate = advantage
+    adv = group_advantages(batch.rewards)  # ratios are 1: surrogate = advantage
     objective0 = objective_report(batch, cfg0)["objective"]
     assert objective0 == pytest.approx(statistics.fmean(adv))
     assert objective_report(batch, cfg1)["objective"] < objective0
@@ -364,7 +364,7 @@ def test_gradient_matches_central_differences():
         return objective_report(batch, cfg)["objective"]
 
     # analytic gradient: d/dtheta_j log pi(y) = 1[j=y] - p_j; clip inactive
-    adv = group_advantages(rewards, cfg)
+    adv = group_advantages(rewards)
     p = _softmax(theta)
     lp = np.log(p)
     lp_old = np.log(_softmax(theta_old))

@@ -102,7 +102,6 @@ def _trace(matched_flags: list[bool], t_gt: int, traj_id="t") -> SimTrace:
                 gt_step=cursor,
                 issued=None if not ok else ActionRecord(kind=ActionKind.NAVIGATE_BACK),
                 matched=ok,
-                advanced=ok,
                 predicted_verification=None,
                 target_verification=Verification.SUCCESS,
             )

@@ -9,7 +9,6 @@ from tvae_harness.errors import BudgetExceededError, InvariantViolationError
 from tvae_harness.failure_forge import build_robustness_bench
 from tvae_harness.records import read_records, write_records
 from tvae_harness.sim_engine import (
-    AttemptLog,
     Outcome,
     SimConfig,
     SimState,
@@ -47,7 +46,7 @@ def test_transition_exact_match_advances():
     state, log = transition(
         _fresh_state(step), step.gt_action, step, "s1-next", budget=2
     )
-    assert log.matched and log.advanced
+    assert log.matched
     assert state.cursor == 1 and state.screen_ref == "s1-next"
     assert state.attempts_used == 1
 
@@ -56,7 +55,7 @@ def test_transition_mismatch_keeps_screen():
     step = make_click_step(0)
     off = ActionRecord(kind=ActionKind.CLICK, coordinate=(0.5, 0.7))  # outside bbox
     state, log = transition(_fresh_state(step), off, step, "s1-next", budget=2)
-    assert not log.matched and not log.advanced
+    assert not log.matched
     assert state.cursor == 0 and state.screen_ref == step.screen_ref
     assert state.attempts_used == 1
 
@@ -77,16 +76,17 @@ def test_transition_past_budget_is_caller_bug():
 
 
 def test_attempt_log_invariant():
-    with pytest.raises(InvariantViolationError):
-        AttemptLog(
-            attempt=0,
-            gt_step=0,
-            issued=None,
-            matched=False,
-            advanced=True,
-            predicted_verification=None,
-            target_verification=Verification.SUCCESS,
-        )
+    # a trace line's derived fields must agree with its attempt log
+    (trace,) = run_episodes(make_dataset(1, (2, 2), seed=3), _agent(VariantName.FAIL_K, k=1), CFG)
+    assert trace_from_json(trace_to_json(trace)) == trace
+    for field, value in (("advanced", True), ("steps_used", 99), ("final_cursor", 0)):
+        obj = trace_to_json(trace)
+        if field == "advanced":
+            obj["attempts"][0]["advanced"] = value  # the first attempt fails
+        else:
+            obj[field] = value
+        with pytest.raises(InvariantViolationError, match=field):
+            trace_from_json(obj)
 
 
 # -- run_episode -------------------------------------------------------------------
