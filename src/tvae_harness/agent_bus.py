@@ -18,7 +18,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Any, Protocol, Sequence
 from urllib.parse import urlsplit
 
-from .errors import AgentTimeoutError, AgentUnavailableError, InvariantViolationError
+from .errors import AgentError, DataError
 from .failure_forge import FailureMode, corrupt_action, mismatched_effect, sample_corruption
 from .trajectory_store import ActionRecord, StepRecord, describe_action
 from .tvae_codec import (
@@ -49,7 +49,7 @@ class Observation:
 
     def __post_init__(self) -> None:
         if self.step_budget_remaining < 0:
-            raise InvariantViolationError("observation", "step_budget_remaining", "must be >= 0")
+            raise DataError("observation: invalid step_budget_remaining (must be >= 0)")
 
 
 class AgentHandle(Protocol):
@@ -88,9 +88,9 @@ class Variant:
 
     def __post_init__(self) -> None:
         if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 0:
-            raise InvariantViolationError("scripted", "K", f"must be an integer >= 0, got {self.k!r}")
+            raise DataError(f"scripted: invalid K (must be an integer >= 0, got {self.k!r})")
         if isinstance(self.p, bool) or not isinstance(self.p, (int, float)) or not 0 <= self.p <= 1:
-            raise InvariantViolationError("scripted", "P", f"must be a number in [0, 1], got {self.p!r}")
+            raise DataError(f"scripted: invalid P (must be a number in [0, 1], got {self.p!r})")
 
 
 def _clean(text: str) -> str:
@@ -233,7 +233,7 @@ def scripted_turn(
             return _emit(instruction, bad, Verification.SUCCESS, mismatched_effect(bad))
         return _emit(instruction, gt_action, Verification.NO_CHANGE, gt.reference_effect)
 
-    raise InvariantViolationError("scripted", "variant", str(name))
+    raise DataError(f"scripted: invalid variant ({str(name)})")
 
 
 class ScriptedAgent:
@@ -252,7 +252,7 @@ class ScriptedAgent:
 
     def turn(self, obs: Observation, gt: StepRecord | None, rng: random.Random) -> str:
         if gt is None:
-            raise InvariantViolationError("scripted", "gt", "scripted agents need ground truth")
+            raise DataError("scripted: invalid gt (scripted agents need ground truth)")
         return scripted_turn(self.variant, obs, gt, rng)
 
 
@@ -298,7 +298,7 @@ class _HttpPool:
         except ValueError:  # non-numeric or out-of-range port
             port = 0
         if parts.scheme not in ("http", "https") or not parts.hostname or port == 0:
-            raise InvariantViolationError("remote", "endpoint", f"{url!r} is not an http(s) URL")
+            raise DataError(f"remote: invalid endpoint ({url!r} is not an http(s) URL)")
         # Loaded here, once per pool: `http.client` pulls in `ssl` and
         # `email.*`, which no other agent needs.
         import threading
@@ -350,9 +350,7 @@ class _HttpPool:
             last = self._http_error(f"HTTP {resp.status} {resp.reason}")
             if resp.status < 500:
                 break
-        if isinstance(last, TimeoutError):
-            raise AgentTimeoutError(f"{self.url}: {last}") from last
-        raise AgentUnavailableError(f"{self.url}: {last}") from last
+        raise AgentError(f"{self.url}: {last}") from last
 
     def close(self) -> None:
         """Close the idle connections; the pool stays usable."""
@@ -380,7 +378,7 @@ class RemoteAgent:
         max_inflight: int = 1,
     ):
         if max_inflight < 1:
-            raise InvariantViolationError("remote", "max_inflight", "must be >= 1")
+            raise DataError("remote: invalid max_inflight (must be >= 1)")
         self.identity = f"remote:{endpoint}"
         self.max_inflight = max_inflight
         self._pool = _HttpPool(_turn_url(endpoint), timeout)
@@ -392,7 +390,7 @@ class RemoteAgent:
         """POST the observation to the turn server; return the body verbatim.
 
         Retries once on transport errors, timeouts and 5xx responses, then
-        raises AgentUnavailableError (or AgentTimeoutError when the deadline
+        raises AgentError (its message names the timeout when the deadline
         was the cause); a 4xx response raises at once.  The body is never
         interpreted here; parsing happens downstream.
         """
@@ -429,12 +427,12 @@ class StdioAgent:
                 bufsize=1,
             )
         except OSError as exc:
-            raise AgentUnavailableError(f"cannot spawn {argv}: {exc}") from exc
+            raise AgentError(f"cannot spawn {argv}: {exc}") from exc
 
     def turn(self, obs: Observation, gt: StepRecord | None, rng: random.Random) -> str:
         proc = self._proc
         if proc.poll() is not None:
-            raise AgentUnavailableError("stdio agent exited")
+            raise AgentError("stdio agent exited")
         try:
             assert proc.stdin is not None and proc.stdout is not None
             proc.stdin.write(json.dumps(observation_to_wire(obs)) + "\n")
@@ -443,13 +441,13 @@ class StdioAgent:
             while True:
                 line = proc.stdout.readline()
                 if not line:
-                    raise AgentUnavailableError("stdio agent closed its output")
+                    raise AgentError("stdio agent closed its output")
                 if line.rstrip("\n") == STDIO_SENTINEL:
                     break
                 lines.append(line)
             return "".join(lines).rstrip("\n")
         except (BrokenPipeError, OSError) as exc:
-            raise AgentUnavailableError(f"stdio transport failed: {exc}") from exc
+            raise AgentError(f"stdio transport failed: {exc}") from exc
 
     def close(self) -> None:
         import subprocess
@@ -489,7 +487,9 @@ def parse_agent_spec(
         try:
             name = VariantName(variant)
         except ValueError:
-            raise InvariantViolationError("agent", "variant", variant) from None
+            raise DataError(
+                f"agent: invalid variant ({variant})" if variant else "agent: invalid variant"
+            ) from None
         if not sep:
             return ScriptedAgent(Variant(name))
         try:
@@ -498,11 +498,11 @@ def parse_agent_spec(
             if name is VariantName.BERNOULLI:
                 return ScriptedAgent(Variant(name, p=float(arg)))
         except ValueError:
-            raise InvariantViolationError("agent", "spec", f"{spec!r}: K or P is not one number") from None
-        raise InvariantViolationError("agent", "spec", f"{spec!r}: {variant} takes no argument")
+            raise DataError(f"agent: invalid spec ({spec!r}: K or P is not one number)") from None
+        raise DataError(f"agent: invalid spec ({spec!r}: {variant} takes no argument)")
     if head == "remote":
         return RemoteAgent(rest, timeout=timeout, token=token, max_inflight=max_inflight)
     if head == "stdio":
         return StdioAgent(rest)
-    raise InvariantViolationError("agent", "spec", spec)
+    raise DataError(f"agent: invalid spec ({spec})" if spec else "agent: invalid spec")
 

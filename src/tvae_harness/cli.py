@@ -28,13 +28,7 @@ from typing import Any, Iterable, NoReturn, Sequence
 
 from . import __version__
 from .agent_bus import parse_agent_spec
-from .errors import (
-    AgentError,
-    AlignmentMismatchError,
-    DataError,
-    EmptySetError,
-    InvariantViolationError,
-)
+from .errors import AgentError, DataError
 from .failure_forge import (
     DEFAULT_FAILURE_WEIGHTS,
     build_robustness_bench,
@@ -116,7 +110,9 @@ def _config_snapshot(**sections: Any) -> dict[str, dict[str, Any]]:
 
 # Flags that only some modes of `synth`, `bench-robust` and `score` read, and
 # the value each takes when its mode reads it and it is not given (None: the
-# config field's default).
+# config field's default).  This is the one home of the `--ratio-b`,
+# `--per-traj`, `--count` and `--lengths` defaults: the library functions
+# that take them have none.
 _MODE_FLAG_DEFAULTS: dict[str, Any] = {
     "dataset": None, "limit": None, "skip_invalid": False,
     "ratio_b": 0.3, "per_traj": 1, "count": 100, "lengths": (1, 8),
@@ -170,7 +166,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     sim = _settings(SimConfig, args, ("budget_multiplier",), seed=args.seed)
     trajs = load_dataset(args.dataset, limit=args.limit, skip_invalid=args.skip_invalid)
     if not trajs:
-        raise EmptySetError("dataset is empty")
+        raise DataError("dataset is empty")
     agent = parse_agent_spec(
         args.agent, timeout=args.timeout, token=args.token, max_inflight=args.workers
     )
@@ -231,7 +227,7 @@ def cmd_bench_robust(args: argparse.Namespace) -> int:
         else:
             cases = read_records(args.cases, failure_case_from_json, "failure case")
         if not cases:
-            raise EmptySetError("no failure cases")
+            raise DataError("no failure cases")
         results = run_failure_cases(cases, agent, SimConfig(seed=args.seed), workers=args.workers)
     finally:
         getattr(agent, "close", lambda: None)()
@@ -266,7 +262,8 @@ def cmd_bench_robust(args: argparse.Namespace) -> int:
             "cases": cases_path.name if args.synthesize else str(cases_path),
             "cases_sha256": _sha256(cases_path),
             "synthesized": bool(args.synthesize),
-            **({"limit": args.limit, "skip_invalid": args.skip_invalid, "per_traj": args.per_traj}
+            **({"dataset": str(args.dataset), "dataset_sha256": _sha256(args.dataset),
+                "limit": args.limit, "skip_invalid": args.skip_invalid, "per_traj": args.per_traj}
                if args.synthesize else {}),
             "outputs": ["case_results.jsonl", "report.json"],
         },
@@ -342,9 +339,9 @@ def cmd_score(args: argparse.Namespace) -> int:
     samples = read_records(args.samples, sample_from_json, "sample")
     raws = read_records(args.outputs, lambda obj: str(obj["raw"]), "output")
     if len(samples) != len(raws):
-        raise AlignmentMismatchError(f"{len(samples)} samples vs {len(raws)} outputs")
+        raise DataError(f"{len(samples)} samples vs {len(raws)} outputs")
     if not samples:
-        raise EmptySetError("no outputs to score")
+        raise DataError("no outputs to score")
     breakdowns = [
         score_output(raw, sample, reward_cfg).to_json() for raw, sample in zip(raws, samples)
     ]
@@ -358,7 +355,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         groups = grpo_core.read_group_batches(args.group_logprobs, totals)
         covered = sum(len(g.outputs) for g in groups)
         if covered != len(samples):
-            raise AlignmentMismatchError(
+            raise DataError(
                 f"group log-probs cover {covered} outputs but {len(samples)} were scored"
             )
         reports = [grpo_core.objective_report(g, grpo_cfg) for g in groups]
@@ -396,7 +393,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     traces = read_records(args.traces, trace_from_json, "trace")
     if not traces:
-        raise EmptySetError("no traces")
+        raise DataError("no traces")
     report = MetricsReport.build(task=task_metrics(traces))
     data = emit_report(report, ReportFormat(args.format))
     if args.out:
@@ -534,7 +531,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except AgentError as exc:
         print(f"agent error: {exc}", file=sys.stderr)
         return EXIT_AGENT
-    except (DataError, OSError, json.JSONDecodeError) as exc:  # OSError: an unusable path
+    except (DataError, OSError) as exc:  # OSError: an unusable path
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -1,148 +1,24 @@
-"""Typed exception hierarchy shared across the harness.
+"""The harness's two error classes, one per exit code.
 
-Three branches matter for exit-code mapping: DataError (bad inputs, exit 1),
-AgentError (unreachable or misbehaving agents, exit 2), and everything else
-(internal, exit 3).
+DataError (a bad input file, flag or record) exits 1 and AgentError (an
+agent that cannot be reached or fails to answer) exits 2.  Anything else,
+a builtin included, is a harness bug and exits 3.
 """
 
 from __future__ import annotations
 
 
-class HarnessError(Exception):
-    """Base class for every error raised by this package."""
+class DataError(Exception):
+    """Invalid dataset, sample, trace, flag or agent output."""
 
 
-class DataError(HarnessError):
-    """Invalid dataset, sample, or configuration input."""
-
-
-class AgentError(HarnessError):
+class AgentError(Exception):
     """Agent endpoint failed to produce a turn."""
 
 
-# -- ingestion ------------------------------------------------------------
-
-
-class MalformedLineError(DataError):
-    def __init__(self, line_no: int, detail: str):
-        super().__init__(f"line {line_no}: {detail}")
-        self.line_no = line_no
-        self.detail = detail
-
-
-class InvariantViolationError(DataError):
-    def __init__(self, subject: str, field: str, detail: str = ""):
-        msg = f"{subject}: invalid {field}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
-        self.subject = subject
-        self.field = field
-
-
-class MissingDimsError(DataError):
-    def __init__(self, subject: str, detail: str = "absolute coordinates without screen_dims"):
-        super().__init__(f"{subject}: {detail}")
-        self.subject = subject
-
-
-class NegativeCoordinateError(DataError):
-    def __init__(self, coordinate: tuple[float, float]):
-        super().__init__(f"negative coordinate {coordinate}")
-        self.coordinate = coordinate
-
-
-# -- turn-text grammar -----------------------------------------------------
-
-
-class CodecError(DataError):
-    """Raw agent text could not be interpreted."""
-
-
-class MissingBlockError(CodecError):
-    def __init__(self, name: str):
-        super().__init__(f"missing <{name}> block")
-        self.name = name
-
-
-class MalformedActionJsonError(CodecError):
-    def __init__(self, detail: str):
-        super().__init__(f"malformed action JSON: {detail}")
-        self.detail = detail
-
-
-class UnknownVerificationError(CodecError):
-    def __init__(self, token: str):
-        super().__init__(f"unknown verification token {token!r}")
-        self.token = token
-
-
-class UnknownActionKindError(CodecError):
-    def __init__(self, token: str):
-        super().__init__(f"unknown action kind {token!r}")
-        self.token = token
-
-
-class UnknownThinkTagError(CodecError):
-    def __init__(self, tag: str):
-        super().__init__(f"unknown think tag [{tag}]")
-        self.tag = tag
-
-
-# -- synthesis -------------------------------------------------------------
-
-
 class ModeInapplicableError(DataError):
+    """A failure mode that makes no sense for the action kind; the forge
+    catches it to redraw the mode."""
+
     def __init__(self, mode: str, kind: str):
         super().__init__(f"failure mode {mode} not applicable to action kind {kind}")
-        self.mode = mode
-        self.kind = kind
-
-
-class EmptyDatasetError(DataError):
-    pass
-
-
-# -- simulation ------------------------------------------------------------
-
-
-class BudgetExceededError(HarnessError):
-    """transition() called after the attempt budget was consumed (caller bug)."""
-
-
-class AgentUnavailableError(AgentError):
-    pass
-
-
-class AgentTimeoutError(AgentError):
-    pass
-
-
-# -- numerics --------------------------------------------------------------
-
-
-class GroupTooSmallError(DataError):
-    pass
-
-
-class LengthMismatchError(DataError):
-    pass
-
-
-class ShapeMismatchError(DataError):
-    pass
-
-
-class InvalidDistributionError(DataError):
-    pass
-
-
-# -- aggregation / scoring --------------------------------------------------
-
-
-class EmptySetError(DataError):
-    pass
-
-
-class AlignmentMismatchError(DataError):
-    pass

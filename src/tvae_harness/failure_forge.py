@@ -20,7 +20,7 @@ from enum import Enum
 from itertools import accumulate
 from typing import Any, Mapping, Sequence
 
-from .errors import EmptyDatasetError, InvariantViolationError, ModeInapplicableError
+from .errors import DataError, ModeInapplicableError
 from .reward_engine import DELTA, distance_to_bbox, euclidean, match_action
 from .seeding import stable_seed
 from .trajectory_store import (
@@ -149,7 +149,7 @@ def corrupt_action(
         raise ModeInapplicableError(mode.value, gt.kind.value)
     result = _corrupt(gt, bbox, mode, rng, known_bboxes)
     if match_action(result, gt, bbox):
-        raise InvariantViolationError("forge", mode.value, "corruption matched ground truth")
+        raise DataError(f"forge: invalid {mode.value} (corruption matched ground truth)")
     return result
 
 
@@ -291,12 +291,12 @@ class SyntheticSample:
         check_box_and_dims("sample", "target_bbox", self.target_bbox, self.screen_dims)
         if self.sample_type is SampleType.TYPE_A:
             if self.target_verification is not Verification.SUCCESS:
-                raise InvariantViolationError("sample", "target_verification", "type A => SUCCESS")
+                raise DataError("sample: invalid target_verification (type A => SUCCESS)")
         else:
             if self.target_verification is not Verification.NO_CHANGE:
-                raise InvariantViolationError("sample", "target_verification", "type B => NO_CHANGE")
+                raise DataError("sample: invalid target_verification (type B => NO_CHANGE)")
             if not self.history:
-                raise InvariantViolationError("sample", "history", "type B needs the failed entry")
+                raise DataError("sample: invalid history (type B needs the failed entry)")
 
 
 @dataclass(frozen=True)
@@ -317,13 +317,11 @@ class FailureCase:
     def __post_init__(self) -> None:
         check_box_and_dims("failure_case", "gt_bbox", self.gt_bbox, self.screen_dims)
         if not self.history:
-            raise InvariantViolationError("failure_case", "history", "must end in erroneous entry")
+            raise DataError("failure_case: invalid history (must end in erroneous entry)")
         if self.history[-1].action != self.erroneous:
-            raise InvariantViolationError("failure_case", "history", "last entry must be erroneous")
+            raise DataError("failure_case: invalid history (last entry must be erroneous)")
         if match_action(self.erroneous, self.gt_recovery, self.gt_bbox):
-            raise InvariantViolationError(
-                "failure_case", "erroneous", "must not match the recovery action"
-            )
+            raise DataError("failure_case: invalid erroneous (must not match the recovery action)")
 
 
 def mismatched_effect(action: ActionRecord) -> str:
@@ -360,7 +358,7 @@ def _type_b_quotas(trajs: Sequence[TrajectoryRecord], ratio_b: float) -> list[in
 
 def build_sft_dataset(
     trajs: Sequence[TrajectoryRecord],
-    ratio_b: float = 0.3,
+    ratio_b: float,
     seed: int = 0,
 ) -> list[SyntheticSample]:
     """Expand trajectories into type A samples plus a ratio_b fraction of
@@ -370,9 +368,9 @@ def build_sft_dataset(
     in parallel without changing the output.
     """
     if not trajs:
-        raise EmptyDatasetError("no trajectories")
+        raise DataError("no trajectories")
     if not 0 <= ratio_b <= 1:
-        raise InvariantViolationError("sft", "ratio_b", "must be in [0,1]")
+        raise DataError("sft: invalid ratio_b (must be in [0,1])")
     quotas = _type_b_quotas(trajs, ratio_b)
     samples: list[SyntheticSample] = []
     for traj, quota in zip(trajs, quotas):
@@ -416,14 +414,14 @@ def build_sft_dataset(
 
 def build_robustness_bench(
     trajs: Sequence[TrajectoryRecord],
-    per_traj: int = 1,
+    per_traj: int,
     seed: int = 0,
 ) -> list[FailureCase]:
     """Create failure-injection cases from sampled steps of each trajectory."""
     if not trajs:
-        raise EmptyDatasetError("no trajectories")
+        raise DataError("no trajectories")
     if per_traj < 1:
-        raise InvariantViolationError("bench", "per_traj", "must be >= 1")
+        raise DataError("bench: invalid per_traj (must be >= 1)")
     cases: list[FailureCase] = []
     for traj in trajs:
         rng = random.Random(stable_seed(seed, "bench", traj.id))

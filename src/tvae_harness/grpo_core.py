@@ -17,13 +17,7 @@ from operator import sub
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .errors import (
-    GroupTooSmallError,
-    InvalidDistributionError,
-    InvariantViolationError,
-    LengthMismatchError,
-    ShapeMismatchError,
-)
+from .errors import DataError
 from .records import read_records
 
 
@@ -45,11 +39,9 @@ class GrpoConfig:
 
     def __post_init__(self) -> None:
         if not 0 < self.eps_clip < 1:
-            raise InvariantViolationError("grpo_config", "eps_clip", "must be in (0,1)")
+            raise DataError("grpo_config: invalid eps_clip (must be in (0,1))")
         if not (math.isfinite(self.kl_lambda) and self.kl_lambda >= 0):
-            raise InvariantViolationError(
-                "grpo_config", "kl_lambda", "must be a finite number >= 0"
-            )
+            raise DataError("grpo_config: invalid kl_lambda (must be a finite number >= 0)")
 
 
 _LOGPROB_TOL = 1e-9
@@ -73,17 +65,17 @@ class GroupOutput:
     def __post_init__(self) -> None:
         n = len(self.logprobs_new)
         if n < 1:
-            raise LengthMismatchError("output must have at least one token")
+            raise DataError("output must have at least one token")
         if len(self.logprobs_old) != n or len(self.logprobs_ref) != n:
-            raise LengthMismatchError(
+            raise DataError(
                 f"log-prob lengths differ: {n}/{len(self.logprobs_old)}/{len(self.logprobs_ref)}"
             )
         for seq in (self.logprobs_new, self.logprobs_old, self.logprobs_ref):
             if any(v > _LOGPROB_TOL for v in seq):
-                raise InvariantViolationError("group_output", "logprobs", "must be <= 0")
+                raise DataError("group_output: invalid logprobs (must be <= 0)")
         for dist in (self.dist_new, self.dist_ref):
             if dist is not None and len(dist) != n:
-                raise ShapeMismatchError("distribution rows must align with tokens")
+                raise DataError("distribution rows must align with tokens")
 
     def __len__(self) -> int:
         return len(self.logprobs_new)
@@ -95,7 +87,7 @@ class GroupBatch:
 
     def __post_init__(self) -> None:
         if len(self.outputs) < 2:
-            raise GroupTooSmallError(f"group of {len(self.outputs)}; need >= 2")
+            raise DataError(f"group of {len(self.outputs)}; need >= 2")
 
     @property
     def rewards(self) -> list[float]:
@@ -126,7 +118,7 @@ def _exp_or_inf(x: float) -> float:
 def group_advantages(rewards: Sequence[float]) -> list[float]:
     """Normalize rewards within the group: (r - mean) / (population std + EPS_STD)."""
     if len(rewards) < 2:
-        raise GroupTooSmallError(f"group of {len(rewards)}; need >= 2")
+        raise DataError(f"group of {len(rewards)}; need >= 2")
     if all(r == rewards[0] for r in rewards):  # degenerate group: residuals are exactly zero
         return [0.0] * len(rewards)
     mean = exact_mean(rewards)
@@ -143,12 +135,12 @@ def exact_kl(dist_new: Sequence[Sequence[float]], dist_ref: Sequence[Sequence[fl
     """
     widths = {len(row) for row in (*dist_new, *dist_ref)}
     if len(dist_new) != len(dist_ref) or len(widths) != 1:
-        raise ShapeMismatchError("distributions must be two equal-shaped tables of rows")
+        raise DataError("distributions must be two equal-shaped tables of rows")
     for name, dist in (("new", dist_new), ("ref", dist_ref)):
         if any(abs(_exact_sum(row) - 1.0) > 1e-9 or any(v < 0 for v in row) for row in dist):
-            raise InvalidDistributionError(f"{name} rows must be distributions")
+            raise DataError(f"{name} rows must be distributions")
     if any(b <= 0 < a for p, q in zip(dist_new, dist_ref) for a, b in zip(p, q)):
-        raise InvalidDistributionError("reference assigns zero mass where policy does not")
+        raise DataError("reference assigns zero mass where policy does not")
     return exact_mean([
         math.fsum([a * (math.log(a) - math.log(b)) for a, b in zip(p, q) if a > 0])
         for p, q in zip(dist_new, dist_ref)
@@ -179,7 +171,7 @@ def _output_terms(
         log_r = map(sub, o.logprobs_ref, o.logprobs_new)
         return surrogate, exact_mean([exp(d) - 1.0 - d for d in log_r])
     if o.dist_new is None or o.dist_ref is None:
-        raise InvalidDistributionError("exact KL requires full per-token distributions")
+        raise DataError("exact KL requires full per-token distributions")
     return surrogate, exact_kl(o.dist_new, o.dist_ref)
 
 
@@ -220,7 +212,7 @@ def objective_report(batch: GroupBatch, cfg: GrpoConfig | None = None) -> dict[s
 def group_output_from_json(obj: Mapping[str, Any], reward: float | None = None) -> GroupOutput:
     r = obj.get("reward", reward)
     if r is None:
-        raise InvariantViolationError("group_output", "reward", "missing and no fallback")
+        raise DataError("group_output: invalid reward (missing and no fallback)")
     return GroupOutput(
         reward=float(r),
         logprobs_new=tuple(float(v) for v in obj["logprobs_new"]),

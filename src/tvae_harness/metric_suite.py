@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Sequence
 
-from .errors import EmptySetError, InvariantViolationError
+from .errors import DataError
 from .reward_engine import match_action, parameters_match
 from .sim_engine import CaseResult, Outcome, SimTrace
 from .trajectory_store import ActionRecord, StepRecord
@@ -58,7 +58,7 @@ class RobustnessMetrics:
 def step_metrics(preds: Sequence[StepPrediction]) -> StepMetrics:
     """Compute TM / GR / SR over a prediction set."""
     if not preds:
-        raise EmptySetError("no step predictions")
+        raise DataError("no step predictions")
     tm_hits = 0
     sr_hits = 0
     gr_eligible = 0
@@ -104,7 +104,7 @@ def progress_fraction(trace: SimTrace) -> float:
 def task_metrics(traces: Sequence[SimTrace]) -> TaskMetrics:
     """Compute TSR / PG / Sim-TSR / ASO over episode traces."""
     if not traces:
-        raise EmptySetError("no traces")
+        raise DataError("no traces")
     n = len(traces)
     tsr = sum(t.outcome is Outcome.COMPLETED_FIRST_TRY for t in traces) / n
     # Left to right: from 3.12 on `sum()` compensates float rounding, which
@@ -131,7 +131,7 @@ def task_metrics(traces: Sequence[SimTrace]) -> TaskMetrics:
 def robustness_metrics(results: Sequence[CaseResult]) -> RobustnessMetrics:
     """Compute LR / RSR over failure-case results."""
     if not results:
-        raise EmptySetError("no failure-case results")
+        raise DataError("no failure-case results")
     n = len(results)
     return RobustnessMetrics(
         lr=sum(r.repeated for r in results) / n,
@@ -161,12 +161,12 @@ class MetricsReport:
 
     def __post_init__(self) -> None:
         if self.tsr is not None and self.sim_tsr is not None and self.tsr > self.sim_tsr + 1e-12:
-            raise InvariantViolationError("report", "tsr", "recovery can only add completions")
+            raise RuntimeError("report: invalid tsr (recovery can only add completions)")
         if self.sr is not None and self.tm is not None and self.sr > self.tm + 1e-12:
-            raise InvariantViolationError("report", "sr", "joint correctness implies type match")
+            raise RuntimeError("report: invalid sr (joint correctness implies type match)")
         if self.aso is not None and self.sim_tsr is not None:
             if (self.sim_tsr > 0) == math.isinf(self.aso):
-                raise InvariantViolationError("report", "aso", "finite iff sim_tsr > 0")
+                raise RuntimeError("report: invalid aso (finite iff sim_tsr > 0)")
 
     @classmethod
     def build(

@@ -1,6 +1,6 @@
 """The one reader and writer of JSONL record files: one JSON object per
-line, blank lines ignored, and any other bad line a `MalformedLineError`
-that names it (so a bad input file exits 1, never 3)."""
+line, blank lines ignored, and any other bad line a `DataError` that names
+it (so a bad input file exits 1, never 3)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import json
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
-from .errors import DataError, MalformedLineError
+from .errors import DataError
 
 # What a record parser raises on a wrongly shaped JSON object.
 PARSE_ERRORS = (KeyError, ValueError, TypeError, IndexError, AttributeError)
@@ -24,8 +24,8 @@ def read_records(
     """Parse each non-blank line of `path` into a record with `parse`.
 
     A line that is not UTF-8 JSON, not an object, or that `parse` rejects
-    with one of `PARSE_ERRORS` raises `MalformedLineError`; a `DataError`
-    from `parse` keeps its type and gains the line number.  With
+    with one of `PARSE_ERRORS` or a `DataError` raises a `DataError` whose
+    message starts with `line N: `.  With
     `skip_invalid` bad lines are logged and dropped instead.  `limit` caps
     the number of records kept.
     """
@@ -40,16 +40,15 @@ def read_records(
                 try:
                     obj = json.loads(line.decode("utf-8"))
                 except ValueError as exc:
-                    raise MalformedLineError(line_no, f"invalid JSON: {exc}") from exc
+                    raise DataError(f"invalid JSON: {exc}") from exc
                 if not isinstance(obj, dict):
-                    raise MalformedLineError(line_no, "line is not a JSON object")
+                    raise DataError("line is not a JSON object")
                 try:
                     records.append(parse(obj))
                 except PARSE_ERRORS as exc:
-                    raise MalformedLineError(line_no, f"bad {what}: {exc!r}") from exc
+                    raise DataError(f"bad {what}: {exc!r}") from exc
             except DataError as exc:
-                if not isinstance(exc, MalformedLineError):
-                    exc.args = (f"line {line_no}: {exc}",)
+                exc.args = (f"line {line_no}: {exc}",)
                 if not skip_invalid:
                     raise
                 import logging  # loaded only once a line is dropped

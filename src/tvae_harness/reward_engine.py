@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from .errors import DataError, InvariantViolationError
+from .errors import DataError
 from .trajectory_store import (
     ActionKind,
     ActionRecord,
@@ -43,9 +43,7 @@ class RewardConfig:
 
     def __post_init__(self) -> None:
         if not all(math.isfinite(w) and w >= 0 for w in (self.alpha, self.beta)):
-            raise InvariantViolationError(
-                "reward_config", "alpha/beta", "must be finite numbers >= 0"
-            )
+            raise DataError("reward_config: invalid alpha/beta (must be finite numbers >= 0)")
 
 
 _DEFAULT_CONFIG = RewardConfig()
@@ -221,13 +219,14 @@ def score_output(
 ) -> RewardBreakdown:
     """Score one raw agent output: `composite_reward` of its lenient parse.
 
-    No parse, no claim: an output that does not parse scores a wrong action,
-    zero effect reward and the generic miss penalty.
+    No parse, no claim: an output that does not parse (a `DataError`) scores
+    a wrong action, zero effect reward and the generic miss penalty; any
+    other exception is a harness bug and propagates.
     """
     cfg = cfg or _DEFAULT_CONFIG
     try:
         turn = parse_tvae(raw, strict=False)
-    except Exception as exc:
+    except DataError as exc:
         return RewardBreakdown(
             r_act=-1.0,
             r_eff=0.0,

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Any, Callable, Mapping, Sequence
 
 from .agent_bus import AgentHandle, Observation
-from .errors import BudgetExceededError, DataError, InvariantViolationError
+from .errors import DataError
 from .failure_forge import FailureCase
 from .reward_engine import actions_approx_equal, match_action
 from .seeding import stable_seed
@@ -45,8 +45,8 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         if not 1 <= self.budget_multiplier <= MAX_BUDGET_MULTIPLIER:
-            raise InvariantViolationError(
-                "sim_config", "budget_multiplier", f"must be in [1, {MAX_BUDGET_MULTIPLIER:g}]"
+            raise DataError(
+                f"sim_config: invalid budget_multiplier (must be in [1, {MAX_BUDGET_MULTIPLIER:g}])"
             )
 
 
@@ -107,11 +107,9 @@ def transition(
     (unparseable turn) consumes the attempt without a history entry.
     """
     if state.attempts_used >= budget:
-        raise BudgetExceededError(
-            f"attempt {state.attempts_used} with budget {budget}"
-        )
+        raise RuntimeError(f"attempt {state.attempts_used} with budget {budget}")
     if state.cursor != gt.index:
-        raise InvariantViolationError("transition", "cursor", "state/step mismatch")
+        raise RuntimeError("transition: invalid cursor (state/step mismatch)")
     matched = issued is not None and match_action(issued, gt.gt_action, gt.gt_bbox)
     history = state.history
     if turn is not None and issued is not None:
@@ -139,10 +137,15 @@ def transition(
 def _interpret(
     raw: str, dims: tuple[int, int] | None
 ) -> tuple[TvaeOutput | None, ActionRecord | None, tuple[str, ...]]:
-    """Lenient parse plus coordinate normalization; never raises."""
+    """Lenient parse plus coordinate normalization.
+
+    A turn that does not parse (a `DataError`) is an unparseable turn: no
+    action, one warning.  Any other exception is a harness bug and
+    propagates.
+    """
     try:
         turn = parse_tvae(raw, strict=False)
-    except Exception as exc:  # not only CodecError: arbitrary bytes must not crash
+    except DataError as exc:
         return None, None, (f"unparseable turn: {exc}",)
     action = turn.action
     warnings = list(turn.warnings)
@@ -153,6 +156,17 @@ def _interpret(
             # Keep the raw-space action; it cannot match a relative target.
             warnings.append(f"ungroundable coordinates: {exc}")
     return turn, action, tuple(warnings)
+
+
+def _outcome(attempts: Sequence[AttemptLog], t_gt: int) -> Outcome:
+    """An episode's outcome: completed once `t_gt` attempts matched, and on
+    the first try when no attempt missed."""
+    matches = sum(a.matched for a in attempts)
+    if matches < t_gt:
+        return Outcome.BUDGET_EXHAUSTED
+    if matches == len(attempts):
+        return Outcome.COMPLETED_FIRST_TRY
+    return Outcome.COMPLETED_WITH_RECOVERY
 
 
 def run_episode(traj: TrajectoryRecord, agent: AgentHandle, cfg: SimConfig) -> SimTrace:
@@ -193,17 +207,10 @@ def run_episode(traj: TrajectoryRecord, agent: AgentHandle, cfg: SimConfig) -> S
             parse_warnings=warnings,
         )
         logs.append(log)
-    if state.cursor >= t_gt:
-        if state.attempts_used == t_gt and all(a.matched for a in logs):
-            outcome = Outcome.COMPLETED_FIRST_TRY
-        else:
-            outcome = Outcome.COMPLETED_WITH_RECOVERY
-    else:
-        outcome = Outcome.BUDGET_EXHAUSTED
     return SimTrace(
         trajectory_id=traj.id,
         attempts=tuple(logs),
-        outcome=outcome,
+        outcome=_outcome(logs, t_gt),
         steps_used=state.attempts_used,
         t_gt=t_gt,
         final_cursor=state.cursor,
@@ -336,8 +343,10 @@ def trace_to_json(trace: SimTrace) -> dict[str, Any]:
 
 def trace_from_json(obj: Mapping[str, Any]) -> SimTrace:
     """A trace line; its `steps_used` must count its attempts, its
-    `final_cursor` their matches, and each attempt's `advanced` equal its
-    `matched`."""
+    `final_cursor` their matches, each attempt's `advanced` equal its
+    `matched`, its `t_gt` lie in [max(1, final_cursor), steps_used] (an
+    episode ends once `t_gt` attempts matched, and its budget is at least
+    `t_gt`), and its `outcome` follow from its attempts."""
     trace = SimTrace(
         trajectory_id=str(obj["trajectory_id"]),
         outcome=Outcome(obj["outcome"]),
@@ -362,9 +371,15 @@ def trace_from_json(obj: Mapping[str, Any]) -> SimTrace:
         ),
     )
     if any(bool(a["advanced"]) != bool(a["matched"]) for a in obj["attempts"]):
-        raise InvariantViolationError(trace.trajectory_id, "advanced", "must equal matched")
+        raise DataError(f"{trace.trajectory_id}: invalid advanced (must equal matched)")
     if trace.steps_used != len(trace.attempts):
-        raise InvariantViolationError(trace.trajectory_id, "steps_used", "must count the attempts")
+        raise DataError(f"{trace.trajectory_id}: invalid steps_used (must count the attempts)")
     if trace.final_cursor != sum(a.matched for a in trace.attempts):
-        raise InvariantViolationError(trace.trajectory_id, "final_cursor", "must count the matches")
+        raise DataError(f"{trace.trajectory_id}: invalid final_cursor (must count the matches)")
+    if not max(1, trace.final_cursor) <= trace.t_gt <= trace.steps_used:
+        raise DataError(
+            f"{trace.trajectory_id}: invalid t_gt (must be in [max(1, final_cursor), steps_used])"
+        )
+    if trace.outcome is not _outcome(trace.attempts, trace.t_gt):
+        raise DataError(f"{trace.trajectory_id}: invalid outcome (must follow from the attempts)")
     return trace

@@ -84,7 +84,7 @@ def random_trajectory(traj_id: str, length: int, seed: int = 0) -> TrajectoryRec
 
 def make_dataset(
     count: int,
-    lengths: tuple[int, int] = (1, 8),
+    lengths: tuple[int, int],
     seed: int = 0,
     prefix: str = "traj",
 ) -> list[TrajectoryRecord]:

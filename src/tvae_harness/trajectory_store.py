@@ -13,7 +13,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .errors import InvariantViolationError, MissingDimsError, NegativeCoordinateError
+from .errors import DataError
 from .records import read_records, write_records
 
 COORD_DECIMALS = 6
@@ -73,24 +73,24 @@ class ActionRecord:
         want_text = k in TEXT_KINDS
         want_secs = k is ActionKind.WAIT
         if want_coord != (self.coordinate is not None):
-            raise InvariantViolationError(k.value, "coordinate", "required iff spatial")
+            raise DataError(f"{k.value}: invalid coordinate (required iff spatial)")
         if want_dir != (self.direction is not None):
-            raise InvariantViolationError(k.value, "direction", "required iff scroll")
+            raise DataError(f"{k.value}: invalid direction (required iff scroll)")
         if want_text != (self.text is not None):
-            raise InvariantViolationError(k.value, "text", "required iff textual")
+            raise DataError(f"{k.value}: invalid text (required iff textual)")
         if want_secs != (self.seconds is not None):
-            raise InvariantViolationError(k.value, "seconds", "required iff wait")
+            raise DataError(f"{k.value}: invalid seconds (required iff wait)")
         if self.text is not None and not self.text:
-            raise InvariantViolationError(k.value, "text", "must be non-empty")
+            raise DataError(f"{k.value}: invalid text (must be non-empty)")
         if self.seconds is not None and self.seconds < 0:
-            raise InvariantViolationError(k.value, "seconds", "must be >= 0")
+            raise DataError(f"{k.value}: invalid seconds (must be >= 0)")
         if self.coordinate is not None:
             x, y = self.coordinate
             if x < 0 or y < 0:
-                raise NegativeCoordinateError((x, y))
+                raise DataError(f"negative coordinate {(x, y)}")
             if self.coordinate_space is CoordinateSpace.RELATIVE and (x > 1 or y > 1):
-                raise InvariantViolationError(
-                    k.value, "coordinate", f"({x}, {y}) outside [0,1] in relative space"
+                raise DataError(
+                    f"{k.value}: invalid coordinate (({x}, {y}) outside [0,1] in relative space)"
                 )
 
     def is_spatial(self) -> bool:
@@ -107,11 +107,11 @@ def check_box_and_dims(
     case: `dims` is a positive (width, height) and `bbox` a relative
     (x0, y0, x1, y1) with 0 <= x0 < x1 <= 1 and 0 <= y0 < y1 <= 1."""
     if dims is not None and not (len(dims) == 2 and dims[0] > 0 and dims[1] > 0):
-        raise InvariantViolationError(subject, "screen_dims", f"{dims} is not a positive size")
+        raise DataError(f"{subject}: invalid screen_dims ({dims} is not a positive size)")
     if bbox is not None and not (
         len(bbox) == 4 and 0 <= bbox[0] < bbox[2] <= 1 and 0 <= bbox[1] < bbox[3] <= 1
     ):
-        raise InvariantViolationError(subject, box_field, f"bad box {bbox}")
+        raise DataError(f"{subject}: invalid {box_field} (bad box {bbox})")
 
 
 @dataclass(frozen=True)
@@ -127,11 +127,11 @@ class StepRecord:
 
     def __post_init__(self) -> None:
         if self.index < 0:
-            raise InvariantViolationError("step", "index", "must be >= 0")
+            raise DataError("step: invalid index (must be >= 0)")
         if not self.screen_ref:
-            raise InvariantViolationError("step", "screen_ref", "must be non-empty")
+            raise DataError("step: invalid screen_ref (must be non-empty)")
         if not self.reference_effect:
-            raise InvariantViolationError("step", "reference_effect", "must be non-empty")
+            raise DataError("step: invalid reference_effect (must be non-empty)")
         check_box_and_dims("step", "gt_bbox", self.gt_bbox, self.screen_dims)
 
 
@@ -145,17 +145,18 @@ class TrajectoryRecord:
 
     def __post_init__(self) -> None:
         if not self.steps:
-            raise InvariantViolationError(self.id, "steps", "must be non-empty")
+            raise DataError(f"{self.id}: invalid steps (must be non-empty)")
         for t, step in enumerate(self.steps):
             if step.index != t:
-                raise InvariantViolationError(
-                    self.id, "steps", f"index {step.index} at position {t}; want contiguous 0..T-1"
+                raise DataError(
+                    f"{self.id}: invalid steps "
+                    f"(index {step.index} at position {t}; want contiguous 0..T-1)"
                 )
         if not self.allows_revisits:
             refs = [s.screen_ref for s in self.steps] + [self.terminal_screen_ref]
             if len(set(refs)) != len(refs):
-                raise InvariantViolationError(
-                    self.id, "screen_ref", "repeated screen without allows_revisits flag"
+                raise DataError(
+                    f"{self.id}: invalid screen_ref (repeated screen without allows_revisits flag)"
                 )
 
     def __len__(self) -> int:
@@ -176,27 +177,27 @@ def normalize_action(action: ActionRecord, dims: tuple[int, int] | None = None) 
     unchanged (space flag forced to relative).  Conversion requires `dims`
     and rounds to the canonical 6 decimals.
 
-    Raises:
-        NegativeCoordinateError: any component < 0.
-        MissingDimsError: components > 1.0 but no dims supplied.
-        InvariantViolationError: converted coordinate falls outside [0,1].
+    Raises DataError when a component is < 0, when a component is > 1.0 and
+    no dims are supplied, or when the converted coordinate falls outside
+    [0,1].
     """
     if action.coordinate is None:
         return action
     x, y = action.coordinate
     if x < 0 or y < 0:
-        raise NegativeCoordinateError((x, y))
+        raise DataError(f"negative coordinate {(x, y)}")
     if x <= 1.0 and y <= 1.0:
         if action.coordinate_space is CoordinateSpace.RELATIVE:
             return action
         return replace(action, coordinate_space=CoordinateSpace.RELATIVE)
     if dims is None:
-        raise MissingDimsError(action.kind.value)
+        raise DataError(f"{action.kind.value}: absolute coordinates without screen_dims")
     w, h = dims
     rel = (round_coord(x / w), round_coord(y / h))
     if rel[0] > 1 or rel[1] > 1:
-        raise InvariantViolationError(
-            action.kind.value, "coordinate", f"({rel[0]}, {rel[1]}) outside [0,1] after conversion"
+        raise DataError(
+            f"{action.kind.value}: invalid coordinate "
+            f"(({rel[0]}, {rel[1]}) outside [0,1] after conversion)"
         )
     return replace(action, coordinate=rel, coordinate_space=CoordinateSpace.RELATIVE)
 
@@ -222,14 +223,14 @@ _ACTION_FIELDS = {"kind", "coordinate", "direction", "text", "seconds"}
 
 def action_from_json(obj: Mapping[str, Any]) -> ActionRecord:
     if not isinstance(obj, Mapping):
-        raise InvariantViolationError("action", "object", "must be a JSON object")
+        raise DataError("action: invalid object (must be a JSON object)")
     unknown = set(obj) - _ACTION_FIELDS
     if unknown:
-        raise InvariantViolationError("action", "fields", f"unknown keys {sorted(unknown)}")
+        raise DataError(f"action: invalid fields (unknown keys {sorted(unknown)})")
     try:
         kind = ActionKind(obj["kind"])
     except (KeyError, ValueError) as exc:
-        raise InvariantViolationError("action", "kind", str(exc)) from exc
+        raise DataError(f"action: invalid kind ({exc})") from exc
     coord = obj.get("coordinate")
     direction = obj.get("direction")
     space = CoordinateSpace.RELATIVE
@@ -272,11 +273,11 @@ def _normalize_bbox(
     raw: list[float], dims: tuple[int, int] | None, subject: str
 ) -> tuple[float, float, float, float]:
     if len(raw) != 4:
-        raise InvariantViolationError(subject, "gt_bbox", "must have 4 components")
+        raise DataError(f"{subject}: invalid gt_bbox (must have 4 components)")
     vals = [float(v) for v in raw]
     if any(v > 1.0 for v in vals):
         if dims is None:
-            raise MissingDimsError(subject, "absolute gt_bbox without screen_dims")
+            raise DataError(f"{subject}: absolute gt_bbox without screen_dims")
         w, h = dims
         vals = [vals[0] / w, vals[1] / h, vals[2] / w, vals[3] / h]
     return (round_coord(vals[0]), round_coord(vals[1]), round_coord(vals[2]), round_coord(vals[3]))
@@ -285,14 +286,14 @@ def _normalize_bbox(
 def _step_from_json(obj: Mapping[str, Any], traj_id: str) -> StepRecord:
     for key in ("index", "screen_ref", "gt_action", "reference_effect"):
         if key not in obj:
-            raise InvariantViolationError(traj_id, key, "missing step field")
+            raise DataError(f"{traj_id}: invalid {key} (missing step field)")
     dims_raw = obj.get("screen_dims")
     dims = tuple(int(v) for v in dims_raw) if dims_raw is not None else None
     subject = f"{traj_id}[{obj['index']}]"
     check_box_and_dims(subject, "gt_bbox", None, dims)  # before dims scale a pixel value
     action = action_from_json(obj["gt_action"])
     if action.coordinate is not None and max(action.coordinate) > 1.0 and dims is None:
-        raise MissingDimsError(subject)
+        raise DataError(f"{subject}: absolute coordinates without screen_dims")
     action = normalize_action(action, dims)
     bbox_raw = obj.get("gt_bbox")
     bbox = _normalize_bbox(bbox_raw, dims, subject) if bbox_raw is not None else None
@@ -309,7 +310,7 @@ def _step_from_json(obj: Mapping[str, Any], traj_id: str) -> StepRecord:
 def trajectory_from_json(obj: Mapping[str, Any]) -> TrajectoryRecord:
     for key in ("id", "instruction", "terminal_screen_ref", "steps"):
         if key not in obj:
-            raise InvariantViolationError(str(obj.get("id", "?")), key, "missing field")
+            raise DataError(f"{obj.get('id', '?')}: invalid {key} (missing field)")
     traj_id = str(obj["id"])
     steps = tuple(_step_from_json(s, traj_id) for s in obj["steps"])
     return TrajectoryRecord(

@@ -16,14 +16,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Any
 
-from .errors import (
-    InvariantViolationError,
-    MalformedActionJsonError,
-    MissingBlockError,
-    UnknownActionKindError,
-    UnknownThinkTagError,
-    UnknownVerificationError,
-)
+from .errors import DataError
 from .trajectory_store import (
     ActionKind,
     ActionRecord,
@@ -62,7 +55,7 @@ class ThinkSegment:
 
     def __post_init__(self) -> None:
         if not self.body or self.body.isspace():
-            raise InvariantViolationError("think", self.tag.value, "empty segment body")
+            raise DataError(f"think: invalid {self.tag.value} (empty segment body)")
 
 
 @dataclass(frozen=True)
@@ -77,7 +70,7 @@ class TvaeOutput:
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
     def validate(self) -> None:
-        """Raise InvariantViolationError unless all structural rules hold."""
+        """Raise DataError unless all structural rules hold."""
         problem = _turn_problem(self.think, self.verification, self.expected_effect)
         if problem is not None:
             raise problem
@@ -85,19 +78,19 @@ class TvaeOutput:
 
 def _turn_problem(
     think: tuple[ThinkSegment, ...], verification: Verification, effect: str
-) -> InvariantViolationError | None:
+) -> DataError | None:
     """The first structural rule a turn breaks, or None."""
     if not think:
-        return InvariantViolationError("turn", "think", "needs at least one segment")
+        return DataError("turn: invalid think (needs at least one segment)")
     tags = {s.tag for s in think}
     if ThinkTag.VERIFY in tags and think[0].tag is not ThinkTag.VERIFY:
-        return InvariantViolationError("turn", "think", "[Verify] must come first")
+        return DataError("turn: invalid think ([Verify] must come first)")
     if verification is Verification.NO_CHANGE and not RECOVERY_TAGS & tags:
-        return InvariantViolationError(
-            "turn", "think", "NO_CHANGE requires a [Diagnose] or [Recovery] segment"
+        return DataError(
+            "turn: invalid think (NO_CHANGE requires a [Diagnose] or [Recovery] segment)"
         )
     if not effect.strip():
-        return InvariantViolationError("turn", "expected_effect", "must be non-empty")
+        return DataError("turn: invalid expected_effect (must be non-empty)")
     return None
 
 
@@ -139,7 +132,7 @@ def _assemble_segments(body: str, strict: bool, warnings: list[str]) -> tuple[Th
             known = _KNOWN_TAGS.get(token)
             if known is None:
                 if strict:
-                    raise UnknownThinkTagError(token)
+                    raise DataError(f"unknown think tag [{token}]")
                 warnings.append(f"unknown think tag [{token}] folded into previous segment")
                 if tag is not None:
                     parts.append(f"[{token}]")
@@ -155,14 +148,21 @@ def _assemble_segments(body: str, strict: bool, warnings: list[str]) -> tuple[Th
     return tuple(segments)
 
 
+def _number(raw: Any) -> float | None:
+    """`raw` as a float if it is a JSON number within the float range, else None."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        return None
+    try:
+        return float(raw)
+    except OverflowError:  # an integer beyond the float range
+        return None
+
+
 def _coerce_coordinate(raw: Any) -> tuple[float, float]:
-    if (
-        not isinstance(raw, (list, tuple))
-        or len(raw) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)
-    ):
-        raise MalformedActionJsonError(f"coordinate must be [x, y], got {raw!r}")
-    return (float(raw[0]), float(raw[1]))
+    xy = [_number(v) for v in raw] if isinstance(raw, (list, tuple)) and len(raw) == 2 else []
+    if len(xy) != 2 or None in xy:
+        raise DataError(f"malformed action JSON: coordinate must be [x, y], got {raw!r}")
+    return (xy[0], xy[1])
 
 
 def parse_action_json(body: str) -> ActionRecord:
@@ -174,46 +174,44 @@ def parse_action_json(body: str) -> ActionRecord:
     """
     try:
         obj = json.loads(body)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise MalformedActionJsonError(str(exc)) from exc
+    except (ValueError, RecursionError) as exc:  # ValueError: also an over-long integer
+        raise DataError(f"malformed action JSON: {exc}") from exc
     if not isinstance(obj, dict):
-        raise MalformedActionJsonError("action body is not a JSON object")
+        raise DataError("malformed action JSON: action body is not a JSON object")
     if "action" not in obj:
-        raise MalformedActionJsonError('missing "action" key')
+        raise DataError('malformed action JSON: missing "action" key')
     token = obj["action"]
     kind = _ACTION_KINDS.get(token) if isinstance(token, str) else None
     if kind is None:
-        raise UnknownActionKindError(str(token))
-    try:
-        if kind in (ActionKind.CLICK, ActionKind.LONG_PRESS):
-            coord = _coerce_coordinate(obj.get("coordinate"))
-            space = (
-                CoordinateSpace.PIXEL
-                if coord[0] > 1.0 or coord[1] > 1.0
-                else CoordinateSpace.RELATIVE
-            )
-            return ActionRecord(kind=kind, coordinate=coord, coordinate_space=space)
-        if kind is ActionKind.SCROLL:
-            try:
-                direction = ScrollDirection(obj.get("direction"))
-            except ValueError:
-                raise MalformedActionJsonError(
-                    f"bad scroll direction {obj.get('direction')!r}"
-                ) from None
-            return ActionRecord(kind=kind, direction=direction)
-        if kind in (ActionKind.INPUT_TEXT, ActionKind.OPEN_APP):
-            text = obj.get("text")
-            if not isinstance(text, str) or not text:
-                raise MalformedActionJsonError("text must be a non-empty string")
-            return ActionRecord(kind=kind, text=text)
-        if kind is ActionKind.WAIT:
-            raw = obj.get("time", obj.get("seconds"))
-            if not isinstance(raw, (int, float)) or isinstance(raw, bool) or raw < 0:
-                raise MalformedActionJsonError(f"bad wait duration {raw!r}")
-            return ActionRecord(kind=kind, seconds=float(raw))
-        return ActionRecord(kind=kind)
-    except InvariantViolationError as exc:
-        raise MalformedActionJsonError(str(exc)) from exc
+        raise DataError(f"unknown action kind {str(token)!r}")
+    if kind in (ActionKind.CLICK, ActionKind.LONG_PRESS):
+        coord = _coerce_coordinate(obj.get("coordinate"))
+        space = (
+            CoordinateSpace.PIXEL
+            if coord[0] > 1.0 or coord[1] > 1.0
+            else CoordinateSpace.RELATIVE
+        )
+        return ActionRecord(kind=kind, coordinate=coord, coordinate_space=space)
+    if kind is ActionKind.SCROLL:
+        try:
+            direction = ScrollDirection(obj.get("direction"))
+        except ValueError:
+            raise DataError(
+                f"malformed action JSON: bad scroll direction {obj.get('direction')!r}"
+            ) from None
+        return ActionRecord(kind=kind, direction=direction)
+    if kind in (ActionKind.INPUT_TEXT, ActionKind.OPEN_APP):
+        text = obj.get("text")
+        if not isinstance(text, str) or not text:
+            raise DataError("malformed action JSON: text must be a non-empty string")
+        return ActionRecord(kind=kind, text=text)
+    if kind is ActionKind.WAIT:
+        raw = obj.get("time", obj.get("seconds"))
+        seconds = _number(raw)
+        if seconds is None or seconds < 0:
+            raise DataError(f"malformed action JSON: bad wait duration {raw!r}")
+        return ActionRecord(kind=kind, seconds=seconds)
+    return ActionRecord(kind=kind)
 
 
 def emit_action_json(action: ActionRecord) -> str:
@@ -258,16 +256,16 @@ def parse_tvae(raw: str, strict: bool = True) -> TvaeOutput:
 
     for name in ("verification", "action"):
         if name not in blocks:
-            raise MissingBlockError(name)
+            raise DataError(f"missing <{name}> block")
     if strict:
         for name in BLOCK_NAMES:
             if name not in blocks:
-                raise MissingBlockError(name)
+                raise DataError(f"missing <{name}> block")
 
     ver_token = blocks["verification"].strip()
     verification = _VERIFICATIONS.get(ver_token)
     if verification is None:
-        raise UnknownVerificationError(ver_token)
+        raise DataError(f"unknown verification token {ver_token!r}")
 
     action = parse_action_json(blocks["action"].strip())
 
@@ -313,9 +311,9 @@ def emit_tvae(out: TvaeOutput) -> str:
     out.validate()
     for seg in out.think:
         if not _body_is_safe(seg.body):
-            raise InvariantViolationError("turn", "think", "segment body embeds grammar tokens")
+            raise DataError("turn: invalid think (segment body embeds grammar tokens)")
     if _FORBIDDEN_IN_BODY.search(out.expected_effect):
-        raise InvariantViolationError("turn", "expected_effect", "embeds block terminator")
+        raise DataError("turn: invalid expected_effect (embeds block terminator)")
     think_lines = "\n".join([_TAG_PREFIX[s.tag] + s.body for s in out.think])
     return (
         f"<think>\n{think_lines}\n</think>\n"

@@ -13,14 +13,7 @@ import json
 import re
 from typing import Any
 
-from tvae_harness.errors import (
-    InvariantViolationError,
-    MalformedActionJsonError,
-    MissingBlockError,
-    UnknownActionKindError,
-    UnknownThinkTagError,
-    UnknownVerificationError,
-)
+from tvae_harness.errors import DataError
 from tvae_harness.trajectory_store import (
     ActionKind,
     ActionRecord,
@@ -45,16 +38,16 @@ _KNOWN_TAGS = {t.value: t for t in ThinkTag}
 
 def validate(out: TvaeOutput) -> None:
     if not out.think:
-        raise InvariantViolationError("turn", "think", "needs at least one segment")
+        raise DataError("turn: invalid think (needs at least one segment)")
     tags = [s.tag for s in out.think]
     if ThinkTag.VERIFY in tags and tags[0] is not ThinkTag.VERIFY:
-        raise InvariantViolationError("turn", "think", "[Verify] must come first")
+        raise DataError("turn: invalid think ([Verify] must come first)")
     if out.verification is Verification.NO_CHANGE and not RECOVERY_TAGS & set(tags):
-        raise InvariantViolationError(
-            "turn", "think", "NO_CHANGE requires a [Diagnose] or [Recovery] segment"
+        raise DataError(
+            "turn: invalid think (NO_CHANGE requires a [Diagnose] or [Recovery] segment)"
         )
     if not out.expected_effect.strip():
-        raise InvariantViolationError("turn", "expected_effect", "must be non-empty")
+        raise DataError("turn: invalid expected_effect (must be non-empty)")
 
 
 def _assemble_segments(body: str, strict: bool, warnings: list[str]) -> tuple[ThinkSegment, ...]:
@@ -85,7 +78,7 @@ def _assemble_segments(body: str, strict: bool, warnings: list[str]) -> tuple[Th
         tag = _KNOWN_TAGS.get(token)
         if tag is None:
             if strict:
-                raise UnknownThinkTagError(token)
+                raise DataError(f"unknown think tag [{token}]")
             warnings.append(f"unknown think tag [{token}] folded into previous segment")
             if current_tag is not None:
                 current_parts.append(m.group(0))
@@ -108,54 +101,57 @@ def _coerce_coordinate(raw: Any) -> tuple[float, float]:
         or len(raw) != 2
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)
     ):
-        raise MalformedActionJsonError(f"coordinate must be [x, y], got {raw!r}")
-    return (float(raw[0]), float(raw[1]))
+        raise DataError(f"malformed action JSON: coordinate must be [x, y], got {raw!r}")
+    try:
+        return (float(raw[0]), float(raw[1]))
+    except OverflowError:
+        raise DataError(f"malformed action JSON: coordinate must be [x, y], got {raw!r}") from None
 
 
 def parse_action_json(body: str) -> ActionRecord:
     try:
         obj = json.loads(body)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise MalformedActionJsonError(str(exc)) from exc
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"malformed action JSON: {exc}") from exc
     if not isinstance(obj, dict):
-        raise MalformedActionJsonError("action body is not a JSON object")
+        raise DataError("malformed action JSON: action body is not a JSON object")
     if "action" not in obj:
-        raise MalformedActionJsonError('missing "action" key')
+        raise DataError('malformed action JSON: missing "action" key')
     token = obj["action"]
     try:
         kind = ActionKind(token)
     except ValueError:
-        raise UnknownActionKindError(str(token)) from None
-    try:
-        if kind in (ActionKind.CLICK, ActionKind.LONG_PRESS):
-            coord = _coerce_coordinate(obj.get("coordinate"))
-            space = (
-                CoordinateSpace.PIXEL
-                if coord[0] > 1.0 or coord[1] > 1.0
-                else CoordinateSpace.RELATIVE
-            )
-            return ActionRecord(kind=kind, coordinate=coord, coordinate_space=space)
-        if kind is ActionKind.SCROLL:
-            try:
-                direction = ScrollDirection(obj.get("direction"))
-            except ValueError:
-                raise MalformedActionJsonError(
-                    f"bad scroll direction {obj.get('direction')!r}"
-                ) from None
-            return ActionRecord(kind=kind, direction=direction)
-        if kind in (ActionKind.INPUT_TEXT, ActionKind.OPEN_APP):
-            text = obj.get("text")
-            if not isinstance(text, str) or not text:
-                raise MalformedActionJsonError("text must be a non-empty string")
-            return ActionRecord(kind=kind, text=text)
-        if kind is ActionKind.WAIT:
-            raw = obj.get("time", obj.get("seconds"))
-            if not isinstance(raw, (int, float)) or isinstance(raw, bool) or raw < 0:
-                raise MalformedActionJsonError(f"bad wait duration {raw!r}")
+        raise DataError(f"unknown action kind {str(token)!r}") from None
+    if kind in (ActionKind.CLICK, ActionKind.LONG_PRESS):
+        coord = _coerce_coordinate(obj.get("coordinate"))
+        space = (
+            CoordinateSpace.PIXEL
+            if coord[0] > 1.0 or coord[1] > 1.0
+            else CoordinateSpace.RELATIVE
+        )
+        return ActionRecord(kind=kind, coordinate=coord, coordinate_space=space)
+    if kind is ActionKind.SCROLL:
+        try:
+            direction = ScrollDirection(obj.get("direction"))
+        except ValueError:
+            raise DataError(
+                f"malformed action JSON: bad scroll direction {obj.get('direction')!r}"
+            ) from None
+        return ActionRecord(kind=kind, direction=direction)
+    if kind in (ActionKind.INPUT_TEXT, ActionKind.OPEN_APP):
+        text = obj.get("text")
+        if not isinstance(text, str) or not text:
+            raise DataError("malformed action JSON: text must be a non-empty string")
+        return ActionRecord(kind=kind, text=text)
+    if kind is ActionKind.WAIT:
+        raw = obj.get("time", obj.get("seconds"))
+        if not isinstance(raw, (int, float)) or isinstance(raw, bool) or raw < 0:
+            raise DataError(f"malformed action JSON: bad wait duration {raw!r}")
+        try:
             return ActionRecord(kind=kind, seconds=float(raw))
-        return ActionRecord(kind=kind)
-    except InvariantViolationError as exc:
-        raise MalformedActionJsonError(str(exc)) from exc
+        except OverflowError:
+            raise DataError(f"malformed action JSON: bad wait duration {raw!r}") from None
+    return ActionRecord(kind=kind)
 
 
 def parse_tvae(raw: str, strict: bool = True) -> TvaeOutput:
@@ -170,17 +166,17 @@ def parse_tvae(raw: str, strict: bool = True) -> TvaeOutput:
 
     for name in ("verification", "action"):
         if name not in blocks:
-            raise MissingBlockError(name)
+            raise DataError(f"missing <{name}> block")
     if strict:
         for name in BLOCK_NAMES:
             if name not in blocks:
-                raise MissingBlockError(name)
+                raise DataError(f"missing <{name}> block")
 
     ver_token = blocks["verification"].strip()
     try:
         verification = Verification(ver_token)
     except ValueError:
-        raise UnknownVerificationError(ver_token) from None
+        raise DataError(f"unknown verification token {ver_token!r}") from None
 
     action = parse_action_json(blocks["action"].strip())
 
@@ -204,7 +200,7 @@ def parse_tvae(raw: str, strict: bool = True) -> TvaeOutput:
     else:
         try:
             validate(out)
-        except InvariantViolationError as exc:
+        except DataError as exc:
             warnings.append(str(exc))
             out = TvaeOutput(
                 think=think,

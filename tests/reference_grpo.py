@@ -12,18 +12,14 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from tvae_harness.errors import (
-    GroupTooSmallError,
-    InvalidDistributionError,
-    ShapeMismatchError,
-)
+from tvae_harness.errors import DataError
 from tvae_harness.grpo_core import EPS_STD, GroupBatch, GroupOutput, GrpoConfig, KlEstimator
 
 
 def group_advantages(rewards: Sequence[float]) -> np.ndarray:
     """Normalize rewards within the group: (r - mean) / (population std + EPS_STD)."""
     if len(rewards) < 2:
-        raise GroupTooSmallError(f"group of {len(rewards)}; need >= 2")
+        raise DataError(f"group of {len(rewards)}; need >= 2")
     arr = np.asarray(rewards, dtype=np.float64)
     if np.all(arr == arr[0]):  # degenerate group: residuals are exactly zero
         return np.zeros_like(arr)
@@ -49,9 +45,7 @@ def clipped_surrogate(
     """Per-token clipped losses min(rho*A, clip(rho)*A) and per-output means."""
     cfg = cfg or GrpoConfig()
     if len(ratios) != len(advantages):
-        raise ShapeMismatchError(
-            f"{len(ratios)} ratio sequences vs {len(advantages)} advantages"
-        )
+        raise DataError(f"{len(ratios)} ratio sequences vs {len(advantages)} advantages")
     lo, hi = 1.0 - cfg.eps_clip, 1.0 + cfg.eps_clip
     token_losses: list[np.ndarray] = []
     means = np.empty(len(ratios), dtype=np.float64)
@@ -80,14 +74,14 @@ def exact_kl(dist_new: np.ndarray, dist_ref: np.ndarray) -> float:
     p = np.asarray(dist_new, dtype=np.float64)
     q = np.asarray(dist_ref, dtype=np.float64)
     if p.shape != q.shape or p.ndim != 2:
-        raise ShapeMismatchError(f"distribution shapes {p.shape} vs {q.shape}")
+        raise DataError(f"distribution shapes {p.shape} vs {q.shape}")
     for name, dist in (("new", p), ("ref", q)):
         sums = dist.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > 1e-9) or np.any(dist < 0):
-            raise InvalidDistributionError(f"{name} rows must be distributions")
+            raise DataError(f"{name} rows must be distributions")
     mask = p > 0
     if np.any((q <= 0) & mask):
-        raise InvalidDistributionError("reference assigns zero mass where policy does not")
+        raise DataError("reference assigns zero mass where policy does not")
     terms = np.zeros_like(p)
     terms[mask] = p[mask] * (np.log(p[mask]) - np.log(q[mask]))
     return float(terms.sum(axis=1).mean())
@@ -107,9 +101,7 @@ def kl_penalty(batch: GroupBatch, cfg: GrpoConfig | None = None) -> np.ndarray:
             values[i] = _kl_k3(o)
         else:
             if o.dist_new is None or o.dist_ref is None:
-                raise InvalidDistributionError(
-                    "exact KL requires full per-token distributions"
-                )
+                raise DataError("exact KL requires full per-token distributions")
             values[i] = exact_kl(np.asarray(o.dist_new), np.asarray(o.dist_ref))
     return values
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from tvae_harness.agent_bus import ScriptedAgent, Variant, VariantName
 from tvae_harness.cli import EXIT_OK, main
-from tvae_harness.errors import HarnessError
+from tvae_harness.errors import DataError
 from tvae_harness.failure_forge import (
     DEFAULT_FAILURE_WEIGHTS,
     FailureMode,
@@ -248,7 +248,7 @@ def test_c08_codec_fidelity():
             blob = text[: cut[0]] + text[cut[1]:]
         try:
             parse_tvae(blob, strict=False)
-        except HarnessError:
+        except DataError:
             pass
         except Exception:
             crashes += 1

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import tvae_harness
-from tvae_harness.cli import EXIT_AGENT, EXIT_DATA, EXIT_OK, build_parser, main
+from tvae_harness import reward_engine, sim_engine
+from tvae_harness.cli import EXIT_AGENT, EXIT_DATA, EXIT_INTERNAL, EXIT_OK, build_parser, main
 from tvae_harness.grpo_core import GrpoConfig
 from tvae_harness.reward_engine import RewardConfig
 from tvae_harness.sim_engine import SimConfig
@@ -26,7 +27,7 @@ from tvae_harness.tvae_codec import (
     emit_tvae,
 )
 
-from conftest import CountingTurnServer
+from conftest import FIXED_TURN, CountingTurnServer
 
 
 @pytest.fixture
@@ -375,6 +376,11 @@ BAD_LINES = {
     ),
     "traces-final-cursor-raised": ("traces", lambda o: {**o[1], "final_cursor": 0}),
     "traces-match-not-advanced": ("traces", _unadvanced_match),
+    # every episode makes at least t_gt >= 1 attempts, and its outcome follows from them
+    "traces-t-gt-zero": ("traces", lambda o: {**o[1], "t_gt": 0}),
+    "traces-t-gt-huge": ("traces", lambda o: {**o[1], "t_gt": 10**400}),
+    "traces-t-gt-negative": ("traces", lambda o: {**o[1], "t_gt": -1}),
+    "traces-outcome-flipped": ("traces", lambda o: {**o[1], "outcome": "budget_exhausted"}),
     "cases-non-object": ("cases", lambda o: "case"),
     "cases-short-box": ("cases", lambda o: {**_kind_changing_case(o), "gt_bbox": [0.1, 0.1, 0.5]}),
     "cases-one-dim": ("cases", lambda o: _put(o[1], ["screen_dims"], [5])),
@@ -414,6 +420,37 @@ def test_bad_record_line_is_data_error_naming_its_line(dataset, tmp_path, capsys
     else:
         assert code == EXIT_DATA
         assert "line 2" in capsys.readouterr().err
+
+
+# A pixel-space click: every command parses, grounds and matches it.
+PIXEL_TURN = FIXED_TURN.replace("[0.5, 0.5]", "[540, 1200]")
+
+
+@pytest.mark.parametrize("name", ["parse_tvae", "normalize_action", "match_action"])
+@pytest.mark.parametrize("command", ["simulate", "bench-robust", "score"])
+def test_harness_bug_on_a_turn_exits_3(dataset, tmp_path, capsys, monkeypatch, command, name):
+    # a bug raised while a turn is parsed, grounded or matched is neither an
+    # unparseable turn nor a miss: the command exits 3 and writes nothing
+    out = tmp_path / "out"
+    if command == "score":
+        samples, outputs, n = _write_score_inputs(tmp_path, dataset)
+        outputs.write_text((json.dumps({"raw": PIXEL_TURN}) + "\n") * n)
+        argv = ["score", "--samples", str(samples), "--outputs", str(outputs)]
+    else:
+        source = ["--synthesize"] if command == "bench-robust" else []
+        argv = [command, *source, "--dataset", str(dataset)]
+
+    def bug(*args, **kwargs):
+        raise TypeError("injected harness bug")
+
+    for module in (sim_engine, reward_engine):
+        monkeypatch.setattr(module, name, bug)
+    capsys.readouterr()
+    with CountingTurnServer(body=PIXEL_TURN) as server:
+        agent = [] if command == "score" else ["--agent", f"remote:{server.url}"]
+        assert main([*argv, *agent, "--out", str(out)]) == EXIT_INTERNAL
+    assert "internal error: injected harness bug" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # The input kind of the command that reads each setting flag.

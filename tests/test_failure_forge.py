@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from tvae_harness.errors import EmptyDatasetError, InvariantViolationError, ModeInapplicableError
+from tvae_harness.errors import DataError, ModeInapplicableError
 from tvae_harness.failure_forge import (
     DEFAULT_FAILURE_WEIGHTS,
     FRAME,
@@ -246,7 +246,7 @@ def test_sft_deterministic_and_empty_rejected():
     a = build_sft_dataset(trajs, ratio_b=0.3, seed=7)
     b = build_sft_dataset(trajs, ratio_b=0.3, seed=7)
     assert a == b
-    with pytest.raises(EmptyDatasetError):
+    with pytest.raises(DataError, match="^no trajectories$"):
         build_sft_dataset([], 0.3, 7)
 
 
@@ -307,7 +307,7 @@ def test_type_b_replay_is_idempotent_under_transition_rule():
 
 
 def test_case_invariant_enforced():
-    with pytest.raises(InvariantViolationError):
+    with pytest.raises(DataError, match="^failure_case: invalid history "):
         FailureCase(
             source=("t", 0),
             instruction="i",

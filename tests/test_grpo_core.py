@@ -9,13 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tvae_harness.errors import (
-    GroupTooSmallError,
-    InvalidDistributionError,
-    InvariantViolationError,
-    LengthMismatchError,
-    ShapeMismatchError,
-)
+from tvae_harness.errors import DataError
 from tvae_harness.grpo_core import (
     GroupBatch,
     GroupOutput,
@@ -80,7 +74,7 @@ def test_advantage_normalization_property(rng: random.Random):
 
 
 def test_group_too_small():
-    with pytest.raises(GroupTooSmallError):
+    with pytest.raises(DataError, match="^group of 1; need >= 2$"):
         group_advantages([1.0])
 
 
@@ -99,12 +93,12 @@ def test_ratios_identity_and_exp():
 
 
 def test_logprob_length_mismatch():
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(DataError, match="^log-prob lengths differ"):
         GroupOutput(reward=0.0, logprobs_new=(-0.1,), logprobs_old=(-0.1, -0.2), logprobs_ref=(-0.1,))
 
 
 def test_positive_logprobs_rejected():
-    with pytest.raises(InvariantViolationError):
+    with pytest.raises(DataError, match="invalid logprobs"):
         GroupOutput(reward=0.0, logprobs_new=(0.5,), logprobs_old=(-0.1,), logprobs_ref=(-0.1,))
 
 
@@ -149,13 +143,13 @@ def test_clip_reduces_positive_incentive_beyond_window(rng: random.Random):
 
 
 def test_distribution_shape_mismatch():
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(DataError, match="equal-shaped"):
         exact_kl([[0.5, 0.5]], [[0.5, 0.25, 0.25]])
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(DataError, match="equal-shaped"):
         exact_kl([[0.5, 0.5], [1.0, 0.0]], [[0.5, 0.5]])
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(DataError, match="equal-shaped"):
         exact_kl([], [])
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(DataError, match="must align with tokens"):
         _output(1.0, [-0.3, -0.2], dist_new=((0.5, 0.5),), dist_ref=((0.5, 0.5),) * 2)
 
 
@@ -189,14 +183,14 @@ def test_k3_nonnegative_property(rng: random.Random):
 
 
 def test_exact_kl_validates_distributions():
-    with pytest.raises(InvalidDistributionError):
+    with pytest.raises(DataError, match="^new rows must be distributions$"):
         exact_kl(np.array([[0.5, 0.6]]), np.array([[0.5, 0.5]]))
-    with pytest.raises(InvalidDistributionError):
+    with pytest.raises(DataError, match="zero mass"):
         exact_kl(np.array([[0.5, 0.5]]), np.array([[1.0, 0.0]]))
-    with pytest.raises(InvalidDistributionError):
+    with pytest.raises(DataError, match="^new rows must be distributions$"):
         exact_kl([[1.5, -0.5]], [[0.5, 0.5]])
     batch = GroupBatch((_output(1.0, [-0.3]), _output(0.0, [-0.3])))
-    with pytest.raises(InvalidDistributionError):
+    with pytest.raises(DataError, match="^exact KL requires full per-token distributions$"):
         objective_report(batch, GrpoConfig(kl_estimator=KlEstimator.EXACT))
     # lambda 0 never reads the distributions
     objective_report(batch, GrpoConfig(kl_lambda=0.0, kl_estimator=KlEstimator.EXACT))

@@ -99,6 +99,15 @@ def test_actions_approx_equal():
     assert not actions_approx_equal(
         ActionRecord(kind=ActionKind.LONG_PRESS, coordinate=(0.5, 0.5)), a
     )
+    # exactly REPEAT_EPSILON apart is still a repeat (0.0 and 0.04 subtract exactly)
+    assert actions_approx_equal(click(0.0, 0.5), click(0.04, 0.5))
+    # equal but for the text, or for the scroll direction: not a repeat
+    typed = ActionRecord(kind=ActionKind.INPUT_TEXT, text="bus")
+    assert not actions_approx_equal(ActionRecord(kind=ActionKind.INPUT_TEXT, text="tram"), typed)
+    up = ActionRecord(kind=ActionKind.SCROLL, direction=ScrollDirection.UP)
+    assert not actions_approx_equal(
+        ActionRecord(kind=ActionKind.SCROLL, direction=ScrollDirection.DOWN), up
+    )
 
 
 # -- effect similarity ------------------------------------------------------------
@@ -226,6 +235,10 @@ def test_composite_pixel_output_normalized_via_sample_dims():
     )
     out = _turn(click(317.0, 1190.0, CoordinateSpace.PIXEL), Verification.SUCCESS, "bus list")
     assert composite_reward(out, sample).r_act == 1.0
+    # without screen_dims a pixel output cannot be grounded: a miss, even though
+    # its raw coordinate lies within DELTA of the target
+    out = _turn(click(1.05, 0.5, CoordinateSpace.PIXEL), Verification.SUCCESS, "bus list")
+    assert composite_reward(out, _sample(click(0.95, 0.5), "bus list")).r_act == -1.0
 
 
 def test_composite_worked_success_turn_against_own_sample():

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from tvae_harness.agent_bus import Observation, ScriptedAgent, Variant, VariantName
-from tvae_harness.errors import BudgetExceededError, InvariantViolationError
+from tvae_harness.errors import DataError
 from tvae_harness.failure_forge import build_robustness_bench
 from tvae_harness.records import read_records, write_records
 from tvae_harness.sim_engine import (
@@ -71,7 +71,7 @@ def test_transition_none_action_counts_attempt():
 def test_transition_past_budget_is_caller_bug():
     step = make_click_step(0)
     state = SimState(cursor=0, screen_ref="s0", history=(), attempts_used=2)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(RuntimeError, match="^attempt 2 with budget 2$"):
         transition(state, step.gt_action, step, "n", budget=2)
 
 
@@ -79,13 +79,17 @@ def test_attempt_log_invariant():
     # a trace line's derived fields must agree with its attempt log
     (trace,) = run_episodes(make_dataset(1, (2, 2), seed=3), _agent(VariantName.FAIL_K, k=1), CFG)
     assert trace_from_json(trace_to_json(trace)) == trace
-    for field, value in (("advanced", True), ("steps_used", 99), ("final_cursor", 0)):
+    for field, value in (
+        ("advanced", True), ("steps_used", 99), ("final_cursor", 0),
+        ("t_gt", 0), ("t_gt", -1), ("t_gt", 1), ("t_gt", 99),  # outside [max(1, 2), 4]
+        ("outcome", "completed_first_try"), ("outcome", "budget_exhausted"),
+    ):
         obj = trace_to_json(trace)
         if field == "advanced":
             obj["attempts"][0]["advanced"] = value  # the first attempt fails
         else:
             obj[field] = value
-        with pytest.raises(InvariantViolationError, match=field):
+        with pytest.raises(DataError, match=f"invalid {field}"):
             trace_from_json(obj)
 
 

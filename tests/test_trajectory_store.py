@@ -5,12 +5,7 @@ import random
 
 import pytest
 
-from tvae_harness.errors import (
-    InvariantViolationError,
-    MalformedLineError,
-    MissingDimsError,
-    NegativeCoordinateError,
-)
+from tvae_harness.errors import DataError
 from tvae_harness.trajectory_store import (
     ActionKind,
     ActionRecord,
@@ -91,7 +86,7 @@ def test_out_of_screen_coordinate_rejected(tmp_path):
     obj["steps"][0]["gt_action"]["coordinate"] = [1200, 100]
     path = tmp_path / "d.jsonl"
     _write_lines(path, [obj])
-    with pytest.raises(InvariantViolationError):
+    with pytest.raises(DataError, match=r"^line 1: click: invalid coordinate \(.* after conversion\)$"):
         load_dataset(path)
 
 
@@ -100,16 +95,15 @@ def test_absolute_without_dims_rejected(tmp_path):
     del obj["steps"][0]["screen_dims"]
     path = tmp_path / "d.jsonl"
     _write_lines(path, [obj])
-    with pytest.raises(MissingDimsError):
+    with pytest.raises(DataError, match="^line 1: .*: absolute coordinates without screen_dims$"):
         load_dataset(path)
 
 
 def test_malformed_json_line_reports_line_number(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text(json.dumps(_traj_obj()) + "\n{not json\n", encoding="utf-8")
-    with pytest.raises(MalformedLineError) as err:
+    with pytest.raises(DataError, match="^line 2: invalid JSON: "):
         load_dataset(path)
-    assert err.value.line_no == 2
 
 
 def test_skip_invalid_drops_and_continues(tmp_path):
@@ -150,7 +144,7 @@ def test_duplicate_screen_refs_rejected_without_flag(tmp_path):
     obj["steps"][1]["screen_ref"] = "t1/s0"
     path = tmp_path / "d.jsonl"
     _write_lines(path, [obj])
-    with pytest.raises(InvariantViolationError):
+    with pytest.raises(DataError, match="invalid screen_ref .repeated screen"):
         load_dataset(path)
     obj["allows_revisits"] = True
     _write_lines(path, [obj])
@@ -164,7 +158,7 @@ def test_non_contiguous_indices_rejected():
         gt_action=ActionRecord(kind=ActionKind.NAVIGATE_BACK),
         reference_effect="Back.",
     )
-    with pytest.raises(InvariantViolationError):
+    with pytest.raises(DataError, match="^x: invalid steps .index 1 at position 0"):
         TrajectoryRecord(id="x", instruction="i", steps=(step,), terminal_screen_ref="end")
 
 
@@ -194,12 +188,12 @@ def test_normalize_requires_dims_for_pixels():
     a = ActionRecord(
         kind=ActionKind.CLICK, coordinate=(317.0, 1190.0), coordinate_space=CoordinateSpace.PIXEL
     )
-    with pytest.raises(MissingDimsError):
+    with pytest.raises(DataError, match="^click: absolute coordinates without screen_dims$"):
         normalize_action(a, None)
 
 
 def test_normalize_rejects_negative():
-    with pytest.raises(NegativeCoordinateError):
+    with pytest.raises(DataError, match=r"^negative coordinate \(-0.1, 0.5\)$"):
         ActionRecord(kind=ActionKind.CLICK, coordinate=(-0.1, 0.5))
 
 
@@ -227,7 +221,7 @@ def test_normalize_is_idempotent(rng: random.Random):
     ],
 )
 def test_action_field_discipline(kwargs):
-    with pytest.raises(InvariantViolationError):
+    with pytest.raises(DataError, match=f"^{kwargs['kind'].value}: invalid "):
         ActionRecord(**kwargs)
 
 
@@ -240,5 +234,5 @@ def test_action_json_round_trip(rng: random.Random):
 
 
 def test_action_json_rejects_unknown_fields():
-    with pytest.raises(InvariantViolationError):
+    with pytest.raises(DataError, match=r"^action: invalid fields \(unknown keys \['extra'\]\)$"):
         action_from_json({"kind": "click", "coordinate": [0.5, 0.5], "extra": 1})
