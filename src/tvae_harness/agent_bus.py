@@ -371,11 +371,7 @@ class RemoteAgent:
     white_box = False
 
     def __init__(
-        self,
-        endpoint: str,
-        timeout: float = 30.0,
-        token: str | None = None,
-        max_inflight: int = 1,
+        self, endpoint: str, *, timeout: float, max_inflight: int, token: str | None = None
     ):
         if max_inflight < 1:
             raise DataError("remote: invalid max_inflight (must be >= 1)")
@@ -469,10 +465,7 @@ class StdioAgent:
 
 
 def parse_agent_spec(
-    spec: str,
-    timeout: float = 30.0,
-    token: str | None = None,
-    max_inflight: int = 1,
+    spec: str, *, timeout: float, max_inflight: int, token: str | None = None
 ) -> AgentHandle:
     """Build an agent from a spec string.
 
@@ -501,7 +494,7 @@ def parse_agent_spec(
             raise DataError(f"agent: invalid spec ({spec!r}: K or P is not one number)") from None
         raise DataError(f"agent: invalid spec ({spec!r}: {variant} takes no argument)")
     if head == "remote":
-        return RemoteAgent(rest, timeout=timeout, token=token, max_inflight=max_inflight)
+        return RemoteAgent(rest, timeout=timeout, max_inflight=max_inflight, token=token)
     if head == "stdio":
         return StdioAgent(rest)
     raise DataError(f"agent: invalid spec ({spec})" if spec else "agent: invalid spec")

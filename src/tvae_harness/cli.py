@@ -38,15 +38,7 @@ from .failure_forge import (
     sample_from_json,
     sample_to_json,
 )
-from .metric_suite import (
-    MetricsReport,
-    ReportFormat,
-    StepPrediction,
-    emit_report,
-    robustness_metrics,
-    step_metrics,
-    task_metrics,
-)
+from .metric_suite import ReportFormat, emit_report, episode_report, robustness_metrics
 from .records import read_records, write_records
 from .reward_engine import RewardConfig, score_output
 from .sim_engine import (
@@ -139,26 +131,6 @@ def _check_mode_flags(args: argparse.Namespace, mode: str, reads: set[str]) -> N
             raise DataError(f"{mode} does not read --{name.replace('_', '-')}")
 
 
-def _first_attempt_predictions(traces, trajs) -> list[StepPrediction]:
-    by_id = {t.id: t for t in trajs}
-    preds: list[StepPrediction] = []
-    for trace in traces:
-        traj = by_id[trace.trajectory_id]
-        seen: set[int] = set()
-        for attempt in trace.attempts:
-            if attempt.gt_step in seen:
-                continue
-            seen.add(attempt.gt_step)
-            preds.append(
-                StepPrediction(
-                    source=(traj.id, attempt.gt_step),
-                    predicted=attempt.issued,
-                    gt=traj.steps[attempt.gt_step],
-                )
-            )
-    return preds
-
-
 # -- commands --------------------------------------------------------------------
 
 
@@ -178,10 +150,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_records(out_dir / "traces.jsonl", (trace_to_json(t) for t in traces))
-    task = task_metrics(traces)
-    report = MetricsReport.build(
-        step=step_metrics(_first_attempt_predictions(traces, trajs)), task=task
-    )
+    report = episode_report(traces, trajs)
     _atomic_write(out_dir / "report.json", emit_report(report, ReportFormat.JSON))
     outputs = ["traces.jsonl", "report.json"]
     for fmt in dict.fromkeys(args.formats or ()):
@@ -203,10 +172,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "outputs": outputs,
         },
     )
-    aso = "inf" if math.isinf(task.aso) else f"{task.aso:.3f}"
+    aso = "inf" if math.isinf(report.aso) else f"{report.aso:.3f}"
     print(
-        f"simulate: {len(traces)} episodes | TSR {task.tsr:.3f} | PG {task.pg:.3f} "
-        f"| Sim-TSR {task.sim_tsr:.3f} | ASO {aso}"
+        f"simulate: {len(traces)} episodes | TSR {report.tsr:.3f} | PG {report.pg:.3f} "
+        f"| Sim-TSR {report.sim_tsr:.3f} | ASO {aso}"
     )
     return EXIT_OK
 
@@ -248,8 +217,7 @@ def cmd_bench_robust(args: argparse.Namespace) -> int:
         for case, res in zip(cases, results)
     ]
     write_records(out_dir / "case_results.jsonl", rows)
-    metrics = robustness_metrics(results)
-    report = MetricsReport.build(robust=metrics)
+    report = robustness_metrics(results)
     _atomic_write(out_dir / "report.json", emit_report(report, ReportFormat.JSON))
     _write_manifest(
         out_dir,
@@ -268,7 +236,7 @@ def cmd_bench_robust(args: argparse.Namespace) -> int:
             "outputs": ["case_results.jsonl", "report.json"],
         },
     )
-    print(f"bench-robust: {len(cases)} cases | LR {metrics.lr:.3f} | RSR {metrics.rsr:.3f}")
+    print(f"bench-robust: {len(cases)} cases | LR {report.lr:.3f} | RSR {report.rsr:.3f}")
     return EXIT_OK
 
 
@@ -392,10 +360,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     traces = read_records(args.traces, trace_from_json, "trace")
-    if not traces:
-        raise DataError("no traces")
-    report = MetricsReport.build(task=task_metrics(traces))
-    data = emit_report(report, ReportFormat(args.format))
+    data = emit_report(episode_report(traces), ReportFormat(args.format))
     if args.out:
         _atomic_write(Path(args.out), data)
     else:

@@ -7,55 +7,60 @@ and step success (SR).  Task level: first-try success (TSR), progress before
 first error (PG), success allowing recovery (Sim-TSR), and average step
 overhead of completed tasks (ASO, infinite when nothing completed).
 Robustness: loop rate (LR) and recovery success rate (RSR).
+
+Each metric function returns a `MetricsReport` holding its part;
+`episode_report` is the one place that joins the step and task parts.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Sequence
 
 from .errors import DataError
 from .reward_engine import match_action, parameters_match
 from .sim_engine import CaseResult, Outcome, SimTrace
-from .trajectory_store import ActionRecord, StepRecord
+from .trajectory_store import ActionRecord, StepRecord, TrajectoryRecord
+
+METRIC_COLUMNS = ("tm", "gr", "sr", "tsr", "pg", "sim_tsr", "aso", "lr", "rsr")
+
+
+@dataclass(frozen=True)
+class MetricsReport:
+    """Every metric a report can hold; a part not computed stays None."""
+
+    tm: float | None = None
+    gr: float | None = None
+    sr: float | None = None
+    tsr: float | None = None
+    pg: float | None = None
+    sim_tsr: float | None = None
+    aso: float | None = None  # math.inf when no task completed
+    lr: float | None = None
+    rsr: float | None = None
+    gr_given_tm: float | None = None
+    counts: dict[str, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.tsr is not None and self.sim_tsr is not None and self.tsr > self.sim_tsr + 1e-12:
+            raise RuntimeError("report: invalid tsr (recovery can only add completions)")
+        if self.sr is not None and self.tm is not None and self.sr > self.tm + 1e-12:
+            raise RuntimeError("report: invalid sr (joint correctness implies type match)")
+        if self.aso is not None and self.sim_tsr is not None:
+            if (self.sim_tsr > 0) == math.isinf(self.aso):
+                raise RuntimeError("report: invalid aso (finite iff sim_tsr > 0)")
 
 
 @dataclass(frozen=True)
 class StepPrediction:
-    source: tuple[str, int]
     predicted: ActionRecord | None
     gt: StepRecord
 
 
-@dataclass(frozen=True)
-class StepMetrics:
-    tm: float
-    gr: float | None
-    sr: float
-    gr_given_tm: float | None
-    counts: dict[str, int]
-
-
-@dataclass(frozen=True)
-class TaskMetrics:
-    tsr: float
-    pg: float
-    sim_tsr: float
-    aso: float  # math.inf when no task completed
-    counts: dict[str, int]
-
-
-@dataclass(frozen=True)
-class RobustnessMetrics:
-    lr: float
-    rsr: float
-    counts: dict[str, int]
-
-
-def step_metrics(preds: Sequence[StepPrediction]) -> StepMetrics:
+def step_metrics(preds: Sequence[StepPrediction]) -> MetricsReport:
     """Compute TM / GR / SR over a prediction set."""
     if not preds:
         raise DataError("no step predictions")
@@ -78,7 +83,7 @@ def step_metrics(preds: Sequence[StepPrediction]) -> StepMetrics:
                 grtm_eligible += 1
                 grtm_hits += grounded
     n = len(preds)
-    return StepMetrics(
+    return MetricsReport(
         tm=tm_hits / n,
         gr=gr_hits / gr_eligible if gr_eligible else None,
         sr=sr_hits / n,
@@ -91,6 +96,23 @@ def step_metrics(preds: Sequence[StepPrediction]) -> StepMetrics:
     )
 
 
+def first_attempt_predictions(
+    traces: Sequence[SimTrace], trajs: Sequence[TrajectoryRecord]
+) -> list[StepPrediction]:
+    """The first attempt at each ground-truth step of `traces`, paired with
+    that step of the run's dataset `trajs`."""
+    by_id = {t.id: t for t in trajs}
+    preds: list[StepPrediction] = []
+    for trace in traces:
+        steps = by_id[trace.trajectory_id].steps
+        seen: set[int] = set()
+        for attempt in trace.attempts:
+            if attempt.gt_step not in seen:
+                seen.add(attempt.gt_step)
+                preds.append(StepPrediction(attempt.issued, steps[attempt.gt_step]))
+    return preds
+
+
 def progress_fraction(trace: SimTrace) -> float:
     """Ground-truth steps cleared before the first failed attempt, over T."""
     prefix = 0
@@ -101,7 +123,7 @@ def progress_fraction(trace: SimTrace) -> float:
     return prefix / trace.t_gt
 
 
-def task_metrics(traces: Sequence[SimTrace]) -> TaskMetrics:
+def task_metrics(traces: Sequence[SimTrace]) -> MetricsReport:
     """Compute TSR / PG / Sim-TSR / ASO over episode traces."""
     if not traces:
         raise DataError("no traces")
@@ -119,7 +141,7 @@ def task_metrics(traces: Sequence[SimTrace]) -> TaskMetrics:
         aso = sum(t.steps_used - t.t_gt for t in completed) / len(completed)
     else:
         aso = math.inf
-    return TaskMetrics(
+    return MetricsReport(
         tsr=tsr,
         pg=pg,
         sim_tsr=sim_tsr,
@@ -128,65 +150,35 @@ def task_metrics(traces: Sequence[SimTrace]) -> TaskMetrics:
     )
 
 
-def robustness_metrics(results: Sequence[CaseResult]) -> RobustnessMetrics:
+def episode_report(
+    traces: Sequence[SimTrace], trajs: Sequence[TrajectoryRecord] | None = None
+) -> MetricsReport:
+    """The report of an episode run: task metrics over `traces`, joined with
+    step metrics over their first attempts when the run's dataset `trajs`
+    is given."""
+    task = task_metrics(traces)
+    if trajs is None:
+        return task
+    step = step_metrics(first_attempt_predictions(traces, trajs))
+    return replace(
+        step, tsr=task.tsr, pg=task.pg, sim_tsr=task.sim_tsr, aso=task.aso,
+        counts={**step.counts, **task.counts},
+    )
+
+
+def robustness_metrics(results: Sequence[CaseResult]) -> MetricsReport:
     """Compute LR / RSR over failure-case results."""
     if not results:
         raise DataError("no failure-case results")
     n = len(results)
-    return RobustnessMetrics(
+    return MetricsReport(
         lr=sum(r.repeated for r in results) / n,
         rsr=sum(r.recovered for r in results) / n,
         counts={"failure_cases": n},
     )
 
 
-# -- combined report -----------------------------------------------------------------
-
-METRIC_COLUMNS = ("tm", "gr", "sr", "tsr", "pg", "sim_tsr", "aso", "lr", "rsr")
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    tm: float | None = None
-    gr: float | None = None
-    sr: float | None = None
-    tsr: float | None = None
-    pg: float | None = None
-    sim_tsr: float | None = None
-    aso: float | None = None
-    lr: float | None = None
-    rsr: float | None = None
-    gr_given_tm: float | None = None
-    counts: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.tsr is not None and self.sim_tsr is not None and self.tsr > self.sim_tsr + 1e-12:
-            raise RuntimeError("report: invalid tsr (recovery can only add completions)")
-        if self.sr is not None and self.tm is not None and self.sr > self.tm + 1e-12:
-            raise RuntimeError("report: invalid sr (joint correctness implies type match)")
-        if self.aso is not None and self.sim_tsr is not None:
-            if (self.sim_tsr > 0) == math.isinf(self.aso):
-                raise RuntimeError("report: invalid aso (finite iff sim_tsr > 0)")
-
-    @classmethod
-    def build(
-        cls,
-        step: StepMetrics | None = None,
-        task: TaskMetrics | None = None,
-        robust: RobustnessMetrics | None = None,
-    ) -> "MetricsReport":
-        counts: dict[str, int] = {}
-        kwargs: dict[str, Any] = {}
-        if step is not None:
-            kwargs.update(tm=step.tm, gr=step.gr, sr=step.sr, gr_given_tm=step.gr_given_tm)
-            counts.update(step.counts)
-        if task is not None:
-            kwargs.update(tsr=task.tsr, pg=task.pg, sim_tsr=task.sim_tsr, aso=task.aso)
-            counts.update(task.counts)
-        if robust is not None:
-            kwargs.update(lr=robust.lr, rsr=robust.rsr)
-            counts.update(robust.counts)
-        return cls(counts=counts, **kwargs)
+# -- report emission -----------------------------------------------------------------
 
 
 class ReportFormat(str, Enum):
@@ -201,13 +193,6 @@ def _json_value(value: float | None) -> Any:
     if math.isinf(value):
         return "inf"
     return value
-
-
-def report_to_json_dict(report: MetricsReport) -> dict[str, Any]:
-    out: dict[str, Any] = {col: _json_value(getattr(report, col)) for col in METRIC_COLUMNS}
-    out["gr_given_tm"] = _json_value(report.gr_given_tm)
-    out["counts"] = dict(sorted(report.counts.items()))
-    return out
 
 
 def _csv_cell(value: float | None) -> str:
@@ -235,7 +220,9 @@ def emit_report(report: MetricsReport, fmt: ReportFormat | str = ReportFormat.JS
     """
     fmt = ReportFormat(fmt)
     if fmt is ReportFormat.JSON:
-        return (json.dumps(report_to_json_dict(report), indent=2) + "\n").encode("utf-8")
+        obj = {col: _json_value(getattr(report, col)) for col in (*METRIC_COLUMNS, "gr_given_tm")}
+        obj["counts"] = dict(sorted(report.counts.items()))
+        return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
     if fmt is ReportFormat.CSV:
         header = ",".join(METRIC_COLUMNS)
         row = ",".join(_csv_cell(getattr(report, col)) for col in METRIC_COLUMNS)

@@ -10,8 +10,9 @@ from typing import Any, Callable, Iterable, Mapping
 
 from .errors import DataError
 
-# What a record parser raises on a wrongly shaped JSON object.
-PARSE_ERRORS = (KeyError, ValueError, TypeError, IndexError, AttributeError)
+# What a record parser raises on a wrongly shaped JSON object (OverflowError:
+# a number beyond the float range, or an infinite one where an int is wanted).
+PARSE_ERRORS = (KeyError, ValueError, TypeError, IndexError, AttributeError, OverflowError)
 
 
 def read_records(

@@ -97,14 +97,30 @@ def distance_to_bbox(point: tuple[float, float], bbox: tuple[float, float, float
     return math.hypot(dx, dy)
 
 
+def ground(
+    action: ActionRecord, dims: tuple[int, int] | None
+) -> tuple[ActionRecord, str | None]:
+    """The one grounding step of a predicted action, shared by the
+    simulator and the reward: its coordinate converted to relative space
+    with the screen size `dims`, and no warning; or, when it cannot be
+    converted, the action unchanged and a warning.  An action left outside
+    relative space never matches, grounds or repeats.
+    """
+    if action.coordinate_space is CoordinateSpace.RELATIVE:
+        return action, None
+    try:
+        return normalize_action(action, dims), None
+    except DataError as exc:
+        return action, f"ungroundable coordinates: {exc}"
+
+
 def match_action(
     pred: ActionRecord | None,
     gt: ActionRecord,
     bbox: tuple[float, float, float, float] | None = None,
 ) -> bool:
     """Decide whether a predicted action counts as correct: kinds must agree
-    and then `parameters_match`.  Both actions are expected in relative
-    coordinate space.
+    and then `parameters_match`.  The ground truth is in relative space.
     """
     if pred is None or pred.kind is not gt.kind:
         return False
@@ -122,10 +138,13 @@ def parameters_match(
     (Euclidean distance <= DELTA when no box is known), scrolls need equal
     directions, text actions need the same text after trimming and
     case-folding, and parameterless kinds always pass.  A parameter the
-    prediction lacks never matches.
+    prediction lacks, or a coordinate outside relative space, never
+    matches.
     """
     if gt.kind in (ActionKind.CLICK, ActionKind.LONG_PRESS):
         if pred is None or pred.coordinate is None or gt.coordinate is None:
+            return False
+        if pred.coordinate_space is not CoordinateSpace.RELATIVE:
             return False
         if bbox is not None:
             return point_in_bbox(pred.coordinate, bbox)
@@ -141,8 +160,9 @@ def parameters_match(
 
 def actions_approx_equal(a: ActionRecord | None, b: ActionRecord) -> bool:
     """Loose identity used for repeated-action detection: same kind,
-    coordinates within REPEAT_EPSILON, same text and direction."""
-    if a is None or a.kind is not b.kind:
+    coordinates within REPEAT_EPSILON, same text and direction.  A
+    prediction `a` outside relative space never repeats."""
+    if a is None or a.kind is not b.kind or a.coordinate_space is not CoordinateSpace.RELATIVE:
         return False
     if (a.coordinate is None) != (b.coordinate is None):
         return False
@@ -200,12 +220,7 @@ def composite_reward(
     reward no matter how plausible the predicted effect reads.
     """
     cfg = cfg or _DEFAULT_CONFIG
-    pred_action: ActionRecord | None = out.action
-    if pred_action is not None and pred_action.coordinate_space is CoordinateSpace.PIXEL:
-        try:
-            pred_action = normalize_action(pred_action, sample.screen_dims)
-        except DataError:
-            pred_action = None  # ungroundable output scores as a miss
+    pred_action, _ = ground(out.action, sample.screen_dims)
     matched = match_action(pred_action, sample.target_action, sample.target_bbox)
     r_act = 1.0 if matched else -1.0
     r_eff = token_f1(out.expected_effect, sample.target_effect) if matched else 0.0

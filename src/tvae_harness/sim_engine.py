@@ -19,7 +19,7 @@ from typing import Any, Callable, Mapping, Sequence
 from .agent_bus import AgentHandle, Observation
 from .errors import DataError
 from .failure_forge import FailureCase
-from .reward_engine import actions_approx_equal, match_action
+from .reward_engine import actions_approx_equal, ground, match_action
 from .seeding import stable_seed
 from .trajectory_store import (
     ActionRecord,
@@ -28,7 +28,6 @@ from .trajectory_store import (
     TrajectoryRecord,
     action_from_json,
     action_to_json,
-    normalize_action,
 )
 from .tvae_codec import HistoryEntry, TvaeOutput, Verification, parse_tvae
 
@@ -137,25 +136,19 @@ def transition(
 def _interpret(
     raw: str, dims: tuple[int, int] | None
 ) -> tuple[TvaeOutput | None, ActionRecord | None, tuple[str, ...]]:
-    """Lenient parse plus coordinate normalization.
+    """Lenient parse plus `ground` with the screen size `dims`.
 
     A turn that does not parse (a `DataError`) is an unparseable turn: no
-    action, one warning.  Any other exception is a harness bug and
-    propagates.
+    action, one warning.  An action whose coordinate cannot be converted
+    keeps its raw space and gains a warning; it then never matches or
+    repeats.  Any other exception is a harness bug and propagates.
     """
     try:
         turn = parse_tvae(raw, strict=False)
     except DataError as exc:
         return None, None, (f"unparseable turn: {exc}",)
-    action = turn.action
-    warnings = list(turn.warnings)
-    if action.coordinate is not None and action.coordinate_space is not CoordinateSpace.RELATIVE:
-        try:
-            action = normalize_action(action, dims)
-        except DataError as exc:
-            # Keep the raw-space action; it cannot match a relative target.
-            warnings.append(f"ungroundable coordinates: {exc}")
-    return turn, action, tuple(warnings)
+    action, problem = ground(turn.action, dims)
+    return turn, action, turn.warnings if problem is None else (*turn.warnings, problem)
 
 
 def _outcome(attempts: Sequence[AttemptLog], t_gt: int) -> Outcome:

@@ -86,12 +86,11 @@ def make_dataset(
     count: int,
     lengths: tuple[int, int],
     seed: int = 0,
-    prefix: str = "traj",
 ) -> list[TrajectoryRecord]:
     """Generate `count` trajectories with lengths uniform in the given range."""
-    rng = random.Random(stable_seed(seed, "dataset", prefix, count))
+    rng = random.Random(stable_seed(seed, "dataset", "traj", count))
     lo, hi = lengths
     return [
-        random_trajectory(f"{prefix}-{i:06d}", rng.randint(lo, hi), seed=seed)
+        random_trajectory(f"traj-{i:06d}", rng.randint(lo, hi), seed=seed)
         for i in range(count)
     ]

@@ -8,6 +8,7 @@ that save -> load round-trips are bit-exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -39,7 +40,6 @@ class ScrollDirection(str, Enum):
 class CoordinateSpace(str, Enum):
     RELATIVE = "relative"
     PIXEL = "pixel"
-    UNKNOWN = "unknown"
 
 
 SPATIAL_KINDS = frozenset({ActionKind.CLICK, ActionKind.LONG_PRESS})
@@ -55,8 +55,9 @@ class ActionRecord:
     """A single executable GUI action.
 
     Exactly the parameters demanded by `kind` are present; all others are
-    None.  `coordinate_space` tracks whether spatial values are relative,
-    raw pixels (agent output before normalization), or undetermined.
+    None, and every number is finite.  `coordinate_space` tracks whether
+    spatial values are relative or raw pixels (agent output before
+    normalization).
     """
 
     kind: ActionKind
@@ -82,12 +83,17 @@ class ActionRecord:
             raise DataError(f"{k.value}: invalid seconds (required iff wait)")
         if self.text is not None and not self.text:
             raise DataError(f"{k.value}: invalid text (must be non-empty)")
-        if self.seconds is not None and self.seconds < 0:
-            raise DataError(f"{k.value}: invalid seconds (must be >= 0)")
+        if self.seconds is not None:
+            if self.seconds < 0:
+                raise DataError(f"{k.value}: invalid seconds (must be >= 0)")
+            if not math.isfinite(self.seconds):
+                raise DataError(f"{k.value}: invalid seconds (must be finite)")
         if self.coordinate is not None:
             x, y = self.coordinate
             if x < 0 or y < 0:
                 raise DataError(f"negative coordinate {(x, y)}")
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise DataError(f"{k.value}: invalid coordinate (({x}, {y}) is not finite)")
             if self.coordinate_space is CoordinateSpace.RELATIVE and (x > 1 or y > 1):
                 raise DataError(
                     f"{k.value}: invalid coordinate (({x}, {y}) outside [0,1] in relative space)"

@@ -265,9 +265,7 @@ def test_c09_metric_algebra():
 
     for _ in range(50):
         steps = [make_click_step(i) for i in range(rng.randint(1, 8))]
-        preds = [
-            StepPrediction(("t", s.index), random_valid_action(rng), s) for s in steps
-        ]
+        preds = [StepPrediction(random_valid_action(rng), s) for s in steps]
         m = step_metrics(preds)
         assert m.sr <= m.tm + 1e-12
 

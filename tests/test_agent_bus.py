@@ -155,7 +155,7 @@ def turn_server():
 
 def _remote_turn(endpoint, obs, **kwargs):
     """One `RemoteAgent` turn on a fresh agent, closed afterwards."""
-    agent = RemoteAgent(endpoint, **kwargs)
+    agent = RemoteAgent(endpoint, max_inflight=1, **kwargs)
     try:
         return agent.turn(obs, None, random.Random(0))
     finally:
@@ -175,7 +175,7 @@ def test_remote_turn_returns_body_verbatim(turn_server):
 
 
 def test_remote_agent_in_sim(turn_server):
-    agent = RemoteAgent(turn_server, timeout=5)
+    agent = RemoteAgent(turn_server, timeout=5, max_inflight=1)
     assert agent.max_inflight == 1
     assert not agent.white_box
     trajs = make_dataset(2, (2, 2), seed=4)
@@ -206,7 +206,8 @@ def test_remote_prose_passthrough_counts_as_mismatch():
         text = _remote_turn(endpoint, _obs(), timeout=5)
         assert text == "I think you should click somewhere in the middle."
         trajs = make_dataset(2, (2, 2), seed=6)
-        traces = run_episodes(trajs, RemoteAgent(endpoint, timeout=5), SimConfig(seed=0))
+        agent = RemoteAgent(endpoint, timeout=5, max_inflight=1)
+        traces = run_episodes(trajs, agent, SimConfig(seed=0))
         assert all(t.outcome is Outcome.BUDGET_EXHAUSTED for t in traces)
         assert all(a.issued is None for t in traces for a in t.attempts)
     finally:
@@ -223,11 +224,10 @@ def test_remote_agent_bounded_concurrency(turn_server):
     assert len(traces) == 6
 
 
-@pytest.mark.parametrize("max_inflight, workers, peak", [(None, 4, 1), (3, 6, 3)])
+@pytest.mark.parametrize("max_inflight, workers, peak", [(1, 4, 1), (3, 6, 3)])
 def test_remote_agent_caps_requests_in_flight(max_inflight, workers, peak):
-    kwargs = {} if max_inflight is None else {"max_inflight": max_inflight}
     with CountingTurnServer(delay_s=0.02) as server:
-        agent = RemoteAgent(server.url, timeout=5, **kwargs)
+        agent = RemoteAgent(server.url, timeout=5, max_inflight=max_inflight)
         try:
             traces = run_episodes(
                 make_dataset(6, (2, 3), seed=8), agent, SimConfig(seed=0), workers=workers
@@ -254,7 +254,7 @@ def test_remote_timeout_is_retried_once_then_raises():
 
 def test_remote_agent_reuses_one_connection_until_close():
     with CountingTurnServer() as server:
-        agent = RemoteAgent(server.url, timeout=5)
+        agent = RemoteAgent(server.url, timeout=5, max_inflight=1)
         traces = run_episodes(make_dataset(3, (2, 3), seed=4), agent, SimConfig(seed=0))
         turns = sum(len(t.attempts) for t in traces)
         assert server.requests == turns > 1
@@ -303,20 +303,24 @@ def test_stdio_agent_dead_process():
 # -- spec parsing ---------------------------------------------------------------------------------
 
 
+def _spec(text):
+    return parse_agent_spec(text, timeout=30.0, max_inflight=1)
+
+
 def test_parse_agent_spec_variants():
-    assert parse_agent_spec("scripted:oracle").identity == "scripted:oracle"
-    assert parse_agent_spec("scripted:failk:3").variant.k == 3
-    assert parse_agent_spec("scripted:bernoulli:0.25").variant.p == 0.25
-    assert parse_agent_spec("remote:http://x:1").identity == "remote:http://x:1"
-    assert parse_agent_spec("scripted:failk:0").variant.k == 0
-    assert parse_agent_spec("scripted:bernoulli:1").variant.p == 1.0
+    assert _spec("scripted:oracle").identity == "scripted:oracle"
+    assert _spec("scripted:failk:3").variant.k == 3
+    assert _spec("scripted:bernoulli:0.25").variant.p == 0.25
+    assert _spec("remote:http://x:1").identity == "remote:http://x:1"
+    assert _spec("scripted:failk:0").variant.k == 0
+    assert _spec("scripted:bernoulli:1").variant.p == 1.0
     for bad in (
         "remote:127.0.0.1:9", "remote:ftp://x/", "remote:http://x:port",
         "scripted:failk:x", "scripted:failk:-1", "scripted:failk:2.0",
         "scripted:bernoulli:2", "scripted:bernoulli:nan", "scripted:bernoulli:-inf",
     ):
         with pytest.raises(DataError, match="^(remote|agent|scripted): invalid "):
-            parse_agent_spec(bad)
+            _spec(bad)
 
 
 @pytest.mark.parametrize("kw", [{"k": -1}, {"k": 1.0}, {"k": True}, {"p": 1.5}, {"p": float("nan")}])

@@ -14,12 +14,28 @@ import pytest
 import tvae_harness
 from tvae_harness import reward_engine, sim_engine
 from tvae_harness.cli import EXIT_AGENT, EXIT_DATA, EXIT_INTERNAL, EXIT_OK, build_parser, main
+from tvae_harness.failure_forge import (
+    FailureCase,
+    FailureMode,
+    SampleType,
+    SyntheticSample,
+    failure_case_to_json,
+    sample_to_json,
+)
 from tvae_harness.grpo_core import GrpoConfig
+from tvae_harness.records import write_records
 from tvae_harness.reward_engine import RewardConfig
 from tvae_harness.sim_engine import SimConfig
 from tvae_harness.synthdata import make_dataset
-from tvae_harness.trajectory_store import save_dataset
+from tvae_harness.trajectory_store import (
+    ActionKind,
+    ActionRecord,
+    StepRecord,
+    TrajectoryRecord,
+    save_dataset,
+)
 from tvae_harness.tvae_codec import (
+    HistoryEntry,
     ThinkSegment,
     ThinkTag,
     TvaeOutput,
@@ -381,6 +397,16 @@ BAD_LINES = {
     "traces-t-gt-huge": ("traces", lambda o: {**o[1], "t_gt": 10**400}),
     "traces-t-gt-negative": ("traces", lambda o: {**o[1], "t_gt": -1}),
     "traces-outcome-flipped": ("traces", lambda o: {**o[1], "outcome": "budget_exhausted"}),
+    # a number beyond the float range, or one that is not finite, is a bad line
+    "dataset-huge-coordinate": ("dataset", lambda o: _put(
+        o[1], ["steps", 0, "gt_action"], {"kind": "click", "coordinate": [10**400, 0.5]})),
+    "dataset-huge-wait": ("dataset", lambda o: _put(
+        o[1], ["steps", 0, "gt_action"], {"kind": "wait", "seconds": 10**400})),
+    "dataset-nan-pixel-coordinate": ("dataset", lambda o: _put(o[1], ["steps", 0], {
+        **o[1]["steps"][0], "screen_dims": [1080, 2400],
+        "gt_action": {"kind": "click", "coordinate": [float("nan"), 50]},
+    })),
+    "traces-t-gt-infinite": ("traces", lambda o: {**o[1], "t_gt": 1e400}),
     "cases-non-object": ("cases", lambda o: "case"),
     "cases-short-box": ("cases", lambda o: {**_kind_changing_case(o), "gt_bbox": [0.1, 0.1, 0.5]}),
     "cases-one-dim": ("cases", lambda o: _put(o[1], ["screen_dims"], [5])),
@@ -443,14 +469,69 @@ def test_harness_bug_on_a_turn_exits_3(dataset, tmp_path, capsys, monkeypatch, c
     def bug(*args, **kwargs):
         raise TypeError("injected harness bug")
 
-    for module in (sim_engine, reward_engine):
-        monkeypatch.setattr(module, name, bug)
+    for module in (sim_engine, reward_engine):  # every module that binds `name`
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, bug)
     capsys.readouterr()
     with CountingTurnServer(body=PIXEL_TURN) as server:
         agent = [] if command == "score" else ["--agent", f"remote:{server.url}"]
         assert main([*argv, *agent, "--out", str(out)]) == EXIT_INTERNAL
     assert "internal error: injected harness bug" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _click(x, y):
+    return ActionRecord(kind=ActionKind.CLICK, coordinate=(x, y))
+
+
+@pytest.mark.parametrize("x", [1.05, 1.03])
+def test_ungroundable_coordinate_never_matches_grounds_or_repeats(tmp_path, capsys, x):
+    # The agent clicks (x, 0.5), a pixel coordinate, where no step, case or
+    # sample gives a screen size to convert it with.  Its raw value lies
+    # within DELTA of the target (0.95, 0.5) and, for x = 1.03, within the
+    # repeat radius of the wrong click (1.0, 0.5); every command scores it a miss.
+    turn = FIXED_TURN.replace("[0.5, 0.5]", f"[{x}, 0.5]")
+    target, effect = _click(0.95, 0.5), "The panel opens."
+    dataset = tmp_path / "d.jsonl"
+    step = StepRecord(index=0, screen_ref="s0", gt_action=target, reference_effect=effect)
+    save_dataset([TrajectoryRecord("t", "Open the panel.", (step,), "s1")], dataset)
+    cases = tmp_path / "cases.jsonl"
+    write_records(cases, (
+        failure_case_to_json(FailureCase(
+            source=("t", 0), instruction="Open the panel.", screen_ref="s0",
+            history=(HistoryEntry(wrong, effect, Verification.SUCCESS),),
+            gt_recovery=recovery, erroneous=wrong, mode=FailureMode.COORDINATE_OFFSET,
+        ))
+        for recovery, wrong in ((target, _click(0.2, 0.2)), (_click(0.2, 0.5), _click(1.0, 0.5)))
+    ))
+    samples, outputs = tmp_path / "samples.jsonl", tmp_path / "outputs.jsonl"
+    write_records(samples, [sample_to_json(SyntheticSample(
+        sample_type=SampleType.TYPE_A, instruction="Open the panel.", input_screen_ref="s0",
+        history=(), target_verification=Verification.SUCCESS, target_action=target,
+        target_effect=effect,
+    ))])
+    write_records(outputs, [{"raw": turn}])
+    with CountingTurnServer(body=turn) as server:
+        agent = ["--agent", f"remote:{server.url}"]
+        assert main([
+            "simulate", "--dataset", str(dataset), *agent, "--out", str(tmp_path / "sim"),
+        ]) == EXIT_OK
+        assert main([
+            "bench-robust", "--cases", str(cases), *agent, "--out", str(tmp_path / "bench"),
+        ]) == EXIT_OK
+    assert main([
+        "score", "--samples", str(samples), "--outputs", str(outputs),
+        "--out", str(tmp_path / "score"),
+    ]) == EXIT_OK
+    sim = _read_report(tmp_path / "sim")
+    assert (sim["tsr"], sim["sr"], sim["gr"]) == (0.0, 0.0, 0.0)
+    trace = json.loads((tmp_path / "sim" / "traces.jsonl").read_text().splitlines()[0])
+    assert trace["attempts"][0]["issued"]["coordinate_space"] == "pixel"
+    assert "ungroundable coordinates: " in trace["attempts"][0]["parse_warnings"][-1]
+    bench = _read_report(tmp_path / "bench")
+    assert (bench["lr"], bench["rsr"]) == (0.0, 0.0)
+    rewards = json.loads((tmp_path / "score" / "rewards.jsonl").read_text())
+    assert rewards["r_act"] == -1.0
 
 
 # The input kind of the command that reads each setting flag.
@@ -717,6 +798,25 @@ def test_report_command(dataset, tmp_path, capsys):
     assert main(["report", "--traces", str(run / "traces.jsonl"), "--format", "csv"]) == EXIT_OK
     captured = capsys.readouterr().out
     assert captured.splitlines()[0] == "tm,gr,sr,tsr,pg,sim_tsr,aso,lr,rsr"
+
+
+@pytest.mark.parametrize("agent", [
+    "oracle", "loopy", "failk:1", "bernoulli:0.5", "offset_then_correct",
+])
+def test_report_reproduces_the_task_part_of_a_simulate_report(dataset, tmp_path, agent):
+    # `simulate` and `report` build the task part on one path
+    run = tmp_path / "run"
+    assert main([
+        "simulate", "--dataset", str(dataset), "--agent", f"scripted:{agent}",
+        "--out", str(run), "--seed", "4", "--workers", "2",
+    ]) == EXIT_OK
+    rebuilt = tmp_path / "report.json"
+    assert main(["report", "--traces", str(run / "traces.jsonl"), "--out", str(rebuilt)]) == EXIT_OK
+    simulated, reported = _read_report(run), json.loads(rebuilt.read_text())
+    for key in ("tsr", "pg", "sim_tsr", "aso"):
+        assert reported[key] == simulated[key]
+    for key in ("tasks", "completed_tasks"):
+        assert reported["counts"][key] == simulated["counts"][key]
 
 
 def test_simulate_with_stdio_agent(dataset, tmp_path):

@@ -27,7 +27,7 @@ from conftest import make_click_step, random_valid_action
 
 
 def _pred(predicted, gt_step) -> StepPrediction:
-    return StepPrediction(source=("t", gt_step.index), predicted=predicted, gt=gt_step)
+    return StepPrediction(predicted=predicted, gt=gt_step)
 
 
 # -- step metrics -------------------------------------------------------------------

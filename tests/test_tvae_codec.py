@@ -127,6 +127,20 @@ def test_number_beyond_float_range_is_malformed_action_json(body):
         parse_tvae(text, strict=False)
 
 
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "1e400"])
+@pytest.mark.parametrize("template", [
+    '{"action": "click", "coordinate": [%s, 0.5]}',
+    '{"action": "wait", "time": %s}',
+])
+def test_non_finite_number_is_no_action(template, number):
+    # json.loads reads all three (1e400 as infinity); no action holds them
+    text = TYPE_A_TURN.replace(
+        '{"action": "click", "coordinate": [317, 1190]}', template % number
+    )
+    with pytest.raises(DataError, match=r"^(click|wait): invalid (coordinate|seconds) .*finite\)$"):
+        parse_tvae(text, strict=False)
+
+
 def test_unknown_think_tag_strict_error_lenient_fold():
     text = TYPE_A_TURN.replace("[Recall]", "[Plan]")
     with pytest.raises(DataError, match=r"^unknown think tag \[Plan\]$"):
@@ -343,6 +357,9 @@ def _assert_same_as_reference(raw: str) -> None:
 @example(raw=TYPE_A_TURN.replace("[Verify]", "prelude [Plan] x [Verify]"))
 @example(raw=TYPE_A_TURN.replace("[Recall]", "[Recall] \n [Grounding]"))
 @example(raw=TYPE_A_TURN.replace("317", "1" + "0" * 400))
+@example(raw=TYPE_A_TURN.replace("317", "NaN"))
+@example(raw=TYPE_A_TURN.replace("317", "Infinity"))
+@example(raw=TYPE_A_TURN.replace("317", "1e400"))
 def test_parser_matches_reference_on_block_soup(raw):
     _assert_same_as_reference(raw)
 
