@@ -14,8 +14,7 @@ import sys
 from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
-from typing import TYPE_CHECKING, Any, Protocol, Sequence
+from typing import Any, Protocol, Sequence
 from urllib.parse import urlsplit
 
 from .errors import AgentError, DataError
@@ -31,11 +30,12 @@ from .tvae_codec import (
     history_entry_to_json,
 )
 
-if TYPE_CHECKING:
-    from http.client import HTTPConnection
-
 WIRE_SCHEMA_VERSION = 1
 STDIO_SENTINEL = "<<<END_TURN>>>"
+_SENTINEL = STDIO_SENTINEL.encode("ascii")
+# The most bytes one turn may take: an HTTP reply's head and body, or a
+# stdio agent's output before the sentinel line.  More is an agent failure.
+MAX_TURN_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -274,90 +274,216 @@ def _turn_url(endpoint: str) -> str:
     return url if url.endswith("/turn") else url + "/turn"
 
 
-def _decode(body: bytes, charset: str) -> str:
-    try:
-        return body.decode(charset, "replace")
-    except LookupError:  # unknown charset name in Content-Type
-        return body.decode("utf-8", "replace")
+def _decode(body: bytes, content_type: bytes) -> str:
+    """`body` decoded with the charset that `content_type` names, or with
+    UTF-8 when it names none or one that Python does not know."""
+    for param in content_type.split(b";")[1:]:
+        name, _, value = param.partition(b"=")
+        if name.strip().lower() == b"charset":
+            try:
+                return body.decode(value.strip().strip(b'"').decode("latin-1"), "replace")
+            except (LookupError, ValueError):  # unknown or unusable charset name
+                break
+    return body.decode("utf-8", "replace")
+
+
+_HEX_DIGITS = b"0123456789abcdefABCDEF"
 
 
 class _HttpPool:
-    """Keep-alive HTTP connections to one URL, shared by concurrent turns.
+    """Keep-alive HTTP/1.1 connections to one URL, shared by concurrent turns.
 
-    Idle connections wait on a lock-guarded stack.  A request pops one or
-    opens one, puts it back after a complete response and closes it on any
-    error, so no more connections are open than requests were ever in
-    flight at once.  Proxy environment variables, `.netrc` and redirects are
-    not consulted.
+    Idle sockets wait on a lock-guarded stack.  A request pops one or opens
+    one, puts it back after a complete length-framed reply and closes it
+    otherwise, so no more connections are open than requests were ever in
+    flight at once.  Each request is one write; each reply is read into one
+    buffer of at most `MAX_TURN_BYTES`.  Proxy environment variables,
+    `.netrc` and redirects are not consulted.
     """
 
-    def __init__(self, url: str, timeout: float):
+    def __init__(self, url: str, timeout: float, token: str | None):
         parts = urlsplit(url)
         try:
             port = parts.port
         except ValueError:  # non-numeric or out-of-range port
             port = 0
-        if parts.scheme not in ("http", "https") or not parts.hostname or port == 0:
+        host = parts.hostname
+        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        if (
+            parts.scheme not in ("http", "https") or not host or not host.isascii() or port == 0
+            or not (target.isascii() and target.isprintable()) or " " in target
+        ):
             raise DataError(f"remote: invalid endpoint ({url!r} is not an http(s) URL)")
-        # Loaded here, once per pool: `http.client` pulls in `ssl` and
-        # `email.*`, which no other agent needs.
+        if token is not None and not (token.isascii() and token.isprintable()):
+            raise DataError("remote: invalid token (must be printable ASCII)")
+        # Loaded by the pool (`socket` on its first connection): no other
+        # agent needs them.
         import threading
-        from http.client import HTTPConnection, HTTPException, HTTPSConnection
 
+        default_port = 443 if parts.scheme == "https" else 80
         self.url = url
-        self.path = parts.path + (f"?{parts.query}" if parts.query else "")
-        conn_class = HTTPSConnection if parts.scheme == "https" else HTTPConnection
-        self._open = partial(conn_class, parts.hostname, port, timeout=timeout)
-        self._http_error = HTTPException
-        self._idle: list[HTTPConnection] = []
+        self._address = (host, port or default_port)
+        self._timeout = timeout
+        self._tls = None
+        if parts.scheme == "https":
+            import ssl
+
+            self._tls = ssl.create_default_context()
+        netloc = f"[{host}]" if ":" in host else host
+        if port not in (None, default_port):
+            netloc += f":{port}"
+        auth = f"Authorization: Bearer {token}\r\n" if token else ""
+        self._head = (
+            f"POST {target} HTTP/1.1\r\nHost: {netloc}\r\n"
+            f"Content-Type: application/json\r\n{auth}Content-Length: "
+        ).encode("ascii")
+        self._idle: list[Any] = []
         self._lock = threading.Lock()
 
-    def _checkout(self) -> HTTPConnection:
+    def _connect(self) -> Any:
+        import socket
+
+        sock = socket.create_connection(self._address, self._timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls is not None:
+                # A failed handshake closes the TLS socket, which owns the descriptor.
+                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
+        except BaseException:
+            sock.close()
+            raise
+        return sock
+
+    def _checkout(self) -> Any:
         with self._lock:
             if self._idle:
                 return self._idle.pop()
-        return self._open()
+        return self._connect()
 
-    def post(self, body: bytes, headers: dict[str, str]) -> str:
+    def post(self, body: bytes) -> str:
         """POST `body` and return the decoded 2xx response body.
 
-        Transport errors, timeouts and 5xx responses are retried once, on a
-        new connection after a transport error; any other status fails at
-        once.
+        Transport errors, timeouts, unreadable replies and 5xx responses are
+        retried once, on a new connection; any other status and a reply over
+        `MAX_TURN_BYTES` fail at once.
         """
-        last: Exception | None = None
+        request = b"%s%d\r\n\r\n%s" % (self._head, len(body), body)
+        cause: OSError | None = None
         fresh = False
         for _ in range(2):
-            conn = self._open() if fresh else self._checkout()
+            sock = None
             try:
-                conn.request("POST", self.path, body, headers)
-                resp = conn.getresponse()
-                data = resp.read()
-            except (OSError, self._http_error) as exc:
-                conn.close()
-                last, fresh = exc, True
+                sock = self._connect() if fresh else self._checkout()
+                sock.sendall(request)
+                status, reason, content_type, data, keep = self._read_reply(sock)
+            except OSError as exc:  # an unreadable reply raises ConnectionError
+                if sock is not None:
+                    sock.close()
+                cause, why, fresh = exc, str(exc), True
                 continue
             except BaseException:
-                conn.close()
+                if sock is not None:
+                    sock.close()
                 raise
-            if resp.will_close:
-                conn.close()
-            else:
+            if keep:
                 with self._lock:
-                    self._idle.append(conn)
-            if 200 <= resp.status < 300:
-                return _decode(data, resp.headers.get_content_charset("utf-8"))
-            last = self._http_error(f"HTTP {resp.status} {resp.reason}")
-            if resp.status < 500:
+                    self._idle.append(sock)
+            else:
+                sock.close()
+            if 200 <= status < 300:
+                return _decode(data, content_type)
+            cause, why = None, f"HTTP {status} {reason}"
+            if status < 500:
                 break
-        raise AgentError(f"{self.url}: {last}") from last
+        raise AgentError(f"{self.url}: {why}") from cause
+
+    def _read_reply(self, sock: Any) -> tuple[int, str, bytes, bytes, bool]:
+        """Read one reply: its status, reason, Content-Type and body, and
+        whether the connection may carry another request."""
+        buf = bytearray()
+        start = 0
+        while True:
+            while (end := buf.find(b"\r\n\r\n", start)) < 0:
+                if not self._recv(sock, buf):
+                    raise ConnectionError("connection closed before the reply head")
+            status_line, *lines = bytes(buf[start:end]).split(b"\r\n")
+            version, _, rest = status_line.partition(b" ")
+            code, _, reason = rest.partition(b" ")
+            if version not in (b"HTTP/1.0", b"HTTP/1.1") or len(code) != 3 or not code.isdigit():
+                raise ConnectionError(f"bad status line {status_line[:80]!r}")
+            start = end + 4
+            if not code.startswith(b"1"):  # interim 1xx heads precede the reply
+                break
+        status = int(code)
+        fields = {}
+        for line in lines:
+            name, _, value = line.partition(b":")
+            fields[name.strip().lower()] = value.strip()
+        head = status, reason.strip().decode("latin-1"), fields.get(b"content-type", b"")
+        length = fields.get(b"content-length")
+        if status in (204, 304):  # replies that never have a body
+            length = b"0"
+        elif b"chunked" in fields.get(b"transfer-encoding", b"").lower():
+            return *head, self._read_chunks(sock, buf, start), False
+        elif length is None:  # the body runs to the end of the stream
+            while self._recv(sock, buf):
+                pass
+            return *head, bytes(buf[start:]), False
+        if not length.isdigit():
+            raise ConnectionError(f"bad Content-Length {length[:40]!r}")
+        if len(length.lstrip(b"0")) > 9:  # over the cap, maybe past int()'s digit limit too
+            raise self._flood()
+        stop = start + int(length)
+        self._recv_to(sock, buf, stop)
+        keep = (
+            version == b"HTTP/1.1" and len(buf) == stop
+            and b"close" not in fields.get(b"connection", b"").lower()
+        )
+        return *head, bytes(buf[start:stop]), keep
+
+    def _read_chunks(self, sock: Any, buf: bytearray, pos: int) -> bytes:
+        """The body of a chunked reply whose first chunk starts at `pos`."""
+        body = bytearray()
+        while True:
+            while (eol := buf.find(b"\r\n", pos)) < 0:
+                if not self._recv(sock, buf):
+                    raise ConnectionError("connection closed mid-reply")
+            field = bytes(buf[pos:eol]).partition(b";")[0].strip()
+            if not field or field.strip(_HEX_DIGITS):
+                raise ConnectionError(f"bad chunk size {field[:40]!r}")
+            size = int(field, 16)
+            if size == 0:  # the trailer is not read: the connection is not kept
+                return bytes(body)
+            pos = eol + 2
+            self._recv_to(sock, buf, pos + size + 2)
+            body += buf[pos : pos + size]
+            pos += size + 2
+
+    def _recv_to(self, sock: Any, buf: bytearray, size: int) -> None:
+        """Receive until `buf` holds `size` bytes."""
+        if size > MAX_TURN_BYTES:
+            raise self._flood()
+        while len(buf) < size:
+            if not self._recv(sock, buf):
+                raise ConnectionError("connection closed mid-reply")
+
+    def _recv(self, sock: Any, buf: bytearray) -> bool:
+        """Append the next bytes from `sock` to `buf`; False at end of stream."""
+        chunk = sock.recv(65536)
+        buf += chunk
+        if len(buf) > MAX_TURN_BYTES:
+            raise self._flood()
+        return bool(chunk)
+
+    def _flood(self) -> AgentError:
+        return AgentError(f"{self.url}: reply exceeds MAX_TURN_BYTES ({MAX_TURN_BYTES} bytes)")
 
     def close(self) -> None:
         """Close the idle connections; the pool stays usable."""
         with self._lock:
             idle, self._idle = self._idle, []
-        for conn in idle:
-            conn.close()
+        for sock in idle:
+            sock.close()
 
 
 class RemoteAgent:
@@ -377,10 +503,7 @@ class RemoteAgent:
             raise DataError("remote: invalid max_inflight (must be >= 1)")
         self.identity = f"remote:{endpoint}"
         self.max_inflight = max_inflight
-        self._pool = _HttpPool(_turn_url(endpoint), timeout)
-        self._headers = {"Content-Type": "application/json"}
-        if token:
-            self._headers["Authorization"] = f"Bearer {token}"
+        self._pool = _HttpPool(_turn_url(endpoint), timeout, token)
 
     def turn(self, obs: Observation, gt: StepRecord | None, rng: random.Random) -> str:
         """POST the observation to the turn server; return the body verbatim.
@@ -391,7 +514,7 @@ class RemoteAgent:
         interpreted here; parsing happens downstream.
         """
         body = json.dumps(observation_to_wire(obs)).encode("utf-8")
-        return self._pool.post(body, self._headers)
+        return self._pool.post(body)
 
     def close(self) -> None:
         self._pool.close()
@@ -414,14 +537,7 @@ class StdioAgent:
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         self.identity = f"stdio:{' '.join(argv)}"
         try:
-            self._proc = subprocess.Popen(
-                argv,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                encoding="utf-8",
-                errors="replace",
-                bufsize=1,
-            )
+            self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         except OSError as exc:
             raise AgentError(f"cannot spawn {argv}: {exc}") from exc
 
@@ -431,19 +547,28 @@ class StdioAgent:
             raise AgentError("stdio agent exited")
         try:
             assert proc.stdin is not None and proc.stdout is not None
-            proc.stdin.write(json.dumps(observation_to_wire(obs)) + "\n")
+            proc.stdin.write(json.dumps(observation_to_wire(obs)).encode("ascii") + b"\n")
             proc.stdin.flush()
-            lines: list[str] = []
+            lines: list[bytes] = []
+            left = MAX_TURN_BYTES
             while True:
-                line = proc.stdout.readline()
+                # room for a sentinel line (with \r\n) however little is left
+                line = proc.stdout.readline(left + len(_SENTINEL) + 2)
                 if not line:
                     raise AgentError("stdio agent closed its output")
-                if line.rstrip("\n") == STDIO_SENTINEL:
+                if line.rstrip(b"\r\n") == _SENTINEL:
                     break
+                left -= len(line)
+                if left < 0:
+                    raise AgentError(
+                        f"stdio agent output exceeds MAX_TURN_BYTES ({MAX_TURN_BYTES} bytes)"
+                    )
                 lines.append(line)
-            return "".join(lines).rstrip("\n")
         except (BrokenPipeError, OSError) as exc:
             raise AgentError(f"stdio transport failed: {exc}") from exc
+        text = b"".join(lines).decode("utf-8", "replace")
+        # Line ends as a text-mode pipe reads them: \r\n and \r become \n.
+        return text.replace("\r\n", "\n").replace("\r", "\n").rstrip("\n")
 
     def close(self) -> None:
         import subprocess

@@ -33,7 +33,9 @@ from .trajectory_store import (
     action_to_json,
     check_box_and_dims,
     describe_action,
+    normalize_action,
     round_coord,
+    screen_dims_from_json,
 )
 from .tvae_codec import HistoryEntry, Verification, history_entry_from_json, history_entry_to_json
 
@@ -470,17 +472,20 @@ def sample_to_json(sample: SyntheticSample) -> dict[str, Any]:
 
 
 def sample_from_json(obj: Mapping[str, Any]) -> SyntheticSample:
+    """A sample line; pixel coordinates in it are converted with its
+    `screen_dims` (without them a pixel coordinate is a bad line)."""
+    dims = screen_dims_from_json(obj, "sample")
     return SyntheticSample(
         sample_type=SampleType(obj["sample_type"]),
         instruction=str(obj["instruction"]),
         input_screen_ref=str(obj["input_screen_ref"]),
-        history=tuple(history_entry_from_json(h) for h in obj["history"]),
+        history=tuple(history_entry_from_json(h, dims) for h in obj["history"]),
         target_verification=Verification(obj["target_verification"]),
-        target_action=action_from_json(obj["target_action"]),
+        target_action=normalize_action(action_from_json(obj["target_action"]), dims),
         target_effect=str(obj["target_effect"]),
         failure_mode=FailureMode(obj["failure_mode"]) if obj.get("failure_mode") else None,
         target_bbox=tuple(obj["target_bbox"]) if obj.get("target_bbox") is not None else None,
-        screen_dims=tuple(obj["screen_dims"]) if obj.get("screen_dims") is not None else None,
+        screen_dims=dims,
     )
 
 
@@ -502,15 +507,17 @@ def failure_case_to_json(case: FailureCase) -> dict[str, Any]:
 
 
 def failure_case_from_json(obj: Mapping[str, Any]) -> FailureCase:
+    """A case line; pixel coordinates as in `sample_from_json`."""
+    dims = screen_dims_from_json(obj, "failure_case")
     return FailureCase(
         source=(str(obj["source"][0]), int(obj["source"][1])),
         instruction=str(obj["instruction"]),
         screen_ref=str(obj["screen_ref"]),
-        history=tuple(history_entry_from_json(h) for h in obj["history"]),
-        gt_recovery=action_from_json(obj["gt_recovery"]),
-        erroneous=action_from_json(obj["erroneous"]),
+        history=tuple(history_entry_from_json(h, dims) for h in obj["history"]),
+        gt_recovery=normalize_action(action_from_json(obj["gt_recovery"]), dims),
+        erroneous=normalize_action(action_from_json(obj["erroneous"]), dims),
         mode=FailureMode(obj["mode"]),
         gt_bbox=tuple(obj["gt_bbox"]) if obj.get("gt_bbox") is not None else None,
-        screen_dims=tuple(obj["screen_dims"]) if obj.get("screen_dims") is not None else None,
+        screen_dims=dims,
     )
 

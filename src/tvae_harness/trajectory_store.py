@@ -289,14 +289,21 @@ def _normalize_bbox(
     return (round_coord(vals[0]), round_coord(vals[1]), round_coord(vals[2]), round_coord(vals[3]))
 
 
+def screen_dims_from_json(obj: Mapping[str, Any], subject: str) -> tuple[int, int] | None:
+    """The checked `screen_dims` of a step, sample or case line, which its
+    pixel coordinates are converted with."""
+    raw = obj.get("screen_dims")
+    dims = tuple(int(v) for v in raw) if raw is not None else None
+    check_box_and_dims(subject, "screen_dims", None, dims)  # before dims scale a pixel value
+    return dims
+
+
 def _step_from_json(obj: Mapping[str, Any], traj_id: str) -> StepRecord:
     for key in ("index", "screen_ref", "gt_action", "reference_effect"):
         if key not in obj:
             raise DataError(f"{traj_id}: invalid {key} (missing step field)")
-    dims_raw = obj.get("screen_dims")
-    dims = tuple(int(v) for v in dims_raw) if dims_raw is not None else None
     subject = f"{traj_id}[{obj['index']}]"
-    check_box_and_dims(subject, "gt_bbox", None, dims)  # before dims scale a pixel value
+    dims = screen_dims_from_json(obj, subject)
     action = action_from_json(obj["gt_action"])
     if action.coordinate is not None and max(action.coordinate) > 1.0 and dims is None:
         raise DataError(f"{subject}: absolute coordinates without screen_dims")

@@ -24,6 +24,7 @@ from .trajectory_store import (
     ScrollDirection,
     action_from_json,
     action_to_json,
+    normalize_action,
 )
 
 
@@ -331,9 +332,10 @@ def history_entry_to_json(entry: HistoryEntry) -> dict[str, Any]:
     }
 
 
-def history_entry_from_json(obj: dict[str, Any]) -> HistoryEntry:
+def history_entry_from_json(obj: dict[str, Any], dims: tuple[int, int] | None) -> HistoryEntry:
+    """An entry whose pixel coordinate is converted with `dims`."""
     return HistoryEntry(
-        action=action_from_json(obj["action"]),
+        action=normalize_action(action_from_json(obj["action"]), dims),
         expected_effect=str(obj["expected_effect"]),
         verification=Verification(obj["verification"]),
     )

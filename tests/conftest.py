@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import re
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -191,4 +193,69 @@ class CountingTurnServer:
         self._server.shutdown()
         self._server.server_close()
         self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
+
+
+class ScriptedReplyServer:
+    """Raw-socket server on 127.0.0.1 that answers every request with the
+    same scripted bytes, one connection at a time.
+
+    After its reply it closes the connection when `close` is set; otherwise
+    it serves the next request on the same connection.  With `stream` set it
+    follows the reply with endless filler until the client goes away.  It
+    counts accepted connections, requests, and connections the client
+    closed.  Use it as a context manager.
+    """
+
+    def __init__(self, reply: bytes, *, close: bool = False, stream: bool = False):
+        self.reply, self.close, self.stream = reply, close, stream
+        self.connections = self.requests = self.client_closed = 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self.url = f"http://127.0.0.1:{self._listener.getsockname()[1]}"
+
+    def _serve(self) -> None:
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return  # the listener was shut down
+            self.connections += 1
+            with conn:
+                conn.settimeout(5)
+                try:
+                    self._answer(conn)
+                except OSError:
+                    pass  # the client left mid-reply
+
+    def _answer(self, conn: socket.socket) -> None:
+        buf = b""
+        while True:
+            while b"\r\n\r\n" not in buf:
+                chunk = conn.recv(65536)
+                if not chunk:
+                    self.client_closed += 1
+                    return
+                buf += chunk
+            head, _, buf = buf.partition(b"\r\n\r\n")
+            length = re.search(rb"(?i)\r\ncontent-length: *(\d+)", head)
+            size = int(length.group(1)) if length else 0
+            while len(buf) < size:
+                buf += conn.recv(65536)
+            buf = buf[size:]
+            self.requests += 1
+            conn.sendall(self.reply)
+            while self.stream:
+                conn.sendall(b"x" * 65536)
+            if self.close:
+                return
+
+    def __enter__(self) -> "ScriptedReplyServer":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._listener.shutdown(socket.SHUT_RDWR)  # wakes the thread blocked in accept()
+        self._listener.close()
+        self._thread.join(timeout=10)
         assert not self._thread.is_alive()

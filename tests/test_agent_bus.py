@@ -9,6 +9,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from tvae_harness.agent_bus import (
+    MAX_TURN_BYTES,
     Observation,
     RemoteAgent,
     ScriptedAgent,
@@ -30,7 +31,7 @@ from tvae_harness.tvae_codec import (
     parse_tvae,
 )
 
-from conftest import FIXED_TURN, CountingTurnServer, make_click_step
+from conftest import FIXED_TURN, CountingTurnServer, ScriptedReplyServer, make_click_step
 
 
 def _obs(history=(), budget=4) -> Observation:
@@ -252,6 +253,15 @@ def test_remote_timeout_is_retried_once_then_raises():
         assert server.requests == 2
 
 
+def test_https_endpoint_runs_the_tls_handshake():
+    # a plain-HTTP server cannot answer the handshake: no request reaches it
+    with CountingTurnServer() as server:
+        url = server.url.replace("http://", "https://")
+        with pytest.raises(AgentError, match=f"^{url}/turn: .*SSL"):
+            _remote_turn(url, _obs(), timeout=5)
+    assert server.requests == 0
+
+
 def test_remote_agent_reuses_one_connection_until_close():
     with CountingTurnServer() as server:
         agent = RemoteAgent(server.url, timeout=5, max_inflight=1)
@@ -262,6 +272,99 @@ def test_remote_agent_reuses_one_connection_until_close():
         assert not server.wait_closed(1, timeout=0.2)
         agent.close()
         assert server.wait_closed(1, timeout=5)
+
+
+def _reply(head: str, body: bytes = b"") -> bytes:
+    return head.replace("\n", "\r\n").encode("latin-1") + b"\r\n" + body
+
+
+_TURN = FIXED_TURN.encode("utf-8")
+_CHUNKED = b"".join(b"%x\r\n%s\r\n" % (len(part), part) for part in (_TURN[:40], _TURN[40:]))
+
+# Replies the client cannot read: each is a transport error, retried once on
+# a new connection, except one over the cap.  Whether the server closes after
+# its reply, and the requests the turn makes.
+BAD_REPLIES = {
+    "garbage-status-line": (_reply("FOO BAR BAZ\n"), False, 2),
+    "non-numeric-length": (
+        _reply("HTTP/1.1 200 OK\nContent-Length: ten\n", b"0123456789"), False, 2,
+    ),
+    "negative-length": (_reply("HTTP/1.1 200 OK\nContent-Length: -5\n", b"01234"), False, 2),
+    "body-cut-short": (
+        _reply("HTTP/1.1 200 OK\nContent-Length: 100\n", b"0123456789"), True, 2,
+    ),
+    "bad-chunk-size": (
+        _reply("HTTP/1.1 200 OK\nTransfer-Encoding: chunked\n", b"zz\r\nhello\r\n0\r\n\r\n"),
+        False, 2,
+    ),
+    "length-past-the-int-digit-limit": (
+        _reply("HTTP/1.1 200 OK\nContent-Length: " + "9" * 5000 + "\n"), False, 1,
+    ),
+    "head-over-the-cap": (b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * MAX_TURN_BYTES, True, 1),
+    "close-delimited-body-over-the-cap": (
+        _reply("HTTP/1.0 200 OK\n", b"x" * MAX_TURN_BYTES), True, 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_REPLIES))
+def test_unreadable_reply_is_an_agent_error(case):
+    reply, server_closes, requests = BAD_REPLIES[case]
+    with ScriptedReplyServer(reply, close=server_closes) as server:
+        with pytest.raises(AgentError, match=f"^{server.url}/turn: "):
+            _remote_turn(server.url, _obs(), timeout=5)
+    assert server.requests == server.connections == requests
+    if not server_closes:  # the client closed every connection it opened
+        assert server.client_closed == requests
+
+
+# Readable replies in other framings and charsets: the exact text, and the
+# connections two turns take (1 when the first is kept for the second).
+ODD_REPLIES = {
+    "http-1.0-close-delimited": (
+        _reply("HTTP/1.0 200 OK\nContent-Type: text/plain\n", _TURN), True, FIXED_TURN, 2,
+    ),
+    "chunked": (
+        _reply("HTTP/1.1 200 OK\nTransfer-Encoding: chunked\n", _CHUNKED + b"0\r\n\r\n"),
+        False, FIXED_TURN, 2,
+    ),
+    "connection-close": (  # the server leaves closing to the client
+        _reply(f"HTTP/1.1 200 OK\nConnection: close\nContent-Length: {len(_TURN)}\n", _TURN),
+        False, FIXED_TURN, 2,
+    ),
+    "latin-1": (
+        _reply("HTTP/1.1 200 OK\nContent-Type: text/plain; charset=latin-1\n"
+               "Content-Length: 4\n", "café".encode("latin-1")),
+        False, "café", 1,
+    ),
+    "interim-100-continue": (
+        _reply("HTTP/1.1 100 Continue\n")
+        + _reply(f"HTTP/1.1 200 OK\nContent-Length: {len(_TURN)}\n", _TURN),
+        False, FIXED_TURN, 1,
+    ),
+    "no-content": (_reply("HTTP/1.1 204 No Content\n"), False, "", 1),
+    "unknown-charset": (
+        _reply("HTTP/1.1 200 OK\nContent-Type: text/plain; charset=x-no-such\n"
+               "Content-Length: 9\n", "café ✓".encode("utf-8")),
+        False, "café ✓", 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ODD_REPLIES))
+def test_reply_framings_and_charsets(case):
+    reply, server_closes, text, connections = ODD_REPLIES[case]
+    with ScriptedReplyServer(reply, close=server_closes) as server:
+        agent = RemoteAgent(server.url, timeout=5, max_inflight=1)
+        try:
+            for _ in range(2):
+                assert agent.turn(_obs(), None, random.Random(0)) == text
+        finally:
+            agent.close()
+    assert server.requests == 2
+    assert server.connections == connections
+    if not server_closes:  # the client closed every connection it opened
+        assert server.client_closed == connections
 
 
 def test_wire_payload_shape():
@@ -316,11 +419,18 @@ def test_parse_agent_spec_variants():
     assert _spec("scripted:bernoulli:1").variant.p == 1.0
     for bad in (
         "remote:127.0.0.1:9", "remote:ftp://x/", "remote:http://x:port",
+        "remote:http://x:1/a b", "remote:http://\u00e4.example:1", "remote:http://x:1/\x00",
         "scripted:failk:x", "scripted:failk:-1", "scripted:failk:2.0",
         "scripted:bernoulli:2", "scripted:bernoulli:nan", "scripted:bernoulli:-inf",
     ):
         with pytest.raises(DataError, match="^(remote|agent|scripted): invalid "):
             _spec(bad)
+
+
+@pytest.mark.parametrize("token", ["a\r\nX-Other: 1", "t\u00f6ken"])
+def test_token_that_cannot_be_a_header_value_is_rejected(token):
+    with pytest.raises(DataError, match="^remote: invalid token "):
+        parse_agent_spec("remote:http://x:1", timeout=30.0, max_inflight=1, token=token)
 
 
 @pytest.mark.parametrize("kw", [{"k": -1}, {"k": 1.0}, {"k": True}, {"p": 1.5}, {"p": float("nan")}])

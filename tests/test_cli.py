@@ -43,7 +43,7 @@ from tvae_harness.tvae_codec import (
     emit_tvae,
 )
 
-from conftest import FIXED_TURN, CountingTurnServer
+from conftest import FIXED_TURN, CountingTurnServer, ScriptedReplyServer
 
 
 @pytest.fixture
@@ -365,6 +365,10 @@ def _kind_changing_case(objs):
     return next(c for c in objs if c["erroneous"]["kind"] != c["gt_recovery"]["kind"])
 
 
+def _without_dims(obj):
+    return {k: v for k, v in obj.items() if k != "screen_dims"}
+
+
 def _unadvanced_match(objs):
     """Line 2 with its first matched attempt marked as not advancing."""
     next(a for a in objs[1]["attempts"] if a["matched"])["advanced"] = False
@@ -416,6 +420,13 @@ BAD_LINES = {
         "samples", lambda o: _put(o[1], ["target_bbox"], [0.9, 0.9, 0.1, 0.1]),
     ),
     "samples-zero-dims": ("samples", lambda o: _put(o[1], ["screen_dims"], [0, 0])),
+    # a pixel coordinate is converted with the line's screen size, so it needs one
+    "samples-pixel-target-without-dims": ("samples", lambda o: {
+        **_without_dims(o[1]), "target_action": {"kind": "click", "coordinate": [317, 1190]},
+    }),
+    "cases-pixel-recovery-without-dims": ("cases", lambda o: {
+        **_without_dims(o[1]), "gt_recovery": {"kind": "click", "coordinate": [317, 1190]},
+    }),
     "outputs-non-object": ("outputs", lambda o: 5),
     "groups-no-outputs": ("groups", lambda o: _put(o[1], ["outputs"])),
     "groups-non-object": ("groups", lambda o: [1]),
@@ -731,8 +742,8 @@ def test_score_with_group_logprobs(dataset, tmp_path):
 # stdlib stacks, the thread pool, logging of dropped lines, numpy (never) and
 # the two package modules only one command uses.
 LAZY_MODULES = {
-    "http.client", "ssl", "email.parser", "subprocess", "concurrent.futures", "logging",
-    "numpy", "tvae_harness.grpo_core", "tvae_harness.synthdata",
+    "socket", "http.client", "ssl", "email.parser", "subprocess", "concurrent.futures",
+    "logging", "numpy", "tvae_harness.grpo_core", "tvae_harness.synthdata",
 }
 # case -> the input kind of `_record_inputs`, or an argv that reads the
 # `dataset` fixture in place of DATASET; and the lazy modules that case runs
@@ -786,6 +797,21 @@ def test_each_command_loads_only_the_modules_it_runs(dataset, tmp_path, baseline
     exit_code, modules = _modules_after(source)
     assert exit_code == str(EXIT_OK)
     assert (modules - baseline_modules) & LAZY_MODULES == runs
+
+
+def test_remote_turn_loads_socket_only(baseline_modules):
+    # a turn over plain HTTP needs neither `http.client`, `email.*` nor `ssl`
+    with CountingTurnServer() as server:
+        _, modules = _modules_after(
+            "import random\n"
+            "from tvae_harness.agent_bus import Observation, RemoteAgent\n"
+            f"agent = RemoteAgent({server.url!r}, timeout=5, max_inflight=1)\n"
+            "assert agent.turn(Observation('Open it.', 's0', (), 1), None, random.Random(0))\n"
+            "agent.close()"
+        )
+        assert server.requests == 1
+    assert not {"http.client", "email.parser", "ssl"} & modules
+    assert (modules - baseline_modules) & LAZY_MODULES == {"socket"}
 
 
 def test_report_command(dataset, tmp_path, capsys):
@@ -882,6 +908,34 @@ def test_score_checks_every_input_before_writing(dataset, tmp_path, capsys, muta
     assert main([*argv, *flags]) == EXIT_DATA
     assert "data error: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("transport", ["remote", "stdio"])
+def test_flooding_agent_exits_2_at_the_turn_cap(dataset, tmp_path, capsys, transport):
+    # an HTTP reply announcing 2 MiB, or a stdio line without end, stops at
+    # MAX_TURN_BYTES (1 MiB) instead of being buffered whole
+    script = tmp_path / "agent.py"
+    script.write_text(
+        "import sys\n"
+        "sys.stdin.readline()\n"
+        "while True:\n"
+        "    sys.stdout.write('flood ' * 10000)\n"
+    )
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: 2097152\r\n\r\n"
+    out = tmp_path / "run"
+    with ScriptedReplyServer(reply, stream=True) as server:
+        agent = f"remote:{server.url}" if transport == "remote" else f"stdio:{sys.executable} {script}"
+        capsys.readouterr()
+        started = time.monotonic()
+        code = main([
+            "simulate", "--dataset", str(dataset), "--agent", agent, "--out", str(out),
+            "--timeout", "5",
+        ])
+        elapsed = time.monotonic() - started
+    assert code == EXIT_AGENT
+    assert "MAX_TURN_BYTES (1048576 bytes)" in capsys.readouterr().err
+    assert elapsed < 5
+    assert not out.exists()
 
 
 def test_stdio_agent_non_utf8_output_is_an_unparseable_turn(dataset, tmp_path):

@@ -23,6 +23,7 @@ from tvae_harness.failure_forge import (
     sample_from_json,
     sample_to_json,
 )
+from tvae_harness.agent_bus import ScriptedAgent, Variant, VariantName
 from tvae_harness.reward_engine import (
     DELTA,
     REPEAT_EPSILON,
@@ -30,10 +31,14 @@ from tvae_harness.reward_engine import (
     distance_to_bbox,
     euclidean,
     match_action,
+    score_output,
 )
+from tvae_harness.sim_engine import SimConfig, run_failure_case
 from tvae_harness.synthdata import make_dataset
 from tvae_harness.trajectory_store import ActionKind, ActionRecord, ScrollDirection
 from tvae_harness.tvae_codec import Verification
+
+from conftest import FIXED_TURN
 
 CLICK = ActionRecord(kind=ActionKind.CLICK, coordinate=(0.5, 0.5))
 BBOX = (0.45, 0.45, 0.55, 0.55)
@@ -327,3 +332,32 @@ def test_sample_and_case_json_round_trip():
     cases = build_robustness_bench(trajs, per_traj=2, seed=5)
     for c in cases:
         assert failure_case_from_json(failure_case_to_json(c)) == c
+
+
+PIXEL_CLICK = {"kind": "click", "coordinate": [317, 1190]}
+PIXEL_MISS = {"kind": "click", "coordinate": [900, 300]}
+
+
+def test_pixel_target_is_read_in_the_screen_size_of_its_line():
+    # the agent clicks the very pixel of the target, so the click matches
+    sample = sample_from_json({
+        "sample_type": "type_a", "instruction": "Open it.", "input_screen_ref": "s0",
+        "history": [], "target_verification": "SUCCESS", "target_action": PIXEL_CLICK,
+        "target_effect": "It opens.", "screen_dims": [1080, 2400],
+    })
+    assert sample.target_action.coordinate == (round(317 / 1080, 6), round(1190 / 2400, 6))
+    turn = FIXED_TURN.replace("[0.5, 0.5]", "[317, 1190]")
+    assert score_output(turn, sample).r_act == 1.0
+
+
+def test_pixel_recovery_and_erroneous_are_read_in_the_screen_size_of_their_line():
+    erroneous = {"action": PIXEL_MISS, "expected_effect": "It opens.", "verification": "SUCCESS"}
+    case = failure_case_from_json({
+        "source": ["t0", 0], "instruction": "Open it.", "screen_ref": "s0",
+        "history": [erroneous], "gt_recovery": PIXEL_CLICK, "erroneous": PIXEL_MISS,
+        "mode": "target_misidentification", "screen_dims": [1080, 2400],
+    })
+    assert case.erroneous == case.history[-1].action
+    assert case.erroneous.coordinate == (round(900 / 1080, 6), 0.125)
+    result = run_failure_case(case, ScriptedAgent(Variant(VariantName.ORACLE)), SimConfig(seed=0))
+    assert result.recovered and not result.repeated
