@@ -1,8 +1,9 @@
-"""The harness's two error classes, one per exit code.
+"""The harness's error classes: one per exit code, and one DataError subclass.
 
 DataError (a bad input file, flag or record) exits 1 and AgentError (an
 agent that cannot be reached or fails to answer) exits 2.  Anything else,
-a builtin included, is a harness bug and exits 3.
+a builtin included, is a harness bug and exits 3.  ModeInapplicableError
+is a DataError that the failure forge raises and catches itself.
 """
 
 from __future__ import annotations

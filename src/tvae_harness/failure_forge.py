@@ -26,7 +26,6 @@ from .seeding import stable_seed
 from .trajectory_store import (
     ActionKind,
     ActionRecord,
-    ScrollDirection,
     StepRecord,
     TrajectoryRecord,
     action_from_json,
@@ -195,18 +194,14 @@ def _corrupt(
         return ActionRecord(kind=gt.kind, coordinate=coord)
 
     if mode is FailureMode.ACTION_TYPE_ERROR:
-        new_kind = DEFAULT_RELATED_KINDS[gt.kind]
-        if new_kind in (ActionKind.CLICK, ActionKind.LONG_PRESS):
-            if gt.coordinate is not None:
-                coord = (round_coord(gt.coordinate[0]), round_coord(gt.coordinate[1]))
-            elif bbox is not None:
-                coord = (round_coord((bbox[0] + bbox[2]) / 2), round_coord((bbox[1] + bbox[3]) / 2))
-            else:
-                coord = (round_coord(rng.uniform(0.2, 0.8)), round_coord(rng.uniform(0.2, 0.8)))
-            return ActionRecord(kind=new_kind, coordinate=coord)
-        if new_kind is ActionKind.SCROLL:
-            return ActionRecord(kind=new_kind, direction=rng.choice(list(ScrollDirection)))
-        raise ModeInapplicableError(mode.value, gt.kind.value)
+        # Every related kind is a click or a long press.
+        if gt.coordinate is not None:
+            coord = (round_coord(gt.coordinate[0]), round_coord(gt.coordinate[1]))
+        elif bbox is not None:
+            coord = (round_coord((bbox[0] + bbox[2]) / 2), round_coord((bbox[1] + bbox[3]) / 2))
+        else:
+            coord = (round_coord(rng.uniform(0.2, 0.8)), round_coord(rng.uniform(0.2, 0.8)))
+        return ActionRecord(kind=DEFAULT_RELATED_KINDS[gt.kind], coordinate=coord)
 
     if mode is FailureMode.TIMING_ERROR:
         return ActionRecord(kind=ActionKind.WAIT, seconds=rng.choice(WAIT_CHOICES))

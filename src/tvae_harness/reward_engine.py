@@ -14,12 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from .errors import DataError
-from .trajectory_store import (
-    ActionKind,
-    ActionRecord,
-    CoordinateSpace,
-    normalize_action,
-)
+from .trajectory_store import ActionKind, ActionRecord, normalize_action
 from .tvae_codec import TvaeOutput, Verification, parse_tvae
 
 if TYPE_CHECKING:
@@ -103,10 +98,10 @@ def ground(
     """The one grounding step of a predicted action, shared by the
     simulator and the reward: its coordinate converted to relative space
     with the screen size `dims`, and no warning; or, when it cannot be
-    converted, the action unchanged and a warning.  An action left outside
-    relative space never matches, grounds or repeats.
+    converted, the action unchanged and a warning.  An action left in pixels
+    never matches, grounds or repeats.
     """
-    if action.coordinate_space is CoordinateSpace.RELATIVE:
+    if not action.in_pixels():
         return action, None
     try:
         return normalize_action(action, dims), None
@@ -138,13 +133,12 @@ def parameters_match(
     (Euclidean distance <= DELTA when no box is known), scrolls need equal
     directions, text actions need the same text after trimming and
     case-folding, and parameterless kinds always pass.  A parameter the
-    prediction lacks, or a coordinate outside relative space, never
-    matches.
+    prediction lacks, or a coordinate in pixels, never matches.
     """
     if gt.kind in (ActionKind.CLICK, ActionKind.LONG_PRESS):
         if pred is None or pred.coordinate is None or gt.coordinate is None:
             return False
-        if pred.coordinate_space is not CoordinateSpace.RELATIVE:
+        if pred.in_pixels():
             return False
         if bbox is not None:
             return point_in_bbox(pred.coordinate, bbox)
@@ -161,8 +155,8 @@ def parameters_match(
 def actions_approx_equal(a: ActionRecord | None, b: ActionRecord) -> bool:
     """Loose identity used for repeated-action detection: same kind,
     coordinates within REPEAT_EPSILON, same text and direction.  A
-    prediction `a` outside relative space never repeats."""
-    if a is None or a.kind is not b.kind or a.coordinate_space is not CoordinateSpace.RELATIVE:
+    prediction `a` in pixels never repeats."""
+    if a is None or a.kind is not b.kind or a.in_pixels():
         return False
     if (a.coordinate is None) != (b.coordinate is None):
         return False

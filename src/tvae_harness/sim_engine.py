@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Mapping, Sequence
 
@@ -23,7 +23,6 @@ from .reward_engine import actions_approx_equal, ground, match_action
 from .seeding import stable_seed
 from .trajectory_store import (
     ActionRecord,
-    CoordinateSpace,
     StepRecord,
     TrajectoryRecord,
     action_from_json,
@@ -290,22 +289,28 @@ def run_failure_cases(
 
 
 def _issued_to_json(action: ActionRecord | None) -> dict[str, Any] | None:
+    """The dataset form of an issued action; one left in pixels (ungrounded)
+    also carries `"coordinate_space": "pixel"`, which trace schema v1 keeps."""
     if action is None:
         return None
     obj = action_to_json(action)
-    if action.coordinate_space is not CoordinateSpace.RELATIVE:
-        obj["coordinate_space"] = action.coordinate_space.value
+    if action.in_pixels():
+        obj["coordinate_space"] = "pixel"
     return obj
 
 
 def _issued_from_json(obj: Mapping[str, Any] | None) -> ActionRecord | None:
+    """The inverse of `_issued_to_json`; a `coordinate_space` key other than
+    the one its coordinate's magnitude gives is a bad line, but `"pixel"` also
+    goes with a 1.0, which a pixel component below 1.0000005 is written as."""
     if obj is None:
         return None
     obj = dict(obj)
-    space = obj.pop("coordinate_space", CoordinateSpace.RELATIVE.value)
+    space = obj.pop("coordinate_space", "relative")
     action = action_from_json(obj)
-    if space != CoordinateSpace.RELATIVE.value:
-        action = replace(action, coordinate_space=CoordinateSpace(space))
+    rounded_to_one = space == "pixel" and 1.0 in (action.coordinate or ())
+    if space != ("pixel" if action.in_pixels() else "relative") and not rounded_to_one:
+        raise DataError(f"issued: invalid coordinate_space ({space!r} is not its coordinate's)")
     return action
 
 
@@ -335,23 +340,32 @@ def trace_to_json(trace: SimTrace) -> dict[str, Any]:
 
 
 def trace_from_json(obj: Mapping[str, Any]) -> SimTrace:
-    """A trace line; its `steps_used` must count its attempts, its
-    `final_cursor` their matches, each attempt's `advanced` equal its
-    `matched`, its `t_gt` lie in [max(1, final_cursor), steps_used] (an
-    episode ends once `t_gt` attempts matched, and its budget is at least
-    `t_gt`), and its `outcome` follow from its attempts."""
-    trace = SimTrace(
-        trajectory_id=str(obj["trajectory_id"]),
-        outcome=Outcome(obj["outcome"]),
-        steps_used=int(obj["steps_used"]),
-        t_gt=int(obj["t_gt"]),
-        final_cursor=int(obj["final_cursor"]),
-        attempts=tuple(
+    """A trace line; each attempt's `attempt` must be its position, its
+    `gt_step` the number of matches before it, and its `matched` and
+    `advanced` equal booleans; the line's `steps_used` must count its
+    attempts, its `final_cursor` their matches, its `t_gt` lie in
+    [max(1, final_cursor), steps_used] (an episode ends once `t_gt` attempts
+    matched, and its budget is at least `t_gt`), and its `outcome` follow
+    from its attempts."""
+    tid = str(obj["trajectory_id"])
+    attempts: list[AttemptLog] = []
+    cursor = 0
+    for n, a in enumerate(obj["attempts"]):
+        matched = a["matched"]
+        if not isinstance(matched, bool):
+            raise DataError(f"{tid}: invalid matched (must be a JSON boolean)")
+        if a["advanced"] is not matched:
+            raise DataError(f"{tid}: invalid advanced (must equal matched)")
+        if type(a["attempt"]) is not int or a["attempt"] != n:
+            raise DataError(f"{tid}: invalid attempt (must be its position, {n})")
+        if type(a["gt_step"]) is not int or a["gt_step"] != cursor:
+            raise DataError(f"{tid}: invalid gt_step (must count the matches before it, {cursor})")
+        attempts.append(
             AttemptLog(
-                attempt=int(a["attempt"]),
-                gt_step=int(a["gt_step"]),
+                attempt=n,
+                gt_step=cursor,
                 issued=_issued_from_json(a.get("issued")),
-                matched=bool(a["matched"]),
+                matched=matched,
                 predicted_verification=(
                     Verification(a["predicted_verification"])
                     if a.get("predicted_verification")
@@ -360,19 +374,22 @@ def trace_from_json(obj: Mapping[str, Any]) -> SimTrace:
                 target_verification=Verification(a["target_verification"]),
                 parse_warnings=tuple(a.get("parse_warnings", ())),
             )
-            for a in obj["attempts"]
-        ),
-    )
-    if any(bool(a["advanced"]) != bool(a["matched"]) for a in obj["attempts"]):
-        raise DataError(f"{trace.trajectory_id}: invalid advanced (must equal matched)")
-    if trace.steps_used != len(trace.attempts):
-        raise DataError(f"{trace.trajectory_id}: invalid steps_used (must count the attempts)")
-    if trace.final_cursor != sum(a.matched for a in trace.attempts):
-        raise DataError(f"{trace.trajectory_id}: invalid final_cursor (must count the matches)")
-    if not max(1, trace.final_cursor) <= trace.t_gt <= trace.steps_used:
-        raise DataError(
-            f"{trace.trajectory_id}: invalid t_gt (must be in [max(1, final_cursor), steps_used])"
         )
+        cursor += matched
+    trace = SimTrace(
+        trajectory_id=tid,
+        outcome=Outcome(obj["outcome"]),
+        steps_used=int(obj["steps_used"]),
+        t_gt=int(obj["t_gt"]),
+        final_cursor=int(obj["final_cursor"]),
+        attempts=tuple(attempts),
+    )
+    if trace.steps_used != len(trace.attempts):
+        raise DataError(f"{tid}: invalid steps_used (must count the attempts)")
+    if trace.final_cursor != cursor:
+        raise DataError(f"{tid}: invalid final_cursor (must count the matches)")
+    if not max(1, trace.final_cursor) <= trace.t_gt <= trace.steps_used:
+        raise DataError(f"{tid}: invalid t_gt (must be in [max(1, final_cursor), steps_used])")
     if trace.outcome is not _outcome(trace.attempts, trace.t_gt):
-        raise DataError(f"{trace.trajectory_id}: invalid outcome (must follow from the attempts)")
+        raise DataError(f"{tid}: invalid outcome (must follow from the attempts)")
     return trace

@@ -3,7 +3,8 @@
 A trajectory is an instruction plus ordered ground-truth steps.  Screens are
 opaque string references; the harness never inspects pixels.  All spatial
 values are stored relative in [0, 1] with 6-decimal canonical rounding so
-that save -> load round-trips are bit-exact.
+that save -> load round-trips are bit-exact.  A coordinate's space is its
+magnitude: one with a component > 1.0 is raw pixels (`ActionRecord.in_pixels`).
 """
 
 from __future__ import annotations
@@ -37,11 +38,6 @@ class ScrollDirection(str, Enum):
     RIGHT = "right"
 
 
-class CoordinateSpace(str, Enum):
-    RELATIVE = "relative"
-    PIXEL = "pixel"
-
-
 SPATIAL_KINDS = frozenset({ActionKind.CLICK, ActionKind.LONG_PRESS})
 TEXT_KINDS = frozenset({ActionKind.INPUT_TEXT, ActionKind.OPEN_APP})
 
@@ -55,9 +51,9 @@ class ActionRecord:
     """A single executable GUI action.
 
     Exactly the parameters demanded by `kind` are present; all others are
-    None, and every number is finite.  `coordinate_space` tracks whether
-    spatial values are relative or raw pixels (agent output before
-    normalization).
+    None, and every number is finite.  A coordinate is relative [0, 1]
+    unless `in_pixels`: raw pixels of agent or dataset input that
+    `normalize_action` has not yet converted.
     """
 
     kind: ActionKind
@@ -65,7 +61,6 @@ class ActionRecord:
     direction: ScrollDirection | None = None
     text: str | None = None
     seconds: float | None = None
-    coordinate_space: CoordinateSpace = CoordinateSpace.RELATIVE
 
     def __post_init__(self) -> None:
         k = self.kind
@@ -94,10 +89,11 @@ class ActionRecord:
                 raise DataError(f"negative coordinate {(x, y)}")
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise DataError(f"{k.value}: invalid coordinate (({x}, {y}) is not finite)")
-            if self.coordinate_space is CoordinateSpace.RELATIVE and (x > 1 or y > 1):
-                raise DataError(
-                    f"{k.value}: invalid coordinate (({x}, {y}) outside [0,1] in relative space)"
-                )
+
+    def in_pixels(self) -> bool:
+        """True when the coordinate has a component > 1.0, so is raw pixels."""
+        c = self.coordinate
+        return c is not None and (c[0] > 1.0 or c[1] > 1.0)
 
     def is_spatial(self) -> bool:
         return self.kind in SPATIAL_KINDS
@@ -177,27 +173,19 @@ class TrajectoryRecord:
 
 
 def normalize_action(action: ActionRecord, dims: tuple[int, int] | None = None) -> ActionRecord:
-    """Convert pixel coordinates to relative [0,1] space.
+    """Convert a pixel coordinate to relative [0,1] space.
 
-    Non-spatial actions and coordinates already within [0,1] pass through
-    unchanged (space flag forced to relative).  Conversion requires `dims`
-    and rounds to the canonical 6 decimals.
+    An action that is not `in_pixels` is returned unchanged.  Conversion
+    requires `dims` and rounds to the canonical 6 decimals.
 
-    Raises DataError when a component is < 0, when a component is > 1.0 and
-    no dims are supplied, or when the converted coordinate falls outside
-    [0,1].
+    Raises DataError when no dims are supplied, or when the converted
+    coordinate falls outside [0,1].
     """
-    if action.coordinate is None:
+    if not action.in_pixels():
         return action
-    x, y = action.coordinate
-    if x < 0 or y < 0:
-        raise DataError(f"negative coordinate {(x, y)}")
-    if x <= 1.0 and y <= 1.0:
-        if action.coordinate_space is CoordinateSpace.RELATIVE:
-            return action
-        return replace(action, coordinate_space=CoordinateSpace.RELATIVE)
     if dims is None:
         raise DataError(f"{action.kind.value}: absolute coordinates without screen_dims")
+    x, y = action.coordinate  # type: ignore[misc]
     w, h = dims
     rel = (round_coord(x / w), round_coord(y / h))
     if rel[0] > 1 or rel[1] > 1:
@@ -205,7 +193,7 @@ def normalize_action(action: ActionRecord, dims: tuple[int, int] | None = None) 
             f"{action.kind.value}: invalid coordinate "
             f"(({rel[0]}, {rel[1]}) outside [0,1] after conversion)"
         )
-    return replace(action, coordinate=rel, coordinate_space=CoordinateSpace.RELATIVE)
+    return replace(action, coordinate=rel)
 
 
 # -- JSON (dataset form: "kind" discriminator, ActionRecord field names) ----
@@ -227,7 +215,26 @@ def action_to_json(action: ActionRecord) -> dict[str, Any]:
 _ACTION_FIELDS = {"kind", "coordinate", "direction", "text", "seconds"}
 
 
+def _number(raw: Any) -> float | None:
+    """`raw` as a float if it is a JSON number within the float range, else
+    None.  It and `_coordinate_pair` also serve the turn parser (`tvae_codec`)."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        return None
+    try:
+        return float(raw)
+    except OverflowError:  # an integer beyond the float range
+        return None
+
+
+def _coordinate_pair(raw: Any) -> tuple[float, float] | None:
+    """`raw` as an (x, y) if it is a list of two `_number`s, else None."""
+    ok = isinstance(raw, (list, tuple)) and len(raw) == 2
+    x, y = (_number(raw[0]), _number(raw[1])) if ok else (None, None)
+    return (x, y) if x is not None and y is not None else None
+
+
 def action_from_json(obj: Mapping[str, Any]) -> ActionRecord:
+    """A dataset-form action; its values obey the turn parser's rules."""
     if not isinstance(obj, Mapping):
         raise DataError("action: invalid object (must be a JSON object)")
     unknown = set(obj) - _ACTION_FIELDS
@@ -237,18 +244,22 @@ def action_from_json(obj: Mapping[str, Any]) -> ActionRecord:
         kind = ActionKind(obj["kind"])
     except (KeyError, ValueError) as exc:
         raise DataError(f"action: invalid kind ({exc})") from exc
-    coord = obj.get("coordinate")
-    direction = obj.get("direction")
-    space = CoordinateSpace.RELATIVE
-    if coord is not None and (float(coord[0]) > 1.0 or float(coord[1]) > 1.0):
-        space = CoordinateSpace.PIXEL  # absolute input; normalized downstream
+    coord, direction = obj.get("coordinate"), obj.get("direction")
+    text, raw_seconds = obj.get("text"), obj.get("seconds")
+    if text is not None and not isinstance(text, str):
+        raise DataError(f"action: invalid text (must be a string, got {text!r})")
+    coordinate = _coordinate_pair(coord)
+    if coord is not None and coordinate is None:
+        raise DataError(f"action: invalid coordinate (must be [x, y] numbers, got {coord!r})")
+    seconds = _number(raw_seconds)
+    if raw_seconds is not None and seconds is None:
+        raise DataError(f"action: invalid seconds (must be a number, got {raw_seconds!r})")
     return ActionRecord(
         kind=kind,
-        coordinate=(float(coord[0]), float(coord[1])) if coord is not None else None,
+        coordinate=coordinate,
         direction=ScrollDirection(direction) if direction is not None else None,
-        text=obj.get("text"),
-        seconds=float(obj["seconds"]) if obj.get("seconds") is not None else None,
-        coordinate_space=space,
+        text=text,
+        seconds=seconds,
     )
 
 
@@ -304,10 +315,7 @@ def _step_from_json(obj: Mapping[str, Any], traj_id: str) -> StepRecord:
             raise DataError(f"{traj_id}: invalid {key} (missing step field)")
     subject = f"{traj_id}[{obj['index']}]"
     dims = screen_dims_from_json(obj, subject)
-    action = action_from_json(obj["gt_action"])
-    if action.coordinate is not None and max(action.coordinate) > 1.0 and dims is None:
-        raise DataError(f"{subject}: absolute coordinates without screen_dims")
-    action = normalize_action(action, dims)
+    action = normalize_action(action_from_json(obj["gt_action"]), dims)
     bbox_raw = obj.get("gt_bbox")
     bbox = _normalize_bbox(bbox_raw, dims, subject) if bbox_raw is not None else None
     return StepRecord(
@@ -325,13 +333,16 @@ def trajectory_from_json(obj: Mapping[str, Any]) -> TrajectoryRecord:
         if key not in obj:
             raise DataError(f"{obj.get('id', '?')}: invalid {key} (missing field)")
     traj_id = str(obj["id"])
+    revisits = obj.get("allows_revisits", False)
+    if not isinstance(revisits, bool):
+        raise DataError(f"{traj_id}: invalid allows_revisits (must be a JSON boolean)")
     steps = tuple(_step_from_json(s, traj_id) for s in obj["steps"])
     return TrajectoryRecord(
         id=traj_id,
         instruction=str(obj["instruction"]),
         steps=steps,
         terminal_screen_ref=str(obj["terminal_screen_ref"]),
-        allows_revisits=bool(obj.get("allows_revisits", False)),
+        allows_revisits=revisits,
     )
 
 

@@ -20,8 +20,9 @@ from .errors import DataError
 from .trajectory_store import (
     ActionKind,
     ActionRecord,
-    CoordinateSpace,
     ScrollDirection,
+    _coordinate_pair,
+    _number,
     action_from_json,
     action_to_json,
     normalize_action,
@@ -149,29 +150,12 @@ def _assemble_segments(body: str, strict: bool, warnings: list[str]) -> tuple[Th
     return tuple(segments)
 
 
-def _number(raw: Any) -> float | None:
-    """`raw` as a float if it is a JSON number within the float range, else None."""
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        return None
-    try:
-        return float(raw)
-    except OverflowError:  # an integer beyond the float range
-        return None
-
-
-def _coerce_coordinate(raw: Any) -> tuple[float, float]:
-    xy = [_number(v) for v in raw] if isinstance(raw, (list, tuple)) and len(raw) == 2 else []
-    if len(xy) != 2 or None in xy:
-        raise DataError(f"malformed action JSON: coordinate must be [x, y], got {raw!r}")
-    return (xy[0], xy[1])
-
-
 def parse_action_json(body: str) -> ActionRecord:
     """Parse the executable action JSON ({"action": ..., params}).
 
     The wait duration key is "time" (with "seconds" accepted as an alias).
-    Coordinate space is inferred by magnitude: any component > 1.0 means
-    raw pixels; conversion is deferred to the simulation layer.
+    A coordinate with a component > 1.0 is raw pixels
+    (`ActionRecord.in_pixels`); conversion is deferred to the simulation layer.
     """
     try:
         obj = json.loads(body)
@@ -186,13 +170,10 @@ def parse_action_json(body: str) -> ActionRecord:
     if kind is None:
         raise DataError(f"unknown action kind {str(token)!r}")
     if kind in (ActionKind.CLICK, ActionKind.LONG_PRESS):
-        coord = _coerce_coordinate(obj.get("coordinate"))
-        space = (
-            CoordinateSpace.PIXEL
-            if coord[0] > 1.0 or coord[1] > 1.0
-            else CoordinateSpace.RELATIVE
-        )
-        return ActionRecord(kind=kind, coordinate=coord, coordinate_space=space)
+        coord = _coordinate_pair(raw := obj.get("coordinate"))
+        if coord is None:
+            raise DataError(f"malformed action JSON: coordinate must be [x, y], got {raw!r}")
+        return ActionRecord(kind=kind, coordinate=coord)
     if kind is ActionKind.SCROLL:
         try:
             direction = ScrollDirection(obj.get("direction"))
@@ -219,7 +200,7 @@ def emit_action_json(action: ActionRecord) -> str:
     obj: dict[str, Any] = {"action": action.kind.value}
     if action.coordinate is not None:
         x, y = action.coordinate
-        if action.coordinate_space is CoordinateSpace.PIXEL and x == int(x) and y == int(y):
+        if action.in_pixels() and x == int(x) and y == int(y):
             obj["coordinate"] = [int(x), int(y)]
         else:
             obj["coordinate"] = [x, y]

@@ -12,7 +12,6 @@ import pytest
 from tvae_harness.trajectory_store import (
     ActionKind,
     ActionRecord,
-    CoordinateSpace,
     ScrollDirection,
     StepRecord,
     TrajectoryRecord,
@@ -76,9 +75,9 @@ def random_valid_action(rng: random.Random) -> ActionRecord:
     kind = rng.choice(list(ActionKind))
     if kind in (ActionKind.CLICK, ActionKind.LONG_PRESS):
         if rng.random() < 0.5:
-            # raw pixels; >= 2 so the magnitude heuristic round-trips the space flag
+            # raw pixels: components >= 2, so the coordinate is in pixels
             coord = (float(rng.randint(2, 2000)), float(rng.randint(2, 2000)))
-            return ActionRecord(kind=kind, coordinate=coord, coordinate_space=CoordinateSpace.PIXEL)
+            return ActionRecord(kind=kind, coordinate=coord)
         coord = (round_coord(rng.random()), round_coord(rng.random()))
         return ActionRecord(kind=kind, coordinate=coord)
     if kind is ActionKind.SCROLL:

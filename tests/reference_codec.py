@@ -14,12 +14,7 @@ import re
 from typing import Any
 
 from tvae_harness.errors import DataError
-from tvae_harness.trajectory_store import (
-    ActionKind,
-    ActionRecord,
-    CoordinateSpace,
-    ScrollDirection,
-)
+from tvae_harness.trajectory_store import ActionKind, ActionRecord, ScrollDirection
 from tvae_harness.tvae_codec import (
     BLOCK_NAMES,
     RECOVERY_TAGS,
@@ -123,13 +118,7 @@ def parse_action_json(body: str) -> ActionRecord:
     except ValueError:
         raise DataError(f"unknown action kind {str(token)!r}") from None
     if kind in (ActionKind.CLICK, ActionKind.LONG_PRESS):
-        coord = _coerce_coordinate(obj.get("coordinate"))
-        space = (
-            CoordinateSpace.PIXEL
-            if coord[0] > 1.0 or coord[1] > 1.0
-            else CoordinateSpace.RELATIVE
-        )
-        return ActionRecord(kind=kind, coordinate=coord, coordinate_space=space)
+        return ActionRecord(kind=kind, coordinate=_coerce_coordinate(obj.get("coordinate")))
     if kind is ActionKind.SCROLL:
         try:
             direction = ScrollDirection(obj.get("direction"))

@@ -31,7 +31,7 @@ from tvae_harness.metric_suite import robustness_metrics, step_metrics, task_met
 from tvae_harness.reward_engine import composite_reward, verification_reward
 from tvae_harness.sim_engine import Outcome, SimConfig, run_episodes, run_failure_cases
 from tvae_harness.synthdata import make_dataset, random_trajectory
-from tvae_harness.trajectory_store import ActionKind, ActionRecord, CoordinateSpace, save_dataset
+from tvae_harness.trajectory_store import ActionKind, ActionRecord, save_dataset
 from tvae_harness.tvae_codec import (
     ThinkTag,
     Verification,
@@ -223,7 +223,7 @@ def test_c08_codec_fidelity():
     assert a.verification is Verification.SUCCESS
     assert a.action.kind is ActionKind.CLICK
     assert a.action.coordinate == (317.0, 1190.0)
-    assert a.action.coordinate_space is CoordinateSpace.PIXEL
+    assert a.action.in_pixels()
     b = parse_tvae(TYPE_B_TURN)
     assert b.verification is Verification.NO_CHANGE
     assert b.action.kind is ActionKind.INPUT_TEXT

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -375,6 +376,27 @@ def _unadvanced_match(objs):
     return objs[1]
 
 
+def _non_boolean_match(objs, value):
+    """Line 2 with its first match written as `value`, which is truthy."""
+    next(a for a in objs[1]["attempts"] if a["matched"]).update(matched=value, advanced=value)
+    return objs[1]
+
+
+def _renumbered_attempts(objs, **values):
+    for attempt in objs[1]["attempts"]:
+        attempt.update(values)
+    return objs[1]
+
+
+def _issued_click(objs, coordinate, space=None):
+    """Line 2 with its first attempt issuing a click, marked with `space`."""
+    issued = {"kind": "click", "coordinate": coordinate}
+    if space is not None:
+        issued["coordinate_space"] = space
+    objs[1]["attempts"][0]["issued"] = issued
+    return objs[1]
+
+
 # Each mutation returns the new line 2 of a valid file, given its parsed lines.
 BAD_LINES = {
     "dataset-bad-direction": ("dataset", lambda o: _put(
@@ -401,6 +423,37 @@ BAD_LINES = {
     "traces-t-gt-huge": ("traces", lambda o: {**o[1], "t_gt": 10**400}),
     "traces-t-gt-negative": ("traces", lambda o: {**o[1], "t_gt": -1}),
     "traces-outcome-flipped": ("traces", lambda o: {**o[1], "outcome": "budget_exhausted"}),
+    # each attempt's number is its position and its step the matches before it
+    "traces-string-matched": ("traces", lambda o: _non_boolean_match(o, "false")),
+    "traces-number-matched": ("traces", lambda o: _non_boolean_match(o, 1)),
+    "traces-attempts-renumbered": (
+        "traces", lambda o: _renumbered_attempts(o, attempt=7, gt_step=9),
+    ),
+    "traces-attempt-not-position": ("traces", lambda o: _renumbered_attempts(o, attempt=0)),
+    "traces-gt-step-not-matches": ("traces", lambda o: _renumbered_attempts(o, gt_step=0)),
+    "traces-bool-attempt": ("traces", lambda o: _put(o[1], ["attempts", 0, "attempt"], False)),
+    "traces-float-gt-step": ("traces", lambda o: _put(o[1], ["attempts", 0, "gt_step"], 0.0)),
+    # the issued action's coordinate_space key is the one its magnitude gives
+    "traces-relative-click-marked-pixel": (
+        "traces", lambda o: _issued_click(o, [0.5, 0.5], "pixel"),
+    ),
+    "traces-pixel-click-unmarked": ("traces", lambda o: _issued_click(o, [540, 1200])),
+    "traces-pixel-click-marked-relative": (
+        "traces", lambda o: _issued_click(o, [540, 1200], "relative"),
+    ),
+    # dataset-form action values follow the turn parser's rules
+    "dataset-int-text": ("dataset", lambda o: _put(
+        o[1], ["steps", 0, "gt_action"], {"kind": "input_text", "text": 5})),
+    "dataset-three-component-coordinate": ("dataset", lambda o: _put(
+        o[1], ["steps", 0, "gt_action"], {"kind": "click", "coordinate": [0.5, 0.5, 0.9]})),
+    "dataset-string-coordinate": ("dataset", lambda o: _put(
+        o[1], ["steps", 0, "gt_action"], {"kind": "click", "coordinate": ["0.5", "0.5"]})),
+    "dataset-bool-seconds": ("dataset", lambda o: _put(
+        o[1], ["steps", 0, "gt_action"], {"kind": "wait", "seconds": True})),
+    "dataset-string-revisits": ("dataset", lambda o: {**o[1], "allows_revisits": "false"}),
+    "samples-int-text": (
+        "samples", lambda o: _put(o[1], ["target_action"], {"kind": "input_text", "text": 5}),
+    ),
     # a number beyond the float range, or one that is not finite, is a bad line
     "dataset-huge-coordinate": ("dataset", lambda o: _put(
         o[1], ["steps", 0, "gt_action"], {"kind": "click", "coordinate": [10**400, 0.5]})),
@@ -543,6 +596,27 @@ def test_ungroundable_coordinate_never_matches_grounds_or_repeats(tmp_path, caps
     assert (bench["lr"], bench["rsr"]) == (0.0, 0.0)
     rewards = json.loads((tmp_path / "score" / "rewards.jsonl").read_text())
     assert rewards["r_act"] == -1.0
+
+
+def test_pixel_click_written_as_one_reads_back(tmp_path):
+    # (1.0000001, 0.5) is a pixel coordinate that no screen size converts; the
+    # trace writes it rounded to (1.0, 0.5) with its "pixel" key, and `report`
+    # reads that line back
+    turn = FIXED_TURN.replace("[0.5, 0.5]", "[1.0000001, 0.5]")
+    dataset = tmp_path / "d.jsonl"
+    step = StepRecord(
+        index=0, screen_ref="s0", gt_action=_click(0.95, 0.5), reference_effect="The panel opens."
+    )
+    save_dataset([TrajectoryRecord("t", "Open the panel.", (step,), "s1")], dataset)
+    with CountingTurnServer(body=turn) as server:
+        assert main([
+            "simulate", "--dataset", str(dataset), "--agent", f"remote:{server.url}",
+            "--out", str(tmp_path / "sim"),
+        ]) == EXIT_OK
+    traces = tmp_path / "sim" / "traces.jsonl"
+    issued = json.loads(traces.read_text().splitlines()[0])["attempts"][0]["issued"]
+    assert issued == {"kind": "click", "coordinate": [1.0, 0.5], "coordinate_space": "pixel"}
+    assert main(["report", "--traces", str(traces), "--out", str(tmp_path / "rebuilt")]) == EXIT_OK
 
 
 # The input kind of the command that reads each setting flag.
@@ -1174,3 +1248,86 @@ def test_manifest_records_every_flag_that_shapes_an_output(dataset, tmp_path, ar
     assert (manifest["limit"], manifest["skip_invalid"]) == (5, False)
     assert manifest["outputs"] == outputs
     assert all((out / name).is_file() for name in outputs)
+
+
+# sha256 of every output but the manifest of `_golden_runs`, pinned so that a
+# refactor that must keep report bytes identical is checked against old bytes.
+GOLDEN_DIGESTS = {
+    "bench-robust/case_results.jsonl": "ddc4d13b64599a92c43fad4876ca897029dab4458933374cf8f9ca8a3f91af0b",
+    "bench-robust/cases.jsonl": "b479a4f7652c112bae0f0d2cbed61172a0ff43d6e169f00496002419622518da",
+    "bench-robust/report.json": "faeb0a8778e6d3ac5a6307b91c9f5fd2190ce68679f3e6a76a7f218424b4b87e",
+    "score/objective.json": "1cfd96219c0bec46f7fa79e5a4540363c79e51e16b58b776841a779f5a720538",
+    "score/rewards.jsonl": "62fe5e5b5b15de6becfe645354b73da03ed8882836386b710bf5c55859a6cf4e",
+    "sim-loopy/report.csv": "ade7550400aaddb3e27aaeb66ca0ea169a829d1e43f71015614e82ab90f38d38",
+    "sim-loopy/report.json": "77a54c07fd654c2edb474d8d5ab2ee39689b399cf8159fa01fbd86d595909539",
+    "sim-loopy/report.md": "5bb4f7c641d6aa75a9bde863fc8d3961efc167bf65e744329a8d7db9d6ecb494",
+    "sim-loopy/traces.jsonl": "678dcfde5aa28720b893fcf7bac09fa28e223007e8e573d49859206f63393578",
+    "sim-offset-pixel/report.csv": "9f27e316da1a86ff626fd8788783a70fff1fb62d88b857e272ed48ea5cf4357d",
+    "sim-offset-pixel/report.json": "61eb1f875a5e053d6529315d11965f5739a39c2132364363b7aaff6621344a05",
+    "sim-offset-pixel/report.md": "1f12a7a5f5c5bf77a2d4a368ff5db1be5bbe2d9a82b9d90c565fb34295c85bc1",
+    "sim-offset-pixel/traces.jsonl": "32fe85d72bd4e244b71892ca3965d9aa5b7b3ea4dffe5739814ea4ef27e155ab",
+    "sim-pixel-dims/report.json": "562788cd4e6f78290e47718eb1ed29fd0a3b4d88d069d63bb66116a1099a25a7",
+    "sim-pixel-dims/traces.jsonl": "67006976b16069831249295500419d32177880fcb479129fe871249f02675603",
+    "sim-pixel-no-dims/report.json": "478e8965550a6157b77a6923cc8f77ed018fb2ff24743d3a70689d7b287a04fe",
+    "sim-pixel-no-dims/traces.jsonl": "397c0f0369bcdfa8836ef7c4e72b58d5a923171b5025ab240e7648ad9efd2bea",
+    "synth-bench/cases.jsonl": "b479a4f7652c112bae0f0d2cbed61172a0ff43d6e169f00496002419622518da",
+    "synth-dataset/dataset.jsonl": "7d61aeeec96d493dfc7d95c90e32a2562e2c30fb9cbc6fe10a44a19f8c8a94bb",
+    "synth-sft/samples.jsonl": "40a6c51e93cee6f54cebcd88d3a3c347fddb20803c67f42a93052f76a055e1f1",
+}
+
+
+def _golden_runs(dataset, tmp_path):
+    """A small seeded run of every output-writing command: scripted agents on
+    relative and pixel datasets, an agent answering in pixels with and
+    without screen_dims, failure synthesis and scoring with a GRPO batch."""
+    pixel = _pixel_dataset(dataset, tmp_path / "pixel.jsonl")
+    trajs = [json.loads(line) for line in pixel.read_text().splitlines()]
+    for traj in trajs:  # a first step the pixel agent's (540, 1200) hits
+        traj["steps"][0]["gt_action"] = {"kind": "click", "coordinate": [540, 1200]}
+    pixel.write_text("".join(json.dumps(traj) + "\n" for traj in trajs))
+    runs = tmp_path / "runs"
+    seed = ["--seed", "41"]
+    for name, data, agent in (
+        ("sim-loopy", dataset, "scripted:loopy"),
+        ("sim-offset-pixel", pixel, "scripted:offset_then_correct"),
+    ):
+        assert main([
+            "simulate", "--dataset", str(data), "--agent", agent, *seed,
+            "--formats", "csv", "markdown", "--out", str(runs / name),
+        ]) == EXIT_OK
+    with CountingTurnServer(body=PIXEL_TURN) as server:
+        for name, data in (("sim-pixel-dims", pixel), ("sim-pixel-no-dims", dataset)):
+            assert main([
+                "simulate", "--dataset", str(data), "--agent", f"remote:{server.url}", *seed,
+                "--out", str(runs / name),
+            ]) == EXIT_OK
+    assert main([
+        "bench-robust", "--synthesize", "--dataset", str(dataset), "--agent", "scripted:loopy",
+        *seed, "--out", str(runs / "bench-robust"),
+    ]) == EXIT_OK
+    for kind, flags in (
+        ("sft", ["--dataset", str(dataset)]),
+        ("bench", ["--dataset", str(dataset)]),
+        ("dataset", ["--count", "6", "--lengths", "2,5"]),
+    ):
+        assert main([
+            "synth", "--kind", kind, *flags, *seed, "--out", str(runs / f"synth-{kind}"),
+        ]) == EXIT_OK
+    _, argv = _record_inputs("groups", tmp_path, dataset)
+    outputs = tmp_path / "outputs.jsonl"
+    lines = outputs.read_text().splitlines()
+    lines[::3] = [json.dumps({"raw": PIXEL_TURN})] * len(lines[::3])  # ungroundable: no dims
+    outputs.write_text("\n".join(lines) + "\n")
+    argv[argv.index("--out") + 1] = str(runs / "score")
+    assert main(argv) == EXIT_OK
+    return runs
+
+
+def test_outputs_match_pinned_digests(dataset, tmp_path):
+    runs = _golden_runs(dataset, tmp_path)
+    digests = {
+        path.relative_to(runs).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(runs.rglob("*"))
+        if path.is_file() and path.name != "manifest.json"
+    }
+    assert digests == GOLDEN_DIGESTS

@@ -18,7 +18,6 @@ from tvae_harness.reward_engine import (
 from tvae_harness.trajectory_store import (
     ActionKind,
     ActionRecord,
-    CoordinateSpace,
     ScrollDirection,
 )
 from tvae_harness.tvae_codec import ThinkSegment, ThinkTag, TvaeOutput, Verification
@@ -26,8 +25,8 @@ from tvae_harness.tvae_codec import ThinkSegment, ThinkTag, TvaeOutput, Verifica
 from conftest import WORDS, random_valid_turn
 
 
-def click(x: float, y: float, space=CoordinateSpace.RELATIVE) -> ActionRecord:
-    return ActionRecord(kind=ActionKind.CLICK, coordinate=(x, y), coordinate_space=space)
+def click(x: float, y: float) -> ActionRecord:
+    return ActionRecord(kind=ActionKind.CLICK, coordinate=(x, y))
 
 
 # -- match_action ---------------------------------------------------------------
@@ -233,11 +232,11 @@ def test_composite_pixel_output_normalized_via_sample_dims():
         target_effect="The bus list appears.",
         screen_dims=(1080, 2400),
     )
-    out = _turn(click(317.0, 1190.0, CoordinateSpace.PIXEL), Verification.SUCCESS, "bus list")
+    out = _turn(click(317.0, 1190.0), Verification.SUCCESS, "bus list")
     assert composite_reward(out, sample).r_act == 1.0
     # without screen_dims a pixel output cannot be grounded: a miss, even though
     # its raw coordinate lies within DELTA of the target
-    out = _turn(click(1.05, 0.5, CoordinateSpace.PIXEL), Verification.SUCCESS, "bus list")
+    out = _turn(click(1.05, 0.5), Verification.SUCCESS, "bus list")
     assert composite_reward(out, _sample(click(0.95, 0.5), "bus list")).r_act == -1.0
 
 
@@ -267,7 +266,7 @@ def test_gating_and_range_properties(rng: random.Random):
     for _ in range(10_000):
         out = random_valid_turn(rng)
         target_action = random_valid_turn(rng).action
-        if target_action.coordinate_space is not CoordinateSpace.RELATIVE:
+        if target_action.in_pixels():
             target_action = ActionRecord(
                 kind=target_action.kind,
                 coordinate=(0.25, 0.75),

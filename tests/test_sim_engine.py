@@ -303,7 +303,6 @@ def test_pixel_answering_agent_normalized_via_case_dims():
     from dataclasses import replace as dc_replace
 
     from tvae_harness.tvae_codec import emit_action_json
-    from tvae_harness.trajectory_store import CoordinateSpace
 
     class PixelEcho:
         """Echoes the erroneous action back in raw pixel coordinates."""
@@ -321,7 +320,6 @@ def test_pixel_answering_agent_normalized_via_case_dims():
             px = ActionRecord(
                 kind=a.kind,
                 coordinate=(round(x * self.dims[0]), round(y * self.dims[1])),
-                coordinate_space=CoordinateSpace.PIXEL,
             )
             return (
                 "<think>\n[Verify] Still stuck.\n</think>\n"

@@ -9,7 +9,6 @@ from tvae_harness.errors import DataError
 from tvae_harness.trajectory_store import (
     ActionKind,
     ActionRecord,
-    CoordinateSpace,
     ScrollDirection,
     StepRecord,
     TrajectoryRecord,
@@ -75,7 +74,7 @@ def test_absolute_coordinates_converted(tmp_path):
     _write_lines(path, [_traj_obj()])
     step0 = load_dataset(path)[0].steps[0]
     assert step0.gt_action.coordinate == (0.5, 0.875)
-    assert step0.gt_action.coordinate_space is CoordinateSpace.RELATIVE
+    assert not step0.gt_action.in_pixels()
     # bbox converted through the same dims
     assert step0.gt_bbox == (round(500 / 1080, 6), round(2000 / 2400, 6),
                              round(580 / 1080, 6), round(2200 / 2400, 6))
@@ -171,12 +170,10 @@ def test_normalize_passthrough_relative():
 
 
 def test_normalize_paper_coordinates():
-    a = ActionRecord(
-        kind=ActionKind.CLICK, coordinate=(317.0, 1190.0), coordinate_space=CoordinateSpace.PIXEL
-    )
+    a = ActionRecord(kind=ActionKind.CLICK, coordinate=(317.0, 1190.0))
     out = normalize_action(a, (1080, 2400))
     assert out.coordinate == (0.293519, 0.495833)
-    assert out.coordinate_space is CoordinateSpace.RELATIVE
+    assert not out.in_pixels()
 
 
 def test_normalize_non_spatial_identity():
@@ -185,9 +182,7 @@ def test_normalize_non_spatial_identity():
 
 
 def test_normalize_requires_dims_for_pixels():
-    a = ActionRecord(
-        kind=ActionKind.CLICK, coordinate=(317.0, 1190.0), coordinate_space=CoordinateSpace.PIXEL
-    )
+    a = ActionRecord(kind=ActionKind.CLICK, coordinate=(317.0, 1190.0))
     with pytest.raises(DataError, match="^click: absolute coordinates without screen_dims$"):
         normalize_action(a, None)
 
@@ -228,8 +223,6 @@ def test_action_field_discipline(kwargs):
 def test_action_json_round_trip(rng: random.Random):
     for _ in range(300):
         a = random_valid_action(rng)
-        if a.coordinate_space is not CoordinateSpace.RELATIVE:
-            continue  # dataset form carries relative actions only
         assert action_from_json(action_to_json(a)) == a
 
 

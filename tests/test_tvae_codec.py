@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tvae_harness.errors import DataError
-from tvae_harness.trajectory_store import ActionKind, CoordinateSpace
+from tvae_harness.trajectory_store import ActionKind, ActionRecord
 from tvae_harness.tvae_codec import (
     ThinkSegment,
     ThinkTag,
@@ -52,11 +52,21 @@ def test_success_path_worked_example():
     assert out.verification is Verification.SUCCESS
     assert out.action.kind is ActionKind.CLICK
     assert out.action.coordinate == (317.0, 1190.0)
-    assert out.action.coordinate_space is CoordinateSpace.PIXEL
+    assert out.action.in_pixels()
     assert out.expected_effect.startswith("A list of bus directions")
     assert [s.tag for s in out.think] == [
         ThinkTag.VERIFY, ThinkTag.RECALL, ThinkTag.GROUNDING, ThinkTag.COORDINATE, ThinkTag.ACTION
     ]
+
+
+@pytest.mark.parametrize("coordinate, written", [
+    ((317.0, 1190.0), "[317, 1190]"),
+    ((317.5, 1190.0), "[317.5, 1190.0]"),
+    ((1.0, 0.0), "[1.0, 0.0]"),  # relative, so floats even when integral
+])
+def test_emit_writes_integral_pixel_coordinates_as_ints(coordinate, written):
+    action = ActionRecord(kind=ActionKind.CLICK, coordinate=coordinate)
+    assert emit_action_json(action) == f'{{"action": "click", "coordinate": {written}}}'
 
 
 def test_recovery_path_worked_example():
