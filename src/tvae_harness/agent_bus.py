@@ -128,54 +128,39 @@ _SEG_GROUNDING_FIX = ThinkSegment(
 )
 
 
-def _success_think(instruction: str, action: ActionRecord) -> tuple[ThinkSegment, ...]:
-    segments = [
-        _SEG_VERIFY_OK,
-        ThinkSegment(ThinkTag.RECALL, f"The task is: {_clean(instruction)}."),
-        _SEG_GROUNDING_OK,
-    ]
-    param = _param_segment(action)
-    if param:
-        segments.append(param)
-    segments.append(ThinkSegment(ThinkTag.ACTION, _clean(describe_action(action)) + "."))
-    return tuple(segments)
-
-
-def _recovery_think(instruction: str, action: ActionRecord) -> tuple[ThinkSegment, ...]:
-    segments = [
-        _SEG_VERIFY_STUCK,
-        _SEG_DIAGNOSE,
-        ThinkSegment(ThinkTag.RECALL, f"The task is: {_clean(instruction)}."),
-        _SEG_GROUNDING_FIX,
-    ]
-    param = _param_segment(action)
-    if param:
-        segments.append(param)
-    segments.append(
-        ThinkSegment(ThinkTag.RECOVERY, "Retry with " + _clean(describe_action(action)) + ".")
-    )
-    return tuple(segments)
-
-
 def _emit(
     instruction: str,
     action: ActionRecord,
     verification: Verification,
     effect: str,
 ) -> str:
-    think = (
-        _success_think(instruction, action)
-        if verification is Verification.SUCCESS
-        else _recovery_think(instruction, action)
-    )
+    """A turn claiming `verification`: a plain step after SUCCESS, a
+    diagnosis and retry after NO_CHANGE."""
+    recall = ThinkSegment(ThinkTag.RECALL, f"The task is: {_clean(instruction)}.")
+    described = _clean(describe_action(action))
+    if verification is Verification.SUCCESS:
+        think = [_SEG_VERIFY_OK, recall, _SEG_GROUNDING_OK]
+        last = ThinkSegment(ThinkTag.ACTION, described + ".")
+    else:
+        think = [_SEG_VERIFY_STUCK, _SEG_DIAGNOSE, recall, _SEG_GROUNDING_FIX]
+        last = ThinkSegment(ThinkTag.RECOVERY, "Retry with " + described + ".")
+    param = _param_segment(action)
+    if param:
+        think.append(param)
+    think.append(last)
     return emit_tvae(
         TvaeOutput(
-            think=think,
+            think=tuple(think),
             verification=verification,
             action=action,
             expected_effect=_effect_safe(effect),
         )
     )
+
+
+# oracle is failk with K=0; offset_then_correct is K=1 with a fixed-mode
+# corruption in place of a sampled one.
+_FIXED_K = {VariantName.ORACLE: 0, VariantName.OFFSET_THEN_CORRECT: 1}
 
 
 def scripted_turn(
@@ -191,12 +176,6 @@ def scripted_turn(
     gt_action = gt.gt_action
     name = variant.name
 
-    if name is VariantName.ORACLE:
-        failed_before = len(obs.history) - gt.index > 0
-        if failed_before:
-            return _emit(instruction, gt_action, Verification.NO_CHANGE, gt.reference_effect)
-        return _emit(instruction, gt_action, Verification.SUCCESS, gt.reference_effect)
-
     if name is VariantName.LOOPY:
         if obs.history:
             action = obs.history[-1].action
@@ -204,36 +183,24 @@ def scripted_turn(
             _, action = sample_corruption(gt_action, gt.gt_bbox, rng)
         return _emit(instruction, action, Verification.SUCCESS, mismatched_effect(action))
 
-    if name is VariantName.FAIL_K:
-        attempts_here = max(0, len(obs.history) - gt.index * (variant.k + 1))
-        if attempts_here < variant.k:
-            _, bad = sample_corruption(gt_action, gt.gt_bbox, rng)
-            verification = (
-                Verification.SUCCESS if attempts_here == 0 else Verification.NO_CHANGE
-            )
-            return _emit(instruction, bad, verification, mismatched_effect(bad))
-        verification = (
-            Verification.NO_CHANGE if attempts_here > 0 else Verification.SUCCESS
-        )
-        return _emit(instruction, gt_action, verification, gt.reference_effect)
-
     if name is VariantName.BERNOULLI:
         if rng.random() < variant.p:
             return _emit(instruction, gt_action, Verification.SUCCESS, gt.reference_effect)
         _, bad = sample_corruption(gt_action, gt.gt_bbox, rng)
         return _emit(instruction, bad, Verification.SUCCESS, mismatched_effect(bad))
 
+    # failk: K wrong attempts per step, then the right one
+    k = _FIXED_K.get(name, variant.k)
+    attempts_here = max(0, len(obs.history) - gt.index * (k + 1))
+    verification = Verification.NO_CHANGE if attempts_here else Verification.SUCCESS
+    if attempts_here >= k:
+        return _emit(instruction, gt_action, verification, gt.reference_effect)
     if name is VariantName.OFFSET_THEN_CORRECT:
-        attempts_here = max(0, len(obs.history) - gt.index * 2)
-        if attempts_here == 0:
-            mode = (
-                FailureMode.COORDINATE_OFFSET if gt_action.is_spatial() else FailureMode.NULL_CLICK
-            )
-            bad = corrupt_action(gt_action, gt.gt_bbox, mode, rng)
-            return _emit(instruction, bad, Verification.SUCCESS, mismatched_effect(bad))
-        return _emit(instruction, gt_action, Verification.NO_CHANGE, gt.reference_effect)
-
-    raise DataError(f"scripted: invalid variant ({str(name)})")
+        mode = FailureMode.COORDINATE_OFFSET if gt_action.is_spatial() else FailureMode.NULL_CLICK
+        bad = corrupt_action(gt_action, gt.gt_bbox, mode, rng)
+    else:
+        _, bad = sample_corruption(gt_action, gt.gt_bbox, rng)
+    return _emit(instruction, bad, verification, mismatched_effect(bad))
 
 
 class ScriptedAgent:

@@ -277,7 +277,6 @@ class SyntheticSample:
     instruction: str
     input_screen_ref: str
     history: tuple[HistoryEntry, ...]
-    target_verification: Verification
     target_action: ActionRecord
     target_effect: str
     failure_mode: FailureMode | None = None
@@ -286,14 +285,14 @@ class SyntheticSample:
 
     def __post_init__(self) -> None:
         check_box_and_dims("sample", "target_bbox", self.target_bbox, self.screen_dims)
+        if self.sample_type is SampleType.TYPE_B and not self.history:
+            raise DataError("sample: invalid history (type B needs the failed entry)")
+
+    @property
+    def target_verification(self) -> Verification:
         if self.sample_type is SampleType.TYPE_A:
-            if self.target_verification is not Verification.SUCCESS:
-                raise DataError("sample: invalid target_verification (type A => SUCCESS)")
-        else:
-            if self.target_verification is not Verification.NO_CHANGE:
-                raise DataError("sample: invalid target_verification (type B => NO_CHANGE)")
-            if not self.history:
-                raise DataError("sample: invalid history (type B needs the failed entry)")
+            return Verification.SUCCESS
+        return Verification.NO_CHANGE
 
 
 @dataclass(frozen=True)
@@ -306,7 +305,6 @@ class FailureCase:
     screen_ref: str
     history: tuple[HistoryEntry, ...]
     gt_recovery: ActionRecord
-    erroneous: ActionRecord
     mode: FailureMode
     gt_bbox: Bbox | None = None
     screen_dims: tuple[int, int] | None = None
@@ -315,10 +313,12 @@ class FailureCase:
         check_box_and_dims("failure_case", "gt_bbox", self.gt_bbox, self.screen_dims)
         if not self.history:
             raise DataError("failure_case: invalid history (must end in erroneous entry)")
-        if self.history[-1].action != self.erroneous:
-            raise DataError("failure_case: invalid history (last entry must be erroneous)")
         if match_action(self.erroneous, self.gt_recovery, self.gt_bbox):
             raise DataError("failure_case: invalid erroneous (must not match the recovery action)")
+
+    @property
+    def erroneous(self) -> ActionRecord:
+        return self.history[-1].action
 
 
 def mismatched_effect(action: ActionRecord) -> str:
@@ -382,7 +382,6 @@ def build_sft_dataset(
                     instruction=traj.instruction,
                     input_screen_ref=step.screen_ref,
                     history=history,
-                    target_verification=Verification.SUCCESS,
                     target_action=step.gt_action,
                     target_effect=step.reference_effect,
                     target_bbox=step.gt_bbox,
@@ -398,7 +397,6 @@ def build_sft_dataset(
                         instruction=traj.instruction,
                         input_screen_ref=step.screen_ref,
                         history=history + (err_entry,),
-                        target_verification=Verification.NO_CHANGE,
                         target_action=step.gt_action,
                         target_effect=step.reference_effect,
                         failure_mode=mode,
@@ -435,7 +433,6 @@ def build_robustness_bench(
                     screen_ref=step.screen_ref,
                     history=_success_history(traj.steps, t) + (err_entry,),
                     gt_recovery=step.gt_action,
-                    erroneous=err,
                     mode=mode,
                     gt_bbox=step.gt_bbox,
                     screen_dims=step.screen_dims,
@@ -468,20 +465,25 @@ def sample_to_json(sample: SyntheticSample) -> dict[str, Any]:
 
 def sample_from_json(obj: Mapping[str, Any]) -> SyntheticSample:
     """A sample line; pixel coordinates in it are converted with its
-    `screen_dims` (without them a pixel coordinate is a bad line)."""
+    `screen_dims` (without them a pixel coordinate is a bad line), and its
+    `target_verification` must be the one its `sample_type` gives."""
     dims = screen_dims_from_json(obj, "sample")
-    return SyntheticSample(
+    sample = SyntheticSample(
         sample_type=SampleType(obj["sample_type"]),
         instruction=str(obj["instruction"]),
         input_screen_ref=str(obj["input_screen_ref"]),
         history=tuple(history_entry_from_json(h, dims) for h in obj["history"]),
-        target_verification=Verification(obj["target_verification"]),
         target_action=normalize_action(action_from_json(obj["target_action"]), dims),
         target_effect=str(obj["target_effect"]),
         failure_mode=FailureMode(obj["failure_mode"]) if obj.get("failure_mode") else None,
         target_bbox=tuple(obj["target_bbox"]) if obj.get("target_bbox") is not None else None,
         screen_dims=dims,
     )
+    target = sample.target_verification
+    if obj["target_verification"] != target.value:
+        kind = "A" if target is Verification.SUCCESS else "B"
+        raise DataError(f"sample: invalid target_verification (type {kind} => {target.value})")
+    return sample
 
 
 def failure_case_to_json(case: FailureCase) -> dict[str, Any]:
@@ -502,17 +504,20 @@ def failure_case_to_json(case: FailureCase) -> dict[str, Any]:
 
 
 def failure_case_from_json(obj: Mapping[str, Any]) -> FailureCase:
-    """A case line; pixel coordinates as in `sample_from_json`."""
+    """A case line; pixel coordinates as in `sample_from_json`, and its
+    `erroneous` must be the action of its last history entry."""
     dims = screen_dims_from_json(obj, "failure_case")
-    return FailureCase(
+    case = FailureCase(
         source=(str(obj["source"][0]), int(obj["source"][1])),
         instruction=str(obj["instruction"]),
         screen_ref=str(obj["screen_ref"]),
         history=tuple(history_entry_from_json(h, dims) for h in obj["history"]),
         gt_recovery=normalize_action(action_from_json(obj["gt_recovery"]), dims),
-        erroneous=normalize_action(action_from_json(obj["erroneous"]), dims),
         mode=FailureMode(obj["mode"]),
         gt_bbox=tuple(obj["gt_bbox"]) if obj.get("gt_bbox") is not None else None,
         screen_dims=dims,
     )
+    if normalize_action(action_from_json(obj["erroneous"]), dims) != case.erroneous:
+        raise DataError("failure_case: invalid history (last entry must be erroneous)")
+    return case
 

@@ -24,6 +24,7 @@ from .errors import DataError
 from .reward_engine import match_action, parameters_match
 from .sim_engine import CaseResult, Outcome, SimTrace
 from .trajectory_store import ActionRecord, StepRecord, TrajectoryRecord
+from .tvae_codec import Verification
 
 METRIC_COLUMNS = ("tm", "gr", "sr", "tsr", "pg", "sim_tsr", "aso", "lr", "rsr")
 
@@ -100,16 +101,16 @@ def first_attempt_predictions(
     traces: Sequence[SimTrace], trajs: Sequence[TrajectoryRecord]
 ) -> list[StepPrediction]:
     """The first attempt at each ground-truth step of `traces`, paired with
-    that step of the run's dataset `trajs`."""
+    that step of the run's dataset `trajs`.  An attempt is the first at its
+    step exactly when its verification target is SUCCESS: it is the
+    episode's first attempt or follows a match."""
     by_id = {t.id: t for t in trajs}
     preds: list[StepPrediction] = []
     for trace in traces:
         steps = by_id[trace.trajectory_id].steps
-        seen: set[int] = set()
-        for attempt in trace.attempts:
-            if attempt.gt_step not in seen:
-                seen.add(attempt.gt_step)
-                preds.append(StepPrediction(attempt.issued, steps[attempt.gt_step]))
+        for attempt, (gt_step, target) in zip(trace.attempts, trace.attempt_targets()):
+            if target is Verification.SUCCESS:
+                preds.append(StepPrediction(attempt.issued, steps[gt_step]))
     return preds
 
 

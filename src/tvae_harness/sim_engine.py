@@ -6,6 +6,12 @@ burns one attempt.  Episodes stop on completion or when the attempt budget
 (ceil of budget_multiplier times ground-truth length) runs out.  Because
 wrong actions never mutate state, recorded offline trajectories stand in for
 a live environment.
+
+A trace keeps only what the run decided: each attempt's issued action, match
+flag, predicted verification and parse warnings.  Its ground-truth steps,
+verification targets, step count, final cursor and outcome follow from the
+match flags and are computed by `SimTrace`; the trace reader re-derives them
+and refuses a line whose written values disagree.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .agent_bus import AgentHandle, Observation
 from .errors import DataError
@@ -62,12 +68,9 @@ class SimState:
 
 @dataclass(frozen=True)
 class AttemptLog:
-    attempt: int
-    gt_step: int
     issued: ActionRecord | None
     matched: bool  # a match is what advances the episode
     predicted_verification: Verification | None
-    target_verification: Verification
     parse_warnings: tuple[str, ...] = ()
 
 
@@ -80,11 +83,37 @@ class Outcome(str, Enum):
 @dataclass(frozen=True)
 class SimTrace:
     trajectory_id: str
-    attempts: tuple[AttemptLog, ...]
-    outcome: Outcome
-    steps_used: int
     t_gt: int
-    final_cursor: int
+    attempts: tuple[AttemptLog, ...]
+
+    @property
+    def steps_used(self) -> int:
+        return len(self.attempts)
+
+    @property
+    def final_cursor(self) -> int:
+        return sum(a.matched for a in self.attempts)
+
+    @property
+    def outcome(self) -> Outcome:
+        """Completed once `t_gt` attempts matched, and on the first try when
+        no attempt missed."""
+        matches = self.final_cursor
+        if matches < self.t_gt:
+            return Outcome.BUDGET_EXHAUSTED
+        if matches == len(self.attempts):
+            return Outcome.COMPLETED_FIRST_TRY
+        return Outcome.COMPLETED_WITH_RECOVERY
+
+    def attempt_targets(self) -> Iterator[tuple[int, Verification]]:
+        """Each attempt's ground-truth step (the matches before it) and
+        verification target: SUCCESS first and after a match, NO_CHANGE after
+        a miss, so honesty is audited without dataset labels."""
+        gt_step, target = 0, Verification.SUCCESS
+        for a in self.attempts:
+            yield gt_step, target
+            gt_step += a.matched
+            target = Verification.SUCCESS if a.matched else Verification.NO_CHANGE
 
 
 def transition(
@@ -94,7 +123,6 @@ def transition(
     next_screen_ref: str,
     budget: int,
     turn: TvaeOutput | None = None,
-    target_verification: Verification = Verification.SUCCESS,
     parse_warnings: tuple[str, ...] = (),
 ) -> tuple[SimState, AttemptLog]:
     """Apply one attempt under the idempotent transition rule.
@@ -121,12 +149,9 @@ def transition(
         attempts_used=state.attempts_used + 1,
     )
     log = AttemptLog(
-        attempt=state.attempts_used,
-        gt_step=gt.index,
         issued=issued,
         matched=matched,
         predicted_verification=turn.verification if turn is not None else None,
-        target_verification=target_verification,
         parse_warnings=parse_warnings,
     )
     return new_state, log
@@ -150,24 +175,8 @@ def _interpret(
     return turn, action, turn.warnings if problem is None else (*turn.warnings, problem)
 
 
-def _outcome(attempts: Sequence[AttemptLog], t_gt: int) -> Outcome:
-    """An episode's outcome: completed once `t_gt` attempts matched, and on
-    the first try when no attempt missed."""
-    matches = sum(a.matched for a in attempts)
-    if matches < t_gt:
-        return Outcome.BUDGET_EXHAUSTED
-    if matches == len(attempts):
-        return Outcome.COMPLETED_FIRST_TRY
-    return Outcome.COMPLETED_WITH_RECOVERY
-
-
 def run_episode(traj: TrajectoryRecord, agent: AgentHandle, cfg: SimConfig) -> SimTrace:
-    """Drive one agent through one trajectory under the transition rule.
-
-    The verification target for each attempt comes from the simulator's own
-    last transition (first attempt counts as SUCCESS), so honesty can be
-    audited without dataset labels.
-    """
+    """Drive one agent through one trajectory under the transition rule."""
     t_gt = len(traj.steps)
     budget = episode_budget(cfg, t_gt)
     state = SimState(
@@ -177,9 +186,6 @@ def run_episode(traj: TrajectoryRecord, agent: AgentHandle, cfg: SimConfig) -> S
     logs: list[AttemptLog] = []
     while state.cursor < t_gt and state.attempts_used < budget:
         gt = traj.steps[state.cursor]
-        target = (
-            Verification.SUCCESS if not logs or logs[-1].matched else Verification.NO_CHANGE
-        )
         obs = Observation(
             instruction=traj.instruction,
             screen_ref=state.screen_ref,
@@ -189,24 +195,11 @@ def run_episode(traj: TrajectoryRecord, agent: AgentHandle, cfg: SimConfig) -> S
         raw = agent.turn(obs, gt if agent.white_box else None, rng)
         turn, action, warnings = _interpret(raw, gt.screen_dims)
         state, log = transition(
-            state,
-            action,
-            gt,
-            traj.screen_after(gt.index),
-            budget,
-            turn=turn,
-            target_verification=target,
-            parse_warnings=warnings,
+            state, action, gt, traj.screen_after(gt.index), budget,
+            turn=turn, parse_warnings=warnings,
         )
         logs.append(log)
-    return SimTrace(
-        trajectory_id=traj.id,
-        attempts=tuple(logs),
-        outcome=_outcome(logs, t_gt),
-        steps_used=state.attempts_used,
-        t_gt=t_gt,
-        final_cursor=state.cursor,
-    )
+    return SimTrace(trajectory_id=traj.id, t_gt=t_gt, attempts=tuple(logs))
 
 
 @dataclass(frozen=True)
@@ -315,6 +308,7 @@ def _issued_from_json(obj: Mapping[str, Any] | None) -> ActionRecord | None:
 
 
 def trace_to_json(trace: SimTrace) -> dict[str, Any]:
+    """Trace schema v1: the decided values plus every value derived from them."""
     return {
         "trajectory_id": trace.trajectory_id,
         "outcome": trace.outcome.value,
@@ -323,73 +317,75 @@ def trace_to_json(trace: SimTrace) -> dict[str, Any]:
         "final_cursor": trace.final_cursor,
         "attempts": [
             {
-                "attempt": a.attempt,
-                "gt_step": a.gt_step,
+                "attempt": n,
+                "gt_step": gt_step,
                 "issued": _issued_to_json(a.issued),
                 "matched": a.matched,
-                "advanced": a.matched,  # trace schema v1 keeps the key
+                "advanced": a.matched,
                 "predicted_verification": (
                     a.predicted_verification.value if a.predicted_verification else None
                 ),
-                "target_verification": a.target_verification.value,
+                "target_verification": target.value,
                 "parse_warnings": list(a.parse_warnings),
             }
-            for a in trace.attempts
+            for n, (a, (gt_step, target)) in enumerate(zip(trace.attempts, trace.attempt_targets()))
         ],
     }
 
 
+# What each derived key of a trace line must be; `{}` is the derived value.
+_DERIVED_ATTEMPT_KEYS = {
+    "attempt": "must be its position, {}",
+    "gt_step": "must count the matches before it, {}",
+    "advanced": "must equal matched",
+    "target_verification": "must be {}: SUCCESS first and after a match, NO_CHANGE after a miss",
+}
+_DERIVED_TRACE_KEYS = {
+    "steps_used": "must count the attempts",
+    "final_cursor": "must count the matches",
+    "outcome": "must follow from the attempts",
+}
+
+
+def _check_derived(
+    tid: str, written: Mapping[str, Any], derived: Mapping[str, Any], rules: Mapping[str, str]
+) -> None:
+    for key, rule in rules.items():
+        value = derived[key]
+        if type(written[key]) is not type(value) or written[key] != value:
+            raise DataError(f"{tid}: invalid {key} ({rule.format(value)})")
+
+
 def trace_from_json(obj: Mapping[str, Any]) -> SimTrace:
-    """A trace line; each attempt's `attempt` must be its position, its
-    `gt_step` the number of matches before it, and its `matched` and
-    `advanced` equal booleans; the line's `steps_used` must count its
-    attempts, its `final_cursor` their matches, its `t_gt` lie in
+    """A trace line.  Only the decided values are read: `trajectory_id`,
+    `t_gt` and each attempt's `issued`, `matched` (a JSON boolean),
+    `predicted_verification` (null or a verification token) and
+    `parse_warnings` (a list of strings).  `t_gt` must lie in
     [max(1, final_cursor), steps_used] (an episode ends once `t_gt` attempts
-    matched, and its budget is at least `t_gt`), and its `outcome` follow
-    from its attempts."""
+    matched, and its budget is at least `t_gt`).  Every derived key must then
+    equal, with its JSON type, the one `trace_to_json` writes."""
     tid = str(obj["trajectory_id"])
     attempts: list[AttemptLog] = []
-    cursor = 0
-    for n, a in enumerate(obj["attempts"]):
-        matched = a["matched"]
+    for a in obj["attempts"]:
+        matched, warnings = a["matched"], a.get("parse_warnings", [])
+        predicted = a.get("predicted_verification")
         if not isinstance(matched, bool):
             raise DataError(f"{tid}: invalid matched (must be a JSON boolean)")
-        if a["advanced"] is not matched:
-            raise DataError(f"{tid}: invalid advanced (must equal matched)")
-        if type(a["attempt"]) is not int or a["attempt"] != n:
-            raise DataError(f"{tid}: invalid attempt (must be its position, {n})")
-        if type(a["gt_step"]) is not int or a["gt_step"] != cursor:
-            raise DataError(f"{tid}: invalid gt_step (must count the matches before it, {cursor})")
+        if not isinstance(warnings, list) or not all(isinstance(w, str) for w in warnings):
+            raise DataError(f"{tid}: invalid parse_warnings (must be a JSON list of strings)")
         attempts.append(
             AttemptLog(
-                attempt=n,
-                gt_step=cursor,
                 issued=_issued_from_json(a.get("issued")),
                 matched=matched,
-                predicted_verification=(
-                    Verification(a["predicted_verification"])
-                    if a.get("predicted_verification")
-                    else None
-                ),
-                target_verification=Verification(a["target_verification"]),
-                parse_warnings=tuple(a.get("parse_warnings", ())),
+                predicted_verification=Verification(predicted) if predicted is not None else None,
+                parse_warnings=tuple(warnings),
             )
         )
-        cursor += matched
-    trace = SimTrace(
-        trajectory_id=tid,
-        outcome=Outcome(obj["outcome"]),
-        steps_used=int(obj["steps_used"]),
-        t_gt=int(obj["t_gt"]),
-        final_cursor=int(obj["final_cursor"]),
-        attempts=tuple(attempts),
-    )
-    if trace.steps_used != len(trace.attempts):
-        raise DataError(f"{tid}: invalid steps_used (must count the attempts)")
-    if trace.final_cursor != cursor:
-        raise DataError(f"{tid}: invalid final_cursor (must count the matches)")
+    trace = SimTrace(trajectory_id=tid, t_gt=int(obj["t_gt"]), attempts=tuple(attempts))
     if not max(1, trace.final_cursor) <= trace.t_gt <= trace.steps_used:
         raise DataError(f"{tid}: invalid t_gt (must be in [max(1, final_cursor), steps_used])")
-    if trace.outcome is not _outcome(trace.attempts, trace.t_gt):
-        raise DataError(f"{tid}: invalid outcome (must follow from the attempts)")
+    derived = trace_to_json(trace)
+    for written, rebuilt in zip(obj["attempts"], derived["attempts"]):
+        _check_derived(tid, written, rebuilt, _DERIVED_ATTEMPT_KEYS)
+    _check_derived(tid, obj, derived, _DERIVED_TRACE_KEYS)
     return trace

@@ -291,7 +291,9 @@ def _normalize_bbox(
 ) -> tuple[float, float, float, float]:
     if len(raw) != 4:
         raise DataError(f"{subject}: invalid gt_bbox (must have 4 components)")
-    vals = [float(v) for v in raw]
+    vals = [_number(v) for v in raw]
+    if None in vals:
+        raise DataError(f"{subject}: invalid gt_bbox (must be 4 numbers, got {raw!r})")
     if any(v > 1.0 for v in vals):
         if dims is None:
             raise DataError(f"{subject}: absolute gt_bbox without screen_dims")
@@ -302,27 +304,38 @@ def _normalize_bbox(
 
 def screen_dims_from_json(obj: Mapping[str, Any], subject: str) -> tuple[int, int] | None:
     """The checked `screen_dims` of a step, sample or case line, which its
-    pixel coordinates are converted with."""
+    pixel coordinates are converted with: JSON integers, a positive size."""
     raw = obj.get("screen_dims")
-    dims = tuple(int(v) for v in raw) if raw is not None else None
+    if raw is not None and not (isinstance(raw, list) and all(type(v) is int for v in raw)):
+        raise DataError(f"{subject}: invalid screen_dims (must be JSON integers, got {raw!r})")
+    dims = tuple(raw) if raw is not None else None
     check_box_and_dims(subject, "screen_dims", None, dims)  # before dims scale a pixel value
     return dims
+
+
+def _string(obj: Mapping[str, Any], key: str, subject: str) -> str:
+    value = obj[key]
+    if not isinstance(value, str):
+        raise DataError(f"{subject}: invalid {key} (must be a JSON string, got {value!r})")
+    return value
 
 
 def _step_from_json(obj: Mapping[str, Any], traj_id: str) -> StepRecord:
     for key in ("index", "screen_ref", "gt_action", "reference_effect"):
         if key not in obj:
             raise DataError(f"{traj_id}: invalid {key} (missing step field)")
+    if type(obj["index"]) is not int:
+        raise DataError(f"{traj_id}: invalid index (must be a JSON integer, got {obj['index']!r})")
     subject = f"{traj_id}[{obj['index']}]"
     dims = screen_dims_from_json(obj, subject)
     action = normalize_action(action_from_json(obj["gt_action"]), dims)
     bbox_raw = obj.get("gt_bbox")
     bbox = _normalize_bbox(bbox_raw, dims, subject) if bbox_raw is not None else None
     return StepRecord(
-        index=int(obj["index"]),
-        screen_ref=str(obj["screen_ref"]),
+        index=obj["index"],
+        screen_ref=_string(obj, "screen_ref", subject),
         gt_action=action,
-        reference_effect=str(obj["reference_effect"]),
+        reference_effect=_string(obj, "reference_effect", subject),
         screen_dims=dims,
         gt_bbox=bbox,
     )
@@ -339,9 +352,9 @@ def trajectory_from_json(obj: Mapping[str, Any]) -> TrajectoryRecord:
     steps = tuple(_step_from_json(s, traj_id) for s in obj["steps"])
     return TrajectoryRecord(
         id=traj_id,
-        instruction=str(obj["instruction"]),
+        instruction=_string(obj, "instruction", traj_id),
         steps=steps,
-        terminal_screen_ref=str(obj["terminal_screen_ref"]),
+        terminal_screen_ref=_string(obj, "terminal_screen_ref", traj_id),
         allows_revisits=revisits,
     )
 

@@ -295,30 +295,22 @@ def test_c09_metric_algebra():
         sigs = list(dedup.values())
         for size in (1, 2, 3):
             for combo in itertools.combinations_with_replacement(sigs[:10], size):
-                traces = [
-                    SimTrace(
-                        trajectory_id=f"t{i}",
-                        attempts=tr.attempts,
-                        outcome=tr.outcome,
-                        steps_used=tr.steps_used,
-                        t_gt=tr.t_gt,
-                        final_cursor=tr.final_cursor,
-                    )
-                    for i, tr in enumerate(combo)
-                ]
+                traces = [SimTrace(f"t{i}", tr.t_gt, tr.attempts) for i, tr in enumerate(combo)]
                 m = task_metrics(traces)
                 n = len(traces)
+                # from the match flags, not the trace's derived properties
+                matches = lambda tr: sum(a.matched for a in tr.attempts)
                 tsr = sum(
-                    tr.final_cursor == tr.t_gt and tr.steps_used == tr.t_gt for tr in traces
+                    matches(tr) == tr.t_gt and len(tr.attempts) == tr.t_gt for tr in traces
                 ) / n
                 prefix = lambda tr: next(
                     (i for i, a in enumerate(tr.attempts) if not a.matched), len(tr.attempts)
                 )
                 pg = sum(prefix(tr) / tr.t_gt for tr in traces) / n
-                done = [tr for tr in traces if tr.final_cursor == tr.t_gt]
+                done = [tr for tr in traces if matches(tr) == tr.t_gt]
                 sim_tsr = len(done) / n
                 aso = (
-                    sum(tr.steps_used - tr.t_gt for tr in done) / len(done) if done else math.inf
+                    sum(len(tr.attempts) - tr.t_gt for tr in done) / len(done) if done else math.inf
                 )
                 assert m.tsr == tsr and m.pg == pg and m.sim_tsr == sim_tsr
                 assert m.aso == aso or (math.isinf(m.aso) and math.isinf(aso))

@@ -106,7 +106,9 @@ def test_failk_zero_degenerates_to_oracle():
     traces = run_episodes(trajs, ScriptedAgent(Variant(VariantName.FAIL_K, k=0)), SimConfig(seed=0))
     assert all(t.outcome is Outcome.COMPLETED_FIRST_TRY for t in traces)
     assert all(
-        a.predicted_verification == a.target_verification for t in traces for a in t.attempts
+        a.predicted_verification == target
+        for t in traces
+        for a, (_, target) in zip(t.attempts, t.attempt_targets())
     )
 
 

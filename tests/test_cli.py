@@ -26,7 +26,7 @@ from tvae_harness.failure_forge import (
 from tvae_harness.grpo_core import GrpoConfig
 from tvae_harness.records import write_records
 from tvae_harness.reward_engine import RewardConfig
-from tvae_harness.sim_engine import SimConfig
+from tvae_harness.sim_engine import SimConfig, trace_from_json, trace_to_json
 from tvae_harness.synthdata import make_dataset
 from tvae_harness.trajectory_store import (
     ActionKind,
@@ -115,6 +115,20 @@ def test_sr_counts_the_first_attempts_the_traces_mark_matched(dataset, tmp_path,
                 seen.add(attempt["gt_step"])
                 firsts.append(attempt["matched"])
     assert _read_report(out)["sr"] == sum(firsts) / len(firsts)
+
+
+@pytest.mark.parametrize(
+    "agent", ["oracle", "loopy", "failk:2", "bernoulli:0.5", "offset_then_correct"],
+)
+def test_trace_lines_round_trip_through_the_reader(dataset, tmp_path, agent):
+    # the reader keeps each decided value, and the writer re-derives the rest
+    out = tmp_path / "run"
+    assert main([
+        "simulate", "--dataset", str(dataset), "--agent", f"scripted:{agent}", "--out", str(out),
+    ]) == EXIT_OK
+    for line in (out / "traces.jsonl").read_text().splitlines():
+        rebuilt = trace_to_json(trace_from_json(json.loads(line)))
+        assert json.dumps(rebuilt, separators=(",", ":")) == line
 
 
 def test_simulate_deterministic_reruns(dataset, tmp_path):
@@ -441,6 +455,13 @@ BAD_LINES = {
     "traces-pixel-click-marked-relative": (
         "traces", lambda o: _issued_click(o, [540, 1200], "relative"),
     ),
+    # decided values are read as written, and every derived one is re-derived
+    "traces-string-warnings": ("traces", lambda o: _put(
+        o[1], ["attempts", 0, "parse_warnings"], "abc")),
+    "traces-empty-prediction": ("traces", lambda o: _put(
+        o[1], ["attempts", 0, "predicted_verification"], "")),
+    "traces-target-verification-flipped": ("traces", lambda o: _put(  # after a miss
+        o[1], ["attempts", 1, "target_verification"], "SUCCESS")),
     # dataset-form action values follow the turn parser's rules
     "dataset-int-text": ("dataset", lambda o: _put(
         o[1], ["steps", 0, "gt_action"], {"kind": "input_text", "text": 5})),
@@ -451,6 +472,18 @@ BAD_LINES = {
     "dataset-bool-seconds": ("dataset", lambda o: _put(
         o[1], ["steps", 0, "gt_action"], {"kind": "wait", "seconds": True})),
     "dataset-string-revisits": ("dataset", lambda o: {**o[1], "allows_revisits": "false"}),
+    # dataset values are checked, not coerced
+    "dataset-float-index": ("dataset", lambda o: _put(o[1], ["steps", 0, "index"], 0.7)),
+    "dataset-float-dims": ("dataset", lambda o: _put(
+        o[1], ["steps", 0, "screen_dims"], [1080.9, 2400.9])),
+    "dataset-int-instruction": ("dataset", lambda o: {**o[1], "instruction": 5}),
+    "dataset-int-screen-ref": ("dataset", lambda o: _put(o[1], ["steps", 0, "screen_ref"], 5)),
+    "dataset-list-reference-effect": ("dataset", lambda o: _put(
+        o[1], ["steps", 0, "reference_effect"], ["x"])),
+    "dataset-int-terminal-screen-ref": ("dataset", lambda o: {**o[1], "terminal_screen_ref": 7}),
+    "dataset-string-box-component": ("dataset", lambda o: _put(
+        o[1], ["steps", 0, "gt_bbox"], ["0.1", 0.1, 0.5, 0.5])),
+    "samples-float-dims": ("samples", lambda o: _put(o[1], ["screen_dims"], [1080.9, 2400.9])),
     "samples-int-text": (
         "samples", lambda o: _put(o[1], ["target_action"], {"kind": "input_text", "text": 5}),
     ),
@@ -564,14 +597,14 @@ def test_ungroundable_coordinate_never_matches_grounds_or_repeats(tmp_path, caps
         failure_case_to_json(FailureCase(
             source=("t", 0), instruction="Open the panel.", screen_ref="s0",
             history=(HistoryEntry(wrong, effect, Verification.SUCCESS),),
-            gt_recovery=recovery, erroneous=wrong, mode=FailureMode.COORDINATE_OFFSET,
+            gt_recovery=recovery, mode=FailureMode.COORDINATE_OFFSET,
         ))
         for recovery, wrong in ((target, _click(0.2, 0.2)), (_click(0.2, 0.5), _click(1.0, 0.5)))
     ))
     samples, outputs = tmp_path / "samples.jsonl", tmp_path / "outputs.jsonl"
     write_records(samples, [sample_to_json(SyntheticSample(
         sample_type=SampleType.TYPE_A, instruction="Open the panel.", input_screen_ref="s0",
-        history=(), target_verification=Verification.SUCCESS, target_action=target,
+        history=(), target_action=target,
         target_effect=effect,
     ))])
     write_records(outputs, [{"raw": turn}])

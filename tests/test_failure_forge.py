@@ -319,7 +319,6 @@ def test_case_invariant_enforced():
             screen_ref="s",
             history=(),
             gt_recovery=CLICK,
-            erroneous=CLICK,
             mode=FailureMode.NULL_CLICK,
         )
 
@@ -332,6 +331,28 @@ def test_sample_and_case_json_round_trip():
     cases = build_robustness_bench(trajs, per_traj=2, seed=5)
     for c in cases:
         assert failure_case_from_json(failure_case_to_json(c)) == c
+
+
+@pytest.mark.parametrize("sample_type, written, message", [
+    (SampleType.TYPE_A, "NO_CHANGE", "type A => SUCCESS"),
+    (SampleType.TYPE_B, "SUCCESS", "type B => NO_CHANGE"),
+])
+def test_sample_line_target_must_be_the_one_its_type_gives(sample_type, written, message):
+    samples = build_sft_dataset(make_dataset(3, (2, 4), seed=11), ratio_b=0.4, seed=5)
+    obj = sample_to_json(next(s for s in samples if s.sample_type is sample_type))
+    obj["target_verification"] = written
+    with pytest.raises(DataError, match=rf"^sample: invalid target_verification \({message}\)$"):
+        sample_from_json(obj)
+
+
+def test_case_line_erroneous_must_be_its_last_history_action():
+    (case,) = build_robustness_bench(make_dataset(1, (2, 4), seed=11), per_traj=1, seed=5)
+    obj = failure_case_to_json(case)
+    obj["erroneous"] = obj["gt_recovery"]
+    with pytest.raises(
+        DataError, match=r"^failure_case: invalid history \(last entry must be erroneous\)$"
+    ):
+        failure_case_from_json(obj)
 
 
 PIXEL_CLICK = {"kind": "click", "coordinate": [317, 1190]}

@@ -21,7 +21,6 @@ from tvae_harness.metric_suite import (
 )
 from tvae_harness.sim_engine import AttemptLog, CaseResult, Outcome, SimTrace
 from tvae_harness.trajectory_store import ActionKind, ActionRecord, ScrollDirection
-from tvae_harness.tvae_codec import Verification
 
 from conftest import make_click_step, random_valid_action
 
@@ -95,37 +94,19 @@ def _trace(matched_flags: list[bool], t_gt: int, traj_id="t") -> SimTrace:
     """Build a trace from attempt outcomes under the idempotent rule."""
     attempts = []
     cursor = 0
-    for i, ok in enumerate(matched_flags):
+    for ok in matched_flags:
         attempts.append(
             AttemptLog(
-                attempt=i,
-                gt_step=cursor,
                 issued=None if not ok else ActionRecord(kind=ActionKind.NAVIGATE_BACK),
                 matched=ok,
                 predicted_verification=None,
-                target_verification=Verification.SUCCESS,
             )
         )
         if ok:
             cursor += 1
         if cursor == t_gt:
             break
-    if cursor == t_gt:
-        outcome = (
-            Outcome.COMPLETED_FIRST_TRY
-            if len(attempts) == t_gt and all(a.matched for a in attempts)
-            else Outcome.COMPLETED_WITH_RECOVERY
-        )
-    else:
-        outcome = Outcome.BUDGET_EXHAUSTED
-    return SimTrace(
-        trajectory_id=traj_id,
-        attempts=tuple(attempts),
-        outcome=outcome,
-        steps_used=len(attempts),
-        t_gt=t_gt,
-        final_cursor=cursor,
-    )
+    return SimTrace(traj_id, t_gt, tuple(attempts))
 
 
 def test_oracle_trace_metrics():
@@ -194,23 +175,15 @@ def test_enumeration_oracle_matches_task_metrics():
             pool = _enumerate_signatures(t_gt)
             sampled = pool[:: max(1, len(pool) // 8)]  # keep combos tractable
             for combo in itertools.product(sampled, repeat=combo_size):
-                traces = [
-                    SimTrace(
-                        trajectory_id=f"t{i}",
-                        attempts=tr.attempts,
-                        outcome=tr.outcome,
-                        steps_used=tr.steps_used,
-                        t_gt=tr.t_gt,
-                        final_cursor=tr.final_cursor,
-                    )
-                    for i, tr in enumerate(combo)
-                ]
+                traces = [SimTrace(f"t{i}", tr.t_gt, tr.attempts) for i, tr in enumerate(combo)]
                 m = task_metrics(traces)
                 n = len(traces)
-                # independent recomputation from first principles
+                # independent recomputation from first principles: the match
+                # flags, not the trace's derived properties
+                matches = lambda tr: sum(a.matched for a in tr.attempts)
                 tsr = sum(
                     1 for tr in traces
-                    if tr.final_cursor == tr.t_gt and tr.steps_used == tr.t_gt
+                    if matches(tr) == tr.t_gt and len(tr.attempts) == tr.t_gt
                 ) / n
                 pg_terms = []
                 for tr in traces:
@@ -221,10 +194,10 @@ def test_enumeration_oracle_matches_task_metrics():
                         prefix += 1
                     pg_terms.append(prefix / tr.t_gt)
                 pg = sum(pg_terms) / n
-                done = [tr for tr in traces if tr.final_cursor == tr.t_gt]
+                done = [tr for tr in traces if matches(tr) == tr.t_gt]
                 sim_tsr = len(done) / n
                 aso = (
-                    sum(tr.steps_used - tr.t_gt for tr in done) / len(done)
+                    sum(len(tr.attempts) - tr.t_gt for tr in done) / len(done)
                     if done
                     else math.inf
                 )

@@ -169,7 +169,6 @@ def _sample(action: ActionRecord, effect: str, target=Verification.SUCCESS) -> S
         instruction="Do the task.",
         input_screen_ref="s0",
         history=history,
-        target_verification=target,
         target_action=action,
         target_effect=effect,
     )
@@ -227,7 +226,6 @@ def test_composite_pixel_output_normalized_via_sample_dims():
         instruction="i",
         input_screen_ref="s",
         history=(),
-        target_verification=Verification.SUCCESS,
         target_action=gt,
         target_effect="The bus list appears.",
         screen_dims=(1080, 2400),
@@ -250,7 +248,6 @@ def test_composite_worked_success_turn_against_own_sample():
         instruction="Open CityMapper and get bus directions.",
         input_screen_ref="s5",
         history=(),
-        target_verification=Verification.SUCCESS,
         target_action=click(0.293519, 0.495833),
         target_effect="A list of bus directions from Eastwood to Chatswood will appear.",
         screen_dims=(1080, 2400),
@@ -298,7 +295,6 @@ def _sample_any(action: ActionRecord, target: Verification) -> SyntheticSample:
         instruction="Do it.",
         input_screen_ref="s0",
         history=history,
-        target_verification=target,
         target_action=action,
         target_effect="The expected panel appears.",
     )

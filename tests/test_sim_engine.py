@@ -102,9 +102,9 @@ def test_oracle_completes_first_try():
     assert trace.outcome is Outcome.COMPLETED_FIRST_TRY
     assert trace.steps_used == 5 and trace.t_gt == 5
     assert all(a.matched for a in trace.attempts)
-    assert all(
-        a.predicted_verification == a.target_verification for a in trace.attempts
-    )
+    assert [a.predicted_verification for a in trace.attempts] == [
+        target for _, target in trace.attempt_targets()
+    ]
 
 
 def test_loopy_exhausts_budget_at_cursor_zero():
@@ -122,14 +122,14 @@ def test_failk1_recovers_at_exact_budget():
     assert trace.steps_used == 6 and trace.t_gt == 3
     assert trace.steps_used - trace.t_gt == 3
     # alternating verification targets after the first attempt
-    targets = [a.target_verification for a in trace.attempts]
+    targets = [target for _, target in trace.attempt_targets()]
     assert targets == [
         Verification.SUCCESS, Verification.NO_CHANGE,
         Verification.SUCCESS, Verification.NO_CHANGE,
         Verification.SUCCESS, Verification.NO_CHANGE,
     ]
     # FailK reports its own failures honestly
-    assert all(a.predicted_verification == a.target_verification for a in trace.attempts)
+    assert [a.predicted_verification for a in trace.attempts] == targets
 
 
 def test_offset_then_correct_behaves_like_failk1():
