@@ -39,7 +39,7 @@ from .failure_forge import (
     sample_to_json,
 )
 from .metric_suite import ReportFormat, emit_report, episode_report, robustness_metrics
-from .records import read_records, write_records
+from .records import json_value, read_records, write_records
 from .reward_engine import RewardConfig, score_output
 from .sim_engine import (
     SimConfig,
@@ -305,7 +305,7 @@ def cmd_score(args: argparse.Namespace) -> int:
                 raise DataError(f"--kl-estimator must be one of {choices}") from None
         grpo_cfg = _settings(grpo_core.GrpoConfig, args, _GRPO_READS)
     samples = read_records(args.samples, sample_from_json, "sample")
-    raws = read_records(args.outputs, lambda obj: str(obj["raw"]), "output")
+    raws = read_records(args.outputs, lambda obj: json_value(obj, "raw", str, "output"), "output")
     if len(samples) != len(raws):
         raise DataError(f"{len(samples)} samples vs {len(raws)} outputs")
     if not samples:
@@ -353,6 +353,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     }
     if objective is not None:
         manifest["group_logprobs"] = str(args.group_logprobs)
+        manifest["group_logprobs_sha256"] = _sha256(args.group_logprobs)
     _write_manifest(out_dir, manifest)
     print(f"score: {len(breakdowns)} outputs scored")
     return EXIT_OK

@@ -20,7 +20,8 @@ from enum import Enum
 from itertools import accumulate
 from typing import Any, Mapping, Sequence
 
-from .errors import DataError, ModeInapplicableError
+from .errors import DataError
+from .records import json_value
 from .reward_engine import DELTA, distance_to_bbox, euclidean, match_action
 from .seeding import stable_seed
 from .trajectory_store import (
@@ -30,6 +31,7 @@ from .trajectory_store import (
     TrajectoryRecord,
     action_from_json,
     action_to_json,
+    bbox_from_json,
     check_box_and_dims,
     describe_action,
     normalize_action,
@@ -120,19 +122,6 @@ def _pick_coordinate(rng: random.Random, accept, proposals) -> tuple[float, floa
     return None
 
 
-def _applicable(mode: FailureMode, gt: ActionRecord) -> bool:
-    spatial = gt.is_spatial()
-    if mode is FailureMode.COORDINATE_OFFSET:
-        return spatial
-    if mode is FailureMode.TARGET_MISIDENTIFICATION:
-        return spatial
-    if mode is FailureMode.ACTION_TYPE_ERROR:
-        return gt.kind in DEFAULT_RELATED_KINDS
-    if mode is FailureMode.TIMING_ERROR:
-        return gt.kind is not ActionKind.WAIT
-    return True  # null click applies everywhere the screen has a margin
-
-
 def corrupt_action(
     gt: ActionRecord,
     bbox: Bbox | None,
@@ -143,14 +132,12 @@ def corrupt_action(
     """Produce a plausible erroneous variant of `gt` under `mode`.
 
     The result is guaranteed to fail match_action against `gt` (with the
-    given bbox).  Raises ModeInapplicableError when the mode makes no
-    sense for the action kind, e.g. a coordinate offset of navigate_back.
+    given bbox).  Raises DataError when the mode makes no sense for the
+    action kind, e.g. a coordinate offset of navigate_back.
     """
-    if not _applicable(mode, gt):
-        raise ModeInapplicableError(mode.value, gt.kind.value)
     result = _corrupt(gt, bbox, mode, rng, known_bboxes)
-    if match_action(result, gt, bbox):
-        raise DataError(f"forge: invalid {mode.value} (corruption matched ground truth)")
+    if result is None:
+        raise DataError(f"failure mode {mode.value} not applicable to action kind {gt.kind.value}")
     return result
 
 
@@ -160,10 +147,13 @@ def _corrupt(
     mode: FailureMode,
     rng: random.Random,
     known_bboxes: Sequence[Bbox],
-) -> ActionRecord:
+) -> ActionRecord | None:
+    """The corruption of `gt` under `mode`, or None when the mode cannot
+    apply (with no draw from `rng` when the action kind rules it out)."""
     if mode is FailureMode.COORDINATE_OFFSET:
         center = gt.coordinate
-        assert center is not None
+        if center is None:
+            return None
 
         def propose(r: random.Random) -> tuple[float, float]:
             radius = r.uniform(0.05, 0.40)
@@ -171,13 +161,12 @@ def _corrupt(
             return (center[0] + radius * math.cos(angle), center[1] + radius * math.sin(angle))
 
         coord = _pick_coordinate(rng, lambda p: _region_distance(p, gt, bbox) > MARGIN, propose)
-        if coord is None:
-            raise ModeInapplicableError(mode.value, gt.kind.value)
-        return ActionRecord(kind=gt.kind, coordinate=coord)
+        result = None if coord is None else ActionRecord(kind=gt.kind, coordinate=coord)
 
-    if mode is FailureMode.TARGET_MISIDENTIFICATION:
+    elif mode is FailureMode.TARGET_MISIDENTIFICATION:
         center = gt.coordinate
-        assert center is not None
+        if center is None:
+            return None
 
         def propose_far(r: random.Random) -> tuple[float, float]:
             return (r.uniform(0.03, 0.97), r.uniform(0.03, 0.97))
@@ -189,11 +178,11 @@ def _corrupt(
             ),
             propose_far,
         )
-        if coord is None:
-            raise ModeInapplicableError(mode.value, gt.kind.value)
-        return ActionRecord(kind=gt.kind, coordinate=coord)
+        result = None if coord is None else ActionRecord(kind=gt.kind, coordinate=coord)
 
-    if mode is FailureMode.ACTION_TYPE_ERROR:
+    elif mode is FailureMode.ACTION_TYPE_ERROR:
+        if gt.kind not in DEFAULT_RELATED_KINDS:
+            return None
         # Every related kind is a click or a long press.
         if gt.coordinate is not None:
             coord = (round_coord(gt.coordinate[0]), round_coord(gt.coordinate[1]))
@@ -201,38 +190,43 @@ def _corrupt(
             coord = (round_coord((bbox[0] + bbox[2]) / 2), round_coord((bbox[1] + bbox[3]) / 2))
         else:
             coord = (round_coord(rng.uniform(0.2, 0.8)), round_coord(rng.uniform(0.2, 0.8)))
-        return ActionRecord(kind=DEFAULT_RELATED_KINDS[gt.kind], coordinate=coord)
+        result = ActionRecord(kind=DEFAULT_RELATED_KINDS[gt.kind], coordinate=coord)
 
-    if mode is FailureMode.TIMING_ERROR:
-        return ActionRecord(kind=ActionKind.WAIT, seconds=rng.choice(WAIT_CHOICES))
+    elif mode is FailureMode.TIMING_ERROR:
+        if gt.kind is ActionKind.WAIT:
+            return None
+        result = ActionRecord(kind=ActionKind.WAIT, seconds=rng.choice(WAIT_CHOICES))
 
-    # Null click: dead margin frame of the screen, outside every known box.
-    boxes = list(known_bboxes)
-    if bbox is not None and bbox not in boxes:
-        boxes.append(bbox)
-    def propose_margin(r: random.Random) -> tuple[float, float]:
-        side = r.randrange(4)
-        along = r.uniform(0.0, 1.0)
-        across = r.uniform(0.0, FRAME)
-        if side == 0:
-            return (along, across)
-        if side == 1:
-            return (along, 1.0 - across)
-        if side == 2:
-            return (across, along)
-        return (1.0 - across, along)
+    else:  # null click: dead margin frame of the screen, outside every known box
+        boxes = list(known_bboxes)
+        if bbox is not None and bbox not in boxes:
+            boxes.append(bbox)
 
-    def accept_margin(p: tuple[float, float]) -> bool:
-        if any(distance_to_bbox(p, b) <= 0.0 for b in boxes):
-            return False
-        if gt.is_spatial() and _region_distance(p, gt, bbox) <= MARGIN:
-            return False
-        return True
+        def propose_margin(r: random.Random) -> tuple[float, float]:
+            side = r.randrange(4)
+            along = r.uniform(0.0, 1.0)
+            across = r.uniform(0.0, FRAME)
+            if side == 0:
+                return (along, across)
+            if side == 1:
+                return (along, 1.0 - across)
+            if side == 2:
+                return (across, along)
+            return (1.0 - across, along)
 
-    coord = _pick_coordinate(rng, accept_margin, propose_margin)
-    if coord is None:
-        raise ModeInapplicableError(mode.value, gt.kind.value)
-    return ActionRecord(kind=ActionKind.CLICK, coordinate=coord)
+        def accept_margin(p: tuple[float, float]) -> bool:
+            if any(distance_to_bbox(p, b) <= 0.0 for b in boxes):
+                return False
+            if gt.is_spatial() and _region_distance(p, gt, bbox) <= MARGIN:
+                return False
+            return True
+
+        coord = _pick_coordinate(rng, accept_margin, propose_margin)
+        result = None if coord is None else ActionRecord(kind=ActionKind.CLICK, coordinate=coord)
+
+    if result is not None and match_action(result, gt, bbox):
+        raise DataError(f"forge: invalid {mode.value} (corruption matched ground truth)")
+    return result
 
 
 def sample_corruption(
@@ -246,14 +240,10 @@ def sample_corruption(
     action distributions."""
     for _ in range(_MAX_REDRAWS):
         mode = _draw_mode(rng)
-        # corrupt_action would raise before touching rng; skip the raise.
-        if not _applicable(mode, gt):
-            continue
-        try:
-            return mode, corrupt_action(gt, bbox, mode, rng, known_bboxes)
-        except ModeInapplicableError:
-            continue
-    raise ModeInapplicableError("any", gt.kind.value)
+        result = _corrupt(gt, bbox, mode, rng, known_bboxes)
+        if result is not None:
+            return mode, result
+    raise DataError(f"failure mode any not applicable to action kind {gt.kind.value}")
 
 
 # -- sample and benchmark construction ----------------------------------------
@@ -468,15 +458,16 @@ def sample_from_json(obj: Mapping[str, Any]) -> SyntheticSample:
     `screen_dims` (without them a pixel coordinate is a bad line), and its
     `target_verification` must be the one its `sample_type` gives."""
     dims = screen_dims_from_json(obj, "sample")
+    history = json_value(obj, "history", list, "sample")
     sample = SyntheticSample(
         sample_type=SampleType(obj["sample_type"]),
-        instruction=str(obj["instruction"]),
-        input_screen_ref=str(obj["input_screen_ref"]),
-        history=tuple(history_entry_from_json(h, dims) for h in obj["history"]),
+        instruction=json_value(obj, "instruction", str, "sample"),
+        input_screen_ref=json_value(obj, "input_screen_ref", str, "sample"),
+        history=tuple(history_entry_from_json(h, dims) for h in history),
         target_action=normalize_action(action_from_json(obj["target_action"]), dims),
-        target_effect=str(obj["target_effect"]),
-        failure_mode=FailureMode(obj["failure_mode"]) if obj.get("failure_mode") else None,
-        target_bbox=tuple(obj["target_bbox"]) if obj.get("target_bbox") is not None else None,
+        target_effect=json_value(obj, "target_effect", str, "sample"),
+        failure_mode=FailureMode(obj["failure_mode"]) if "failure_mode" in obj else None,
+        target_bbox=bbox_from_json(obj, "target_bbox", dims, "sample"),
         screen_dims=dims,
     )
     target = sample.target_verification
@@ -507,14 +498,18 @@ def failure_case_from_json(obj: Mapping[str, Any]) -> FailureCase:
     """A case line; pixel coordinates as in `sample_from_json`, and its
     `erroneous` must be the action of its last history entry."""
     dims = screen_dims_from_json(obj, "failure_case")
+    traj_id, step = source = json_value(obj, "source", list, "failure_case")
+    if type(traj_id) is not str or type(step) is not int or step < 0:
+        raise DataError(f"failure_case: invalid source (must be [id, index], got {source!r})")
+    history = json_value(obj, "history", list, "failure_case")
     case = FailureCase(
-        source=(str(obj["source"][0]), int(obj["source"][1])),
-        instruction=str(obj["instruction"]),
-        screen_ref=str(obj["screen_ref"]),
-        history=tuple(history_entry_from_json(h, dims) for h in obj["history"]),
+        source=(traj_id, step),
+        instruction=json_value(obj, "instruction", str, "failure_case"),
+        screen_ref=json_value(obj, "screen_ref", str, "failure_case"),
+        history=tuple(history_entry_from_json(h, dims) for h in history),
         gt_recovery=normalize_action(action_from_json(obj["gt_recovery"]), dims),
         mode=FailureMode(obj["mode"]),
-        gt_bbox=tuple(obj["gt_bbox"]) if obj.get("gt_bbox") is not None else None,
+        gt_bbox=bbox_from_json(obj, "gt_bbox", dims, "failure_case"),
         screen_dims=dims,
     )
     if normalize_action(action_from_json(obj["erroneous"]), dims) != case.erroneous:

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import DataError
-from .records import read_records
+from .records import json_value, number, read_records
 
 
 class KlEstimator(str, Enum):
@@ -210,23 +210,36 @@ def objective_report(batch: GroupBatch, cfg: GrpoConfig | None = None) -> dict[s
 
 
 def group_output_from_json(obj: Mapping[str, Any], reward: float | None = None) -> GroupOutput:
+    """One output of a group line; its reward and log-probs are finite JSON
+    numbers, and an output without a "reward" takes `reward`."""
     r = obj.get("reward", reward)
     if r is None:
         raise DataError("group_output: invalid reward (missing and no fallback)")
     return GroupOutput(
-        reward=float(r),
-        logprobs_new=tuple(float(v) for v in obj["logprobs_new"]),
-        logprobs_old=tuple(float(v) for v in obj["logprobs_old"]),
-        logprobs_ref=tuple(float(v) for v in obj["logprobs_ref"]),
-        dist_new=_dist_from_json(obj.get("dist_new")),
-        dist_ref=_dist_from_json(obj.get("dist_ref")),
+        reward=_finite([r], "reward")[0],
+        logprobs_new=_finite_list(obj, "logprobs_new"),
+        logprobs_old=_finite_list(obj, "logprobs_old"),
+        logprobs_ref=_finite_list(obj, "logprobs_ref"),
+        dist_new=_dist_from_json(obj, "dist_new"),
+        dist_ref=_dist_from_json(obj, "dist_ref"),
     )
 
 
-def _dist_from_json(raw: Any) -> tuple[tuple[float, ...], ...] | None:
-    if raw is None:
+def _finite(raw: list[Any], key: str) -> tuple[float, ...]:
+    floats = tuple(map(number, raw))
+    if None in floats or not all(map(math.isfinite, floats)):
+        raise DataError(f"group_output: invalid {key} (must be finite JSON numbers, got {raw!r})")
+    return floats
+
+
+def _finite_list(obj: Mapping[str, Any], key: str) -> tuple[float, ...]:
+    return _finite(json_value(obj, key, list, "group_output"), key)
+
+
+def _dist_from_json(obj: Mapping[str, Any], key: str) -> tuple[tuple[float, ...], ...] | None:
+    if obj.get(key) is None:
         return None
-    return tuple(tuple(float(v) for v in row) for row in raw)
+    return tuple(_finite(row, key) for row in json_value(obj, key, list, "group_output"))
 
 
 def read_group_batches(path: str | Path, rewards: Iterable[float] = ()) -> list[GroupBatch]:

@@ -1,6 +1,8 @@
 """The one reader and writer of JSONL record files: one JSON object per
 line, blank lines ignored, and any other bad line a `DataError` that names
-it (so a bad input file exits 1, never 3)."""
+it (so a bad input file exits 1, never 3).  It also decides each record
+value's JSON type: a value is checked, never coerced (a boolean is not an
+integer or a number, and a number is not a string)."""
 
 from __future__ import annotations
 
@@ -11,8 +13,35 @@ from typing import Any, Callable, Iterable, Mapping
 from .errors import DataError
 
 # What a record parser raises on a wrongly shaped JSON object (OverflowError:
-# a number beyond the float range, or an infinite one where an int is wanted).
+# a number beyond the float range).
 PARSE_ERRORS = (KeyError, ValueError, TypeError, IndexError, AttributeError, OverflowError)
+_NAMES = {str: "string", int: "integer", bool: "boolean", list: "list"}
+
+
+def json_value(obj: Mapping[str, Any], key: str, kind: type, subject: str) -> Any:
+    """`obj[key]` when its type is exactly `kind`, else a `DataError`."""
+    value = obj[key]
+    if type(value) is not kind:
+        raise DataError(f"{subject}: invalid {key} (must be a JSON {_NAMES[kind]}, got {value!r})")
+    return value
+
+
+def number(raw: Any) -> float | None:
+    """`raw` as a float if it is a JSON number within the float range, else
+    None.  A non-finite float passes: a reader that needs a finite one checks."""
+    if type(raw) not in (int, float):  # a JSON boolean is not a number
+        return None
+    try:
+        return float(raw)
+    except OverflowError:  # an integer beyond the float range
+        return None
+
+
+def coordinate_pair(raw: Any) -> tuple[float, float] | None:
+    """`raw` as an (x, y) if it is a list of two `number`s, else None."""
+    ok = isinstance(raw, (list, tuple)) and len(raw) == 2
+    x, y = (number(raw[0]), number(raw[1])) if ok else (None, None)
+    return (x, y) if x is not None and y is not None else None
 
 
 def read_records(

@@ -25,6 +25,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 from .agent_bus import AgentHandle, Observation
 from .errors import DataError
 from .failure_forge import FailureCase
+from .records import json_value
 from .reward_engine import actions_approx_equal, ground, match_action
 from .seeding import stable_seed
 from .trajectory_store import (
@@ -364,24 +365,21 @@ def trace_from_json(obj: Mapping[str, Any]) -> SimTrace:
     [max(1, final_cursor), steps_used] (an episode ends once `t_gt` attempts
     matched, and its budget is at least `t_gt`).  Every derived key must then
     equal, with its JSON type, the one `trace_to_json` writes."""
-    tid = str(obj["trajectory_id"])
+    tid = json_value(obj, "trajectory_id", str, "trace")
     attempts: list[AttemptLog] = []
     for a in obj["attempts"]:
-        matched, warnings = a["matched"], a.get("parse_warnings", [])
-        predicted = a.get("predicted_verification")
-        if not isinstance(matched, bool):
-            raise DataError(f"{tid}: invalid matched (must be a JSON boolean)")
+        warnings, predicted = a.get("parse_warnings", []), a.get("predicted_verification")
         if not isinstance(warnings, list) or not all(isinstance(w, str) for w in warnings):
             raise DataError(f"{tid}: invalid parse_warnings (must be a JSON list of strings)")
         attempts.append(
             AttemptLog(
                 issued=_issued_from_json(a.get("issued")),
-                matched=matched,
+                matched=json_value(a, "matched", bool, tid),
                 predicted_verification=Verification(predicted) if predicted is not None else None,
                 parse_warnings=tuple(warnings),
             )
         )
-    trace = SimTrace(trajectory_id=tid, t_gt=int(obj["t_gt"]), attempts=tuple(attempts))
+    trace = SimTrace(tid, json_value(obj, "t_gt", int, tid), tuple(attempts))
     if not max(1, trace.final_cursor) <= trace.t_gt <= trace.steps_used:
         raise DataError(f"{tid}: invalid t_gt (must be in [max(1, final_cursor), steps_used])")
     derived = trace_to_json(trace)

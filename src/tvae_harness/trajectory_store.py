@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import DataError
-from .records import read_records, write_records
+from .records import coordinate_pair, json_value, number, read_records, write_records
 
 COORD_DECIMALS = 6
 
@@ -215,24 +215,6 @@ def action_to_json(action: ActionRecord) -> dict[str, Any]:
 _ACTION_FIELDS = {"kind", "coordinate", "direction", "text", "seconds"}
 
 
-def _number(raw: Any) -> float | None:
-    """`raw` as a float if it is a JSON number within the float range, else
-    None.  It and `_coordinate_pair` also serve the turn parser (`tvae_codec`)."""
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        return None
-    try:
-        return float(raw)
-    except OverflowError:  # an integer beyond the float range
-        return None
-
-
-def _coordinate_pair(raw: Any) -> tuple[float, float] | None:
-    """`raw` as an (x, y) if it is a list of two `_number`s, else None."""
-    ok = isinstance(raw, (list, tuple)) and len(raw) == 2
-    x, y = (_number(raw[0]), _number(raw[1])) if ok else (None, None)
-    return (x, y) if x is not None and y is not None else None
-
-
 def action_from_json(obj: Mapping[str, Any]) -> ActionRecord:
     """A dataset-form action; its values obey the turn parser's rules."""
     if not isinstance(obj, Mapping):
@@ -245,13 +227,12 @@ def action_from_json(obj: Mapping[str, Any]) -> ActionRecord:
     except (KeyError, ValueError) as exc:
         raise DataError(f"action: invalid kind ({exc})") from exc
     coord, direction = obj.get("coordinate"), obj.get("direction")
-    text, raw_seconds = obj.get("text"), obj.get("seconds")
-    if text is not None and not isinstance(text, str):
-        raise DataError(f"action: invalid text (must be a string, got {text!r})")
-    coordinate = _coordinate_pair(coord)
+    text = json_value(obj, "text", str, "action") if obj.get("text") is not None else None
+    raw_seconds = obj.get("seconds")
+    coordinate = coordinate_pair(coord)
     if coord is not None and coordinate is None:
         raise DataError(f"action: invalid coordinate (must be [x, y] numbers, got {coord!r})")
-    seconds = _number(raw_seconds)
+    seconds = number(raw_seconds)
     if raw_seconds is not None and seconds is None:
         raise DataError(f"action: invalid seconds (must be a number, got {raw_seconds!r})")
     return ActionRecord(
@@ -286,17 +267,22 @@ def trajectory_to_json(traj: TrajectoryRecord) -> dict[str, Any]:
     return out
 
 
-def _normalize_bbox(
-    raw: list[float], dims: tuple[int, int] | None, subject: str
-) -> tuple[float, float, float, float]:
+def bbox_from_json(
+    obj: Mapping[str, Any], key: str, dims: tuple[int, int] | None, subject: str
+) -> tuple[float, float, float, float] | None:
+    """The box at `key` of a step, sample or case line, or None: four JSON
+    numbers, a pixel box (a component > 1.0) scaled by `dims`, 6 decimals."""
+    if obj.get(key) is None:
+        return None
+    raw = json_value(obj, key, list, subject)
     if len(raw) != 4:
-        raise DataError(f"{subject}: invalid gt_bbox (must have 4 components)")
-    vals = [_number(v) for v in raw]
+        raise DataError(f"{subject}: invalid {key} (must have 4 components)")
+    vals = [number(v) for v in raw]
     if None in vals:
-        raise DataError(f"{subject}: invalid gt_bbox (must be 4 numbers, got {raw!r})")
+        raise DataError(f"{subject}: invalid {key} (must be 4 numbers, got {raw!r})")
     if any(v > 1.0 for v in vals):
         if dims is None:
-            raise DataError(f"{subject}: absolute gt_bbox without screen_dims")
+            raise DataError(f"{subject}: absolute {key} without screen_dims")
         w, h = dims
         vals = [vals[0] / w, vals[1] / h, vals[2] / w, vals[3] / h]
     return (round_coord(vals[0]), round_coord(vals[1]), round_coord(vals[2]), round_coord(vals[3]))
@@ -308,36 +294,24 @@ def screen_dims_from_json(obj: Mapping[str, Any], subject: str) -> tuple[int, in
     raw = obj.get("screen_dims")
     if raw is not None and not (isinstance(raw, list) and all(type(v) is int for v in raw)):
         raise DataError(f"{subject}: invalid screen_dims (must be JSON integers, got {raw!r})")
-    dims = tuple(raw) if raw is not None else None
-    check_box_and_dims(subject, "screen_dims", None, dims)  # before dims scale a pixel value
-    return dims
-
-
-def _string(obj: Mapping[str, Any], key: str, subject: str) -> str:
-    value = obj[key]
-    if not isinstance(value, str):
-        raise DataError(f"{subject}: invalid {key} (must be a JSON string, got {value!r})")
-    return value
+    check_box_and_dims(subject, "screen_dims", None, raw)  # before dims scale a pixel value
+    return None if raw is None else (raw[0], raw[1])
 
 
 def _step_from_json(obj: Mapping[str, Any], traj_id: str) -> StepRecord:
     for key in ("index", "screen_ref", "gt_action", "reference_effect"):
         if key not in obj:
             raise DataError(f"{traj_id}: invalid {key} (missing step field)")
-    if type(obj["index"]) is not int:
-        raise DataError(f"{traj_id}: invalid index (must be a JSON integer, got {obj['index']!r})")
-    subject = f"{traj_id}[{obj['index']}]"
+    index = json_value(obj, "index", int, traj_id)
+    subject = f"{traj_id}[{index}]"
     dims = screen_dims_from_json(obj, subject)
-    action = normalize_action(action_from_json(obj["gt_action"]), dims)
-    bbox_raw = obj.get("gt_bbox")
-    bbox = _normalize_bbox(bbox_raw, dims, subject) if bbox_raw is not None else None
     return StepRecord(
-        index=obj["index"],
-        screen_ref=_string(obj, "screen_ref", subject),
-        gt_action=action,
-        reference_effect=_string(obj, "reference_effect", subject),
+        index=index,
+        screen_ref=json_value(obj, "screen_ref", str, subject),
+        gt_action=normalize_action(action_from_json(obj["gt_action"]), dims),
+        reference_effect=json_value(obj, "reference_effect", str, subject),
         screen_dims=dims,
-        gt_bbox=bbox,
+        gt_bbox=bbox_from_json(obj, "gt_bbox", dims, subject),
     )
 
 
@@ -345,16 +319,13 @@ def trajectory_from_json(obj: Mapping[str, Any]) -> TrajectoryRecord:
     for key in ("id", "instruction", "terminal_screen_ref", "steps"):
         if key not in obj:
             raise DataError(f"{obj.get('id', '?')}: invalid {key} (missing field)")
-    traj_id = str(obj["id"])
-    revisits = obj.get("allows_revisits", False)
-    if not isinstance(revisits, bool):
-        raise DataError(f"{traj_id}: invalid allows_revisits (must be a JSON boolean)")
-    steps = tuple(_step_from_json(s, traj_id) for s in obj["steps"])
+    traj_id = json_value(obj, "id", str, "trajectory")
+    revisits = "allows_revisits" in obj and json_value(obj, "allows_revisits", bool, traj_id)
     return TrajectoryRecord(
         id=traj_id,
-        instruction=_string(obj, "instruction", traj_id),
-        steps=steps,
-        terminal_screen_ref=_string(obj, "terminal_screen_ref", traj_id),
+        instruction=json_value(obj, "instruction", str, traj_id),
+        steps=tuple(_step_from_json(s, traj_id) for s in json_value(obj, "steps", list, traj_id)),
+        terminal_screen_ref=json_value(obj, "terminal_screen_ref", str, traj_id),
         allows_revisits=revisits,
     )
 

@@ -17,12 +17,11 @@ from functools import lru_cache
 from typing import Any
 
 from .errors import DataError
+from .records import coordinate_pair, json_value, number
 from .trajectory_store import (
     ActionKind,
     ActionRecord,
     ScrollDirection,
-    _coordinate_pair,
-    _number,
     action_from_json,
     action_to_json,
     normalize_action,
@@ -170,7 +169,7 @@ def parse_action_json(body: str) -> ActionRecord:
     if kind is None:
         raise DataError(f"unknown action kind {str(token)!r}")
     if kind in (ActionKind.CLICK, ActionKind.LONG_PRESS):
-        coord = _coordinate_pair(raw := obj.get("coordinate"))
+        coord = coordinate_pair(raw := obj.get("coordinate"))
         if coord is None:
             raise DataError(f"malformed action JSON: coordinate must be [x, y], got {raw!r}")
         return ActionRecord(kind=kind, coordinate=coord)
@@ -189,7 +188,7 @@ def parse_action_json(body: str) -> ActionRecord:
         return ActionRecord(kind=kind, text=text)
     if kind is ActionKind.WAIT:
         raw = obj.get("time", obj.get("seconds"))
-        seconds = _number(raw)
+        seconds = number(raw)
         if seconds is None or seconds < 0:
             raise DataError(f"malformed action JSON: bad wait duration {raw!r}")
         return ActionRecord(kind=kind, seconds=seconds)
@@ -317,6 +316,6 @@ def history_entry_from_json(obj: dict[str, Any], dims: tuple[int, int] | None) -
     """An entry whose pixel coordinate is converted with `dims`."""
     return HistoryEntry(
         action=normalize_action(action_from_json(obj["action"]), dims),
-        expected_effect=str(obj["expected_effect"]),
+        expected_effect=json_value(obj, "expected_effect", str, "history"),
         verification=Verification(obj["verification"]),
     )

@@ -374,6 +374,12 @@ def _bad_group_after_blank_line(objs):
     return {"outputs": [5, 5]}
 
 
+def _infinite_reward(objs):
+    """Line 2 with its first reward written as the literal 1e400."""
+    objs[1]["outputs"][0]["reward"] = "REWARD"
+    return json.dumps(objs[1]).replace('"REWARD"', "1e400").encode()
+
+
 def _kind_changing_case(objs):
     """A case whose erroneous action is of another kind than its recovery, so
     that no match against the recovery reads its box."""
@@ -518,6 +524,32 @@ BAD_LINES = {
     "groups-non-object": ("groups", lambda o: [1]),
     "groups-non-object-output": ("groups", lambda o: {"outputs": [5, 5]}),
     "groups-after-blank-line": ("groups", _bad_group_after_blank_line),
+    # sample, case, trace, output and group values are checked, not coerced
+    "samples-int-instruction": ("samples", lambda o: {**o[1], "instruction": 5}),
+    "samples-list-target-effect": ("samples", lambda o: {**o[1], "target_effect": ["x"]}),
+    "samples-false-failure-mode": ("samples", lambda o: {**o[1], "failure_mode": False}),
+    "samples-int-history-effect": ("samples", lambda o: _put(
+        o[1], ["history", 0, "expected_effect"], 5)),
+    "cases-int-source-id": ("cases", lambda o: {**o[1], "source": [7, o[1]["source"][1]]}),
+    "cases-float-source-step": (
+        "cases", lambda o: {**o[1], "source": [o[1]["source"][0], o[1]["source"][1] + 0.5]},
+    ),
+    "cases-int-screen-ref": ("cases", lambda o: {**o[1], "screen_ref": 5}),
+    "cases-negative-source-step": ("cases", lambda o: {**o[1], "source": [o[1]["source"][0], -1]}),
+    "traces-float-t-gt": ("traces", lambda o: {**o[1], "t_gt": o[1]["t_gt"] + 0.9}),  # in range
+    "traces-int-trajectory-id": ("traces", lambda o: {**o[1], "trajectory_id": 12}),
+    "dataset-int-id": ("dataset", lambda o: {**o[1], "id": 12}),
+    "outputs-int-raw": ("outputs", lambda o: {"raw": 5}),
+    "outputs-list-raw": ("outputs", lambda o: {"raw": ["x"]}),
+    # group rewards and log-probs are finite JSON numbers
+    "groups-string-reward": ("groups", lambda o: _put(o[1], ["outputs", 0, "reward"], "1.5")),
+    "groups-bool-logprob": (
+        "groups", lambda o: _put(o[1], ["outputs", 0, "logprobs_new"], [False]),
+    ),
+    "groups-nan-logprob": (
+        "groups", lambda o: _put(o[1], ["outputs", 0, "logprobs_old"], [float("nan")]),
+    ),
+    "groups-infinite-reward": ("groups", _infinite_reward),
 }
 
 
@@ -699,6 +731,14 @@ def test_non_finite_score_weight_is_data_error(dataset, tmp_path, capsys, flags,
     assert main([*argv, *flags, *config]) == EXIT_DATA
     assert "data error: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_score_manifest_records_group_logprobs_digest(dataset, tmp_path):
+    groups, argv = _record_inputs("groups", tmp_path, dataset)
+    assert main(argv) == EXIT_OK
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["group_logprobs"] == str(groups)
+    assert manifest["group_logprobs_sha256"] == hashlib.sha256(groups.read_bytes()).hexdigest()
 
 
 def test_config_enum_values_are_parsed(dataset, tmp_path):

@@ -71,6 +71,4 @@ def test_errors_module_defines_the_only_exception_classes():
             for base in node.bases
         )
     }
-    assert defined == {
-        ("errors", "DataError"), ("errors", "AgentError"), ("errors", "ModeInapplicableError"),
-    }
+    assert defined == {("errors", "DataError"), ("errors", "AgentError")}

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from tvae_harness.errors import DataError, ModeInapplicableError
+from tvae_harness.errors import DataError
 from tvae_harness.failure_forge import (
     DEFAULT_FAILURE_WEIGHTS,
     FRAME,
@@ -63,7 +63,7 @@ def test_action_type_error_swaps_click_to_long_press(rng: random.Random):
 
 def test_coordinate_offset_inapplicable_to_navigate_back(rng: random.Random):
     back = ActionRecord(kind=ActionKind.NAVIGATE_BACK)
-    with pytest.raises(ModeInapplicableError):
+    with pytest.raises(DataError, match="not applicable"):
         corrupt_action(back, None, FailureMode.COORDINATE_OFFSET, rng)
     # the sampling wrapper redraws instead of failing
     mode, bad = sample_corruption(back, None, rng)
@@ -77,7 +77,7 @@ def test_timing_error_emits_wait(rng: random.Random):
 
 def test_timing_error_inapplicable_to_wait(rng: random.Random):
     wait = ActionRecord(kind=ActionKind.WAIT, seconds=2.0)
-    with pytest.raises(ModeInapplicableError):
+    with pytest.raises(DataError, match="not applicable"):
         corrupt_action(wait, None, FailureMode.TIMING_ERROR, rng)
 
 
@@ -170,7 +170,7 @@ def test_weights_must_sum_to_one():
 
 def test_sample_corruption_draws_match_raise_and_redraw_loop():
     """Skipping inapplicable modes up front consumes the rng exactly like
-    calling corrupt_action and redrawing on ModeInapplicableError."""
+    calling corrupt_action and redrawing on its DataError."""
     modes = list(FailureMode)
     weights = [DEFAULT_FAILURE_WEIGHTS[m] for m in modes]
 
@@ -179,8 +179,9 @@ def test_sample_corruption_draws_match_raise_and_redraw_loop():
             mode = rng.choices(modes, weights=weights, k=1)[0]
             try:
                 return mode, corrupt_action(gt, bbox, mode, rng)
-            except ModeInapplicableError:
-                continue
+            except DataError as e:
+                if "not applicable" not in str(e):
+                    raise
 
     gts = [
         (CLICK, BBOX),

@@ -17,6 +17,7 @@ from tvae_harness.grpo_core import (
     KlEstimator,
     exact_kl,
     group_advantages,
+    group_output_from_json,
     objective_report,
 )
 
@@ -95,6 +96,18 @@ def test_ratios_identity_and_exp():
 def test_logprob_length_mismatch():
     with pytest.raises(DataError, match="^log-prob lengths differ"):
         GroupOutput(reward=0.0, logprobs_new=(-0.1,), logprobs_old=(-0.1, -0.2), logprobs_ref=(-0.1,))
+
+
+def test_group_output_reader_converts_exactly_and_refuses_non_numbers():
+    # integers become floats, finite values whose sum overflows are kept, and
+    # a value `records.number` refuses is a DataError naming its key
+    obj = {"logprobs_new": [-1, -0.5], "logprobs_old": [-1e308, -1e308], "logprobs_ref": [-1.0, 0]}
+    out = group_output_from_json(obj, 2)
+    assert (out.reward, out.logprobs_new, out.logprobs_old) == (2.0, (-1.0, -0.5), (-1e308, -1e308))
+    assert out.logprobs_ref == (-1.0, 0.0) and all(type(v) is float for v in out.logprobs_ref)
+    for value in (True, "-0.5", None, -(10**400)):
+        with pytest.raises(DataError, match=r"^group_output: invalid logprobs_ref \("):
+            group_output_from_json({**obj, "logprobs_ref": [-1.0, value]}, 2)
 
 
 def test_positive_logprobs_rejected():
