@@ -19,7 +19,7 @@ from urllib.parse import urlsplit
 
 from .errors import AgentError, DataError
 from .failure_forge import FailureMode, corrupt_action, mismatched_effect, sample_corruption
-from .trajectory_store import ActionRecord, StepRecord, describe_action
+from .trajectory_store import DIRECTION_TOKENS, ActionRecord, StepRecord, describe_action
 from .tvae_codec import (
     HistoryEntry,
     ThinkSegment,
@@ -107,7 +107,8 @@ def _param_segment(action: ActionRecord) -> ThinkSegment | None:
         x, y = action.coordinate
         return ThinkSegment(ThinkTag.COORDINATE, f"Element position: ({x:g}, {y:g}).")
     if action.direction is not None:
-        return ThinkSegment(ThinkTag.DIRECTION, f"Scroll direction: {action.direction.value}.")
+        direction = DIRECTION_TOKENS[action.direction]
+        return ThinkSegment(ThinkTag.DIRECTION, f"Scroll direction: {direction}.")
     if action.text is not None:
         return ThinkSegment(ThinkTag.TEXT, f"The exact text needed is '{_clean(action.text)}'.")
     return None
@@ -491,51 +492,100 @@ class StdioAgent:
     """Subprocess agent: one JSON request line in, text until a sentinel line out.
 
     Output that is not UTF-8 is decoded with replacement characters, the
-    rule remote bodies follow, so it yields an unparseable turn.
+    rule remote bodies follow, so it yields an unparseable turn.  A turn,
+    from writing the request to reading the sentinel line, that takes more
+    than `timeout` seconds fails; with no timeout it may take as long as
+    the agent.
     """
 
     white_box = False
     max_inflight = 1  # one request/response exchange on one pipe pair
 
-    def __init__(self, command: Sequence[str] | str):
+    def __init__(self, command: Sequence[str] | str, timeout: float | None = None):
+        import os
         import shlex
         import subprocess
 
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         self.identity = f"stdio:{' '.join(argv)}"
+        self._timeout = timeout
+        self._buf = bytearray()  # output read but not yet returned as a line
         try:
             self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         except OSError as exc:
             raise AgentError(f"cannot spawn {argv}: {exc}") from exc
+        # A request goes in as the pipe takes it, so an agent that reads
+        # nothing cannot block the write past the deadline.
+        os.set_blocking(self._proc.stdin.fileno(), False)  # type: ignore[union-attr]
 
     def turn(self, obs: Observation, gt: StepRecord | None, rng: random.Random) -> str:
+        import os
+        import selectors
+        import time
+
         proc = self._proc
         if proc.poll() is not None:
             raise AgentError("stdio agent exited")
+        deadline = None if self._timeout is None else time.monotonic() + self._timeout
+        request = memoryview(json.dumps(observation_to_wire(obs)).encode("ascii") + b"\n")
         try:
             assert proc.stdin is not None and proc.stdout is not None
-            proc.stdin.write(json.dumps(observation_to_wire(obs)).encode("ascii") + b"\n")
-            proc.stdin.flush()
-            lines: list[bytes] = []
-            left = MAX_TURN_BYTES
-            while True:
-                # room for a sentinel line (with \r\n) however little is left
-                line = proc.stdout.readline(left + len(_SENTINEL) + 2)
-                if not line:
-                    raise AgentError("stdio agent closed its output")
-                if line.rstrip(b"\r\n") == _SENTINEL:
-                    break
-                left -= len(line)
-                if left < 0:
-                    raise AgentError(
-                        f"stdio agent output exceeds MAX_TURN_BYTES ({MAX_TURN_BYTES} bytes)"
-                    )
-                lines.append(line)
+            with selectors.DefaultSelector() as ready:
+                ready.register(proc.stdin, selectors.EVENT_WRITE)
+                while request:
+                    self._wait(ready, deadline)
+                    request = request[os.write(proc.stdin.fileno(), request):]
+                ready.unregister(proc.stdin)
+                ready.register(proc.stdout, selectors.EVENT_READ)
+                lines: list[bytes] = []
+                left = MAX_TURN_BYTES
+                while True:
+                    # room for a sentinel line (with \r\n) however little is left
+                    line = self._readline(ready, left + len(_SENTINEL) + 2, deadline)
+                    if not line:
+                        raise AgentError("stdio agent closed its output")
+                    if line.rstrip(b"\r\n") == _SENTINEL:
+                        break
+                    left -= len(line)
+                    if left < 0:
+                        raise AgentError(
+                            f"stdio agent output exceeds MAX_TURN_BYTES ({MAX_TURN_BYTES} bytes)"
+                        )
+                    lines.append(line)
         except (BrokenPipeError, OSError) as exc:
             raise AgentError(f"stdio transport failed: {exc}") from exc
         text = b"".join(lines).decode("utf-8", "replace")
         # Line ends as a text-mode pipe reads them: \r\n and \r become \n.
         return text.replace("\r\n", "\n").replace("\r", "\n").rstrip("\n")
+
+    def _wait(self, ready: Any, deadline: float | None) -> None:
+        """Wait until the pipe `ready` watches can be used, or fail the turn
+        at `deadline`."""
+        import time
+
+        wait = None if deadline is None else deadline - time.monotonic()
+        if (wait is not None and wait <= 0) or not ready.select(wait):
+            raise AgentError(f"stdio agent timed out (no complete turn within {self._timeout:g} s)")
+
+    def _readline(self, ready: Any, limit: int, deadline: float | None) -> bytes:
+        """The next line of output, as a buffered pipe's `readline(limit)`
+        returns it.  The pipe is read with `os.read`, so every byte not yet
+        in `_buf` is still in the pipe, where `ready` sees it."""
+        import os
+
+        buf = self._buf
+        scanned = 0
+        while (end := buf.find(b"\n", scanned, limit)) < 0 and len(buf) < limit:
+            scanned = len(buf)
+            self._wait(ready, deadline)
+            chunk = os.read(self._proc.stdout.fileno(), 65536)  # type: ignore[union-attr]
+            if not chunk:
+                break
+            buf += chunk
+        size = end + 1 if end >= 0 else min(len(buf), limit)
+        line = bytes(buf[:size])
+        del buf[:size]
+        return line
 
     def close(self) -> None:
         import subprocess
@@ -563,8 +613,9 @@ def parse_agent_spec(
 
     Forms: scripted:oracle | scripted:loopy | scripted:failk:K |
     scripted:bernoulli:P | scripted:offset_then_correct |
-    remote:URL | stdio:COMMAND.  `timeout`, `token` and `max_inflight`
-    apply to remote agents only.
+    remote:URL | stdio:COMMAND.  `timeout` bounds each turn of a stdio
+    agent and each socket operation of a remote one; `token` and
+    `max_inflight` apply to remote agents only.
     """
     head, _, rest = spec.partition(":")
     if head == "scripted":
@@ -588,6 +639,6 @@ def parse_agent_spec(
     if head == "remote":
         return RemoteAgent(rest, timeout=timeout, max_inflight=max_inflight, token=token)
     if head == "stdio":
-        return StdioAgent(rest)
+        return StdioAgent(rest, timeout=timeout)
     raise DataError(f"agent: invalid spec ({spec})" if spec else "agent: invalid spec")
 

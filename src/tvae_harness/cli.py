@@ -419,7 +419,7 @@ _SHARED_FLAGS: dict[str, dict[str, Any]] = {
     "--workers": dict(type=_count, default=1, help="turns in flight at most"),
     "--limit": dict(type=_count, help="load at most N trajectories"),
     "--skip-invalid": dict(action="store_true", help="drop invalid dataset lines instead of failing"),
-    "--timeout": dict(type=_seconds, default=30.0, help="remote agent timeout (s)"),
+    "--timeout": dict(type=_seconds, default=30.0, help="stdio turn or remote socket timeout (s)"),
     "--token": dict(help="bearer token for remote agents"),
 }
 _RUN_FLAGS = tuple(_SHARED_FLAGS)  # simulate and bench-robust read every one

@@ -40,6 +40,16 @@ class ScrollDirection(str, Enum):
 
 SPATIAL_KINDS = frozenset({ActionKind.CLICK, ActionKind.LONG_PRESS})
 TEXT_KINDS = frozenset({ActionKind.INPUT_TEXT, ActionKind.OPEN_APP})
+# Enum `.value` is a descriptor call; the per-turn paths read these maps.
+KIND_TOKENS = {k: k.value for k in ActionKind}
+DIRECTION_TOKENS = {d: d.value for d in ScrollDirection}
+# The parameters of an action in check order, with the kinds that carry
+# each, and per kind which of them it carries.
+_PARAMS = {"coordinate": "spatial", "direction": "scroll", "text": "textual", "seconds": "wait"}
+_SHAPES = {
+    k: (k in SPATIAL_KINDS, k is ActionKind.SCROLL, k in TEXT_KINDS, k is ActionKind.WAIT)
+    for k in ActionKind
+}
 
 
 def round_coord(value: float) -> float:
@@ -63,28 +73,20 @@ class ActionRecord:
     seconds: float | None = None
 
     def __post_init__(self) -> None:
-        k = self.kind
-        want_coord = k in SPATIAL_KINDS
-        want_dir = k is ActionKind.SCROLL
-        want_text = k in TEXT_KINDS
-        want_secs = k is ActionKind.WAIT
-        if want_coord != (self.coordinate is not None):
-            raise DataError(f"{k.value}: invalid coordinate (required iff spatial)")
-        if want_dir != (self.direction is not None):
-            raise DataError(f"{k.value}: invalid direction (required iff scroll)")
-        if want_text != (self.text is not None):
-            raise DataError(f"{k.value}: invalid text (required iff textual)")
-        if want_secs != (self.seconds is not None):
-            raise DataError(f"{k.value}: invalid seconds (required iff wait)")
-        if self.text is not None and not self.text:
+        k, coord, text, secs = self.kind, self.coordinate, self.text, self.seconds
+        shape = (coord is not None, self.direction is not None, text is not None, secs is not None)
+        if shape != _SHAPES[k]:
+            name, kinds = next(p for p, w, h in zip(_PARAMS.items(), _SHAPES[k], shape) if w != h)
+            raise DataError(f"{k.value}: invalid {name} (required iff {kinds})")
+        if text is not None and not text:
             raise DataError(f"{k.value}: invalid text (must be non-empty)")
-        if self.seconds is not None:
-            if self.seconds < 0:
+        if secs is not None:
+            if secs < 0:
                 raise DataError(f"{k.value}: invalid seconds (must be >= 0)")
-            if not math.isfinite(self.seconds):
+            if not math.isfinite(secs):
                 raise DataError(f"{k.value}: invalid seconds (must be finite)")
-        if self.coordinate is not None:
-            x, y = self.coordinate
+        if coord is not None:
+            x, y = coord
             if x < 0 or y < 0:
                 raise DataError(f"negative coordinate {(x, y)}")
             if not (math.isfinite(x) and math.isfinite(y)):
@@ -359,13 +361,14 @@ def save_dataset(trajs: Iterable[TrajectoryRecord], path: str | Path) -> None:
 def describe_action(action: ActionRecord) -> str:
     """Short human-readable rendering, used in synthesized effect text."""
     k = action.kind
+    token = KIND_TOKENS[k]
     if k in SPATIAL_KINDS:
         x, y = action.coordinate  # type: ignore[misc]
-        return f"{k.value} at ({x:g}, {y:g})"
-    if k is ActionKind.SCROLL:
-        return f"scroll {action.direction.value}"  # type: ignore[union-attr]
+        return f"{token} at ({x:g}, {y:g})"
+    if action.direction is not None:
+        return f"scroll {DIRECTION_TOKENS[action.direction]}"
     if k in TEXT_KINDS:
-        return f"{k.value} '{action.text}'"
-    if k is ActionKind.WAIT:
+        return f"{token} '{action.text}'"
+    if action.seconds is not None:
         return f"wait {action.seconds:g}s"
-    return k.value
+    return token

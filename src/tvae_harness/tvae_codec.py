@@ -13,12 +13,15 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from typing import Any
 
 from .errors import DataError
 from .records import coordinate_pair, json_value, number
 from .trajectory_store import (
+    DIRECTION_TOKENS,
+    KIND_TOKENS,
+    SPATIAL_KINDS,
+    TEXT_KINDS,
     ActionKind,
     ActionRecord,
     ScrollDirection,
@@ -72,18 +75,19 @@ class TvaeOutput:
 
     def validate(self) -> None:
         """Raise DataError unless all structural rules hold."""
-        problem = _turn_problem(self.think, self.verification, self.expected_effect)
+        tags = {s.tag for s in self.think}
+        problem = _turn_problem(self.think, tags, self.verification, self.expected_effect)
         if problem is not None:
             raise problem
 
 
 def _turn_problem(
-    think: tuple[ThinkSegment, ...], verification: Verification, effect: str
+    think: tuple[ThinkSegment, ...], tags: set[ThinkTag], verification: Verification, effect: str
 ) -> DataError | None:
-    """The first structural rule a turn breaks, or None."""
+    """The first structural rule a turn breaks, or None; `tags` is the set
+    of its segments' tags."""
     if not think:
         return DataError("turn: invalid think (needs at least one segment)")
-    tags = {s.tag for s in think}
     if ThinkTag.VERIFY in tags and think[0].tag is not ThinkTag.VERIFY:
         return DataError("turn: invalid think ([Verify] must come first)")
     if verification is Verification.NO_CHANGE and not RECOVERY_TAGS & tags:
@@ -115,6 +119,12 @@ _TAG_PREFIX = {t: f"[{t.value}] " for t in ThinkTag}
 def _assemble_segments(body: str, strict: bool, warnings: list[str]) -> tuple[ThinkSegment, ...]:
     # split() alternates text and tag tokens: [text, token, text, ..., text].
     pieces = _TAG_RE.split(body)
+    tags = [_KNOWN_TAGS.get(token) for token in pieces[1::2]]
+    texts = [text.strip() for text in pieces[2::2]]
+    if None not in tags and "" not in texts and not pieces[0].strip():
+        # Known tags, each followed by text: the loop below would warn of
+        # nothing and build exactly these segments.
+        return tuple(map(ThinkSegment, tags, texts))
     last = len(pieces) - 1
     segments: list[ThinkSegment] = []
     tag: ThinkTag | None = None
@@ -168,7 +178,7 @@ def parse_action_json(body: str) -> ActionRecord:
     kind = _ACTION_KINDS.get(token) if isinstance(token, str) else None
     if kind is None:
         raise DataError(f"unknown action kind {str(token)!r}")
-    if kind in (ActionKind.CLICK, ActionKind.LONG_PRESS):
+    if kind in SPATIAL_KINDS:
         coord = coordinate_pair(raw := obj.get("coordinate"))
         if coord is None:
             raise DataError(f"malformed action JSON: coordinate must be [x, y], got {raw!r}")
@@ -181,7 +191,7 @@ def parse_action_json(body: str) -> ActionRecord:
                 f"malformed action JSON: bad scroll direction {obj.get('direction')!r}"
             ) from None
         return ActionRecord(kind=kind, direction=direction)
-    if kind in (ActionKind.INPUT_TEXT, ActionKind.OPEN_APP):
+    if kind in TEXT_KINDS:
         text = obj.get("text")
         if not isinstance(text, str) or not text:
             raise DataError("malformed action JSON: text must be a non-empty string")
@@ -196,20 +206,26 @@ def parse_action_json(body: str) -> ActionRecord:
 
 
 def emit_action_json(action: ActionRecord) -> str:
-    obj: dict[str, Any] = {"action": action.kind.value}
+    """The action's JSON as `json.dumps` writes its {"action": ..., param}
+    object: an integral pixel coordinate or wait duration as integers."""
+    head = f'{{"action": "{KIND_TOKENS[action.kind]}"'
     if action.coordinate is not None:
         x, y = action.coordinate
         if action.in_pixels() and x == int(x) and y == int(y):
-            obj["coordinate"] = [int(x), int(y)]
-        else:
-            obj["coordinate"] = [x, y]
+            x, y = int(x), int(y)
+        return f'{head}, "coordinate": [{x!r}, {y!r}]}}'
     if action.direction is not None:
-        obj["direction"] = action.direction.value
+        return f'{head}, "direction": "{DIRECTION_TOKENS[action.direction]}"}}'
     if action.text is not None:
-        obj["text"] = action.text
+        return f'{head}, "text": {json.dumps(action.text)}}}'
     if action.seconds is not None:
-        obj["time"] = action.seconds if action.seconds != int(action.seconds) else int(action.seconds)
-    return json.dumps(obj)
+        seconds = action.seconds
+        return f'{head}, "time": {int(seconds) if seconds == int(seconds) else seconds!r}}}'
+    return head + "}"
+
+
+# The layout `emit_tvae` writes, each block body free of "<".
+_EMITTED_TURN = re.compile("\n".join(f"<{n}>(?P<{n}>[^<]*)</{n}>" for n in BLOCK_NAMES))
 
 
 def parse_tvae(raw: str, strict: bool = True) -> TvaeOutput:
@@ -218,30 +234,39 @@ def parse_tvae(raw: str, strict: bool = True) -> TvaeOutput:
     Strict mode enforces every structural invariant.  Lenient mode returns a
     best-effort parse with `warnings` populated; it still raises typed errors
     when no executable action or verification can be recovered at all.
+
+    Text in exactly the layout `emit_tvae` writes, with no "<" inside a
+    block, is split into its four blocks by one full match.  The block scan
+    would find the same four: each body holds no tag, so each block closes
+    at its own terminator, and nothing is left over to warn of.  Any other
+    text takes the scan.
     """
     warnings: list[str] = []
-    blocks: dict[str, str] = {}
-    pos = 0
-    while (m := _OPEN_RE.search(raw, pos)) is not None:
-        # Same match as <(name)>(.*?)</\1>: the first close tag of that name.
-        name = m.group(1)
-        close = raw.find(f"</{name}>", m.end())
-        if close < 0:
-            pos = m.end()
-            continue
-        if name in blocks:
-            warnings.append(f"duplicate <{name}> block ignored")
-        else:
-            blocks[name] = raw[m.end():close]
-        pos = close + len(name) + 3
-
-    for name in ("verification", "action"):
-        if name not in blocks:
-            raise DataError(f"missing <{name}> block")
-    if strict:
-        for name in BLOCK_NAMES:
+    emitted = _EMITTED_TURN.fullmatch(raw)
+    if emitted is not None:
+        blocks = emitted.groupdict()
+    else:
+        blocks = {}
+        pos = 0
+        while (m := _OPEN_RE.search(raw, pos)) is not None:
+            # Same match as <(name)>(.*?)</\1>: the first close tag of that name.
+            name = m.group(1)
+            close = raw.find(f"</{name}>", m.end())
+            if close < 0:
+                pos = m.end()
+                continue
+            if name in blocks:
+                warnings.append(f"duplicate <{name}> block ignored")
+            else:
+                blocks[name] = raw[m.end():close]
+            pos = close + len(name) + 3
+        for name in ("verification", "action"):
             if name not in blocks:
                 raise DataError(f"missing <{name}> block")
+        if strict:
+            for name in BLOCK_NAMES:
+                if name not in blocks:
+                    raise DataError(f"missing <{name}> block")
 
     ver_token = blocks["verification"].strip()
     verification = _VERIFICATIONS.get(ver_token)
@@ -258,12 +283,13 @@ def parse_tvae(raw: str, strict: bool = True) -> TvaeOutput:
     if "expected_effect" not in blocks:
         warnings.append("missing <expected_effect> block")
 
-    problem = _turn_problem(think, verification, effect)
+    tags = {s.tag for s in think}
+    problem = _turn_problem(think, tags, verification, effect)
     if problem is not None:
         if strict:
             raise problem
         warnings.append(str(problem))
-    if verification is Verification.SUCCESS and any(s.tag in RECOVERY_TAGS for s in think):
+    if verification is Verification.SUCCESS and not RECOVERY_TAGS.isdisjoint(tags):
         # Undefined combination; surfaced rather than resolved by precedence.
         warnings.append("SUCCESS verification alongside [Diagnose]/[Recovery] tags")
     return TvaeOutput(think, verification, action, effect, tuple(warnings))
@@ -275,11 +301,7 @@ _FORBIDDEN_IN_BODY = re.compile(
 _UNSAFE_BODY = re.compile(
     r"\[[A-Za-z][A-Za-z0-9_]*\]|</(?:think|verification|action|expected_effect)>"
 )
-
-
-@lru_cache(maxsize=4096)
-def _body_is_safe(body: str) -> bool:
-    return _UNSAFE_BODY.search(body) is None
+_VERIFICATION_TOKENS = {v: v.value for v in Verification}
 
 
 def emit_tvae(out: TvaeOutput) -> str:
@@ -290,15 +312,16 @@ def emit_tvae(out: TvaeOutput) -> str:
     tokens or block terminators, which would make the text unparseable.
     """
     out.validate()
-    for seg in out.think:
-        if not _body_is_safe(seg.body):
-            raise DataError("turn: invalid think (segment body embeds grammar tokens)")
+    # No grammar token spans a newline, so one search of the joined bodies
+    # finds one exactly when some body embeds it.
+    if _UNSAFE_BODY.search("\n".join([s.body for s in out.think])):
+        raise DataError("turn: invalid think (segment body embeds grammar tokens)")
     if _FORBIDDEN_IN_BODY.search(out.expected_effect):
         raise DataError("turn: invalid expected_effect (embeds block terminator)")
     think_lines = "\n".join([_TAG_PREFIX[s.tag] + s.body for s in out.think])
     return (
         f"<think>\n{think_lines}\n</think>\n"
-        f"<verification>{out.verification.value}</verification>\n"
+        f"<verification>{_VERIFICATION_TOKENS[out.verification]}</verification>\n"
         f"<action>{emit_action_json(out.action)}</action>\n"
         f"<expected_effect>{out.expected_effect}</expected_effect>"
     )

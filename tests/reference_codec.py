@@ -4,7 +4,9 @@ Kept verbatim in behaviour (one block regex with a back-reference, a
 `flush` closure per think segment, enum construction by value, validation
 by raising and rebuilding the output) so the single-pass parser in
 `tvae_harness.tvae_codec` can be checked against it for equal results,
-identical warnings and identical errors.
+identical warnings and identical errors.  That check also covers the
+parser's one full match of the layout `emit_tvae` writes: turns in that
+layout and turns just outside it must parse as the block scan here does.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import json
 import random
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -394,6 +395,41 @@ def test_stdio_agent_round_trip():
         assert agent.turn(_obs(), None, random.Random(0)) == FIXED_TURN
     finally:
         agent.close()
+
+
+def test_stdio_agent_reads_lines_past_the_sentinel_into_the_next_turn():
+    # both turns arrive in one write after the first request; \r\n and a
+    # lone \r end lines, and the sentinel line may end in \r\n
+    script = (
+        "import sys\n"
+        "sys.stdin.readline()\n"
+        "sys.stdout.buffer.write(b'one\\r\\ntwo\\rthree\\n<<<END_TURN>>>\\r\\n"
+        "four\\n<<<END_TURN>>>\\n')\n"
+        "sys.stdout.flush()\n"
+        "sys.stdin.readline()\n"
+        "sys.stdin.readline()\n"
+    )
+    agent = StdioAgent([sys.executable, "-c", script], timeout=5)
+    try:
+        assert agent.turn(_obs(), None, random.Random(0)) == "one\ntwo\nthree"
+        assert agent.turn(_obs(), None, random.Random(0)) == "four"
+    finally:
+        agent.close()
+
+
+def test_stdio_agent_that_reads_nothing_times_out_on_a_large_request():
+    # a request larger than the pipe buffer cannot be written to an agent
+    # that never reads; the write is bounded by the turn's timeout too
+    agent = StdioAgent([sys.executable, "-c", "import time; time.sleep(100)"], timeout=1)
+    obs = Observation("x" * 200_000, "s0", (), 4)
+    started = time.monotonic()
+    try:
+        with pytest.raises(AgentError, match=r"^stdio agent timed out \(no complete turn within 1 s\)$"):
+            agent.turn(obs, None, random.Random(0))
+        assert time.monotonic() - started < 5
+    finally:
+        agent.close()
+    assert agent._proc.poll() is not None
 
 
 def test_stdio_agent_dead_process():

@@ -1085,6 +1085,36 @@ def test_flooding_agent_exits_2_at_the_turn_cap(dataset, tmp_path, capsys, trans
     assert not out.exists()
 
 
+@pytest.mark.parametrize("output", ["", "<think>\n[Verify] Half a turn"], ids=["silent", "half-turn"])
+def test_stdio_agent_that_stalls_exits_2_at_the_timeout(dataset, tmp_path, capsys, output):
+    # the agent reads the request, writes `output` (no sentinel line) and
+    # sleeps far past --timeout
+    pid_file = tmp_path / "agent.pid"
+    script = tmp_path / "agent.py"
+    script.write_text(
+        "import os, pathlib, sys, time\n"
+        f"pathlib.Path({str(pid_file)!r}).write_text(str(os.getpid()))\n"
+        "sys.stdin.readline()\n"
+        f"sys.stdout.write({output!r})\n"
+        "sys.stdout.flush()\n"
+        "time.sleep(100)\n"
+    )
+    out = tmp_path / "run"
+    capsys.readouterr()
+    started = time.monotonic()
+    code = main([
+        "simulate", "--dataset", str(dataset), "--agent", f"stdio:{sys.executable} {script}",
+        "--out", str(out), "--timeout", "1",
+    ])
+    elapsed = time.monotonic() - started
+    assert code == EXIT_AGENT
+    assert "stdio agent timed out (no complete turn within 1 s)" in capsys.readouterr().err
+    assert elapsed < 10
+    assert not out.exists()
+    with pytest.raises(ProcessLookupError):  # close() reaped the agent
+        os.kill(int(pid_file.read_text()), 0)
+
+
 def test_stdio_agent_non_utf8_output_is_an_unparseable_turn(dataset, tmp_path):
     script = tmp_path / "agent.py"
     script.write_text(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import pytest
@@ -218,6 +219,64 @@ def test_normalize_is_idempotent(rng: random.Random):
 def test_action_field_discipline(kwargs):
     with pytest.raises(DataError, match=f"^{kwargs['kind'].value}: invalid "):
         ActionRecord(**kwargs)
+
+
+_PARAM_VALUES = {
+    "coordinate": (0.5, 0.5), "direction": ScrollDirection.UP, "text": "hi", "seconds": 1.0,
+}
+_CARRIED = {
+    ActionKind.CLICK: "coordinate",
+    ActionKind.LONG_PRESS: "coordinate",
+    ActionKind.SCROLL: "direction",
+    ActionKind.INPUT_TEXT: "text",
+    ActionKind.OPEN_APP: "text",
+    ActionKind.WAIT: "seconds",
+    ActionKind.NAVIGATE_BACK: None,
+}
+_RULES = {"coordinate": "spatial", "direction": "scroll", "text": "textual", "seconds": "wait"}
+
+
+def _shape_cases():
+    """Each kind with each parameter it carries missing and each other one
+    extra, with the message the record has always raised for it."""
+    for kind, carried in _CARRIED.items():
+        for param, rule in _RULES.items():
+            kwargs = {carried: _PARAM_VALUES[carried]} if carried else {}
+            if param == carried:
+                del kwargs[param]
+            else:
+                kwargs[param] = _PARAM_VALUES[param]
+            yield kind, kwargs, f"{kind.value}: invalid {param} (required iff {rule})"
+
+
+@pytest.mark.parametrize(
+    "kind, kwargs, message",
+    [
+        *_shape_cases(),
+        # several parameters differ: the first in coordinate, direction,
+        # text, seconds order is named
+        (ActionKind.CLICK, dict(text="x"), "click: invalid coordinate (required iff spatial)"),
+        (ActionKind.WAIT, dict(seconds=1.0, direction=ScrollDirection.UP, coordinate=(0.1, 0.1)),
+         "wait: invalid coordinate (required iff spatial)"),
+        (ActionKind.CLICK, dict(coordinate=(-0.1, 0.5)), "negative coordinate (-0.1, 0.5)"),
+        (ActionKind.LONG_PRESS, dict(coordinate=(0.5, -3.0)), "negative coordinate (0.5, -3.0)"),
+        (ActionKind.CLICK, dict(coordinate=(math.nan, 0.5)),
+         "click: invalid coordinate ((nan, 0.5) is not finite)"),
+        (ActionKind.CLICK, dict(coordinate=(0.5, math.inf)),
+         "click: invalid coordinate ((0.5, inf) is not finite)"),
+        (ActionKind.CLICK, dict(coordinate=(-math.inf, 0.5)), "negative coordinate (-inf, 0.5)"),
+        (ActionKind.INPUT_TEXT, dict(text=""), "input_text: invalid text (must be non-empty)"),
+        (ActionKind.OPEN_APP, dict(text=""), "open_app: invalid text (must be non-empty)"),
+        (ActionKind.WAIT, dict(seconds=-1.0), "wait: invalid seconds (must be >= 0)"),
+        (ActionKind.WAIT, dict(seconds=math.nan), "wait: invalid seconds (must be finite)"),
+        (ActionKind.WAIT, dict(seconds=math.inf), "wait: invalid seconds (must be finite)"),
+        (ActionKind.WAIT, dict(seconds=-math.inf), "wait: invalid seconds (must be >= 0)"),
+    ],
+)
+def test_action_record_messages(kind, kwargs, message):
+    with pytest.raises(DataError) as info:
+        ActionRecord(kind=kind, **kwargs)
+    assert str(info.value) == message
 
 
 def test_action_json_round_trip(rng: random.Random):

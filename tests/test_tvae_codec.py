@@ -7,8 +7,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from tvae_harness import tvae_codec
 from tvae_harness.errors import DataError
-from tvae_harness.trajectory_store import ActionKind, ActionRecord
+from tvae_harness.trajectory_store import ActionKind, ActionRecord, ScrollDirection
 from tvae_harness.tvae_codec import (
     ThinkSegment,
     ThinkTag,
@@ -16,6 +17,7 @@ from tvae_harness.tvae_codec import (
     Verification,
     emit_action_json,
     emit_tvae,
+    parse_action_json,
     parse_tvae,
 )
 
@@ -381,3 +383,111 @@ def test_parser_matches_reference_on_block_soup(raw):
 @given(raw=_mutated_turns())
 def test_parser_matches_reference_on_mutated_turns(raw):
     _assert_same_as_reference(raw)
+
+
+# -- both sides of the emitted-layout match ---------------------------------------------
+
+
+def _emitted(think: str = "Find the bus routes.", text: str = "bus", effect: str = "Routes appear.",
+             verification: Verification = Verification.SUCCESS,
+             extra: tuple[ThinkSegment, ...] = ()) -> str:
+    return emit_tvae(TvaeOutput(
+        think=(ThinkSegment(ThinkTag.VERIFY, "The list opened."),
+               ThinkSegment(ThinkTag.RECALL, think), *extra,
+               ThinkSegment(ThinkTag.ACTION, "Type the query.")),
+        verification=verification,
+        action=ActionRecord(kind=ActionKind.INPUT_TEXT, text=text),
+        expected_effect=effect,
+    ))
+
+
+_EMITTED = _emitted()
+_DIAGNOSE = (ThinkSegment(ThinkTag.DIAGNOSE, "The last tap missed."),)
+
+
+@pytest.mark.parametrize(
+    "raw, in_layout",
+    [
+        pytest.param(_EMITTED, True, id="emitted"),
+        pytest.param(_emitted(verification=Verification.NO_CHANGE, extra=_DIAGNOSE), True,
+                     id="emitted-no-change"),
+        pytest.param(_emitted(extra=_DIAGNOSE), True, id="success-with-diagnose"),
+        pytest.param(_EMITTED.replace("SUCCESS", "NO_CHANGE"), True, id="no-change-unexplained"),
+        pytest.param(_EMITTED.replace("SUCCESS", "MAYBE"), True, id="unknown-verification"),
+        pytest.param(_EMITTED.replace('"input_text"', '"teleport"'), True, id="unknown-action"),
+        pytest.param(_EMITTED.replace("[Recall]", "[Plan] Sketch it.\n[Recall]"), True,
+                     id="unknown-tag"),
+        pytest.param(_EMITTED.replace("[Recall]", "[Grounding] \n[Recall]"), True,
+                     id="blank-segment"),
+        pytest.param(_EMITTED.replace("<think>\n", "<think>\nFirst, look.\n"), True,
+                     id="leading-untagged-text"),
+        pytest.param(_emitted(think="Tap the <b> icon."), False, id="lt-in-think"),
+        pytest.param(_emitted(text="a<b"), False, id="lt-in-action-text"),
+        pytest.param(_emitted(effect="The <b> list appears."), False, id="lt-in-effect"),
+        pytest.param(_EMITTED.replace("Routes appear.", "Routes </think> appear."), False,
+                     id="close-think-in-effect"),
+        pytest.param(_EMITTED + "\n", False, id="trailing-newline"),
+        pytest.param(_EMITTED.replace(">\n<", ">\r\n<"), False, id="crlf-between-blocks"),
+        pytest.param(_EMITTED + "\n<verification>NO_CHANGE</verification>", False,
+                     id="duplicate-block-after"),
+    ],
+)
+def test_parser_matches_reference_around_emitted_layout(raw, in_layout):
+    assert (tvae_codec._EMITTED_TURN.fullmatch(raw) is not None) is in_layout
+    _assert_same_as_reference(raw)
+
+
+# -- emit_action_json against the dict-plus-json.dumps emitter ------------------------
+
+
+def _reference_emit_action_json(action: ActionRecord) -> str:
+    obj: dict = {"action": action.kind.value}
+    if action.coordinate is not None:
+        x, y = action.coordinate
+        if action.in_pixels() and x == int(x) and y == int(y):
+            obj["coordinate"] = [int(x), int(y)]
+        else:
+            obj["coordinate"] = [x, y]
+    if action.direction is not None:
+        obj["direction"] = action.direction.value
+    if action.text is not None:
+        obj["text"] = action.text
+    if action.seconds is not None:
+        obj["time"] = action.seconds if action.seconds != int(action.seconds) else int(action.seconds)
+    return json.dumps(obj)
+
+
+def _oracle_actions() -> list[ActionRecord]:
+    rng = random.Random(17)
+    coordinates = [
+        (1e-07, 0.999999), (0.1 + 0.2, 1.0), (0.0, 0.5), (1 / 3, 2 / 3),  # relative
+        (317.0, 1190.0), (317, 1190), (2.0, 1.0),  # integral pixels
+        (317.5, 1190.0), (1080.25, 2.0), (1.5, 0.5), (2.0, 1e-07),  # fractional pixels
+    ]
+    coordinates += [(rng.random(), rng.random()) for _ in range(20)]
+    coordinates += [(rng.uniform(1, 3000), rng.uniform(0, 3000)) for _ in range(20)]
+    coordinates += [(float(rng.randint(2, 3000)), float(rng.randint(0, 3000))) for _ in range(20)]
+    texts = [
+        "plain", "h\u00e9llo w\u00f6rld", "\u65e5\u672c\u8a9e", "\U0001f600 emoji", 'say "hi"',
+        "back\\slash", "tab\there\nnew\rline", "\x00\x1f\x7f\u2028", "</action>", "'single'",
+    ]
+    texts += ["".join(chr(rng.randint(1, 0x2FFF)) for _ in range(8)) for _ in range(20)]
+    waits = [0.0, 2.0, 3, 0.5, 1e-07, 0.1 + 0.2, 0.999999, 1e16, 123456789.0, 2.5e-05]
+    waits += [rng.uniform(0, 100) for _ in range(20)] + [float(rng.randint(0, 100)) for _ in range(10)]
+    actions = [ActionRecord(kind=k, coordinate=c)
+               for k in (ActionKind.CLICK, ActionKind.LONG_PRESS) for c in coordinates]
+    actions += [ActionRecord(kind=ActionKind.SCROLL, direction=d) for d in ScrollDirection]
+    actions += [ActionRecord(kind=k, text=t)
+                for k in (ActionKind.INPUT_TEXT, ActionKind.OPEN_APP) for t in texts]
+    actions += [ActionRecord(kind=ActionKind.WAIT, seconds=w) for w in waits]
+    actions += [ActionRecord(kind=ActionKind.NAVIGATE_BACK)]
+    return actions + [random_valid_action(rng) for _ in range(200)]
+
+
+def test_emit_action_json_matches_dict_emitter():
+    actions = _oracle_actions()
+    assert {a.kind for a in actions} == set(ActionKind)
+    for action in actions:
+        text = emit_action_json(action)
+        assert text == _reference_emit_action_json(action)
+        assert parse_action_json(text) == action
