@@ -19,7 +19,7 @@ from urllib.parse import urlsplit
 
 from .errors import AgentError, DataError
 from .failure_forge import FailureMode, corrupt_action, mismatched_effect, sample_corruption
-from .trajectory_store import DIRECTION_TOKENS, ActionRecord, StepRecord, describe_action
+from .trajectory_store import ActionRecord, StepRecord, describe_action
 from .tvae_codec import (
     HistoryEntry,
     ThinkSegment,
@@ -107,8 +107,7 @@ def _param_segment(action: ActionRecord) -> ThinkSegment | None:
         x, y = action.coordinate
         return ThinkSegment(ThinkTag.COORDINATE, f"Element position: ({x:g}, {y:g}).")
     if action.direction is not None:
-        direction = DIRECTION_TOKENS[action.direction]
-        return ThinkSegment(ThinkTag.DIRECTION, f"Scroll direction: {direction}.")
+        return ThinkSegment(ThinkTag.DIRECTION, f"Scroll direction: {action.direction.value}.")
     if action.text is not None:
         return ThinkSegment(ThinkTag.TEXT, f"The exact text needed is '{_clean(action.text)}'.")
     return None
@@ -494,14 +493,13 @@ class StdioAgent:
     Output that is not UTF-8 is decoded with replacement characters, the
     rule remote bodies follow, so it yields an unparseable turn.  A turn,
     from writing the request to reading the sentinel line, that takes more
-    than `timeout` seconds fails; with no timeout it may take as long as
-    the agent.
+    than `timeout` seconds fails.
     """
 
     white_box = False
     max_inflight = 1  # one request/response exchange on one pipe pair
 
-    def __init__(self, command: Sequence[str] | str, timeout: float | None = None):
+    def __init__(self, command: Sequence[str] | str, *, timeout: float):
         import os
         import shlex
         import subprocess
@@ -526,7 +524,7 @@ class StdioAgent:
         proc = self._proc
         if proc.poll() is not None:
             raise AgentError("stdio agent exited")
-        deadline = None if self._timeout is None else time.monotonic() + self._timeout
+        deadline = time.monotonic() + self._timeout
         request = memoryview(json.dumps(observation_to_wire(obs)).encode("ascii") + b"\n")
         try:
             assert proc.stdin is not None and proc.stdout is not None
@@ -558,16 +556,16 @@ class StdioAgent:
         # Line ends as a text-mode pipe reads them: \r\n and \r become \n.
         return text.replace("\r\n", "\n").replace("\r", "\n").rstrip("\n")
 
-    def _wait(self, ready: Any, deadline: float | None) -> None:
+    def _wait(self, ready: Any, deadline: float) -> None:
         """Wait until the pipe `ready` watches can be used, or fail the turn
         at `deadline`."""
         import time
 
-        wait = None if deadline is None else deadline - time.monotonic()
-        if (wait is not None and wait <= 0) or not ready.select(wait):
+        wait = deadline - time.monotonic()
+        if wait <= 0 or not ready.select(wait):
             raise AgentError(f"stdio agent timed out (no complete turn within {self._timeout:g} s)")
 
-    def _readline(self, ready: Any, limit: int, deadline: float | None) -> bytes:
+    def _readline(self, ready: Any, limit: int, deadline: float) -> bytes:
         """The next line of output, as a buffered pipe's `readline(limit)`
         returns it.  The pipe is read with `os.read`, so every byte not yet
         in `_buf` is still in the pipe, where `ready` sees it."""

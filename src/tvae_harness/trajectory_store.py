@@ -40,9 +40,6 @@ class ScrollDirection(str, Enum):
 
 SPATIAL_KINDS = frozenset({ActionKind.CLICK, ActionKind.LONG_PRESS})
 TEXT_KINDS = frozenset({ActionKind.INPUT_TEXT, ActionKind.OPEN_APP})
-# Enum `.value` is a descriptor call; the per-turn paths read these maps.
-KIND_TOKENS = {k: k.value for k in ActionKind}
-DIRECTION_TOKENS = {d: d.value for d in ScrollDirection}
 # The parameters of an action in check order, with the kinds that carry
 # each, and per kind which of them it carries.
 _PARAMS = {"coordinate": "spatial", "direction": "scroll", "text": "textual", "seconds": "wait"}
@@ -361,14 +358,13 @@ def save_dataset(trajs: Iterable[TrajectoryRecord], path: str | Path) -> None:
 def describe_action(action: ActionRecord) -> str:
     """Short human-readable rendering, used in synthesized effect text."""
     k = action.kind
-    token = KIND_TOKENS[k]
     if k in SPATIAL_KINDS:
         x, y = action.coordinate  # type: ignore[misc]
-        return f"{token} at ({x:g}, {y:g})"
-    if action.direction is not None:
-        return f"scroll {DIRECTION_TOKENS[action.direction]}"
+        return f"{k.value} at ({x:g}, {y:g})"
+    if k is ActionKind.SCROLL:
+        return f"scroll {action.direction.value}"  # type: ignore[union-attr]
     if k in TEXT_KINDS:
-        return f"{token} '{action.text}'"
-    if action.seconds is not None:
+        return f"{k.value} '{action.text}'"
+    if k is ActionKind.WAIT:
         return f"wait {action.seconds:g}s"
-    return token
+    return k.value

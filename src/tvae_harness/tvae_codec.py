@@ -18,8 +18,6 @@ from typing import Any
 from .errors import DataError
 from .records import coordinate_pair, json_value, number
 from .trajectory_store import (
-    DIRECTION_TOKENS,
-    KIND_TOKENS,
     SPATIAL_KINDS,
     TEXT_KINDS,
     ActionKind,
@@ -140,7 +138,7 @@ def _assemble_segments(body: str, strict: bool, warnings: list[str]) -> tuple[Th
         known = None
         if i < last:
             token = pieces[i + 1]
-            known = _KNOWN_TAGS.get(token)
+            known = tags[i // 2]
             if known is None:
                 if strict:
                     raise DataError(f"unknown think tag [{token}]")
@@ -208,14 +206,14 @@ def parse_action_json(body: str) -> ActionRecord:
 def emit_action_json(action: ActionRecord) -> str:
     """The action's JSON as `json.dumps` writes its {"action": ..., param}
     object: an integral pixel coordinate or wait duration as integers."""
-    head = f'{{"action": "{KIND_TOKENS[action.kind]}"'
+    head = f'{{"action": "{action.kind.value}"'
     if action.coordinate is not None:
         x, y = action.coordinate
         if action.in_pixels() and x == int(x) and y == int(y):
             x, y = int(x), int(y)
         return f'{head}, "coordinate": [{x!r}, {y!r}]}}'
     if action.direction is not None:
-        return f'{head}, "direction": "{DIRECTION_TOKENS[action.direction]}"}}'
+        return f'{head}, "direction": "{action.direction.value}"}}'
     if action.text is not None:
         return f'{head}, "text": {json.dumps(action.text)}}}'
     if action.seconds is not None:
@@ -301,7 +299,6 @@ _FORBIDDEN_IN_BODY = re.compile(
 _UNSAFE_BODY = re.compile(
     r"\[[A-Za-z][A-Za-z0-9_]*\]|</(?:think|verification|action|expected_effect)>"
 )
-_VERIFICATION_TOKENS = {v: v.value for v in Verification}
 
 
 def emit_tvae(out: TvaeOutput) -> str:
@@ -321,7 +318,7 @@ def emit_tvae(out: TvaeOutput) -> str:
     think_lines = "\n".join([_TAG_PREFIX[s.tag] + s.body for s in out.think])
     return (
         f"<think>\n{think_lines}\n</think>\n"
-        f"<verification>{_VERIFICATION_TOKENS[out.verification]}</verification>\n"
+        f"<verification>{out.verification.value}</verification>\n"
         f"<action>{emit_action_json(out.action)}</action>\n"
         f"<expected_effect>{out.expected_effect}</expected_effect>"
     )

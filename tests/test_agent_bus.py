@@ -389,7 +389,7 @@ def test_stdio_agent_round_trip():
         "    sys.stdout.write(turn + '\\n<<<END_TURN>>>\\n')\n"
         "    sys.stdout.flush()\n"
     )
-    agent = StdioAgent([sys.executable, "-c", script])
+    agent = StdioAgent([sys.executable, "-c", script], timeout=30)
     try:
         assert agent.turn(_obs(), None, random.Random(0)) == FIXED_TURN
         assert agent.turn(_obs(), None, random.Random(0)) == FIXED_TURN
@@ -433,7 +433,7 @@ def test_stdio_agent_that_reads_nothing_times_out_on_a_large_request():
 
 
 def test_stdio_agent_dead_process():
-    agent = StdioAgent([sys.executable, "-c", "pass"])
+    agent = StdioAgent([sys.executable, "-c", "pass"], timeout=30)
     try:
         with pytest.raises(AgentError, match="^stdio agent "):
             agent.turn(_obs(), None, random.Random(0))
