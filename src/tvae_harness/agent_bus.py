@@ -38,7 +38,7 @@ _SENTINEL = STDIO_SENTINEL.encode("ascii")
 MAX_TURN_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Observation:
     """Everything an agent is shown for one turn."""
 
@@ -77,7 +77,7 @@ class VariantName(str, Enum):
     OFFSET_THEN_CORRECT = "offset_then_correct"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Variant:
     """A scripted behavior: `k` wrong attempts per step (failk) or success
     probability `p` per turn (bernoulli)."""

@@ -254,7 +254,7 @@ class SampleType(str, Enum):
     TYPE_B = "type_b"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SyntheticSample:
     """One training sample: success continuation (A) or failure recovery (B).
 
@@ -285,7 +285,7 @@ class SyntheticSample:
         return Verification.NO_CHANGE
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FailureCase:
     """A robustness-slice probe: unchanged screen, history ending in the
     erroneous action, and the ground-truth recovery."""

@@ -31,7 +31,7 @@ class KlEstimator(str, Enum):
 EPS_STD = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GrpoConfig:
     eps_clip: float = 0.2
     kl_lambda: float = 0.05
@@ -47,7 +47,7 @@ class GrpoConfig:
 _LOGPROB_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GroupOutput:
     """One sampled output: its total reward plus aligned per-token log-probs.
 
@@ -81,7 +81,7 @@ class GroupOutput:
         return len(self.logprobs_new)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GroupBatch:
     outputs: tuple[GroupOutput, ...]
 

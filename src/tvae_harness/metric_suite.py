@@ -29,7 +29,7 @@ from .tvae_codec import Verification
 METRIC_COLUMNS = ("tm", "gr", "sr", "tsr", "pg", "sim_tsr", "aso", "lr", "rsr")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MetricsReport:
     """Every metric a report can hold; a part not computed stays None."""
 
@@ -55,7 +55,7 @@ class MetricsReport:
                 raise RuntimeError("report: invalid aso (finite iff sim_tsr > 0)")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepPrediction:
     predicted: ActionRecord | None
     gt: StepRecord

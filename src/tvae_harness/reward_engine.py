@@ -31,7 +31,7 @@ REWARD_MISS = -0.5
 REWARD_HALLUCINATION = -2.0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RewardConfig:
     alpha: float = 0.5
     beta: float = 0.5
@@ -44,7 +44,7 @@ class RewardConfig:
 _DEFAULT_CONFIG = RewardConfig()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RewardBreakdown:
     """Per-output reward components; total = r_act + alpha*r_eff + beta*r_ver.
 

@@ -43,7 +43,7 @@ from .tvae_codec import HistoryEntry, TvaeOutput, Verification, parse_tvae
 MAX_BUDGET_MULTIPLIER = 100.0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SimConfig:
     budget_multiplier: float = 2.0
     seed: int = 0
@@ -59,7 +59,7 @@ def episode_budget(cfg: SimConfig, t_gt: int) -> int:
     return math.ceil(cfg.budget_multiplier * t_gt)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SimState:
     cursor: int
     screen_ref: str
@@ -67,7 +67,7 @@ class SimState:
     attempts_used: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AttemptLog:
     issued: ActionRecord | None
     matched: bool  # a match is what advances the episode
@@ -81,7 +81,7 @@ class Outcome(str, Enum):
     BUDGET_EXHAUSTED = "budget_exhausted"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SimTrace:
     trajectory_id: str
     t_gt: int
@@ -203,7 +203,7 @@ def run_episode(traj: TrajectoryRecord, agent: AgentHandle, cfg: SimConfig) -> S
     return SimTrace(trajectory_id=traj.id, t_gt=t_gt, attempts=tuple(logs))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CaseResult:
     repeated: bool
     recovered: bool
@@ -293,12 +293,15 @@ def _issued_to_json(action: ActionRecord | None) -> dict[str, Any] | None:
     return obj
 
 
-def _issued_from_json(obj: Mapping[str, Any] | None) -> ActionRecord | None:
-    """The inverse of `_issued_to_json`; a `coordinate_space` key other than
-    the one its coordinate's magnitude gives is a bad line, but `"pixel"` also
-    goes with a 1.0, which a pixel component below 1.0000005 is written as."""
+def _issued_from_json(obj: Any) -> ActionRecord | None:
+    """The inverse of `_issued_to_json`: null or a JSON object.  A
+    `coordinate_space` key other than the one its coordinate's magnitude gives
+    is a bad line, but `"pixel"` also goes with a 1.0, which a pixel component
+    below 1.0000005 is written as."""
     if obj is None:
         return None
+    if type(obj) is not dict:
+        raise DataError(f"issued: invalid action (must be a JSON object or null, got {obj!r})")
     obj = dict(obj)
     space = obj.pop("coordinate_space", "relative")
     action = action_from_json(obj)
@@ -364,21 +367,26 @@ def trace_from_json(obj: Mapping[str, Any]) -> SimTrace:
     `parse_warnings` (a list of strings).  `t_gt` must lie in
     [max(1, final_cursor), steps_used] (an episode ends once `t_gt` attempts
     matched, and its budget is at least `t_gt`).  Every derived key must then
-    equal, with its JSON type, the one `trace_to_json` writes."""
+    equal, with its JSON type, the one `trace_to_json` writes.  An attempt
+    whose turn did not parse issued nothing: its `issued` is null exactly
+    when its `predicted_verification` is, and then it did not match."""
     tid = json_value(obj, "trajectory_id", str, "trace")
     attempts: list[AttemptLog] = []
     for a in obj["attempts"]:
         warnings, predicted = a.get("parse_warnings", []), a.get("predicted_verification")
         if not isinstance(warnings, list) or not all(isinstance(w, str) for w in warnings):
             raise DataError(f"{tid}: invalid parse_warnings (must be a JSON list of strings)")
-        attempts.append(
-            AttemptLog(
-                issued=_issued_from_json(a.get("issued")),
-                matched=json_value(a, "matched", bool, tid),
-                predicted_verification=Verification(predicted) if predicted is not None else None,
-                parse_warnings=tuple(warnings),
-            )
+        log = AttemptLog(
+            issued=_issued_from_json(a.get("issued")),
+            matched=json_value(a, "matched", bool, tid),
+            predicted_verification=Verification(predicted) if predicted is not None else None,
+            parse_warnings=tuple(warnings),
         )
+        if (log.issued is None) != (predicted is None):
+            raise DataError(f"{tid}: invalid issued (null exactly when predicted_verification is)")
+        if log.issued is None and log.matched:
+            raise DataError(f"{tid}: invalid matched (an attempt that issued nothing cannot match)")
+        attempts.append(log)
     trace = SimTrace(tid, json_value(obj, "t_gt", int, tid), tuple(attempts))
     if not max(1, trace.final_cursor) <= trace.t_gt <= trace.steps_used:
         raise DataError(f"{tid}: invalid t_gt (must be in [max(1, final_cursor), steps_used])")

@@ -53,7 +53,7 @@ def round_coord(value: float) -> float:
     return round(float(value), COORD_DECIMALS)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ActionRecord:
     """A single executable GUI action.
 
@@ -115,7 +115,7 @@ def check_box_and_dims(
         raise DataError(f"{subject}: invalid {box_field} (bad box {bbox})")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepRecord:
     """One ground-truth step: pre-action screen, action, and reference effect."""
 
@@ -136,7 +136,7 @@ class StepRecord:
         check_box_and_dims("step", "gt_bbox", self.gt_bbox, self.screen_dims)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TrajectoryRecord:
     id: str
     instruction: str

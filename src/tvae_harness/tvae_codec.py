@@ -50,7 +50,7 @@ RECOVERY_TAGS = frozenset({ThinkTag.DIAGNOSE, ThinkTag.RECOVERY})
 BLOCK_NAMES = ("think", "verification", "action", "expected_effect")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ThinkSegment:
     tag: ThinkTag
     body: str
@@ -60,7 +60,7 @@ class ThinkSegment:
             raise DataError(f"think: invalid {self.tag.value} (empty segment body)")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TvaeOutput:
     """A validated parsed turn. `warnings` carries lenient-mode notes and is
     excluded from equality so round-trip comparisons stay structural."""
@@ -97,7 +97,7 @@ def _turn_problem(
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HistoryEntry:
     """One prior turn as carried in the running interaction history."""
 

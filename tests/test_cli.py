@@ -390,18 +390,6 @@ def _without_dims(obj):
     return {k: v for k, v in obj.items() if k != "screen_dims"}
 
 
-def _unadvanced_match(objs):
-    """Line 2 with its first matched attempt marked as not advancing."""
-    next(a for a in objs[1]["attempts"] if a["matched"])["advanced"] = False
-    return objs[1]
-
-
-def _non_boolean_match(objs, value):
-    """Line 2 with its first match written as `value`, which is truthy."""
-    next(a for a in objs[1]["attempts"] if a["matched"]).update(matched=value, advanced=value)
-    return objs[1]
-
-
 def _renumbered_attempts(objs, **values):
     for attempt in objs[1]["attempts"]:
         attempt.update(values)
@@ -414,6 +402,12 @@ def _issued_click(objs, coordinate, space=None):
     if space is not None:
         issued["coordinate_space"] = space
     objs[1]["attempts"][0]["issued"] = issued
+    return objs[1]
+
+
+def _first_attempt(objs, hit, **values):
+    """Line 2 with `values` set on its first match (`hit`) or miss."""
+    next(a for a in objs[1]["attempts"] if a["matched"] is hit).update(values)
     return objs[1]
 
 
@@ -437,15 +431,17 @@ BAD_LINES = {
         "traces", lambda o: {**o[1], "steps_used": o[1]["steps_used"] + 1000},
     ),
     "traces-final-cursor-raised": ("traces", lambda o: {**o[1], "final_cursor": 0}),
-    "traces-match-not-advanced": ("traces", _unadvanced_match),
+    "traces-match-not-advanced": ("traces", lambda o: _first_attempt(o, True, advanced=False)),
     # every episode makes at least t_gt >= 1 attempts, and its outcome follows from them
     "traces-t-gt-zero": ("traces", lambda o: {**o[1], "t_gt": 0}),
     "traces-t-gt-huge": ("traces", lambda o: {**o[1], "t_gt": 10**400}),
     "traces-t-gt-negative": ("traces", lambda o: {**o[1], "t_gt": -1}),
     "traces-outcome-flipped": ("traces", lambda o: {**o[1], "outcome": "budget_exhausted"}),
+    # a truthy match that is not the JSON boolean true
+    "traces-string-matched": ("traces", lambda o: _first_attempt(
+        o, True, matched="false", advanced="false")),
+    "traces-number-matched": ("traces", lambda o: _first_attempt(o, True, matched=1, advanced=1)),
     # each attempt's number is its position and its step the matches before it
-    "traces-string-matched": ("traces", lambda o: _non_boolean_match(o, "false")),
-    "traces-number-matched": ("traces", lambda o: _non_boolean_match(o, 1)),
     "traces-attempts-renumbered": (
         "traces", lambda o: _renumbered_attempts(o, attempt=7, gt_step=9),
     ),
@@ -538,6 +534,15 @@ BAD_LINES = {
     "cases-negative-source-step": ("cases", lambda o: {**o[1], "source": [o[1]["source"][0], -1]}),
     "traces-float-t-gt": ("traces", lambda o: {**o[1], "t_gt": o[1]["t_gt"] + 0.9}),  # in range
     "traces-int-trajectory-id": ("traces", lambda o: {**o[1], "trajectory_id": 12}),
+    "traces-issued-pairs": ("traces", lambda o: _put(
+        o[1], ["attempts", 0, "issued"], list(map(list, o[1]["attempts"][0]["issued"].items())))),
+    # an attempt issues nothing exactly when it predicts nothing, and then it misses
+    "traces-null-issued-matched": ("traces", lambda o: _first_attempt(
+        o, True, issued=None, predicted_verification=None)),
+    "traces-null-issued-predicted": ("traces", lambda o: _first_attempt(o, False, issued=None)),
+    "traces-issued-unpredicted": (
+        "traces", lambda o: _first_attempt(o, False, predicted_verification=None),
+    ),
     "dataset-int-id": ("dataset", lambda o: {**o[1], "id": 12}),
     "outputs-int-raw": ("outputs", lambda o: {"raw": 5}),
     "outputs-list-raw": ("outputs", lambda o: {"raw": ["x"]}),
