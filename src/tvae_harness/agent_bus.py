@@ -55,8 +55,9 @@ class Observation:
 class AgentHandle(Protocol):
     """A turn function plus identity and concurrency metadata.
 
-    `max_inflight` is how many `turn` calls the handle allows at once; the
-    runner never starts more.
+    `max_inflight` is how many `turn` calls the agent itself allows at once;
+    the runner starts at most that many and at most `--workers`.  `close`
+    releases what the agent holds (a connection pool, a subprocess).
     """
 
     identity: str
@@ -64,6 +65,8 @@ class AgentHandle(Protocol):
     white_box: bool
 
     def turn(self, obs: Observation, gt: StepRecord | None, rng: random.Random) -> str: ...
+
+    def close(self) -> None: ...
 
 
 # -- scripted agents -----------------------------------------------------------
@@ -207,7 +210,8 @@ class ScriptedAgent:
     """White-box reference agent wrapping `scripted_turn`."""
 
     white_box = True
-    max_inflight = sys.maxsize  # pure in its inputs: no limit
+    # Pure Python: a turn holds the GIL throughout, so threads only add switching.
+    max_inflight = 1
 
     def __init__(self, variant: Variant):
         self.variant = variant
@@ -221,6 +225,9 @@ class ScriptedAgent:
         if gt is None:
             raise DataError("scripted: invalid gt (scripted agents need ground truth)")
         return scripted_turn(self.variant, obs, gt, rng)
+
+    def close(self) -> None:
+        pass
 
 
 # -- remote agents ---------------------------------------------------------------
@@ -456,20 +463,16 @@ class _HttpPool:
 class RemoteAgent:
     """Client handle for an HTTP turn server.
 
-    One turn at a time by default; `max_inflight` declares the server safe
-    for that many concurrent single-turn requests.  Turns share a pool of
-    keep-alive connections that `close` releases.
+    The client sets no concurrency limit of its own, so `--workers` alone
+    bounds the requests in flight.  Turns share a pool of keep-alive
+    connections that `close` releases.
     """
 
     white_box = False
+    max_inflight = sys.maxsize
 
-    def __init__(
-        self, endpoint: str, *, timeout: float, max_inflight: int, token: str | None = None
-    ):
-        if max_inflight < 1:
-            raise DataError("remote: invalid max_inflight (must be >= 1)")
+    def __init__(self, endpoint: str, *, timeout: float, token: str | None = None):
         self.identity = f"remote:{endpoint}"
-        self.max_inflight = max_inflight
         self._pool = _HttpPool(_turn_url(endpoint), timeout, token)
 
     def turn(self, obs: Observation, gt: StepRecord | None, rng: random.Random) -> str:
@@ -604,16 +607,14 @@ class StdioAgent:
 # -- agent spec parsing (CLI surface) ---------------------------------------------
 
 
-def parse_agent_spec(
-    spec: str, *, timeout: float, max_inflight: int, token: str | None = None
-) -> AgentHandle:
+def parse_agent_spec(spec: str, *, timeout: float, token: str | None = None) -> AgentHandle:
     """Build an agent from a spec string.
 
     Forms: scripted:oracle | scripted:loopy | scripted:failk:K |
     scripted:bernoulli:P | scripted:offset_then_correct |
     remote:URL | stdio:COMMAND.  `timeout` bounds each turn of a stdio
-    agent and each socket operation of a remote one; `token` and
-    `max_inflight` apply to remote agents only.
+    agent and each socket operation of a remote one; `token` applies to
+    remote agents only.
     """
     head, _, rest = spec.partition(":")
     if head == "scripted":
@@ -635,7 +636,7 @@ def parse_agent_spec(
             raise DataError(f"agent: invalid spec ({spec!r}: K or P is not one number)") from None
         raise DataError(f"agent: invalid spec ({spec!r}: {variant} takes no argument)")
     if head == "remote":
-        return RemoteAgent(rest, timeout=timeout, max_inflight=max_inflight, token=token)
+        return RemoteAgent(rest, timeout=timeout, token=token)
     if head == "stdio":
         return StdioAgent(rest, timeout=timeout)
     raise DataError(f"agent: invalid spec ({spec})" if spec else "agent: invalid spec")

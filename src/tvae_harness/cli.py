@@ -24,7 +24,7 @@ from contextlib import suppress
 from dataclasses import fields
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, NoReturn, Sequence
+from typing import Any, Mapping, NoReturn, Sequence
 
 from . import __version__
 from .agent_bus import parse_agent_spec
@@ -81,11 +81,10 @@ def _write_manifest(out_dir: Path, manifest: dict[str, Any]) -> None:
     )
 
 
-def _settings(cls: type, args: argparse.Namespace, names: Iterable[str], **fixed: Any) -> Any:
-    """`cls` from the flags `names` that were given; a flag left unset (None)
+def _settings(cls: type, flags: Mapping[str, Any], **fixed: Any) -> Any:
+    """`cls` from the `flags` that were given; a flag left unset (None)
     passes nothing, so the field keeps its one default."""
-    given = {name: value for name in names if (value := getattr(args, name)) is not None}
-    return cls(**fixed, **given)
+    return cls(**fixed, **{name: value for name, value in flags.items() if value is not None})
 
 
 def _config_snapshot(**sections: Any) -> dict[str, dict[str, Any]]:
@@ -120,32 +119,33 @@ _KIND_READS: dict[str, set[str]] = {
 _GRPO_READS = {"eps_clip", "kl_lambda", "kl_estimator"}
 
 
-def _check_mode_flags(args: argparse.Namespace, mode: str, reads: set[str]) -> None:
-    """A given mode flag (one not None or False) that `mode` does not read is a
-    usage error; one it reads and that was not given takes its default."""
+def _check_mode_flags(args: argparse.Namespace, mode: str, reads: set[str]) -> dict[str, Any]:
+    """The value of each mode flag that `mode` reads, its default when it was
+    not given.  A given mode flag (one not None or False) that `mode` does not
+    read is a usage error."""
+    flags = {}
     for name, default in _MODE_FLAG_DEFAULTS.items():
         value = getattr(args, name, None)
-        if value is None and name in reads:
-            setattr(args, name, default)
-        elif value is not None and value is not False and name not in reads:
+        if name in reads:
+            flags[name] = default if value is None else value
+        elif value is not None and value is not False:
             raise DataError(f"{mode} does not read --{name.replace('_', '-')}")
+    return flags
 
 
 # -- commands --------------------------------------------------------------------
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    sim = _settings(SimConfig, args, ("budget_multiplier",), seed=args.seed)
+    sim = _settings(SimConfig, {"budget_multiplier": args.budget_multiplier}, seed=args.seed)
     trajs = load_dataset(args.dataset, limit=args.limit, skip_invalid=args.skip_invalid)
     if not trajs:
         raise DataError("dataset is empty")
-    agent = parse_agent_spec(
-        args.agent, timeout=args.timeout, token=args.token, max_inflight=args.workers
-    )
+    agent = parse_agent_spec(args.agent, timeout=args.timeout, token=args.token)
     try:
         traces = run_episodes(trajs, agent, sim, workers=args.workers)
     finally:
-        getattr(agent, "close", lambda: None)()
+        agent.close()
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -182,24 +182,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_bench_robust(args: argparse.Namespace) -> int:
     mode, reads = ("--synthesize", _KIND_READS["bench"]) if args.synthesize else ("--cases", set())
-    _check_mode_flags(args, f"bench-robust {mode}", reads)
+    flags = _check_mode_flags(args, f"bench-robust {mode}", reads)
     # Nothing is written before the agent has answered every case.
-    agent = parse_agent_spec(
-        args.agent, timeout=args.timeout, token=args.token, max_inflight=args.workers
-    )
+    agent = parse_agent_spec(args.agent, timeout=args.timeout, token=args.token)
     try:
         if args.synthesize:
             if not args.dataset:
                 raise DataError("--synthesize requires --dataset")
             trajs = load_dataset(args.dataset, limit=args.limit, skip_invalid=args.skip_invalid)
-            cases = build_robustness_bench(trajs, per_traj=args.per_traj, seed=args.seed)
+            cases = build_robustness_bench(trajs, per_traj=flags["per_traj"], seed=args.seed)
         else:
             cases = read_records(args.cases, failure_case_from_json, "failure case")
         if not cases:
             raise DataError("no failure cases")
         results = run_failure_cases(cases, agent, SimConfig(seed=args.seed), workers=args.workers)
     finally:
-        getattr(agent, "close", lambda: None)()
+        agent.close()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.synthesize:
@@ -231,7 +229,8 @@ def cmd_bench_robust(args: argparse.Namespace) -> int:
             "cases_sha256": _sha256(cases_path),
             "synthesized": bool(args.synthesize),
             **({"dataset": str(args.dataset), "dataset_sha256": _sha256(args.dataset),
-                "limit": args.limit, "skip_invalid": args.skip_invalid, "per_traj": args.per_traj}
+                "limit": args.limit, "skip_invalid": args.skip_invalid,
+                "per_traj": flags["per_traj"]}
                if args.synthesize else {}),
             "outputs": ["case_results.jsonl", "report.json"],
         },
@@ -241,7 +240,7 @@ def cmd_bench_robust(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    _check_mode_flags(args, f"synth --kind {args.kind}", _KIND_READS[args.kind])
+    flags = _check_mode_flags(args, f"synth --kind {args.kind}", _KIND_READS[args.kind])
     out_dir = Path(args.out)  # made only once its rows are built
     manifest: dict[str, Any] = {
         "command": "synth",
@@ -252,10 +251,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.kind == "dataset":
         from .synthdata import make_dataset
 
-        trajs = make_dataset(args.count, args.lengths, seed=args.seed)
+        count, lengths = flags["count"], flags["lengths"]
+        trajs = make_dataset(count, lengths, seed=args.seed)
         out_dir.mkdir(parents=True, exist_ok=True)
         save_dataset(trajs, out_dir / "dataset.jsonl")
-        manifest.update(count=args.count, lengths=list(args.lengths), outputs=["dataset.jsonl"])
+        manifest.update(count=count, lengths=list(lengths), outputs=["dataset.jsonl"])
     else:
         if not args.dataset:
             raise DataError("synth sft/bench requires --dataset")
@@ -266,19 +266,19 @@ def cmd_synth(args: argparse.Namespace) -> int:
         )
         weights = {m.value: w for m, w in DEFAULT_FAILURE_WEIGHTS.items()}
         if args.kind == "sft":
-            samples = build_sft_dataset(trajs, ratio_b=args.ratio_b, seed=args.seed)
+            samples = build_sft_dataset(trajs, ratio_b=flags["ratio_b"], seed=args.seed)
             out_dir.mkdir(parents=True, exist_ok=True)
             write_records(out_dir / "samples.jsonl", (sample_to_json(s) for s in samples))
             manifest.update(
-                ratio_b=args.ratio_b, weights=weights, outputs=["samples.jsonl"],
+                ratio_b=flags["ratio_b"], weights=weights, outputs=["samples.jsonl"],
                 sample_count=len(samples),
             )
         else:
-            cases = build_robustness_bench(trajs, per_traj=args.per_traj, seed=args.seed)
+            cases = build_robustness_bench(trajs, per_traj=flags["per_traj"], seed=args.seed)
             out_dir.mkdir(parents=True, exist_ok=True)
             write_records(out_dir / "cases.jsonl", (failure_case_to_json(c) for c in cases))
             manifest.update(
-                per_traj=args.per_traj, weights=weights, outputs=["cases.jsonl"],
+                per_traj=flags["per_traj"], weights=weights, outputs=["cases.jsonl"],
                 case_count=len(cases),
             )
     _write_manifest(out_dir, manifest)
@@ -291,19 +291,19 @@ def cmd_score(args: argparse.Namespace) -> int:
     mode, reads = (
         ("score --group-logprobs", _GRPO_READS) if args.group_logprobs else ("score", set())
     )
-    _check_mode_flags(args, mode, reads)
-    reward_cfg = _settings(RewardConfig, args, ("alpha", "beta"))
+    flags = _check_mode_flags(args, mode, reads)
+    reward_cfg = _settings(RewardConfig, {"alpha": args.alpha, "beta": args.beta})
     grpo_cfg = None
     if args.group_logprobs:
         from . import grpo_core  # only --group-logprobs runs the objective
 
-        if args.kl_estimator is not None:
+        if flags["kl_estimator"] is not None:
             try:
-                args.kl_estimator = grpo_core.KlEstimator(args.kl_estimator)
+                flags["kl_estimator"] = grpo_core.KlEstimator(flags["kl_estimator"])
             except ValueError:
                 choices = ", ".join(e.value for e in grpo_core.KlEstimator)
                 raise DataError(f"--kl-estimator must be one of {choices}") from None
-        grpo_cfg = _settings(grpo_core.GrpoConfig, args, _GRPO_READS)
+        grpo_cfg = _settings(grpo_core.GrpoConfig, flags)
     samples = read_records(args.samples, sample_from_json, "sample")
     raws = read_records(args.outputs, lambda obj: json_value(obj, "raw", str, "output"), "output")
     if len(samples) != len(raws):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from .errors import DataError
-from .trajectory_store import ActionKind, ActionRecord, normalize_action
+from .trajectory_store import SPATIAL_KINDS, TEXT_KINDS, ActionKind, ActionRecord, normalize_action
 from .tvae_codec import TvaeOutput, Verification, parse_tvae
 
 if TYPE_CHECKING:
@@ -135,7 +135,7 @@ def parameters_match(
     case-folding, and parameterless kinds always pass.  A parameter the
     prediction lacks, or a coordinate in pixels, never matches.
     """
-    if gt.kind in (ActionKind.CLICK, ActionKind.LONG_PRESS):
+    if gt.kind in SPATIAL_KINDS:
         if pred is None or pred.coordinate is None or gt.coordinate is None:
             return False
         if pred.in_pixels():
@@ -145,7 +145,7 @@ def parameters_match(
         return euclidean(pred.coordinate, gt.coordinate) <= DELTA
     if gt.kind is ActionKind.SCROLL:
         return pred is not None and pred.direction is gt.direction
-    if gt.kind in (ActionKind.INPUT_TEXT, ActionKind.OPEN_APP):
+    if gt.kind in TEXT_KINDS:
         if pred is None or pred.text is None:
             return False
         return pred.text.strip().casefold() == (gt.text or "").strip().casefold()

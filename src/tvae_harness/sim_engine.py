@@ -61,8 +61,9 @@ def episode_budget(cfg: SimConfig, t_gt: int) -> int:
 
 @dataclass(slots=True)
 class SimState:
+    """An episode's position: its screen is always `traj.steps[cursor]`'s."""
+
     cursor: int
-    screen_ref: str
     history: tuple[HistoryEntry, ...]
     attempts_used: int
 
@@ -121,17 +122,17 @@ def transition(
     state: SimState,
     issued: ActionRecord | None,
     gt: StepRecord,
-    next_screen_ref: str,
     budget: int,
     turn: TvaeOutput | None = None,
     parse_warnings: tuple[str, ...] = (),
 ) -> tuple[SimState, AttemptLog]:
     """Apply one attempt under the idempotent transition rule.
 
-    Match: cursor and screen advance.  Mismatch: state unchanged apart from
-    the consumed attempt and the appended history entry.  `turn` supplies the
-    effect text and verification recorded into history; a None `issued`
-    (unparseable turn) consumes the attempt without a history entry.
+    Match: the cursor advances, and with it the screen.  Mismatch: state
+    unchanged apart from the consumed attempt and the appended history
+    entry.  `turn` supplies the effect text and verification recorded into
+    history; a None `issued` (unparseable turn) consumes the attempt without
+    a history entry.
     """
     if state.attempts_used >= budget:
         raise RuntimeError(f"attempt {state.attempts_used} with budget {budget}")
@@ -145,7 +146,6 @@ def transition(
         )
     new_state = SimState(
         cursor=state.cursor + 1 if matched else state.cursor,
-        screen_ref=next_screen_ref if matched else state.screen_ref,
         history=history,
         attempts_used=state.attempts_used + 1,
     )
@@ -180,25 +180,20 @@ def run_episode(traj: TrajectoryRecord, agent: AgentHandle, cfg: SimConfig) -> S
     """Drive one agent through one trajectory under the transition rule."""
     t_gt = len(traj.steps)
     budget = episode_budget(cfg, t_gt)
-    state = SimState(
-        cursor=0, screen_ref=traj.steps[0].screen_ref, history=(), attempts_used=0
-    )
+    state = SimState(cursor=0, history=(), attempts_used=0)
     rng = random.Random(stable_seed(cfg.seed, "episode", traj.id))
     logs: list[AttemptLog] = []
     while state.cursor < t_gt and state.attempts_used < budget:
         gt = traj.steps[state.cursor]
         obs = Observation(
             instruction=traj.instruction,
-            screen_ref=state.screen_ref,
+            screen_ref=gt.screen_ref,
             history=state.history,
             step_budget_remaining=budget - state.attempts_used,
         )
         raw = agent.turn(obs, gt if agent.white_box else None, rng)
         turn, action, warnings = _interpret(raw, gt.screen_dims)
-        state, log = transition(
-            state, action, gt, traj.screen_after(gt.index), budget,
-            turn=turn, parse_warnings=warnings,
-        )
+        state, log = transition(state, action, gt, budget, turn=turn, parse_warnings=warnings)
         logs.append(log)
     return SimTrace(trajectory_id=traj.id, t_gt=t_gt, attempts=tuple(logs))
 

@@ -6,6 +6,7 @@ import random
 
 from .seeding import stable_seed
 from .trajectory_store import (
+    SPATIAL_KINDS,
     ActionKind,
     ActionRecord,
     ScrollDirection,
@@ -29,7 +30,7 @@ _KIND_WEIGHTS = (
 
 def _random_action(rng: random.Random) -> ActionRecord:
     kind = rng.choices([k for k, _ in _KIND_WEIGHTS], [w for _, w in _KIND_WEIGHTS])[0]
-    if kind in (ActionKind.CLICK, ActionKind.LONG_PRESS):
+    if kind in SPATIAL_KINDS:
         coord = (round_coord(rng.uniform(0.1, 0.9)), round_coord(rng.uniform(0.1, 0.9)))
         return ActionRecord(kind=kind, coordinate=coord)
     if kind is ActionKind.SCROLL:

@@ -163,13 +163,6 @@ class TrajectoryRecord:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def screen_after(self, step_index: int) -> str:
-        """Screen reached once the step at `step_index` executes correctly."""
-        nxt = step_index + 1
-        if nxt < len(self.steps):
-            return self.steps[nxt].screen_ref
-        return self.terminal_screen_ref
-
 
 def normalize_action(action: ActionRecord, dims: tuple[int, int] | None = None) -> ActionRecord:
     """Convert a pixel coordinate to relative [0,1] space.

@@ -71,13 +71,6 @@ class TvaeOutput:
     expected_effect: str
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
-    def validate(self) -> None:
-        """Raise DataError unless all structural rules hold."""
-        tags = {s.tag for s in self.think}
-        problem = _turn_problem(self.think, tags, self.verification, self.expected_effect)
-        if problem is not None:
-            raise problem
-
 
 def _turn_problem(
     think: tuple[ThinkSegment, ...], tags: set[ThinkTag], verification: Verification, effect: str
@@ -106,7 +99,8 @@ class HistoryEntry:
     verification: Verification
 
 
-_OPEN_RE = re.compile(r"<(think|verification|action|expected_effect)>")
+_BLOCK_ALTERNATIVES = "|".join(BLOCK_NAMES)
+_OPEN_RE = re.compile(f"<({_BLOCK_ALTERNATIVES})>")
 _TAG_RE = re.compile(r"\[([A-Za-z][A-Za-z0-9_]*)\]")
 _KNOWN_TAGS = {t.value: t for t in ThinkTag}
 _VERIFICATIONS = {v.value: v for v in Verification}
@@ -293,12 +287,8 @@ def parse_tvae(raw: str, strict: bool = True) -> TvaeOutput:
     return TvaeOutput(think, verification, action, effect, tuple(warnings))
 
 
-_FORBIDDEN_IN_BODY = re.compile(
-    r"</(?:think|verification|action|expected_effect)>"
-)
-_UNSAFE_BODY = re.compile(
-    r"\[[A-Za-z][A-Za-z0-9_]*\]|</(?:think|verification|action|expected_effect)>"
-)
+_FORBIDDEN_IN_BODY = re.compile(f"</(?:{_BLOCK_ALTERNATIVES})>")
+_UNSAFE_BODY = re.compile(rf"\[[A-Za-z][A-Za-z0-9_]*\]|{_FORBIDDEN_IN_BODY.pattern}")
 
 
 def emit_tvae(out: TvaeOutput) -> str:
@@ -308,7 +298,11 @@ def emit_tvae(out: TvaeOutput) -> str:
     byte-level fixed point over parse.  Segment bodies must not embed tag
     tokens or block terminators, which would make the text unparseable.
     """
-    out.validate()
+    problem = _turn_problem(
+        out.think, {s.tag for s in out.think}, out.verification, out.expected_effect
+    )
+    if problem is not None:
+        raise problem
     # No grammar token spans a newline, so one search of the joined bodies
     # finds one exactly when some body embeds it.
     if _UNSAFE_BODY.search("\n".join([s.body for s in out.think])):

@@ -159,7 +159,7 @@ def turn_server():
 
 def _remote_turn(endpoint, obs, **kwargs):
     """One `RemoteAgent` turn on a fresh agent, closed afterwards."""
-    agent = RemoteAgent(endpoint, max_inflight=1, **kwargs)
+    agent = RemoteAgent(endpoint, **kwargs)
     try:
         return agent.turn(obs, None, random.Random(0))
     finally:
@@ -179,8 +179,7 @@ def test_remote_turn_returns_body_verbatim(turn_server):
 
 
 def test_remote_agent_in_sim(turn_server):
-    agent = RemoteAgent(turn_server, timeout=5, max_inflight=1)
-    assert agent.max_inflight == 1
+    agent = RemoteAgent(turn_server, timeout=5)
     assert not agent.white_box
     trajs = make_dataset(2, (2, 2), seed=4)
     traces = run_episodes(trajs, agent, SimConfig(seed=0), workers=2)
@@ -210,7 +209,7 @@ def test_remote_prose_passthrough_counts_as_mismatch():
         text = _remote_turn(endpoint, _obs(), timeout=5)
         assert text == "I think you should click somewhere in the middle."
         trajs = make_dataset(2, (2, 2), seed=6)
-        agent = RemoteAgent(endpoint, timeout=5, max_inflight=1)
+        agent = RemoteAgent(endpoint, timeout=5)
         traces = run_episodes(trajs, agent, SimConfig(seed=0))
         assert all(t.outcome is Outcome.BUDGET_EXHAUSTED for t in traces)
         assert all(a.issued is None for t in traces for a in t.attempts)
@@ -221,26 +220,26 @@ def test_remote_prose_passthrough_counts_as_mismatch():
 
 
 def test_remote_agent_bounded_concurrency(turn_server):
-    agent = RemoteAgent(turn_server, timeout=5, max_inflight=3)
-    assert agent.max_inflight == 3
+    agent = RemoteAgent(turn_server, timeout=5)
     trajs = make_dataset(6, (1, 2), seed=8)
     traces = run_episodes(trajs, agent, SimConfig(seed=0), workers=6)
     assert len(traces) == 6
 
 
-@pytest.mark.parametrize("max_inflight, workers, peak", [(1, 4, 1), (3, 6, 3)])
-def test_remote_agent_caps_requests_in_flight(max_inflight, workers, peak):
+@pytest.mark.parametrize("workers, episodes, peak", [(1, 4, 1), (3, 6, 3), (8, 4, 4)])
+def test_remote_agent_caps_requests_in_flight(workers, episodes, peak):
+    # the client sets no cap of its own: `workers` alone bounds the requests
     with CountingTurnServer(delay_s=0.02) as server:
-        agent = RemoteAgent(server.url, timeout=5, max_inflight=max_inflight)
+        agent = RemoteAgent(server.url, timeout=5)
         try:
             traces = run_episodes(
-                make_dataset(6, (2, 3), seed=8), agent, SimConfig(seed=0), workers=workers
+                make_dataset(episodes, (2, 3), seed=8), agent, SimConfig(seed=0), workers=workers
             )
         finally:
             agent.close()
         assert server.wait_closed(server.connections, timeout=5)
     assert server.requests == sum(len(t.attempts) for t in traces)
-    assert server.peak_inflight == min(workers, agent.max_inflight) == peak
+    assert server.peak_inflight == min(workers, episodes) == peak
 
 
 def test_remote_unreachable_raises_after_retry():
@@ -267,7 +266,7 @@ def test_https_endpoint_runs_the_tls_handshake():
 
 def test_remote_agent_reuses_one_connection_until_close():
     with CountingTurnServer() as server:
-        agent = RemoteAgent(server.url, timeout=5, max_inflight=1)
+        agent = RemoteAgent(server.url, timeout=5)
         traces = run_episodes(make_dataset(3, (2, 3), seed=4), agent, SimConfig(seed=0))
         turns = sum(len(t.attempts) for t in traces)
         assert server.requests == turns > 1
@@ -358,7 +357,7 @@ ODD_REPLIES = {
 def test_reply_framings_and_charsets(case):
     reply, server_closes, text, connections = ODD_REPLIES[case]
     with ScriptedReplyServer(reply, close=server_closes) as server:
-        agent = RemoteAgent(server.url, timeout=5, max_inflight=1)
+        agent = RemoteAgent(server.url, timeout=5)
         try:
             for _ in range(2):
                 assert agent.turn(_obs(), None, random.Random(0)) == text
@@ -445,7 +444,7 @@ def test_stdio_agent_dead_process():
 
 
 def _spec(text):
-    return parse_agent_spec(text, timeout=30.0, max_inflight=1)
+    return parse_agent_spec(text, timeout=30.0)
 
 
 def test_parse_agent_spec_variants():
@@ -468,7 +467,7 @@ def test_parse_agent_spec_variants():
 @pytest.mark.parametrize("token", ["a\r\nX-Other: 1", "t\u00f6ken"])
 def test_token_that_cannot_be_a_header_value_is_rejected(token):
     with pytest.raises(DataError, match="^remote: invalid token "):
-        parse_agent_spec("remote:http://x:1", timeout=30.0, max_inflight=1, token=token)
+        parse_agent_spec("remote:http://x:1", timeout=30.0, token=token)
 
 
 @pytest.mark.parametrize("kw", [{"k": -1}, {"k": 1.0}, {"k": True}, {"p": 1.5}, {"p": float("nan")}])

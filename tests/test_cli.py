@@ -903,6 +903,10 @@ DATASET = "<dataset>"
 IMPORT_CASES = {
     "import-cli": (None, set()),
     "simulate": ("dataset", set()),
+    # a scripted agent takes one turn at a time, whatever --workers allows
+    "simulate-scripted-workers": (
+        ["simulate", "--dataset", DATASET, "--agent", "scripted:oracle", "--workers", "4"], set(),
+    ),
     "synth-sft": (["synth", "--kind", "sft", "--dataset", DATASET], set()),
     "synth-dataset": (["synth", "--kind", "dataset"], {"tvae_harness.synthdata"}),
     "bench-robust-synthesize": (
@@ -957,7 +961,7 @@ def test_remote_turn_loads_socket_only(baseline_modules):
         _, modules = _modules_after(
             "import random\n"
             "from tvae_harness.agent_bus import Observation, RemoteAgent\n"
-            f"agent = RemoteAgent({server.url!r}, timeout=5, max_inflight=1)\n"
+            f"agent = RemoteAgent({server.url!r}, timeout=5)\n"
             "assert agent.turn(Observation('Open it.', 's0', (), 1), None, random.Random(0))\n"
             "agent.close()"
         )

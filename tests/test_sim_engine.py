@@ -37,32 +37,30 @@ def _agent(name: VariantName, **kw) -> ScriptedAgent:
 # -- transition -------------------------------------------------------------------
 
 
-def _fresh_state(step) -> SimState:
-    return SimState(cursor=0, screen_ref=step.screen_ref, history=(), attempts_used=0)
+def _fresh_state() -> SimState:
+    return SimState(cursor=0, history=(), attempts_used=0)
 
 
 def test_transition_exact_match_advances():
     step = make_click_step(0)
-    state, log = transition(
-        _fresh_state(step), step.gt_action, step, "s1-next", budget=2
-    )
+    state, log = transition(_fresh_state(), step.gt_action, step, budget=2)
     assert log.matched
-    assert state.cursor == 1 and state.screen_ref == "s1-next"
+    assert state.cursor == 1  # the screen is the next step's
     assert state.attempts_used == 1
 
 
 def test_transition_mismatch_keeps_screen():
     step = make_click_step(0)
     off = ActionRecord(kind=ActionKind.CLICK, coordinate=(0.5, 0.7))  # outside bbox
-    state, log = transition(_fresh_state(step), off, step, "s1-next", budget=2)
+    state, log = transition(_fresh_state(), off, step, budget=2)
     assert not log.matched
-    assert state.cursor == 0 and state.screen_ref == step.screen_ref
+    assert state.cursor == 0  # the screen is unchanged
     assert state.attempts_used == 1
 
 
 def test_transition_none_action_counts_attempt():
     step = make_click_step(0)
-    state, log = transition(_fresh_state(step), None, step, "n", budget=2)
+    state, log = transition(_fresh_state(), None, step, budget=2)
     assert not log.matched
     assert state.attempts_used == 1
     assert state.history == ()
@@ -70,9 +68,15 @@ def test_transition_none_action_counts_attempt():
 
 def test_transition_past_budget_is_caller_bug():
     step = make_click_step(0)
-    state = SimState(cursor=0, screen_ref="s0", history=(), attempts_used=2)
+    state = SimState(cursor=0, history=(), attempts_used=2)
     with pytest.raises(RuntimeError, match="^attempt 2 with budget 2$"):
-        transition(state, step.gt_action, step, "n", budget=2)
+        transition(state, step.gt_action, step, budget=2)
+
+
+def test_transition_off_its_step_is_caller_bug():
+    step = make_click_step(1)
+    with pytest.raises(RuntimeError, match="^transition: invalid cursor "):
+        transition(_fresh_state(), step.gt_action, step, budget=2)
 
 
 def test_attempt_log_invariant():
@@ -161,33 +165,48 @@ def test_unparseable_turn_consumes_attempt():
     assert all(a.parse_warnings for a in trace.attempts)
 
 
+class _Spy:
+    """A scripted agent that keeps every observation it is shown."""
+
+    identity = "spy"
+    white_box = True
+    max_inflight = 1
+
+    def __init__(self, variant: Variant):
+        self._inner = ScriptedAgent(variant)
+        self.observed: list[Observation] = []
+
+    def turn(self, obs, gt, rng):
+        self.observed.append(obs)
+        return self._inner.turn(obs, gt, rng)
+
+
 def test_idempotent_observations_on_mismatch():
-    observed: list[Observation] = []
-
-    class SpyLoopy:
-        identity = "spy"
-        white_box = True
-        max_inflight = ScriptedAgent(Variant(VariantName.LOOPY)).max_inflight
-
-        def __init__(self):
-            self._inner = ScriptedAgent(Variant(VariantName.LOOPY))
-
-        def turn(self, obs, gt, rng):
-            observed.append(obs)
-            return self._inner.turn(obs, gt, rng)
-
     traj = make_dataset(1, (3, 3), seed=7)[0]
-    run_episode(traj, SpyLoopy(), CFG)
-    first = observed[0]
-    for later in observed[1:]:
+    spy = _Spy(Variant(VariantName.LOOPY))
+    run_episode(traj, spy, CFG)
+    first = spy.observed[0]
+    for later in spy.observed[1:]:
         assert later.screen_ref == first.screen_ref  # screens never fabricated
         assert later.instruction == first.instruction
         assert len(later.history) > 0
+    # failk:1 misses, then matches: a match shows the next step's screen
+    spy = _Spy(Variant(VariantName.FAIL_K, k=1))
+    assert run_episode(traj, spy, CFG).outcome is Outcome.COMPLETED_WITH_RECOVERY
+    assert [obs.screen_ref for obs in spy.observed] == [
+        step.screen_ref for step in traj.steps for _ in range(2)
+    ]
+
+
+class _Threaded(ScriptedAgent):
+    """A scripted agent that lets the runner start up to 8 turns at once."""
+
+    max_inflight = 8
 
 
 def test_determinism_across_runs_and_thread_schedules():
     trajs = make_dataset(16, (1, 6), seed=21)
-    agent = _agent(VariantName.BERNOULLI, p=0.5)
+    agent = _Threaded(Variant(VariantName.BERNOULLI, p=0.5))
     serial = run_episodes(trajs, agent, CFG, workers=1)
     threaded = run_episodes(trajs, agent, CFG, workers=8)
     again = run_episodes(trajs, agent, CFG, workers=3)
@@ -293,7 +312,7 @@ def test_unrelated_action_counts_toward_neither():
 
 def test_failure_cases_parallel_deterministic():
     cases = _bench(seed=9)
-    agent = _agent(VariantName.ORACLE)
+    agent = _Threaded(Variant(VariantName.ORACLE))
     assert run_failure_cases(cases, agent, CFG, workers=6) == run_failure_cases(
         cases, agent, CFG, workers=1
     )
