@@ -21,7 +21,7 @@ from itertools import accumulate
 from typing import Any, Mapping, Sequence
 
 from .errors import DataError
-from .records import json_value
+from .records import json_value, member
 from .reward_engine import DELTA, distance_to_bbox, euclidean, match_action
 from .seeding import stable_seed
 from .trajectory_store import (
@@ -36,6 +36,7 @@ from .trajectory_store import (
     describe_action,
     normalize_action,
     round_coord,
+    rounded_box,
     screen_dims_from_json,
 )
 from .tvae_codec import HistoryEntry, Verification, history_entry_from_json, history_entry_to_json
@@ -50,6 +51,8 @@ class FailureMode(str, Enum):
     TIMING_ERROR = "timing_error"
     NULL_CLICK = "null_click"
 
+
+FAILURE_MODES = {m.value: m for m in FailureMode}
 
 DEFAULT_FAILURE_WEIGHTS: dict[FailureMode, float] = {
     FailureMode.COORDINATE_OFFSET: 0.30,
@@ -254,6 +257,9 @@ class SampleType(str, Enum):
     TYPE_B = "type_b"
 
 
+SAMPLE_TYPES = {t.value: t for t in SampleType}
+
+
 @dataclass(slots=True)
 class SyntheticSample:
     """One training sample: success continuation (A) or failure recovery (B).
@@ -436,18 +442,18 @@ def build_robustness_bench(
 
 def sample_to_json(sample: SyntheticSample) -> dict[str, Any]:
     out: dict[str, Any] = {
-        "sample_type": sample.sample_type.value,
+        "sample_type": sample.sample_type._value_,
         "instruction": sample.instruction,
         "input_screen_ref": sample.input_screen_ref,
         "history": [history_entry_to_json(h) for h in sample.history],
-        "target_verification": sample.target_verification.value,
+        "target_verification": sample.target_verification._value_,
         "target_action": action_to_json(sample.target_action),
         "target_effect": sample.target_effect,
     }
     if sample.failure_mode is not None:
-        out["failure_mode"] = sample.failure_mode.value
+        out["failure_mode"] = sample.failure_mode._value_
     if sample.target_bbox is not None:
-        out["target_bbox"] = [round_coord(v) for v in sample.target_bbox]
+        out["target_bbox"] = rounded_box(sample.target_bbox)
     if sample.screen_dims is not None:
         out["screen_dims"] = list(sample.screen_dims)
     return out
@@ -460,18 +466,22 @@ def sample_from_json(obj: Mapping[str, Any]) -> SyntheticSample:
     dims = screen_dims_from_json(obj, "sample")
     history = json_value(obj, "history", list, "sample")
     sample = SyntheticSample(
-        sample_type=SampleType(obj["sample_type"]),
+        sample_type=member(SAMPLE_TYPES, obj["sample_type"], SampleType),
         instruction=json_value(obj, "instruction", str, "sample"),
         input_screen_ref=json_value(obj, "input_screen_ref", str, "sample"),
         history=tuple(history_entry_from_json(h, dims) for h in history),
         target_action=normalize_action(action_from_json(obj["target_action"]), dims),
         target_effect=json_value(obj, "target_effect", str, "sample"),
-        failure_mode=FailureMode(obj["failure_mode"]) if "failure_mode" in obj else None,
+        failure_mode=(
+            member(FAILURE_MODES, obj["failure_mode"], FailureMode)
+            if "failure_mode" in obj
+            else None
+        ),
         target_bbox=bbox_from_json(obj, "target_bbox", dims, "sample"),
         screen_dims=dims,
     )
     target = sample.target_verification
-    if obj["target_verification"] != target.value:
+    if obj["target_verification"] != target._value_:
         kind = "A" if target is Verification.SUCCESS else "B"
         raise DataError(f"sample: invalid target_verification (type {kind} => {target.value})")
     return sample
@@ -485,10 +495,10 @@ def failure_case_to_json(case: FailureCase) -> dict[str, Any]:
         "history": [history_entry_to_json(h) for h in case.history],
         "gt_recovery": action_to_json(case.gt_recovery),
         "erroneous": action_to_json(case.erroneous),
-        "mode": case.mode.value,
+        "mode": case.mode._value_,
     }
     if case.gt_bbox is not None:
-        out["gt_bbox"] = [round_coord(v) for v in case.gt_bbox]
+        out["gt_bbox"] = rounded_box(case.gt_bbox)
     if case.screen_dims is not None:
         out["screen_dims"] = list(case.screen_dims)
     return out
@@ -508,7 +518,7 @@ def failure_case_from_json(obj: Mapping[str, Any]) -> FailureCase:
         screen_ref=json_value(obj, "screen_ref", str, "failure_case"),
         history=tuple(history_entry_from_json(h, dims) for h in history),
         gt_recovery=normalize_action(action_from_json(obj["gt_recovery"]), dims),
-        mode=FailureMode(obj["mode"]),
+        mode=member(FAILURE_MODES, obj["mode"], FailureMode),
         gt_bbox=bbox_from_json(obj, "gt_bbox", dims, "failure_case"),
         screen_dims=dims,
     )

@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import sub
+from itertools import chain, repeat
+from operator import gt, sub
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import DataError
-from .records import json_value, number, read_records
+from .records import json_value, numbers, read_records
 
 
 class KlEstimator(str, Enum):
@@ -70,9 +71,10 @@ class GroupOutput:
             raise DataError(
                 f"log-prob lengths differ: {n}/{len(self.logprobs_old)}/{len(self.logprobs_ref)}"
             )
-        for seq in (self.logprobs_new, self.logprobs_old, self.logprobs_ref):
-            if any(v > _LOGPROB_TOL for v in seq):
-                raise DataError("group_output: invalid logprobs (must be <= 0)")
+        # `v > tol` of each value in C; not max(), which a leading NaN hides
+        logprobs = chain(self.logprobs_new, self.logprobs_old, self.logprobs_ref)
+        if any(map(gt, logprobs, repeat(_LOGPROB_TOL))):
+            raise DataError("group_output: invalid logprobs (must be <= 0)")
         for dist in (self.dist_new, self.dist_ref):
             if dist is not None and len(dist) != n:
                 raise DataError("distribution rows must align with tokens")
@@ -226,8 +228,9 @@ def group_output_from_json(obj: Mapping[str, Any], reward: float | None = None) 
 
 
 def _finite(raw: list[Any], key: str) -> tuple[float, ...]:
-    floats = tuple(map(number, raw))
-    if None in floats or not all(map(math.isfinite, floats)):
+    floats = numbers(raw)
+    # a finite sum has no inf or NaN in it; one that overflowed may still be all finite
+    if floats is None or not (math.isfinite(sum(floats)) or all(map(math.isfinite, floats))):
         raise DataError(f"group_output: invalid {key} (must be finite JSON numbers, got {raw!r})")
     return floats
 

@@ -20,12 +20,13 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .agent_bus import AgentHandle, Observation
 from .errors import DataError
 from .failure_forge import FailureCase
-from .records import json_value
+from .records import json_value, member
 from .reward_engine import actions_approx_equal, ground, match_action
 from .seeding import stable_seed
 from .trajectory_store import (
@@ -35,7 +36,7 @@ from .trajectory_store import (
     action_from_json,
     action_to_json,
 )
-from .tvae_codec import HistoryEntry, TvaeOutput, Verification, parse_tvae
+from .tvae_codec import VERIFICATIONS, HistoryEntry, TvaeOutput, Verification, parse_tvae
 
 
 # Every attempt copies the episode history, so an episode costs time
@@ -310,7 +311,7 @@ def trace_to_json(trace: SimTrace) -> dict[str, Any]:
     """Trace schema v1: the decided values plus every value derived from them."""
     return {
         "trajectory_id": trace.trajectory_id,
-        "outcome": trace.outcome.value,
+        "outcome": trace.outcome._value_,
         "steps_used": trace.steps_used,
         "t_gt": trace.t_gt,
         "final_cursor": trace.final_cursor,
@@ -322,9 +323,9 @@ def trace_to_json(trace: SimTrace) -> dict[str, Any]:
                 "matched": a.matched,
                 "advanced": a.matched,
                 "predicted_verification": (
-                    a.predicted_verification.value if a.predicted_verification else None
+                    a.predicted_verification._value_ if a.predicted_verification else None
                 ),
-                "target_verification": target.value,
+                "target_verification": target._value_,
                 "parse_warnings": list(a.parse_warnings),
             }
             for n, (a, (gt_step, target)) in enumerate(zip(trace.attempts, trace.attempt_targets()))
@@ -369,12 +370,14 @@ def trace_from_json(obj: Mapping[str, Any]) -> SimTrace:
     attempts: list[AttemptLog] = []
     for a in obj["attempts"]:
         warnings, predicted = a.get("parse_warnings", []), a.get("predicted_verification")
-        if not isinstance(warnings, list) or not all(isinstance(w, str) for w in warnings):
+        if not isinstance(warnings, list) or not all(map(isinstance, warnings, repeat(str))):
             raise DataError(f"{tid}: invalid parse_warnings (must be a JSON list of strings)")
         log = AttemptLog(
             issued=_issued_from_json(a.get("issued")),
             matched=json_value(a, "matched", bool, tid),
-            predicted_verification=Verification(predicted) if predicted is not None else None,
+            predicted_verification=(
+                member(VERIFICATIONS, predicted, Verification) if predicted is not None else None
+            ),
             parse_warnings=tuple(warnings),
         )
         if (log.issued is None) != (predicted is None):

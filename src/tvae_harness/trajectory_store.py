@@ -16,7 +16,15 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import DataError
-from .records import coordinate_pair, json_value, number, read_records, write_records
+from .records import (
+    coordinate_pair,
+    json_value,
+    member,
+    number,
+    numbers,
+    read_records,
+    write_records,
+)
 
 COORD_DECIMALS = 6
 
@@ -37,6 +45,10 @@ class ScrollDirection(str, Enum):
     LEFT = "left"
     RIGHT = "right"
 
+
+# Each enum's one {value: member} table, which every reader looks tokens up in.
+ACTION_KINDS = {k.value: k for k in ActionKind}
+SCROLL_DIRECTIONS = {d.value: d for d in ScrollDirection}
 
 SPATIAL_KINDS = frozenset({ActionKind.CLICK, ActionKind.LONG_PRESS})
 TEXT_KINDS = frozenset({ActionKind.INPUT_TEXT, ActionKind.OPEN_APP})
@@ -179,7 +191,7 @@ def normalize_action(action: ActionRecord, dims: tuple[int, int] | None = None) 
         raise DataError(f"{action.kind.value}: absolute coordinates without screen_dims")
     x, y = action.coordinate  # type: ignore[misc]
     w, h = dims
-    rel = (round_coord(x / w), round_coord(y / h))
+    rel = (round(x / w, COORD_DECIMALS), round(y / h, COORD_DECIMALS))
     if rel[0] > 1 or rel[1] > 1:
         raise DataError(
             f"{action.kind.value}: invalid coordinate "
@@ -192,11 +204,15 @@ def normalize_action(action: ActionRecord, dims: tuple[int, int] | None = None) 
 
 
 def action_to_json(action: ActionRecord) -> dict[str, Any]:
-    out: dict[str, Any] = {"kind": action.kind.value}
+    """The dataset form of `action`.  Its coordinate components are floats,
+    as every reader and producer of actions makes them, rounded as
+    `round_coord` rounds them."""
+    out: dict[str, Any] = {"kind": action.kind._value_}
     if action.coordinate is not None:
-        out["coordinate"] = [round_coord(action.coordinate[0]), round_coord(action.coordinate[1])]
+        x, y = action.coordinate
+        out["coordinate"] = [round(x, COORD_DECIMALS), round(y, COORD_DECIMALS)]
     if action.direction is not None:
-        out["direction"] = action.direction.value
+        out["direction"] = action.direction._value_
     if action.text is not None:
         out["text"] = action.text
     if action.seconds is not None:
@@ -204,36 +220,35 @@ def action_to_json(action: ActionRecord) -> dict[str, Any]:
     return out
 
 
-_ACTION_FIELDS = {"kind", "coordinate", "direction", "text", "seconds"}
+_ACTION_FIELDS = frozenset({"kind", *_PARAMS})
 
 
 def action_from_json(obj: Mapping[str, Any]) -> ActionRecord:
-    """A dataset-form action; its values obey the turn parser's rules."""
-    if not isinstance(obj, Mapping):
+    """A dataset-form action; its values obey the turn parser's rules.  A
+    null parameter is an absent one, and each present one is checked, in
+    the order text, coordinate, seconds, direction, before `ActionRecord`
+    checks that `kind` carries exactly these."""
+    if type(obj) is not dict and not isinstance(obj, Mapping):
         raise DataError("action: invalid object (must be a JSON object)")
-    unknown = set(obj) - _ACTION_FIELDS
-    if unknown:
+    if not obj.keys() <= _ACTION_FIELDS:
+        unknown = set(obj) - _ACTION_FIELDS
         raise DataError(f"action: invalid fields (unknown keys {sorted(unknown)})")
     try:
-        kind = ActionKind(obj["kind"])
+        kind = member(ACTION_KINDS, obj["kind"], ActionKind)
     except (KeyError, ValueError) as exc:
         raise DataError(f"action: invalid kind ({exc})") from exc
-    coord, direction = obj.get("coordinate"), obj.get("direction")
-    text = json_value(obj, "text", str, "action") if obj.get("text") is not None else None
-    raw_seconds = obj.get("seconds")
-    coordinate = coordinate_pair(coord)
-    if coord is not None and coordinate is None:
+    coord, direction, text, raw_seconds = map(obj.get, _PARAMS)
+    if text is not None:
+        json_value(obj, "text", str, "action")
+    coordinate = None
+    if coord is not None and (coordinate := coordinate_pair(coord)) is None:
         raise DataError(f"action: invalid coordinate (must be [x, y] numbers, got {coord!r})")
-    seconds = number(raw_seconds)
-    if raw_seconds is not None and seconds is None:
+    seconds = None
+    if raw_seconds is not None and (seconds := number(raw_seconds)) is None:
         raise DataError(f"action: invalid seconds (must be a number, got {raw_seconds!r})")
-    return ActionRecord(
-        kind=kind,
-        coordinate=coordinate,
-        direction=ScrollDirection(direction) if direction is not None else None,
-        text=text,
-        seconds=seconds,
-    )
+    if direction is not None:
+        direction = member(SCROLL_DIRECTIONS, direction, ScrollDirection)
+    return ActionRecord(kind, coordinate, direction, text, seconds)
 
 
 def step_to_json(step: StepRecord) -> dict[str, Any]:
@@ -242,7 +257,7 @@ def step_to_json(step: StepRecord) -> dict[str, Any]:
         out["screen_dims"] = list(step.screen_dims)
     out["gt_action"] = action_to_json(step.gt_action)
     if step.gt_bbox is not None:
-        out["gt_bbox"] = [round_coord(v) for v in step.gt_bbox]
+        out["gt_bbox"] = rounded_box(step.gt_bbox)
     out["reference_effect"] = step.reference_effect
     return out
 
@@ -259,6 +274,11 @@ def trajectory_to_json(traj: TrajectoryRecord) -> dict[str, Any]:
     return out
 
 
+def rounded_box(bbox: Sequence[float]) -> list[float]:
+    """A box of floats as written: each component rounded as `round_coord` does."""
+    return [round(v, COORD_DECIMALS) for v in bbox]
+
+
 def bbox_from_json(
     obj: Mapping[str, Any], key: str, dims: tuple[int, int] | None, subject: str
 ) -> tuple[float, float, float, float] | None:
@@ -269,25 +289,39 @@ def bbox_from_json(
     raw = json_value(obj, key, list, subject)
     if len(raw) != 4:
         raise DataError(f"{subject}: invalid {key} (must have 4 components)")
-    vals = [number(v) for v in raw]
-    if None in vals:
+    vals = numbers(raw)
+    if vals is None:
         raise DataError(f"{subject}: invalid {key} (must be 4 numbers, got {raw!r})")
-    if any(v > 1.0 for v in vals):
+    x0, y0, x1, y1 = vals
+    if x0 > 1.0 or y0 > 1.0 or x1 > 1.0 or y1 > 1.0:  # not max(): a NaN is no pixel
         if dims is None:
             raise DataError(f"{subject}: absolute {key} without screen_dims")
         w, h = dims
-        vals = [vals[0] / w, vals[1] / h, vals[2] / w, vals[3] / h]
-    return (round_coord(vals[0]), round_coord(vals[1]), round_coord(vals[2]), round_coord(vals[3]))
+        x0, y0, x1, y1 = x0 / w, y0 / h, x1 / w, y1 / h
+    return (
+        round(x0, COORD_DECIMALS), round(y0, COORD_DECIMALS),
+        round(x1, COORD_DECIMALS), round(y1, COORD_DECIMALS),
+    )
+
+
+_INT = frozenset({int})
 
 
 def screen_dims_from_json(obj: Mapping[str, Any], subject: str) -> tuple[int, int] | None:
     """The checked `screen_dims` of a step, sample or case line, which its
-    pixel coordinates are converted with: JSON integers, a positive size."""
+    pixel coordinates are converted with: JSON integers within the float
+    range, a positive size."""
     raw = obj.get("screen_dims")
-    if raw is not None and not (isinstance(raw, list) and all(type(v) is int for v in raw)):
+    if raw is None:
+        return None
+    if not (isinstance(raw, list) and set(map(type, raw)) <= _INT):
         raise DataError(f"{subject}: invalid screen_dims (must be JSON integers, got {raw!r})")
     check_box_and_dims(subject, "screen_dims", None, raw)  # before dims scale a pixel value
-    return None if raw is None else (raw[0], raw[1])
+    if numbers(raw) is None:  # a pixel value divided by it would overflow
+        raise DataError(
+            f"{subject}: invalid screen_dims ({raw!r} has a component beyond the float range)"
+        )
+    return (raw[0], raw[1])
 
 
 def _step_from_json(obj: Mapping[str, Any], traj_id: str) -> StepRecord:

@@ -16,13 +16,14 @@ from enum import Enum
 from typing import Any
 
 from .errors import DataError
-from .records import coordinate_pair, json_value, number
+from .records import coordinate_pair, json_value, member, number
 from .trajectory_store import (
+    ACTION_KINDS,
+    SCROLL_DIRECTIONS,
     SPATIAL_KINDS,
     TEXT_KINDS,
     ActionKind,
     ActionRecord,
-    ScrollDirection,
     action_from_json,
     action_to_json,
     normalize_action,
@@ -103,8 +104,7 @@ _BLOCK_ALTERNATIVES = "|".join(BLOCK_NAMES)
 _OPEN_RE = re.compile(f"<({_BLOCK_ALTERNATIVES})>")
 _TAG_RE = re.compile(r"\[([A-Za-z][A-Za-z0-9_]*)\]")
 _KNOWN_TAGS = {t.value: t for t in ThinkTag}
-_VERIFICATIONS = {v.value: v for v in Verification}
-_ACTION_KINDS = {k.value: k for k in ActionKind}
+VERIFICATIONS = {v.value: v for v in Verification}
 _TAG_PREFIX = {t: f"[{t.value}] " for t in ThinkTag}
 
 
@@ -167,7 +167,7 @@ def parse_action_json(body: str) -> ActionRecord:
     if "action" not in obj:
         raise DataError('malformed action JSON: missing "action" key')
     token = obj["action"]
-    kind = _ACTION_KINDS.get(token) if isinstance(token, str) else None
+    kind = ACTION_KINDS.get(token) if isinstance(token, str) else None
     if kind is None:
         raise DataError(f"unknown action kind {str(token)!r}")
     if kind in SPATIAL_KINDS:
@@ -176,12 +176,10 @@ def parse_action_json(body: str) -> ActionRecord:
             raise DataError(f"malformed action JSON: coordinate must be [x, y], got {raw!r}")
         return ActionRecord(kind=kind, coordinate=coord)
     if kind is ActionKind.SCROLL:
-        try:
-            direction = ScrollDirection(obj.get("direction"))
-        except ValueError:
-            raise DataError(
-                f"malformed action JSON: bad scroll direction {obj.get('direction')!r}"
-            ) from None
+        raw = obj.get("direction")
+        direction = SCROLL_DIRECTIONS.get(raw) if isinstance(raw, str) else None
+        if direction is None:
+            raise DataError(f"malformed action JSON: bad scroll direction {raw!r}")
         return ActionRecord(kind=kind, direction=direction)
     if kind in TEXT_KINDS:
         text = obj.get("text")
@@ -261,7 +259,7 @@ def parse_tvae(raw: str, strict: bool = True) -> TvaeOutput:
                     raise DataError(f"missing <{name}> block")
 
     ver_token = blocks["verification"].strip()
-    verification = _VERIFICATIONS.get(ver_token)
+    verification = VERIFICATIONS.get(ver_token)
     if verification is None:
         raise DataError(f"unknown verification token {ver_token!r}")
 
@@ -322,7 +320,7 @@ def history_entry_to_json(entry: HistoryEntry) -> dict[str, Any]:
     return {
         "action": action_to_json(entry.action),
         "expected_effect": entry.expected_effect,
-        "verification": entry.verification.value,
+        "verification": entry.verification._value_,
     }
 
 
@@ -331,5 +329,5 @@ def history_entry_from_json(obj: dict[str, Any], dims: tuple[int, int] | None) -
     return HistoryEntry(
         action=normalize_action(action_from_json(obj["action"]), dims),
         expected_effect=json_value(obj, "expected_effect", str, "history"),
-        verification=Verification(obj["verification"]),
+        verification=member(VERIFICATIONS, obj["verification"], Verification),
     )

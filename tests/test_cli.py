@@ -555,6 +555,26 @@ BAD_LINES = {
         "groups", lambda o: _put(o[1], ["outputs", 0, "logprobs_old"], [float("nan")]),
     ),
     "groups-infinite-reward": ("groups", _infinite_reward),
+    # the bulk readers refuse what the per-value ones did, with the same messages
+    "groups-huge-int-logprob": (
+        "groups", lambda o: _put(o[1], ["outputs", 0, "logprobs_new"], [-(10**400)]),
+    ),
+    "groups-bool-dist-row": ("groups", lambda o: _put(o[1], ["outputs", 0, "dist_new"], [[True]])),
+    "dataset-bool-box-component": ("dataset", lambda o: _put(
+        o[1], ["steps", 0, "gt_bbox"], [True, 0.1, 0.5, 0.5])),
+    "dataset-huge-box-component": ("dataset", lambda o: _put(
+        o[1], ["steps", 0, "gt_bbox"], [10**400, 0.1, 0.5, 0.5])),
+    "dataset-list-direction": ("dataset", lambda o: _put(
+        o[1], ["steps", 0, "gt_action"], {"kind": "scroll", "direction": ["up"]})),
+    "samples-list-sample-type": ("samples", lambda o: {**o[1], "sample_type": ["type_a"]}),
+    "samples-list-history-verification": ("samples", lambda o: _put(
+        o[1], ["history", 0, "verification"], ["SUCCESS"])),
+    "cases-list-mode": ("cases", lambda o: {**o[1], "mode": ["null_click"]}),
+    # a pixel value divided by a screen size beyond the float range overflows
+    "dataset-huge-dims": ("dataset", lambda o: _put(
+        o[1], ["steps", 0, "screen_dims"], [2**1024, 2400])),
+    "samples-huge-dims": ("samples", lambda o: _put(o[1], ["screen_dims"], [2**1024, 2400])),
+    "cases-huge-dims": ("cases", lambda o: _put(o[1], ["screen_dims"], [2**1024, 2400])),
 }
 
 
@@ -584,6 +604,36 @@ def test_bad_record_line_is_data_error_naming_its_line(dataset, tmp_path, capsys
 
 # A pixel-space click: every command parses, grounds and matches it.
 PIXEL_TURN = FIXED_TURN.replace("[0.5, 0.5]", "[540, 1200]")
+
+
+def test_screen_size_beyond_the_float_range_is_a_bad_line(tmp_path, capsys):
+    # relative values need no conversion, so only the agent's pixel click
+    # would meet the size, and 540 / 2**1024 overflows: exit 1, not 3
+    step = {
+        "index": 0, "screen_ref": "s0", "screen_dims": [2**1024, 2400],
+        "gt_action": {"kind": "click", "coordinate": [0.5, 0.5]},
+        "gt_bbox": [0.4, 0.4, 0.6, 0.6], "reference_effect": "The panel opens.",
+    }
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text(json.dumps({
+        "id": "t0", "instruction": "Open the panel.", "terminal_screen_ref": "done", "steps": [step],
+    }) + "\n")
+    script = tmp_path / "agent.py"
+    script.write_text(
+        "import sys\n"
+        "for line in sys.stdin:\n"
+        f"    sys.stdout.write({PIXEL_TURN!r} + '\\n<<<END_TURN>>>\\n')\n"
+        "    sys.stdout.flush()\n"
+    )
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main([
+        "simulate", "--dataset", str(dataset), "--agent", f"stdio:{sys.executable} {script}",
+        "--out", str(out),
+    ]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "line 1: " in err and "screen_dims" in err and "beyond the float range" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["parse_tvae", "normalize_action", "match_action"])

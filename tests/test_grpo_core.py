@@ -115,6 +115,16 @@ def test_positive_logprobs_rejected():
         GroupOutput(reward=0.0, logprobs_new=(0.5,), logprobs_old=(-0.1,), logprobs_ref=(-0.1,))
 
 
+@pytest.mark.parametrize("key", ["logprobs_new", "logprobs_old", "logprobs_ref"])
+def test_leading_nan_does_not_hide_a_positive_logprob(key):
+    # max((nan, 1.0)) is nan, and nan > 0 is false: a check by max() passes this
+    fields = {k: (-0.1, -0.1) for k in ("logprobs_new", "logprobs_old", "logprobs_ref")}
+    with pytest.raises(DataError, match=r"^group_output: invalid logprobs \(must be <= 0\)$"):
+        GroupOutput(reward=0.0, **{**fields, key: (math.nan, 1.0)})
+    # a NaN is no positive value: the reader, not this check, refuses it as not finite
+    GroupOutput(reward=0.0, **{**fields, key: (math.nan, -1.0)})
+
+
 # -- clipped surrogate --------------------------------------------------------------------
 
 
