@@ -14,6 +14,7 @@ import sys
 from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Any, Protocol, Sequence
 from urllib.parse import urlsplit
 
@@ -102,7 +103,8 @@ def _clean(text: str) -> str:
 
 
 def _effect_safe(text: str) -> str:
-    return text.replace("</", "(/") or "The screen will update."
+    # Unpadded, as `emit_tvae` requires: the parse strips the effect anyway.
+    return text.strip().replace("</", "(/") or "The screen will update."
 
 
 def _param_segment(action: ActionRecord) -> ThinkSegment | None:
@@ -116,8 +118,9 @@ def _param_segment(action: ActionRecord) -> ThinkSegment | None:
     return None
 
 
-# Static segments are interned; only instruction- and action-dependent ones
-# are built per turn (the emit path is the simulation hot loop).
+# Static segments are interned, and the [Recall] segment is cached per
+# instruction; only action-dependent ones are built per turn (the emit path
+# is the simulation hot loop).
 _SEG_VERIFY_OK = ThinkSegment(ThinkTag.VERIFY, "The previous action produced the expected screen.")
 _SEG_VERIFY_STUCK = ThinkSegment(
     ThinkTag.VERIFY, "The screen remains unchanged after the last action."
@@ -131,6 +134,13 @@ _SEG_GROUNDING_FIX = ThinkSegment(
 )
 
 
+# An episode's turns share its instruction, and a run holds at most
+# `--workers` episodes at once, so a small cache serves nearly every turn.
+@lru_cache(maxsize=64)
+def _recall_segment(instruction: str) -> ThinkSegment:
+    return ThinkSegment(ThinkTag.RECALL, f"The task is: {_clean(instruction)}.")
+
+
 def _emit(
     instruction: str,
     action: ActionRecord,
@@ -139,7 +149,7 @@ def _emit(
 ) -> str:
     """A turn claiming `verification`: a plain step after SUCCESS, a
     diagnosis and retry after NO_CHANGE."""
-    recall = ThinkSegment(ThinkTag.RECALL, f"The task is: {_clean(instruction)}.")
+    recall = _recall_segment(instruction)
     described = _clean(describe_action(action))
     if verification is Verification.SUCCESS:
         think = [_SEG_VERIFY_OK, recall, _SEG_GROUNDING_OK]

@@ -122,8 +122,10 @@ def read_records(
 
 def write_records(path: str | Path, objs: Iterable[Mapping[str, Any]]) -> None:
     """Write one compact JSON object per line, each as
-    `json.dumps(obj, separators=(",", ":"))` writes it."""
-    encode = json.JSONEncoder(separators=(",", ":")).encode
+    `json.dumps(obj, separators=(",", ":"))` writes it.  Each object is a
+    fresh tree that a `*_to_json` function built, so no container holds
+    itself, and the encoder skips the check for one (`check_circular`)."""
+    encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
     with open(path, "w", encoding="utf-8") as fh:
         for obj in objs:
             fh.write(encode(obj) + "\n")

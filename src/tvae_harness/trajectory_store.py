@@ -143,7 +143,7 @@ class StepRecord:
             raise DataError("step: invalid index (must be >= 0)")
         if not self.screen_ref:
             raise DataError("step: invalid screen_ref (must be non-empty)")
-        if not self.reference_effect:
+        if not self.reference_effect.strip():  # a turn's effect is read stripped
             raise DataError("step: invalid reference_effect (must be non-empty)")
         check_box_and_dims("step", "gt_bbox", self.gt_bbox, self.screen_dims)
 

@@ -53,12 +53,11 @@ BLOCK_NAMES = ("think", "verification", "action", "expected_effect")
 
 @dataclass(slots=True)
 class ThinkSegment:
+    """One tagged think segment.  Its body is non-blank and unpadded: the
+    parser only builds such segments, and `emit_tvae` refuses any other."""
+
     tag: ThinkTag
     body: str
-
-    def __post_init__(self) -> None:
-        if not self.body or self.body.isspace():
-            raise DataError(f"think: invalid {self.tag.value} (empty segment body)")
 
 
 @dataclass(slots=True)
@@ -198,14 +197,14 @@ def parse_action_json(body: str) -> ActionRecord:
 def emit_action_json(action: ActionRecord) -> str:
     """The action's JSON as `json.dumps` writes its {"action": ..., param}
     object: an integral pixel coordinate or wait duration as integers."""
-    head = f'{{"action": "{action.kind.value}"'
+    head = f'{{"action": "{action.kind._value_}"'
     if action.coordinate is not None:
         x, y = action.coordinate
         if action.in_pixels() and x == int(x) and y == int(y):
             x, y = int(x), int(y)
         return f'{head}, "coordinate": [{x!r}, {y!r}]}}'
     if action.direction is not None:
-        return f'{head}, "direction": "{action.direction.value}"}}'
+        return f'{head}, "direction": "{action.direction._value_}"}}'
     if action.text is not None:
         return f'{head}, "text": {json.dumps(action.text)}}}'
     if action.seconds is not None:
@@ -217,6 +216,50 @@ def emit_action_json(action: ActionRecord) -> str:
 # The layout `emit_tvae` writes, each block body free of "<".
 _EMITTED_TURN = re.compile("\n".join(f"<{n}>(?P<{n}>[^<]*)</{n}>" for n in BLOCK_NAMES))
 
+# A JSON number as `emit_action_json` writes one: an integer or a float's
+# `repr`, unsigned, with at most 16 integer digits and a 2-digit exponent.
+# `float` of such a literal is what `json.loads` and then `number` make of
+# it: an integer below 1e16 converts exactly as its `int` does, no value
+# overflows, and no "-0" (an integer, so 0.0) is read as -0.0.  `[0-9]`,
+# since `\d` also matches digits that JSON does not know.
+_NUMBER = r"(?:0|[1-9][0-9]{0,15})(?:\.[0-9]+)?(?:e[-+][0-9]{2})?"
+# The action object as `emit_action_json` writes it, each kind with exactly
+# its parameter; a text needs no JSON escape and holds no "<".
+_EMITTED_ACTION = (
+    r'\{"action": "(?:'
+    rf'(?P<spatial>click|long_press)", "coordinate": \[(?P<x>{_NUMBER}), (?P<y>{_NUMBER})\]'
+    r'|scroll", "direction": "(?P<direction>up|down|left|right)"'
+    r'|(?P<textual>input_text|open_app)", "text": "(?P<text>[^"\\<\x00-\x1f]+)"'
+    rf'|wait", "time": (?P<time>{_NUMBER})'
+    r'|navigate_back")\}'
+)
+# The whole turn as `emit_tvae` writes it, action parameters included.
+# Every text it matches also matches `_EMITTED_TURN` with the same blocks.
+_EMITTED_WHOLE = re.compile(
+    "<think>(?P<think>[^<]*)</think>\n"
+    "<verification>(?P<verification>SUCCESS|NO_CHANGE)</verification>\n"
+    f"<action>{_EMITTED_ACTION}</action>\n"
+    "<expected_effect>(?P<expected_effect>[^<]*)</expected_effect>"
+)
+
+
+def _emitted_action(
+    spatial: str | None, x: str | None, y: str | None, direction: str | None,
+    textual: str | None, text: str | None, seconds: str | None,
+) -> ActionRecord:
+    """The action of an `_EMITTED_ACTION` match, from its groups: the record
+    `parse_action_json` makes of the same object."""
+    if x is not None:
+        coordinate = (float(x), float(y))  # type: ignore[arg-type]
+        return ActionRecord(ACTION_KINDS[spatial], coordinate)  # type: ignore[index]
+    if direction is not None:
+        return ActionRecord(ActionKind.SCROLL, direction=SCROLL_DIRECTIONS[direction])
+    if text is not None:
+        return ActionRecord(ACTION_KINDS[textual], text=text)  # type: ignore[index]
+    if seconds is not None:
+        return ActionRecord(ActionKind.WAIT, seconds=float(seconds))
+    return ActionRecord(ActionKind.NAVIGATE_BACK)
+
 
 def parse_tvae(raw: str, strict: bool = True) -> TvaeOutput:
     """Parse raw turn text into a TvaeOutput.
@@ -225,13 +268,24 @@ def parse_tvae(raw: str, strict: bool = True) -> TvaeOutput:
     best-effort parse with `warnings` populated; it still raises typed errors
     when no executable action or verification can be recovered at all.
 
-    Text in exactly the layout `emit_tvae` writes, with no "<" inside a
-    block, is split into its four blocks by one full match.  The block scan
-    would find the same four: each body holds no tag, so each block closes
-    at its own terminator, and nothing is left over to warn of.  Any other
-    text takes the scan.
+    Text in exactly the layout `emit_tvae` writes is read by one full match
+    of the whole turn: its verification token, and its action's kind and
+    parameter, come from the match's groups, with no JSON decode.  The
+    block scan would find the same four blocks (no body holds "<", so each
+    block closes at its own terminator, and nothing is left over to warn
+    of), and `parse_action_json` the same action.  Any other text is split
+    into blocks by `_EMITTED_TURN`'s match or the scan, and its action JSON
+    decoded.  Both read the think body with `_assemble_segments`.
     """
     warnings: list[str] = []
+    whole = _EMITTED_WHOLE.fullmatch(raw)
+    if whole is not None:
+        think_body, ver_token, *params, effect = whole.groups()
+        action = _emitted_action(*params)
+        think = _assemble_segments(think_body, strict, warnings)
+        return _checked_turn(
+            think, VERIFICATIONS[ver_token], action, effect.strip(), strict, warnings
+        )
     emitted = _EMITTED_TURN.fullmatch(raw)
     if emitted is not None:
         blocks = emitted.groupdict()
@@ -272,7 +326,19 @@ def parse_tvae(raw: str, strict: bool = True) -> TvaeOutput:
     effect = blocks.get("expected_effect", "").strip()
     if "expected_effect" not in blocks:
         warnings.append("missing <expected_effect> block")
+    return _checked_turn(think, verification, action, effect, strict, warnings)
 
+
+def _checked_turn(
+    think: tuple[ThinkSegment, ...],
+    verification: Verification,
+    action: ActionRecord,
+    effect: str,
+    strict: bool,
+    warnings: list[str],
+) -> TvaeOutput:
+    """The parsed turn once its structural rules are checked: a broken rule
+    raises in strict mode and is a warning in lenient mode."""
     tags = {s.tag for s in think}
     problem = _turn_problem(think, tags, verification, effect)
     if problem is not None:
@@ -289,30 +355,48 @@ _FORBIDDEN_IN_BODY = re.compile(f"</(?:{_BLOCK_ALTERNATIVES})>")
 _UNSAFE_BODY = re.compile(rf"\[[A-Za-z][A-Za-z0-9_]*\]|{_FORBIDDEN_IN_BODY.pattern}")
 
 
+def _body_problem(think: tuple[ThinkSegment, ...]) -> DataError:
+    """The error of the first segment whose body is blank or padded."""
+    seg = next(s for s in think if s.body.strip() != s.body or not s.body)
+    if not seg.body.strip():
+        return DataError(f"think: invalid {seg.tag.value} (empty segment body)")
+    return DataError(
+        f"think: invalid {seg.tag.value} (segment body has leading or trailing whitespace)"
+    )
+
+
 def emit_tvae(out: TvaeOutput) -> str:
     """Serialize a valid TvaeOutput in canonical block order.
 
     parse_tvae(emit_tvae(x)) is structurally equal to x, and emit is a
-    byte-level fixed point over parse.  Segment bodies must not embed tag
-    tokens or block terminators, which would make the text unparseable.
+    byte-level fixed point over parse.  So each segment body and the
+    expected effect must be non-blank and free of leading and trailing
+    whitespace (which the parse strips), and must not embed tag tokens or
+    block terminators (which would make the text unparseable).
     """
-    problem = _turn_problem(
-        out.think, {s.tag for s in out.think}, out.verification, out.expected_effect
-    )
+    think, effect = out.think, out.expected_effect
+    bodies = [s.body for s in think]
+    stripped = list(map(str.strip, bodies))
+    if stripped != bodies or "" in stripped:
+        raise _body_problem(think)
+    problem = _turn_problem(think, {s.tag for s in think}, out.verification, effect)
     if problem is not None:
         raise problem
+    if effect.strip() != effect:
+        raise DataError("turn: invalid expected_effect (has leading or trailing whitespace)")
     # No grammar token spans a newline, so one search of the joined bodies
-    # finds one exactly when some body embeds it.
-    if _UNSAFE_BODY.search("\n".join([s.body for s in out.think])):
+    # finds one exactly when some body embeds it; each token holds "[" or "</".
+    joined = "\n".join(bodies)
+    if ("[" in joined or "</" in joined) and _UNSAFE_BODY.search(joined):
         raise DataError("turn: invalid think (segment body embeds grammar tokens)")
-    if _FORBIDDEN_IN_BODY.search(out.expected_effect):
+    if "</" in effect and _FORBIDDEN_IN_BODY.search(effect):
         raise DataError("turn: invalid expected_effect (embeds block terminator)")
-    think_lines = "\n".join([_TAG_PREFIX[s.tag] + s.body for s in out.think])
+    think_lines = "\n".join([_TAG_PREFIX[s.tag] + s.body for s in think])
     return (
         f"<think>\n{think_lines}\n</think>\n"
-        f"<verification>{out.verification.value}</verification>\n"
+        f"<verification>{out.verification._value_}</verification>\n"
         f"<action>{emit_action_json(out.action)}</action>\n"
-        f"<expected_effect>{out.expected_effect}</expected_effect>"
+        f"<expected_effect>{effect}</expected_effect>"
     )
 
 

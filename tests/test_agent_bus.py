@@ -21,18 +21,34 @@ from tvae_harness.agent_bus import (
     parse_agent_spec,
     scripted_turn,
 )
+from tvae_harness import tvae_codec
 from tvae_harness.errors import AgentError, DataError
 from tvae_harness.reward_engine import match_action
 from tvae_harness.sim_engine import Outcome, SimConfig, run_episodes
 from tvae_harness.synthdata import make_dataset
+from tvae_harness.trajectory_store import (
+    ActionKind,
+    ActionRecord,
+    load_dataset,
+    save_dataset,
+)
 from tvae_harness.tvae_codec import (
     HistoryEntry,
+    ThinkSegment,
     ThinkTag,
+    TvaeOutput,
     Verification,
+    emit_tvae,
     parse_tvae,
 )
 
-from conftest import FIXED_TURN, CountingTurnServer, ScriptedReplyServer, make_click_step
+from conftest import (
+    FIXED_TURN,
+    CountingTurnServer,
+    ScriptedReplyServer,
+    make_click_step,
+    make_traj,
+)
 
 
 def _obs(history=(), budget=4) -> Observation:
@@ -117,6 +133,65 @@ def test_oracle_end_to_end_invariant():
     trajs = make_dataset(12, (1, 7), seed=10)
     traces = run_episodes(trajs, ScriptedAgent(Variant(VariantName.ORACLE)), SimConfig(seed=0))
     assert all(t.outcome is Outcome.COMPLETED_FIRST_TRY for t in traces)
+
+
+def _relative_and_pixel_datasets(tmp_path):
+    """Seeded trajectories, once with relative values and once read from a
+    file in pixels with per-step screen sizes, plus one trajectory whose
+    texts need a JSON escape."""
+    relative = make_dataset(30, (1, 6), seed=23)
+    relative.append(make_traj([
+        ActionRecord(kind=ActionKind.INPUT_TEXT, text='say "hi"'),
+        ActionRecord(kind=ActionKind.OPEN_APP, text="Caf\u00e9"),
+    ], traj_id="escaped"))
+    save_dataset(relative, tmp_path / "relative.jsonl")
+    lines = []
+    for line in (tmp_path / "relative.jsonl").read_text().splitlines():
+        traj = json.loads(line)
+        for step in traj["steps"]:
+            step["screen_dims"] = [1080, 2400]
+            step.pop("gt_bbox", None)
+            if "coordinate" in step["gt_action"]:
+                x, y = step["gt_action"]["coordinate"]
+                step["gt_action"]["coordinate"] = [round(x * 1080), round(y * 2400)]
+        lines.append(json.dumps(traj) + "\n")
+    (tmp_path / "pixel.jsonl").write_text("".join(lines))
+    return relative, load_dataset(tmp_path / "pixel.jsonl")
+
+
+def test_scripted_turns_take_the_whole_turn_match(tmp_path, monkeypatch):
+    # A scripted turn is read by the parser's one full match, with no JSON
+    # decode: an emitter change that sends turns down the slower block scan
+    # fails here rather than silently costing throughput.
+    decoded = []
+    decode = tvae_codec.parse_action_json
+
+    def recording_decode(body):
+        decoded.append(body)
+        return decode(body)
+
+    monkeypatch.setattr(tvae_codec, "parse_action_json", recording_decode)
+    turns = 0
+    for spec in ("oracle", "loopy", "failk:2", "bernoulli:0.5", "offset_then_correct"):
+        agent = parse_agent_spec(f"scripted:{spec}", timeout=5)
+        for trajs in _relative_and_pixel_datasets(tmp_path):
+            for trace in run_episodes(trajs, agent, SimConfig(seed=3)):
+                turns += len(trace.attempts)
+                assert all(a.parse_warnings == () for a in trace.attempts)
+    # only an action whose text needs a JSON escape is decoded
+    assert turns > 1000
+    assert decoded and all("\\" in body for body in decoded)
+    # a segment body is checked where a turn is emitted
+    for tag in ThinkTag:
+        blank = TvaeOutput(
+            think=(ThinkSegment(ThinkTag.RECOVERY, "Retry."), ThinkSegment(tag, " ")),
+            verification=Verification.NO_CHANGE,
+            action=ActionRecord(kind=ActionKind.NAVIGATE_BACK),
+            expected_effect="The list appears.",
+        )
+        why = rf"^think: invalid {tag.value} \(empty segment body\)$"
+        with pytest.raises(DataError, match=why):
+            emit_tvae(blank)
 
 
 # -- remote agents ----------------------------------------------------------------------

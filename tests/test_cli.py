@@ -482,6 +482,9 @@ BAD_LINES = {
     "dataset-int-screen-ref": ("dataset", lambda o: _put(o[1], ["steps", 0, "screen_ref"], 5)),
     "dataset-list-reference-effect": ("dataset", lambda o: _put(
         o[1], ["steps", 0, "reference_effect"], ["x"])),
+    # a turn's effect is read stripped, so a blank one is an empty one
+    "dataset-blank-reference-effect": ("dataset", lambda o: _put(
+        o[1], ["steps", 0, "reference_effect"], "   ")),
     "dataset-int-terminal-screen-ref": ("dataset", lambda o: {**o[1], "terminal_screen_ref": 7}),
     "dataset-string-box-component": ("dataset", lambda o: _put(
         o[1], ["steps", 0, "gt_bbox"], ["0.1", 0.1, 0.5, 0.5])),
@@ -600,6 +603,32 @@ def test_bad_record_line_is_data_error_naming_its_line(dataset, tmp_path, capsys
     else:
         assert code == EXIT_DATA
         assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--agent", "scripted:oracle"],
+    ["bench-robust", "--synthesize", "--agent", "scripted:oracle"],
+    ["synth", "--kind", "sft"],
+])
+def test_blank_reference_effect_is_a_bad_dataset_line(tmp_path, capsys, command):
+    # Each command refuses the line as it reads it; none writes the effect
+    # out, and no turn fails later on an error that names no line.
+    step = {
+        "index": 0, "screen_ref": "s0", "gt_action": {"kind": "click", "coordinate": [0.5, 0.5]},
+        "gt_bbox": [0.4, 0.4, 0.6, 0.6], "reference_effect": " \t ",
+    }
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text(json.dumps({
+        "id": "t0", "instruction": "Open the panel.", "terminal_screen_ref": "done",
+        "steps": [step],
+    }) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([*command, "--dataset", str(dataset), "--out", str(out)]) == EXIT_DATA
+    assert "line 1: step: invalid reference_effect (must be non-empty)" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
 
 
 # A pixel-space click: every command parses, grounds and matches it.

@@ -491,3 +491,133 @@ def test_emit_action_json_matches_dict_emitter():
         text = emit_action_json(action)
         assert text == _reference_emit_action_json(action)
         assert parse_action_json(text) == action
+
+
+# -- the whole-turn match's action against the JSON decode ------------------------------
+
+_EMITTED_ACTION_BODY = '{"action": "input_text", "text": "bus"}'
+assert _EMITTED_ACTION_BODY in _EMITTED
+
+# Literals around the number rule: a JSON integer converts through `int`, so
+# "-0" is 0.0, and json.loads refuses an integer beyond 4,300 digits.
+_NUMBER_LITERALS = [
+    "-0", "-0.0", "0", "0.0", "1e-05", "2.5e-05", "1E-05", "1e5", "1.5e+05", "1e+16",
+    "9" * 16, "9" * 17, "1" + "0" * 15, "1" + "0" * 16, "9007199254740993",
+    "1" + "0" * 399, "1" + "0" * 4300, "0.1", "0.30000000000000004", "1e400", "1e-400",
+    "01", "1.", ".5", "-1", "-1.5", "+1", "NaN", "Infinity", "1e99", "1e100", "0x10",
+    "\u0661", "1_000", "true", "null", '"1"',
+]
+_TEXT_LITERALS = [
+    '"h\\u00e9llo"', '"h\u00e9llo"', '"say \\"hi\\""', '"back\\\\slash"', '"tab\\there"',
+    '"\u65e5\u672c"', '"\U0001f600"', '"\x7f"', '"a\x1fb"', '""', '" "', "5", "null",
+]
+_FRAGMENT_CHARS = '-0123456789.eE+ ",[]{}:\\u"'
+
+
+def _action_bodies() -> list[str]:
+    """What `emit_action_json` writes for every layout, with each parameter
+    swapped for odd literals, keys renamed, repeated and misplaced, spacing
+    changed, and seeded character edits."""
+    rng = random.Random(21)
+    emitted = [emit_action_json(a) for a in _oracle_actions()]
+    bodies = list(emitted)
+    for n in _NUMBER_LITERALS:
+        bodies += [
+            f'{{"action": "click", "coordinate": [{n}, 0.5]}}',
+            f'{{"action": "long_press", "coordinate": [317, {n}]}}',
+            f'{{"action": "wait", "time": {n}}}',
+            f'{{"action": "wait", "seconds": {n}}}',
+        ]
+    for t in _TEXT_LITERALS:
+        bodies += [
+            f'{{"action": "input_text", "text": {t}}}', f'{{"action": "open_app", "text": {t}}}'
+        ]
+    bodies += [
+        '{"action": "wait", "time": -1}', '{"action": "wait", "time": -0}',
+        '{"action": "wait", "time": 2, "time": 3}',
+        '{"action": "click", "action": "wait", "time": 1}',
+        '{"action": "scroll", "direction": "up", "direction": "down"}',
+        '{"action": "click", "direction": "up"}', '{"action": "scroll", "text": "up"}',
+        '{"action": "wait", "coordinate": [1, 2]}', '{"action": "navigate_back", "time": 1}',
+        '{"action": "input_text", "time": 1}', '{"action": "scroll", "direction": "diagonal"}',
+        '{"action": "teleport"}', '{"action": "navigate_back", "text": "x"}',
+    ]
+    for body in emitted:
+        bodies += [
+            body.replace(": ", ":"), body.replace(", ", ","), body.replace(", ", ",  "),
+            " " + body, body + " ", body.replace("{", "{ ", 1), body.replace('"action"', '"kind"'),
+            body.replace('"time"', '"seconds"'), body.replace("[", "[ "),
+        ]
+        for _ in range(8):
+            chars = list(body)
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(chars) + 1)
+                op = rng.randrange(3)
+                if op == 0 and i < len(chars):
+                    del chars[i]
+                elif op == 1:
+                    chars.insert(i, rng.choice(_FRAGMENT_CHARS))
+                elif i < len(chars):
+                    chars[i] = rng.choice(_FRAGMENT_CHARS)
+            bodies.append("".join(chars))
+    return [b for b in dict.fromkeys(bodies) if "<" not in b]
+
+
+def _repr_or_error(read, body: str):
+    try:
+        return repr(read(body))
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return (type(exc), str(exc))
+
+
+def test_whole_turn_action_matches_json_decode():
+    bodies = _action_bodies()
+    whole = set()
+    for body in bodies:
+        raw = _EMITTED.replace(_EMITTED_ACTION_BODY, body)
+        if tvae_codec._EMITTED_WHOLE.fullmatch(raw) is not None:
+            whole.add(body)
+        for strict in (True, False):
+            got = _repr_or_error(lambda b: parse_tvae(raw, strict).action, body)
+            assert got == _repr_or_error(parse_action_json, body.strip()), body
+    # The whole match reads every emitted action but those with a JSON escape
+    # or an integer of 17 digits, and no other text holds the most bodies.
+    emitted = [emit_action_json(a) for a in _oracle_actions()]
+    assert [b for b in emitted if b not in whole and "\\" not in b and "<" not in b] == [
+        '{"action": "wait", "time": 10000000000000000}'
+    ]
+    assert len(whole) > 500 and len(bodies) - len(whole) > 5000
+
+
+@pytest.mark.parametrize("body, readable", [
+    (" go back", False), ("go back ", False), (" go back ", False), ("go back\n", False),
+    ("\tgo back", False), ("go\u00a0", False), ("", False), ("   ", False), ("\n", False),
+    ("go back", True), ("go\nback", True), ("go  back", True), ("a [ b ] c", True),
+])
+@pytest.mark.parametrize("effect, effect_readable", [
+    ("The screen changes.", True), (" The screen changes. ", False),
+    ("The screen changes.\n", False), ("\u2003The screen changes.", False),
+    ("The\nscreen changes.", True),
+])
+def test_emit_refuses_padded_text_and_round_trips_the_rest(body, readable, effect, effect_readable):
+    # parse strips segment bodies and the effect, so emitting padded text
+    # would break both parse(emit(x)) == x and the byte-level fixed point
+    out = TvaeOutput(
+        think=(ThinkSegment(ThinkTag.VERIFY, "Checked."), ThinkSegment(ThinkTag.ACTION, body)),
+        verification=Verification.SUCCESS,
+        action=ActionRecord(kind=ActionKind.NAVIGATE_BACK),
+        expected_effect=effect,
+    )
+    if not readable:
+        why = "empty segment body" if not body.strip() else (
+            "segment body has leading or trailing whitespace")
+        with pytest.raises(DataError, match=rf"^think: invalid Action \({why}\)$"):
+            emit_tvae(out)
+    elif not effect_readable:
+        why = r"^turn: invalid expected_effect \(has leading or trailing whitespace\)$"
+        with pytest.raises(DataError, match=why):
+            emit_tvae(out)
+    else:
+        text = emit_tvae(out)
+        assert parse_tvae(text) == out
+        assert emit_tvae(parse_tvae(text)) == text
