@@ -118,9 +118,9 @@ def _param_segment(action: ActionRecord) -> ThinkSegment | None:
     return None
 
 
-# Static segments are interned, and the [Recall] segment is cached per
-# instruction; only action-dependent ones are built per turn (the emit path
-# is the simulation hot loop).
+# Static segments are interned, and the [Recall] segment is reused across
+# an episode's turns; only action-dependent ones are built per turn (the
+# emit path is the simulation hot loop).
 _SEG_VERIFY_OK = ThinkSegment(ThinkTag.VERIFY, "The previous action produced the expected screen.")
 _SEG_VERIFY_STUCK = ThinkSegment(
     ThinkTag.VERIFY, "The screen remains unchanged after the last action."
@@ -134,9 +134,10 @@ _SEG_GROUNDING_FIX = ThinkSegment(
 )
 
 
-# An episode's turns share its instruction, and a run holds at most
-# `--workers` episodes at once, so a small cache serves nearly every turn.
-@lru_cache(maxsize=64)
+# A scripted agent runs its episodes one after another (`max_inflight` is
+# 1), and an episode's turns share its instruction, so the last segment
+# built serves every turn but an episode's first.
+@lru_cache(maxsize=1)
 def _recall_segment(instruction: str) -> ThinkSegment:
     return ThinkSegment(ThinkTag.RECALL, f"The task is: {_clean(instruction)}.")
 

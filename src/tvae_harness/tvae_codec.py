@@ -224,22 +224,14 @@ _EMITTED_TURN = re.compile("\n".join(f"<{n}>(?P<{n}>[^<]*)</{n}>" for n in BLOCK
 # since `\d` also matches digits that JSON does not know.
 _NUMBER = r"(?:0|[1-9][0-9]{0,15})(?:\.[0-9]+)?(?:e[-+][0-9]{2})?"
 # The action object as `emit_action_json` writes it, each kind with exactly
-# its parameter; a text needs no JSON escape and holds no "<".
-_EMITTED_ACTION = (
+# its parameter and a text that needs no JSON escape.
+_EMITTED_ACTION = re.compile(
     r'\{"action": "(?:'
     rf'(?P<spatial>click|long_press)", "coordinate": \[(?P<x>{_NUMBER}), (?P<y>{_NUMBER})\]'
     r'|scroll", "direction": "(?P<direction>up|down|left|right)"'
-    r'|(?P<textual>input_text|open_app)", "text": "(?P<text>[^"\\<\x00-\x1f]+)"'
+    r'|(?P<textual>input_text|open_app)", "text": "(?P<text>[^"\\\x00-\x1f]+)"'
     rf'|wait", "time": (?P<time>{_NUMBER})'
     r'|navigate_back")\}'
-)
-# The whole turn as `emit_tvae` writes it, action parameters included.
-# Every text it matches also matches `_EMITTED_TURN` with the same blocks.
-_EMITTED_WHOLE = re.compile(
-    "<think>(?P<think>[^<]*)</think>\n"
-    "<verification>(?P<verification>SUCCESS|NO_CHANGE)</verification>\n"
-    f"<action>{_EMITTED_ACTION}</action>\n"
-    "<expected_effect>(?P<expected_effect>[^<]*)</expected_effect>"
 )
 
 
@@ -248,7 +240,7 @@ def _emitted_action(
     textual: str | None, text: str | None, seconds: str | None,
 ) -> ActionRecord:
     """The action of an `_EMITTED_ACTION` match, from its groups: the record
-    `parse_action_json` makes of the same object."""
+    `parse_action_json` makes of the same object, with no JSON decode."""
     if x is not None:
         coordinate = (float(x), float(y))  # type: ignore[arg-type]
         return ActionRecord(ACTION_KINDS[spatial], coordinate)  # type: ignore[index]
@@ -268,24 +260,14 @@ def parse_tvae(raw: str, strict: bool = True) -> TvaeOutput:
     best-effort parse with `warnings` populated; it still raises typed errors
     when no executable action or verification can be recovered at all.
 
-    Text in exactly the layout `emit_tvae` writes is read by one full match
-    of the whole turn: its verification token, and its action's kind and
-    parameter, come from the match's groups, with no JSON decode.  The
-    block scan would find the same four blocks (no body holds "<", so each
-    block closes at its own terminator, and nothing is left over to warn
-    of), and `parse_action_json` the same action.  Any other text is split
-    into blocks by `_EMITTED_TURN`'s match or the scan, and its action JSON
-    decoded.  Both read the think body with `_assemble_segments`.
+    Text in exactly the layout `emit_tvae` writes, with no "<" inside a
+    block, is split into its four blocks by one full match.  The block scan
+    would find the same four: each body holds no tag, so each block closes
+    at its own terminator, and nothing is left over to warn of.  Any other
+    text takes the scan.  An action written as `emit_action_json` writes it
+    is read from `_EMITTED_ACTION`'s groups; any other is decoded as JSON.
     """
     warnings: list[str] = []
-    whole = _EMITTED_WHOLE.fullmatch(raw)
-    if whole is not None:
-        think_body, ver_token, *params, effect = whole.groups()
-        action = _emitted_action(*params)
-        think = _assemble_segments(think_body, strict, warnings)
-        return _checked_turn(
-            think, VERIFICATIONS[ver_token], action, effect.strip(), strict, warnings
-        )
     emitted = _EMITTED_TURN.fullmatch(raw)
     if emitted is not None:
         blocks = emitted.groupdict()
@@ -317,7 +299,9 @@ def parse_tvae(raw: str, strict: bool = True) -> TvaeOutput:
     if verification is None:
         raise DataError(f"unknown verification token {ver_token!r}")
 
-    action = parse_action_json(blocks["action"].strip())
+    action_body = blocks["action"].strip()
+    m = _EMITTED_ACTION.fullmatch(action_body)
+    action = _emitted_action(*m.groups()) if m is not None else parse_action_json(action_body)
 
     think = _assemble_segments(blocks.get("think", ""), strict, warnings)
     if "think" not in blocks:
@@ -326,19 +310,7 @@ def parse_tvae(raw: str, strict: bool = True) -> TvaeOutput:
     effect = blocks.get("expected_effect", "").strip()
     if "expected_effect" not in blocks:
         warnings.append("missing <expected_effect> block")
-    return _checked_turn(think, verification, action, effect, strict, warnings)
 
-
-def _checked_turn(
-    think: tuple[ThinkSegment, ...],
-    verification: Verification,
-    action: ActionRecord,
-    effect: str,
-    strict: bool,
-    warnings: list[str],
-) -> TvaeOutput:
-    """The parsed turn once its structural rules are checked: a broken rule
-    raises in strict mode and is a warning in lenient mode."""
     tags = {s.tag for s in think}
     problem = _turn_problem(think, tags, verification, effect)
     if problem is not None:

@@ -21,7 +21,7 @@ from tvae_harness.agent_bus import (
     parse_agent_spec,
     scripted_turn,
 )
-from tvae_harness import tvae_codec
+from tvae_harness import agent_bus, tvae_codec
 from tvae_harness.errors import AgentError, DataError
 from tvae_harness.reward_engine import match_action
 from tvae_harness.sim_engine import Outcome, SimConfig, run_episodes
@@ -159,18 +159,24 @@ def _relative_and_pixel_datasets(tmp_path):
     return relative, load_dataset(tmp_path / "pixel.jsonl")
 
 
-def test_scripted_turns_take_the_whole_turn_match(tmp_path, monkeypatch):
-    # A scripted turn is read by the parser's one full match, with no JSON
-    # decode: an emitter change that sends turns down the slower block scan
-    # fails here rather than silently costing throughput.
-    decoded = []
-    decode = tvae_codec.parse_action_json
+def test_scripted_turns_take_the_fast_path(tmp_path, monkeypatch):
+    # A scripted turn is split by the parser's one layout match and its action
+    # read with no JSON decode: an emitter change that sends turns down the
+    # slower block scan or JSON decode fails here rather than silently
+    # costing throughput.
+    decoded, texts = [], []
+    decode, emit = tvae_codec.parse_action_json, agent_bus._emit
 
     def recording_decode(body):
         decoded.append(body)
         return decode(body)
 
+    def recording_emit(*args):
+        texts.append(emit(*args))
+        return texts[-1]
+
     monkeypatch.setattr(tvae_codec, "parse_action_json", recording_decode)
+    monkeypatch.setattr(agent_bus, "_emit", recording_emit)
     turns = 0
     for spec in ("oracle", "loopy", "failk:2", "bernoulli:0.5", "offset_then_correct"):
         agent = parse_agent_spec(f"scripted:{spec}", timeout=5)
@@ -178,8 +184,10 @@ def test_scripted_turns_take_the_whole_turn_match(tmp_path, monkeypatch):
             for trace in run_episodes(trajs, agent, SimConfig(seed=3)):
                 turns += len(trace.attempts)
                 assert all(a.parse_warnings == () for a in trace.attempts)
-    # only an action whose text needs a JSON escape is decoded
-    assert turns > 1000
+    # every turn is in the emitted layout; only an action whose text needs a
+    # JSON escape is decoded
+    assert turns > 1000 and len(texts) == turns
+    assert all(tvae_codec._EMITTED_TURN.fullmatch(text) for text in texts)
     assert decoded and all("\\" in body for body in decoded)
     # a segment body is checked where a turn is emitted
     for tag in ThinkTag:

@@ -493,7 +493,7 @@ def test_emit_action_json_matches_dict_emitter():
         assert parse_action_json(text) == action
 
 
-# -- the whole-turn match's action against the JSON decode ------------------------------
+# -- the emitted-action match against the JSON decode ---------------------------------
 
 _EMITTED_ACTION_BODY = '{"action": "input_text", "text": "bus"}'
 assert _EMITTED_ACTION_BODY in _EMITTED
@@ -510,6 +510,7 @@ _NUMBER_LITERALS = [
 _TEXT_LITERALS = [
     '"h\\u00e9llo"', '"h\u00e9llo"', '"say \\"hi\\""', '"back\\\\slash"', '"tab\\there"',
     '"\u65e5\u672c"', '"\U0001f600"', '"\x7f"', '"a\x1fb"', '""', '" "', "5", "null",
+    '"a<b"', '"<br>"', '"x <think>"',
 ]
 _FRAGMENT_CHARS = '-0123456789.eE+ ",[]{}:\\u"'
 
@@ -560,7 +561,7 @@ def _action_bodies() -> list[str]:
                 elif i < len(chars):
                     chars[i] = rng.choice(_FRAGMENT_CHARS)
             bodies.append("".join(chars))
-    return [b for b in dict.fromkeys(bodies) if "<" not in b]
+    return [b for b in dict.fromkeys(bodies) if "</" not in b]
 
 
 def _repr_or_error(read, body: str):
@@ -570,23 +571,24 @@ def _repr_or_error(read, body: str):
         return (type(exc), str(exc))
 
 
-def test_whole_turn_action_matches_json_decode():
+def test_emitted_action_match_matches_json_decode():
+    # A body holding "<" takes the block scan rather than the layout match,
+    # so both ways of splitting a turn are covered.
     bodies = _action_bodies()
-    whole = set()
     for body in bodies:
         raw = _EMITTED.replace(_EMITTED_ACTION_BODY, body)
-        if tvae_codec._EMITTED_WHOLE.fullmatch(raw) is not None:
-            whole.add(body)
         for strict in (True, False):
             got = _repr_or_error(lambda b: parse_tvae(raw, strict).action, body)
             assert got == _repr_or_error(parse_action_json, body.strip()), body
-    # The whole match reads every emitted action but those with a JSON escape
-    # or an integer of 17 digits, and no other text holds the most bodies.
+    # The match reads every emitted action but those with a JSON escape or an
+    # integer of 17 digits, and no other text holds the most bodies.
+    matched = {b for b in bodies if tvae_codec._EMITTED_ACTION.fullmatch(b.strip())}
     emitted = [emit_action_json(a) for a in _oracle_actions()]
-    assert [b for b in emitted if b not in whole and "\\" not in b and "<" not in b] == [
+    assert [b for b in emitted if b not in matched and "\\" not in b and "</" not in b] == [
         '{"action": "wait", "time": 10000000000000000}'
     ]
-    assert len(whole) > 500 and len(bodies) - len(whole) > 5000
+    assert any("<" in b for b in matched)
+    assert len(matched) > 500 and len(bodies) - len(matched) > 5000
 
 
 @pytest.mark.parametrize("body, readable", [
