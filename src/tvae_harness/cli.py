@@ -39,15 +39,9 @@ from .failure_forge import (
     sample_to_json,
 )
 from .metric_suite import ReportFormat, emit_report, episode_report, robustness_metrics
-from .records import json_value, read_records, write_records
+from .records import json_value, read_records, write_lines, write_records
 from .reward_engine import RewardConfig, score_output
-from .sim_engine import (
-    SimConfig,
-    run_episodes,
-    run_failure_cases,
-    trace_from_json,
-    trace_to_json,
-)
+from .sim_engine import SimConfig, run_episodes, run_failure_cases, trace_from_json, trace_line
 from .trajectory_store import load_dataset, save_dataset
 
 EXIT_OK = 0
@@ -149,7 +143,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_records(out_dir / "traces.jsonl", (trace_to_json(t) for t in traces))
+    write_lines(out_dir / "traces.jsonl", map(trace_line, traces))
     report = episode_report(traces, trajs)
     _atomic_write(out_dir / "report.json", emit_report(report, ReportFormat.JSON))
     outputs = ["traces.jsonl", "report.json"]

@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .agent_bus import AgentHandle, Observation
@@ -30,11 +31,11 @@ from .records import json_value, member
 from .reward_engine import actions_approx_equal, ground, match_action
 from .seeding import stable_seed
 from .trajectory_store import (
+    COORD_DECIMALS,
     ActionRecord,
     StepRecord,
     TrajectoryRecord,
     action_from_json,
-    action_to_json,
 )
 from .tvae_codec import VERIFICATIONS, HistoryEntry, TvaeOutput, Verification, parse_tvae
 
@@ -278,19 +279,26 @@ def run_failure_cases(
 # -- serialization ---------------------------------------------------------------
 
 
-def _issued_to_json(action: ActionRecord | None) -> dict[str, Any] | None:
-    """The dataset form of an issued action; one left in pixels (ungrounded)
-    also carries `"coordinate_space": "pixel"`, which trace schema v1 keeps."""
-    if action is None:
-        return None
-    obj = action_to_json(action)
-    if action.in_pixels():
-        obj["coordinate_space"] = "pixel"
-    return obj
+def _issued_line(action: ActionRecord) -> str:
+    """An issued action in trace schema v1: its dataset form, plus
+    `"coordinate_space": "pixel"` when its unrounded coordinate is pixels."""
+    head = '{"kind":"' + action.kind._value_
+    if action.coordinate is not None:
+        x, y = action.coordinate
+        space = ',"coordinate_space":"pixel"' if action.in_pixels() else ""
+        x, y = round(x, COORD_DECIMALS), round(y, COORD_DECIMALS)
+        return f'{head}","coordinate":[{x!r},{y!r}]{space}}}'
+    if action.direction is not None:
+        return f'{head}","direction":"{action.direction._value_}"}}'
+    if action.text is not None:
+        return f'{head}","text":{_json_str(action.text)}}}'
+    if action.seconds is not None:
+        return f'{head}","seconds":{action.seconds!r}}}'
+    return head + '"}'
 
 
 def _issued_from_json(obj: Any) -> ActionRecord | None:
-    """The inverse of `_issued_to_json`: null or a JSON object.  A
+    """An `issued` as `trace_line` writes it: null or a JSON object.  A
     `coordinate_space` key other than the one its coordinate's magnitude gives
     is a bad line, but `"pixel"` also goes with a 1.0, which a pixel component
     below 1.0000005 is written as."""
@@ -307,33 +315,32 @@ def _issued_from_json(obj: Any) -> ActionRecord | None:
     return action
 
 
-def trace_to_json(trace: SimTrace) -> dict[str, Any]:
-    """Trace schema v1: the decided values plus every value derived from them."""
-    return {
-        "trajectory_id": trace.trajectory_id,
-        "outcome": trace.outcome._value_,
-        "steps_used": trace.steps_used,
-        "t_gt": trace.t_gt,
-        "final_cursor": trace.final_cursor,
-        "attempts": [
-            {
-                "attempt": n,
-                "gt_step": gt_step,
-                "issued": _issued_to_json(a.issued),
-                "matched": a.matched,
-                "advanced": a.matched,
-                "predicted_verification": (
-                    a.predicted_verification._value_ if a.predicted_verification else None
-                ),
-                "target_verification": target._value_,
-                "parse_warnings": list(a.parse_warnings),
-            }
-            for n, (a, (gt_step, target)) in enumerate(zip(trace.attempts, trace.attempt_targets()))
-        ],
-    }
+def trace_line(trace: SimTrace) -> str:
+    """Trace schema v1 as `json.dumps(obj, separators=(",", ":"))` writes it,
+    with no dict tree: the decided values plus every value derived from them."""
+    attempts = []
+    gt_step, target = 0, "SUCCESS"  # as `attempt_targets` derives them, in this pass
+    for n, a in enumerate(trace.attempts):
+        issued = "null" if a.issued is None else _issued_line(a.issued)
+        matched = "true" if a.matched else "false"
+        predicted = f'"{a.predicted_verification._value_}"' if a.predicted_verification else "null"
+        warnings = ",".join(map(_json_str, a.parse_warnings)) if a.parse_warnings else ""
+        attempts.append(
+            f'{{"attempt":{n},"gt_step":{gt_step},"issued":{issued},'
+            f'"matched":{matched},"advanced":{matched},"predicted_verification":{predicted},'
+            f'"target_verification":"{target}","parse_warnings":[{warnings}]}}'
+        )
+        gt_step += a.matched
+        target = "SUCCESS" if a.matched else "NO_CHANGE"
+    return (
+        f'{{"trajectory_id":{_json_str(trace.trajectory_id)},"outcome":"{trace.outcome._value_}",'
+        f'"steps_used":{len(attempts)},"t_gt":{trace.t_gt},"final_cursor":{gt_step},'
+        f'"attempts":[{",".join(attempts)}]}}'
+    )
 
 
-# What each derived key of a trace line must be; `{}` is the derived value.
+# What each derived key of a trace line must be, in the order `trace_from_json` derives
+# their values; `{}` is the derived value.
 _DERIVED_ATTEMPT_KEYS = {
     "attempt": "must be its position, {}",
     "gt_step": "must count the matches before it, {}",
@@ -348,10 +355,9 @@ _DERIVED_TRACE_KEYS = {
 
 
 def _check_derived(
-    tid: str, written: Mapping[str, Any], derived: Mapping[str, Any], rules: Mapping[str, str]
+    tid: str, written: Mapping[str, Any], derived: tuple[Any, ...], rules: Mapping[str, str]
 ) -> None:
-    for key, rule in rules.items():
-        value = derived[key]
+    for (key, rule), value in zip(rules.items(), derived):
         if type(written[key]) is not type(value) or written[key] != value:
             raise DataError(f"{tid}: invalid {key} ({rule.format(value)})")
 
@@ -363,7 +369,7 @@ def trace_from_json(obj: Mapping[str, Any]) -> SimTrace:
     `parse_warnings` (a list of strings).  `t_gt` must lie in
     [max(1, final_cursor), steps_used] (an episode ends once `t_gt` attempts
     matched, and its budget is at least `t_gt`).  Every derived key must then
-    equal, with its JSON type, the one `trace_to_json` writes.  An attempt
+    equal, with its JSON type, the one `trace_line` writes.  An attempt
     whose turn did not parse issued nothing: its `issued` is null exactly
     when its `predicted_verification` is, and then it did not match."""
     tid = json_value(obj, "trajectory_id", str, "trace")
@@ -388,8 +394,9 @@ def trace_from_json(obj: Mapping[str, Any]) -> SimTrace:
     trace = SimTrace(tid, json_value(obj, "t_gt", int, tid), tuple(attempts))
     if not max(1, trace.final_cursor) <= trace.t_gt <= trace.steps_used:
         raise DataError(f"{tid}: invalid t_gt (must be in [max(1, final_cursor), steps_used])")
-    derived = trace_to_json(trace)
-    for written, rebuilt in zip(obj["attempts"], derived["attempts"]):
-        _check_derived(tid, written, rebuilt, _DERIVED_ATTEMPT_KEYS)
+    targets = zip(obj["attempts"], trace.attempts, trace.attempt_targets())
+    for n, (written, a, (gt_step, target)) in enumerate(targets):
+        _check_derived(tid, written, (n, gt_step, a.matched, target._value_), _DERIVED_ATTEMPT_KEYS)
+    derived = (trace.steps_used, trace.final_cursor, trace.outcome._value_)
     _check_derived(tid, obj, derived, _DERIVED_TRACE_KEYS)
     return trace

@@ -196,7 +196,9 @@ def parse_action_json(body: str) -> ActionRecord:
 
 def emit_action_json(action: ActionRecord) -> str:
     """The action's JSON as `json.dumps` writes its {"action": ..., param}
-    object: an integral pixel coordinate or wait duration as integers."""
+    object: an integral pixel coordinate or wait duration as integers.  A
+    "</" in a text is written "<\\/", which JSON reads back as "</", so no
+    block terminator in a text can close its <action> block."""
     head = f'{{"action": "{action.kind._value_}"'
     if action.coordinate is not None:
         x, y = action.coordinate
@@ -206,7 +208,8 @@ def emit_action_json(action: ActionRecord) -> str:
     if action.direction is not None:
         return f'{head}, "direction": "{action.direction._value_}"}}'
     if action.text is not None:
-        return f'{head}, "text": {json.dumps(action.text)}}}'
+        text = json.dumps(action.text).replace("</", r"<\/")
+        return f'{head}, "text": {text}}}'
     if action.seconds is not None:
         seconds = action.seconds
         return f'{head}, "time": {int(seconds) if seconds == int(seconds) else seconds!r}}}'

@@ -26,7 +26,7 @@ from tvae_harness.failure_forge import (
 from tvae_harness.grpo_core import GrpoConfig
 from tvae_harness.records import write_records
 from tvae_harness.reward_engine import RewardConfig
-from tvae_harness.sim_engine import SimConfig, trace_from_json, trace_to_json
+from tvae_harness.sim_engine import SimConfig, trace_from_json, trace_line
 from tvae_harness.synthdata import make_dataset
 from tvae_harness.trajectory_store import (
     ActionKind,
@@ -74,6 +74,28 @@ def test_simulate_oracle(dataset, tmp_path, capsys):
     assert manifest["agent"] == "scripted:oracle"
     assert len(manifest["dataset_sha256"]) == 64
     assert (out / "traces.jsonl").exists()
+
+
+@pytest.mark.parametrize("kind", ["input_text", "open_app"])
+def test_oracle_completes_a_text_that_holds_a_block_terminator(tmp_path, kind):
+    # the emitted text writes "</" as "<\/", so "</action>" cannot close the block
+    step = {
+        "index": 0, "screen_ref": "s0", "gt_action": {"kind": kind, "text": "a</action>b"},
+        "reference_effect": "The text appears.",
+    }
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text(json.dumps({
+        "id": "t0", "instruction": "Type it.", "terminal_screen_ref": "done", "steps": [step],
+    }) + "\n")
+    out = tmp_path / "run"
+    assert main([
+        "simulate", "--dataset", str(dataset), "--agent", "scripted:oracle", "--out", str(out),
+    ]) == EXIT_OK
+    assert _read_report(out)["tsr"] == 1.0
+    (trace,) = (out / "traces.jsonl").read_text().splitlines()
+    obj = json.loads(trace)
+    assert obj["outcome"] == "completed_first_try"
+    assert obj["attempts"][0]["parse_warnings"] == []
 
 
 def _pixel_dataset(dataset, path, dims=(1080, 2400)):
@@ -127,8 +149,7 @@ def test_trace_lines_round_trip_through_the_reader(dataset, tmp_path, agent):
         "simulate", "--dataset", str(dataset), "--agent", f"scripted:{agent}", "--out", str(out),
     ]) == EXIT_OK
     for line in (out / "traces.jsonl").read_text().splitlines():
-        rebuilt = trace_to_json(trace_from_json(json.loads(line)))
-        assert json.dumps(rebuilt, separators=(",", ":")) == line
+        assert trace_line(trace_from_json(json.loads(line))) == line
 
 
 def test_simulate_deterministic_reruns(dataset, tmp_path):

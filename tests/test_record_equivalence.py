@@ -6,8 +6,10 @@ range, NaN and infinities, strings, lists, objects, nulls, lists of the
 wrong length, unknown and unhashable enum tokens).  Each reader must accept
 exactly the lines `reference_records` accepts and build an equal record (by
 `repr`, so 1 and 1.0 differ), and on a refused line raise an exception of
-the same type with the same message.  The one listed difference: a line
-whose `screen_dims` has a component beyond the float range is refused.
+the same type with the same message, and each record read must be written
+as the reference writer writes it (a trace as the text `json.dumps` makes of
+the reference dict).  The one listed difference: a line whose `screen_dims`
+has a component beyond the float range is refused.
 Derandomized: a fixed seed, no example database.
 """
 
@@ -38,7 +40,7 @@ from tvae_harness.sim_engine import (
     SimTrace,
     run_episodes,
     trace_from_json,
-    trace_to_json,
+    trace_line,
 )
 from tvae_harness.synthdata import make_dataset
 from tvae_harness.trajectory_store import (
@@ -104,6 +106,19 @@ def _valid_lines() -> dict[str, list]:
         AttemptLog(ActionRecord(kind=ActionKind.CLICK, coordinate=(0.5, 0.5)), True,
                    Verification.NO_CHANGE),
     )))
+    # escapes, a pixel component written as 1.0, a negative zero, and waits
+    # written as an integer and with an exponent
+    escaped = 'caf\u00e9 \u2603 \U0001f600 "q" \\ \x00\x01\x1f\x7f\n\t/</action>'
+    traces.append(SimTrace(escaped, 4, (
+        AttemptLog(ActionRecord(kind=ActionKind.INPUT_TEXT, text=escaped), True,
+                   Verification.SUCCESS, (escaped, "", "plain")),
+        AttemptLog(ActionRecord(kind=ActionKind.CLICK, coordinate=(1.0000003, 0.5)), False,
+                   Verification.SUCCESS, ("coordinate off the screen",)),
+        AttemptLog(ActionRecord(kind=ActionKind.LONG_PRESS, coordinate=(-0.0, 0.25)), True,
+                   Verification.NO_CHANGE),
+        AttemptLog(ActionRecord(kind=ActionKind.WAIT, seconds=540), True, Verification.SUCCESS),
+        AttemptLog(ActionRecord(kind=ActionKind.WAIT, seconds=1e300), True, Verification.SUCCESS),
+    )))
     history = [
         {"entry": h, "dims": DIMS if "screen_dims" in s else None}
         for s in samples for h in s["history"]
@@ -126,7 +141,7 @@ def _valid_lines() -> dict[str, list]:
         "dataset": dataset,
         "samples": samples,
         "cases": cases,
-        "traces": [trace_to_json(t) for t in traces],
+        "traces": [ref.trace_to_json(t) for t in traces],
         "history": history,
         "groups": groups,
     }
@@ -145,7 +160,8 @@ KINDS = {
     "samples": (sample_from_json, ref.sample_from_json, sample_to_json, ref.sample_to_json),
     "cases": (failure_case_from_json, ref.failure_case_from_json,
               failure_case_to_json, ref.failure_case_to_json),
-    "traces": (trace_from_json, ref.trace_from_json, trace_to_json, ref.trace_to_json),
+    "traces": (trace_from_json, ref.trace_from_json,
+               trace_line, lambda t: json.dumps(ref.trace_to_json(t), separators=(",", ":"))),
     "history": (_history(history_entry_from_json), _history(ref.history_entry_from_json),
                 history_entry_to_json, ref.history_entry_to_json),
     "groups": (

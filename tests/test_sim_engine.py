@@ -1,24 +1,28 @@
 from __future__ import annotations
 
+import json
 from itertools import product
 
 import pytest
+import reference_records as ref
 
 from tvae_harness.agent_bus import Observation, ScriptedAgent, Variant, VariantName
 from tvae_harness.errors import DataError
 from tvae_harness.failure_forge import build_robustness_bench
-from tvae_harness.records import read_records, write_records
+from tvae_harness.records import read_records, write_lines
 from tvae_harness.sim_engine import (
+    AttemptLog,
     Outcome,
     SimConfig,
     SimState,
+    SimTrace,
     episode_budget,
     run_episode,
     run_episodes,
     run_failure_case,
     run_failure_cases,
     trace_from_json,
-    trace_to_json,
+    trace_line,
     transition,
 )
 from tvae_harness.synthdata import make_dataset
@@ -82,13 +86,13 @@ def test_transition_off_its_step_is_caller_bug():
 def test_attempt_log_invariant():
     # a trace line's derived fields must agree with its attempt log
     (trace,) = run_episodes(make_dataset(1, (2, 2), seed=3), _agent(VariantName.FAIL_K, k=1), CFG)
-    assert trace_from_json(trace_to_json(trace)) == trace
+    assert trace_from_json(json.loads(trace_line(trace))) == trace
     for field, value in (
         ("advanced", True), ("steps_used", 99), ("final_cursor", 0),
         ("t_gt", 0), ("t_gt", -1), ("t_gt", 1), ("t_gt", 99),  # outside [max(1, 2), 4]
         ("outcome", "completed_first_try"), ("outcome", "budget_exhausted"),
     ):
-        obj = trace_to_json(trace)
+        obj = json.loads(trace_line(trace))
         if field == "advanced":
             obj["attempts"][0]["advanced"] = value  # the first attempt fails
         else:
@@ -364,7 +368,31 @@ def test_trace_json_round_trip(tmp_path):
     trajs = make_dataset(6, (1, 4), seed=13)
     traces = run_episodes(trajs, _agent(VariantName.FAIL_K, k=1), CFG)
     for t in traces:
-        assert trace_from_json(trace_to_json(t)) == t
+        assert trace_from_json(json.loads(trace_line(t))) == t
     path = tmp_path / "traces.jsonl"
-    write_records(path, (trace_to_json(t) for t in traces))
+    write_lines(path, map(trace_line, traces))
     assert read_records(path, trace_from_json, "trace") == traces
+
+
+def test_trace_line_writes_what_the_encoder_writes():
+    # the line writer against `json.dumps` of the reference writer's dict
+    text = 'café \U0001f600 "q" \\ \x00\x1f\n/</action>'
+    edge = SimTrace(text, 2, (
+        AttemptLog(ActionRecord(ActionKind.CLICK, coordinate=(1.0000003, 0.5)), False,
+                   Verification.SUCCESS, (text, "")),
+        AttemptLog(None, False, None, ("unparseable turn: x",)),
+        AttemptLog(ActionRecord(ActionKind.INPUT_TEXT, text=text), True, Verification.NO_CHANGE),
+        AttemptLog(ActionRecord(ActionKind.LONG_PRESS, coordinate=(-0.0, 540.4)), False,
+                   Verification.SUCCESS),
+        AttemptLog(ActionRecord(ActionKind.WAIT, seconds=540), False, Verification.SUCCESS),
+        AttemptLog(ActionRecord(ActionKind.WAIT, seconds=1e300), True, Verification.NO_CHANGE),
+    ))
+    trajs = make_dataset(6, (1, 4), seed=13)
+    traces = run_episodes(trajs, _agent(VariantName.BERNOULLI, p=0.5), CFG) + [edge]
+    for t in traces:
+        assert trace_line(t) == json.dumps(ref.trace_to_json(t), separators=(",", ":"))
+    line = trace_line(edge)
+    assert '"coordinate":[1.0,0.5],"coordinate_space":"pixel"' in line
+    assert '"coordinate":[-0.0,540.4],"coordinate_space":"pixel"' in line
+    assert '"seconds":540}' in line and '"seconds":1e+300}' in line
+    assert line.isascii()

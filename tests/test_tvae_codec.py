@@ -209,6 +209,27 @@ def test_emit_minimal_success_round_trips():
     assert parse_tvae(text) == out
 
 
+@pytest.mark.parametrize("terminator", [
+    "</think>", "</verification>", "</action>", "</expected_effect>", "</", "<\\/",
+])
+@pytest.mark.parametrize("kind", [ActionKind.INPUT_TEXT, ActionKind.OPEN_APP])
+def test_text_holding_a_block_terminator_round_trips(kind, terminator):
+    # "</" in a text is written "<\/", so the block scan closes the action
+    # block at its own terminator
+    out = TvaeOutput(
+        think=(ThinkSegment(ThinkTag.VERIFY, "All good."), ThinkSegment(ThinkTag.TEXT, "Type.")),
+        verification=Verification.SUCCESS,
+        action=ActionRecord(kind=kind, text=f"a{terminator}b <action>"),
+        expected_effect="The text appears.",
+    )
+    text = emit_tvae(out)
+    assert text.count("</action>") == 1
+    for strict in (True, False):
+        parsed = parse_tvae(text, strict)
+        assert parsed == out and parsed.warnings == ()
+    assert emit_tvae(parse_tvae(text)) == text
+
+
 def test_round_trip_fuzz_small(rng: random.Random):
     for _ in range(200):
         out = random_valid_turn(rng)
@@ -454,7 +475,7 @@ def _reference_emit_action_json(action: ActionRecord) -> str:
         obj["text"] = action.text
     if action.seconds is not None:
         obj["time"] = action.seconds if action.seconds != int(action.seconds) else int(action.seconds)
-    return json.dumps(obj)
+    return json.dumps(obj).replace("</", r"<\/")
 
 
 def _oracle_actions() -> list[ActionRecord]:
