@@ -254,11 +254,6 @@ def observation_to_wire(obs: Observation) -> dict[str, Any]:
     }
 
 
-def _turn_url(endpoint: str) -> str:
-    url = endpoint.rstrip("/")
-    return url if url.endswith("/turn") else url + "/turn"
-
-
 def _decode(body: bytes, content_type: bytes) -> str:
     """`body` decoded with the charset that `content_type` names, or with
     UTF-8 when it names none or one that Python does not know."""
@@ -286,19 +281,23 @@ class _HttpPool:
     `.netrc` and redirects are not consulted.
     """
 
-    def __init__(self, url: str, timeout: float, token: str | None):
-        parts = urlsplit(url)
+    def __init__(self, endpoint: str, timeout: float, token: str | None):
+        invalid = DataError(f"remote: invalid endpoint ({endpoint!r} is not an http(s) URL)")
         try:
+            parts = urlsplit(endpoint)
             port = parts.port
-        except ValueError:  # non-numeric or out-of-range port
-            port = 0
+        except ValueError:  # an unclosed IPv6 bracket, a non-numeric or out-of-range port
+            raise invalid from None
         host = parts.hostname
-        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        # "/turn" ends the path, before the query; the fragment is never sent.
+        path = parts.path.rstrip("/")
+        path = path if path.endswith("/turn") else path + "/turn"
+        target = path + (f"?{parts.query}" if parts.query else "")
         if (
             parts.scheme not in ("http", "https") or not host or not host.isascii() or port == 0
             or not (target.isascii() and target.isprintable()) or " " in target
         ):
-            raise DataError(f"remote: invalid endpoint ({url!r} is not an http(s) URL)")
+            raise invalid
         if token is not None and not (token.isascii() and token.isprintable()):
             raise DataError("remote: invalid token (must be printable ASCII)")
         # Loaded by the pool (`socket` on its first connection): no other
@@ -306,7 +305,7 @@ class _HttpPool:
         import threading
 
         default_port = 443 if parts.scheme == "https" else 80
-        self.url = url
+        self.url = f"{parts.scheme}://{parts.netloc}{target}"
         self._address = (host, port or default_port)
         self._timeout = timeout
         self._tls = None
@@ -484,7 +483,7 @@ class RemoteAgent:
 
     def __init__(self, endpoint: str, *, timeout: float, token: str | None = None):
         self.identity = f"remote:{endpoint}"
-        self._pool = _HttpPool(_turn_url(endpoint), timeout, token)
+        self._pool = _HttpPool(endpoint, timeout, token)
 
     def turn(self, obs: Observation, gt: StepRecord | None, rng: random.Random) -> str:
         """POST the observation to the turn server; return the body verbatim.

@@ -39,7 +39,7 @@ from .failure_forge import (
     sample_to_json,
 )
 from .metric_suite import ReportFormat, emit_report, episode_report, robustness_metrics
-from .records import json_value, read_records, write_lines, write_records
+from .records import json_value, read_records, unique_trajectories, write_lines, write_records
 from .reward_engine import RewardConfig, score_output
 from .sim_engine import SimConfig, run_episodes, run_failure_cases, trace_from_json, trace_line
 from .trajectory_store import load_dataset, save_dataset
@@ -354,7 +354,8 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    traces = read_records(args.traces, trace_from_json, "trace")
+    parse = unique_trajectories(trace_from_json, "trajectory_id")
+    traces = read_records(args.traces, parse, "trace")
     data = emit_report(episode_report(traces), ReportFormat(args.format))
     if args.out:
         _atomic_write(Path(args.out), data)

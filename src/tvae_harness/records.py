@@ -120,6 +120,21 @@ def read_records(
     return records
 
 
+def unique_trajectories(parse: Callable[[dict[str, Any]], Any], key: str) -> Callable[..., Any]:
+    """`parse` for `read_records`, where a line whose trajectory id (its
+    `key`, which `parse` checked) an earlier line had is a bad line."""
+    seen: set[str] = set()
+
+    def parse_unique(obj: dict[str, Any]) -> Any:
+        record = parse(obj)
+        if obj[key] in seen:
+            raise ValueError(f"duplicate trajectory id {obj[key]!r}")
+        seen.add(obj[key])
+        return record
+
+    return parse_unique
+
+
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     """Write each of `lines`, a compact JSON object, and a newline after it."""
     with open(path, "w", encoding="utf-8") as fh:

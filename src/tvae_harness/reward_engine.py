@@ -226,7 +226,7 @@ def composite_reward(
 def score_output(
     raw: str, sample: "SyntheticSample", cfg: RewardConfig | None = None
 ) -> RewardBreakdown:
-    """Score one raw agent output: `composite_reward` of its lenient parse.
+    """Score one raw agent output: `composite_reward` of its parse.
 
     No parse, no claim: an output that does not parse (a `DataError`) scores
     a wrong action, zero effect reward and the generic miss penalty; any
@@ -234,7 +234,7 @@ def score_output(
     """
     cfg = cfg or _DEFAULT_CONFIG
     try:
-        turn = parse_tvae(raw, strict=False)
+        turn = parse_tvae(raw)
     except DataError as exc:
         return RewardBreakdown(
             r_act=-1.0,

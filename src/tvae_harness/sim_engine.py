@@ -163,7 +163,7 @@ def transition(
 def _interpret(
     raw: str, dims: tuple[int, int] | None
 ) -> tuple[TvaeOutput | None, ActionRecord | None, tuple[str, ...]]:
-    """Lenient parse plus `ground` with the screen size `dims`.
+    """`parse_tvae` plus `ground` with the screen size `dims`.
 
     A turn that does not parse (a `DataError`) is an unparseable turn: no
     action, one warning.  An action whose coordinate cannot be converted
@@ -171,7 +171,7 @@ def _interpret(
     repeats.  Any other exception is a harness bug and propagates.
     """
     try:
-        turn = parse_tvae(raw, strict=False)
+        turn = parse_tvae(raw)
     except DataError as exc:
         return None, None, (f"unparseable turn: {exc}",)
     action, problem = ground(turn.action, dims)

@@ -23,6 +23,7 @@ from .records import (
     number,
     numbers,
     read_records,
+    unique_trajectories,
     write_records,
 )
 
@@ -365,15 +366,7 @@ def load_dataset(
     screen_dims.  Validation is fail-fast; a repeated id is a bad line.  With
     `skip_invalid` offending lines are logged and dropped instead.
     """
-    seen: set[str] = set()
-
-    def parse(obj: Mapping[str, Any]) -> TrajectoryRecord:
-        traj = trajectory_from_json(obj)
-        if traj.id in seen:
-            raise ValueError(f"duplicate trajectory id {traj.id!r}")
-        seen.add(traj.id)
-        return traj
-
+    parse = unique_trajectories(trajectory_from_json, "id")
     return read_records(path, parse, "trajectory", limit=limit, skip_invalid=skip_invalid)
 
 

@@ -62,8 +62,8 @@ class ThinkSegment:
 
 @dataclass(slots=True)
 class TvaeOutput:
-    """A validated parsed turn. `warnings` carries lenient-mode notes and is
-    excluded from equality so round-trip comparisons stay structural."""
+    """A parsed turn plus its warnings, one per structure problem the parse
+    read past; `warnings` is left out of equality, so round trips compare structure."""
 
     think: tuple[ThinkSegment, ...]
     verification: Verification
@@ -74,19 +74,17 @@ class TvaeOutput:
 
 def _turn_problem(
     think: tuple[ThinkSegment, ...], tags: set[ThinkTag], verification: Verification, effect: str
-) -> DataError | None:
-    """The first structural rule a turn breaks, or None; `tags` is the set
-    of its segments' tags."""
+) -> str | None:
+    """The message of the first structural rule a turn breaks, or None; `tags`
+    is the set of its segments' tags.  Emit raises it, and parse warns of it."""
     if not think:
-        return DataError("turn: invalid think (needs at least one segment)")
+        return "turn: invalid think (needs at least one segment)"
     if ThinkTag.VERIFY in tags and think[0].tag is not ThinkTag.VERIFY:
-        return DataError("turn: invalid think ([Verify] must come first)")
+        return "turn: invalid think ([Verify] must come first)"
     if verification is Verification.NO_CHANGE and not RECOVERY_TAGS & tags:
-        return DataError(
-            "turn: invalid think (NO_CHANGE requires a [Diagnose] or [Recovery] segment)"
-        )
+        return "turn: invalid think (NO_CHANGE requires a [Diagnose] or [Recovery] segment)"
     if not effect.strip():
-        return DataError("turn: invalid expected_effect (must be non-empty)")
+        return "turn: invalid expected_effect (must be non-empty)"
     return None
 
 
@@ -107,7 +105,7 @@ VERIFICATIONS = {v.value: v for v in Verification}
 _TAG_PREFIX = {t: f"[{t.value}] " for t in ThinkTag}
 
 
-def _assemble_segments(body: str, strict: bool, warnings: list[str]) -> tuple[ThinkSegment, ...]:
+def _assemble_segments(body: str, warnings: list[str]) -> tuple[ThinkSegment, ...]:
     # split() alternates text and tag tokens: [text, token, text, ..., text].
     pieces = _TAG_RE.split(body)
     tags = [_KNOWN_TAGS.get(token) for token in pieces[1::2]]
@@ -133,8 +131,6 @@ def _assemble_segments(body: str, strict: bool, warnings: list[str]) -> tuple[Th
             token = pieces[i + 1]
             known = tags[i // 2]
             if known is None:
-                if strict:
-                    raise DataError(f"unknown think tag [{token}]")
                 warnings.append(f"unknown think tag [{token}] folded into previous segment")
                 if tag is not None:
                     parts.append(f"[{token}]")
@@ -256,12 +252,12 @@ def _emitted_action(
     return ActionRecord(ActionKind.NAVIGATE_BACK)
 
 
-def parse_tvae(raw: str, strict: bool = True) -> TvaeOutput:
+def parse_tvae(raw: str) -> TvaeOutput:
     """Parse raw turn text into a TvaeOutput.
 
-    Strict mode enforces every structural invariant.  Lenient mode returns a
-    best-effort parse with `warnings` populated; it still raises typed errors
-    when no executable action or verification can be recovered at all.
+    It raises a DataError only when no verification or executable action
+    can be read: a missing <verification> or <action> block, an unknown
+    verification token or a bad action.  Any other problem is a warning.
 
     Text in exactly the layout `emit_tvae` writes, with no "<" inside a
     block, is split into its four blocks by one full match.  The block scan
@@ -292,10 +288,6 @@ def parse_tvae(raw: str, strict: bool = True) -> TvaeOutput:
         for name in ("verification", "action"):
             if name not in blocks:
                 raise DataError(f"missing <{name}> block")
-        if strict:
-            for name in BLOCK_NAMES:
-                if name not in blocks:
-                    raise DataError(f"missing <{name}> block")
 
     ver_token = blocks["verification"].strip()
     verification = VERIFICATIONS.get(ver_token)
@@ -306,7 +298,7 @@ def parse_tvae(raw: str, strict: bool = True) -> TvaeOutput:
     m = _EMITTED_ACTION.fullmatch(action_body)
     action = _emitted_action(*m.groups()) if m is not None else parse_action_json(action_body)
 
-    think = _assemble_segments(blocks.get("think", ""), strict, warnings)
+    think = _assemble_segments(blocks.get("think", ""), warnings)
     if "think" not in blocks:
         warnings.append("missing <think> block")
 
@@ -317,9 +309,7 @@ def parse_tvae(raw: str, strict: bool = True) -> TvaeOutput:
     tags = {s.tag for s in think}
     problem = _turn_problem(think, tags, verification, effect)
     if problem is not None:
-        if strict:
-            raise problem
-        warnings.append(str(problem))
+        warnings.append(problem)
     if verification is Verification.SUCCESS and not RECOVERY_TAGS.isdisjoint(tags):
         # Undefined combination; surfaced rather than resolved by precedence.
         warnings.append("SUCCESS verification alongside [Diagnose]/[Recovery] tags")
@@ -356,7 +346,7 @@ def emit_tvae(out: TvaeOutput) -> str:
         raise _body_problem(think)
     problem = _turn_problem(think, {s.tag for s in think}, out.verification, effect)
     if problem is not None:
-        raise problem
+        raise DataError(problem)
     if effect.strip() != effect:
         raise DataError("turn: invalid expected_effect (has leading or trailing whitespace)")
     # No grammar token spans a newline, so one search of the joined bodies

@@ -140,6 +140,7 @@ class _CountingHandler(BaseHTTPRequestHandler):
         self.rfile.read(int(self.headers.get("Content-Length", 0)))
         with counts.cond:
             counts.requests += 1
+            counts.targets.append(self.path)
             counts.inflight += 1
             counts.peak_inflight = max(counts.peak_inflight, counts.inflight)
         time.sleep(counts.delay_s)
@@ -164,7 +165,8 @@ class CountingTurnServer:
     with `status` and `body` after `delay_s`.
 
     It counts requests, accepted connections, connections that reached EOF
-    and the peak number of requests in flight.  Use it as a context manager.
+    and the peak number of requests in flight, and records each request
+    target.  Use it as a context manager.
     """
 
     def __init__(self, body: str = FIXED_TURN, status: int = 200, delay_s: float = 0.0):
@@ -172,6 +174,7 @@ class CountingTurnServer:
         self.cond = threading.Condition()
         self.requests = self.connections = self.closed = 0
         self.inflight = self.peak_inflight = 0
+        self.targets: list[str] = []
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), _CountingHandler)
         self._server.counts = self
         self._thread = threading.Thread(

@@ -224,18 +224,20 @@ def test_c08_codec_fidelity():
     assert a.action.kind is ActionKind.CLICK
     assert a.action.coordinate == (317.0, 1190.0)
     assert a.action.in_pixels()
+    assert a.warnings == ()
     b = parse_tvae(TYPE_B_TURN)
     assert b.verification is Verification.NO_CHANGE
     assert b.action.kind is ActionKind.INPUT_TEXT
     tags = {s.tag for s in b.think}
     assert ThinkTag.DIAGNOSE in tags and ThinkTag.RECOVERY in tags
+    assert b.warnings == ()
 
     rng = random.Random(108)
     for _ in range(1000):
         out = random_valid_turn(rng)
         text = emit_tvae(out)
         parsed = parse_tvae(text)
-        assert parsed == out
+        assert parsed == out and parsed.warnings == ()
         assert emit_tvae(parsed) == text  # byte-canonical fixed point
 
     crashes = 0
@@ -247,7 +249,7 @@ def test_c08_codec_fidelity():
             cut = sorted(rng.sample(range(len(text) + 1), 2))
             blob = text[: cut[0]] + text[cut[1]:]
         try:
-            parse_tvae(blob, strict=False)
+            parse_tvae(blob)
         except DataError:
             pass
         except Exception:

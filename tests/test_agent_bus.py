@@ -76,6 +76,7 @@ def test_oracle_emits_well_formed_success_turn():
     gt = make_click_step(0)
     text = scripted_turn(Variant(VariantName.ORACLE), _obs(), gt, random.Random(1))
     out = parse_tvae(text)
+    assert out.warnings == ()
     assert out.verification is Verification.SUCCESS
     assert match_action(out.action, gt.gt_action, gt.gt_bbox)
     assert out.think[0].tag is ThinkTag.VERIFY
@@ -89,6 +90,7 @@ def test_oracle_recovery_turn_after_failed_attempt():
     )
     text = scripted_turn(Variant(VariantName.ORACLE), _obs([failed]), gt, random.Random(1))
     out = parse_tvae(text)
+    assert out.warnings == ()
     assert out.verification is Verification.NO_CHANGE
     tags = {s.tag for s in out.think}
     assert ThinkTag.DIAGNOSE in tags and ThinkTag.RECOVERY in tags
@@ -101,6 +103,7 @@ def test_loopy_reissues_history_action_verbatim():
     )
     text = scripted_turn(Variant(VariantName.LOOPY), _obs([prior]), gt, random.Random(1))
     out = parse_tvae(text)
+    assert out.warnings == ()
     assert out.action == prior.action
     assert out.verification is Verification.SUCCESS  # hallucinated
 
@@ -109,6 +112,7 @@ def test_loopy_first_turn_mismatches_ground_truth():
     gt = make_click_step(0)
     text = scripted_turn(Variant(VariantName.LOOPY), _obs(), gt, random.Random(1))
     out = parse_tvae(text)
+    assert out.warnings == ()
     assert not match_action(out.action, gt.gt_action, gt.gt_bbox)
 
 
@@ -323,6 +327,21 @@ def test_remote_agent_caps_requests_in_flight(workers, episodes, peak):
         assert server.wait_closed(server.connections, timeout=5)
     assert server.requests == sum(len(t.attempts) for t in traces)
     assert server.peak_inflight == min(workers, episodes) == peak
+
+
+@pytest.mark.parametrize("suffix, target", [
+    ("/agent", "/agent/turn"),
+    ("/agent/", "/agent/turn"),
+    ("/agent/turn", "/agent/turn"),
+    ("/agent?key=abc", "/agent/turn?key=abc"),
+    ("/agent/?key=abc#x", "/agent/turn?key=abc"),
+    ("#x", "/turn"),
+])
+def test_remote_agent_appends_turn_to_the_path(suffix, target):
+    # the query stays after the path and the fragment is never sent
+    with CountingTurnServer() as server:
+        assert _remote_turn(server.url + suffix, _obs(), timeout=5) == FIXED_TURN
+    assert server.targets == [target]
 
 
 def test_remote_unreachable_raises_after_retry():
@@ -540,6 +559,7 @@ def test_parse_agent_spec_variants():
     for bad in (
         "remote:127.0.0.1:9", "remote:ftp://x/", "remote:http://x:port",
         "remote:http://x:1/a b", "remote:http://\u00e4.example:1", "remote:http://x:1/\x00",
+        "remote:http://[::1",
         "scripted:failk:x", "scripted:failk:-1", "scripted:failk:2.0",
         "scripted:bernoulli:2", "scripted:bernoulli:nan", "scripted:bernoulli:-inf",
     ):

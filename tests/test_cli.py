@@ -558,6 +558,7 @@ BAD_LINES = {
     "cases-negative-source-step": ("cases", lambda o: {**o[1], "source": [o[1]["source"][0], -1]}),
     "traces-float-t-gt": ("traces", lambda o: {**o[1], "t_gt": o[1]["t_gt"] + 0.9}),  # in range
     "traces-int-trajectory-id": ("traces", lambda o: {**o[1], "trajectory_id": 12}),
+    "traces-repeated-id": ("traces", lambda o: o[0]),  # a file concatenated with itself
     "traces-issued-pairs": ("traces", lambda o: _put(
         o[1], ["attempts", 0, "issued"], list(map(list, o[1]["attempts"][0]["issued"].items())))),
     # an attempt issues nothing exactly when it predicts nothing, and then it misses

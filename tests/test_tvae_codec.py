@@ -59,6 +59,7 @@ def test_success_path_worked_example():
     assert [s.tag for s in out.think] == [
         ThinkTag.VERIFY, ThinkTag.RECALL, ThinkTag.GROUNDING, ThinkTag.COORDINATE, ThinkTag.ACTION
     ]
+    assert out.warnings == ()
 
 
 @pytest.mark.parametrize("coordinate, written", [
@@ -78,9 +79,10 @@ def test_recovery_path_worked_example():
     assert out.action.text == "Slipping into Relaxed Sleep"
     tags = {s.tag for s in out.think}
     assert ThinkTag.DIAGNOSE in tags and ThinkTag.RECOVERY in tags
+    assert out.warnings == ()
 
 
-def test_missing_verification_block_strict():
+def test_missing_verification_block_is_unparseable():
     text = TYPE_A_TURN.replace(
         "<verification>SUCCESS</verification>", ""
     )
@@ -88,16 +90,24 @@ def test_missing_verification_block_strict():
         parse_tvae(text)
 
 
-def test_missing_think_block_strict_vs_lenient():
+def test_missing_think_block_is_a_warning():
     text = "\n".join(
         line for line in TYPE_A_TURN.splitlines()
         if not line.startswith(("<think>", "[", "</think>"))
     )
-    with pytest.raises(DataError, match="^missing <think> block$"):
-        parse_tvae(text, strict=True)
-    out = parse_tvae(text, strict=False)
+    out = parse_tvae(text)
     assert out.think == ()
-    assert any("think" in w for w in out.warnings)
+    assert out.warnings == (
+        "missing <think> block", "turn: invalid think (needs at least one segment)"
+    )
+
+
+def test_missing_expected_effect_block_is_a_warning():
+    out = parse_tvae(TYPE_A_TURN.split("\n<expected_effect>")[0])
+    assert out.expected_effect == ""
+    assert out.warnings == (
+        "missing <expected_effect> block", "turn: invalid expected_effect (must be non-empty)"
+    )
 
 
 def test_block_order_independence():
@@ -111,13 +121,13 @@ def test_block_order_independence():
 def test_unknown_verification_token():
     text = TYPE_A_TURN.replace("SUCCESS", "MAYBE")
     with pytest.raises(DataError, match="^unknown verification token 'MAYBE'$"):
-        parse_tvae(text, strict=False)
+        parse_tvae(text)
 
 
 def test_unknown_action_kind():
     text = TYPE_A_TURN.replace('"action": "click"', '"action": "teleport"')
     with pytest.raises(DataError, match="^unknown action kind 'teleport'$"):
-        parse_tvae(text, strict=False)
+        parse_tvae(text)
 
 
 def test_malformed_action_json():
@@ -125,7 +135,7 @@ def test_malformed_action_json():
         '{"action": "click", "coordinate": [317, 1190]}', "{oops"
     )
     with pytest.raises(DataError, match="^malformed action JSON: "):
-        parse_tvae(text, strict=False)
+        parse_tvae(text)
 
 
 @pytest.mark.parametrize("body", [
@@ -136,7 +146,7 @@ def test_malformed_action_json():
 def test_number_beyond_float_range_is_malformed_action_json(body):
     text = TYPE_A_TURN.replace('{"action": "click", "coordinate": [317, 1190]}', body)
     with pytest.raises(DataError, match="^malformed action JSON: "):
-        parse_tvae(text, strict=False)
+        parse_tvae(text)
 
 
 @pytest.mark.parametrize("number", ["NaN", "Infinity", "1e400"])
@@ -150,40 +160,39 @@ def test_non_finite_number_is_no_action(template, number):
         '{"action": "click", "coordinate": [317, 1190]}', template % number
     )
     with pytest.raises(DataError, match=r"^(click|wait): invalid (coordinate|seconds) .*finite\)$"):
-        parse_tvae(text, strict=False)
+        parse_tvae(text)
 
 
-def test_unknown_think_tag_strict_error_lenient_fold():
-    text = TYPE_A_TURN.replace("[Recall]", "[Plan]")
-    with pytest.raises(DataError, match=r"^unknown think tag \[Plan\]$"):
-        parse_tvae(text, strict=True)
-    out = parse_tvae(text, strict=False)
+def test_unknown_think_tag_folds_into_previous_segment():
+    out = parse_tvae(TYPE_A_TURN.replace("[Recall]", "[Plan]"))
     # the unknown tag and its text fold into the previous segment body
     assert out.think[0].tag is ThinkTag.VERIFY
     assert "[Plan]" in out.think[0].body
-    assert any("unknown think tag" in w for w in out.warnings)
+    assert out.warnings == ("unknown think tag [Plan] folded into previous segment",)
 
 
 def test_no_change_without_recovery_tags():
     text = TYPE_B_TURN.replace("[Diagnose]", "[Recall]").replace("[Recovery]", "[Action]")
-    with pytest.raises(DataError, match="NO_CHANGE requires a"):
-        parse_tvae(text, strict=True)
-    out = parse_tvae(text, strict=False)
-    assert any("Diagnose" in w or "Recovery" in w for w in out.warnings)
+    out = parse_tvae(text)
+    assert out.verification is Verification.NO_CHANGE
+    assert out.warnings == (
+        "turn: invalid think (NO_CHANGE requires a [Diagnose] or [Recovery] segment)",
+    )
 
 
 def test_success_with_recovery_tags_is_flagged_not_rejected():
     text = TYPE_B_TURN.replace("NO_CHANGE", "SUCCESS")
-    out = parse_tvae(text, strict=True)
-    assert any("SUCCESS verification alongside" in w for w in out.warnings)
+    out = parse_tvae(text)
+    assert out.warnings == ("SUCCESS verification alongside [Diagnose]/[Recovery] tags",)
 
 
 def test_verify_must_come_first_when_present():
     text = TYPE_A_TURN.replace(
         "[Verify] Previous click", "[Recall] moved.\n[Verify] Previous click"
     )
-    with pytest.raises(DataError, match=r"\[Verify\] must come first"):
-        parse_tvae(text, strict=True)
+    out = parse_tvae(text)
+    assert [s.tag for s in out.think[:2]] == [ThinkTag.RECALL, ThinkTag.VERIFY]
+    assert out.warnings == ("turn: invalid think ([Verify] must come first)",)
 
 
 def test_emit_requires_invariants():
@@ -206,7 +215,8 @@ def test_emit_minimal_success_round_trips():
     )
     text = emit_tvae(out)
     assert text.index("<think>") < text.index("<verification>") < text.index("<action>")
-    assert parse_tvae(text) == out
+    parsed = parse_tvae(text)
+    assert parsed == out and parsed.warnings == ()
 
 
 @pytest.mark.parametrize("terminator", [
@@ -224,10 +234,9 @@ def test_text_holding_a_block_terminator_round_trips(kind, terminator):
     )
     text = emit_tvae(out)
     assert text.count("</action>") == 1
-    for strict in (True, False):
-        parsed = parse_tvae(text, strict)
-        assert parsed == out and parsed.warnings == ()
-    assert emit_tvae(parse_tvae(text)) == text
+    parsed = parse_tvae(text)
+    assert parsed == out and parsed.warnings == ()
+    assert emit_tvae(parsed) == text
 
 
 def test_round_trip_fuzz_small(rng: random.Random):
@@ -235,7 +244,7 @@ def test_round_trip_fuzz_small(rng: random.Random):
         out = random_valid_turn(rng)
         text = emit_tvae(out)
         parsed = parse_tvae(text)
-        assert parsed == out
+        assert parsed == out and parsed.warnings == ()
         assert emit_tvae(parsed) == text
 
 
@@ -251,7 +260,7 @@ def test_parser_never_crashes_on_arbitrary_bytes(rng: random.Random):
         n = rng.randint(0, 300)
         blob = bytes(rng.randrange(256) for _ in range(n)).decode("latin-1")
         try:
-            parse_tvae(blob, strict=False)
+            parse_tvae(blob)
         except DataError:
             pass
 
@@ -262,14 +271,14 @@ def test_parser_never_crashes_on_mutated_valid_turns(rng: random.Random):
         cut = sorted(rng.sample(range(len(text) + 1), 2))
         mutated = text[: cut[0]] + text[cut[1]:]
         try:
-            parse_tvae(mutated, strict=False)
+            parse_tvae(mutated)
         except DataError:
             pass
 
 
 def test_duplicate_blocks_first_wins():
     text = TYPE_A_TURN + "\n<verification>NO_CHANGE</verification>"
-    out = parse_tvae(text, strict=False)
+    out = parse_tvae(text)
     assert out.verification is Verification.SUCCESS
     assert any("duplicate" in w for w in out.warnings)
 
@@ -367,17 +376,20 @@ def _mutated_turns(draw) -> str:
     return text
 
 
-def _outcome(parse, raw: str, strict: bool):
+def _outcome(parse, raw: str):
     try:
-        out = parse(raw, strict)
+        out = parse(raw)
     except Exception as exc:  # noqa: BLE001 - the error itself is compared
         return ("raised", type(exc), str(exc))
     return ("parsed", out, out.warnings)
 
 
+def _reference_lenient_parse(raw: str) -> TvaeOutput:
+    return reference_parse(raw, strict=False)
+
+
 def _assert_same_as_reference(raw: str) -> None:
-    for strict in (True, False):
-        assert _outcome(parse_tvae, raw, strict) == _outcome(reference_parse, raw, strict)
+    assert _outcome(parse_tvae, raw) == _outcome(_reference_lenient_parse, raw)
 
 
 @settings(
@@ -598,9 +610,8 @@ def test_emitted_action_match_matches_json_decode():
     bodies = _action_bodies()
     for body in bodies:
         raw = _EMITTED.replace(_EMITTED_ACTION_BODY, body)
-        for strict in (True, False):
-            got = _repr_or_error(lambda b: parse_tvae(raw, strict).action, body)
-            assert got == _repr_or_error(parse_action_json, body.strip()), body
+        got = _repr_or_error(lambda b: parse_tvae(raw).action, body)
+        assert got == _repr_or_error(parse_action_json, body.strip()), body
     # The match reads every emitted action but those with a JSON escape or an
     # integer of 17 digits, and no other text holds the most bodies.
     matched = {b for b in bodies if tvae_codec._EMITTED_ACTION.fullmatch(b.strip())}
@@ -642,5 +653,6 @@ def test_emit_refuses_padded_text_and_round_trips_the_rest(body, readable, effec
             emit_tvae(out)
     else:
         text = emit_tvae(out)
-        assert parse_tvae(text) == out
-        assert emit_tvae(parse_tvae(text)) == text
+        parsed = parse_tvae(text)
+        assert parsed == out and parsed.warnings == ()
+        assert emit_tvae(parsed) == text
