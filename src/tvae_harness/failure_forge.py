@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import accumulate
 from typing import Any, Mapping, Sequence
@@ -113,10 +113,7 @@ _FALLBACK_POINTS = (
 
 def _pick_coordinate(rng: random.Random, accept, proposals) -> tuple[float, float] | None:
     for _ in range(MAX_TRIES):
-        candidate = proposals(rng)
-        if candidate is None:
-            continue
-        x, y = candidate
+        x, y = proposals(rng)
         if 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0 and accept((x, y)):
             return (round_coord(x), round_coord(y))
     for candidate in _FALLBACK_POINTS:
@@ -130,7 +127,6 @@ def corrupt_action(
     bbox: Bbox | None,
     mode: FailureMode,
     rng: random.Random,
-    known_bboxes: Sequence[Bbox] = (),
 ) -> ActionRecord:
     """Produce a plausible erroneous variant of `gt` under `mode`.
 
@@ -138,7 +134,7 @@ def corrupt_action(
     given bbox).  Raises DataError when the mode makes no sense for the
     action kind, e.g. a coordinate offset of navigate_back.
     """
-    result = _corrupt(gt, bbox, mode, rng, known_bboxes)
+    result = _corrupt(gt, bbox, mode, rng, ())
     if result is None:
         raise DataError(f"failure mode {mode.value} not applicable to action kind {gt.kind.value}")
     return result
@@ -260,6 +256,17 @@ class SampleType(str, Enum):
 SAMPLE_TYPES = {t.value: t for t in SampleType}
 
 
+def _check_failed_entry(
+    subject: str, history: tuple[HistoryEntry, ...], recovery: ActionRecord, bbox: Bbox | None
+) -> None:
+    """A failure record's history ends in the failed entry, whose action
+    does not match the recovery action (no corruption does)."""
+    if not history:
+        raise DataError(f"{subject}: invalid history (must end in the failed entry)")
+    if match_action(history[-1].action, recovery, bbox):
+        raise DataError(f"{subject}: invalid history (failed entry matches the recovery action)")
+
+
 @dataclass(slots=True)
 class SyntheticSample:
     """One training sample: success continuation (A) or failure recovery (B).
@@ -281,8 +288,8 @@ class SyntheticSample:
 
     def __post_init__(self) -> None:
         check_box_and_dims("sample", "target_bbox", self.target_bbox, self.screen_dims)
-        if self.sample_type is SampleType.TYPE_B and not self.history:
-            raise DataError("sample: invalid history (type B needs the failed entry)")
+        if self.sample_type is SampleType.TYPE_B:
+            _check_failed_entry("sample", self.history, self.target_action, self.target_bbox)
 
     @property
     def target_verification(self) -> Verification:
@@ -307,10 +314,9 @@ class FailureCase:
 
     def __post_init__(self) -> None:
         check_box_and_dims("failure_case", "gt_bbox", self.gt_bbox, self.screen_dims)
-        if not self.history:
-            raise DataError("failure_case: invalid history (must end in erroneous entry)")
-        if match_action(self.erroneous, self.gt_recovery, self.gt_bbox):
-            raise DataError("failure_case: invalid erroneous (must not match the recovery action)")
+        if not self.screen_ref:  # the probe's step needs one
+            raise DataError("failure_case: invalid screen_ref (must be non-empty)")
+        _check_failed_entry("failure_case", self.history, self.gt_recovery, self.gt_bbox)
 
     @property
     def erroneous(self) -> ActionRecord:
@@ -326,6 +332,15 @@ def _success_history(steps: Sequence[StepRecord], upto: int) -> tuple[HistoryEnt
         HistoryEntry(s.gt_action, s.reference_effect, Verification.SUCCESS)
         for s in steps[:upto]
     )
+
+
+def _failed_entry(
+    step: StepRecord, rng: random.Random, known: Sequence[Bbox]
+) -> tuple[FailureMode, HistoryEntry]:
+    """A sampled corruption of `step`'s action, as the history entry that
+    claims it executed."""
+    mode, err = sample_corruption(step.gt_action, step.gt_bbox, rng, known)
+    return mode, HistoryEntry(err, mismatched_effect(err), Verification.SUCCESS)
 
 
 def _type_b_quotas(trajs: Sequence[TrajectoryRecord], ratio_b: float) -> list[int]:
@@ -371,35 +386,23 @@ def build_sft_dataset(
         known = [s.gt_bbox for s in traj.steps if s.gt_bbox is not None]
         chosen = set(rng.sample(range(len(traj)), quota)) if quota else set()
         for t, step in enumerate(traj.steps):
-            history = _success_history(traj.steps, t)
-            samples.append(
-                SyntheticSample(
-                    sample_type=SampleType.TYPE_A,
-                    instruction=traj.instruction,
-                    input_screen_ref=step.screen_ref,
-                    history=history,
-                    target_action=step.gt_action,
-                    target_effect=step.reference_effect,
-                    target_bbox=step.gt_bbox,
-                    screen_dims=step.screen_dims,
-                )
+            sample = SyntheticSample(
+                sample_type=SampleType.TYPE_A,
+                instruction=traj.instruction,
+                input_screen_ref=step.screen_ref,
+                history=_success_history(traj.steps, t),
+                target_action=step.gt_action,
+                target_effect=step.reference_effect,
+                target_bbox=step.gt_bbox,
+                screen_dims=step.screen_dims,
             )
+            samples.append(sample)
             if t in chosen:
-                mode, err = sample_corruption(step.gt_action, step.gt_bbox, rng, known)
-                err_entry = HistoryEntry(err, mismatched_effect(err), Verification.SUCCESS)
-                samples.append(
-                    SyntheticSample(
-                        sample_type=SampleType.TYPE_B,
-                        instruction=traj.instruction,
-                        input_screen_ref=step.screen_ref,
-                        history=history + (err_entry,),
-                        target_action=step.gt_action,
-                        target_effect=step.reference_effect,
-                        failure_mode=mode,
-                        target_bbox=step.gt_bbox,
-                        screen_dims=step.screen_dims,
-                    )
-                )
+                mode, failed = _failed_entry(step, rng, known)
+                samples.append(replace(
+                    sample, sample_type=SampleType.TYPE_B,
+                    history=sample.history + (failed,), failure_mode=mode,
+                ))
     return samples
 
 
@@ -420,14 +423,13 @@ def build_robustness_bench(
         count = min(per_traj, len(traj))
         for t in sorted(rng.sample(range(len(traj)), count)):
             step = traj.steps[t]
-            mode, err = sample_corruption(step.gt_action, step.gt_bbox, rng, known)
-            err_entry = HistoryEntry(err, mismatched_effect(err), Verification.SUCCESS)
+            mode, failed = _failed_entry(step, rng, known)
             cases.append(
                 FailureCase(
                     source=(traj.id, t),
                     instruction=traj.instruction,
                     screen_ref=step.screen_ref,
-                    history=_success_history(traj.steps, t) + (err_entry,),
+                    history=_success_history(traj.steps, t) + (failed,),
                     gt_recovery=step.gt_action,
                     mode=mode,
                     gt_bbox=step.gt_bbox,

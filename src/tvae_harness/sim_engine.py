@@ -62,15 +62,6 @@ def episode_budget(cfg: SimConfig, t_gt: int) -> int:
 
 
 @dataclass(slots=True)
-class SimState:
-    """An episode's position: its screen is always `traj.steps[cursor]`'s."""
-
-    cursor: int
-    history: tuple[HistoryEntry, ...]
-    attempts_used: int
-
-
-@dataclass(slots=True)
 class AttemptLog:
     issued: ActionRecord | None
     matched: bool  # a match is what advances the episode
@@ -121,43 +112,25 @@ class SimTrace:
 
 
 def transition(
-    state: SimState,
+    history: tuple[HistoryEntry, ...],
     issued: ActionRecord | None,
     gt: StepRecord,
-    budget: int,
     turn: TvaeOutput | None = None,
     parse_warnings: tuple[str, ...] = (),
-) -> tuple[SimState, AttemptLog]:
-    """Apply one attempt under the idempotent transition rule.
+) -> tuple[tuple[HistoryEntry, ...], AttemptLog]:
+    """Decide one attempt at step `gt` under the idempotent transition rule.
 
-    Match: the cursor advances, and with it the screen.  Mismatch: state
-    unchanged apart from the consumed attempt and the appended history
-    entry.  `turn` supplies the effect text and verification recorded into
-    history; a None `issued` (unparseable turn) consumes the attempt without
-    a history entry.
+    Match: the episode advances, and with it the screen.  Mismatch: the
+    screen is unchanged.  Either way the attempt is consumed, and `turn`
+    supplies the effect text and verification of the entry appended to
+    `history`; a None `issued` (unparseable turn) appends none.
     """
-    if state.attempts_used >= budget:
-        raise RuntimeError(f"attempt {state.attempts_used} with budget {budget}")
-    if state.cursor != gt.index:
-        raise RuntimeError("transition: invalid cursor (state/step mismatch)")
     matched = issued is not None and match_action(issued, gt.gt_action, gt.gt_bbox)
-    history = state.history
     if turn is not None and issued is not None:
-        history = history + (
-            HistoryEntry(issued, turn.expected_effect or "(no effect stated)", turn.verification),
-        )
-    new_state = SimState(
-        cursor=state.cursor + 1 if matched else state.cursor,
-        history=history,
-        attempts_used=state.attempts_used + 1,
-    )
-    log = AttemptLog(
-        issued=issued,
-        matched=matched,
-        predicted_verification=turn.verification if turn is not None else None,
-        parse_warnings=parse_warnings,
-    )
-    return new_state, log
+        effect = turn.expected_effect or "(no effect stated)"
+        history = history + (HistoryEntry(issued, effect, turn.verification),)
+    predicted = turn.verification if turn is not None else None
+    return history, AttemptLog(issued, matched, predicted, parse_warnings)
 
 
 def _interpret(
@@ -179,24 +152,26 @@ def _interpret(
 
 
 def run_episode(traj: TrajectoryRecord, agent: AgentHandle, cfg: SimConfig) -> SimTrace:
-    """Drive one agent through one trajectory under the transition rule."""
+    """Drive one agent through one trajectory under the transition rule.  The
+    episode's position is its attempt log: `cursor` counts the matches in `logs`."""
     t_gt = len(traj.steps)
     budget = episode_budget(cfg, t_gt)
-    state = SimState(cursor=0, history=(), attempts_used=0)
     rng = random.Random(stable_seed(cfg.seed, "episode", traj.id))
+    cursor, history = 0, ()
     logs: list[AttemptLog] = []
-    while state.cursor < t_gt and state.attempts_used < budget:
-        gt = traj.steps[state.cursor]
+    while cursor < t_gt and len(logs) < budget:
+        gt = traj.steps[cursor]
         obs = Observation(
             instruction=traj.instruction,
             screen_ref=gt.screen_ref,
-            history=state.history,
-            step_budget_remaining=budget - state.attempts_used,
+            history=history,
+            step_budget_remaining=budget - len(logs),
         )
         raw = agent.turn(obs, gt if agent.white_box else None, rng)
         turn, action, warnings = _interpret(raw, gt.screen_dims)
-        state, log = transition(state, action, gt, budget, turn=turn, parse_warnings=warnings)
+        history, log = transition(history, action, gt, turn=turn, parse_warnings=warnings)
         logs.append(log)
+        cursor += log.matched
     return SimTrace(trajectory_id=traj.id, t_gt=t_gt, attempts=tuple(logs))
 
 

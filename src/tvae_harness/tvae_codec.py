@@ -272,12 +272,14 @@ def parse_tvae(raw: str) -> TvaeOutput:
         blocks = emitted.groupdict()
     else:
         blocks = {}
+        unclosed: set[str] = set()  # no close tag follows: no later open can close
         pos = 0
         while (m := _OPEN_RE.search(raw, pos)) is not None:
             # Same match as <(name)>(.*?)</\1>: the first close tag of that name.
             name = m.group(1)
-            close = raw.find(f"</{name}>", m.end())
+            close = -1 if name in unclosed else raw.find(f"</{name}>", m.end())
             if close < 0:
+                unclosed.add(name)
                 pos = m.end()
                 continue
             if name in blocks:

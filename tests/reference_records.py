@@ -305,11 +305,10 @@ def group_output(**fields: Any) -> GroupOutput:
 
 
 def group_output_from_json(obj: Mapping[str, Any], reward: float | None = None) -> GroupOutput:
-    r = obj.get("reward", reward)
-    if r is None:
+    if "reward" not in obj and reward is None:
         raise DataError("group_output: invalid reward (missing and no fallback)")
     return group_output(
-        reward=_finite([r], "reward")[0],
+        reward=_finite([obj.get("reward", reward)], "reward")[0],
         logprobs_new=_finite_list(obj, "logprobs_new"),
         logprobs_old=_finite_list(obj, "logprobs_old"),
         logprobs_ref=_finite_list(obj, "logprobs_ref"),

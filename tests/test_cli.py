@@ -343,6 +343,19 @@ def test_malformed_group_logprobs_is_data_error(dataset, tmp_path):
     ]) == EXIT_DATA
 
 
+def test_null_group_reward_is_not_a_number(dataset, tmp_path, capsys):
+    # the key is present, so the scored totals' fallback does not apply
+    groups, argv = _record_inputs("groups", tmp_path, dataset)
+    objs = [json.loads(line) for line in groups.read_text().splitlines()]
+    objs[1]["outputs"][0] = {**objs[1]["outputs"][0], "reward": None}
+    groups.write_text("".join(json.dumps(o) + "\n" for o in objs))
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    assert "line 2: group_output: invalid reward (must be finite JSON numbers, got [None])" in (
+        capsys.readouterr().err
+    )
+
+
 def _put(obj, keys, value=None):
     """`obj` with the item at `keys` set to `value`, or deleted if it is None."""
     *path, last = keys
@@ -405,6 +418,12 @@ def _kind_changing_case(objs):
     """A case whose erroneous action is of another kind than its recovery, so
     that no match against the recovery reads its box."""
     return next(c for c in objs if c["erroneous"]["kind"] != c["gt_recovery"]["kind"])
+
+
+def _type_b_recovered(objs):
+    """A type-B sample whose failed entry is its own target action."""
+    sample = next(s for s in objs if s["sample_type"] == "type_b")
+    return _put(sample, ["history", -1, "action"], sample["target_action"])
 
 
 def _without_dims(obj):
@@ -556,6 +575,9 @@ BAD_LINES = {
     ),
     "cases-int-screen-ref": ("cases", lambda o: {**o[1], "screen_ref": 5}),
     "cases-negative-source-step": ("cases", lambda o: {**o[1], "source": [o[1]["source"][0], -1]}),
+    # the probe's step needs a screen, and a failed entry cannot match its recovery
+    "cases-empty-screen-ref": ("cases", lambda o: {**o[1], "screen_ref": ""}),
+    "samples-type-b-failed-entry-recovers": ("samples", _type_b_recovered),
     "traces-float-t-gt": ("traces", lambda o: {**o[1], "t_gt": o[1]["t_gt"] + 0.9}),  # in range
     "traces-int-trajectory-id": ("traces", lambda o: {**o[1], "trajectory_id": 12}),
     "traces-repeated-id": ("traces", lambda o: o[0]),  # a file concatenated with itself

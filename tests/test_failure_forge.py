@@ -33,10 +33,10 @@ from tvae_harness.reward_engine import (
     match_action,
     score_output,
 )
-from tvae_harness.sim_engine import SimConfig, run_failure_case
+from tvae_harness.sim_engine import SimConfig, run_failure_case, transition
 from tvae_harness.synthdata import make_dataset
 from tvae_harness.trajectory_store import ActionKind, ActionRecord, ScrollDirection
-from tvae_harness.tvae_codec import Verification
+from tvae_harness.tvae_codec import ThinkSegment, ThinkTag, TvaeOutput, Verification
 
 from conftest import FIXED_TURN
 
@@ -289,8 +289,6 @@ def test_bench_deterministic_byte_identical(tmp_path):
 
 
 def test_type_b_replay_is_idempotent_under_transition_rule():
-    from tvae_harness.sim_engine import SimState, transition
-
     trajs = make_dataset(6, (2, 5), seed=23)
     samples = build_sft_dataset(trajs, ratio_b=0.5, seed=21)
     steps_by_ref = {st.screen_ref: st for t in trajs for st in t.steps}
@@ -299,10 +297,12 @@ def test_type_b_replay_is_idempotent_under_transition_rule():
         if s.sample_type is not SampleType.TYPE_B:
             continue
         step = steps_by_ref[s.input_screen_ref]
-        state = SimState(cursor=step.index, history=(), attempts_used=0)
-        new_state, log = transition(state, s.history[-1].action, step, budget=1)
-        assert not log.matched
-        assert new_state.cursor == step.index  # the screen is unchanged
+        failed = s.history[-1]
+        think = (ThinkSegment(ThinkTag.ACTION, "Act."),)
+        turn = TvaeOutput(think, failed.verification, failed.action, failed.expected_effect)
+        history, log = transition(s.history[:-1], failed.action, step, turn=turn)
+        assert not log.matched  # the screen is unchanged
+        assert history == s.history  # the miss adds the entry the sample records
         replayed += 1
     assert replayed > 0
 

@@ -14,7 +14,6 @@ from tvae_harness.sim_engine import (
     AttemptLog,
     Outcome,
     SimConfig,
-    SimState,
     SimTrace,
     episode_budget,
     run_episode,
@@ -27,7 +26,13 @@ from tvae_harness.sim_engine import (
 )
 from tvae_harness.synthdata import make_dataset
 from tvae_harness.trajectory_store import ActionKind, ActionRecord
-from tvae_harness.tvae_codec import Verification
+from tvae_harness.tvae_codec import (
+    HistoryEntry,
+    ThinkSegment,
+    ThinkTag,
+    TvaeOutput,
+    Verification,
+)
 
 from conftest import make_click_step
 
@@ -41,46 +46,31 @@ def _agent(name: VariantName, **kw) -> ScriptedAgent:
 # -- transition -------------------------------------------------------------------
 
 
-def _fresh_state() -> SimState:
-    return SimState(cursor=0, history=(), attempts_used=0)
-
-
 def test_transition_exact_match_advances():
     step = make_click_step(0)
-    state, log = transition(_fresh_state(), step.gt_action, step, budget=2)
-    assert log.matched
-    assert state.cursor == 1  # the screen is the next step's
-    assert state.attempts_used == 1
+    history, log = transition((), step.gt_action, step)
+    assert log.matched  # the screen is the next step's
+    assert history == ()  # no parsed turn, no entry
 
 
 def test_transition_mismatch_keeps_screen():
     step = make_click_step(0)
     off = ActionRecord(kind=ActionKind.CLICK, coordinate=(0.5, 0.7))  # outside bbox
-    state, log = transition(_fresh_state(), off, step, budget=2)
-    assert not log.matched
-    assert state.cursor == 0  # the screen is unchanged
-    assert state.attempts_used == 1
+    think = (ThinkSegment(ThinkTag.ACTION, "Click the button."),)
+    turn = TvaeOutput(think, Verification.SUCCESS, off, "The button responds.")
+    before = (HistoryEntry(step.gt_action, "An earlier step.", Verification.SUCCESS),)
+    history, log = transition(before, off, step, turn=turn)
+    assert not log.matched  # the screen is unchanged
+    assert history == before + (HistoryEntry(off, "The button responds.", Verification.SUCCESS),)
 
 
 def test_transition_none_action_counts_attempt():
     step = make_click_step(0)
-    state, log = transition(_fresh_state(), None, step, budget=2)
+    before = (HistoryEntry(step.gt_action, "An earlier step.", Verification.SUCCESS),)
+    history, log = transition(before, None, step)
     assert not log.matched
-    assert state.attempts_used == 1
-    assert state.history == ()
-
-
-def test_transition_past_budget_is_caller_bug():
-    step = make_click_step(0)
-    state = SimState(cursor=0, history=(), attempts_used=2)
-    with pytest.raises(RuntimeError, match="^attempt 2 with budget 2$"):
-        transition(state, step.gt_action, step, budget=2)
-
-
-def test_transition_off_its_step_is_caller_bug():
-    step = make_click_step(1)
-    with pytest.raises(RuntimeError, match="^transition: invalid cursor "):
-        transition(_fresh_state(), step.gt_action, step, budget=2)
+    assert log.issued is None
+    assert history is before
 
 
 def test_attempt_log_invariant():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -416,6 +417,31 @@ def test_parser_matches_reference_on_block_soup(raw):
 @given(raw=_mutated_turns())
 def test_parser_matches_reference_on_mutated_turns(raw):
     _assert_same_as_reference(raw)
+
+
+def _unclosed_flood(n: int) -> str:
+    return "<think>" * n
+
+
+def _blocks_around_unclosed(n: int) -> str:
+    return (
+        "<verification>SUCCESS</verification>\n" + "<think>[Verify] x" * n
+        + '\n<action>{"action": "navigate_back"}</action>'
+    )
+
+
+@pytest.mark.parametrize("make", [_unclosed_flood, _blocks_around_unclosed])
+def test_unclosed_open_tags_parse_in_linear_time(make):
+    # Each open tag of a name once searched the rest of the text for its
+    # close tag, so a 1 MiB flood took about a minute per parse.
+    _assert_same_as_reference(make(50))
+    raw = make((1 << 20) // (len(make(2)) - len(make(1))))  # 1 MiB of open tags
+    start = time.perf_counter()
+    try:
+        parse_tvae(raw)
+    except DataError:
+        pass
+    assert time.perf_counter() - start < 5.0
 
 
 # -- both sides of the emitted-layout match ---------------------------------------------
