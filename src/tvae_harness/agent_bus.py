@@ -21,15 +21,7 @@ from urllib.parse import urlsplit
 from .errors import AgentError, DataError
 from .failure_forge import FailureMode, corrupt_action, mismatched_effect, sample_corruption
 from .trajectory_store import ActionRecord, StepRecord, describe_action
-from .tvae_codec import (
-    HistoryEntry,
-    ThinkSegment,
-    ThinkTag,
-    TvaeOutput,
-    Verification,
-    emit_tvae,
-    history_entry_to_json,
-)
+from .tvae_codec import HistoryEntry, Verification, history_entry_to_json, write_turn
 
 WIRE_SCHEMA_VERSION = 1
 STDIO_SENTINEL = "<<<END_TURN>>>"
@@ -103,43 +95,39 @@ def _clean(text: str) -> str:
 
 
 def _effect_safe(text: str) -> str:
-    # Unpadded, as `emit_tvae` requires: the parse strips the effect anyway.
+    # Unpadded, since the parse strips the effect, and with no terminator.
     return text.strip().replace("</", "(/") or "The screen will update."
 
 
-def _param_segment(action: ActionRecord) -> ThinkSegment | None:
+def _param_line(action: ActionRecord) -> str:
+    """The think line that states `action`'s parameter, with its newline; ""
+    for an action without one."""
     if action.coordinate is not None:
         x, y = action.coordinate
-        return ThinkSegment(ThinkTag.COORDINATE, f"Element position: ({x:g}, {y:g}).")
+        return f"[Coordinate] Element position: ({x:g}, {y:g}).\n"
     if action.direction is not None:
-        return ThinkSegment(ThinkTag.DIRECTION, f"Scroll direction: {action.direction.value}.")
+        return f"[Direction] Scroll direction: {action.direction._value_}.\n"
     if action.text is not None:
-        return ThinkSegment(ThinkTag.TEXT, f"The exact text needed is '{_clean(action.text)}'.")
-    return None
+        return f"[Text] The exact text needed is '{_clean(action.text)}'.\n"
+    return ""
 
 
-# Static segments are interned, and the [Recall] segment is reused across
-# an episode's turns; only action-dependent ones are built per turn (the
-# emit path is the simulation hot loop).
-_SEG_VERIFY_OK = ThinkSegment(ThinkTag.VERIFY, "The previous action produced the expected screen.")
-_SEG_VERIFY_STUCK = ThinkSegment(
-    ThinkTag.VERIFY, "The screen remains unchanged after the last action."
+# The think lines that no turn varies, before and after the [Recall] line.
+_SUCCESS_HEAD = "[Verify] The previous action produced the expected screen."
+_SUCCESS_GROUNDING = "[Grounding] The target element is visible on the current screen."
+_RETRY_HEAD = (
+    "[Verify] The screen remains unchanged after the last action.\n"
+    "[Diagnose] The previous action did not reach its target."
 )
-_SEG_DIAGNOSE = ThinkSegment(ThinkTag.DIAGNOSE, "The previous action did not reach its target.")
-_SEG_GROUNDING_OK = ThinkSegment(
-    ThinkTag.GROUNDING, "The target element is visible on the current screen."
-)
-_SEG_GROUNDING_FIX = ThinkSegment(
-    ThinkTag.GROUNDING, "The correct target element is visible on this screen."
-)
+_RETRY_GROUNDING = "[Grounding] The correct target element is visible on this screen."
 
 
 # A scripted agent runs its episodes one after another (`max_inflight` is
-# 1), and an episode's turns share its instruction, so the last segment
-# built serves every turn but an episode's first.
+# 1), and an episode's turns share its instruction, so the last line built
+# serves every turn but an episode's first.
 @lru_cache(maxsize=1)
-def _recall_segment(instruction: str) -> ThinkSegment:
-    return ThinkSegment(ThinkTag.RECALL, f"The task is: {_clean(instruction)}.")
+def _recall_line(instruction: str) -> str:
+    return f"[Recall] The task is: {_clean(instruction)}."
 
 
 def _emit(
@@ -149,27 +137,26 @@ def _emit(
     effect: str,
 ) -> str:
     """A turn claiming `verification`: a plain step after SUCCESS, a
-    diagnosis and retry after NO_CHANGE."""
-    recall = _recall_segment(instruction)
+    diagnosis and retry after NO_CHANGE.
+
+    The think lines are written straight into `write_turn`'s layout, with
+    none of `emit_tvae`'s checks: `_clean` and `_effect_safe` leave no tag
+    token or block terminator in a body, and every body starts and ends
+    with a fixed word or full stop, so none is blank or padded.
+    """
+    recall = _recall_line(instruction)
     described = _clean(describe_action(action))
     if verification is Verification.SUCCESS:
-        think = [_SEG_VERIFY_OK, recall, _SEG_GROUNDING_OK]
-        last = ThinkSegment(ThinkTag.ACTION, described + ".")
-    else:
-        think = [_SEG_VERIFY_STUCK, _SEG_DIAGNOSE, recall, _SEG_GROUNDING_FIX]
-        last = ThinkSegment(ThinkTag.RECOVERY, "Retry with " + described + ".")
-    param = _param_segment(action)
-    if param:
-        think.append(param)
-    think.append(last)
-    return emit_tvae(
-        TvaeOutput(
-            think=tuple(think),
-            verification=verification,
-            action=action,
-            expected_effect=_effect_safe(effect),
+        think = (
+            f"{_SUCCESS_HEAD}\n{recall}\n{_SUCCESS_GROUNDING}\n"
+            f"{_param_line(action)}[Action] {described}."
         )
-    )
+    else:
+        think = (
+            f"{_RETRY_HEAD}\n{recall}\n{_RETRY_GROUNDING}\n"
+            f"{_param_line(action)}[Recovery] Retry with {described}."
+        )
+    return write_turn(think, verification, action, _effect_safe(effect))
 
 
 # oracle is failk with K=0; offset_then_correct is K=1 with a fixed-mode

@@ -1,9 +1,10 @@
-"""Evaluation metrics over step predictions, episode traces, and failure
-probes, with deterministic report emission.
+"""Evaluation metrics over episode traces and failure probes, with
+deterministic report emission.
 
-Step level: type match (TM), grounding rate (GR, pooled over spatial and
-text steps with a kind-agnostic denominator, plus GR|TM for comparability),
-and step success (SR).  Task level: first-try success (TSR), progress before
+Step level, over the first attempt at each ground-truth step: type match
+(TM), grounding rate (GR, pooled over spatial and text steps with a
+kind-agnostic denominator, plus GR|TM for comparability), and step success
+(SR).  Task level: first-try success (TSR), progress before
 first error (PG), success allowing recovery (Sim-TSR), and average step
 overhead of completed tasks (ASO, infinite when nothing completed).
 Robustness: loop rate (LR) and recovery success rate (RSR).
@@ -21,10 +22,9 @@ from enum import Enum
 from typing import Any, Sequence
 
 from .errors import DataError
-from .reward_engine import match_action, parameters_match
+from .reward_engine import parameters_match
 from .sim_engine import CaseResult, Outcome, SimTrace
-from .trajectory_store import ActionRecord, StepRecord, TrajectoryRecord
-from .tvae_codec import Verification
+from .trajectory_store import TrajectoryRecord
 
 METRIC_COLUMNS = ("tm", "gr", "sr", "tsr", "pg", "sim_tsr", "aso", "lr", "rsr")
 
@@ -55,35 +55,40 @@ class MetricsReport:
                 raise RuntimeError("report: invalid aso (finite iff sim_tsr > 0)")
 
 
-@dataclass(slots=True)
-class StepPrediction:
-    predicted: ActionRecord | None
-    gt: StepRecord
+def step_metrics(
+    traces: Sequence[SimTrace], trajs: Sequence[TrajectoryRecord]
+) -> MetricsReport:
+    """Compute TM / GR / SR over the first attempt at each ground-truth step
+    of `traces`, against that step of the run's dataset `trajs`.
 
-
-def step_metrics(preds: Sequence[StepPrediction]) -> MetricsReport:
-    """Compute TM / GR / SR over a prediction set."""
-    if not preds:
+    The first attempt at a step is the episode's first attempt and every
+    one that follows a match.  Its SR is its match flag, which `transition`
+    decided with `match_action`."""
+    by_id = {t.id: t for t in trajs}
+    n = tm_hits = sr_hits = 0
+    gr_eligible = gr_hits = grtm_eligible = grtm_hits = 0
+    for trace in traces:
+        steps = by_id[trace.trajectory_id].steps
+        cursor, first = 0, True
+        for attempt in trace.attempts:
+            if first:
+                gt = steps[cursor]
+                gt_action, issued = gt.gt_action, attempt.issued
+                kind_ok = issued is not None and issued.kind is gt_action.kind
+                n += 1
+                tm_hits += kind_ok
+                sr_hits += attempt.matched
+                if gt_action.is_spatial() or gt_action.is_textual():
+                    grounded = parameters_match(issued, gt_action, gt.gt_bbox)
+                    gr_eligible += 1
+                    gr_hits += grounded
+                    if kind_ok:
+                        grtm_eligible += 1
+                        grtm_hits += grounded
+            cursor += attempt.matched
+            first = attempt.matched
+    if not n:
         raise DataError("no step predictions")
-    tm_hits = 0
-    sr_hits = 0
-    gr_eligible = 0
-    gr_hits = 0
-    grtm_eligible = 0
-    grtm_hits = 0
-    for p in preds:
-        gt_action = p.gt.gt_action
-        kind_ok = p.predicted is not None and p.predicted.kind is gt_action.kind
-        tm_hits += kind_ok
-        sr_hits += match_action(p.predicted, gt_action, p.gt.gt_bbox)
-        if gt_action.is_spatial() or gt_action.is_textual():
-            grounded = parameters_match(p.predicted, gt_action, p.gt.gt_bbox)
-            gr_eligible += 1
-            gr_hits += grounded
-            if kind_ok:
-                grtm_eligible += 1
-                grtm_hits += grounded
-    n = len(preds)
     return MetricsReport(
         tm=tm_hits / n,
         gr=gr_hits / gr_eligible if gr_eligible else None,
@@ -95,23 +100,6 @@ def step_metrics(preds: Sequence[StepPrediction]) -> MetricsReport:
             "grounding_type_matched": grtm_eligible,
         },
     )
-
-
-def first_attempt_predictions(
-    traces: Sequence[SimTrace], trajs: Sequence[TrajectoryRecord]
-) -> list[StepPrediction]:
-    """The first attempt at each ground-truth step of `traces`, paired with
-    that step of the run's dataset `trajs`.  An attempt is the first at its
-    step exactly when its verification target is SUCCESS: it is the
-    episode's first attempt or follows a match."""
-    by_id = {t.id: t for t in trajs}
-    preds: list[StepPrediction] = []
-    for trace in traces:
-        steps = by_id[trace.trajectory_id].steps
-        for attempt, (gt_step, target) in zip(trace.attempts, trace.attempt_targets()):
-            if target is Verification.SUCCESS:
-                preds.append(StepPrediction(attempt.issued, steps[gt_step]))
-    return preds
 
 
 def progress_fraction(trace: SimTrace) -> float:
@@ -129,25 +117,23 @@ def task_metrics(traces: Sequence[SimTrace]) -> MetricsReport:
     if not traces:
         raise DataError("no traces")
     n = len(traces)
-    tsr = sum(t.outcome is Outcome.COMPLETED_FIRST_TRY for t in traces) / n
+    first_try = completed = overhead = 0
     # Left to right: from 3.12 on `sum()` compensates float rounding, which
     # would make the report's digits depend on the Python version.
     pg = 0.0
     for t in traces:
+        outcome = t.outcome
+        first_try += outcome is Outcome.COMPLETED_FIRST_TRY
         pg += progress_fraction(t)
-    pg /= n
-    completed = [t for t in traces if t.outcome is not Outcome.BUDGET_EXHAUSTED]
-    sim_tsr = len(completed) / n
-    if completed:
-        aso = sum(t.steps_used - t.t_gt for t in completed) / len(completed)
-    else:
-        aso = math.inf
+        if outcome is not Outcome.BUDGET_EXHAUSTED:
+            completed += 1
+            overhead += t.steps_used - t.t_gt
     return MetricsReport(
-        tsr=tsr,
-        pg=pg,
-        sim_tsr=sim_tsr,
-        aso=aso,
-        counts={"tasks": n, "completed_tasks": len(completed)},
+        tsr=first_try / n,
+        pg=pg / n,
+        sim_tsr=completed / n,
+        aso=overhead / completed if completed else math.inf,
+        counts={"tasks": n, "completed_tasks": completed},
     )
 
 
@@ -160,7 +146,7 @@ def episode_report(
     task = task_metrics(traces)
     if trajs is None:
         return task
-    step = step_metrics(first_attempt_predictions(traces, trajs))
+    step = step_metrics(traces, trajs)
     return replace(
         step, tsr=task.tsr, pg=task.pg, sim_tsr=task.sim_tsr, aso=task.aso,
         counts={**step.counts, **task.counts},

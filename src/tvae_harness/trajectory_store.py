@@ -380,11 +380,11 @@ def describe_action(action: ActionRecord) -> str:
     k = action.kind
     if k in SPATIAL_KINDS:
         x, y = action.coordinate  # type: ignore[misc]
-        return f"{k.value} at ({x:g}, {y:g})"
+        return f"{k._value_} at ({x:g}, {y:g})"
     if k is ActionKind.SCROLL:
-        return f"scroll {action.direction.value}"  # type: ignore[union-attr]
+        return f"scroll {action.direction._value_}"  # type: ignore[union-attr]
     if k in TEXT_KINDS:
-        return f"{k.value} '{action.text}'"
+        return f"{k._value_} '{action.text}'"
     if k is ActionKind.WAIT:
         return f"wait {action.seconds:g}s"
-    return k.value
+    return k._value_

@@ -212,7 +212,7 @@ def emit_action_json(action: ActionRecord) -> str:
     return head + "}"
 
 
-# The layout `emit_tvae` writes, each block body free of "<".
+# The layout `write_turn` writes, each block body free of "<".
 _EMITTED_TURN = re.compile("\n".join(f"<{n}>(?P<{n}>[^<]*)</{n}>" for n in BLOCK_NAMES))
 
 # A JSON number as `emit_action_json` writes one: an integer or a float's
@@ -259,7 +259,7 @@ def parse_tvae(raw: str) -> TvaeOutput:
     can be read: a missing <verification> or <action> block, an unknown
     verification token or a bad action.  Any other problem is a warning.
 
-    Text in exactly the layout `emit_tvae` writes, with no "<" inside a
+    Text in exactly the layout `write_turn` writes, with no "<" inside a
     block, is split into its four blocks by one full match.  The block scan
     would find the same four: each body holds no tag, so each block closes
     at its own terminator, and nothing is left over to warn of.  Any other
@@ -359,10 +359,20 @@ def emit_tvae(out: TvaeOutput) -> str:
     if "</" in effect and _FORBIDDEN_IN_BODY.search(effect):
         raise DataError("turn: invalid expected_effect (embeds block terminator)")
     think_lines = "\n".join([_TAG_PREFIX[s.tag] + s.body for s in think])
+    return write_turn(think_lines, out.verification, out.action, effect)
+
+
+def write_turn(
+    think: str, verification: Verification, action: ActionRecord, effect: str
+) -> str:
+    """The four blocks in canonical order, with `think` the block body: its
+    `[Tag] body` lines joined by newlines.  Nothing is checked: `emit_tvae`
+    checks a turn before it writes it, and any other caller passes texts that
+    are safe by construction."""
     return (
-        f"<think>\n{think_lines}\n</think>\n"
-        f"<verification>{out.verification._value_}</verification>\n"
-        f"<action>{emit_action_json(out.action)}</action>\n"
+        f"<think>\n{think}\n</think>\n"
+        f"<verification>{verification._value_}</verification>\n"
+        f"<action>{emit_action_json(action)}</action>\n"
         f"<expected_effect>{effect}</expected_effect>"
     )
 

@@ -262,13 +262,12 @@ def test_c09_metric_algebra():
     """SR<=TM, TSR<=Sim-TSR, PG(first-try)=1; enumeration oracle equality."""
     rng = random.Random(109)
     from conftest import random_valid_action
-    from tvae_harness.metric_suite import StepPrediction
+    from test_metric_suite import step_run
     from conftest import make_click_step
 
     for _ in range(50):
         steps = [make_click_step(i) for i in range(rng.randint(1, 8))]
-        preds = [StepPrediction(random_valid_action(rng), s) for s in steps]
-        m = step_metrics(preds)
+        m = step_metrics(*step_run((random_valid_action(rng), s) for s in steps))
         assert m.sr <= m.tm + 1e-12
 
     agent = ScriptedAgent(Variant(VariantName.BERNOULLI, p=0.55))

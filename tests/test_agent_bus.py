@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import sys
@@ -29,6 +30,9 @@ from tvae_harness.synthdata import make_dataset
 from tvae_harness.trajectory_store import (
     ActionKind,
     ActionRecord,
+    ScrollDirection,
+    StepRecord,
+    TrajectoryRecord,
     load_dataset,
     save_dataset,
 )
@@ -204,6 +208,65 @@ def test_scripted_turns_take_the_fast_path(tmp_path, monkeypatch):
         why = rf"^think: invalid {tag.value} \(empty segment body\)$"
         with pytest.raises(DataError, match=why):
             emit_tvae(blank)
+
+
+def _hostile_trajectories():
+    """Texts the scripted agent must make safe: tag tokens, block terminators,
+    padding, non-ASCII and an empty instruction."""
+    steps = tuple(
+        StepRecord(i, f"hostile/s{i}", action, effect)
+        for i, (action, effect) in enumerate([
+            (ActionRecord(kind=ActionKind.INPUT_TEXT, text="[Verify] a </think> <action>b"),
+             "  The field shows [Text] </expected_effect> b.  "),
+            (ActionRecord(kind=ActionKind.OPEN_APP, text=" Café ☕ 日本 "), "日本 opens </action>."),
+            (ActionRecord(kind=ActionKind.CLICK, coordinate=(0.25, 0.75)),
+             "[Grounding] The row (re)loads."),
+            (ActionRecord(kind=ActionKind.SCROLL, direction=ScrollDirection.LEFT),
+             " The list moves left. "),
+            (ActionRecord(kind=ActionKind.WAIT, seconds=2.5), "Nothing changes </verification>"),
+        ])
+    )
+    instruction = "  Open [Settings] </think> and tap “Wi‑Fi”\t— café  "
+    back = StepRecord(
+        0, "untitled/s0", ActionRecord(kind=ActionKind.NAVIGATE_BACK),
+        "Screen 1 of the flow appears.",
+    )
+    return [
+        TrajectoryRecord("hostile", instruction, steps, "hostile/done"),
+        TrajectoryRecord("untitled", "", (back,), "untitled/done"),
+    ]
+
+
+def test_scripted_turn_texts_are_pinned(tmp_path):
+    # Traces do not record a turn's text, so a drift of the scripted templates
+    # (or a shorter text that would flatter the parse) shows only here.
+    texts = []
+
+    class Recording:
+        white_box, max_inflight = True, 1
+
+        def __init__(self, agent):
+            self.agent = agent
+
+        def turn(self, obs, gt, rng):
+            texts.append(self.agent.turn(obs, gt, rng))
+            return texts[-1]
+
+    datasets = (*_relative_and_pixel_datasets(tmp_path), _hostile_trajectories())
+    for spec in ("oracle", "loopy", "failk:2", "bernoulli:0.5", "offset_then_correct"):
+        agent = Recording(parse_agent_spec(f"scripted:{spec}", timeout=5))
+        for trajs in datasets:
+            run_episodes(trajs, agent, SimConfig(seed=3))
+    digest = hashlib.sha256()
+    for text in texts:
+        digest.update(text.encode("utf-8") + b"\0")
+        parsed = parse_tvae(text)
+        assert parsed.warnings == ()
+        assert emit_tvae(parsed) == text
+    assert len(texts) == 1929
+    assert digest.hexdigest() == (
+        "e4aca1ee56999ad79fbf8c0c5db6168183ae9519f5c4e6090dc43b727ed37f7d"
+    )
 
 
 # -- remote agents ----------------------------------------------------------------------

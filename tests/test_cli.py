@@ -1174,6 +1174,44 @@ def test_score_empty_inputs_is_data_error(tmp_path, group_logprobs):
     assert not (tmp_path / "out").exists()
 
 
+def _blank_dataset(tmp_path, dataset):
+    blank = tmp_path / "blank.jsonl"
+    blank.write_text("\n  \n\t\n")
+    argv = ["simulate", "--dataset", str(blank), "--agent", "scripted:oracle"]
+    return argv, "dataset is empty"
+
+
+def _short_groups(tmp_path, dataset):
+    samples, outputs, n = _write_score_inputs(tmp_path, dataset)
+    groups = tmp_path / "groups.jsonl"
+    logprobs = {f"logprobs_{k}": [-0.5, -0.3] for k in ("new", "old", "ref")}
+    groups.write_text(json.dumps({"outputs": [logprobs, logprobs]}) + "\n")
+    argv = [
+        "score", "--samples", str(samples), "--outputs", str(outputs),
+        "--group-logprobs", str(groups),
+    ]
+    return argv, f"group log-probs cover 2 outputs but {n} were scored"
+
+
+@pytest.mark.parametrize("case", [
+    _blank_dataset,
+    lambda tmp_path, dataset: (
+        ["bench-robust", "--synthesize", "--agent", "scripted:oracle"],
+        "--synthesize requires --dataset",
+    ),
+    lambda tmp_path, dataset: (["synth", "--kind", "sft"], "synth sft/bench requires --dataset"),
+    _short_groups,
+], ids=["simulate-blank-dataset", "bench-robust-no-dataset", "synth-sft-no-dataset",
+        "score-groups-cover-too-few"])
+def test_input_errors_exit_1_with_their_message(dataset, tmp_path, capsys, case):
+    argv, message = case(tmp_path, dataset)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mutation", ["bad-group-line", "kl-lambda-nan", "grpo-group-size"])
 def test_score_checks_every_input_before_writing(dataset, tmp_path, capsys, mutation):
     groups, argv = _record_inputs("groups", tmp_path, dataset)

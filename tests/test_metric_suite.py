@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -12,21 +13,33 @@ from tvae_harness.metric_suite import (
     METRIC_COLUMNS,
     MetricsReport,
     ReportFormat,
-    StepPrediction,
     emit_report,
     progress_fraction,
     robustness_metrics,
     step_metrics,
     task_metrics,
 )
-from tvae_harness.sim_engine import AttemptLog, CaseResult, Outcome, SimTrace
-from tvae_harness.trajectory_store import ActionKind, ActionRecord, ScrollDirection
+from tvae_harness.sim_engine import AttemptLog, CaseResult, Outcome, SimTrace, transition
+from tvae_harness.trajectory_store import (
+    ActionKind,
+    ActionRecord,
+    ScrollDirection,
+    TrajectoryRecord,
+)
 
 from conftest import make_click_step, random_valid_action
 
 
-def _pred(predicted, gt_step) -> StepPrediction:
-    return StepPrediction(predicted=predicted, gt=gt_step)
+def step_run(pairs) -> tuple[list[SimTrace], list[TrajectoryRecord]]:
+    """One T=1 trajectory per (predicted action, ground-truth step) pair, and
+    its one-attempt trace as `transition` decides it."""
+    traces, trajs = [], []
+    for i, (predicted, step) in enumerate(pairs):
+        traj = TrajectoryRecord(f"t{i}", "Do it.", (replace(step, index=0),), "done")
+        _, log = transition((), predicted, traj.steps[0])
+        traces.append(SimTrace(traj.id, 1, (log,)))
+        trajs.append(traj)
+    return traces, trajs
 
 
 # -- step metrics -------------------------------------------------------------------
@@ -34,22 +47,21 @@ def _pred(predicted, gt_step) -> StepPrediction:
 
 def test_all_correct():
     steps = [make_click_step(i, coord=(0.5, 0.5)) for i in range(4)]
-    preds = [_pred(s.gt_action, s) for s in steps]
-    m = step_metrics(preds)
+    m = step_metrics(*step_run((s.gt_action, s) for s in steps))
     assert (m.tm, m.gr, m.sr) == (1.0, 1.0, 1.0)
 
 
 def test_correct_kind_wrong_coordinates():
     steps = [make_click_step(i) for i in range(4)]
     off = ActionRecord(kind=ActionKind.CLICK, coordinate=(0.95, 0.95))
-    m = step_metrics([_pred(off, s) for s in steps])
+    m = step_metrics(*step_run((off, s) for s in steps))
     assert m.tm == 1.0 and m.sr == 0.0 and m.gr == 0.0
 
 
 def test_single_wrong_kind():
     step = make_click_step(0)
     wrong = ActionRecord(kind=ActionKind.SCROLL, direction=ScrollDirection.UP)
-    m = step_metrics([_pred(wrong, step)])
+    m = step_metrics(*step_run([(wrong, step)]))
     assert (m.tm, m.gr, m.sr) == (0.0, 0.0, 0.0)
 
 
@@ -58,7 +70,7 @@ def test_gr_denominator_excludes_parameterless_kinds():
 
     back = ActionRecord(kind=ActionKind.NAVIGATE_BACK)
     traj = make_traj([back])
-    m = step_metrics([_pred(back, traj.steps[0])])
+    m = step_metrics(*step_run([(back, traj.steps[0])]))
     assert m.tm == 1.0 and m.sr == 1.0
     assert m.gr is None
     assert m.counts["grounding_eligible"] == 0
@@ -68,7 +80,7 @@ def test_gr_given_tm_conditions_on_kind():
     steps = [make_click_step(i) for i in range(2)]
     good = steps[0].gt_action
     wrong_kind_good_spot = ActionRecord(kind=ActionKind.LONG_PRESS, coordinate=(0.5, 0.5))
-    m = step_metrics([_pred(good, steps[0]), _pred(wrong_kind_good_spot, steps[1])])
+    m = step_metrics(*step_run([(good, steps[0]), (wrong_kind_good_spot, steps[1])]))
     assert m.gr == 1.0  # kind-agnostic: both land in the box
     assert m.gr_given_tm == 1.0  # conditioned set is just the first
     assert m.counts["grounding_type_matched"] == 1
@@ -77,14 +89,13 @@ def test_gr_given_tm_conditions_on_kind():
 def test_sr_le_tm_property(rng: random.Random):
     for _ in range(100):
         steps = [make_click_step(i) for i in range(rng.randint(1, 6))]
-        preds = [_pred(random_valid_action(rng), s) for s in steps]
-        m = step_metrics(preds)
+        m = step_metrics(*step_run((random_valid_action(rng), s) for s in steps))
         assert m.sr <= m.tm + 1e-12
 
 
 def test_step_metrics_empty():
     with pytest.raises(DataError, match="^no step predictions$"):
-        step_metrics([])
+        step_metrics([], [])
 
 
 # -- task metrics --------------------------------------------------------------------

@@ -4,14 +4,17 @@ import random
 
 import pytest
 
+from tvae_harness.errors import DataError
 from tvae_harness.failure_forge import SampleType, SyntheticSample
 from tvae_harness.reward_engine import (
+    REWARD_MISS,
     RewardConfig,
     actions_approx_equal,
     composite_reward,
     distance_to_bbox,
     match_action,
     point_in_bbox,
+    score_output,
     token_f1,
     verification_reward,
 )
@@ -20,7 +23,7 @@ from tvae_harness.trajectory_store import (
     ActionRecord,
     ScrollDirection,
 )
-from tvae_harness.tvae_codec import ThinkSegment, ThinkTag, TvaeOutput, Verification
+from tvae_harness.tvae_codec import ThinkSegment, ThinkTag, TvaeOutput, Verification, parse_tvae
 
 from conftest import WORDS, random_valid_turn
 
@@ -236,6 +239,25 @@ def test_composite_pixel_output_normalized_via_sample_dims():
     # its raw coordinate lies within DELTA of the target
     out = _turn(click(1.05, 0.5), Verification.SUCCESS, "bus list")
     assert composite_reward(out, _sample(click(0.95, 0.5), "bus list")).r_act == -1.0
+
+
+def test_unparseable_output_scores_a_wrong_action_and_a_miss():
+    # no parse, no claim: the action would have matched, but nothing was read
+    gt = click(0.5, 0.5)
+    raw = (
+        "<think>\n[Verify] Checked the screen.\n</think>\n"
+        '<action>{"action": "click", "coordinate": [0.5, 0.5]}</action>\n'
+        "<expected_effect>cart opens</expected_effect>"
+    )
+    with pytest.raises(DataError) as exc:
+        parse_tvae(raw)
+    cfg = RewardConfig(alpha=0.3, beta=0.8)
+    b = score_output(raw, _sample(gt, "cart opens"), cfg)
+    assert (b.r_act, b.r_eff, b.r_ver) == (-1.0, 0.0, REWARD_MISS)
+    assert REWARD_MISS == -0.5
+    assert b.total == -1.0 + 0.8 * -0.5
+    assert b.parse_error == str(exc.value) == "missing <verification> block"
+    assert b.to_json()["parse_error"] == b.parse_error
 
 
 def test_composite_worked_success_turn_against_own_sample():
