@@ -15,7 +15,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Any, Protocol, Sequence
+from typing import Any, Callable, Protocol, Sequence
 from urllib.parse import urlsplit
 
 from .errors import AgentError, DataError
@@ -45,19 +45,27 @@ class Observation:
             raise DataError("observation: invalid step_budget_remaining (must be >= 0)")
 
 
+# A turn's source of draws: each call returns the same generator, seeded at the first.
+Rng = Callable[[], random.Random]
+
+
 class AgentHandle(Protocol):
     """A turn function plus identity and concurrency metadata.
 
     `max_inflight` is how many `turn` calls the agent itself allows at once;
     the runner starts at most that many and at most `--workers`.  `close`
     releases what the agent holds (a connection pool, a subprocess).
+
+    `turn`'s `rng` returns the episode's (or failure case's) generator; an
+    agent calls it only where it draws, so a turn that draws nothing seeds
+    nothing.
     """
 
     identity: str
     max_inflight: int
     white_box: bool
 
-    def turn(self, obs: Observation, gt: StepRecord | None, rng: random.Random) -> str: ...
+    def turn(self, obs: Observation, gt: StepRecord | None, rng: Rng) -> str: ...
 
     def close(self) -> None: ...
 
@@ -99,12 +107,12 @@ def _effect_safe(text: str) -> str:
     return text.strip().replace("</", "(/") or "The screen will update."
 
 
-def _param_line(action: ActionRecord) -> str:
+def _param_line(action: ActionRecord, described: str) -> str:
     """The think line that states `action`'s parameter, with its newline; ""
-    for an action without one."""
+    for an action without one.  A coordinate is read off `described`, the
+    `describe_action` text, which ends in it: "click at (X, Y)"."""
     if action.coordinate is not None:
-        x, y = action.coordinate
-        return f"[Coordinate] Element position: ({x:g}, {y:g}).\n"
+        return f"[Coordinate] Element position: {described[described.index('('):]}.\n"
     if action.direction is not None:
         return f"[Direction] Scroll direction: {action.direction._value_}.\n"
     if action.text is not None:
@@ -134,10 +142,11 @@ def _emit(
     instruction: str,
     action: ActionRecord,
     verification: Verification,
-    effect: str,
+    effect: str | None,
 ) -> str:
     """A turn claiming `verification`: a plain step after SUCCESS, a
-    diagnosis and retry after NO_CHANGE.
+    diagnosis and retry after NO_CHANGE.  A None `effect` is the mismatched
+    effect of `action`; the action is described once per turn.
 
     The think lines are written straight into `write_turn`'s layout, with
     none of `emit_tvae`'s checks: `_clean` and `_effect_safe` leave no tag
@@ -145,16 +154,18 @@ def _emit(
     with a fixed word or full stop, so none is blank or padded.
     """
     recall = _recall_line(instruction)
-    described = _clean(describe_action(action))
+    described = describe_action(action)
+    if effect is None:
+        effect = mismatched_effect(described)
     if verification is Verification.SUCCESS:
         think = (
             f"{_SUCCESS_HEAD}\n{recall}\n{_SUCCESS_GROUNDING}\n"
-            f"{_param_line(action)}[Action] {described}."
+            f"{_param_line(action, described)}[Action] {_clean(described)}."
         )
     else:
         think = (
             f"{_RETRY_HEAD}\n{recall}\n{_RETRY_GROUNDING}\n"
-            f"{_param_line(action)}[Recovery] Retry with {described}."
+            f"{_param_line(action, described)}[Recovery] Retry with {_clean(described)}."
         )
     return write_turn(think, verification, action, _effect_safe(effect))
 
@@ -164,14 +175,13 @@ def _emit(
 _FIXED_K = {VariantName.ORACLE: 0, VariantName.OFFSET_THEN_CORRECT: 1}
 
 
-def scripted_turn(
-    variant: Variant, obs: Observation, gt: StepRecord, rng: random.Random
-) -> str:
+def scripted_turn(variant: Variant, obs: Observation, gt: StepRecord, rng: Rng) -> str:
     """Produce one deterministic turn for a scripted behavior.
 
     Pure in (variant, obs, gt, rng state): the per-step attempt position is
     reconstructed from history length and the step index, never from hidden
-    state, so identical inputs yield identical text.
+    state, so identical inputs yield identical text.  `rng` is called only
+    where the turn draws: never by oracle, nor by loopy once it has history.
     """
     instruction = obs.instruction
     gt_action = gt.gt_action
@@ -181,14 +191,15 @@ def scripted_turn(
         if obs.history:
             action = obs.history[-1].action
         else:
-            _, action = sample_corruption(gt_action, gt.gt_bbox, rng)
-        return _emit(instruction, action, Verification.SUCCESS, mismatched_effect(action))
+            _, action = sample_corruption(gt_action, gt.gt_bbox, rng())
+        return _emit(instruction, action, Verification.SUCCESS, None)
 
     if name is VariantName.BERNOULLI:
-        if rng.random() < variant.p:
+        draws = rng()
+        if draws.random() < variant.p:
             return _emit(instruction, gt_action, Verification.SUCCESS, gt.reference_effect)
-        _, bad = sample_corruption(gt_action, gt.gt_bbox, rng)
-        return _emit(instruction, bad, Verification.SUCCESS, mismatched_effect(bad))
+        _, bad = sample_corruption(gt_action, gt.gt_bbox, draws)
+        return _emit(instruction, bad, Verification.SUCCESS, None)
 
     # failk: K wrong attempts per step, then the right one
     k = _FIXED_K.get(name, variant.k)
@@ -198,10 +209,10 @@ def scripted_turn(
         return _emit(instruction, gt_action, verification, gt.reference_effect)
     if name is VariantName.OFFSET_THEN_CORRECT:
         mode = FailureMode.COORDINATE_OFFSET if gt_action.is_spatial() else FailureMode.NULL_CLICK
-        bad = corrupt_action(gt_action, gt.gt_bbox, mode, rng)
+        bad = corrupt_action(gt_action, gt.gt_bbox, mode, rng())
     else:
-        _, bad = sample_corruption(gt_action, gt.gt_bbox, rng)
-    return _emit(instruction, bad, verification, mismatched_effect(bad))
+        _, bad = sample_corruption(gt_action, gt.gt_bbox, rng())
+    return _emit(instruction, bad, verification, None)
 
 
 class ScriptedAgent:
@@ -219,7 +230,7 @@ class ScriptedAgent:
         elif variant.name is VariantName.BERNOULLI:
             self.identity += f":{variant.p:g}"
 
-    def turn(self, obs: Observation, gt: StepRecord | None, rng: random.Random) -> str:
+    def turn(self, obs: Observation, gt: StepRecord | None, rng: Rng) -> str:
         if gt is None:
             raise DataError("scripted: invalid gt (scripted agents need ground truth)")
         return scripted_turn(self.variant, obs, gt, rng)
@@ -472,7 +483,7 @@ class RemoteAgent:
         self.identity = f"remote:{endpoint}"
         self._pool = _HttpPool(endpoint, timeout, token)
 
-    def turn(self, obs: Observation, gt: StepRecord | None, rng: random.Random) -> str:
+    def turn(self, obs: Observation, gt: StepRecord | None, rng: Rng) -> str:
         """POST the observation to the turn server; return the body verbatim.
 
         Retries once on transport errors, timeouts and 5xx responses, then
@@ -516,7 +527,7 @@ class StdioAgent:
         # nothing cannot block the write past the deadline.
         os.set_blocking(self._proc.stdin.fileno(), False)  # type: ignore[union-attr]
 
-    def turn(self, obs: Observation, gt: StepRecord | None, rng: random.Random) -> str:
+    def turn(self, obs: Observation, gt: StepRecord | None, rng: Rng) -> str:
         import os
         import selectors
         import time

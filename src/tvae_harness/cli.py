@@ -34,14 +34,21 @@ from .failure_forge import (
     build_robustness_bench,
     build_sft_dataset,
     failure_case_from_json,
-    failure_case_to_json,
+    failure_case_line,
     sample_from_json,
-    sample_to_json,
+    sample_line,
 )
 from .metric_suite import ReportFormat, emit_report, episode_report, robustness_metrics
 from .records import json_value, read_records, unique_trajectories, write_lines, write_records
 from .reward_engine import RewardConfig, score_output
-from .sim_engine import SimConfig, run_episodes, run_failure_cases, trace_from_json, trace_line
+from .sim_engine import (
+    SimConfig,
+    case_result_line,
+    run_episodes,
+    run_failure_cases,
+    trace_from_json,
+    trace_line,
+)
 from .trajectory_store import load_dataset, save_dataset
 
 EXIT_OK = 0
@@ -196,19 +203,10 @@ def cmd_bench_robust(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.synthesize:
         cases_path = out_dir / "cases.jsonl"
-        write_records(cases_path, (failure_case_to_json(c) for c in cases))
+        write_lines(cases_path, map(failure_case_line, cases))
     else:
         cases_path = Path(args.cases)
-    rows = [
-        {
-            "source": list(case.source),
-            "repeated": res.repeated,
-            "recovered": res.recovered,
-            "issued": None if res.issued is None else res.issued.kind.value,
-        }
-        for case, res in zip(cases, results)
-    ]
-    write_records(out_dir / "case_results.jsonl", rows)
+    write_lines(out_dir / "case_results.jsonl", map(case_result_line, cases, results))
     report = robustness_metrics(results)
     _atomic_write(out_dir / "report.json", emit_report(report, ReportFormat.JSON))
     _write_manifest(
@@ -262,7 +260,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         if args.kind == "sft":
             samples = build_sft_dataset(trajs, ratio_b=flags["ratio_b"], seed=args.seed)
             out_dir.mkdir(parents=True, exist_ok=True)
-            write_records(out_dir / "samples.jsonl", (sample_to_json(s) for s in samples))
+            write_lines(out_dir / "samples.jsonl", map(sample_line, samples))
             manifest.update(
                 ratio_b=flags["ratio_b"], weights=weights, outputs=["samples.jsonl"],
                 sample_count=len(samples),
@@ -270,7 +268,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         else:
             cases = build_robustness_bench(trajs, per_traj=flags["per_traj"], seed=args.seed)
             out_dir.mkdir(parents=True, exist_ok=True)
-            write_records(out_dir / "cases.jsonl", (failure_case_to_json(c) for c in cases))
+            write_lines(out_dir / "cases.jsonl", map(failure_case_line, cases))
             manifest.update(
                 per_traj=flags["per_traj"], weights=weights, outputs=["cases.jsonl"],
                 case_count=len(cases),

@@ -18,6 +18,7 @@ from bisect import bisect
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import accumulate
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any, Mapping, Sequence
 
 from .errors import DataError
@@ -30,7 +31,7 @@ from .trajectory_store import (
     StepRecord,
     TrajectoryRecord,
     action_from_json,
-    action_to_json,
+    action_line,
     bbox_from_json,
     check_box_and_dims,
     describe_action,
@@ -39,7 +40,7 @@ from .trajectory_store import (
     rounded_box,
     screen_dims_from_json,
 )
-from .tvae_codec import HistoryEntry, Verification, history_entry_from_json, history_entry_to_json
+from .tvae_codec import HistoryEntry, Verification, history_entry_from_json, history_entry_line
 
 Bbox = tuple[float, float, float, float]
 
@@ -323,8 +324,9 @@ class FailureCase:
         return self.history[-1].action
 
 
-def mismatched_effect(action: ActionRecord) -> str:
-    return f"The screen will show the result of {describe_action(action)}."
+def mismatched_effect(described: str) -> str:
+    """The effect a wrong action claims, from its `describe_action` text."""
+    return f"The screen will show the result of {described}."
 
 
 def _success_history(steps: Sequence[StepRecord], upto: int) -> tuple[HistoryEntry, ...]:
@@ -340,7 +342,7 @@ def _failed_entry(
     """A sampled corruption of `step`'s action, as the history entry that
     claims it executed."""
     mode, err = sample_corruption(step.gt_action, step.gt_bbox, rng, known)
-    return mode, HistoryEntry(err, mismatched_effect(err), Verification.SUCCESS)
+    return mode, HistoryEntry(err, mismatched_effect(describe_action(err)), Verification.SUCCESS)
 
 
 def _type_b_quotas(trajs: Sequence[TrajectoryRecord], ratio_b: float) -> list[int]:
@@ -373,7 +375,8 @@ def build_sft_dataset(
     type B failure-recovery samples.
 
     Deterministic per (seed, trajectory id): trajectories may be generated
-    in parallel without changing the output.
+    in parallel without changing the output.  A trajectory's generator is
+    seeded on its first draw, so one with no type B sample seeds none.
     """
     if not trajs:
         raise DataError("no trajectories")
@@ -382,9 +385,11 @@ def build_sft_dataset(
     quotas = _type_b_quotas(trajs, ratio_b)
     samples: list[SyntheticSample] = []
     for traj, quota in zip(trajs, quotas):
-        rng = random.Random(stable_seed(seed, "sft", traj.id))
-        known = [s.gt_bbox for s in traj.steps if s.gt_bbox is not None]
-        chosen = set(rng.sample(range(len(traj)), quota)) if quota else set()
+        chosen: set[int] = set()
+        if quota:
+            rng = random.Random(stable_seed(seed, "sft", traj.id))
+            known = [s.gt_bbox for s in traj.steps if s.gt_bbox is not None]
+            chosen = set(rng.sample(range(len(traj)), quota))
         for t, step in enumerate(traj.steps):
             sample = SyntheticSample(
                 sample_type=SampleType.TYPE_A,
@@ -442,23 +447,33 @@ def build_robustness_bench(
 # -- serialization -------------------------------------------------------------
 
 
-def sample_to_json(sample: SyntheticSample) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "sample_type": sample.sample_type._value_,
-        "instruction": sample.instruction,
-        "input_screen_ref": sample.input_screen_ref,
-        "history": [history_entry_to_json(h) for h in sample.history],
-        "target_verification": sample.target_verification._value_,
-        "target_action": action_to_json(sample.target_action),
-        "target_effect": sample.target_effect,
-    }
-    if sample.failure_mode is not None:
-        out["failure_mode"] = sample.failure_mode._value_
-    if sample.target_bbox is not None:
-        out["target_bbox"] = rounded_box(sample.target_bbox)
-    if sample.screen_dims is not None:
-        out["screen_dims"] = list(sample.screen_dims)
-    return out
+def _box_and_dims(key: str, bbox: Bbox | None, dims: tuple[int, int] | None) -> str:
+    """The optional box (rounded as `rounded_box` rounds it) and `screen_dims`
+    keys that end a sample or case line, each with its leading comma."""
+    tail = ""
+    if bbox is not None:
+        tail = f',"{key}":[{",".join(map(repr, rounded_box(bbox)))}]'
+    if dims is not None:
+        tail += f',"screen_dims":[{dims[0]!r},{dims[1]!r}]'
+    return tail
+
+
+def sample_line(sample: SyntheticSample) -> str:
+    """A `samples.jsonl` line, as `sim_engine.trace_line` writes a trace: the
+    text `json.dumps(obj, separators=(",", ":"))` makes of the sample's dict
+    form, written in one pass with no dict tree."""
+    mode = sample.failure_mode
+    mode_key = "" if mode is None else f',"failure_mode":"{mode._value_}"'
+    return (
+        f'{{"sample_type":"{sample.sample_type._value_}",'
+        f'"instruction":{_json_str(sample.instruction)},'
+        f'"input_screen_ref":{_json_str(sample.input_screen_ref)},'
+        f'"history":[{",".join(map(history_entry_line, sample.history))}],'
+        f'"target_verification":"{sample.target_verification._value_}",'
+        f'"target_action":{action_line(sample.target_action)},'
+        f'"target_effect":{_json_str(sample.target_effect)}'
+        f'{mode_key}{_box_and_dims("target_bbox", sample.target_bbox, sample.screen_dims)}}}'
+    )
 
 
 def sample_from_json(obj: Mapping[str, Any]) -> SyntheticSample:
@@ -489,21 +504,18 @@ def sample_from_json(obj: Mapping[str, Any]) -> SyntheticSample:
     return sample
 
 
-def failure_case_to_json(case: FailureCase) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "source": [case.source[0], case.source[1]],
-        "instruction": case.instruction,
-        "screen_ref": case.screen_ref,
-        "history": [history_entry_to_json(h) for h in case.history],
-        "gt_recovery": action_to_json(case.gt_recovery),
-        "erroneous": action_to_json(case.erroneous),
-        "mode": case.mode._value_,
-    }
-    if case.gt_bbox is not None:
-        out["gt_bbox"] = rounded_box(case.gt_bbox)
-    if case.screen_dims is not None:
-        out["screen_dims"] = list(case.screen_dims)
-    return out
+def failure_case_line(case: FailureCase) -> str:
+    """A `cases.jsonl` line, written as `sample_line` writes a sample."""
+    return (
+        f'{{"source":[{_json_str(case.source[0])},{case.source[1]!r}],'
+        f'"instruction":{_json_str(case.instruction)},'
+        f'"screen_ref":{_json_str(case.screen_ref)},'
+        f'"history":[{",".join(map(history_entry_line, case.history))}],'
+        f'"gt_recovery":{action_line(case.gt_recovery)},'
+        f'"erroneous":{action_line(case.erroneous)},'
+        f'"mode":"{case.mode._value_}"'
+        f'{_box_and_dims("gt_bbox", case.gt_bbox, case.screen_dims)}}}'
+    )
 
 
 def failure_case_from_json(obj: Mapping[str, Any]) -> FailureCase:

@@ -17,25 +17,25 @@ and refuses a line whose written values disagree.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_str
+from random import Random
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from .agent_bus import AgentHandle, Observation
+from .agent_bus import AgentHandle, Observation, Rng
 from .errors import DataError
 from .failure_forge import FailureCase
 from .records import json_value, member
 from .reward_engine import actions_approx_equal, ground, match_action
 from .seeding import stable_seed
 from .trajectory_store import (
-    COORD_DECIMALS,
     ActionRecord,
     StepRecord,
     TrajectoryRecord,
     action_from_json,
+    action_line,
 )
 from .tvae_codec import VERIFICATIONS, HistoryEntry, TvaeOutput, Verification, parse_tvae
 
@@ -151,12 +151,27 @@ def _interpret(
     return turn, action, turn.warnings if problem is None else (*turn.warnings, problem)
 
 
+def _seeded_on_first_draw(*parts: object) -> Rng:
+    """A turn's `rng`: the generator of `stable_seed(*parts)`, made at the
+    first call, so an agent that never draws never pays for seeding it."""
+    rng: Random | None = None
+
+    def draws() -> Random:
+        nonlocal rng
+        if rng is None:
+            rng = Random(stable_seed(*parts))
+        return rng
+
+    return draws
+
+
 def run_episode(traj: TrajectoryRecord, agent: AgentHandle, cfg: SimConfig) -> SimTrace:
     """Drive one agent through one trajectory under the transition rule.  The
-    episode's position is its attempt log: `cursor` counts the matches in `logs`."""
+    episode's position is its attempt log: `cursor` counts the matches in `logs`.
+    Its turns draw from one generator, seeded on the first draw."""
     t_gt = len(traj.steps)
     budget = episode_budget(cfg, t_gt)
-    rng = random.Random(stable_seed(cfg.seed, "episode", traj.id))
+    rng = _seeded_on_first_draw(cfg.seed, "episode", traj.id)
     cursor, history = 0, ()
     logs: list[AttemptLog] = []
     while cursor < t_gt and len(logs) < budget:
@@ -183,7 +198,9 @@ class CaseResult:
 
 
 def run_failure_case(case: FailureCase, agent: AgentHandle, cfg: SimConfig) -> CaseResult:
-    """Probe one failure slice with a single-turn query.
+    """Probe one failure slice with a single-turn query, whose generator is
+    seeded on its first draw (a loopy agent, which re-issues the failed
+    action, never draws).
 
     `repeated` flags a near-identical re-issue of the erroneous action;
     `recovered` flags a match against the ground-truth recovery.  A valid
@@ -203,7 +220,7 @@ def run_failure_case(case: FailureCase, agent: AgentHandle, cfg: SimConfig) -> C
         screen_dims=case.screen_dims,
         gt_bbox=case.gt_bbox,
     )
-    rng = random.Random(stable_seed(cfg.seed, "case", case.source[0], case.source[1]))
+    rng = _seeded_on_first_draw(cfg.seed, "case", case.source[0], case.source[1])
     raw = agent.turn(obs, gt_step if agent.white_box else None, rng)
     _, action, _ = _interpret(raw, case.screen_dims)
     repeated = actions_approx_equal(action, case.erroneous)
@@ -257,19 +274,8 @@ def run_failure_cases(
 def _issued_line(action: ActionRecord) -> str:
     """An issued action in trace schema v1: its dataset form, plus
     `"coordinate_space": "pixel"` when its unrounded coordinate is pixels."""
-    head = '{"kind":"' + action.kind._value_
-    if action.coordinate is not None:
-        x, y = action.coordinate
-        space = ',"coordinate_space":"pixel"' if action.in_pixels() else ""
-        x, y = round(x, COORD_DECIMALS), round(y, COORD_DECIMALS)
-        return f'{head}","coordinate":[{x!r},{y!r}]{space}}}'
-    if action.direction is not None:
-        return f'{head}","direction":"{action.direction._value_}"}}'
-    if action.text is not None:
-        return f'{head}","text":{_json_str(action.text)}}}'
-    if action.seconds is not None:
-        return f'{head}","seconds":{action.seconds!r}}}'
-    return head + '"}'
+    line = action_line(action)
+    return line[:-1] + ',"coordinate_space":"pixel"}' if action.in_pixels() else line
 
 
 def _issued_from_json(obj: Any) -> ActionRecord | None:
@@ -311,6 +317,17 @@ def trace_line(trace: SimTrace) -> str:
         f'{{"trajectory_id":{_json_str(trace.trajectory_id)},"outcome":"{trace.outcome._value_}",'
         f'"steps_used":{len(attempts)},"t_gt":{trace.t_gt},"final_cursor":{gt_step},'
         f'"attempts":[{",".join(attempts)}]}}'
+    )
+
+
+def case_result_line(case: FailureCase, result: CaseResult) -> str:
+    """A `case_results.jsonl` line, as `trace_line` writes a trace: the case's
+    source, its two flags and the issued action's kind (null if none)."""
+    issued = "null" if result.issued is None else f'"{result.issued.kind._value_}"'
+    return (
+        f'{{"source":[{_json_str(case.source[0])},{case.source[1]!r}],'
+        f'"repeated":{"true" if result.repeated else "false"},'
+        f'"recovered":{"true" if result.recovered else "false"},"issued":{issued}}}'
     )
 
 

@@ -10,8 +10,9 @@ magnitude: one with a component > 1.0 is raw pixels (`ActionRecord.in_pixels`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -198,7 +199,7 @@ def normalize_action(action: ActionRecord, dims: tuple[int, int] | None = None) 
             f"{action.kind.value}: invalid coordinate "
             f"(({rel[0]}, {rel[1]}) outside [0,1] after conversion)"
         )
-    return replace(action, coordinate=rel)
+    return ActionRecord(action.kind, rel)  # only a spatial kind holds a coordinate
 
 
 # -- JSON (dataset form: "kind" discriminator, ActionRecord field names) ----
@@ -219,6 +220,25 @@ def action_to_json(action: ActionRecord) -> dict[str, Any]:
     if action.seconds is not None:
         out["seconds"] = action.seconds
     return out
+
+
+def action_line(action: ActionRecord) -> str:
+    """`action_to_json(action)` as `json.dumps(obj, separators=(",", ":"))`
+    writes it, with no dict: the one text writer of an action's dataset form.
+    Numbers are finite, so each is written as its `repr`, and a text goes
+    through `json`'s own ASCII escaper."""
+    head = '{"kind":"' + action.kind._value_
+    if action.coordinate is not None:
+        x, y = action.coordinate
+        x, y = round(x, COORD_DECIMALS), round(y, COORD_DECIMALS)
+        return f'{head}","coordinate":[{x!r},{y!r}]}}'
+    if action.direction is not None:
+        return f'{head}","direction":"{action.direction._value_}"}}'
+    if action.text is not None:
+        return f'{head}","text":{_json_str(action.text)}}}'
+    if action.seconds is not None:
+        return f'{head}","seconds":{action.seconds!r}}}'
+    return head + '"}'
 
 
 _ACTION_FIELDS = frozenset({"kind", *_PARAMS})

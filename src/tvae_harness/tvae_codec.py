@@ -13,6 +13,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any
 
 from .errors import DataError
@@ -25,6 +26,7 @@ from .trajectory_store import (
     ActionKind,
     ActionRecord,
     action_from_json,
+    action_line,
     action_to_json,
     normalize_action,
 )
@@ -383,6 +385,16 @@ def history_entry_to_json(entry: HistoryEntry) -> dict[str, Any]:
         "expected_effect": entry.expected_effect,
         "verification": entry.verification._value_,
     }
+
+
+def history_entry_line(entry: HistoryEntry) -> str:
+    """`history_entry_to_json(entry)` as JSON text, written as `action_line`
+    writes its action."""
+    return (
+        f'{{"action":{action_line(entry.action)},'
+        f'"expected_effect":{_json_str(entry.expected_effect)},'
+        f'"verification":"{entry.verification._value_}"}}'
+    )
 
 
 def history_entry_from_json(obj: dict[str, Any], dims: tuple[int, int] | None) -> HistoryEntry:

@@ -17,7 +17,7 @@ from typing import Any, Mapping
 from tvae_harness.errors import DataError
 from tvae_harness.failure_forge import FailureCase, FailureMode, SampleType, SyntheticSample
 from tvae_harness.grpo_core import GroupOutput
-from tvae_harness.sim_engine import AttemptLog, SimTrace
+from tvae_harness.sim_engine import AttemptLog, CaseResult, SimTrace
 from tvae_harness.trajectory_store import (
     ActionKind,
     ActionRecord,
@@ -276,6 +276,15 @@ def failure_case_from_json(obj: Mapping[str, Any]) -> FailureCase:
     if normalize_action(action_from_json(obj["erroneous"]), dims) != case.erroneous:
         raise DataError("failure_case: invalid history (last entry must be erroneous)")
     return case
+
+
+def case_result_to_json(case: FailureCase, result: CaseResult) -> dict[str, Any]:
+    return {
+        "source": list(case.source),
+        "repeated": result.repeated,
+        "recovered": result.recovered,
+        "issued": None if result.issued is None else result.issued.kind.value,
+    }
 
 
 # -- group outputs --------------------------------------------------------------------

@@ -64,6 +64,12 @@ def _obs(history=(), budget=4) -> Observation:
     )
 
 
+def _rng(seed):
+    """A turn's `rng`: every call returns the one generator of `seed`."""
+    generator = random.Random(seed)
+    return lambda: generator
+
+
 # -- scripted agents -----------------------------------------------------------------
 
 
@@ -71,14 +77,14 @@ def test_scripted_turn_is_pure():
     gt = make_click_step(0)
     for name in VariantName:
         variant = Variant(name, k=2, p=0.4)
-        a = scripted_turn(variant, _obs(), gt, random.Random(5))
-        b = scripted_turn(variant, _obs(), gt, random.Random(5))
+        a = scripted_turn(variant, _obs(), gt, _rng(5))
+        b = scripted_turn(variant, _obs(), gt, _rng(5))
         assert a == b
 
 
 def test_oracle_emits_well_formed_success_turn():
     gt = make_click_step(0)
-    text = scripted_turn(Variant(VariantName.ORACLE), _obs(), gt, random.Random(1))
+    text = scripted_turn(Variant(VariantName.ORACLE), _obs(), gt, _rng(1))
     out = parse_tvae(text)
     assert out.warnings == ()
     assert out.verification is Verification.SUCCESS
@@ -92,7 +98,7 @@ def test_oracle_recovery_turn_after_failed_attempt():
     failed = HistoryEntry(
         make_click_step(0, coord=(0.9, 0.9)).gt_action, "Wrong.", Verification.SUCCESS
     )
-    text = scripted_turn(Variant(VariantName.ORACLE), _obs([failed]), gt, random.Random(1))
+    text = scripted_turn(Variant(VariantName.ORACLE), _obs([failed]), gt, _rng(1))
     out = parse_tvae(text)
     assert out.warnings == ()
     assert out.verification is Verification.NO_CHANGE
@@ -105,7 +111,7 @@ def test_loopy_reissues_history_action_verbatim():
     prior = HistoryEntry(
         make_click_step(0, coord=(0.31, 0.77)).gt_action, "Hm.", Verification.SUCCESS
     )
-    text = scripted_turn(Variant(VariantName.LOOPY), _obs([prior]), gt, random.Random(1))
+    text = scripted_turn(Variant(VariantName.LOOPY), _obs([prior]), gt, _rng(1))
     out = parse_tvae(text)
     assert out.warnings == ()
     assert out.action == prior.action
@@ -114,7 +120,7 @@ def test_loopy_reissues_history_action_verbatim():
 
 def test_loopy_first_turn_mismatches_ground_truth():
     gt = make_click_step(0)
-    text = scripted_turn(Variant(VariantName.LOOPY), _obs(), gt, random.Random(1))
+    text = scripted_turn(Variant(VariantName.LOOPY), _obs(), gt, _rng(1))
     out = parse_tvae(text)
     assert out.warnings == ()
     assert not match_action(out.action, gt.gt_action, gt.gt_bbox)
@@ -311,7 +317,7 @@ def _remote_turn(endpoint, obs, **kwargs):
     """One `RemoteAgent` turn on a fresh agent, closed afterwards."""
     agent = RemoteAgent(endpoint, **kwargs)
     try:
-        return agent.turn(obs, None, random.Random(0))
+        return agent.turn(obs, None, _rng(0))
     finally:
         agent.close()
 
@@ -525,7 +531,7 @@ def test_reply_framings_and_charsets(case):
         agent = RemoteAgent(server.url, timeout=5)
         try:
             for _ in range(2):
-                assert agent.turn(_obs(), None, random.Random(0)) == text
+                assert agent.turn(_obs(), None, _rng(0)) == text
         finally:
             agent.close()
     assert server.requests == 2
@@ -555,8 +561,8 @@ def test_stdio_agent_round_trip():
     )
     agent = StdioAgent([sys.executable, "-c", script], timeout=30)
     try:
-        assert agent.turn(_obs(), None, random.Random(0)) == FIXED_TURN
-        assert agent.turn(_obs(), None, random.Random(0)) == FIXED_TURN
+        assert agent.turn(_obs(), None, _rng(0)) == FIXED_TURN
+        assert agent.turn(_obs(), None, _rng(0)) == FIXED_TURN
     finally:
         agent.close()
 
@@ -575,8 +581,8 @@ def test_stdio_agent_reads_lines_past_the_sentinel_into_the_next_turn():
     )
     agent = StdioAgent([sys.executable, "-c", script], timeout=5)
     try:
-        assert agent.turn(_obs(), None, random.Random(0)) == "one\ntwo\nthree"
-        assert agent.turn(_obs(), None, random.Random(0)) == "four"
+        assert agent.turn(_obs(), None, _rng(0)) == "one\ntwo\nthree"
+        assert agent.turn(_obs(), None, _rng(0)) == "four"
     finally:
         agent.close()
 
@@ -589,7 +595,7 @@ def test_stdio_agent_that_reads_nothing_times_out_on_a_large_request():
     started = time.monotonic()
     try:
         with pytest.raises(AgentError, match=r"^stdio agent timed out \(no complete turn within 1 s\)$"):
-            agent.turn(obs, None, random.Random(0))
+            agent.turn(obs, None, _rng(0))
         assert time.monotonic() - started < 5
     finally:
         agent.close()
@@ -600,7 +606,7 @@ def test_stdio_agent_dead_process():
     agent = StdioAgent([sys.executable, "-c", "pass"], timeout=30)
     try:
         with pytest.raises(AgentError, match="^stdio agent "):
-            agent.turn(_obs(), None, random.Random(0))
+            agent.turn(_obs(), None, _rng(0))
     finally:
         agent.close()
 

@@ -20,11 +20,11 @@ from tvae_harness.failure_forge import (
     FailureMode,
     SampleType,
     SyntheticSample,
-    failure_case_to_json,
-    sample_to_json,
+    failure_case_line,
+    sample_line,
 )
 from tvae_harness.grpo_core import GrpoConfig
-from tvae_harness.records import write_records
+from tvae_harness.records import write_lines, write_records
 from tvae_harness.reward_engine import RewardConfig
 from tvae_harness.sim_engine import SimConfig, trace_from_json, trace_line
 from tvae_harness.synthdata import make_dataset
@@ -753,8 +753,8 @@ def test_ungroundable_coordinate_never_matches_grounds_or_repeats(tmp_path, caps
     step = StepRecord(index=0, screen_ref="s0", gt_action=target, reference_effect=effect)
     save_dataset([TrajectoryRecord("t", "Open the panel.", (step,), "s1")], dataset)
     cases = tmp_path / "cases.jsonl"
-    write_records(cases, (
-        failure_case_to_json(FailureCase(
+    write_lines(cases, (
+        failure_case_line(FailureCase(
             source=("t", 0), instruction="Open the panel.", screen_ref="s0",
             history=(HistoryEntry(wrong, effect, Verification.SUCCESS),),
             gt_recovery=recovery, mode=FailureMode.COORDINATE_OFFSET,
@@ -762,7 +762,7 @@ def test_ungroundable_coordinate_never_matches_grounds_or_repeats(tmp_path, caps
         for recovery, wrong in ((target, _click(0.2, 0.2)), (_click(0.2, 0.5), _click(1.0, 0.5)))
     ))
     samples, outputs = tmp_path / "samples.jsonl", tmp_path / "outputs.jsonl"
-    write_records(samples, [sample_to_json(SyntheticSample(
+    write_lines(samples, [sample_line(SyntheticSample(
         sample_type=SampleType.TYPE_A, instruction="Open the panel.", input_screen_ref="s0",
         history=(), target_action=target,
         target_effect=effect,
@@ -1085,7 +1085,8 @@ def test_remote_turn_loads_socket_only(baseline_modules):
             "import random\n"
             "from tvae_harness.agent_bus import Observation, RemoteAgent\n"
             f"agent = RemoteAgent({server.url!r}, timeout=5)\n"
-            "assert agent.turn(Observation('Open it.', 's0', (), 1), None, random.Random(0))\n"
+            "obs = Observation('Open it.', 's0', (), 1)\n"
+            "assert agent.turn(obs, None, lambda: random.Random(0))\n"
             "agent.close()"
         )
         assert server.requests == 1

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 
@@ -17,11 +18,11 @@ from tvae_harness.failure_forge import (
     build_sft_dataset,
     corrupt_action,
     failure_case_from_json,
-    failure_case_to_json,
+    failure_case_line,
     mismatched_effect,
     sample_corruption,
     sample_from_json,
-    sample_to_json,
+    sample_line,
 )
 from tvae_harness.agent_bus import ScriptedAgent, Variant, VariantName
 from tvae_harness.reward_engine import (
@@ -35,7 +36,12 @@ from tvae_harness.reward_engine import (
 )
 from tvae_harness.sim_engine import SimConfig, run_failure_case, transition
 from tvae_harness.synthdata import make_dataset
-from tvae_harness.trajectory_store import ActionKind, ActionRecord, ScrollDirection
+from tvae_harness.trajectory_store import (
+    ActionKind,
+    ActionRecord,
+    ScrollDirection,
+    describe_action,
+)
 from tvae_harness.tvae_codec import ThinkSegment, ThinkTag, TvaeOutput, Verification
 
 from conftest import FIXED_TURN
@@ -244,7 +250,7 @@ def test_sft_type_b_structure():
         # recovery target is the original step's action and effect
         assert s.target_action == step.gt_action
         assert s.target_effect == step.reference_effect
-        assert last.expected_effect == mismatched_effect(last.action)
+        assert last.expected_effect == mismatched_effect(describe_action(last.action))
 
 
 def test_sft_deterministic_and_empty_rejected():
@@ -277,14 +283,12 @@ def test_bench_cases_mismatch_and_exclusivity():
 
 
 def test_bench_deterministic_byte_identical(tmp_path):
-    import json
-
     trajs = make_dataset(5, (2, 5), seed=1)
     for run in ("x", "y"):
         cases = build_robustness_bench(trajs, per_traj=2, seed=7)
         with open(tmp_path / f"{run}.jsonl", "w") as fh:
             for c in cases:
-                fh.write(json.dumps(failure_case_to_json(c), separators=(",", ":")) + "\n")
+                fh.write(failure_case_line(c) + "\n")
     assert (tmp_path / "x.jsonl").read_bytes() == (tmp_path / "y.jsonl").read_bytes()
 
 
@@ -323,10 +327,10 @@ def test_sample_and_case_json_round_trip():
     trajs = make_dataset(3, (2, 4), seed=11)
     samples = build_sft_dataset(trajs, ratio_b=0.4, seed=5)
     for s in samples:
-        assert sample_from_json(sample_to_json(s)) == s
+        assert sample_from_json(json.loads(sample_line(s))) == s
     cases = build_robustness_bench(trajs, per_traj=2, seed=5)
     for c in cases:
-        assert failure_case_from_json(failure_case_to_json(c)) == c
+        assert failure_case_from_json(json.loads(failure_case_line(c))) == c
 
 
 @pytest.mark.parametrize("sample_type, written, message", [
@@ -335,7 +339,7 @@ def test_sample_and_case_json_round_trip():
 ])
 def test_sample_line_target_must_be_the_one_its_type_gives(sample_type, written, message):
     samples = build_sft_dataset(make_dataset(3, (2, 4), seed=11), ratio_b=0.4, seed=5)
-    obj = sample_to_json(next(s for s in samples if s.sample_type is sample_type))
+    obj = json.loads(sample_line(next(s for s in samples if s.sample_type is sample_type)))
     obj["target_verification"] = written
     with pytest.raises(DataError, match=rf"^sample: invalid target_verification \({message}\)$"):
         sample_from_json(obj)
@@ -343,7 +347,7 @@ def test_sample_line_target_must_be_the_one_its_type_gives(sample_type, written,
 
 def test_case_line_erroneous_must_be_its_last_history_action():
     (case,) = build_robustness_bench(make_dataset(1, (2, 4), seed=11), per_traj=1, seed=5)
-    obj = failure_case_to_json(case)
+    obj = json.loads(failure_case_line(case))
     obj["erroneous"] = obj["gt_recovery"]
     with pytest.raises(
         DataError, match=r"^failure_case: invalid history \(last entry must be erroneous\)$"

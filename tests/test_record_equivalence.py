@@ -7,9 +7,9 @@ wrong length, unknown and unhashable enum tokens).  Each reader must accept
 exactly the lines `reference_records` accepts and build an equal record (by
 `repr`, so 1 and 1.0 differ), and on a refused line raise an exception of
 the same type with the same message, and each record read must be written
-as the reference writer writes it (a trace as the text `json.dumps` makes of
-the reference dict).  The one listed difference: a line whose `screen_dims`
-has a component beyond the float range is refused.
+as the reference writer writes it (a sample, case or trace as the text
+`json.dumps` makes of the reference dict).  The one listed difference: a
+line whose `screen_dims` has a component beyond the float range is refused.
 Derandomized: a fixed seed, no example database.
 """
 
@@ -25,20 +25,27 @@ import reference_records as ref
 from tvae_harness.agent_bus import parse_agent_spec
 from tvae_harness.errors import DataError
 from tvae_harness.failure_forge import (
+    FailureCase,
+    FailureMode,
+    SampleType,
+    SyntheticSample,
     build_robustness_bench,
     build_sft_dataset,
     failure_case_from_json,
-    failure_case_to_json,
+    failure_case_line,
     sample_from_json,
-    sample_to_json,
+    sample_line,
 )
 from tvae_harness.grpo_core import group_output_from_json
 from tvae_harness.records import write_records
 from tvae_harness.sim_engine import (
     AttemptLog,
+    CaseResult,
     SimConfig,
     SimTrace,
+    case_result_line,
     run_episodes,
+    run_failure_cases,
     trace_from_json,
     trace_line,
 )
@@ -46,12 +53,15 @@ from tvae_harness.synthdata import make_dataset
 from tvae_harness.trajectory_store import (
     ActionKind,
     ActionRecord,
+    ScrollDirection,
     trajectory_from_json,
     trajectory_to_json,
 )
 from tvae_harness.tvae_codec import (
+    HistoryEntry,
     Verification,
     history_entry_from_json,
+    history_entry_line,
     history_entry_to_json,
 )
 
@@ -66,6 +76,9 @@ MUTATIONS = (
 # Keys a mutation adds to an object: action parameters, and keys no reader knows.
 EXTRA_KEYS = ("kind", "coordinate", "direction", "text", "seconds", "coordinate_space", "x")
 LINES_PER_KIND = 3000
+# A text with every kind of JSON escape: non-ASCII, quotes, a backslash,
+# control characters and a block terminator.
+ESCAPED = 'caf\u00e9 \u2603 \U0001f600 "q" \\ \x00\x01\x1f\x7f\n\t/</action>'
 
 
 def _pixelate(node, dims=DIMS):
@@ -91,9 +104,9 @@ def _valid_lines() -> dict[str, list]:
     dataset = [trajectory_to_json(t) for t in trajs]
     for line in dataset[::2]:
         line["steps"] = [{**_pixelate(s), "screen_dims": DIMS} for s in line["steps"]]
-    samples = [sample_to_json(s) for s in build_sft_dataset(trajs, 0.5, seed=3)]
+    samples = [ref.sample_to_json(s) for s in build_sft_dataset(trajs, 0.5, seed=3)]
     samples += [{**_pixelate(s), "screen_dims": DIMS} for s in samples[::3]]
-    cases = [failure_case_to_json(c) for c in build_robustness_bench(trajs, 2, seed=3)]
+    cases = [ref.failure_case_to_json(c) for c in build_robustness_bench(trajs, 2, seed=3)]
     cases += [{**_pixelate(c), "screen_dims": DIMS} for c in cases[::2]]
     traces = []
     for i, spec in enumerate(("scripted:failk:1", "scripted:bernoulli:0.5", "scripted:loopy")):
@@ -108,10 +121,9 @@ def _valid_lines() -> dict[str, list]:
     )))
     # escapes, a pixel component written as 1.0, a negative zero, and waits
     # written as an integer and with an exponent
-    escaped = 'caf\u00e9 \u2603 \U0001f600 "q" \\ \x00\x01\x1f\x7f\n\t/</action>'
-    traces.append(SimTrace(escaped, 4, (
-        AttemptLog(ActionRecord(kind=ActionKind.INPUT_TEXT, text=escaped), True,
-                   Verification.SUCCESS, (escaped, "", "plain")),
+    traces.append(SimTrace(ESCAPED, 4, (
+        AttemptLog(ActionRecord(kind=ActionKind.INPUT_TEXT, text=ESCAPED), True,
+                   Verification.SUCCESS, (ESCAPED, "", "plain")),
         AttemptLog(ActionRecord(kind=ActionKind.CLICK, coordinate=(1.0000003, 0.5)), False,
                    Verification.SUCCESS, ("coordinate off the screen",)),
         AttemptLog(ActionRecord(kind=ActionKind.LONG_PRESS, coordinate=(-0.0, 0.25)), True,
@@ -153,15 +165,19 @@ def _history(read_entry):
     )
 
 
+def _dumps(ref_write):
+    """The text `json.dumps` makes of the dict `ref_write` builds."""
+    return lambda *record: json.dumps(ref_write(*record), separators=(",", ":"))
+
+
 # kind -> (reader, reference reader, writer, reference writer)
 KINDS = {
     "dataset": (trajectory_from_json, ref.trajectory_from_json,
                 trajectory_to_json, ref.trajectory_to_json),
-    "samples": (sample_from_json, ref.sample_from_json, sample_to_json, ref.sample_to_json),
+    "samples": (sample_from_json, ref.sample_from_json, sample_line, _dumps(ref.sample_to_json)),
     "cases": (failure_case_from_json, ref.failure_case_from_json,
-              failure_case_to_json, ref.failure_case_to_json),
-    "traces": (trace_from_json, ref.trace_from_json,
-               trace_line, lambda t: json.dumps(ref.trace_to_json(t), separators=(",", ":"))),
+              failure_case_line, _dumps(ref.failure_case_to_json)),
+    "traces": (trace_from_json, ref.trace_from_json, trace_line, _dumps(ref.trace_to_json)),
     "history": (_history(history_entry_from_json), _history(ref.history_entry_from_json),
                 history_entry_to_json, ref.history_entry_to_json),
     "groups": (
@@ -275,3 +291,63 @@ def test_write_records_writes_what_json_dumps_writes(tmp_path):
     write_records(path, iter(objs))
     want = "".join(json.dumps(o, separators=(",", ":")) + "\n" for o in objs)
     assert path.read_bytes() == want.encode("utf-8")
+
+
+def _edge_records():
+    """Samples and cases that hold every value the text writers format:
+    escapes, a negative zero, a pixel coordinate, waits written as an integer
+    and with an exponent, and boxes that 6-decimal rounding changes."""
+    history = (
+        HistoryEntry(ActionRecord(kind=ActionKind.INPUT_TEXT, text=ESCAPED), ESCAPED,
+                     Verification.SUCCESS),
+        HistoryEntry(ActionRecord(kind=ActionKind.OPEN_APP, text="日本"), "x",
+                     Verification.NO_CHANGE),
+        HistoryEntry(ActionRecord(kind=ActionKind.SCROLL, direction=ScrollDirection.LEFT),
+                     "y", Verification.SUCCESS),
+        HistoryEntry(ActionRecord(kind=ActionKind.NAVIGATE_BACK), "z", Verification.SUCCESS),
+        HistoryEntry(ActionRecord(kind=ActionKind.CLICK, coordinate=(540.0, 1200.0000004)),
+                     "w", Verification.SUCCESS),
+        HistoryEntry(ActionRecord(kind=ActionKind.WAIT, seconds=540), "v", Verification.SUCCESS),
+        HistoryEntry(ActionRecord(kind=ActionKind.WAIT, seconds=1e300), "u",
+                     Verification.SUCCESS),
+        HistoryEntry(ActionRecord(kind=ActionKind.LONG_PRESS, coordinate=(-0.0, 0.1234565)),
+                     "t", Verification.SUCCESS),
+    )
+    target = ActionRecord(kind=ActionKind.CLICK, coordinate=(0.5000004, 0.4999996))
+    box = (0.1234565, 0.2000004999, 0.98765451, 0.8)
+    samples = [
+        SyntheticSample(SampleType.TYPE_A, ESCAPED, ESCAPED, (),
+                        ActionRecord(kind=ActionKind.INPUT_TEXT, text=ESCAPED), ESCAPED),
+        SyntheticSample(SampleType.TYPE_B, "i", "s", history, target, "e",
+                        FailureMode.NULL_CLICK, box, (1080, 2400)),
+        SyntheticSample(SampleType.TYPE_A, "i", "s", history[:3], target, "e", None, box),
+        SyntheticSample(SampleType.TYPE_B, "i", "s", history, target, "e",
+                        FailureMode.TIMING_ERROR, None, (1, 1)),
+    ]
+    cases = [
+        FailureCase((ESCAPED, 3), ESCAPED, ESCAPED, history, target,
+                    FailureMode.ACTION_TYPE_ERROR, box, (1080, 2400)),
+        FailureCase(("t", 0), "i", "s", history[-1:], target, FailureMode.COORDINATE_OFFSET),
+    ]
+    return samples, cases
+
+
+def test_text_writers_write_what_json_dumps_writes():
+    samples, cases = _edge_records()
+    for sample in samples:
+        assert sample_line(sample) == _dumps(ref.sample_to_json)(sample)
+        for entry in sample.history:
+            assert history_entry_line(entry) == _dumps(ref.history_entry_to_json)(entry)
+    for case in cases:
+        assert failure_case_line(case) == _dumps(ref.failure_case_to_json)(case)
+    # case results: every agent's results on seeded cases, and the edge flags
+    trajs = make_dataset(10, (1, 5), seed=11)
+    seeded = build_robustness_bench(trajs, 2, seed=3)
+    pairs = [(case, CaseResult(True, False, None)) for case in cases]
+    for spec in ("scripted:loopy", "scripted:oracle", "scripted:bernoulli:0.5"):
+        agent = parse_agent_spec(spec, timeout=5.0)
+        pairs += zip(seeded, run_failure_cases(seeded, agent, SimConfig(seed=1)))
+    flags = {(r.repeated, r.recovered, r.issued is None) for _, r in pairs}
+    assert {(True, False, False), (False, True, False), (True, False, True)} <= flags
+    for case, result in pairs:
+        assert case_result_line(case, result) == _dumps(ref.case_result_to_json)(case, result)

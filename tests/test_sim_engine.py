@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 from itertools import product
 
 import pytest
@@ -310,6 +311,36 @@ def test_failure_cases_parallel_deterministic():
     assert run_failure_cases(cases, agent, CFG, workers=6) == run_failure_cases(
         cases, agent, CFG, workers=1
     )
+
+
+@pytest.mark.parametrize("spec, command, seeded", [
+    ("scripted:loopy", "bench-robust", 0),  # a probe's history holds the action to repeat
+    ("scripted:oracle", "simulate", 0),
+    ("scripted:bernoulli:0.5", "simulate", 12),  # one per episode, as its first turn draws
+    ("scripted:loopy", "simulate", 12),
+])
+def test_a_generator_is_seeded_only_once_a_turn_draws(
+    tmp_path, monkeypatch, spec, command, seeded
+):
+    from tvae_harness import sim_engine
+    from tvae_harness.cli import EXIT_OK, main
+    from tvae_harness.trajectory_store import save_dataset
+
+    seeds = []
+
+    def counting_random(seed):
+        seeds.append(seed)
+        return random.Random(seed)
+
+    monkeypatch.setattr(sim_engine, "Random", counting_random)
+    dataset = tmp_path / "dataset.jsonl"
+    save_dataset(make_dataset(12, (1, 5), seed=9), dataset)
+    source = ["--synthesize", "--per-traj", "2"] if command == "bench-robust" else []
+    assert main([
+        command, *source, "--dataset", str(dataset), "--agent", spec,
+        "--seed", "3", "--out", str(tmp_path / "out"),
+    ]) == EXIT_OK
+    assert len(seeds) == len(set(seeds)) == seeded
 
 
 def test_pixel_answering_agent_normalized_via_case_dims():

@@ -151,6 +151,27 @@ def test_duplicate_screen_refs_rejected_without_flag(tmp_path):
     assert load_dataset(path)[0].allows_revisits
 
 
+def test_allows_revisits_round_trips_through_save_and_load(tmp_path):
+    # the flag is written only when set, and a revisiting trajectory reads back
+    # only with it
+    revisit, plain = make_dataset(2, (2, 3), seed=6)
+    step = revisit.steps[0]
+    loop = StepRecord(len(revisit), step.screen_ref, step.gt_action, step.reference_effect)
+    revisit = TrajectoryRecord(
+        revisit.id, revisit.instruction, (*revisit.steps, loop), revisit.terminal_screen_ref,
+        allows_revisits=True,
+    )
+    p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    save_dataset([revisit, plain], p1)
+    first, second = (json.loads(line) for line in p1.read_text().splitlines())
+    assert first["allows_revisits"] is True and "allows_revisits" not in second
+    assert list(first).index("allows_revisits") == list(first).index("steps") - 1
+    loaded = load_dataset(p1)
+    assert loaded == [revisit, plain]
+    save_dataset(loaded, p2)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
 def test_non_contiguous_indices_rejected():
     step = StepRecord(
         index=1,
