@@ -8,20 +8,20 @@ protocol (HTTP JSON in, raw turn text out) and never receive ground truth.
 
 from __future__ import annotations
 
-import json
 import random
 import sys
 from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any, Callable, Protocol, Sequence
 from urllib.parse import urlsplit
 
 from .errors import AgentError, DataError
 from .failure_forge import FailureMode, corrupt_action, mismatched_effect, sample_corruption
 from .trajectory_store import ActionRecord, StepRecord, describe_action
-from .tvae_codec import HistoryEntry, Verification, history_entry_to_json, write_turn
+from .tvae_codec import HistoryEntry, Verification, history_entry_line, write_turn
 
 WIRE_SCHEMA_VERSION = 1
 STDIO_SENTINEL = "<<<END_TURN>>>"
@@ -39,10 +39,6 @@ class Observation:
     screen_ref: str
     history: tuple[HistoryEntry, ...]
     step_budget_remaining: int
-
-    def __post_init__(self) -> None:
-        if self.step_budget_remaining < 0:
-            raise DataError("observation: invalid step_budget_remaining (must be >= 0)")
 
 
 # A turn's source of draws: each call returns the same generator, seeded at the first.
@@ -242,14 +238,14 @@ class ScriptedAgent:
 # -- remote agents ---------------------------------------------------------------
 
 
-def observation_to_wire(obs: Observation) -> dict[str, Any]:
-    return {
-        "schema_version": WIRE_SCHEMA_VERSION,
-        "instruction": obs.instruction,
-        "screen_ref": obs.screen_ref,
-        "history": [history_entry_to_json(h) for h in obs.history],
-        "budget_remaining": obs.step_budget_remaining,
-    }
+def observation_to_wire(obs: Observation) -> str:
+    """The request body of a turn: the observation as compact ASCII JSON."""
+    return (
+        f'{{"schema_version":{WIRE_SCHEMA_VERSION},"instruction":{_json_str(obs.instruction)},'
+        f'"screen_ref":{_json_str(obs.screen_ref)},'
+        f'"history":[{",".join(map(history_entry_line, obs.history))}],'
+        f'"budget_remaining":{obs.step_budget_remaining}}}'
+    )
 
 
 def _decode(body: bytes, content_type: bytes) -> str:
@@ -491,7 +487,7 @@ class RemoteAgent:
         was the cause); a 4xx response raises at once.  The body is never
         interpreted here; parsing happens downstream.
         """
-        body = json.dumps(observation_to_wire(obs)).encode("utf-8")
+        body = observation_to_wire(obs).encode("ascii")
         return self._pool.post(body)
 
     def close(self) -> None:
@@ -536,7 +532,7 @@ class StdioAgent:
         if proc.poll() is not None:
             raise AgentError("stdio agent exited")
         deadline = time.monotonic() + self._timeout
-        request = memoryview(json.dumps(observation_to_wire(obs)).encode("ascii") + b"\n")
+        request = memoryview((observation_to_wire(obs) + "\n").encode("ascii"))
         try:
             assert proc.stdin is not None and proc.stdout is not None
             with selectors.DefaultSelector() as ready:

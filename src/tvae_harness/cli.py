@@ -39,8 +39,8 @@ from .failure_forge import (
     sample_line,
 )
 from .metric_suite import ReportFormat, emit_report, episode_report, robustness_metrics
-from .records import json_value, read_records, unique_trajectories, write_lines, write_records
-from .reward_engine import RewardConfig, score_output
+from .records import json_value, read_records, unique_trajectories, write_lines
+from .reward_engine import RewardConfig, reward_line, score_output
 from .sim_engine import (
     SimConfig,
     case_result_line,
@@ -302,16 +302,14 @@ def cmd_score(args: argparse.Namespace) -> int:
         raise DataError(f"{len(samples)} samples vs {len(raws)} outputs")
     if not samples:
         raise DataError("no outputs to score")
-    breakdowns = [
-        score_output(raw, sample, reward_cfg).to_json() for raw, sample in zip(raws, samples)
-    ]
+    breakdowns = [score_output(raw, sample, reward_cfg) for raw, sample in zip(raws, samples)]
     outputs = ["rewards.jsonl"]
     sections: dict[str, Any] = {"reward": reward_cfg}
     objective: dict[str, Any] | None = None
     if grpo_cfg is not None:
         # An output without a "reward" takes the scored total at its position;
         # past the last one it takes 0.0 until the coverage check below fails.
-        totals = itertools.chain((b["total"] for b in breakdowns), itertools.repeat(0.0))
+        totals = itertools.chain((b.total for b in breakdowns), itertools.repeat(0.0))
         groups = grpo_core.read_group_batches(args.group_logprobs, totals)
         covered = sum(len(g.outputs) for g in groups)
         if covered != len(samples):
@@ -328,7 +326,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_records(out_dir / "rewards.jsonl", breakdowns)
+    write_lines(out_dir / "rewards.jsonl", map(reward_line, breakdowns))
     if objective is not None:
         _atomic_write(
             out_dir / "objective.json", (json.dumps(objective, indent=2) + "\n").encode("utf-8")

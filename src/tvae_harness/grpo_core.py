@@ -79,9 +79,6 @@ class GroupOutput:
             if dist is not None and len(dist) != n:
                 raise DataError("distribution rows must align with tokens")
 
-    def __len__(self) -> int:
-        return len(self.logprobs_new)
-
 
 @dataclass(slots=True)
 class GroupBatch:

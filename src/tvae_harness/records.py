@@ -139,11 +139,3 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     """Write each of `lines`, a compact JSON object, and a newline after it."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(line + "\n" for line in lines)
-
-
-def write_records(path: str | Path, objs: Iterable[Mapping[str, Any]]) -> None:
-    """`write_lines` of each object as `json.dumps(obj, separators=(",", ":"))`
-    writes it.  Each is a fresh tree that a `*_to_json` function built, so no
-    container holds itself, and the encoder skips the check for one."""
-    encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
-    write_lines(path, map(encode, objs))

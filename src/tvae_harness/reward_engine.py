@@ -11,7 +11,8 @@ import math
 import string
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import TYPE_CHECKING
 
 from .errors import DataError
 from .trajectory_store import SPATIAL_KINDS, TEXT_KINDS, ActionKind, ActionRecord, normalize_action
@@ -57,17 +58,23 @@ class RewardBreakdown:
     total: float
     parse_error: str | None = None
 
-    def to_json(self) -> dict[str, Any]:
-        obj: dict[str, Any] = {
-            "r_act": self.r_act,
-            "r_eff": self.r_eff,
-            "r_ver": self.r_ver,
-            "total": self.total,
-            "similarity": "token-f1",  # the one effect scorer, `token_f1`
-        }
-        if self.parse_error is not None:
-            obj["parse_error"] = self.parse_error
-        return obj
+
+def _number(value: float) -> str:
+    """`value` as `json` writes a number: its `repr`, or NaN, Infinity or
+    -Infinity (a total overflows under extreme alpha and beta)."""
+    if math.isfinite(value):
+        return repr(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+def reward_line(b: RewardBreakdown) -> str:
+    """A `rewards.jsonl` line as `json.dumps(obj, separators=(",", ":"))`
+    writes the breakdown's components, its scorer and its parse error."""
+    error = "" if b.parse_error is None else f',"parse_error":{_json_str(b.parse_error)}'
+    return (
+        f'{{"r_act":{_number(b.r_act)},"r_eff":{_number(b.r_eff)},"r_ver":{_number(b.r_ver)},'
+        f'"total":{_number(b.total)},"similarity":"token-f1"{error}}}'  # the one scorer, `token_f1`
+    )
 
 
 # -- geometry ----------------------------------------------------------------
@@ -158,9 +165,7 @@ def actions_approx_equal(a: ActionRecord | None, b: ActionRecord) -> bool:
     prediction `a` in pixels never repeats."""
     if a is None or a.kind is not b.kind or a.in_pixels():
         return False
-    if (a.coordinate is None) != (b.coordinate is None):
-        return False
-    if a.coordinate is not None and b.coordinate is not None:
+    if a.coordinate is not None and b.coordinate is not None:  # one kind: both or neither
         if euclidean(a.coordinate, b.coordinate) > REPEAT_EPSILON:
             return False
     if a.text != b.text:

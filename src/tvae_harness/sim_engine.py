@@ -212,16 +212,18 @@ def run_failure_case(case: FailureCase, agent: AgentHandle, cfg: SimConfig) -> C
         history=case.history,
         step_budget_remaining=1,
     )
-    gt_step = StepRecord(
-        index=case.source[1],
-        screen_ref=case.screen_ref,
-        gt_action=case.gt_recovery,
-        reference_effect="The correct target responds and the screen moves on.",
-        screen_dims=case.screen_dims,
-        gt_bbox=case.gt_bbox,
-    )
+    gt_step = None
+    if agent.white_box:  # only a white-box agent is shown the step it probes
+        gt_step = StepRecord(
+            index=case.source[1],
+            screen_ref=case.screen_ref,
+            gt_action=case.gt_recovery,
+            reference_effect="The correct target responds and the screen moves on.",
+            screen_dims=case.screen_dims,
+            gt_bbox=case.gt_bbox,
+        )
     rng = _seeded_on_first_draw(cfg.seed, "case", case.source[0], case.source[1])
-    raw = agent.turn(obs, gt_step if agent.white_box else None, rng)
+    raw = agent.turn(obs, gt_step, rng)
     _, action, _ = _interpret(raw, case.screen_dims)
     repeated = actions_approx_equal(action, case.erroneous)
     recovered = match_action(action, case.gt_recovery, case.gt_bbox)

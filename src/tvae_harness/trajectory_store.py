@@ -25,7 +25,7 @@ from .records import (
     numbers,
     read_records,
     unique_trajectories,
-    write_records,
+    write_lines,
 )
 
 COORD_DECIMALS = 6
@@ -205,28 +205,12 @@ def normalize_action(action: ActionRecord, dims: tuple[int, int] | None = None) 
 # -- JSON (dataset form: "kind" discriminator, ActionRecord field names) ----
 
 
-def action_to_json(action: ActionRecord) -> dict[str, Any]:
-    """The dataset form of `action`.  Its coordinate components are floats,
-    as every reader and producer of actions makes them, rounded as
-    `round_coord` rounds them."""
-    out: dict[str, Any] = {"kind": action.kind._value_}
-    if action.coordinate is not None:
-        x, y = action.coordinate
-        out["coordinate"] = [round(x, COORD_DECIMALS), round(y, COORD_DECIMALS)]
-    if action.direction is not None:
-        out["direction"] = action.direction._value_
-    if action.text is not None:
-        out["text"] = action.text
-    if action.seconds is not None:
-        out["seconds"] = action.seconds
-    return out
-
-
 def action_line(action: ActionRecord) -> str:
-    """`action_to_json(action)` as `json.dumps(obj, separators=(",", ":"))`
-    writes it, with no dict: the one text writer of an action's dataset form.
-    Numbers are finite, so each is written as its `repr`, and a text goes
-    through `json`'s own ASCII escaper."""
+    """The dataset form of `action` as `json.dumps(obj, separators=(",", ":"))`
+    writes it, with no dict: the one writer of an action's dataset form.  Its
+    coordinate components are rounded as `round_coord` rounds them.  Numbers
+    are finite, so each is written as its `repr`, and a text goes through
+    `json`'s own ASCII escaper."""
     head = '{"kind":"' + action.kind._value_
     if action.coordinate is not None:
         x, y = action.coordinate
@@ -272,27 +256,25 @@ def action_from_json(obj: Mapping[str, Any]) -> ActionRecord:
     return ActionRecord(kind, coordinate, direction, text, seconds)
 
 
-def step_to_json(step: StepRecord) -> dict[str, Any]:
-    out: dict[str, Any] = {"index": step.index, "screen_ref": step.screen_ref}
-    if step.screen_dims is not None:
-        out["screen_dims"] = list(step.screen_dims)
-    out["gt_action"] = action_to_json(step.gt_action)
-    if step.gt_bbox is not None:
-        out["gt_bbox"] = rounded_box(step.gt_bbox)
-    out["reference_effect"] = step.reference_effect
-    return out
+def _step_line(step: StepRecord) -> str:
+    dims, box = step.screen_dims, step.gt_bbox
+    dims_key = "" if dims is None else f'"screen_dims":[{dims[0]!r},{dims[1]!r}],'
+    box_key = "" if box is None else f'"gt_bbox":[{",".join(map(repr, rounded_box(box)))}],'
+    return (
+        f'{{"index":{step.index!r},"screen_ref":{_json_str(step.screen_ref)},{dims_key}'
+        f'"gt_action":{action_line(step.gt_action)},{box_key}'
+        f'"reference_effect":{_json_str(step.reference_effect)}}}'
+    )
 
 
-def trajectory_to_json(traj: TrajectoryRecord) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "id": traj.id,
-        "instruction": traj.instruction,
-        "terminal_screen_ref": traj.terminal_screen_ref,
-    }
-    if traj.allows_revisits:
-        out["allows_revisits"] = True
-    out["steps"] = [step_to_json(s) for s in traj.steps]
-    return out
+def trajectory_line(traj: TrajectoryRecord) -> str:
+    """A dataset line, written as `action_line` writes an action."""
+    revisits = '"allows_revisits":true,' if traj.allows_revisits else ""
+    return (
+        f'{{"id":{_json_str(traj.id)},"instruction":{_json_str(traj.instruction)},'
+        f'"terminal_screen_ref":{_json_str(traj.terminal_screen_ref)},{revisits}'
+        f'"steps":[{",".join(map(_step_line, traj.steps))}]}}'
+    )
 
 
 def rounded_box(bbox: Sequence[float]) -> list[float]:
@@ -392,7 +374,7 @@ def load_dataset(
 
 def save_dataset(trajs: Iterable[TrajectoryRecord], path: str | Path) -> None:
     """Write trajectories as canonical JSONL (compact, fixed key order)."""
-    write_records(path, (trajectory_to_json(t) for t in trajs))
+    write_lines(path, map(trajectory_line, trajs))
 
 
 def describe_action(action: ActionRecord) -> str:

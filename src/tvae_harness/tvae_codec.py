@@ -27,7 +27,6 @@ from .trajectory_store import (
     ActionRecord,
     action_from_json,
     action_line,
-    action_to_json,
     normalize_action,
 )
 
@@ -379,17 +378,9 @@ def write_turn(
     )
 
 
-def history_entry_to_json(entry: HistoryEntry) -> dict[str, Any]:
-    return {
-        "action": action_to_json(entry.action),
-        "expected_effect": entry.expected_effect,
-        "verification": entry.verification._value_,
-    }
-
-
 def history_entry_line(entry: HistoryEntry) -> str:
-    """`history_entry_to_json(entry)` as JSON text, written as `action_line`
-    writes its action."""
+    """A history entry's JSON text (its action in dataset form, its effect and
+    its verification), written as `action_line` writes its action."""
     return (
         f'{{"action":{action_line(entry.action)},'
         f'"expected_effect":{_json_str(entry.expected_effect)},'

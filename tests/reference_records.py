@@ -14,9 +14,11 @@ from __future__ import annotations
 import math
 from typing import Any, Mapping
 
+from tvae_harness.agent_bus import WIRE_SCHEMA_VERSION, Observation
 from tvae_harness.errors import DataError
 from tvae_harness.failure_forge import FailureCase, FailureMode, SampleType, SyntheticSample
 from tvae_harness.grpo_core import GroupOutput
+from tvae_harness.reward_engine import RewardBreakdown
 from tvae_harness.sim_engine import AttemptLog, CaseResult, SimTrace
 from tvae_harness.trajectory_store import (
     ActionKind,
@@ -284,6 +286,29 @@ def case_result_to_json(case: FailureCase, result: CaseResult) -> dict[str, Any]
         "repeated": result.repeated,
         "recovered": result.recovered,
         "issued": None if result.issued is None else result.issued.kind.value,
+    }
+
+
+def reward_to_json(b: RewardBreakdown) -> dict[str, Any]:
+    obj: dict[str, Any] = {
+        "r_act": b.r_act,
+        "r_eff": b.r_eff,
+        "r_ver": b.r_ver,
+        "total": b.total,
+        "similarity": "token-f1",
+    }
+    if b.parse_error is not None:
+        obj["parse_error"] = b.parse_error
+    return obj
+
+
+def observation_to_json(obs: Observation) -> dict[str, Any]:
+    return {
+        "schema_version": WIRE_SCHEMA_VERSION,
+        "instruction": obs.instruction,
+        "screen_ref": obs.screen_ref,
+        "history": [history_entry_to_json(h) for h in obs.history],
+        "budget_remaining": obs.step_budget_remaining,
     }
 
 

@@ -541,7 +541,7 @@ def test_reply_framings_and_charsets(case):
 
 
 def test_wire_payload_shape():
-    payload = observation_to_wire(_obs())
+    payload = json.loads(observation_to_wire(_obs()))
     assert set(payload) == {
         "schema_version", "instruction", "screen_ref", "history", "budget_remaining"
     }

@@ -24,7 +24,7 @@ from tvae_harness.failure_forge import (
     sample_line,
 )
 from tvae_harness.grpo_core import GrpoConfig
-from tvae_harness.records import write_lines, write_records
+from tvae_harness.records import write_lines
 from tvae_harness.reward_engine import RewardConfig
 from tvae_harness.sim_engine import SimConfig, trace_from_json, trace_line
 from tvae_harness.synthdata import make_dataset
@@ -622,6 +622,8 @@ BAD_LINES = {
         o[1], ["steps", 0, "screen_dims"], [2**1024, 2400])),
     "samples-huge-dims": ("samples", lambda o: _put(o[1], ["screen_dims"], [2**1024, 2400])),
     "cases-huge-dims": ("cases", lambda o: _put(o[1], ["screen_dims"], [2**1024, 2400])),
+    "dataset-empty-screen-ref": ("dataset", lambda o: _put(o[1], ["steps", 0, "screen_ref"], "")),
+    "groups-one-output": ("groups", lambda o: {"outputs": o[1]["outputs"][:1]}),
 }
 
 
@@ -767,7 +769,7 @@ def test_ungroundable_coordinate_never_matches_grounds_or_repeats(tmp_path, caps
         history=(), target_action=target,
         target_effect=effect,
     ))])
-    write_records(outputs, [{"raw": turn}])
+    write_lines(outputs, [json.dumps({"raw": turn})])
     with CountingTurnServer(body=turn) as server:
         agent = ["--agent", f"remote:{server.url}"]
         assert main([
@@ -1194,6 +1196,39 @@ def _short_groups(tmp_path, dataset):
     return argv, f"group log-probs cover 2 outputs but {n} were scored"
 
 
+def _empty_traces(tmp_path, dataset):
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text("")
+    return ["report", "--traces", str(traces)], "no traces"
+
+
+def _empty_screen_ref(tmp_path, dataset):
+    lines = dataset.read_text().splitlines()
+    lines[2] = json.dumps(_put(json.loads(lines[2]), ["steps", 1, "screen_ref"], ""))
+    dataset.write_text("\n".join(lines) + "\n")
+    argv = ["simulate", "--dataset", str(dataset), "--agent", "scripted:oracle"]
+    return argv, "line 3: step: invalid screen_ref (must be non-empty)"
+
+
+def _one_output_group(tmp_path, dataset):
+    argv, _ = _short_groups(tmp_path, dataset)  # its groups file is replaced
+    logprobs = {f"logprobs_{k}": [-0.5] for k in ("new", "old", "ref")}
+    (tmp_path / "groups.jsonl").write_text("\n" + json.dumps({"outputs": [logprobs]}) + "\n")
+    return argv, "line 2: group of 1; need >= 2"
+
+
+def _synth_bench_blank_dataset(tmp_path, dataset):
+    argv, _ = _blank_dataset(tmp_path, dataset)
+    return ["synth", "--kind", "bench", "--dataset", argv[2]], "no trajectories"
+
+
+def _simulate_flags(message, *flags):
+    """A simulate run of the fixture dataset with `flags` after its own."""
+    def case(tmp_path, dataset):
+        return ["simulate", "--dataset", str(dataset), "--agent", "scripted:oracle", *flags], message
+    return case
+
+
 @pytest.mark.parametrize("case", [
     _blank_dataset,
     lambda tmp_path, dataset: (
@@ -1202,14 +1237,31 @@ def _short_groups(tmp_path, dataset):
     ),
     lambda tmp_path, dataset: (["synth", "--kind", "sft"], "synth sft/bench requires --dataset"),
     _short_groups,
+    _empty_traces,
+    _empty_screen_ref,
+    _one_output_group,
+    _simulate_flags(
+        "tvae-harness simulate: argument --timeout: must be a finite number > 0",
+        "--timeout", "abc",
+    ),
+    _simulate_flags("agent: invalid variant (bogus)", "--agent", "scripted:bogus"),
+    _simulate_flags("agent: invalid spec", "--agent", ""),
+    _synth_bench_blank_dataset,
 ], ids=["simulate-blank-dataset", "bench-robust-no-dataset", "synth-sft-no-dataset",
-        "score-groups-cover-too-few"])
+        "score-groups-cover-too-few", "report-empty-traces", "dataset-empty-screen-ref",
+        "score-one-output-group", "timeout-not-a-number", "agent-unknown-variant",
+        "agent-empty-spec", "synth-bench-blank-dataset"])
 def test_input_errors_exit_1_with_their_message(dataset, tmp_path, capsys, case):
     argv, message = case(tmp_path, dataset)
     out = tmp_path / "out"
     capsys.readouterr()
     assert main([*argv, "--out", str(out)]) == EXIT_DATA
-    assert capsys.readouterr().err == f"data error: {message}\n"
+    head, _, err = capsys.readouterr().err.rpartition("data error: ")
+    assert err == f"{message}\n"
+    if message.startswith("tvae-harness "):  # a usage error prints the usage first
+        assert head.startswith(f"usage: {message.split(':')[0]} ")
+    else:
+        assert head == ""
     assert not out.exists()
 
 

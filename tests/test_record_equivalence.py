@@ -7,8 +7,7 @@ wrong length, unknown and unhashable enum tokens).  Each reader must accept
 exactly the lines `reference_records` accepts and build an equal record (by
 `repr`, so 1 and 1.0 differ), and on a refused line raise an exception of
 the same type with the same message, and each record read must be written
-as the reference writer writes it (a sample, case or trace as the text
-`json.dumps` makes of the reference dict).  The one listed difference: a
+as the text `json.dumps` makes of the reference dict.  The one listed difference: a
 line whose `screen_dims` has a component beyond the float range is refused.
 Derandomized: a fixed seed, no example database.
 """
@@ -22,7 +21,7 @@ import random
 
 import reference_records as ref
 
-from tvae_harness.agent_bus import parse_agent_spec
+from tvae_harness.agent_bus import Observation, observation_to_wire, parse_agent_spec
 from tvae_harness.errors import DataError
 from tvae_harness.failure_forge import (
     FailureCase,
@@ -37,7 +36,7 @@ from tvae_harness.failure_forge import (
     sample_line,
 )
 from tvae_harness.grpo_core import group_output_from_json
-from tvae_harness.records import write_records
+from tvae_harness.reward_engine import RewardBreakdown, reward_line
 from tvae_harness.sim_engine import (
     AttemptLog,
     CaseResult,
@@ -54,15 +53,16 @@ from tvae_harness.trajectory_store import (
     ActionKind,
     ActionRecord,
     ScrollDirection,
+    StepRecord,
+    TrajectoryRecord,
     trajectory_from_json,
-    trajectory_to_json,
+    trajectory_line,
 )
 from tvae_harness.tvae_codec import (
     HistoryEntry,
     Verification,
     history_entry_from_json,
     history_entry_line,
-    history_entry_to_json,
 )
 
 DIMS = [1080, 2400]
@@ -101,7 +101,7 @@ def _pixelate(node, dims=DIMS):
 
 def _valid_lines() -> dict[str, list]:
     trajs = make_dataset(10, (1, 5), seed=11)
-    dataset = [trajectory_to_json(t) for t in trajs]
+    dataset = [ref.trajectory_to_json(t) for t in trajs]
     for line in dataset[::2]:
         line["steps"] = [{**_pixelate(s), "screen_dims": DIMS} for s in line["steps"]]
     samples = [ref.sample_to_json(s) for s in build_sft_dataset(trajs, 0.5, seed=3)]
@@ -173,13 +173,13 @@ def _dumps(ref_write):
 # kind -> (reader, reference reader, writer, reference writer)
 KINDS = {
     "dataset": (trajectory_from_json, ref.trajectory_from_json,
-                trajectory_to_json, ref.trajectory_to_json),
+                trajectory_line, _dumps(ref.trajectory_to_json)),
     "samples": (sample_from_json, ref.sample_from_json, sample_line, _dumps(ref.sample_to_json)),
     "cases": (failure_case_from_json, ref.failure_case_from_json,
               failure_case_line, _dumps(ref.failure_case_to_json)),
     "traces": (trace_from_json, ref.trace_from_json, trace_line, _dumps(ref.trace_to_json)),
     "history": (_history(history_entry_from_json), _history(ref.history_entry_from_json),
-                history_entry_to_json, ref.history_entry_to_json),
+                history_entry_line, _dumps(ref.history_entry_to_json)),
     "groups": (
         lambda line: group_output_from_json(line["output"], line.get("fallback")),
         lambda line: ref.group_output_from_json(line["output"], line.get("fallback")),
@@ -281,22 +281,11 @@ def test_bulk_readers_match_the_per_value_reference():
     assert tally["dataset"]["huge_dims"] + tally["samples"]["huge_dims"] > 0, tally
 
 
-def test_write_records_writes_what_json_dumps_writes(tmp_path):
-    objs = [trajectory_to_json(t) for t in make_dataset(3, (1, 3), seed=2)] + [
-        {"text": "café ☃ \"quoted\"\n", "n": [1, -0.0, 1e300, 10**30]},
-        {"nan": math.nan, "inf": [math.inf, -math.inf], "nested": {"a": [{}, [], None, True]}},
-        {},
-    ]
-    path = tmp_path / "records.jsonl"
-    write_records(path, iter(objs))
-    want = "".join(json.dumps(o, separators=(",", ":")) + "\n" for o in objs)
-    assert path.read_bytes() == want.encode("utf-8")
-
-
 def _edge_records():
-    """Samples and cases that hold every value the text writers format:
-    escapes, a negative zero, a pixel coordinate, waits written as an integer
-    and with an exponent, and boxes that 6-decimal rounding changes."""
+    """Samples, cases, trajectories and observations that hold every value
+    the text writers format: escapes, a negative zero, a pixel coordinate,
+    waits written as an integer and with an exponent, and boxes that 6-decimal
+    rounding changes."""
     history = (
         HistoryEntry(ActionRecord(kind=ActionKind.INPUT_TEXT, text=ESCAPED), ESCAPED,
                      Verification.SUCCESS),
@@ -329,17 +318,45 @@ def _edge_records():
                     FailureMode.ACTION_TYPE_ERROR, box, (1080, 2400)),
         FailureCase(("t", 0), "i", "s", history[-1:], target, FailureMode.COORDINATE_OFFSET),
     ]
-    return samples, cases
+    steps = (
+        StepRecord(0, ESCAPED, target, ESCAPED, (1080, 2400), box),
+        *(StepRecord(i + 1, "s", h.action, "e") for i, h in enumerate(history)),
+    )
+    trajs = [
+        TrajectoryRecord(ESCAPED, ESCAPED, steps, "s", allows_revisits=True),
+        TrajectoryRecord("t", "i", steps[:1], "done"),
+    ]
+    observations = [Observation(ESCAPED, ESCAPED, history, 7), Observation("i", "s", (), 1)]
+    return samples, cases, trajs, observations
+
+
+# Breakdowns with every number form `json` writes: a negative zero, an
+# exponent, and the totals that overflow under extreme alpha and beta.
+EDGE_REWARDS = [
+    RewardBreakdown(1.0, 0.75, -2.0, -0.0),
+    RewardBreakdown(-1.0, 0.0, -0.5, -1.25, ESCAPED),
+    RewardBreakdown(-1.0, 0.0, -0.5, -1.25, ""),
+    RewardBreakdown(1.0, 1 / 3, 1.0, 1e300),
+    RewardBreakdown(1.0, 1.0, 1.0, math.inf),
+    RewardBreakdown(1.0, 0.5, -2.0, -math.inf),
+    RewardBreakdown(1.0, 0.5, -2.0, math.nan),
+]
 
 
 def test_text_writers_write_what_json_dumps_writes():
-    samples, cases = _edge_records()
+    samples, cases, trajs, observations = _edge_records()
     for sample in samples:
         assert sample_line(sample) == _dumps(ref.sample_to_json)(sample)
         for entry in sample.history:
             assert history_entry_line(entry) == _dumps(ref.history_entry_to_json)(entry)
     for case in cases:
         assert failure_case_line(case) == _dumps(ref.failure_case_to_json)(case)
+    for traj in trajs:
+        assert trajectory_line(traj) == _dumps(ref.trajectory_to_json)(traj)
+    for obs in observations:
+        assert observation_to_wire(obs) == _dumps(ref.observation_to_json)(obs)
+    for b in EDGE_REWARDS:
+        assert reward_line(b) == _dumps(ref.reward_to_json)(b)
     # case results: every agent's results on seeded cases, and the edge flags
     trajs = make_dataset(10, (1, 5), seed=11)
     seeded = build_robustness_bench(trajs, 2, seed=3)

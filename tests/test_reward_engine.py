@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from tvae_harness.reward_engine import (
     distance_to_bbox,
     match_action,
     point_in_bbox,
+    reward_line,
     score_output,
     token_f1,
     verification_reward,
@@ -257,7 +259,7 @@ def test_unparseable_output_scores_a_wrong_action_and_a_miss():
     assert REWARD_MISS == -0.5
     assert b.total == -1.0 + 0.8 * -0.5
     assert b.parse_error == str(exc.value) == "missing <verification> block"
-    assert b.to_json()["parse_error"] == b.parse_error
+    assert json.loads(reward_line(b))["parse_error"] == b.parse_error
 
 
 def test_composite_worked_success_turn_against_own_sample():

@@ -26,7 +26,7 @@ from tvae_harness.sim_engine import (
     transition,
 )
 from tvae_harness.synthdata import make_dataset
-from tvae_harness.trajectory_store import ActionKind, ActionRecord
+from tvae_harness.trajectory_store import ActionKind, ActionRecord, StepRecord
 from tvae_harness.tvae_codec import (
     HistoryEntry,
     ThinkSegment,
@@ -341,6 +341,42 @@ def test_a_generator_is_seeded_only_once_a_turn_draws(
         "--seed", "3", "--out", str(tmp_path / "out"),
     ]) == EXIT_OK
     assert len(seeds) == len(set(seeds)) == seeded
+
+
+@pytest.mark.parametrize("spec, built", [("stdio", 0), ("scripted:loopy", 1)])
+def test_a_probe_builds_its_step_only_for_a_white_box_agent(monkeypatch, spec, built):
+    # only a white-box agent is shown the probed step, so only it pays for one
+    import sys
+
+    from tvae_harness import sim_engine
+    from tvae_harness.agent_bus import StdioAgent, parse_agent_spec
+
+    from conftest import FIXED_TURN
+
+    steps = []
+
+    def counting_step(*args, **kwargs):
+        steps.append(kwargs)
+        return StepRecord(*args, **kwargs)
+
+    monkeypatch.setattr(sim_engine, "StepRecord", counting_step)
+    cases = build_robustness_bench(make_dataset(6, (1, 4), seed=2), 2, seed=1)
+    if spec == "stdio":
+        script = (
+            "import sys\n"
+            "for line in sys.stdin:\n"
+            f"    sys.stdout.write({FIXED_TURN!r} + '\\n<<<END_TURN>>>\\n')\n"
+            "    sys.stdout.flush()\n"
+        )
+        agent = StdioAgent([sys.executable, "-c", script], timeout=30)
+    else:
+        agent = parse_agent_spec(spec, timeout=5.0)
+    try:
+        results = run_failure_cases(cases, agent, CFG)
+    finally:
+        agent.close()
+    assert all(r.issued is not None for r in results)  # every probe was answered
+    assert len(steps) == built * len(cases) and len(cases) > 5
 
 
 def test_pixel_answering_agent_normalized_via_case_dims():

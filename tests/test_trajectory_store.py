@@ -14,7 +14,7 @@ from tvae_harness.trajectory_store import (
     StepRecord,
     TrajectoryRecord,
     action_from_json,
-    action_to_json,
+    action_line,
     load_dataset,
     normalize_action,
     save_dataset,
@@ -303,7 +303,7 @@ def test_action_record_messages(kind, kwargs, message):
 def test_action_json_round_trip(rng: random.Random):
     for _ in range(300):
         a = random_valid_action(rng)
-        assert action_from_json(action_to_json(a)) == a
+        assert action_from_json(json.loads(action_line(a))) == a
 
 
 def test_action_json_rejects_unknown_fields():
