@@ -8,8 +8,10 @@ protocol (HTTP JSON in, raw turn text out) and never receive ground truth.
 
 from __future__ import annotations
 
+import os
 import random
 import sys
+import time
 from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
@@ -227,9 +229,7 @@ class ScriptedAgent:
             self.identity += f":{variant.p:g}"
 
     def turn(self, obs: Observation, gt: StepRecord | None, rng: Rng) -> str:
-        if gt is None:
-            raise DataError("scripted: invalid gt (scripted agents need ground truth)")
-        return scripted_turn(self.variant, obs, gt, rng)
+        return scripted_turn(self.variant, obs, gt, rng)  # type: ignore[arg-type]  # gt: never None
 
     def close(self) -> None:
         pass
@@ -506,12 +506,9 @@ class StdioAgent:
     white_box = False
     max_inflight = 1  # one request/response exchange on one pipe pair
 
-    def __init__(self, command: Sequence[str] | str, *, timeout: float):
-        import os
-        import shlex
+    def __init__(self, argv: Sequence[str], *, timeout: float):
         import subprocess
 
-        argv = shlex.split(command) if isinstance(command, str) else list(command)
         self.identity = f"stdio:{' '.join(argv)}"
         self._timeout = timeout
         self._buf = bytearray()  # output read but not yet returned as a line
@@ -524,9 +521,7 @@ class StdioAgent:
         os.set_blocking(self._proc.stdin.fileno(), False)  # type: ignore[union-attr]
 
     def turn(self, obs: Observation, gt: StepRecord | None, rng: Rng) -> str:
-        import os
         import selectors
-        import time
 
         proc = self._proc
         if proc.poll() is not None:
@@ -557,7 +552,7 @@ class StdioAgent:
                             f"stdio agent output exceeds MAX_TURN_BYTES ({MAX_TURN_BYTES} bytes)"
                         )
                     lines.append(line)
-        except (BrokenPipeError, OSError) as exc:
+        except OSError as exc:  # a broken pipe among them
             raise AgentError(f"stdio transport failed: {exc}") from exc
         text = b"".join(lines).decode("utf-8", "replace")
         # Line ends as a text-mode pipe reads them: \r\n and \r become \n.
@@ -566,8 +561,6 @@ class StdioAgent:
     def _wait(self, ready: Any, deadline: float) -> None:
         """Wait until the pipe `ready` watches can be used, or fail the turn
         at `deadline`."""
-        import time
-
         wait = deadline - time.monotonic()
         if wait <= 0 or not ready.select(wait):
             raise AgentError(f"stdio agent timed out (no complete turn within {self._timeout:g} s)")
@@ -576,8 +569,6 @@ class StdioAgent:
         """The next line of output, as a buffered pipe's `readline(limit)`
         returns it.  The pipe is read with `os.read`, so every byte not yet
         in `_buf` is still in the pipe, where `ready` sees it."""
-        import os
-
         buf = self._buf
         scanned = 0
         while (end := buf.find(b"\n", scanned, limit)) < 0 and len(buf) < limit:
@@ -596,13 +587,12 @@ class StdioAgent:
         import subprocess
 
         proc = self._proc
-        if proc.poll() is None:
-            proc.terminate()
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
+        proc.terminate()  # no signal once the agent has exited
+        try:
+            proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
         for pipe in (proc.stdin, proc.stdout):
             with suppress(OSError):  # a dead reader makes the final flush fail
                 pipe.close()
@@ -642,6 +632,14 @@ def parse_agent_spec(spec: str, *, timeout: float, token: str | None = None) -> 
     if head == "remote":
         return RemoteAgent(rest, timeout=timeout, token=token)
     if head == "stdio":
-        return StdioAgent(rest, timeout=timeout)
+        import shlex
+
+        try:
+            argv = shlex.split(rest)
+        except ValueError as exc:  # an unclosed quote or a trailing backslash
+            raise DataError(f"agent: invalid spec ({spec!r}: {exc})") from None
+        if not argv:
+            raise DataError(f"agent: invalid spec ({spec!r}: no command)")
+        return StdioAgent(argv, timeout=timeout)
     raise DataError(f"agent: invalid spec ({spec})" if spec else "agent: invalid spec")
 

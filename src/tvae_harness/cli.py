@@ -56,6 +56,9 @@ EXIT_DATA = 1
 EXIT_AGENT = 2
 EXIT_INTERNAL = 3
 
+# The largest --timeout (s): epoll waits at most 2,147,483.647 s, and deadlines must fit time_t.
+MAX_TIMEOUT_S = 1_000_000
+
 
 def _sha256(path: str | Path) -> str:
     digest = hashlib.sha256()
@@ -383,13 +386,13 @@ def _count(text: str) -> int:
 
 
 def _seconds(text: str) -> float:
-    """`type=` of --timeout: a finite number > 0."""
+    """`type=` of --timeout: a number in (0, MAX_TIMEOUT_S]."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan  # fails the check below
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError("must be a finite number > 0")
+    if not 0 < value <= MAX_TIMEOUT_S:
+        raise argparse.ArgumentTypeError(f"must be a number > 0 and <= {MAX_TIMEOUT_S}")
     return value
 
 

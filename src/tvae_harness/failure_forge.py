@@ -149,7 +149,8 @@ def _corrupt(
     known_bboxes: Sequence[Bbox],
 ) -> ActionRecord | None:
     """The corruption of `gt` under `mode`, or None when the mode cannot
-    apply (with no draw from `rng` when the action kind rules it out)."""
+    apply (with no draw from `rng` when the action kind rules it out).  Each
+    rule forces a miss: another kind, or a point over MARGIN from the region."""
     if mode is FailureMode.COORDINATE_OFFSET:
         center = gt.coordinate
         if center is None:
@@ -161,7 +162,7 @@ def _corrupt(
             return (center[0] + radius * math.cos(angle), center[1] + radius * math.sin(angle))
 
         coord = _pick_coordinate(rng, lambda p: _region_distance(p, gt, bbox) > MARGIN, propose)
-        result = None if coord is None else ActionRecord(kind=gt.kind, coordinate=coord)
+        return None if coord is None else ActionRecord(kind=gt.kind, coordinate=coord)
 
     elif mode is FailureMode.TARGET_MISIDENTIFICATION:
         center = gt.coordinate
@@ -178,7 +179,7 @@ def _corrupt(
             ),
             propose_far,
         )
-        result = None if coord is None else ActionRecord(kind=gt.kind, coordinate=coord)
+        return None if coord is None else ActionRecord(kind=gt.kind, coordinate=coord)
 
     elif mode is FailureMode.ACTION_TYPE_ERROR:
         if gt.kind not in DEFAULT_RELATED_KINDS:
@@ -190,12 +191,12 @@ def _corrupt(
             coord = (round_coord((bbox[0] + bbox[2]) / 2), round_coord((bbox[1] + bbox[3]) / 2))
         else:
             coord = (round_coord(rng.uniform(0.2, 0.8)), round_coord(rng.uniform(0.2, 0.8)))
-        result = ActionRecord(kind=DEFAULT_RELATED_KINDS[gt.kind], coordinate=coord)
+        return ActionRecord(kind=DEFAULT_RELATED_KINDS[gt.kind], coordinate=coord)
 
     elif mode is FailureMode.TIMING_ERROR:
         if gt.kind is ActionKind.WAIT:
             return None
-        result = ActionRecord(kind=ActionKind.WAIT, seconds=rng.choice(WAIT_CHOICES))
+        return ActionRecord(kind=ActionKind.WAIT, seconds=rng.choice(WAIT_CHOICES))
 
     else:  # null click: dead margin frame of the screen, outside every known box
         boxes = list(known_bboxes)
@@ -222,11 +223,7 @@ def _corrupt(
             return True
 
         coord = _pick_coordinate(rng, accept_margin, propose_margin)
-        result = None if coord is None else ActionRecord(kind=ActionKind.CLICK, coordinate=coord)
-
-    if result is not None and match_action(result, gt, bbox):
-        raise DataError(f"forge: invalid {mode.value} (corruption matched ground truth)")
-    return result
+        return None if coord is None else ActionRecord(kind=ActionKind.CLICK, coordinate=coord)
 
 
 def sample_corruption(

@@ -38,8 +38,9 @@ class RewardConfig:
     beta: float = 0.5
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(w) and w >= 0 for w in (self.alpha, self.beta)):
-            raise DataError("reward_config: invalid alpha/beta (must be finite numbers >= 0)")
+        # 1 + alpha + 2 * beta bounds every total's magnitude; a NaN weight makes it NaN.
+        if self.alpha < 0 or self.beta < 0 or not math.isfinite(1 + self.alpha + 2 * self.beta):
+            raise DataError("reward_config: invalid alpha/beta (>= 0, 1 + alpha + 2 * beta finite)")
 
 
 _DEFAULT_CONFIG = RewardConfig()
@@ -59,21 +60,13 @@ class RewardBreakdown:
     parse_error: str | None = None
 
 
-def _number(value: float) -> str:
-    """`value` as `json` writes a number: its `repr`, or NaN, Infinity or
-    -Infinity (a total overflows under extreme alpha and beta)."""
-    if math.isfinite(value):
-        return repr(value)
-    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
-
-
 def reward_line(b: RewardBreakdown) -> str:
     """A `rewards.jsonl` line as `json.dumps(obj, separators=(",", ":"))`
     writes the breakdown's components, its scorer and its parse error."""
     error = "" if b.parse_error is None else f',"parse_error":{_json_str(b.parse_error)}'
     return (
-        f'{{"r_act":{_number(b.r_act)},"r_eff":{_number(b.r_eff)},"r_ver":{_number(b.r_ver)},'
-        f'"total":{_number(b.total)},"similarity":"token-f1"{error}}}'  # the one scorer, `token_f1`
+        f'{{"r_act":{b.r_act!r},"r_eff":{b.r_eff!r},"r_ver":{b.r_ver!r},'
+        f'"total":{b.total!r},"similarity":"token-f1"{error}}}'  # the one scorer, `token_f1`
     )
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import signal
 import sys
 import threading
 import time
@@ -454,38 +455,51 @@ def _reply(head: str, body: bytes = b"") -> bytes:
 _TURN = FIXED_TURN.encode("utf-8")
 _CHUNKED = b"".join(b"%x\r\n%s\r\n" % (len(part), part) for part in (_TURN[:40], _TURN[40:]))
 
+_FLOOD = f"reply exceeds MAX_TURN_BYTES ({MAX_TURN_BYTES} bytes)"
+
 # Replies the client cannot read: each is a transport error, retried once on
 # a new connection, except one over the cap.  Whether the server closes after
-# its reply, and the requests the turn makes.
+# its reply, the requests the turn makes, and the error's reason.
 BAD_REPLIES = {
-    "garbage-status-line": (_reply("FOO BAR BAZ\n"), False, 2),
+    "garbage-status-line": (_reply("FOO BAR BAZ\n"), False, 2, "bad status line b'FOO BAR BAZ'"),
     "non-numeric-length": (
         _reply("HTTP/1.1 200 OK\nContent-Length: ten\n", b"0123456789"), False, 2,
+        "bad Content-Length b'ten'",
     ),
-    "negative-length": (_reply("HTTP/1.1 200 OK\nContent-Length: -5\n", b"01234"), False, 2),
+    "negative-length": (
+        _reply("HTTP/1.1 200 OK\nContent-Length: -5\n", b"01234"), False, 2,
+        "bad Content-Length b'-5'",
+    ),
     "body-cut-short": (
         _reply("HTTP/1.1 200 OK\nContent-Length: 100\n", b"0123456789"), True, 2,
+        "connection closed mid-reply",
     ),
     "bad-chunk-size": (
         _reply("HTTP/1.1 200 OK\nTransfer-Encoding: chunked\n", b"zz\r\nhello\r\n0\r\n\r\n"),
-        False, 2,
+        False, 2, "bad chunk size b'zz'",
     ),
+    "chunked-cut-before-the-next-size": (
+        _reply("HTTP/1.1 200 OK\nTransfer-Encoding: chunked\n", b"%x\r\n%s\r\n" % (40, _TURN[:40])),
+        True, 2, "connection closed mid-reply",
+    ),
+    "closed-without-a-reply": (b"", True, 2, "connection closed before the reply head"),
     "length-past-the-int-digit-limit": (
-        _reply("HTTP/1.1 200 OK\nContent-Length: " + "9" * 5000 + "\n"), False, 1,
+        _reply("HTTP/1.1 200 OK\nContent-Length: " + "9" * 5000 + "\n"), False, 1, _FLOOD,
     ),
-    "head-over-the-cap": (b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * MAX_TURN_BYTES, True, 1),
+    "head-over-the-cap": (b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * MAX_TURN_BYTES, True, 1, _FLOOD),
     "close-delimited-body-over-the-cap": (
-        _reply("HTTP/1.0 200 OK\n", b"x" * MAX_TURN_BYTES), True, 1,
+        _reply("HTTP/1.0 200 OK\n", b"x" * MAX_TURN_BYTES), True, 1, _FLOOD,
     ),
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_REPLIES))
 def test_unreadable_reply_is_an_agent_error(case):
-    reply, server_closes, requests = BAD_REPLIES[case]
+    reply, server_closes, requests, reason = BAD_REPLIES[case]
     with ScriptedReplyServer(reply, close=server_closes) as server:
-        with pytest.raises(AgentError, match=f"^{server.url}/turn: "):
+        with pytest.raises(AgentError) as err:
             _remote_turn(server.url, _obs(), timeout=5)
+    assert str(err.value) == f"{server.url}/turn: {reason}"
     assert server.requests == server.connections == requests
     if not server_closes:  # the client closed every connection it opened
         assert server.client_closed == requests
@@ -516,6 +530,9 @@ ODD_REPLIES = {
         False, FIXED_TURN, 1,
     ),
     "no-content": (_reply("HTTP/1.1 204 No Content\n"), False, "", 1),
+    "kept-alive-then-closed": (  # the second turn retries its stale socket on a new one
+        _reply(f"HTTP/1.1 200 OK\nContent-Length: {len(_TURN)}\n", _TURN), True, FIXED_TURN, 2,
+    ),
     "unknown-charset": (
         _reply("HTTP/1.1 200 OK\nContent-Type: text/plain; charset=x-no-such\n"
                "Content-Length: 9\n", "café ✓".encode("utf-8")),
@@ -600,6 +617,53 @@ def test_stdio_agent_that_reads_nothing_times_out_on_a_large_request():
     finally:
         agent.close()
     assert agent._proc.poll() is not None
+
+
+def test_stdio_agent_that_exited_before_the_turn():
+    agent = StdioAgent([sys.executable, "-c", "pass"], timeout=30)
+    try:
+        agent._proc.wait()
+        with pytest.raises(AgentError, match=r"^stdio agent exited$"):
+            agent.turn(_obs(), None, _rng(0))
+    finally:
+        agent.close()
+
+
+def _agent_answering_once_after(step: str) -> StdioAgent:
+    """A stdio agent that reads one request, runs `step`, answers with
+    FIXED_TURN and then sleeps."""
+    script = (
+        "import os, signal, sys, time\n"
+        "sys.stdin.readline()\n"
+        f"{step}\n"
+        "sys.stdout.write(" + json.dumps(FIXED_TURN) + " + '\\n<<<END_TURN>>>\\n')\n"
+        "sys.stdout.flush()\n"
+        "time.sleep(100)\n"
+    )
+    return StdioAgent([sys.executable, "-c", script], timeout=30)
+
+
+def test_stdio_agent_that_closed_its_input_fails_the_next_write():
+    agent = _agent_answering_once_after("os.close(0)")
+    try:
+        assert agent.turn(_obs(), None, _rng(0)) == FIXED_TURN
+        with pytest.raises(AgentError, match=r"^stdio transport failed: \[Errno 32\] Broken pipe$"):
+            agent.turn(_obs(), None, _rng(0))
+    finally:
+        agent.close()
+
+
+def test_close_kills_an_agent_that_ignores_sigterm(monkeypatch):
+    agent = _agent_answering_once_after("signal.signal(signal.SIGTERM, signal.SIG_IGN)")
+    proc = agent._proc
+    wait = proc.wait
+    # close() waits 5 s for SIGTERM to take; 0.2 s shows the same path
+    monkeypatch.setattr(proc, "wait", lambda timeout=None: wait(timeout and 0.2))
+    try:
+        assert agent.turn(_obs(), None, _rng(0)) == FIXED_TURN  # SIGTERM is ignored by now
+    finally:
+        agent.close()
+    assert proc.returncode == -signal.SIGKILL
 
 
 def test_stdio_agent_dead_process():

@@ -222,6 +222,7 @@ def test_simulate_remote_workers_bound_requests_and_connections(dataset, tmp_pat
 @pytest.mark.parametrize("flag, value", [
     ("--workers", "0"), ("--workers", "-2"),
     ("--timeout", "0"), ("--timeout", "-1"), ("--timeout", "nan"), ("--timeout", "inf"),
+    ("--timeout", "1e300"), ("--timeout", "3e6"), ("--agent", "stdio:"), ("--agent", "stdio:'x"),
     ("--agent", "scripted:failk:x"), ("--agent", "scripted:failk:-1"),
     ("--agent", "scripted:failk:1.5"), ("--agent", "scripted:bernoulli:2"),
     ("--agent", "scripted:bernoulli:nan"), ("--agent", "scripted:bernoulli:-0.1"),
@@ -829,6 +830,7 @@ SETTING_KIND = {
     ["--eps-clip", "1"], ["--eps-clip", "0"], ["--eps-clip", "nan"],
     ["--kl-lambda", "nan"], ["--kl-lambda", "inf"], ["--kl-lambda", "-0.1"],
     ["--kl-estimator", "k9"], ["--kl-estimator", "K3"],
+    ["--alpha", "1e308", "--beta", "1e308"],  # the largest total, 1 + alpha + 2 * beta, overflows
 ])
 def test_bad_config_is_data_error(dataset, tmp_path, capsys, config):
     # a bad value of any setting, given to the command that reads it, writes nothing
@@ -1057,6 +1059,19 @@ def _modules_after(source: str) -> tuple[str, set[str]]:
     return code, set(modules)
 
 
+def test_module_run_as_a_script_exits_with_the_code_of_main(tmp_path):
+    # the one line no in-process test can run: `sys.exit(main())`
+    missing = tmp_path / "none.jsonl"
+    src_dir = str(Path(tvae_harness.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "tvae_harness.cli", "report", "--traces", str(missing)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == EXIT_DATA
+    assert done.stderr == f"data error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+
+
 @pytest.fixture(scope="module")
 def baseline_modules():
     """What `python -c pass` loads here (`site` may import more on some hosts)."""
@@ -1241,16 +1256,30 @@ def _simulate_flags(message, *flags):
     _empty_screen_ref,
     _one_output_group,
     _simulate_flags(
-        "tvae-harness simulate: argument --timeout: must be a finite number > 0",
+        "tvae-harness simulate: argument --timeout: must be a number > 0 and <= 1000000",
         "--timeout", "abc",
     ),
     _simulate_flags("agent: invalid variant (bogus)", "--agent", "scripted:bogus"),
     _simulate_flags("agent: invalid spec", "--agent", ""),
     _synth_bench_blank_dataset,
+    _simulate_flags(
+        "tvae-harness simulate: argument --timeout: must be a number > 0 and <= 1000000",
+        "--timeout", "3e6",
+    ),
+    _simulate_flags("agent: invalid spec ('stdio:   ': no command)", "--agent", "stdio:   "),
+    _simulate_flags(
+        "agent: invalid spec (\"stdio:'x\": No closing quotation)", "--agent", "stdio:'x",
+    ),
+    lambda tmp_path, dataset: (  # refused before the (missing) inputs are read
+        ["score", "--samples", str(tmp_path / "none"), "--outputs", str(tmp_path / "none"),
+         "--alpha", "1e308", "--beta", "1e308"],
+        "reward_config: invalid alpha/beta (>= 0, 1 + alpha + 2 * beta finite)",
+    ),
 ], ids=["simulate-blank-dataset", "bench-robust-no-dataset", "synth-sft-no-dataset",
         "score-groups-cover-too-few", "report-empty-traces", "dataset-empty-screen-ref",
         "score-one-output-group", "timeout-not-a-number", "agent-unknown-variant",
-        "agent-empty-spec", "synth-bench-blank-dataset"])
+        "agent-empty-spec", "synth-bench-blank-dataset", "timeout-too-large",
+        "agent-stdio-no-command", "agent-stdio-unclosed-quote", "score-total-overflows"])
 def test_input_errors_exit_1_with_their_message(dataset, tmp_path, capsys, case):
     argv, message = case(tmp_path, dataset)
     out = tmp_path / "out"
@@ -1305,6 +1334,21 @@ def test_flooding_agent_exits_2_at_the_turn_cap(dataset, tmp_path, capsys, trans
     assert code == EXIT_AGENT
     assert "MAX_TURN_BYTES (1048576 bytes)" in capsys.readouterr().err
     assert elapsed < 5
+    assert not out.exists()
+
+
+def test_stdio_agent_that_cannot_be_spawned_exits_2(dataset, tmp_path, capsys):
+    missing = tmp_path / "no-such-agent"
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main([
+        "simulate", "--dataset", str(dataset), "--agent", f"stdio:{missing} --flag",
+        "--out", str(out),
+    ]) == EXIT_AGENT
+    assert capsys.readouterr().err == (
+        f"agent error: cannot spawn [{str(missing)!r}, '--flag']: "
+        f"[Errno 2] No such file or directory: {str(missing)!r}\n"
+    )
     assert not out.exists()
 
 

@@ -103,6 +103,43 @@ def test_target_misidentification_jumps_far(rng: random.Random):
         assert euclidean(bad.coordinate, CLICK.coordinate) >= 0.28
 
 
+def test_coordinate_offset_falls_back_to_a_corner_when_no_proposal_misses(rng: random.Random):
+    # every proposal lies within 0.40 of the centre, so inside the box
+    bad = corrupt_action(CLICK, (0.1, 0.1, 0.9, 0.9), FailureMode.COORDINATE_OFFSET, rng)
+    assert bad == ActionRecord(kind=ActionKind.CLICK, coordinate=(0.01, 0.01))
+
+
+def test_a_box_over_the_whole_screen_leaves_only_the_kind_changing_modes(rng: random.Random):
+    screen = (0.0, 0.0, 1.0, 1.0)
+    for mode in (FailureMode.COORDINATE_OFFSET, FailureMode.TARGET_MISIDENTIFICATION,
+                 FailureMode.NULL_CLICK):
+        why = f"^failure mode {mode.value} not applicable to action kind click$"
+        with pytest.raises(DataError, match=why):
+            corrupt_action(CLICK, screen, mode, rng)
+    # the sampling wrapper redraws until a mode applies
+    modes = {sample_corruption(CLICK, screen, rng)[0] for _ in range(50)}
+    assert modes == {FailureMode.ACTION_TYPE_ERROR, FailureMode.TIMING_ERROR}
+
+
+def test_action_type_error_clicks_the_box_centre_of_a_step_without_a_coordinate(rng: random.Random):
+    # a dataset may give a box to any kind
+    scroll = ActionRecord(kind=ActionKind.SCROLL, direction=ScrollDirection.DOWN)
+    bad = corrupt_action(scroll, (0.2, 0.2, 0.4, 0.6), FailureMode.ACTION_TYPE_ERROR, rng)
+    assert bad == ActionRecord(kind=ActionKind.CLICK, coordinate=(0.3, 0.4))
+
+
+def test_null_click_stays_outside_a_box_that_touches_the_frame(rng: random.Random):
+    # the box covers the top band and the upper half of each side band; a
+    # scroll has no coordinate, so the box alone refuses those proposals
+    box = (0.0, 0.0, 1.0, 0.5)
+    scroll = ActionRecord(kind=ActionKind.SCROLL, direction=ScrollDirection.DOWN)
+    for _ in range(200):
+        bad = corrupt_action(scroll, box, FailureMode.NULL_CLICK, rng)
+        x, y = bad.coordinate
+        assert min(x, y, 1 - x, 1 - y) <= FRAME + 1e-9
+        assert distance_to_bbox(bad.coordinate, box) > 0
+
+
 @pytest.mark.parametrize(
     "gt",
     [

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import math
 import random
+import sys
 
 import pytest
 
@@ -260,6 +262,39 @@ def test_unparseable_output_scores_a_wrong_action_and_a_miss():
     assert b.total == -1.0 + 0.8 * -0.5
     assert b.parse_error == str(exc.value) == "missing <verification> block"
     assert json.loads(reward_line(b))["parse_error"] == b.parse_error
+
+
+def _strict_json(text: str):
+    def refuse(token: str):
+        raise ValueError(f"not a JSON number: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_totals_stay_finite_at_the_largest_accepted_weights():
+    # 1 + alpha + 2 * beta bounds every total's magnitude, so weights that keep
+    # it finite keep every total finite, and `reward_line` writes plain numbers
+    top = sys.float_info.max
+    for alpha, beta in ((top, 0.0), (0.0, top / 2), (top / 2, top / 4)):
+        cfg = RewardConfig(alpha=alpha, beta=beta)
+        gt = click(0.5, 0.5)
+        breakdowns = []
+        for target in Verification:
+            for action in (gt, click(0.9, 0.9)):
+                for effect in ("cart opens", "the cart opens", "nothing"):
+                    for said in Verification:
+                        out = _turn(action, said, effect)
+                        breakdowns.append(composite_reward(out, _sample(gt, "cart opens", target), cfg))
+        breakdowns.append(score_output("no turn here", _sample(gt, "cart opens"), cfg))
+        assert {b.r_ver for b in breakdowns} == {1.0, -2.0, -0.5}
+        assert {b.r_eff for b in breakdowns} >= {0.0, 1.0}
+        for b in breakdowns:
+            assert math.isfinite(b.total)
+            line = _strict_json(reward_line(b))
+            assert line["total"] == b.total
+    for alpha, beta in ((top / 2, top / 2), (top, top / 4), (0.0, top)):
+        with pytest.raises(DataError, match="1 \\+ alpha \\+ 2 \\* beta finite"):
+            RewardConfig(alpha=alpha, beta=beta)
 
 
 def test_composite_worked_success_turn_against_own_sample():

@@ -649,19 +649,29 @@ def test_emitted_action_match_matches_json_decode():
     assert len(matched) > 500 and len(bodies) - len(matched) > 5000
 
 
+_TOKENS = "turn: invalid think (segment body embeds grammar tokens)"
+_TERMINATOR = "turn: invalid expected_effect (embeds block terminator)"
+
+
+# `readable` and `effect_readable` are True, False for padded or blank text,
+# or the message that refuses a text embedding a token the parse would read
 @pytest.mark.parametrize("body, readable", [
     (" go back", False), ("go back ", False), (" go back ", False), ("go back\n", False),
     ("\tgo back", False), ("go\u00a0", False), ("", False), ("   ", False), ("\n", False),
     ("go back", True), ("go\nback", True), ("go  back", True), ("a [ b ] c", True),
+    pytest.param("go [Plan] back", _TOKENS, id="embeds-a-tag"),
+    pytest.param("go </think> back", _TOKENS, id="embeds-a-terminator"),
 ])
 @pytest.mark.parametrize("effect, effect_readable", [
     ("The screen changes.", True), (" The screen changes. ", False),
     ("The screen changes.\n", False), ("\u2003The screen changes.", False),
     ("The\nscreen changes.", True),
+    pytest.param("The </action> changes.", _TERMINATOR, id="effect-embeds-a-terminator"),
 ])
 def test_emit_refuses_padded_text_and_round_trips_the_rest(body, readable, effect, effect_readable):
     # parse strips segment bodies and the effect, so emitting padded text
-    # would break both parse(emit(x)) == x and the byte-level fixed point
+    # would break both parse(emit(x)) == x and the byte-level fixed point;
+    # emit checks padding first, then embedded tokens, bodies before the effect
     out = TvaeOutput(
         think=(ThinkSegment(ThinkTag.VERIFY, "Checked."), ThinkSegment(ThinkTag.ACTION, body)),
         verification=Verification.SUCCESS,
@@ -677,6 +687,10 @@ def test_emit_refuses_padded_text_and_round_trips_the_rest(body, readable, effec
         why = r"^turn: invalid expected_effect \(has leading or trailing whitespace\)$"
         with pytest.raises(DataError, match=why):
             emit_tvae(out)
+    elif readable is not True or effect_readable is not True:
+        with pytest.raises(DataError) as err:
+            emit_tvae(out)
+        assert str(err.value) == (readable if readable is not True else effect_readable)
     else:
         text = emit_tvae(out)
         parsed = parse_tvae(text)
