@@ -370,7 +370,7 @@ class _HttpPool:
                 sock.close()
             if 200 <= status < 300:
                 return _decode(data, content_type)
-            cause, why = None, f"HTTP {status} {reason}"
+            cause, why, fresh = None, f"HTTP {status} {reason}", True
             if status < 500:
                 break
         raise AgentError(f"{self.url}: {why}") from cause

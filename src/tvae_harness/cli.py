@@ -320,10 +320,15 @@ def cmd_score(args: argparse.Namespace) -> int:
                 f"group log-probs cover {covered} outputs but {len(samples)} were scored"
             )
         reports = [grpo_core.objective_report(g, grpo_cfg) for g in groups]
-        objective = {
-            "groups": reports,
-            "mean_objective": grpo_core.exact_mean([r["objective"] for r in reports]),
-        }
+        # JSON has no infinity or NaN; a finite objective has only finite parts.
+        for i, report in enumerate(reports, 1):
+            if not math.isfinite(report["objective"]):
+                raise DataError(f"group {i}: objective is not finite ({report['objective']!r})")
+        objectives = [r["objective"] for r in reports]
+        mean = grpo_core.exact_mean(objectives)
+        if math.isinf(mean):  # the sum overflowed; the mean of finite values does not
+            mean = math.fsum(x / len(objectives) for x in objectives)
+        objective = {"groups": reports, "mean_objective": mean}
         outputs.append("objective.json")
         sections["grpo"] = grpo_cfg
 

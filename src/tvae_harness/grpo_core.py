@@ -123,6 +123,11 @@ def group_advantages(rewards: Sequence[float]) -> list[float]:
     mean = exact_mean(rewards)
     residuals = [r - mean for r in rewards]
     scale = math.sqrt(exact_mean([d * d for d in residuals])) + EPS_STD
+    if math.isinf(scale) and all(map(math.isfinite, residuals)):
+        # The squares overflowed; the residuals over the largest of them do not.
+        top = max(map(abs, residuals))
+        scale = top * (math.hypot(*(d / top for d in residuals)) / math.sqrt(len(residuals)))
+        scale += EPS_STD
     return [d / scale for d in residuals]
 
 

@@ -91,9 +91,11 @@ class SimTrace:
 
     @property
     def outcome(self) -> Outcome:
-        """Completed once `t_gt` attempts matched, and on the first try when
-        no attempt missed."""
-        matches = self.final_cursor
+        return self.outcome_given(self.final_cursor)
+
+    def outcome_given(self, matches: int) -> Outcome:
+        """The outcome when `matches` of the attempts matched: completed once
+        `t_gt` attempts matched, and on the first try when no attempt missed."""
         if matches < self.t_gt:
             return Outcome.BUDGET_EXHAUSTED
         if matches == len(self.attempts):
@@ -315,8 +317,9 @@ def trace_line(trace: SimTrace) -> str:
         )
         gt_step += a.matched
         target = "SUCCESS" if a.matched else "NO_CHANGE"
+    outcome = trace.outcome_given(gt_step)._value_
     return (
-        f'{{"trajectory_id":{_json_str(trace.trajectory_id)},"outcome":"{trace.outcome._value_}",'
+        f'{{"trajectory_id":{_json_str(trace.trajectory_id)},"outcome":"{outcome}",'
         f'"steps_used":{len(attempts)},"t_gt":{trace.t_gt},"final_cursor":{gt_step},'
         f'"attempts":[{",".join(attempts)}]}}'
     )

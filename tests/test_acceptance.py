@@ -27,7 +27,7 @@ from tvae_harness.failure_forge import (
     sample_corruption,
 )
 from tvae_harness.grpo_core import GrpoConfig, KlEstimator, group_advantages, objective_report
-from tvae_harness.metric_suite import robustness_metrics, step_metrics, task_metrics
+from tvae_harness.metric_suite import episode_report, robustness_metrics
 from tvae_harness.reward_engine import composite_reward, verification_reward
 from tvae_harness.sim_engine import Outcome, SimConfig, run_episodes, run_failure_cases
 from tvae_harness.synthdata import make_dataset, random_trajectory
@@ -57,7 +57,7 @@ def test_c01_oracle_end_to_end():
     start = time.perf_counter()
     traces = run_episodes(trajs, agent, SimConfig(seed=1), workers=1)
     elapsed = time.perf_counter() - start
-    m = task_metrics(traces)
+    m = episode_report(traces)
     assert m.tsr == 1.0
     assert m.pg == 1.0
     assert m.sim_tsr == 1.0
@@ -101,7 +101,7 @@ def test_c03_failk_budget_exact():
     cfg = SimConfig(seed=3)
     for t_len in range(1, 9):
         trajs = [random_trajectory(f"c3-{t_len}-{i}", t_len, seed=103) for i in range(6)]
-        m = task_metrics(run_episodes(trajs, agent, cfg))
+        m = episode_report(run_episodes(trajs, agent, cfg))
         assert m.sim_tsr == 1.0, f"T={t_len}"
         assert m.aso == float(t_len), f"T={t_len}"
         assert m.tsr == 0.0
@@ -267,20 +267,18 @@ def test_c09_metric_algebra():
 
     for _ in range(50):
         steps = [make_click_step(i) for i in range(rng.randint(1, 8))]
-        m = step_metrics(*step_run((random_valid_action(rng), s) for s in steps))
+        m = episode_report(*step_run((random_valid_action(rng), s) for s in steps))
         assert m.sr <= m.tm + 1e-12
 
     agent = ScriptedAgent(Variant(VariantName.BERNOULLI, p=0.55))
     for seed in range(5):
         trajs = make_dataset(30, (1, 4), seed=200 + seed)
         traces = run_episodes(trajs, agent, SimConfig(seed=seed))
-        m = task_metrics(traces)
+        m = episode_report(traces)
         assert m.tsr <= m.sim_tsr + 1e-12
         for trace in traces:
             if trace.outcome is Outcome.COMPLETED_FIRST_TRY:
-                from tvae_harness.metric_suite import progress_fraction
-
-                assert progress_fraction(trace) == 1.0
+                assert episode_report([trace]).pg == 1.0
 
     # exhaustive oracle over every <=3-task combination of <=3-step tasks
     from test_metric_suite import _enumerate_signatures
@@ -297,7 +295,7 @@ def test_c09_metric_algebra():
         for size in (1, 2, 3):
             for combo in itertools.combinations_with_replacement(sigs[:10], size):
                 traces = [SimTrace(f"t{i}", tr.t_gt, tr.attempts) for i, tr in enumerate(combo)]
-                m = task_metrics(traces)
+                m = episode_report(traces)
                 n = len(traces)
                 # from the match flags, not the trace's derived properties
                 matches = lambda tr: sum(a.matched for a in tr.attempts)

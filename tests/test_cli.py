@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -176,8 +177,12 @@ def test_simulate_unreachable_remote_no_report(dataset, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("status, requests", [(400, 1), (404, 1), (500, 2), (503, 2)])
-def test_simulate_remote_http_error_retries_only_5xx(dataset, tmp_path, status, requests):
+@pytest.mark.parametrize(
+    "status, requests, connections", [(400, 1, 1), (404, 1, 1), (500, 2, 2), (503, 2, 2)]
+)
+def test_simulate_remote_http_error_retries_only_5xx(
+    dataset, tmp_path, status, requests, connections
+):
     out = tmp_path / "run"
     with CountingTurnServer("no turn", status=status) as server:
         code = main([
@@ -186,6 +191,7 @@ def test_simulate_remote_http_error_retries_only_5xx(dataset, tmp_path, status, 
         ])
     assert code == EXIT_AGENT
     assert server.requests == requests
+    assert server.connections == connections  # a 5xx is retried on a new connection
     assert not out.exists()
 
 
@@ -1015,6 +1021,50 @@ def test_score_with_group_logprobs(dataset, tmp_path):
     payload = json.loads((out / "objective.json").read_text())
     # equal rewards within each group: zero advantages, theta = ref: zero KL
     assert payload["mean_objective"] == 0.0
+
+
+def _write_wide_groups(tmp_path, n, wide, groups):
+    """A group file: `groups` pairs of a plain output and `wide`, and one
+    group of plain outputs covering the rest of the `n` scored outputs."""
+    plain = {"logprobs_new": [-0.5], "logprobs_old": [-0.5], "logprobs_ref": [-0.5]}
+    lines = [{"outputs": [plain] * (n - 2 * groups)}]
+    lines += [{"outputs": [{**plain, "reward": 1.0}, {**wide, "reward": 0.0}]}] * groups
+    path = tmp_path / "groups.jsonl"
+    path.write_text("".join(json.dumps(g) + "\n" for g in lines))
+    return path
+
+
+def test_score_refuses_an_objective_beyond_the_float_range(dataset, tmp_path, capsys):
+    samples, outputs, n = _write_score_inputs(tmp_path, dataset)
+    # the k3 term of the second output, exp(800) - 1 - 800, is beyond the float range
+    wide = {"logprobs_new": [-800.0], "logprobs_old": [-800.0], "logprobs_ref": [0.0]}
+    path = _write_wide_groups(tmp_path, n, wide, 1)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([
+        "score", "--samples", str(samples), "--outputs", str(outputs),
+        "--group-logprobs", str(path), "--out", str(out),
+    ]) == EXIT_DATA
+    assert "group 2: objective is not finite (-inf)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_score_writes_the_finite_mean_of_objectives_whose_sum_overflows(dataset, tmp_path):
+    samples, outputs, n = _write_score_inputs(tmp_path, dataset)
+    # each wide group's objective is about -4.1e307 (a ratio of exp(709)); five of them
+    # sum beyond the float range, but their mean with the plain group's does not
+    wide = {"logprobs_new": [0.0], "logprobs_old": [-709.0], "logprobs_ref": [0.0]}
+    path = _write_wide_groups(tmp_path, n, wide, 5)
+    out = tmp_path / "out"
+    assert main([
+        "score", "--samples", str(samples), "--outputs", str(outputs),
+        "--group-logprobs", str(path), "--out", str(out),
+    ]) == EXIT_OK
+    payload = json.loads((out / "objective.json").read_text())
+    objectives = [g["objective"] for g in payload["groups"]]
+    assert len(objectives) == 6 and all(o < -4e307 for o in objectives[1:])
+    exact = float(sum(map(Fraction, objectives)) / 6)
+    assert payload["mean_objective"] == pytest.approx(exact, rel=1e-15)
 
 
 # Modules that load only in a command that runs them: the agent transports'

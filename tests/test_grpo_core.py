@@ -74,6 +74,17 @@ def test_advantage_normalization_property(rng: random.Random):
         assert adv.std() == pytest.approx(1.0, rel=1e-6)
 
 
+def test_advantages_of_rewards_whose_squares_overflow():
+    # The mean of the squared residuals overflows, though the residuals and
+    # their population std are finite floats.
+    assert group_advantages([1e200, -1e200]) == [1.0, -1.0]
+    for rewards in ([1e200, -1.25], [1.7e308, -1.7e308]):
+        assert group_advantages(rewards) == pytest.approx([1.0, -1.0], abs=1e-15)
+    assert group_advantages([1e300, -1e300, 0.0]) == pytest.approx(
+        [math.sqrt(1.5), -math.sqrt(1.5), 0.0], abs=1e-15
+    )
+
+
 def test_group_too_small():
     with pytest.raises(DataError, match="^group of 1; need >= 2$"):
         group_advantages([1.0])
