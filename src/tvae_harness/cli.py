@@ -324,10 +324,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         for i, report in enumerate(reports, 1):
             if not math.isfinite(report["objective"]):
                 raise DataError(f"group {i}: objective is not finite ({report['objective']!r})")
-        objectives = [r["objective"] for r in reports]
-        mean = grpo_core.exact_mean(objectives)
-        if math.isinf(mean):  # the sum overflowed; the mean of finite values does not
-            mean = math.fsum(x / len(objectives) for x in objectives)
+        mean = grpo_core.exact_mean([r["objective"] for r in reports])
         objective = {"groups": reports, "mean_objective": mean}
         outputs.append("objective.json")
         sections["grpo"] = grpo_cfg

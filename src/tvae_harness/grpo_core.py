@@ -30,6 +30,7 @@ class KlEstimator(str, Enum):
 # Added to the group's reward std before dividing: a guard against a near-zero
 # scale, not a setting.
 EPS_STD = 1e-8
+_TOP = 500  # binary64 values scaled below 2**_TOP (of 2**1024) sum and square in range
 
 
 @dataclass(slots=True)
@@ -93,18 +94,16 @@ class GroupBatch:
         return [o.reward for o in self.outputs]
 
 
-def _exact_sum(xs: Sequence[float]) -> float:
-    """The exactly rounded sum, which does not depend on summation order; one
-    that overflows or meets inf + -inf is the plain running sum (inf or nan)."""
-    try:
-        return math.fsum(xs)
-    except (OverflowError, ValueError):
-        return sum(xs)
-
-
 def exact_mean(xs: Sequence[float]) -> float:
-    """Mean of `xs` from its exactly rounded sum."""
-    return _exact_sum(xs) / len(xs)
+    """Mean of `xs` from its exactly rounded sum, within 1.5 ulp of the exact
+    mean; finite values that sum past the float range are summed scaled by
+    2**(_TOP - 1024), which adds at most 2**-550.  inf + -inf gives NaN."""
+    try:
+        return math.fsum(xs) / len(xs)
+    except OverflowError:
+        return math.ldexp(exact_mean([math.ldexp(x, _TOP - 1024) for x in xs]), 1024 - _TOP)
+    except ValueError:
+        return math.nan
 
 
 def _exp_or_inf(x: float) -> float:
@@ -115,7 +114,11 @@ def _exp_or_inf(x: float) -> float:
 
 
 def group_advantages(rewards: Sequence[float]) -> list[float]:
-    """Normalize rewards within the group: (r - mean) / (population std + EPS_STD)."""
+    """Normalize rewards within the group: (r - mean) / (population std + EPS_STD).
+
+    Finite rewards give finite advantages, each within 2 ulp(mean) / std + 8 ulp(a)
+    + 8 ulp(max |a|) of its exact value `a`, `std` being the exact one plus EPS_STD.
+    """
     if len(rewards) < 2:
         raise DataError(f"group of {len(rewards)}; need >= 2")
     if all(r == rewards[0] for r in rewards):  # degenerate group: residuals are exactly zero
@@ -123,25 +126,24 @@ def group_advantages(rewards: Sequence[float]) -> list[float]:
     mean = exact_mean(rewards)
     residuals = [r - mean for r in rewards]
     scale = math.sqrt(exact_mean([d * d for d in residuals])) + EPS_STD
-    if math.isinf(scale) and all(map(math.isfinite, residuals)):
-        # The squares overflowed; the residuals over the largest of them do not.
-        top = max(map(abs, residuals))
-        scale = top * (math.hypot(*(d / top for d in residuals)) / math.sqrt(len(residuals)))
-        scale += EPS_STD
+    if math.isinf(scale):  # finite rewards (any other makes it NaN) past the float range:
+        # scaled below 2**_TOP they have the same advantages, EPS_STD being below an ulp
+        shift = _TOP - math.frexp(max(map(abs, rewards)))[1]
+        return group_advantages([math.ldexp(r, shift) for r in rewards])
     return [d / scale for d in residuals]
 
 
 def exact_kl(dist_new: Sequence[Sequence[float]], dist_ref: Sequence[Sequence[float]]) -> float:
     """Mean per-token KL(p_new || p_ref) from full distributions (one row per token).
 
-    Rows must sum to 1 within 1e-9; zero-probability reference entries are
-    only legal where the new policy also puts zero mass.
+    Rows are entries in [0, 1] that sum to 1 within 1e-9; a zero reference
+    entry is only legal where the new policy also puts zero mass.
     """
     widths = {len(row) for row in (*dist_new, *dist_ref)}
     if len(dist_new) != len(dist_ref) or len(widths) != 1:
         raise DataError("distributions must be two equal-shaped tables of rows")
     for name, dist in (("new", dist_new), ("ref", dist_ref)):
-        if any(abs(_exact_sum(row) - 1.0) > 1e-9 or any(v < 0 for v in row) for row in dist):
+        if any(not all(0 <= v <= 1 for v in row) or abs(math.fsum(row) - 1) > 1e-9 for row in dist):
             raise DataError(f"{name} rows must be distributions")
     if any(b <= 0 < a for p, q in zip(dist_new, dist_ref) for a, b in zip(p, q)):
         raise DataError("reference assigns zero mass where policy does not")

@@ -3,11 +3,14 @@
 Kept verbatim (numpy arrays, `np.exp`/`np.log`, pairwise `mean`/`sum`, a
 separate pass each for ratios, clipped surrogate and KL) so the pure-Python
 objective in `tvae_harness.grpo_core` can be checked against it field by
-field.
+field.  Where numpy overflows on finite rewards, `exact_advantages` is the
+reference instead: the advantages in rational arithmetic, stdlib only.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Any, Sequence
 
 import numpy as np
@@ -130,3 +133,39 @@ def objective_report(batch: GroupBatch, cfg: GrpoConfig | None = None) -> dict[s
         "kl_estimator": cfg.kl_estimator.value,
         "objective": objective,
     }
+
+
+# -- exact advantages ----------------------------------------------------------------
+
+
+def _sqrt(q: Fraction) -> Fraction:
+    """sqrt(q) within a relative 2**-128: the integer square root of
+    q's numerator times its denominator, scaled to at least 256 bits."""
+    n, d = q.numerator, q.denominator
+    k = max(0, 257 - (n * d).bit_length()) // 2 + 1
+    return Fraction(math.isqrt(n * d << 2 * k), d << k)
+
+
+def exact_advantages(rewards: Sequence[float]) -> tuple[list[Fraction], Fraction, Fraction]:
+    """The advantages (r - mean) / (population std + EPS_STD) of finite
+    `rewards`, with the mean and that scale: the mean, residuals and
+    variance exact, the square root within a relative 2**-128."""
+    rs = [Fraction(r) for r in rewards]
+    mean = sum(rs) / len(rs)
+    residuals = [r - mean for r in rs]
+    scale = _sqrt(sum(d * d for d in residuals) / len(rs)) + Fraction(EPS_STD)
+    return [d / scale for d in residuals], mean, scale
+
+
+def advantage_errors(rewards: Sequence[float], advantages: Sequence[float]) -> list[float]:
+    """Each advantage's distance from the exact one `e`, over the bound that
+    `grpo_core.group_advantages` states:
+    2 ulp(fl(mean)) / std + 8 ulp(e) + 8 ulp(max |e|), with `std` the
+    exact population std plus EPS_STD.  At most 1 where the bound holds."""
+    exact, mean, scale = exact_advantages(rewards)
+    top = math.ulp(max(abs(float(e)) for e in exact))
+    shared = Fraction(2 * math.ulp(float(mean))) / scale + 8 * Fraction(top)
+    return [
+        float(abs(Fraction(a) - e) / (shared + 8 * Fraction(math.ulp(float(e)))))
+        for a, e in zip(advantages, exact, strict=True)
+    ]

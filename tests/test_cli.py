@@ -45,6 +45,7 @@ from tvae_harness.tvae_codec import (
     emit_tvae,
 )
 
+import reference_grpo
 from conftest import FIXED_TURN, CountingTurnServer, ScriptedReplyServer
 
 
@@ -1023,22 +1024,33 @@ def test_score_with_group_logprobs(dataset, tmp_path):
     assert payload["mean_objective"] == 0.0
 
 
-def _write_wide_groups(tmp_path, n, wide, groups):
-    """A group file: `groups` pairs of a plain output and `wide`, and one
-    group of plain outputs covering the rest of the `n` scored outputs."""
-    plain = {"logprobs_new": [-0.5], "logprobs_old": [-0.5], "logprobs_ref": [-0.5]}
-    lines = [{"outputs": [plain] * (n - 2 * groups)}]
-    lines += [{"outputs": [{**plain, "reward": 1.0}, {**wide, "reward": 0.0}]}] * groups
+_PLAIN = {"logprobs_new": [-0.5], "logprobs_old": [-0.5], "logprobs_ref": [-0.5]}
+
+
+def _pair(wide):
+    """A group of a plain output of reward 1 and `wide` of reward 0."""
+    return [{**_PLAIN, "reward": 1.0}, {**wide, "reward": 0.0}]
+
+
+def _write_groups(tmp_path, n, groups):
+    """A group file: one group of plain outputs covering the rest of the `n`
+    scored outputs, then `groups`."""
+    lines = [{"outputs": [_PLAIN] * (n - sum(map(len, groups)))}]
+    lines += [{"outputs": g} for g in groups]
     path = tmp_path / "groups.jsonl"
     path.write_text("".join(json.dumps(g) + "\n" for g in lines))
     return path
 
 
-def test_score_refuses_an_objective_beyond_the_float_range(dataset, tmp_path, capsys):
-    samples, outputs, n = _write_score_inputs(tmp_path, dataset)
+@pytest.mark.parametrize("wide", [
     # the k3 term of the second output, exp(800) - 1 - 800, is beyond the float range
-    wide = {"logprobs_new": [-800.0], "logprobs_old": [-800.0], "logprobs_ref": [0.0]}
-    path = _write_wide_groups(tmp_path, n, wide, 1)
+    {"logprobs_new": [-800.0], "logprobs_old": [-800.0], "logprobs_ref": [0.0]},
+    # the second output's ratio, exp(800), is beyond the float range: its surrogate is -inf
+    {"logprobs_new": [0.0], "logprobs_old": [-800.0], "logprobs_ref": [0.0]},
+], ids=["k3-term", "ratio"])
+def test_score_refuses_an_objective_beyond_the_float_range(dataset, tmp_path, capsys, wide):
+    samples, outputs, n = _write_score_inputs(tmp_path, dataset)
+    path = _write_groups(tmp_path, n, [_pair(wide)])
     out = tmp_path / "out"
     capsys.readouterr()
     assert main([
@@ -1049,21 +1061,37 @@ def test_score_refuses_an_objective_beyond_the_float_range(dataset, tmp_path, ca
     assert not out.exists()
 
 
-def test_score_writes_the_finite_mean_of_objectives_whose_sum_overflows(dataset, tmp_path):
-    samples, outputs, n = _write_score_inputs(tmp_path, dataset)
+@pytest.mark.parametrize("groups, objective", [
     # each wide group's objective is about -4.1e307 (a ratio of exp(709)); five of them
     # sum beyond the float range, but their mean with the plain group's does not
-    wide = {"logprobs_new": [0.0], "logprobs_old": [-709.0], "logprobs_ref": [0.0]}
-    path = _write_wide_groups(tmp_path, n, wide, 5)
+    ([_pair({"logprobs_new": [0.0], "logprobs_old": [-709.0], "logprobs_ref": [0.0]})] * 5,
+     -4.109e307),
+    # the second output's two terms, about -1.65e308 each (a ratio of exp(709.7)),
+    # sum beyond the float range, but their mean does not
+    ([_pair({"logprobs_new": [0.0, 0.0], "logprobs_old": [-709.7] * 2, "logprobs_ref": [0.0] * 2})],
+     -8.27e307),
+    # the residual -1.7e308 - 2.5e307 is beyond the float range; the advantages are not
+    ([[{**_PLAIN, "reward": r} for r in (1.7e308, -1.7e308, 0.0, 1e308)]], 0.0),
+], ids=["objectives", "surrogate-terms", "residual"])
+def test_score_writes_the_finite_objective_of_values_whose_sums_overflow(
+    dataset, tmp_path, groups, objective
+):
+    samples, outputs, n = _write_score_inputs(tmp_path, dataset)
+    path = _write_groups(tmp_path, n, groups)
     out = tmp_path / "out"
     assert main([
         "score", "--samples", str(samples), "--outputs", str(outputs),
         "--group-logprobs", str(path), "--out", str(out),
     ]) == EXIT_OK
     payload = json.loads((out / "objective.json").read_text())
+    reports = payload["groups"][1:]
+    assert len(reports) == len(groups)
+    for group, report in zip(groups, reports):
+        rewards = [o["reward"] for o in group]
+        assert max(reference_grpo.advantage_errors(rewards, report["advantages"])) <= 1.0
+        assert report["objective"] == pytest.approx(objective, rel=1e-3, abs=1e-9)
     objectives = [g["objective"] for g in payload["groups"]]
-    assert len(objectives) == 6 and all(o < -4e307 for o in objectives[1:])
-    exact = float(sum(map(Fraction, objectives)) / 6)
+    exact = float(sum(map(Fraction, objectives)) / len(objectives))
     assert payload["mean_objective"] == pytest.approx(exact, rel=1e-15)
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
+import sys
 
 import numpy as np
 import pytest
@@ -83,6 +84,41 @@ def test_advantages_of_rewards_whose_squares_overflow():
     assert group_advantages([1e300, -1e300, 0.0]) == pytest.approx(
         [math.sqrt(1.5), -math.sqrt(1.5), 0.0], abs=1e-15
     )
+
+
+_MAX = sys.float_info.max
+
+
+@st.composite
+def _finite_rewards(draw):
+    """2-12 finite rewards: +-max, zeros, subnormals, m * 10**e for e up to
+    +-308, any float, and near-ties: a drawn reward moved 1-3 floats."""
+    value = st.one_of(
+        st.sampled_from([_MAX, -_MAX, 0.0, -0.0, 5e-324, -5e-324, sys.float_info.min]),
+        st.builds(lambda m, e: m * 10.0**e, st.floats(-10, 10), st.integers(-308, 307)),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    rewards = [draw(value)]
+    for _ in range(draw(st.integers(1, 11))):
+        if not draw(st.booleans()):
+            rewards.append(draw(value))
+            continue
+        r, toward = draw(st.sampled_from(rewards)), draw(st.sampled_from([-_MAX, 0.0, _MAX]))
+        for _ in range(draw(st.integers(1, 3))):
+            r = math.nextafter(r, toward)
+        rewards.append(r)
+    return rewards
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(rewards=_finite_rewards())
+@example(rewards=[1.7e308, -1.7e308, 0.0, 1e308])  # a residual overflows
+@example(rewards=[1e308, 1e308, 0.0])  # the sum overflows
+@example(rewards=[-1.9524809139953135e22, -1.952480913995313e22])  # a near-tie
+def test_advantages_of_finite_rewards_are_finite_and_within_the_exact_bound(rewards):
+    advantages = group_advantages(rewards)
+    assert all(map(math.isfinite, advantages))
+    assert max(reference_grpo.advantage_errors(rewards, advantages)) <= 1.0
 
 
 def test_group_too_small():
@@ -223,6 +259,9 @@ def test_exact_kl_validates_distributions():
         exact_kl(np.array([[0.5, 0.5]]), np.array([[1.0, 0.0]]))
     with pytest.raises(DataError, match="^new rows must be distributions$"):
         exact_kl([[1.5, -0.5]], [[0.5, 0.5]])
+    # entries are checked to be in [0, 1] before a row is summed, so the sum cannot overflow
+    with pytest.raises(DataError, match="^ref rows must be distributions$"):
+        exact_kl([[0.5, 0.5]], [[1e308, 1e308]])
     batch = GroupBatch((_output(1.0, [-0.3]), _output(0.0, [-0.3])))
     with pytest.raises(DataError, match="^exact KL requires full per-token distributions$"):
         objective_report(batch, GrpoConfig(kl_estimator=KlEstimator.EXACT))
@@ -275,15 +314,22 @@ def test_objective_report_fields():
 
 @pytest.mark.parametrize("rewards, old", [
     ([1.0, -1.0], -800.5),  # exp(800) overflows a float: the ratio is inf
-    ([1e308, 1e308, 0.0], -0.4),  # the reward sum overflows
+    ([1e308, 1e308, 0.0], -0.4),  # the reward sum overflows; the advantages do not
     ([math.inf, -math.inf], -0.4),
     ([math.nan, 1.0], -0.4),
 ])
 def test_non_finite_values_match_numpy_reference(rewards, old):
     batch = GroupBatch(tuple(_output(r, [-0.5], old=[old], ref=[-0.6]) for r in rewards))
+    report = objective_report(batch)
+    if all(map(math.isfinite, rewards)) and -0.5 - old < math.log(_MAX):
+        # Every true value is in range, so numpy's overflow is no reference:
+        # the exact advantages are, about [0.707, 0.707, -1.414].
+        assert max(reference_grpo.advantage_errors(rewards, report["advantages"])) <= 1.0
+        assert math.isfinite(report["objective"])
+        return
     with np.errstate(all="ignore"):
         expected = reference_grpo.objective_report(batch)
-    assert repr(objective_report(batch)) == repr(expected)
+    assert repr(report) == repr(expected)
 
 
 # -- the numpy reference ---------------------------------------------------------------------
