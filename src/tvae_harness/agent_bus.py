@@ -23,7 +23,7 @@ from urllib.parse import urlsplit
 from .errors import AgentError, DataError
 from .failure_forge import FailureMode, corrupt_action, mismatched_effect, sample_corruption
 from .trajectory_store import ActionRecord, StepRecord, describe_action
-from .tvae_codec import HistoryEntry, Verification, history_entry_line, write_turn
+from .tvae_codec import HistoryEntry, Verification, emit_tvae, history_entry_line
 
 WIRE_SCHEMA_VERSION = 1
 STDIO_SENTINEL = "<<<END_TURN>>>"
@@ -146,10 +146,10 @@ def _emit(
     diagnosis and retry after NO_CHANGE.  A None `effect` is the mismatched
     effect of `action`; the action is described once per turn.
 
-    The think lines are written straight into `write_turn`'s layout, with
-    none of `emit_tvae`'s checks: `_clean` and `_effect_safe` leave no tag
-    token or block terminator in a body, and every body starts and ends
-    with a fixed word or full stop, so none is blank or padded.
+    The think lines go to `emit_tvae`, which checks nothing, so each text
+    is safe by construction: `_clean` and `_effect_safe` leave no tag token
+    or block terminator in a body, and every body starts and ends with a
+    fixed word or full stop, so none is blank or padded.
     """
     recall = _recall_line(instruction)
     described = describe_action(action)
@@ -165,7 +165,7 @@ def _emit(
             f"{_RETRY_HEAD}\n{recall}\n{_RETRY_GROUNDING}\n"
             f"{_param_line(action, described)}[Recovery] Retry with {_clean(described)}."
         )
-    return write_turn(think, verification, action, _effect_safe(effect))
+    return emit_tvae(think, verification, action, _effect_safe(effect))
 
 
 # oracle is failk with K=0; offset_then_correct is K=1 with a fixed-mode

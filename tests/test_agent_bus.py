@@ -10,6 +10,8 @@ import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tvae_harness.agent_bus import (
     MAX_TURN_BYTES,
@@ -43,7 +45,6 @@ from tvae_harness.tvae_codec import (
     ThinkTag,
     TvaeOutput,
     Verification,
-    emit_tvae,
     parse_tvae,
 )
 
@@ -54,6 +55,7 @@ from conftest import (
     make_click_step,
     make_traj,
 )
+from reference_codec import emit_checked
 
 
 def _obs(history=(), budget=4) -> Observation:
@@ -204,7 +206,7 @@ def test_scripted_turns_take_the_fast_path(tmp_path, monkeypatch):
     assert turns > 1000 and len(texts) == turns
     assert all(tvae_codec._EMITTED_TURN.fullmatch(text) for text in texts)
     assert decoded and all("\\" in body for body in decoded)
-    # a segment body is checked where a turn is emitted
+    # the checked reference refuses a blank segment body of any tag
     for tag in ThinkTag:
         blank = TvaeOutput(
             think=(ThinkSegment(ThinkTag.RECOVERY, "Retry."), ThinkSegment(tag, " ")),
@@ -214,7 +216,7 @@ def test_scripted_turns_take_the_fast_path(tmp_path, monkeypatch):
         )
         why = rf"^think: invalid {tag.value} \(empty segment body\)$"
         with pytest.raises(DataError, match=why):
-            emit_tvae(blank)
+            emit_checked(blank)
 
 
 def _hostile_trajectories():
@@ -244,24 +246,30 @@ def _hostile_trajectories():
     ]
 
 
+_SCRIPTED_SPECS = ("oracle", "loopy", "failk:2", "bernoulli:0.5", "offset_then_correct")
+
+
+class _Recording:
+    """A scripted agent that appends each turn text it writes to `texts`."""
+
+    white_box, max_inflight = True, 1
+
+    def __init__(self, spec, texts):
+        self.agent = parse_agent_spec(f"scripted:{spec}", timeout=5)
+        self.texts = texts
+
+    def turn(self, obs, gt, rng):
+        self.texts.append(self.agent.turn(obs, gt, rng))
+        return self.texts[-1]
+
+
 def test_scripted_turn_texts_are_pinned(tmp_path):
     # Traces do not record a turn's text, so a drift of the scripted templates
     # (or a shorter text that would flatter the parse) shows only here.
     texts = []
-
-    class Recording:
-        white_box, max_inflight = True, 1
-
-        def __init__(self, agent):
-            self.agent = agent
-
-        def turn(self, obs, gt, rng):
-            texts.append(self.agent.turn(obs, gt, rng))
-            return texts[-1]
-
     datasets = (*_relative_and_pixel_datasets(tmp_path), _hostile_trajectories())
-    for spec in ("oracle", "loopy", "failk:2", "bernoulli:0.5", "offset_then_correct"):
-        agent = Recording(parse_agent_spec(f"scripted:{spec}", timeout=5))
+    for spec in _SCRIPTED_SPECS:
+        agent = _Recording(spec, texts)
         for trajs in datasets:
             run_episodes(trajs, agent, SimConfig(seed=3))
     digest = hashlib.sha256()
@@ -269,11 +277,65 @@ def test_scripted_turn_texts_are_pinned(tmp_path):
         digest.update(text.encode("utf-8") + b"\0")
         parsed = parse_tvae(text)
         assert parsed.warnings == ()
-        assert emit_tvae(parsed) == text
+        assert emit_checked(parsed) == text
     assert len(texts) == 1929
     assert digest.hexdigest() == (
         "e4aca1ee56999ad79fbf8c0c5db6168183ae9519f5c4e6090dc43b727ed37f7d"
     )
+
+
+# Pieces of hostile text: tag tokens, block tags and terminators, padding,
+# non-ASCII, line and paragraph separators, control characters, JSON
+# escapes, and arbitrary short text.
+_HOSTILE_PIECES = st.one_of(
+    st.sampled_from([
+        "[", "]", "[Verify]", "[Recovery]", "[Plan]", "<", ">", "</", "<\\/", "(/",
+        "<think>", "</think>", "</verification>", "<action>", "</action>",
+        "</expected_effect>", "<<//", " ", "\t", "\n", "\r", "\u00a0", "\u2003",
+        "\u2028", "\u2029", "\x85", "\x00", "\x1f", "\x7f", "Caf\u00e9", "\u65e5\u672c",
+        "\u2615", '"', "\\", "'", "SUCCESS", "NO_CHANGE", ".", "a",
+    ]),
+    st.text(max_size=3),
+)
+_HOSTILE_TEXT = st.lists(_HOSTILE_PIECES, max_size=6).map("".join)
+
+
+@st.composite
+def _hostile_trajectory(draw) -> TrajectoryRecord:
+    """One to three steps, each an input_text or open_app action, or now and
+    then a click, with arbitrary texts everywhere the agent copies one."""
+    steps = []
+    for i in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(
+            [ActionKind.INPUT_TEXT, ActionKind.OPEN_APP, ActionKind.INPUT_TEXT, ActionKind.CLICK]
+        ))
+        if kind is ActionKind.CLICK:
+            action = ActionRecord(kind=kind, coordinate=(0.5, 0.25))
+        else:
+            action = ActionRecord(kind=kind, text=draw(_HOSTILE_TEXT.filter(bool)))
+        effect = draw(_HOSTILE_TEXT.filter(str.strip))
+        steps.append(StepRecord(i, f"p/s{i}", action, effect))
+    return TrajectoryRecord("p", draw(_HOSTILE_TEXT), tuple(steps), "p/done")
+
+
+@settings(
+    max_examples=60, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(traj=_hostile_trajectory())
+def test_scripted_turns_are_checked_turns_for_any_texts(traj):
+    # emit_tvae checks nothing, so the scripted agent's `_clean` and
+    # `_effect_safe` alone keep each body free of tag tokens, block
+    # terminators and padding; the checked reference would refuse a turn
+    # that breaks one of them, or write different bytes
+    texts = []
+    for spec in _SCRIPTED_SPECS:
+        run_episodes([traj], _Recording(spec, texts), SimConfig(seed=3))
+    assert texts
+    for text in texts:
+        parsed = parse_tvae(text)
+        assert parsed.warnings == ()
+        assert emit_checked(parsed) == text
 
 
 # -- remote agents ----------------------------------------------------------------------

@@ -42,11 +42,11 @@ from tvae_harness.tvae_codec import (
     ThinkTag,
     TvaeOutput,
     Verification,
-    emit_tvae,
 )
 
 import reference_grpo
 from conftest import FIXED_TURN, CountingTurnServer, ScriptedReplyServer
+from reference_codec import emit_checked
 
 
 @pytest.fixture
@@ -967,7 +967,7 @@ def _write_score_inputs(tmp_path, dataset):
                 action=s.target_action,
                 expected_effect=s.target_effect,
             )
-            fh.write(json.dumps({"raw": emit_tvae(turn)}) + "\n")
+            fh.write(json.dumps({"raw": emit_checked(turn)}) + "\n")
     return sft / "samples.jsonl", outputs, len(samples)
 
 

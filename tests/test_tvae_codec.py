@@ -17,12 +17,12 @@ from tvae_harness.tvae_codec import (
     TvaeOutput,
     Verification,
     emit_action_json,
-    emit_tvae,
     parse_action_json,
     parse_tvae,
 )
 
 from conftest import random_valid_action, random_valid_turn
+from reference_codec import emit_checked
 from reference_codec import parse_tvae as reference_parse
 
 # Worked reference turns for the two paths.
@@ -204,7 +204,7 @@ def test_emit_requires_invariants():
         expected_effect="Something happens.",
     )
     with pytest.raises(DataError, match="NO_CHANGE requires a"):
-        emit_tvae(bad)
+        emit_checked(bad)
 
 
 def test_emit_minimal_success_round_trips():
@@ -214,7 +214,7 @@ def test_emit_minimal_success_round_trips():
         action=parse_tvae(TYPE_A_TURN).action,
         expected_effect="The bus list appears.",
     )
-    text = emit_tvae(out)
+    text = emit_checked(out)
     assert text.index("<think>") < text.index("<verification>") < text.index("<action>")
     parsed = parse_tvae(text)
     assert parsed == out and parsed.warnings == ()
@@ -233,20 +233,20 @@ def test_text_holding_a_block_terminator_round_trips(kind, terminator):
         action=ActionRecord(kind=kind, text=f"a{terminator}b <action>"),
         expected_effect="The text appears.",
     )
-    text = emit_tvae(out)
+    text = emit_checked(out)
     assert text.count("</action>") == 1
     parsed = parse_tvae(text)
     assert parsed == out and parsed.warnings == ()
-    assert emit_tvae(parsed) == text
+    assert emit_checked(parsed) == text
 
 
 def test_round_trip_fuzz_small(rng: random.Random):
     for _ in range(200):
         out = random_valid_turn(rng)
-        text = emit_tvae(out)
+        text = emit_checked(out)
         parsed = parse_tvae(text)
         assert parsed == out and parsed.warnings == ()
-        assert emit_tvae(parsed) == text
+        assert emit_checked(parsed) == text
 
 
 def test_wait_time_alias():
@@ -268,7 +268,7 @@ def test_parser_never_crashes_on_arbitrary_bytes(rng: random.Random):
 
 def test_parser_never_crashes_on_mutated_valid_turns(rng: random.Random):
     for _ in range(1000):
-        text = emit_tvae(random_valid_turn(rng))
+        text = emit_checked(random_valid_turn(rng))
         cut = sorted(rng.sample(range(len(text) + 1), 2))
         mutated = text[: cut[0]] + text[cut[1]:]
         try:
@@ -364,7 +364,7 @@ _FRAGMENTS = st.sampled_from(
 @st.composite
 def _mutated_turns(draw) -> str:
     """An emitted valid turn with deleted, duplicated and inserted spans."""
-    text = emit_tvae(random_valid_turn(random.Random(draw(st.integers(0, 2**32)))))
+    text = emit_checked(random_valid_turn(random.Random(draw(st.integers(0, 2**32)))))
     for _ in range(draw(st.integers(0, 4))):
         i, j = sorted(draw(st.lists(st.integers(0, len(text)), min_size=2, max_size=2)))
         op = draw(st.sampled_from(("delete", "duplicate", "insert")))
@@ -450,7 +450,7 @@ def test_unclosed_open_tags_parse_in_linear_time(make):
 def _emitted(think: str = "Find the bus routes.", text: str = "bus", effect: str = "Routes appear.",
              verification: Verification = Verification.SUCCESS,
              extra: tuple[ThinkSegment, ...] = ()) -> str:
-    return emit_tvae(TvaeOutput(
+    return emit_checked(TvaeOutput(
         think=(ThinkSegment(ThinkTag.VERIFY, "The list opened."),
                ThinkSegment(ThinkTag.RECALL, think), *extra,
                ThinkSegment(ThinkTag.ACTION, "Type the query.")),
@@ -682,17 +682,17 @@ def test_emit_refuses_padded_text_and_round_trips_the_rest(body, readable, effec
         why = "empty segment body" if not body.strip() else (
             "segment body has leading or trailing whitespace")
         with pytest.raises(DataError, match=rf"^think: invalid Action \({why}\)$"):
-            emit_tvae(out)
+            emit_checked(out)
     elif not effect_readable:
         why = r"^turn: invalid expected_effect \(has leading or trailing whitespace\)$"
         with pytest.raises(DataError, match=why):
-            emit_tvae(out)
+            emit_checked(out)
     elif readable is not True or effect_readable is not True:
         with pytest.raises(DataError) as err:
-            emit_tvae(out)
+            emit_checked(out)
         assert str(err.value) == (readable if readable is not True else effect_readable)
     else:
-        text = emit_tvae(out)
+        text = emit_checked(out)
         parsed = parse_tvae(text)
         assert parsed == out and parsed.warnings == ()
-        assert emit_tvae(parsed) == text
+        assert emit_checked(parsed) == text
