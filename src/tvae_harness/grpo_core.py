@@ -181,14 +181,13 @@ def _output_terms(
     return surrogate, exact_kl(o.dist_new, o.dist_ref)
 
 
-def objective_report(batch: GroupBatch, cfg: GrpoConfig | None = None) -> dict[str, Any]:
+def objective_report(batch: GroupBatch, cfg: GrpoConfig) -> dict[str, Any]:
     """Audit-friendly breakdown of one group's objective computation.
 
     `objective` is the mean over outputs of the length-normalized clipped
     surrogate, minus lambda times the mean KL penalty (always >= 0, and 0
     iff the policies agree).
     """
-    cfg = cfg or GrpoConfig()
     advantages = group_advantages(batch.rewards)
     surrogate, kl = [], []
     for o, adv in zip(batch.outputs, advantages):

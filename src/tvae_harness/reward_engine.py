@@ -43,9 +43,6 @@ class RewardConfig:
             raise DataError("reward_config: invalid alpha/beta (>= 0, 1 + alpha + 2 * beta finite)")
 
 
-_DEFAULT_CONFIG = RewardConfig()
-
-
 @dataclass(slots=True)
 class RewardBreakdown:
     """Per-output reward components; total = r_act + alpha*r_eff + beta*r_ver.
@@ -204,14 +201,13 @@ def verification_reward(pred: Verification, target: Verification) -> float:
 
 
 def composite_reward(
-    out: TvaeOutput, sample: "SyntheticSample", cfg: RewardConfig | None = None
+    out: TvaeOutput, sample: "SyntheticSample", cfg: RewardConfig
 ) -> RewardBreakdown:
     """Score one parsed turn against its training sample.
 
     r_eff is gated on action correctness: a wrong action earns zero effect
     reward no matter how plausible the predicted effect reads.
     """
-    cfg = cfg or _DEFAULT_CONFIG
     pred_action, _ = ground(out.action, sample.screen_dims)
     matched = match_action(pred_action, sample.target_action, sample.target_bbox)
     r_act = 1.0 if matched else -1.0
@@ -222,7 +218,7 @@ def composite_reward(
 
 
 def score_output(
-    raw: str, sample: "SyntheticSample", cfg: RewardConfig | None = None
+    raw: str, sample: "SyntheticSample", cfg: RewardConfig
 ) -> RewardBreakdown:
     """Score one raw agent output: `composite_reward` of its parse.
 
@@ -230,7 +226,6 @@ def score_output(
     a wrong action, zero effect reward and the generic miss penalty; any
     other exception is a harness bug and propagates.
     """
-    cfg = cfg or _DEFAULT_CONFIG
     try:
         turn = parse_tvae(raw)
     except DataError as exc:

@@ -4,7 +4,8 @@ A turn consists of <think>, <verification>, <action>, <expected_effect>
 blocks (any order on input, canonical order on output).  Think text is a
 sequence of tagged segments drawn from a closed vocabulary; verification is
 the binary SUCCESS / NO_CHANGE judgment; the action block holds executable
-JSON keyed by "action".
+JSON keyed by "action".  The parse checks the think block through its tags
+and blank segments, and keeps none of its text.
 """
 
 from __future__ import annotations
@@ -53,20 +54,11 @@ BLOCK_NAMES = ("think", "verification", "action", "expected_effect")
 
 
 @dataclass(slots=True)
-class ThinkSegment:
-    """One tagged think segment.  The parser builds only non-blank, unpadded
-    bodies: it strips each body and drops a blank one with a warning."""
-
-    tag: ThinkTag
-    body: str
-
-
-@dataclass(slots=True)
 class TvaeOutput:
     """A parsed turn plus its warnings, one per structure problem the parse
-    read past; `warnings` is left out of equality, so round trips compare structure."""
+    read past; `warnings` is left out of equality, so round trips compare
+    structure.  The think block is checked through its tags, not kept."""
 
-    think: tuple[ThinkSegment, ...]
     verification: Verification
     action: ActionRecord
     expected_effect: str
@@ -74,16 +66,16 @@ class TvaeOutput:
 
 
 def _turn_problem(
-    think: tuple[ThinkSegment, ...], tags: set[ThinkTag], verification: Verification, effect: str
+    tags: tuple[ThinkTag, ...], verification: Verification, effect: str
 ) -> str | None:
     """The message of the first structural rule a turn breaks, or None; `tags`
-    is the set of its segments' tags.  The parse warns of it; `emit_tvae`
-    checks nothing, so a turn that breaks a rule is written as given."""
-    if not think:
+    are its non-blank think segments' tags, in order.  The parse warns of it;
+    `emit_tvae` checks nothing, so a turn that breaks a rule is written as given."""
+    if not tags:
         return "turn: invalid think (needs at least one segment)"
-    if ThinkTag.VERIFY in tags and think[0].tag is not ThinkTag.VERIFY:
+    if ThinkTag.VERIFY in tags and tags[0] is not ThinkTag.VERIFY:
         return "turn: invalid think ([Verify] must come first)"
-    if verification is Verification.NO_CHANGE and not RECOVERY_TAGS & tags:
+    if verification is Verification.NO_CHANGE and RECOVERY_TAGS.isdisjoint(tags):
         return "turn: invalid think (NO_CHANGE requires a [Diagnose] or [Recovery] segment)"
     if not effect.strip():
         return "turn: invalid expected_effect (must be non-empty)"
@@ -106,45 +98,43 @@ _KNOWN_TAGS = {t.value: t for t in ThinkTag}
 VERIFICATIONS = {v.value: v for v in Verification}
 
 
-def _assemble_segments(body: str, warnings: list[str]) -> tuple[ThinkSegment, ...]:
+def _think_tags(body: str, warnings: list[str]) -> tuple[ThinkTag, ...]:
+    """The tags of the think block's non-blank segments, in order; an unknown
+    tag counts as text of the open segment, a blank segment is dropped."""
     # split() alternates text and tag tokens: [text, token, text, ..., text].
     pieces = _TAG_RE.split(body)
     tags = [_KNOWN_TAGS.get(token) for token in pieces[1::2]]
-    texts = [text.strip() for text in pieces[2::2]]
-    if None not in tags and "" not in texts and not pieces[0].strip():
+    if None not in tags and "" not in map(str.strip, pieces[2::2]) and not pieces[0].strip():
         # Known tags, each followed by text: the loop below would warn of
-        # nothing and build exactly these segments.
-        return tuple(map(ThinkSegment, tags, texts))
+        # nothing and keep every tag.
+        return tuple(tags)
     last = len(pieces) - 1
-    segments: list[ThinkSegment] = []
+    kept: list[ThinkTag] = []
     tag: ThinkTag | None = None
-    parts: list[str] = []
+    filled = False  # the open segment holds text
     for i in range(0, last + 1, 2):
         text = pieces[i]
         if tag is not None:
-            parts.append(text)
+            filled = filled or bool(text.strip())
         elif text.strip():
             warnings.append(
                 "untagged leading think text ignored" if i < last else "untagged think text ignored"
             )
         known = None
         if i < last:
-            token = pieces[i + 1]
             known = tags[i // 2]
             if known is None:
-                warnings.append(f"unknown think tag [{token}] folded into previous segment")
-                if tag is not None:
-                    parts.append(f"[{token}]")
+                warnings.append(f"unknown think tag [{pieces[i + 1]}] folded into previous segment")
+                filled = True
                 continue
         # A known tag or the end of the body closes the open segment.
         if tag is not None:
-            joined = "".join(parts).strip()
-            if joined:
-                segments.append(ThinkSegment(tag, joined))
+            if filled:
+                kept.append(tag)
             else:
                 warnings.append(f"dropped empty [{tag.value}] segment")
-        tag, parts = known, []
-    return tuple(segments)
+        tag, filled = known, False
+    return tuple(kept)
 
 
 def parse_action_json(body: str) -> ActionRecord:
@@ -260,6 +250,8 @@ def parse_tvae(raw: str) -> TvaeOutput:
     can be read: a missing <verification> or <action> block, an unknown
     verification token or a bad action.  Any other problem is a warning,
     among them a break of one of the four turn rules (`_turn_problem`).
+    The think block is read only for those warnings: its tag order, its
+    unknown tags, and its untagged and blank text.
 
     Text in exactly the layout `emit_tvae` writes, with no "<" inside a
     block, is split into its four blocks by one full match.  The block scan
@@ -302,7 +294,7 @@ def parse_tvae(raw: str) -> TvaeOutput:
     m = _EMITTED_ACTION.fullmatch(action_body)
     action = _emitted_action(*m.groups()) if m is not None else parse_action_json(action_body)
 
-    think = _assemble_segments(blocks.get("think", ""), warnings)
+    tags = _think_tags(blocks.get("think", ""), warnings)
     if "think" not in blocks:
         warnings.append("missing <think> block")
 
@@ -310,14 +302,12 @@ def parse_tvae(raw: str) -> TvaeOutput:
     if "expected_effect" not in blocks:
         warnings.append("missing <expected_effect> block")
 
-    tags = {s.tag for s in think}
-    problem = _turn_problem(think, tags, verification, effect)
-    if problem is not None:
+    if (problem := _turn_problem(tags, verification, effect)) is not None:
         warnings.append(problem)
     if verification is Verification.SUCCESS and not RECOVERY_TAGS.isdisjoint(tags):
         # Undefined combination; surfaced rather than resolved by precedence.
         warnings.append("SUCCESS verification alongside [Diagnose]/[Recovery] tags")
-    return TvaeOutput(think, verification, action, effect, tuple(warnings))
+    return TvaeOutput(verification, action, effect, tuple(warnings))
 
 
 def emit_tvae(

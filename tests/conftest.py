@@ -17,12 +17,9 @@ from tvae_harness.trajectory_store import (
     TrajectoryRecord,
     round_coord,
 )
-from tvae_harness.tvae_codec import (
-    ThinkSegment,
-    ThinkTag,
-    TvaeOutput,
-    Verification,
-)
+from tvae_harness.tvae_codec import ThinkTag, Verification
+
+from reference_codec import ReferenceTurn, ThinkSegment
 
 FIXED_TURN = (
     "<think>\n[Verify] Screen checked.\n[Action] click.\n</think>\n"
@@ -93,8 +90,9 @@ def _body(rng: random.Random) -> str:
     return " ".join(rng.sample(WORDS, rng.randint(2, 6))) + "."
 
 
-def random_valid_turn(rng: random.Random) -> TvaeOutput:
-    """Generate a structurally valid turn for round-trip fuzzing."""
+def random_valid_turn(rng: random.Random) -> ReferenceTurn:
+    """Generate a structurally valid turn, with its think segments, for
+    round-trip fuzzing."""
     verification = rng.choice(list(Verification))
     segments: list[ThinkSegment] = []
     if rng.random() < 0.9:
@@ -107,7 +105,7 @@ def random_valid_turn(rng: random.Random) -> TvaeOutput:
         segments.append(ThinkSegment(rng.choice((ThinkTag.DIAGNOSE, ThinkTag.RECOVERY)), _body(rng)))
     if not segments:
         segments.append(ThinkSegment(ThinkTag.ACTION, _body(rng)))
-    return TvaeOutput(
+    return ReferenceTurn(
         think=tuple(segments),
         verification=verification,
         action=random_valid_action(rng),

@@ -9,6 +9,12 @@ results, identical warnings and identical errors.  That check also covers the
 parser's one full match of the layout `emit_tvae` writes: turns in that
 layout and turns just outside it must parse as the block scan here does.
 
+The program checks the think block through its tags and keeps none of its
+text.  The reference keeps it: it returns a `ReferenceTurn`, whose think
+segments (`ThinkSegment`, each a tag and its stripped body) are what
+`emit_checked` writes back, and whose `projection` is the `TvaeOutput` the
+program's parse must return.
+
 The program has one turn writer, `tvae_codec.emit_tvae`, and it checks
 nothing: in the program, the parse judges the four turn rules and warns.
 `emit_checked` is that writer behind every check a turn must pass to be a
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import dataclass, field
 from typing import Any
 
 from tvae_harness.errors import DataError
@@ -27,7 +34,6 @@ from tvae_harness.trajectory_store import ActionKind, ActionRecord, ScrollDirect
 from tvae_harness.tvae_codec import (
     BLOCK_NAMES,
     RECOVERY_TAGS,
-    ThinkSegment,
     ThinkTag,
     TvaeOutput,
     Verification,
@@ -42,7 +48,31 @@ _TAG_RE = re.compile(r"\[([A-Za-z][A-Za-z0-9_]*)\]")
 _KNOWN_TAGS = {t.value: t for t in ThinkTag}
 
 
-def validate(out: TvaeOutput) -> None:
+@dataclass(slots=True)
+class ThinkSegment:
+    """One tagged think segment.  The parser builds only non-blank, unpadded
+    bodies: it strips each body and drops a blank one with a warning."""
+
+    tag: ThinkTag
+    body: str
+
+
+@dataclass(slots=True)
+class ReferenceTurn:
+    """A turn with its think segments: the fields of `TvaeOutput` plus `think`."""
+
+    think: tuple[ThinkSegment, ...]
+    verification: Verification
+    action: ActionRecord
+    expected_effect: str
+    warnings: tuple[str, ...] = field(default=(), compare=False)
+
+    def projection(self) -> TvaeOutput:
+        """The turn without its think segments, as the program's parse returns it."""
+        return TvaeOutput(self.verification, self.action, self.expected_effect, self.warnings)
+
+
+def validate(out: ReferenceTurn) -> None:
     if not out.think:
         raise DataError("turn: invalid think (needs at least one segment)")
     tags = [s.tag for s in out.think]
@@ -154,7 +184,7 @@ def parse_action_json(body: str) -> ActionRecord:
     return ActionRecord(kind=kind)
 
 
-def parse_tvae(raw: str, strict: bool = True) -> TvaeOutput:
+def parse_tvae(raw: str, strict: bool = True) -> ReferenceTurn:
     warnings: list[str] = []
     blocks: dict[str, str] = {}
     for m in _BLOCK_RE.finditer(raw):
@@ -188,7 +218,7 @@ def parse_tvae(raw: str, strict: bool = True) -> TvaeOutput:
     if "expected_effect" not in blocks:
         warnings.append("missing <expected_effect> block")
 
-    out = TvaeOutput(
+    out = ReferenceTurn(
         think=think,
         verification=verification,
         action=action,
@@ -202,7 +232,7 @@ def parse_tvae(raw: str, strict: bool = True) -> TvaeOutput:
             validate(out)
         except DataError as exc:
             warnings.append(str(exc))
-            out = TvaeOutput(
+            out = ReferenceTurn(
                 think=think,
                 verification=verification,
                 action=action,
@@ -212,7 +242,7 @@ def parse_tvae(raw: str, strict: bool = True) -> TvaeOutput:
     tags = {s.tag for s in out.think}
     if verification is Verification.SUCCESS and RECOVERY_TAGS & tags:
         warnings.append("SUCCESS verification alongside [Diagnose]/[Recovery] tags")
-        out = TvaeOutput(
+        out = ReferenceTurn(
             think=out.think,
             verification=out.verification,
             action=out.action,
@@ -239,11 +269,12 @@ def _body_problem(think: tuple[ThinkSegment, ...]) -> DataError:
     )
 
 
-def emit_checked(out: TvaeOutput) -> str:
-    """Serialize a valid TvaeOutput in canonical block order.
+def emit_checked(out: ReferenceTurn) -> str:
+    """Serialize a valid ReferenceTurn in canonical block order.
 
-    parse_tvae(emit_checked(x)) is structurally equal to x, and emit is a
-    byte-level fixed point over parse.  So each segment body and the
+    This module's parse_tvae(emit_checked(x)) is structurally equal to x,
+    and emit is a byte-level fixed point over that parse; the program's
+    parse of the text is x's projection.  So each segment body and the
     expected effect must be non-blank and free of leading and trailing
     whitespace (which the parse strips), and must not embed tag tokens or
     block terminators (which would make the text unparseable).
@@ -253,7 +284,7 @@ def emit_checked(out: TvaeOutput) -> str:
     stripped = list(map(str.strip, bodies))
     if stripped != bodies or "" in stripped:
         raise _body_problem(think)
-    problem = _turn_problem(think, {s.tag for s in think}, out.verification, effect)
+    problem = _turn_problem(tuple(s.tag for s in think), out.verification, effect)
     if problem is not None:
         raise DataError(problem)
     if effect.strip() != effect:

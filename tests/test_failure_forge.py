@@ -28,6 +28,7 @@ from tvae_harness.agent_bus import ScriptedAgent, Variant, VariantName
 from tvae_harness.reward_engine import (
     DELTA,
     REPEAT_EPSILON,
+    RewardConfig,
     actions_approx_equal,
     distance_to_bbox,
     euclidean,
@@ -42,7 +43,7 @@ from tvae_harness.trajectory_store import (
     ScrollDirection,
     describe_action,
 )
-from tvae_harness.tvae_codec import ThinkSegment, ThinkTag, TvaeOutput, Verification
+from tvae_harness.tvae_codec import TvaeOutput, Verification
 
 from conftest import FIXED_TURN
 
@@ -339,8 +340,7 @@ def test_type_b_replay_is_idempotent_under_transition_rule():
             continue
         step = steps_by_ref[s.input_screen_ref]
         failed = s.history[-1]
-        think = (ThinkSegment(ThinkTag.ACTION, "Act."),)
-        turn = TvaeOutput(think, failed.verification, failed.action, failed.expected_effect)
+        turn = TvaeOutput(failed.verification, failed.action, failed.expected_effect)
         history, log = transition(s.history[:-1], failed.action, step, turn=turn)
         assert not log.matched  # the screen is unchanged
         assert history == s.history  # the miss adds the entry the sample records
@@ -405,7 +405,7 @@ def test_pixel_target_is_read_in_the_screen_size_of_its_line():
     })
     assert sample.target_action.coordinate == (round(317 / 1080, 6), round(1190 / 2400, 6))
     turn = FIXED_TURN.replace("[0.5, 0.5]", "[317, 1190]")
-    assert score_output(turn, sample).r_act == 1.0
+    assert score_output(turn, sample, RewardConfig()).r_act == 1.0
 
 
 def test_pixel_recovery_and_erroneous_are_read_in_the_screen_size_of_their_line():

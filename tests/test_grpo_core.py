@@ -249,7 +249,7 @@ def test_k3_nonnegative_property(rng: random.Random):
             _output(1.0, new, ref=ref),
             _output(0.0, [-1.0], ref=[-1.0]),
         ))
-        assert np.all(np.asarray(objective_report(batch)["kl_per_output"]) >= 0.0)
+        assert np.all(np.asarray(objective_report(batch, GrpoConfig())["kl_per_output"]) >= 0.0)
 
 
 def test_exact_kl_validates_distributions():
@@ -278,7 +278,7 @@ def test_objective_fully_degenerate_is_zero():
         _output(1.5, [-0.2]),
         _output(1.5, [-0.8, -0.1, -0.3]),
     ))
-    assert objective_report(batch)["objective"] == 0.0
+    assert objective_report(batch, GrpoConfig())["objective"] == 0.0
 
 
 def test_lambda_zero_reduces_to_surrogate():
@@ -306,7 +306,7 @@ def test_objective_hand_case_two_outputs():
 
 def test_objective_report_fields():
     batch = GroupBatch((_output(1.0, [-0.5]), _output(-1.0, [-0.7])))
-    report = objective_report(batch)
+    report = objective_report(batch, GrpoConfig())
     assert report["group_size"] == 2
     assert len(report["advantages"]) == 2
     assert "objective" in report and "kl_estimator" in report
@@ -320,7 +320,7 @@ def test_objective_report_fields():
 ])
 def test_non_finite_values_match_numpy_reference(rewards, old):
     batch = GroupBatch(tuple(_output(r, [-0.5], old=[old], ref=[-0.6]) for r in rewards))
-    report = objective_report(batch)
+    report = objective_report(batch, GrpoConfig())
     if all(map(math.isfinite, rewards)) and -0.5 - old < math.log(_MAX):
         # Every true value is in range, so numpy's overflow is no reference:
         # the exact advantages are, about [0.707, 0.707, -1.414].

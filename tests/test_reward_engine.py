@@ -27,7 +27,7 @@ from tvae_harness.trajectory_store import (
     ActionRecord,
     ScrollDirection,
 )
-from tvae_harness.tvae_codec import ThinkSegment, ThinkTag, TvaeOutput, Verification, parse_tvae
+from tvae_harness.tvae_codec import TvaeOutput, Verification, parse_tvae
 
 from conftest import WORDS, random_valid_turn
 
@@ -182,19 +182,14 @@ def _sample(action: ActionRecord, effect: str, target=Verification.SUCCESS) -> S
 
 
 def _turn(action: ActionRecord, verification: Verification, effect: str) -> TvaeOutput:
-    think = [ThinkSegment(ThinkTag.VERIFY, "Checked the screen.")]
-    if verification is Verification.NO_CHANGE:
-        think.append(ThinkSegment(ThinkTag.DIAGNOSE, "It failed."))
-    return TvaeOutput(
-        think=tuple(think), verification=verification, action=action, expected_effect=effect
-    )
+    return TvaeOutput(verification=verification, action=action, expected_effect=effect)
 
 
 def test_composite_correct_action_partial_effect():
     gt = click(0.5, 0.5)
     sample = _sample(gt, "the cart page opens now yes")
     out = _turn(gt, Verification.SUCCESS, "well the cart page opens now")
-    b = composite_reward(out, sample)
+    b = composite_reward(out, sample, RewardConfig())
     assert b.r_act == 1.0
     assert b.total == pytest.approx(1.0 + 0.5 * b.r_eff + 0.5 * 1.0)
 
@@ -204,7 +199,7 @@ def test_composite_example_totals():
     # token F1: overlap 2 of 2 reference and 3 predicted tokens -> 2*2/(3+2) = 0.8
     sample = _sample(gt, "cart opens")
     out = _turn(gt, Verification.SUCCESS, "the cart opens")
-    b = composite_reward(out, sample)
+    b = composite_reward(out, sample, RewardConfig())
     assert b.r_eff == pytest.approx(0.8)
     assert b.total == pytest.approx(1.9)  # 1 + 0.5*0.8 + 0.5*1.0
 
@@ -214,7 +209,7 @@ def test_composite_hallucination_floor():
     sample = _sample(gt, "cart opens", target=Verification.NO_CHANGE)
     wrong = click(0.9, 0.9)
     out = _turn(wrong, Verification.SUCCESS, "cart opens")
-    b = composite_reward(out, sample)
+    b = composite_reward(out, sample, RewardConfig())
     assert (b.r_act, b.r_eff, b.r_ver) == (-1.0, 0.0, -2.0)
     assert b.total == -2.0
 
@@ -223,7 +218,7 @@ def test_composite_maximum():
     gt = click(0.5, 0.5)
     sample = _sample(gt, "cart opens")
     out = _turn(gt, Verification.SUCCESS, "cart opens")
-    assert composite_reward(out, sample).total == 2.0
+    assert composite_reward(out, sample, RewardConfig()).total == 2.0
 
 
 def test_composite_pixel_output_normalized_via_sample_dims():
@@ -238,11 +233,12 @@ def test_composite_pixel_output_normalized_via_sample_dims():
         screen_dims=(1080, 2400),
     )
     out = _turn(click(317.0, 1190.0), Verification.SUCCESS, "bus list")
-    assert composite_reward(out, sample).r_act == 1.0
+    assert composite_reward(out, sample, RewardConfig()).r_act == 1.0
     # without screen_dims a pixel output cannot be grounded: a miss, even though
     # its raw coordinate lies within DELTA of the target
     out = _turn(click(1.05, 0.5), Verification.SUCCESS, "bus list")
-    assert composite_reward(out, _sample(click(0.95, 0.5), "bus list")).r_act == -1.0
+    miss = composite_reward(out, _sample(click(0.95, 0.5), "bus list"), RewardConfig())
+    assert miss.r_act == -1.0
 
 
 def test_unparseable_output_scores_a_wrong_action_and_a_miss():
@@ -311,7 +307,7 @@ def test_composite_worked_success_turn_against_own_sample():
         target_effect="A list of bus directions from Eastwood to Chatswood will appear.",
         screen_dims=(1080, 2400),
     )
-    b = composite_reward(out, sample)
+    b = composite_reward(out, sample, RewardConfig())
     assert b.r_ver == 1.0
     assert b.r_act == 1.0
     assert b.total == 2.0  # identical effect text, pixel action normalized
@@ -320,7 +316,7 @@ def test_composite_worked_success_turn_against_own_sample():
 def test_gating_and_range_properties(rng: random.Random):
     cfg = RewardConfig()
     for _ in range(10_000):
-        out = random_valid_turn(rng)
+        out = random_valid_turn(rng).projection()
         target_action = random_valid_turn(rng).action
         if target_action.in_pixels():
             target_action = ActionRecord(

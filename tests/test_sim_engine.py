@@ -27,13 +27,7 @@ from tvae_harness.sim_engine import (
 )
 from tvae_harness.synthdata import make_dataset
 from tvae_harness.trajectory_store import ActionKind, ActionRecord, StepRecord
-from tvae_harness.tvae_codec import (
-    HistoryEntry,
-    ThinkSegment,
-    ThinkTag,
-    TvaeOutput,
-    Verification,
-)
+from tvae_harness.tvae_codec import HistoryEntry, TvaeOutput, Verification
 
 from conftest import make_click_step
 
@@ -57,8 +51,7 @@ def test_transition_exact_match_advances():
 def test_transition_mismatch_keeps_screen():
     step = make_click_step(0)
     off = ActionRecord(kind=ActionKind.CLICK, coordinate=(0.5, 0.7))  # outside bbox
-    think = (ThinkSegment(ThinkTag.ACTION, "Click the button."),)
-    turn = TvaeOutput(think, Verification.SUCCESS, off, "The button responds.")
+    turn = TvaeOutput(Verification.SUCCESS, off, "The button responds.")
     before = (HistoryEntry(step.gt_action, "An earlier step.", Verification.SUCCESS),)
     history, log = transition(before, off, step, turn=turn)
     assert not log.matched  # the screen is unchanged

@@ -12,7 +12,6 @@ from tvae_harness import tvae_codec
 from tvae_harness.errors import DataError
 from tvae_harness.trajectory_store import ActionKind, ActionRecord, ScrollDirection
 from tvae_harness.tvae_codec import (
-    ThinkSegment,
     ThinkTag,
     TvaeOutput,
     Verification,
@@ -22,7 +21,7 @@ from tvae_harness.tvae_codec import (
 )
 
 from conftest import random_valid_action, random_valid_turn
-from reference_codec import emit_checked
+from reference_codec import ReferenceTurn, ThinkSegment, emit_checked
 from reference_codec import parse_tvae as reference_parse
 
 # Worked reference turns for the two paths.
@@ -57,10 +56,11 @@ def test_success_path_worked_example():
     assert out.action.coordinate == (317.0, 1190.0)
     assert out.action.in_pixels()
     assert out.expected_effect.startswith("A list of bus directions")
-    assert [s.tag for s in out.think] == [
+    reference = reference_parse(TYPE_A_TURN)
+    assert [s.tag for s in reference.think] == [
         ThinkTag.VERIFY, ThinkTag.RECALL, ThinkTag.GROUNDING, ThinkTag.COORDINATE, ThinkTag.ACTION
     ]
-    assert out.warnings == ()
+    assert out == reference.projection() and out.warnings == ()
 
 
 @pytest.mark.parametrize("coordinate, written", [
@@ -78,9 +78,10 @@ def test_recovery_path_worked_example():
     assert out.verification is Verification.NO_CHANGE
     assert out.action.kind is ActionKind.INPUT_TEXT
     assert out.action.text == "Slipping into Relaxed Sleep"
-    tags = {s.tag for s in out.think}
+    reference = reference_parse(TYPE_B_TURN)
+    tags = {s.tag for s in reference.think}
     assert ThinkTag.DIAGNOSE in tags and ThinkTag.RECOVERY in tags
-    assert out.warnings == ()
+    assert out == reference.projection() and out.warnings == ()
 
 
 def test_missing_verification_block_is_unparseable():
@@ -97,7 +98,7 @@ def test_missing_think_block_is_a_warning():
         if not line.startswith(("<think>", "[", "</think>"))
     )
     out = parse_tvae(text)
-    assert out.think == ()
+    assert reference_parse(text, strict=False).think == ()
     assert out.warnings == (
         "missing <think> block", "turn: invalid think (needs at least one segment)"
     )
@@ -165,10 +166,10 @@ def test_non_finite_number_is_no_action(template, number):
 
 
 def test_unknown_think_tag_folds_into_previous_segment():
-    out = parse_tvae(TYPE_A_TURN.replace("[Recall]", "[Plan]"))
-    # the unknown tag and its text fold into the previous segment body
-    assert out.think[0].tag is ThinkTag.VERIFY
-    assert "[Plan]" in out.think[0].body
+    text = TYPE_A_TURN.replace("[Recall]", "[Plan]")
+    out = parse_tvae(text)
+    # the unknown tag and its text fold into the previous segment
+    assert reference_parse(text, strict=False).think[0].tag is ThinkTag.VERIFY
     assert out.warnings == ("unknown think tag [Plan] folded into previous segment",)
 
 
@@ -192,12 +193,23 @@ def test_verify_must_come_first_when_present():
         "[Verify] Previous click", "[Recall] moved.\n[Verify] Previous click"
     )
     out = parse_tvae(text)
-    assert [s.tag for s in out.think[:2]] == [ThinkTag.RECALL, ThinkTag.VERIFY]
+    reference = reference_parse(text, strict=False)
+    assert [s.tag for s in reference.think[:2]] == [ThinkTag.RECALL, ThinkTag.VERIFY]
     assert out.warnings == ("turn: invalid think ([Verify] must come first)",)
 
 
+def assert_fixed_point(text: str) -> ReferenceTurn:
+    """`text` is `emit_checked`'s byte-level fixed point over the reference
+    parse, and the program parses it, unwarned, to that turn's projection."""
+    reference = reference_parse(text)
+    assert emit_checked(reference) == text
+    parsed = parse_tvae(text)
+    assert parsed == reference.projection() and parsed.warnings == ()
+    return reference
+
+
 def test_emit_requires_invariants():
-    bad = TvaeOutput(
+    bad = ReferenceTurn(
         think=(ThinkSegment(ThinkTag.VERIFY, "Screen unchanged."),),
         verification=Verification.NO_CHANGE,
         action=parse_tvae(TYPE_A_TURN).action,
@@ -208,7 +220,7 @@ def test_emit_requires_invariants():
 
 
 def test_emit_minimal_success_round_trips():
-    out = TvaeOutput(
+    out = ReferenceTurn(
         think=(ThinkSegment(ThinkTag.VERIFY, "All good."),),
         verification=Verification.SUCCESS,
         action=parse_tvae(TYPE_A_TURN).action,
@@ -216,8 +228,7 @@ def test_emit_minimal_success_round_trips():
     )
     text = emit_checked(out)
     assert text.index("<think>") < text.index("<verification>") < text.index("<action>")
-    parsed = parse_tvae(text)
-    assert parsed == out and parsed.warnings == ()
+    assert assert_fixed_point(text) == out
 
 
 @pytest.mark.parametrize("terminator", [
@@ -227,7 +238,7 @@ def test_emit_minimal_success_round_trips():
 def test_text_holding_a_block_terminator_round_trips(kind, terminator):
     # "</" in a text is written "<\/", so the block scan closes the action
     # block at its own terminator
-    out = TvaeOutput(
+    out = ReferenceTurn(
         think=(ThinkSegment(ThinkTag.VERIFY, "All good."), ThinkSegment(ThinkTag.TEXT, "Type.")),
         verification=Verification.SUCCESS,
         action=ActionRecord(kind=kind, text=f"a{terminator}b <action>"),
@@ -235,18 +246,13 @@ def test_text_holding_a_block_terminator_round_trips(kind, terminator):
     )
     text = emit_checked(out)
     assert text.count("</action>") == 1
-    parsed = parse_tvae(text)
-    assert parsed == out and parsed.warnings == ()
-    assert emit_checked(parsed) == text
+    assert assert_fixed_point(text) == out
 
 
 def test_round_trip_fuzz_small(rng: random.Random):
     for _ in range(200):
         out = random_valid_turn(rng)
-        text = emit_checked(out)
-        parsed = parse_tvae(text)
-        assert parsed == out and parsed.warnings == ()
-        assert emit_checked(parsed) == text
+        assert assert_fixed_point(emit_checked(out)) == out
 
 
 def test_wait_time_alias():
@@ -386,11 +392,16 @@ def _outcome(parse, raw: str):
 
 
 def _reference_lenient_parse(raw: str) -> TvaeOutput:
-    return reference_parse(raw, strict=False)
+    return reference_parse(raw, strict=False).projection()
 
 
 def _assert_same_as_reference(raw: str) -> None:
     assert _outcome(parse_tvae, raw) == _outcome(_reference_lenient_parse, raw)
+
+
+def _with_think(body: str) -> str:
+    """TYPE_A_TURN with `body` as its think block's body."""
+    return f"<think>{body}</think>" + TYPE_A_TURN.split("</think>", 1)[1]
 
 
 @settings(
@@ -406,6 +417,10 @@ def _assert_same_as_reference(raw: str) -> None:
 @example(raw=TYPE_A_TURN.replace("317", "NaN"))
 @example(raw=TYPE_A_TURN.replace("317", "Infinity"))
 @example(raw=TYPE_A_TURN.replace("317", "1e400"))
+@example(raw=_with_think("[Verify][Plan]"))  # an unknown tag alone fills a segment
+@example(raw=_with_think("[Plan] x [Verify] y"))  # an unknown tag with no open segment
+@example(raw=_with_think("[Verify]  \n[Action]"))  # a blank segment before a known tag
+@example(raw=_with_think("The route is shown."))  # trailing text, no tag
 def test_parser_matches_reference_on_block_soup(raw):
     _assert_same_as_reference(raw)
 
@@ -450,7 +465,7 @@ def test_unclosed_open_tags_parse_in_linear_time(make):
 def _emitted(think: str = "Find the bus routes.", text: str = "bus", effect: str = "Routes appear.",
              verification: Verification = Verification.SUCCESS,
              extra: tuple[ThinkSegment, ...] = ()) -> str:
-    return emit_checked(TvaeOutput(
+    return emit_checked(ReferenceTurn(
         think=(ThinkSegment(ThinkTag.VERIFY, "The list opened."),
                ThinkSegment(ThinkTag.RECALL, think), *extra,
                ThinkSegment(ThinkTag.ACTION, "Type the query.")),
@@ -672,7 +687,7 @@ def test_emit_refuses_padded_text_and_round_trips_the_rest(body, readable, effec
     # parse strips segment bodies and the effect, so emitting padded text
     # would break both parse(emit(x)) == x and the byte-level fixed point;
     # emit checks padding first, then embedded tokens, bodies before the effect
-    out = TvaeOutput(
+    out = ReferenceTurn(
         think=(ThinkSegment(ThinkTag.VERIFY, "Checked."), ThinkSegment(ThinkTag.ACTION, body)),
         verification=Verification.SUCCESS,
         action=ActionRecord(kind=ActionKind.NAVIGATE_BACK),
@@ -692,7 +707,4 @@ def test_emit_refuses_padded_text_and_round_trips_the_rest(body, readable, effec
             emit_checked(out)
         assert str(err.value) == (readable if readable is not True else effect_readable)
     else:
-        text = emit_checked(out)
-        parsed = parse_tvae(text)
-        assert parsed == out and parsed.warnings == ()
-        assert emit_checked(parsed) == text
+        assert assert_fixed_point(emit_checked(out)) == out
