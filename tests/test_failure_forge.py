@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from collections import Counter
@@ -189,6 +190,55 @@ def test_corruption_never_within_repeat_epsilon_of_match(rng: random.Random):
                 assert not match_action(nudged, CLICK, bbox)
                 if bbox is None:
                     assert euclidean(nudged.coordinate, CLICK.coordinate) > DELTA
+
+
+def test_corruption_draws_are_pinned():
+    # Samples, cases, scripted wrong turns and traces all take their bytes
+    # from these draws, so a change of what a corruption draws, or of how
+    # many numbers it takes, shows here: each result (or refusal) and one
+    # number drawn after it feed the digest.  Around a centred click the
+    # (0.1, 0.1, 0.9, 0.9) box forces the first fallback point, the
+    # (0.0, 0.0, 0.9, 0.9) box a later one, and the full screen a refusal.
+    gts = (
+        CLICK,
+        ActionRecord(kind=ActionKind.CLICK, coordinate=(0.98, 0.5)),
+        ActionRecord(kind=ActionKind.LONG_PRESS, coordinate=(0.2, 0.8)),
+        ActionRecord(kind=ActionKind.SCROLL, direction=ScrollDirection.LEFT),
+        ActionRecord(kind=ActionKind.INPUT_TEXT, text="hello"),
+        ActionRecord(kind=ActionKind.OPEN_APP, text="Maps"),
+        ActionRecord(kind=ActionKind.NAVIGATE_BACK),
+        ActionRecord(kind=ActionKind.WAIT, seconds=2.0),
+    )
+    boxes = (
+        None, BBOX, (0.0, 0.0, 1.0, 0.5),
+        (0.1, 0.1, 0.9, 0.9), (0.0, 0.0, 0.9, 0.9), (0.0, 0.0, 1.0, 1.0),
+    )
+    known_sets = ((), ((0.0, 0.0, 0.3, 0.02), (0.6, 0.97, 1.0, 1.0), (0.98, 0.2, 1.0, 0.7)))
+    digest = hashlib.sha256()
+    count = 0
+
+    def record(draw) -> None:
+        nonlocal count
+        try:
+            text = repr(draw())
+        except DataError as exc:
+            text = f"DataError: {exc}"
+        digest.update(f"{text}|{rng.random()!r}\n".encode())
+        count += 1
+
+    for seed in (0, 1, 7, 2024):
+        rng = random.Random(seed)
+        for gt in gts:
+            for bbox in boxes:
+                for mode in FailureMode:
+                    record(lambda: corrupt_action(gt, bbox, mode, rng))
+                for known in known_sets:
+                    for _ in range(3):
+                        record(lambda: sample_corruption(gt, bbox, rng, known))
+    assert count == 4 * 8 * 6 * (5 + 2 * 3)
+    assert digest.hexdigest() == (
+        "1a821e59931a42ee37e2134dcdbc473cdf503ed0baa20f0b5ee3a4dfb51930e8"
+    )
 
 
 # -- the failure-mode mixture ----------------------------------------------------------
