@@ -7,7 +7,10 @@ related but wrong action type, grounding to a different region, waiting when
 interaction is required, and clicking dead screen margin.  Every corrupted
 action is guaranteed to fail the match predicate against its ground truth,
 with enough geometric margin that a near-repeat of the corruption can never
-be mistaken for a correct recovery.
+be mistaken for a correct recovery.  The three coordinate modes share one
+sampler: each picks a proposal and an acceptance test, up to MAX_TRIES
+proposals are drawn, then the eight fallback points are tried; if none
+passes, the mode does not apply.
 """
 
 from __future__ import annotations
@@ -97,30 +100,10 @@ def _draw_mode(rng: random.Random) -> FailureMode:
     return _MODES[bisect(_CUM_WEIGHTS, point, 0, len(_MODES) - 1)]
 
 
-def _region_distance(point: tuple[float, float], gt: ActionRecord, bbox: Bbox | None) -> float:
-    """Distance from `point` to the region where a same-kind action would
-    count as matching the ground truth."""
-    if bbox is not None:
-        return distance_to_bbox(point, bbox)
-    assert gt.coordinate is not None
-    return euclidean(point, gt.coordinate) - DELTA
-
-
 _FALLBACK_POINTS = (
     (0.01, 0.01), (0.99, 0.01), (0.01, 0.99), (0.99, 0.99),
     (0.5, 0.01), (0.5, 0.99), (0.01, 0.5), (0.99, 0.5),
 )
-
-
-def _pick_coordinate(rng: random.Random, accept, proposals) -> tuple[float, float] | None:
-    for _ in range(MAX_TRIES):
-        x, y = proposals(rng)
-        if 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0 and accept((x, y)):
-            return (round_coord(x), round_coord(y))
-    for candidate in _FALLBACK_POINTS:
-        if accept(candidate):
-            return candidate
-    return None
 
 
 def corrupt_action(
@@ -141,6 +124,37 @@ def corrupt_action(
     return result
 
 
+def _propose(
+    mode: FailureMode, rng: random.Random, center: tuple[float, float] | None
+) -> tuple[float, float]:
+    """A coordinate mode's proposal: an offset of 0.05-0.40 around `center`,
+    a point anywhere on the screen, or a point in the FRAME band of a side."""
+    if mode is FailureMode.COORDINATE_OFFSET:
+        radius = rng.uniform(0.05, 0.40)
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        return (center[0] + radius * math.cos(angle), center[1] + radius * math.sin(angle))
+    if mode is FailureMode.TARGET_MISIDENTIFICATION:
+        return (rng.uniform(0.03, 0.97), rng.uniform(0.03, 0.97))
+    side, along, across = rng.randrange(4), rng.uniform(0.0, 1.0), rng.uniform(0.0, FRAME)
+    depth = across if side % 2 == 0 else 1.0 - across  # from the near or the far edge
+    return (along, depth) if side < 2 else (depth, along)
+
+
+def _passes(
+    point: tuple[float, float], center: tuple[float, float] | None, bbox: Bbox | None,
+    avoid: Sequence[Bbox], jump: float,
+) -> bool:
+    """Whether `point` is outside every box of `avoid` and, given a `center`,
+    `jump` or more from it and over MARGIN from where a same-kind match lies."""
+    for box in avoid:
+        if distance_to_bbox(point, box) <= 0.0:
+            return False
+    if center is None:
+        return True
+    region = distance_to_bbox(point, bbox) if bbox is not None else euclidean(point, center) - DELTA
+    return region > MARGIN and euclidean(point, center) >= jump
+
+
 def _corrupt(
     gt: ActionRecord,
     bbox: Bbox | None,
@@ -149,39 +163,13 @@ def _corrupt(
     known_bboxes: Sequence[Bbox],
 ) -> ActionRecord | None:
     """The corruption of `gt` under `mode`, or None when the mode cannot
-    apply (with no draw from `rng` when the action kind rules it out).  Each
-    rule forces a miss: another kind, or a point over MARGIN from the region."""
-    if mode is FailureMode.COORDINATE_OFFSET:
-        center = gt.coordinate
-        if center is None:
-            return None
+    apply (with no draw from `rng` when the action kind rules it out).
 
-        def propose(r: random.Random) -> tuple[float, float]:
-            radius = r.uniform(0.05, 0.40)
-            angle = r.uniform(0.0, 2.0 * math.pi)
-            return (center[0] + radius * math.cos(angle), center[1] + radius * math.sin(angle))
-
-        coord = _pick_coordinate(rng, lambda p: _region_distance(p, gt, bbox) > MARGIN, propose)
-        return None if coord is None else ActionRecord(kind=gt.kind, coordinate=coord)
-
-    elif mode is FailureMode.TARGET_MISIDENTIFICATION:
-        center = gt.coordinate
-        if center is None:
-            return None
-
-        def propose_far(r: random.Random) -> tuple[float, float]:
-            return (r.uniform(0.03, 0.97), r.uniform(0.03, 0.97))
-
-        coord = _pick_coordinate(
-            rng,
-            lambda p: (
-                euclidean(p, center) >= JUMP_MIN and _region_distance(p, gt, bbox) > MARGIN
-            ),
-            propose_far,
-        )
-        return None if coord is None else ActionRecord(kind=gt.kind, coordinate=coord)
-
-    elif mode is FailureMode.ACTION_TYPE_ERROR:
+    Action type and timing errors change the kind.  A coordinate mode only
+    chooses a proposal and an acceptance test: the first of up to MAX_TRIES
+    proposals that lies on the screen and passes is kept, rounded; else the
+    first fallback point that passes; else the mode does not apply."""
+    if mode is FailureMode.ACTION_TYPE_ERROR:
         if gt.kind not in DEFAULT_RELATED_KINDS:
             return None
         # Every related kind is a click or a long press.
@@ -192,38 +180,25 @@ def _corrupt(
         else:
             coord = (round_coord(rng.uniform(0.2, 0.8)), round_coord(rng.uniform(0.2, 0.8)))
         return ActionRecord(kind=DEFAULT_RELATED_KINDS[gt.kind], coordinate=coord)
-
-    elif mode is FailureMode.TIMING_ERROR:
+    if mode is FailureMode.TIMING_ERROR:
         if gt.kind is ActionKind.WAIT:
             return None
         return ActionRecord(kind=ActionKind.WAIT, seconds=rng.choice(WAIT_CHOICES))
-
-    else:  # null click: dead margin frame of the screen, outside every known box
-        boxes = list(known_bboxes)
-        if bbox is not None and bbox not in boxes:
-            boxes.append(bbox)
-
-        def propose_margin(r: random.Random) -> tuple[float, float]:
-            side = r.randrange(4)
-            along = r.uniform(0.0, 1.0)
-            across = r.uniform(0.0, FRAME)
-            if side == 0:
-                return (along, across)
-            if side == 1:
-                return (along, 1.0 - across)
-            if side == 2:
-                return (across, along)
-            return (1.0 - across, along)
-
-        def accept_margin(p: tuple[float, float]) -> bool:
-            if any(distance_to_bbox(p, b) <= 0.0 for b in boxes):
-                return False
-            if gt.is_spatial() and _region_distance(p, gt, bbox) <= MARGIN:
-                return False
-            return True
-
-        coord = _pick_coordinate(rng, accept_margin, propose_margin)
-        return None if coord is None else ActionRecord(kind=ActionKind.CLICK, coordinate=coord)
+    center, kind, avoid, jump = gt.coordinate, gt.kind, (), 0.0
+    if mode is FailureMode.NULL_CLICK:  # a click outside every known box
+        kind, avoid = ActionKind.CLICK, known_bboxes if bbox is None else (*known_bboxes, bbox)
+    elif center is None:
+        return None
+    elif mode is FailureMode.TARGET_MISIDENTIFICATION:
+        jump = JUMP_MIN
+    for _ in range(MAX_TRIES):
+        x, y = point = _propose(mode, rng, center)
+        if 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0 and _passes(point, center, bbox, avoid, jump):
+            return ActionRecord(kind=kind, coordinate=(round_coord(x), round_coord(y)))
+    for point in _FALLBACK_POINTS:
+        if _passes(point, center, bbox, avoid, jump):
+            return ActionRecord(kind=kind, coordinate=point)
+    return None
 
 
 def sample_corruption(
@@ -366,7 +341,7 @@ def _type_b_quotas(trajs: Sequence[TrajectoryRecord], ratio_b: float) -> list[in
 def build_sft_dataset(
     trajs: Sequence[TrajectoryRecord],
     ratio_b: float,
-    seed: int = 0,
+    seed: int,
 ) -> list[SyntheticSample]:
     """Expand trajectories into type A samples plus a ratio_b fraction of
     type B failure-recovery samples.
@@ -411,7 +386,7 @@ def build_sft_dataset(
 def build_robustness_bench(
     trajs: Sequence[TrajectoryRecord],
     per_traj: int,
-    seed: int = 0,
+    seed: int,
 ) -> list[FailureCase]:
     """Create failure-injection cases from sampled steps of each trajectory."""
     if not trajs:

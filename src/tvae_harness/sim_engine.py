@@ -47,8 +47,8 @@ MAX_BUDGET_MULTIPLIER = 100.0
 
 @dataclass(slots=True)
 class SimConfig:
+    seed: int
     budget_multiplier: float = 2.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 1 <= self.budget_multiplier <= MAX_BUDGET_MULTIPLIER:
@@ -117,18 +117,18 @@ def transition(
     history: tuple[HistoryEntry, ...],
     issued: ActionRecord | None,
     gt: StepRecord,
-    turn: TvaeOutput | None = None,
-    parse_warnings: tuple[str, ...] = (),
+    turn: TvaeOutput | None,
+    parse_warnings: tuple[str, ...],
 ) -> tuple[tuple[HistoryEntry, ...], AttemptLog]:
     """Decide one attempt at step `gt` under the idempotent transition rule.
 
     Match: the episode advances, and with it the screen.  Mismatch: the
     screen is unchanged.  Either way the attempt is consumed, and `turn`
     supplies the effect text and verification of the entry appended to
-    `history`; a None `issued` (unparseable turn) appends none.
+    `history`; a None `turn` (unparseable, with a None `issued`) adds none.
     """
     matched = issued is not None and match_action(issued, gt.gt_action, gt.gt_bbox)
-    if turn is not None and issued is not None:
+    if turn is not None:
         effect = turn.expected_effect or "(no effect stated)"
         history = history + (HistoryEntry(issued, effect, turn.verification),)
     predicted = turn.verification if turn is not None else None
@@ -186,7 +186,7 @@ def run_episode(traj: TrajectoryRecord, agent: AgentHandle, cfg: SimConfig) -> S
         )
         raw = agent.turn(obs, gt if agent.white_box else None, rng)
         turn, action, warnings = _interpret(raw, gt.screen_dims)
-        history, log = transition(history, action, gt, turn=turn, parse_warnings=warnings)
+        history, log = transition(history, action, gt, turn, warnings)
         logs.append(log)
         cursor += log.matched
     return SimTrace(trajectory_id=traj.id, t_gt=t_gt, attempts=tuple(logs))

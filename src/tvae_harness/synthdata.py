@@ -54,7 +54,7 @@ def _bbox_around(coord: tuple[float, float], rng: random.Random):
     return (round_coord(x0), round_coord(y0), round_coord(x1), round_coord(y1))
 
 
-def random_trajectory(traj_id: str, length: int, seed: int = 0) -> TrajectoryRecord:
+def random_trajectory(traj_id: str, length: int, seed: int) -> TrajectoryRecord:
     """Build one valid trajectory with `length` steps, deterministic in
     (traj_id, seed)."""
     rng = random.Random(stable_seed(seed, "traj", traj_id))
@@ -86,7 +86,7 @@ def random_trajectory(traj_id: str, length: int, seed: int = 0) -> TrajectoryRec
 def make_dataset(
     count: int,
     lengths: tuple[int, int],
-    seed: int = 0,
+    seed: int,
 ) -> list[TrajectoryRecord]:
     """Generate `count` trajectories with lengths uniform in the given range."""
     rng = random.Random(stable_seed(seed, "dataset", "traj", count))

@@ -391,7 +391,7 @@ def test_type_b_replay_is_idempotent_under_transition_rule():
         step = steps_by_ref[s.input_screen_ref]
         failed = s.history[-1]
         turn = TvaeOutput(failed.verification, failed.action, failed.expected_effect)
-        history, log = transition(s.history[:-1], failed.action, step, turn=turn)
+        history, log = transition(s.history[:-1], failed.action, step, turn, ())
         assert not log.matched  # the screen is unchanged
         assert history == s.history  # the miss adds the entry the sample records
         replayed += 1

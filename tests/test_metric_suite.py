@@ -23,17 +23,20 @@ from tvae_harness.trajectory_store import (
     ScrollDirection,
     TrajectoryRecord,
 )
+from tvae_harness.tvae_codec import TvaeOutput, Verification
 
 from conftest import make_click_step, random_valid_action
 
 
 def step_run(pairs) -> tuple[list[SimTrace], list[TrajectoryRecord]]:
     """One T=1 trajectory per (predicted action, ground-truth step) pair, and
-    its one-attempt trace as `transition` decides it."""
+    its one-attempt trace as `transition` decides it for a turn that issues
+    the predicted action."""
     traces, trajs = [], []
     for i, (predicted, step) in enumerate(pairs):
         traj = TrajectoryRecord(f"t{i}", "Do it.", (replace(step, index=0),), "done")
-        _, log = transition((), predicted, traj.steps[0])
+        turn = TvaeOutput(Verification.SUCCESS, predicted, "The screen moves on.")
+        _, log = transition((), predicted, traj.steps[0], turn, ())
         traces.append(SimTrace(traj.id, 1, (log,)))
         trajs.append(traj)
     return traces, trajs

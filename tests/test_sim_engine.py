@@ -43,9 +43,10 @@ def _agent(name: VariantName, **kw) -> ScriptedAgent:
 
 def test_transition_exact_match_advances():
     step = make_click_step(0)
-    history, log = transition((), step.gt_action, step)
+    turn = TvaeOutput(Verification.SUCCESS, step.gt_action, "The button responds.")
+    history, log = transition((), step.gt_action, step, turn, ())
     assert log.matched  # the screen is the next step's
-    assert history == ()  # no parsed turn, no entry
+    assert history == (HistoryEntry(step.gt_action, "The button responds.", Verification.SUCCESS),)
 
 
 def test_transition_mismatch_keeps_screen():
@@ -53,7 +54,7 @@ def test_transition_mismatch_keeps_screen():
     off = ActionRecord(kind=ActionKind.CLICK, coordinate=(0.5, 0.7))  # outside bbox
     turn = TvaeOutput(Verification.SUCCESS, off, "The button responds.")
     before = (HistoryEntry(step.gt_action, "An earlier step.", Verification.SUCCESS),)
-    history, log = transition(before, off, step, turn=turn)
+    history, log = transition(before, off, step, turn, ())
     assert not log.matched  # the screen is unchanged
     assert history == before + (HistoryEntry(off, "The button responds.", Verification.SUCCESS),)
 
@@ -61,9 +62,10 @@ def test_transition_mismatch_keeps_screen():
 def test_transition_none_action_counts_attempt():
     step = make_click_step(0)
     before = (HistoryEntry(step.gt_action, "An earlier step.", Verification.SUCCESS),)
-    history, log = transition(before, None, step)
+    history, log = transition(before, None, step, None, ("unparseable turn: no action",))
     assert not log.matched
-    assert log.issued is None
+    assert log.issued is None and log.predicted_verification is None
+    assert log.parse_warnings == ("unparseable turn: no action",)
     assert history is before
 
 
