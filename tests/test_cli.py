@@ -1696,6 +1696,118 @@ def test_manifest_records_every_flag_that_shapes_an_output(dataset, tmp_path, ar
     assert all((out / name).is_file() for name in outputs)
 
 
+def _manifest_runs(dataset, tmp_path):
+    """The manifest of one seeded run of each output-writing mode, with the
+    tmp path in its values written `<tmp>` and the version `<version>`."""
+    runs = tmp_path / "runs"
+    common = ["--dataset", str(dataset), "--seed", "3", "--limit", "6"]
+    argvs = {
+        "simulate": [
+            "simulate", *common, "--skip-invalid", "--agent", "scripted:oracle",
+            "--formats", "csv", "markdown",
+        ],
+        "bench-robust --synthesize": ["bench-robust", "--synthesize", *common, "--agent", "scripted:loopy"],
+        "synth --kind dataset": ["synth", "--kind", "dataset", "--count", "3", "--seed", "3"],
+        "synth --kind sft": ["synth", "--kind", "sft", *common],
+        "synth --kind bench": ["synth", "--kind", "bench", *common],
+    }
+    argvs["bench-robust --cases"] = [
+        "bench-robust", "--cases", str(runs / "synth --kind bench" / "cases.jsonl"),
+        "--agent", "scripted:oracle",
+    ]
+    _, score = _record_inputs("groups", tmp_path, dataset)
+    argvs["score --group-logprobs"] = score[:score.index("--out")] + score[-2:]
+    argvs["score"] = score[:score.index("--out")]
+    views = {}
+    for mode, argv in argvs.items():
+        assert main([*argv, "--out", str(runs / mode)]) == EXIT_OK
+        manifest = json.loads((runs / mode / "manifest.json").read_text())
+        assert manifest["version"] == tvae_harness.__version__
+        views[mode] = {
+            key: "<version>" if key == "version"
+            else value.replace(str(tmp_path), "<tmp>") if isinstance(value, str) else value
+            for key, value in manifest.items()
+        }
+    return views
+
+
+# The manifest of each mode that `_manifest_runs` runs: its keys in order and
+# their values.
+_DATASET_KEYS = {
+    "dataset": "<tmp>/dataset.jsonl",
+    "dataset_sha256": "d02574a35f2e4cf7ebc206a27b98f0170cc2d23a1521178ca897a4cc2aaa7186",
+    "limit": 6,
+}
+_WEIGHTS = {
+    "coordinate_offset": 0.3, "action_type_error": 0.25, "target_misidentification": 0.2,
+    "timing_error": 0.15, "null_click": 0.1,
+}
+_CASES_SHA256 = "a66458764616bd63684efcf382ab48db72ee5798d7198e4ad9fe3304e0a3d305"
+_SCORE_KEYS = {
+    "command": "score",
+    "version": "<version>",
+    "samples": "<tmp>/sft/samples.jsonl",
+    "samples_sha256": "e61025208be98a14614bdf3371ee66cafaf41f37bd4193bd1af1c3ce6aa881a7",
+    "outputs_file": "<tmp>/outputs.jsonl",
+    "outputs_sha256": "c2bf4a7bdcd7919333985fcd5f9dfb5250f10de8e38cc9d283fa3ecb10f25e56",
+}
+PINNED_MANIFESTS = {
+    "simulate": {
+        "command": "simulate", "version": "<version>", "seed": 3, "workers": 1,
+        "agent": "scripted:oracle", **_DATASET_KEYS, "skip_invalid": True,
+        "config": {"sim": {"budget_multiplier": 2.0}},
+        "outputs": ["traces.jsonl", "report.json", "report.csv", "report.md"],
+    },
+    "bench-robust --synthesize": {
+        "command": "bench-robust", "version": "<version>", "seed": 3, "agent": "scripted:loopy",
+        "cases": "cases.jsonl", "cases_sha256": _CASES_SHA256, "synthesized": True,
+        **_DATASET_KEYS, "skip_invalid": False, "per_traj": 1,
+        "outputs": ["case_results.jsonl", "report.json"],
+    },
+    "synth --kind dataset": {
+        "command": "synth", "version": "<version>", "kind": "dataset", "seed": 3,
+        "count": 3, "lengths": [1, 8], "outputs": ["dataset.jsonl"],
+    },
+    "synth --kind sft": {
+        "command": "synth", "version": "<version>", "kind": "sft", "seed": 3,
+        **_DATASET_KEYS, "skip_invalid": False, "ratio_b": 0.3, "weights": _WEIGHTS,
+        "outputs": ["samples.jsonl"], "sample_count": 21,
+    },
+    "synth --kind bench": {
+        "command": "synth", "version": "<version>", "kind": "bench", "seed": 3,
+        **_DATASET_KEYS, "skip_invalid": False, "per_traj": 1, "weights": _WEIGHTS,
+        "outputs": ["cases.jsonl"], "case_count": 6,
+    },
+    "bench-robust --cases": {
+        "command": "bench-robust", "version": "<version>", "seed": 0, "agent": "scripted:oracle",
+        "cases": "<tmp>/runs/synth --kind bench/cases.jsonl", "cases_sha256": _CASES_SHA256,
+        "synthesized": False, "outputs": ["case_results.jsonl", "report.json"],
+    },
+    "score --group-logprobs": {
+        **_SCORE_KEYS,
+        "config": {
+            "reward": {"alpha": 0.5, "beta": 0.5},
+            "grpo": {"eps_clip": 0.2, "kl_lambda": 0.05, "kl_estimator": "k3"},
+        },
+        "outputs": ["rewards.jsonl", "objective.json"],
+        "group_logprobs": "<tmp>/groups.jsonl",
+        "group_logprobs_sha256": "0a55aa29f69435a04232621f8891a3ac94605ec0f66a53ccea5c757182fb8880",
+    },
+    "score": {
+        **_SCORE_KEYS,
+        "config": {"reward": {"alpha": 0.5, "beta": 0.5}},
+        "outputs": ["rewards.jsonl"],
+    },
+}
+
+
+def test_manifests_are_pinned(dataset, tmp_path):
+    views = _manifest_runs(dataset, tmp_path)
+    assert list(views) == list(PINNED_MANIFESTS)
+    for mode, view in views.items():
+        assert list(view.items()) == list(PINNED_MANIFESTS[mode].items()), mode
+
+
 # sha256 of every output but the manifest of `_golden_runs`, pinned so that a
 # refactor that must keep report bytes identical is checked against old bytes.
 GOLDEN_DIGESTS = {
