@@ -20,11 +20,11 @@ import json
 import math
 import os
 import sys
-from contextlib import suppress
+from contextlib import closing, suppress
 from dataclasses import fields
 from enum import Enum
 from pathlib import Path
-from typing import Any, Mapping, NoReturn, Sequence
+from typing import Any, Iterable, Mapping, NoReturn, Sequence
 
 from . import __version__
 from .agent_bus import parse_agent_spec
@@ -49,7 +49,7 @@ from .sim_engine import (
     trace_from_json,
     trace_line,
 )
-from .trajectory_store import load_dataset, save_dataset
+from .trajectory_store import load_dataset, trajectory_line
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -79,10 +79,40 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
-def _write_manifest(out_dir: Path, manifest: dict[str, Any]) -> None:
-    _atomic_write(
-        out_dir / "manifest.json", (json.dumps(manifest, indent=2) + "\n").encode("utf-8")
-    )
+def _document(obj: Any) -> bytes:
+    """An indented JSON document: the manifest and `objective.json`."""
+    return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+
+
+def _write_outputs(out: str, files: Mapping[str, bytes | Iterable[str]]) -> Path:
+    """Make the run directory `out` and write each of `files` in order: a whole
+    document (bytes) atomically, record lines through `write_lines`.  A command
+    calls it once its inputs are checked and its agent has answered."""
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, data in files.items():
+        if isinstance(data, bytes):
+            _atomic_write(out_dir / name, data)
+        else:
+            write_lines(out_dir / name, data)
+    return out_dir
+
+
+def _write_manifest(out_dir: Path, command: str, files: Mapping[str, Any], **fields: Any) -> None:
+    """Write `manifest.json` last and atomically: the command, the version,
+    `fields` in order, and the names of every file the run wrote."""
+    manifest = {"command": command, "version": __version__, **fields, "outputs": list(files)}
+    _atomic_write(out_dir / "manifest.json", _document(manifest))
+
+
+def _dataset(args: argparse.Namespace, reader: str) -> tuple[list[Any], dict[str, Any]]:
+    """The trajectories of --dataset (with --limit and --skip-invalid) and
+    the manifest keys that record them; `reader` names the mode that needs it."""
+    if not args.dataset:
+        raise DataError(f"{reader} requires --dataset")
+    trajs = load_dataset(args.dataset, limit=args.limit, skip_invalid=args.skip_invalid)
+    return trajs, {"dataset": str(args.dataset), "dataset_sha256": _sha256(args.dataset),
+                   "limit": args.limit, "skip_invalid": args.skip_invalid}
 
 
 def _settings(cls: type, flags: Mapping[str, Any], **fixed: Any) -> Any:
@@ -142,39 +172,23 @@ def _check_mode_flags(args: argparse.Namespace, mode: str, reads: set[str]) -> d
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     sim = _settings(SimConfig, {"budget_multiplier": args.budget_multiplier}, seed=args.seed)
-    trajs = load_dataset(args.dataset, limit=args.limit, skip_invalid=args.skip_invalid)
+    trajs, dataset = _dataset(args, "simulate")
     if not trajs:
         raise DataError("dataset is empty")
-    agent = parse_agent_spec(args.agent, timeout=args.timeout, token=args.token)
-    try:
+    with closing(parse_agent_spec(args.agent, timeout=args.timeout, token=args.token)) as agent:
         traces = run_episodes(trajs, agent, sim, workers=args.workers)
-    finally:
-        agent.close()
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_lines(out_dir / "traces.jsonl", map(trace_line, traces))
     report = episode_report(traces, trajs)
-    _atomic_write(out_dir / "report.json", emit_report(report, ReportFormat.JSON))
-    outputs = ["traces.jsonl", "report.json"]
+    files: dict[str, Any] = {
+        "traces.jsonl": map(trace_line, traces),
+        "report.json": emit_report(report, ReportFormat.JSON),
+    }
     for fmt in dict.fromkeys(args.formats or ()):
-        outputs.append("report." + {"csv": "csv", "markdown": "md"}[fmt])
-        _atomic_write(out_dir / outputs[-1], emit_report(report, ReportFormat(fmt)))
+        name = "report." + {"csv": "csv", "markdown": "md"}[fmt]
+        files[name] = emit_report(report, ReportFormat(fmt))
+    out_dir = _write_outputs(args.out, files)
     _write_manifest(
-        out_dir,
-        {
-            "command": "simulate",
-            "version": __version__,
-            "seed": args.seed,
-            "workers": args.workers,
-            "agent": agent.identity,
-            "dataset": str(args.dataset),
-            "dataset_sha256": _sha256(args.dataset),
-            "limit": args.limit,
-            "skip_invalid": args.skip_invalid,
-            "config": _config_snapshot(sim=sim),
-            "outputs": outputs,
-        },
+        out_dir, "simulate", files, seed=args.seed, workers=args.workers, agent=agent.identity,
+        **dataset, config=_config_snapshot(sim=sim),
     )
     aso = "inf" if math.isinf(report.aso) else f"{report.aso:.3f}"
     print(
@@ -188,47 +202,28 @@ def cmd_bench_robust(args: argparse.Namespace) -> int:
     mode, reads = ("--synthesize", _KIND_READS["bench"]) if args.synthesize else ("--cases", set())
     flags = _check_mode_flags(args, f"bench-robust {mode}", reads)
     # Nothing is written before the agent has answered every case.
-    agent = parse_agent_spec(args.agent, timeout=args.timeout, token=args.token)
-    try:
+    with closing(parse_agent_spec(args.agent, timeout=args.timeout, token=args.token)) as agent:
         if args.synthesize:
-            if not args.dataset:
-                raise DataError("--synthesize requires --dataset")
-            trajs = load_dataset(args.dataset, limit=args.limit, skip_invalid=args.skip_invalid)
+            trajs, source = _dataset(args, "--synthesize")
+            source["per_traj"] = flags["per_traj"]
             cases = build_robustness_bench(trajs, per_traj=flags["per_traj"], seed=args.seed)
+            files: dict[str, Any] = {"cases.jsonl": map(failure_case_line, cases)}
         else:
             cases = read_records(args.cases, failure_case_from_json, "failure case")
+            files, source = {}, {}
         if not cases:
             raise DataError("no failure cases")
         results = run_failure_cases(cases, agent, SimConfig(seed=args.seed), workers=args.workers)
-    finally:
-        agent.close()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if args.synthesize:
-        cases_path = out_dir / "cases.jsonl"
-        write_lines(cases_path, map(failure_case_line, cases))
-    else:
-        cases_path = Path(args.cases)
-    write_lines(out_dir / "case_results.jsonl", map(case_result_line, cases, results))
+    files["case_results.jsonl"] = map(case_result_line, cases, results)
     report = robustness_metrics(results)
-    _atomic_write(out_dir / "report.json", emit_report(report, ReportFormat.JSON))
+    files["report.json"] = emit_report(report, ReportFormat.JSON)
+    out_dir = _write_outputs(args.out, files)
+    # synthesized cases live inside the run dir; record them by name
+    cases_path = out_dir / "cases.jsonl" if args.synthesize else Path(args.cases)
     _write_manifest(
-        out_dir,
-        {
-            "command": "bench-robust",
-            "version": __version__,
-            "seed": args.seed,
-            "agent": agent.identity,
-            # synthesized cases live inside the run dir; record them by name
-            "cases": cases_path.name if args.synthesize else str(cases_path),
-            "cases_sha256": _sha256(cases_path),
-            "synthesized": bool(args.synthesize),
-            **({"dataset": str(args.dataset), "dataset_sha256": _sha256(args.dataset),
-                "limit": args.limit, "skip_invalid": args.skip_invalid,
-                "per_traj": flags["per_traj"]}
-               if args.synthesize else {}),
-            "outputs": ["case_results.jsonl", "report.json"],
-        },
+        out_dir, "bench-robust", files, seed=args.seed, agent=agent.identity,
+        cases=cases_path.name if args.synthesize else str(cases_path),
+        cases_sha256=_sha256(cases_path), synthesized=bool(args.synthesize), **source,
     )
     print(f"bench-robust: {len(cases)} cases | LR {report.lr:.3f} | RSR {report.rsr:.3f}")
     return EXIT_OK
@@ -236,48 +231,28 @@ def cmd_bench_robust(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     flags = _check_mode_flags(args, f"synth --kind {args.kind}", _KIND_READS[args.kind])
-    out_dir = Path(args.out)  # made only once its rows are built
-    manifest: dict[str, Any] = {
-        "command": "synth",
-        "version": __version__,
-        "kind": args.kind,
-        "seed": args.seed,
-    }
+    fields: dict[str, Any] = {"kind": args.kind, "seed": args.seed}
     if args.kind == "dataset":
         from .synthdata import make_dataset
 
-        count, lengths = flags["count"], flags["lengths"]
-        trajs = make_dataset(count, lengths, seed=args.seed)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        save_dataset(trajs, out_dir / "dataset.jsonl")
-        manifest.update(count=count, lengths=list(lengths), outputs=["dataset.jsonl"])
+        trajs = make_dataset(flags["count"], flags["lengths"], seed=args.seed)
+        files = {"dataset.jsonl": map(trajectory_line, trajs)}
+        fields.update(count=flags["count"], lengths=list(flags["lengths"]))
     else:
-        if not args.dataset:
-            raise DataError("synth sft/bench requires --dataset")
-        trajs = load_dataset(args.dataset, limit=args.limit, skip_invalid=args.skip_invalid)
-        manifest.update(
-            dataset=str(args.dataset), dataset_sha256=_sha256(args.dataset),
-            limit=args.limit, skip_invalid=args.skip_invalid,
-        )
+        trajs, dataset = _dataset(args, "synth sft/bench")
+        fields.update(dataset)
         weights = {m.value: w for m, w in DEFAULT_FAILURE_WEIGHTS.items()}
         if args.kind == "sft":
             samples = build_sft_dataset(trajs, ratio_b=flags["ratio_b"], seed=args.seed)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            write_lines(out_dir / "samples.jsonl", map(sample_line, samples))
-            manifest.update(
-                ratio_b=flags["ratio_b"], weights=weights, outputs=["samples.jsonl"],
-                sample_count=len(samples),
-            )
+            files = {"samples.jsonl": map(sample_line, samples)}
+            fields.update(ratio_b=flags["ratio_b"], weights=weights, sample_count=len(samples))
         else:
             cases = build_robustness_bench(trajs, per_traj=flags["per_traj"], seed=args.seed)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            write_lines(out_dir / "cases.jsonl", map(failure_case_line, cases))
-            manifest.update(
-                per_traj=flags["per_traj"], weights=weights, outputs=["cases.jsonl"],
-                case_count=len(cases),
-            )
-    _write_manifest(out_dir, manifest)
-    print(f"synth: wrote {manifest['outputs']} to {out_dir}")
+            files = {"cases.jsonl": map(failure_case_line, cases)}
+            fields.update(per_traj=flags["per_traj"], weights=weights, case_count=len(cases))
+    out_dir = _write_outputs(args.out, files)
+    _write_manifest(out_dir, "synth", files, **fields)
+    print(f"synth: wrote {list(files)} to {out_dir}")
     return EXIT_OK
 
 
@@ -306,9 +281,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     if not samples:
         raise DataError("no outputs to score")
     breakdowns = [score_output(raw, sample, reward_cfg) for raw, sample in zip(raws, samples)]
-    outputs = ["rewards.jsonl"]
+    files: dict[str, Any] = {"rewards.jsonl": map(reward_line, breakdowns)}
     sections: dict[str, Any] = {"reward": reward_cfg}
-    objective: dict[str, Any] | None = None
     if grpo_cfg is not None:
         # An output without a "reward" takes the scored total at its position;
         # past the last one it takes 0.0 until the coverage check below fails.
@@ -325,31 +299,16 @@ def cmd_score(args: argparse.Namespace) -> int:
             if not math.isfinite(report["objective"]):
                 raise DataError(f"group {i}: objective is not finite ({report['objective']!r})")
         mean = grpo_core.exact_mean([r["objective"] for r in reports])
-        objective = {"groups": reports, "mean_objective": mean}
-        outputs.append("objective.json")
+        files["objective.json"] = _document({"groups": reports, "mean_objective": mean})
         sections["grpo"] = grpo_cfg
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_lines(out_dir / "rewards.jsonl", map(reward_line, breakdowns))
-    if objective is not None:
-        _atomic_write(
-            out_dir / "objective.json", (json.dumps(objective, indent=2) + "\n").encode("utf-8")
-        )
-    manifest: dict[str, Any] = {
-        "command": "score",
-        "version": __version__,
-        "samples": str(args.samples),
-        "samples_sha256": _sha256(args.samples),
-        "outputs_file": str(args.outputs),
-        "outputs_sha256": _sha256(args.outputs),
-        "config": _config_snapshot(**sections),
-        "outputs": outputs,
-    }
-    if objective is not None:
-        manifest["group_logprobs"] = str(args.group_logprobs)
-        manifest["group_logprobs_sha256"] = _sha256(args.group_logprobs)
-    _write_manifest(out_dir, manifest)
+    out_dir = _write_outputs(args.out, files)
+    _write_manifest(
+        out_dir, "score", files, samples=str(args.samples), samples_sha256=_sha256(args.samples),
+        outputs_file=str(args.outputs), outputs_sha256=_sha256(args.outputs),
+        config=_config_snapshot(**sections),
+        **({"group_logprobs": str(args.group_logprobs),
+            "group_logprobs_sha256": _sha256(args.group_logprobs)} if grpo_cfg else {}),
+    )
     print(f"score: {len(breakdowns)} outputs scored")
     return EXIT_OK
 

@@ -214,7 +214,7 @@ def objective_report(batch: GroupBatch, cfg: GrpoConfig) -> dict[str, Any]:
 # -- serialization ----------------------------------------------------------------
 
 
-def group_output_from_json(obj: Mapping[str, Any], reward: float | None = None) -> GroupOutput:
+def group_output_from_json(obj: Mapping[str, Any], reward: float | None) -> GroupOutput:
     """One output of a group line; its reward and log-probs are finite JSON
     numbers, and an output without a "reward" takes `reward`."""
     if "reward" not in obj and reward is None:
@@ -247,7 +247,7 @@ def _dist_from_json(obj: Mapping[str, Any], key: str) -> tuple[tuple[float, ...]
     return tuple(_finite(row, key) for row in json_value(obj, key, list, "group_output"))
 
 
-def read_group_batches(path: str | Path, rewards: Iterable[float] = ()) -> list[GroupBatch]:
+def read_group_batches(path: str | Path, rewards: Iterable[float]) -> list[GroupBatch]:
     """Read one group ({"outputs": [...]}) per line of a JSONL file.
 
     An output without a "reward" takes the next of `rewards`, in file

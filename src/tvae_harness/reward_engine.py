@@ -213,8 +213,15 @@ def composite_reward(
     r_act = 1.0 if matched else -1.0
     r_eff = token_f1(out.expected_effect, sample.target_effect) if matched else 0.0
     r_ver = verification_reward(out.verification, sample.target_verification)
+    return _breakdown(r_act, r_eff, r_ver, cfg)
+
+
+def _breakdown(
+    r_act: float, r_eff: float, r_ver: float, cfg: RewardConfig, parse_error: str | None = None
+) -> RewardBreakdown:
+    """The components and their one total, r_act + alpha * r_eff + beta * r_ver."""
     total = r_act + cfg.alpha * r_eff + cfg.beta * r_ver
-    return RewardBreakdown(r_act=r_act, r_eff=r_eff, r_ver=r_ver, total=total)
+    return RewardBreakdown(r_act, r_eff, r_ver, total, parse_error)
 
 
 def score_output(
@@ -229,11 +236,5 @@ def score_output(
     try:
         turn = parse_tvae(raw)
     except DataError as exc:
-        return RewardBreakdown(
-            r_act=-1.0,
-            r_eff=0.0,
-            r_ver=REWARD_MISS,
-            total=-1.0 + cfg.beta * REWARD_MISS,
-            parse_error=str(exc),
-        )
+        return _breakdown(-1.0, 0.0, REWARD_MISS, cfg, str(exc))
     return composite_reward(turn, sample, cfg)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .errors import DataError
 from .records import (
@@ -25,7 +25,6 @@ from .records import (
     numbers,
     read_records,
     unique_trajectories,
-    write_lines,
 )
 
 COORD_DECIMALS = 6
@@ -370,11 +369,6 @@ def load_dataset(
     """
     parse = unique_trajectories(trajectory_from_json, "id")
     return read_records(path, parse, "trajectory", limit=limit, skip_invalid=skip_invalid)
-
-
-def save_dataset(trajs: Iterable[TrajectoryRecord], path: str | Path) -> None:
-    """Write trajectories as canonical JSONL (compact, fixed key order)."""
-    write_lines(path, map(trajectory_line, trajs))
 
 
 def describe_action(action: ActionRecord) -> str:

@@ -9,6 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from tvae_harness.records import write_lines
 from tvae_harness.trajectory_store import (
     ActionKind,
     ActionRecord,
@@ -16,6 +17,7 @@ from tvae_harness.trajectory_store import (
     StepRecord,
     TrajectoryRecord,
     round_coord,
+    trajectory_line,
 )
 from tvae_harness.tvae_codec import ThinkTag, Verification
 
@@ -66,6 +68,11 @@ def make_traj(actions: list[ActionRecord], traj_id: str = "t0") -> TrajectoryRec
         steps=steps,
         terminal_screen_ref=f"{traj_id}/done",
     )
+
+
+def save_dataset(trajs, path) -> None:
+    """Write trajectories as a dataset file, one canonical line each."""
+    write_lines(path, map(trajectory_line, trajs))
 
 
 def random_valid_action(rng: random.Random) -> ActionRecord:

@@ -338,7 +338,7 @@ def group_output(**fields: Any) -> GroupOutput:
     return out
 
 
-def group_output_from_json(obj: Mapping[str, Any], reward: float | None = None) -> GroupOutput:
+def group_output_from_json(obj: Mapping[str, Any], reward: float | None) -> GroupOutput:
     if "reward" not in obj and reward is None:
         raise DataError("group_output: invalid reward (missing and no fallback)")
     return group_output(

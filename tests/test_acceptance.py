@@ -31,14 +31,14 @@ from tvae_harness.metric_suite import episode_report, robustness_metrics
 from tvae_harness.reward_engine import RewardConfig, composite_reward, verification_reward
 from tvae_harness.sim_engine import Outcome, SimConfig, run_episodes, run_failure_cases
 from tvae_harness.synthdata import make_dataset, random_trajectory
-from tvae_harness.trajectory_store import ActionKind, ActionRecord, save_dataset
+from tvae_harness.trajectory_store import ActionKind, ActionRecord
 from tvae_harness.tvae_codec import (
     ThinkTag,
     Verification,
     parse_tvae,
 )
 
-from conftest import random_valid_turn
+from conftest import random_valid_turn, save_dataset
 from reference_codec import emit_checked
 from reference_codec import parse_tvae as reference_parse
 from test_grpo_core import _softmax, _toy_batch

@@ -37,7 +37,6 @@ from tvae_harness.trajectory_store import (
     StepRecord,
     TrajectoryRecord,
     load_dataset,
-    save_dataset,
 )
 from tvae_harness.tvae_codec import (
     HistoryEntry,
@@ -52,6 +51,7 @@ from conftest import (
     ScriptedReplyServer,
     make_click_step,
     make_traj,
+    save_dataset,
 )
 from reference_codec import ReferenceTurn, ThinkSegment, emit_checked
 from reference_codec import parse_tvae as reference_parse

@@ -34,7 +34,6 @@ from tvae_harness.trajectory_store import (
     ActionRecord,
     StepRecord,
     TrajectoryRecord,
-    save_dataset,
 )
 from tvae_harness.tvae_codec import (
     HistoryEntry,
@@ -43,7 +42,7 @@ from tvae_harness.tvae_codec import (
 )
 
 import reference_grpo
-from conftest import FIXED_TURN, CountingTurnServer, ScriptedReplyServer
+from conftest import FIXED_TURN, CountingTurnServer, ScriptedReplyServer, save_dataset
 from reference_codec import ReferenceTurn, ThinkSegment, emit_checked
 
 
@@ -1685,7 +1684,7 @@ def test_manifest_config_records_every_settable_value(dataset, tmp_path):
     (["synth", "--kind", "sft"], ["samples.jsonl"]),
     (["synth", "--kind", "bench"], ["cases.jsonl"]),
     (["bench-robust", "--synthesize", "--agent", "scripted:oracle"],
-     ["case_results.jsonl", "report.json"]),
+     ["cases.jsonl", "case_results.jsonl", "report.json"]),
 ])
 def test_manifest_records_every_flag_that_shapes_an_output(dataset, tmp_path, argv, outputs):
     out = tmp_path / "out"
@@ -1732,7 +1731,7 @@ def _manifest_runs(dataset, tmp_path):
 
 
 # The manifest of each mode that `_manifest_runs` runs: its keys in order and
-# their values.
+# their values.  `outputs` is every file the run wrote, in order, and the last key.
 _DATASET_KEYS = {
     "dataset": "<tmp>/dataset.jsonl",
     "dataset_sha256": "d02574a35f2e4cf7ebc206a27b98f0170cc2d23a1521178ca897a4cc2aaa7186",
@@ -1762,7 +1761,7 @@ PINNED_MANIFESTS = {
         "command": "bench-robust", "version": "<version>", "seed": 3, "agent": "scripted:loopy",
         "cases": "cases.jsonl", "cases_sha256": _CASES_SHA256, "synthesized": True,
         **_DATASET_KEYS, "skip_invalid": False, "per_traj": 1,
-        "outputs": ["case_results.jsonl", "report.json"],
+        "outputs": ["cases.jsonl", "case_results.jsonl", "report.json"],
     },
     "synth --kind dataset": {
         "command": "synth", "version": "<version>", "kind": "dataset", "seed": 3,
@@ -1771,12 +1770,12 @@ PINNED_MANIFESTS = {
     "synth --kind sft": {
         "command": "synth", "version": "<version>", "kind": "sft", "seed": 3,
         **_DATASET_KEYS, "skip_invalid": False, "ratio_b": 0.3, "weights": _WEIGHTS,
-        "outputs": ["samples.jsonl"], "sample_count": 21,
+        "sample_count": 21, "outputs": ["samples.jsonl"],
     },
     "synth --kind bench": {
         "command": "synth", "version": "<version>", "kind": "bench", "seed": 3,
         **_DATASET_KEYS, "skip_invalid": False, "per_traj": 1, "weights": _WEIGHTS,
-        "outputs": ["cases.jsonl"], "case_count": 6,
+        "case_count": 6, "outputs": ["cases.jsonl"],
     },
     "bench-robust --cases": {
         "command": "bench-robust", "version": "<version>", "seed": 0, "agent": "scripted:oracle",
@@ -1789,9 +1788,9 @@ PINNED_MANIFESTS = {
             "reward": {"alpha": 0.5, "beta": 0.5},
             "grpo": {"eps_clip": 0.2, "kl_lambda": 0.05, "kl_estimator": "k3"},
         },
-        "outputs": ["rewards.jsonl", "objective.json"],
         "group_logprobs": "<tmp>/groups.jsonl",
         "group_logprobs_sha256": "0a55aa29f69435a04232621f8891a3ac94605ec0f66a53ccea5c757182fb8880",
+        "outputs": ["rewards.jsonl", "objective.json"],
     },
     "score": {
         **_SCORE_KEYS,

@@ -21,8 +21,7 @@ from test_record_stores import _function_name, _modules, _parents
 
 ENCODERS = {"dump", "dumps", "JSONEncoder"}
 ENCODER_SITES = {
-    ("cli", "_write_manifest", "json.dumps"),
-    ("cli", "cmd_score", "json.dumps"),  # objective.json
+    ("cli", "_document", "json.dumps"),  # the manifest and objective.json
     ("metric_suite", "emit_report", "json.dumps"),
     ("tvae_codec", "emit_action_json", "json.dumps"),
 }

@@ -319,7 +319,7 @@ def test_a_generator_is_seeded_only_once_a_turn_draws(
 ):
     from tvae_harness import sim_engine
     from tvae_harness.cli import EXIT_OK, main
-    from tvae_harness.trajectory_store import save_dataset
+    from conftest import save_dataset
 
     seeds = []
 

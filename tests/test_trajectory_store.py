@@ -17,11 +17,10 @@ from tvae_harness.trajectory_store import (
     action_line,
     load_dataset,
     normalize_action,
-    save_dataset,
 )
 from tvae_harness.synthdata import make_dataset
 
-from conftest import random_valid_action
+from conftest import random_valid_action, save_dataset
 
 
 def _write_lines(path, objs):
